@@ -219,7 +219,8 @@ impl Client {
         self.roundtrip(FrameType::Ingest, &payload)
     }
 
-    /// Submits one fcds wire envelope to the merge store.
+    /// Submits one fcds wire envelope to its family's v1 slot map
+    /// (accumulating).
     ///
     /// # Errors
     ///
@@ -228,8 +229,8 @@ impl Client {
         self.roundtrip(FrameType::Merge, image)
     }
 
-    /// Queries an estimate. `family` 0 is the live Θ engine, 1–4 the
-    /// merge store families.
+    /// Queries an estimate. `family` 0 is the `default` Θ stream, 1–4
+    /// the v1 per-family slot maps.
     ///
     /// # Errors
     ///
@@ -323,7 +324,7 @@ impl Client {
     }
 
     /// v2: queries the named stream's scalar estimate (live engine ∪
-    /// replica slots ∪ pushed images).
+    /// recovered ∪ replica ∪ pushed slots).
     ///
     /// # Errors
     ///

@@ -2,14 +2,11 @@
 //! background checkpointer.
 //!
 //! Every `snapshot_interval` the checkpointer encodes each registered
-//! stream's *durable image* — the fan-in merge of its live engine
-//! image, its boot-recovered image and its accumulated v2 pushes (but
-//! **not** its replace-by-source replica slots, which the originating
-//! peer re-pushes within one `replica_interval` and which would
-//! double-count on the peer for the non-idempotent families) — into a
-//! single self-validating record and writes it via write-to-temp +
-//! optional fsync + atomic rename. A crash at any byte boundary
-//! therefore leaves either the old snapshot or the new one, never a
+//! stream's *durable image* — the fan-in of its live engine image with
+//! the slots a checkpoint sees (recovered and pushed, never replica:
+//! see `slots::Consumer`) — into a single self-validating record and
+//! writes it via write-to-temp + optional fsync + atomic rename. A
+//! crash at any byte boundary therefore leaves either the old snapshot or the new one, never a
 //! torn file, and anything torn anyway (e.g. a dying disk) is caught by
 //! the record's CRC at recovery and quarantined, never trusted.
 //!
@@ -43,13 +40,9 @@
 
 use crate::recover::SNAP_MAX_IMAGE_BYTES;
 use crate::registry::StreamState;
+use crate::slots::{ship_image, Consumer};
 use crate::{ServerCtx, POLL_INTERVAL};
-use bytes::Bytes;
-use fcds_sketches::wire::{
-    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, theta_multiway_union,
-    SketchFamily, WireEncode,
-};
-use fcds_sketches::WireError;
+use fcds_sketches::wire::SketchFamily;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -304,64 +297,10 @@ impl SnapshotStore for DirStore {
     }
 }
 
-/// The images a checkpoint must capture: live engine + boot-recovered
-/// slot + accumulated v2 pushes. Replica slots are deliberately
-/// excluded (see the module docs).
-pub(crate) fn durable_images(state: &StreamState) -> Vec<Bytes> {
-    let mut v = vec![state.engine.wire_image()];
-    if let Some(r) = state
-        .recovered
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-    {
-        v.push(r);
-    }
-    v.extend(
-        state
-            .pushed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned(),
-    );
-    v
-}
-
-/// What this server itself holds for a stream: live engine image plus
-/// the boot-recovered slot. This is what the replica pusher ships — a
-/// post-crash push must not shrink the peer's slot for this source to
-/// an empty just-restarted engine.
-pub(crate) fn own_images(state: &StreamState) -> Vec<Bytes> {
-    let mut v = vec![state.engine.wire_image()];
-    if let Some(r) = state
-        .recovered
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-    {
-        v.push(r);
-    }
-    v
-}
-
-/// Merges `images` with the family's multiway fan-in kernel. `images`
-/// must be non-empty (the live image always is present).
-pub(crate) fn merged_image(family: SketchFamily, images: &[Bytes]) -> Result<Bytes, WireError> {
-    match family {
-        SketchFamily::Theta => theta_multiway_union(images).map(|s| s.to_wire_bytes()),
-        SketchFamily::Hll => hll_multiway_merge(images).map(|s| s.to_wire_bytes()),
-        SketchFamily::Quantiles => {
-            ladder_multiway_concat::<u64, _>(images).map(|s| s.to_wire_bytes())
-        }
-        SketchFamily::Frequency => mg_multiway_merge::<u64, _>(images).map(|s| s.to_wire_bytes()),
-    }
-}
-
 /// Checkpoints one stream if it has durable progress since its last
 /// snapshot. Returns `Ok(true)` when a record was written, `Ok(false)`
 /// when the stream was clean.
-pub(crate) fn checkpoint_stream(
+fn checkpoint_stream(
     state: &StreamState,
     store: &dyn SnapshotStore,
     fsync_file: bool,
@@ -379,16 +318,11 @@ pub(crate) fn checkpoint_stream(
             state.snapshot_dirty.store(true, Ordering::Release);
         }
     };
-    let images = durable_images(state);
-    let image = if images.len() == 1 {
-        images.into_iter().next().expect("one image")
-    } else {
-        match merged_image(state.family, &images) {
-            Ok(img) => img,
-            Err(e) => {
-                restore_dirty();
-                return Err(format!("merge for snapshot: {e}"));
-            }
+    let image = match ship_image(state.family, state.images(Consumer::Checkpoint)) {
+        Ok(image) => image,
+        Err(e) => {
+            restore_dirty();
+            return Err(format!("merge for snapshot: {e}"));
         }
     };
     let record = encode_record(state.family, &state.key, seq, image.as_ref());
@@ -400,14 +334,20 @@ pub(crate) fn checkpoint_stream(
     Ok(true)
 }
 
-/// One checkpoint round over every registered stream, with the
-/// configured fsync policy applied. Errors are counted, never fatal —
-/// a full disk degrades durability, it does not take ingest down.
-pub(crate) fn checkpoint_round(ctx: &ServerCtx, store: &dyn SnapshotStore) {
+/// One checkpoint round over `streams` — every registered stream for
+/// the background checkpointer, the just-quiesced ones for the drain's
+/// final pass — with the configured fsync policy applied. Errors are
+/// counted, never fatal — a full disk degrades durability, it does not
+/// take ingest down.
+pub(crate) fn checkpoint_round(
+    ctx: &ServerCtx,
+    store: &dyn SnapshotStore,
+    streams: &[Arc<StreamState>],
+) {
     let fsync_file = ctx.cfg.fsync_policy == FsyncPolicy::Always;
     let mut wrote = false;
-    for state in ctx.registry.list() {
-        match checkpoint_stream(&state, store, fsync_file) {
+    for state in streams {
+        match checkpoint_stream(state, store, fsync_file) {
             Ok(true) => {
                 wrote = true;
                 ctx.stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
@@ -439,6 +379,6 @@ pub(crate) fn checkpointer(ctx: Arc<ServerCtx>, store: Arc<dyn SnapshotStore>) {
             continue;
         }
         last = Instant::now();
-        checkpoint_round(&ctx, &*store);
+        checkpoint_round(&ctx, &*store, &ctx.registry.list());
     }
 }

@@ -17,7 +17,9 @@ use crate::persist::{
     snapshot_file_name, SnapshotStore, SNAP_HEADER_LEN, SNAP_MAGIC, SNAP_VERSION,
 };
 use crate::registry::CreateError;
-use crate::{spawn_stream, ServerCtx, DEFAULT_STREAM};
+use crate::slots::validate_envelope;
+use crate::worker::spawn_stream;
+use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_sketches::wire::SketchFamily;
 use std::fmt;
@@ -196,7 +198,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<SnapshotRecord, RecoverError> {
     let family =
         SketchFamily::from_code(family_code).ok_or(RecoverError::BadFamily { got: family_code })?;
     let envelope_family =
-        crate::validate_envelope(image, SNAP_MAX_IMAGE_BYTES as u32).map_err(RecoverError::Wire)?;
+        validate_envelope(image, SNAP_MAX_IMAGE_BYTES as u32).map_err(RecoverError::Wire)?;
     if envelope_family != family {
         return Err(RecoverError::Wire(format!(
             "record header says {} but envelope is {}",
@@ -229,7 +231,7 @@ pub struct RecoveryOutcome {
 
 /// Scans the store and re-registers every stream whose snapshot
 /// validates, installing the recovered image into the stream's
-/// `recovered` slot so queries, checkpoints and replica pushes all see
+/// recovered slot so queries, checkpoints and replica pushes all see
 /// the pre-crash state immediately. Runs before the accept loop
 /// starts, so a client can never observe a half-recovered server.
 pub(crate) fn recover_streams(
@@ -301,7 +303,7 @@ fn install(ctx: &Arc<ServerCtx>, rec: SnapshotRecord) -> Result<(), InstallError
         spawn_stream(ctx, &rec.key, rec.family, workers)
     }) {
         Ok((state, _created)) => {
-            *state.recovered.lock().unwrap_or_else(|e| e.into_inner()) = Some(rec.image);
+            state.slots.set_recovered(rec.image);
             state.items.store(rec.seq, Ordering::Release);
             state.persisted_seq.store(rec.seq, Ordering::Release);
             Ok(())

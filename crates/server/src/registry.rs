@@ -1,6 +1,6 @@
 //! The per-key stream registry: the map from opaque stream keys to
 //! running [`StreamEngine`]s, plus each stream's private ingest
-//! workers, replica slots, and pushed-image store.
+//! workers and its [`Slots`] map of merged-in images.
 //!
 //! Lifecycle contract (documented in the README and exercised by the
 //! `registry_streams` suite):
@@ -8,7 +8,9 @@
 //! * **Create on first ingest or merge** — a v2 `Ingest` or `Merge`
 //!   frame for an unknown key creates the stream with the frame's
 //!   declared family. Queries never create ([`NackCode::UnknownStream`]
-//!   instead), so a typo'd read cannot materialise an empty stream.
+//!   instead), so a typo'd read cannot materialise an empty stream, and
+//!   neither does a frame that is NACKed: dispatch validates the body
+//!   before it resolves the key.
 //! * **Family is fixed at creation** — later frames declaring a
 //!   different family are rejected with
 //!   [`NackCode::FamilyMismatch`] and leave the stream untouched.
@@ -23,6 +25,7 @@
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
 use crate::breaker::CircuitBreaker;
+use crate::slots::{Consumer, Slots};
 use bytes::Bytes;
 use fcds_core::engine::{
     EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine, ThetaFamily,
@@ -55,7 +58,7 @@ pub(crate) enum WorkerExit {
 }
 
 /// One registered stream: a running engine plus everything the server
-/// scopes to it (workers, breakers, replica slots, pushed images).
+/// scopes to it (workers, breakers, image slots).
 pub(crate) struct StreamState {
     pub(crate) key: Vec<u8>,
     pub(crate) family: SketchFamily,
@@ -67,20 +70,9 @@ pub(crate) struct StreamState {
     pub(crate) retired: AtomicBool,
     /// Items ingested into this stream's engine (diagnostics).
     pub(crate) items: AtomicU64,
-    /// Replace-by-source replica slots: the latest image pushed by each
-    /// replica source id. Replacement (not accumulation) is what makes
-    /// periodic pushes idempotent for the non-idempotent families
-    /// (Quantiles concat, Misra–Gries counter addition).
-    pub(crate) replicas: Mutex<HashMap<u64, Bytes>>,
-    /// Accumulating v2 merge store (non-REPLACE merges), bounded by
-    /// `merge_store_cap`.
-    pub(crate) pushed: Mutex<Vec<Bytes>>,
-    /// The wire image recovered from this stream's snapshot at boot
-    /// (`None` for streams created live). Fanned into queries,
-    /// checkpoints and replica pushes exactly like a merged image — the
-    /// live engine restarts empty, so this slot *is* the pre-crash
-    /// state.
-    pub(crate) recovered: Mutex<Option<Bytes>>,
+    /// Every image merged into this stream from outside its engine:
+    /// the boot-recovered snapshot, replica pushes, accumulating merges.
+    pub(crate) slots: Slots,
     /// [`Self::items`] as of the last durable snapshot (0 = never
     /// persisted). `items - persisted_seq` is the stream's snapshot lag:
     /// the ingest a crash right now would lose.
@@ -92,25 +84,10 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    /// Everything query-time fan-in sees: the live engine's image, the
-    /// boot-recovered snapshot image (if any), the newest image per
-    /// replica source, and all accumulated pushes. Never empty — the
-    /// live image is always present.
-    pub(crate) fn images(&self) -> Vec<Bytes> {
-        let mut v = vec![self.engine.wire_image()];
-        {
-            let recovered = self.recovered.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(recovered.iter().cloned());
-        }
-        {
-            let replicas = self.replicas.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(replicas.values().cloned());
-        }
-        {
-            let pushed = self.pushed.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(pushed.iter().cloned());
-        }
-        v
+    /// The live engine's image followed by the slots `who` sees. Never
+    /// empty — the live image is always present.
+    pub(crate) fn images(&self, who: Consumer) -> Vec<Bytes> {
+        self.slots.collect(Some(self.engine.wire_image()), who)
     }
 
     /// Joins every worker thread, returning

@@ -1,0 +1,204 @@
+//! The image-slot map and the one fan-in over it.
+//!
+//! Everything the server holds besides live engines is a validated wire
+//! image in a [`Slots`] map, and every read — v1 and v2 queries, the
+//! checkpointer, the replica pusher, the drain's final estimate — is
+//! [`fan_in`] over a set of images [`Slots::collect`] picked. Which
+//! slot classes a consumer sees is the [`Consumer`] table below.
+
+use bytes::Bytes;
+use fcds_sketches::theta::ThetaRead;
+use fcds_sketches::wire::{
+    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, peek, theta_multiway_union,
+    HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView, WireEncode,
+};
+use fcds_sketches::WireError;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+/// Images one slot map holds at most; a merge that would add one more
+/// is shed with `Overload` (replacing an existing slot always fits).
+pub(crate) const SLOT_CAP: usize = 1024;
+
+/// What a slot holds. The derived order is the fan-in order: recovered
+/// state, then replicas by source id, then pushes in arrival order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SlotKey {
+    /// The image recovered from this stream's snapshot at boot. The
+    /// live engine restarts empty, so this slot *is* the pre-crash
+    /// state.
+    Recovered,
+    /// The newest image pushed under a replica source id. Replacement
+    /// (not accumulation) is what makes periodic re-pushes idempotent
+    /// for the families whose merges are not (Quantiles concat,
+    /// Misra–Gries counter addition).
+    Replica(u64),
+    /// The n-th accumulating merge.
+    Pushed(u64),
+}
+
+/// Who is reading a slot map, which decides the classes it sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Consumer {
+    /// Queries see everything.
+    Query,
+    /// Checkpoints leave replica slots out: their source re-pushes them
+    /// within one `replica_interval`, and persisting them would
+    /// double-count on the peer for the non-idempotent families.
+    Checkpoint,
+    /// A replica push ships only what this server itself holds — live
+    /// plus recovered, so a post-crash push never shrinks the peer's
+    /// slot to an empty just-restarted engine.
+    ReplicaPush,
+}
+
+impl Consumer {
+    fn sees(self, key: SlotKey) -> bool {
+        match key {
+            SlotKey::Recovered => true,
+            SlotKey::Replica(_) => self == Consumer::Query,
+            SlotKey::Pushed(_) => self != Consumer::ReplicaPush,
+        }
+    }
+}
+
+/// A merge was shed because the map already holds [`SLOT_CAP`] images.
+#[derive(Debug)]
+pub(crate) struct SlotsFull;
+
+/// One mutex over one ordered map of validated wire images. Each stream
+/// owns one; the four v1 per-family stores are four more with no live
+/// image.
+#[derive(Default)]
+pub(crate) struct Slots {
+    map: Mutex<BTreeMap<SlotKey, Bytes>>,
+}
+
+impl Slots {
+    /// Stores an already-validated image: under `source` it replaces
+    /// that replica's slot, without one it accumulates.
+    pub(crate) fn put(&self, source: Option<u64>, image: Bytes) -> Result<(), SlotsFull> {
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let key = match source {
+            Some(source) => SlotKey::Replica(source),
+            // `Pushed` sorts last and is never removed, so the last key
+            // names the next free index.
+            None => match map.last_key_value() {
+                Some((SlotKey::Pushed(n), _)) => SlotKey::Pushed(n + 1),
+                _ => SlotKey::Pushed(0),
+            },
+        };
+        if map.len() >= SLOT_CAP && !map.contains_key(&key) {
+            return Err(SlotsFull);
+        }
+        map.insert(key, image);
+        Ok(())
+    }
+
+    /// Installs the boot-recovered image (recovery runs before traffic,
+    /// so the map is empty and the cap cannot bind).
+    pub(crate) fn set_recovered(&self, image: Bytes) {
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        map.insert(SlotKey::Recovered, image);
+    }
+
+    /// `live` (if any) followed by every slot `who` sees, in key order.
+    pub(crate) fn collect(&self, live: Option<Bytes>, who: Consumer) -> Vec<Bytes> {
+        let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let slots = map.iter().filter(|(k, _)| who.sees(**k));
+        live.into_iter()
+            .chain(slots.map(|(_, image)| image.clone()))
+            .collect()
+    }
+}
+
+/// Pre-screens an envelope with the capped peek (never size anything
+/// from an unvalidated declared length), then fully validates with the
+/// family's zero-copy view so only decodable images enter a slot. The
+/// gate for network merges and for snapshot-embedded images at
+/// recovery alike.
+pub(crate) fn validate_envelope(payload: &[u8], cap: u32) -> Result<SketchFamily, String> {
+    let peeked = peek(payload, cap as u64).map_err(|e| e.to_string())?;
+    match peeked.family {
+        SketchFamily::Theta => ThetaWireView::parse(payload).map(|_| ()),
+        SketchFamily::Hll => HllWireView::parse(payload).map(|_| ()),
+        SketchFamily::Quantiles => LadderWireView::<u64>::parse(payload).map(|_| ()),
+        SketchFamily::Frequency => MgWireView::<u64>::parse(payload).map(|_| ()),
+    }
+    .map_err(|e| e.to_string())?;
+    Ok(peeked.family)
+}
+
+/// What a fan-in is asked for — the wire's query kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// Query kind 0: the scalar estimate.
+    Estimate,
+    /// Query kind 1: the merged wire image.
+    Image,
+}
+
+impl Want {
+    pub(crate) fn from_kind(kind: u8) -> Option<Want> {
+        match kind {
+            0 => Some(Want::Estimate),
+            1 => Some(Want::Image),
+            _ => None,
+        }
+    }
+}
+
+/// What a fan-in produced. [`Want::Image`] always yields
+/// [`Fanned::Image`].
+pub(crate) enum Fanned {
+    Estimate(f64),
+    Image(Bytes),
+    /// An estimate was asked of a family that has none
+    /// (Quantiles, Frequency).
+    NoEstimate,
+}
+
+/// Merges `images` with `family`'s multiway kernel and answers `want`.
+/// The only caller of the four kernels: an estimate never encodes an
+/// image, and an empty `images` is the kernels' "no images" error.
+pub(crate) fn fan_in(
+    family: SketchFamily,
+    images: &[Bytes],
+    want: Want,
+) -> Result<Fanned, WireError> {
+    Ok(match (family, want) {
+        (SketchFamily::Quantiles | SketchFamily::Frequency, Want::Estimate) => Fanned::NoEstimate,
+        (SketchFamily::Theta, _) => {
+            let merged = theta_multiway_union(images)?;
+            match want {
+                Want::Estimate => Fanned::Estimate(merged.estimate()),
+                Want::Image => Fanned::Image(merged.to_wire_bytes()),
+            }
+        }
+        (SketchFamily::Hll, _) => {
+            let merged = hll_multiway_merge(images)?;
+            match want {
+                Want::Estimate => Fanned::Estimate(merged.estimate()),
+                Want::Image => Fanned::Image(merged.to_wire_bytes()),
+            }
+        }
+        (SketchFamily::Quantiles, Want::Image) => {
+            Fanned::Image(ladder_multiway_concat::<u64, _>(images)?.to_wire_bytes())
+        }
+        (SketchFamily::Frequency, Want::Image) => {
+            Fanned::Image(mg_multiway_merge::<u64, _>(images)?.to_wire_bytes())
+        }
+    })
+}
+
+/// The image a checkpoint or a replica push ships: a single image goes
+/// out as is, several are merged first.
+pub(crate) fn ship_image(family: SketchFamily, mut images: Vec<Bytes>) -> Result<Bytes, WireError> {
+    if images.len() == 1 {
+        return Ok(images.pop().expect("length checked"));
+    }
+    match fan_in(family, &images, Want::Image)? {
+        Fanned::Image(image) => Ok(image),
+        Fanned::Estimate(_) | Fanned::NoEstimate => unreachable!("an image was asked for"),
+    }
+}
