@@ -9,15 +9,15 @@
 //! * **eager phase** (§5.3) — covered by `eager_speedup.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fcds_core::theta::ConcurrentThetaBuilder;
+use fcds_core::engine::{EngineBuilder, ThetaFamily};
 use std::time::{Duration, Instant};
 
 const LG_K: u8 = 12;
 const UNIQUES: u64 = 1 << 19;
 
 fn run(writers: usize, prefilter: bool, double_buffering: bool, nonce: u64) -> Duration {
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(LG_K)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(usize::from(LG_K))
         .seed(9001)
         .writers(writers)
         .max_concurrency_error(1.0)

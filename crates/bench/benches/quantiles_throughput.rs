@@ -3,8 +3,8 @@
 //! bench documents the throughput profile of our instantiation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fcds_core::engine::{EngineBuilder, QuantilesFamily};
 use fcds_core::lock_based::LockBasedQuantiles;
-use fcds_core::quantiles::ConcurrentQuantilesBuilder;
 use fcds_sketches::oracle::DeterministicOracle;
 use std::time::{Duration, Instant};
 
@@ -12,11 +12,11 @@ const K: usize = 128;
 const ITEMS: u64 = 1 << 17;
 
 fn feed_concurrent(writers: usize, nonce: u64) -> Duration {
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(K)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(K)
         .writers(writers)
-        .oracle_seed(nonce)
-        .build::<u64>()
+        .seed(nonce)
+        .build()
         .unwrap();
     let start = Instant::now();
     std::thread::scope(|s| {

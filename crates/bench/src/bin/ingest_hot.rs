@@ -43,7 +43,8 @@ use fcds_bench::gate::{
     INGEST_BATCHED_VS_SCALAR_MIN, INGEST_BATCHED_VS_SCALAR_SHIPALL_MIN, INGEST_SCALAR_HINT_MOPS_MIN,
 };
 use fcds_bench::report::HarnessArgs;
-use fcds_core::theta::{ConcurrentThetaBuilder, ConcurrentThetaSketch, ThetaWriter};
+use fcds_core::engine::{EngineBuilder, ThetaFamily};
+use fcds_core::theta::{ConcurrentThetaSketch, ThetaWriter};
 use fcds_core::PropagationBackendKind;
 use fcds_sketches::hash::hash_batch_with_seed;
 use fcds_sketches::theta::{normalize_hash, QuickSelectThetaSketch};
@@ -80,8 +81,8 @@ impl SplitMix {
 }
 
 fn build(prefilter: bool) -> ConcurrentThetaSketch {
-    ConcurrentThetaBuilder::new()
-        .lg_k(LG_K)
+    EngineBuilder::<ThetaFamily>::new()
+        .accuracy(usize::from(LG_K))
         .seed(SEED)
         .writers(1)
         .max_concurrency_error(1.0) // lazy phase from the first update

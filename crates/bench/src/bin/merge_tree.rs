@@ -47,10 +47,7 @@ use fcds_bench::gate::{
     MERGE_TREE_THETA_RELERR_MAX, MERGE_TREE_WARM_ALLOCS_PER_MERGE_MAX,
 };
 use fcds_bench::report::HarnessArgs;
-use fcds_core::frequency::ConcurrentFrequencySketch;
-use fcds_core::hll::ConcurrentHllSketch;
-use fcds_core::quantiles::ConcurrentQuantilesSketch;
-use fcds_core::theta::ConcurrentThetaSketch;
+use fcds_core::engine::{EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, ThetaFamily};
 use fcds_core::WireImage;
 use fcds_sketches::frequency::MisraGriesSketch;
 use fcds_sketches::hll::HllSketch;
@@ -535,8 +532,8 @@ fn main() {
 fn theta_images() -> Vec<bytes::Bytes> {
     (0..NODES)
         .map(|node| {
-            let sketch = ConcurrentThetaSketch::builder()
-                .lg_k(THETA_LG_K)
+            let sketch = EngineBuilder::<ThetaFamily>::new()
+                .accuracy(usize::from(THETA_LG_K))
                 .seed(2024)
                 .writers(1)
                 .max_concurrency_error(0.04)
@@ -555,8 +552,8 @@ fn theta_images() -> Vec<bytes::Bytes> {
 fn hll_images() -> Vec<bytes::Bytes> {
     (0..NODES)
         .map(|node| {
-            let sketch = ConcurrentHllSketch::builder()
-                .lg_m(HLL_LG_M)
+            let sketch = EngineBuilder::<HllFamily>::new()
+                .accuracy(usize::from(HLL_LG_M))
                 .seed(2024)
                 .writers(1)
                 .max_concurrency_error(0.04)
@@ -575,14 +572,13 @@ fn hll_images() -> Vec<bytes::Bytes> {
 fn quantiles_images() -> Vec<bytes::Bytes> {
     (0..NODES)
         .map(|node| {
-            let sketch: ConcurrentQuantilesSketch<u64> =
-                ConcurrentQuantilesSketch::<u64>::builder()
-                    .k(QUANTILES_K)
-                    .oracle_seed(2024)
-                    .writers(1)
-                    .max_concurrency_error(0.04)
-                    .build()
-                    .expect("quantiles engine");
+            let sketch = EngineBuilder::<QuantilesFamily>::new()
+                .accuracy(QUANTILES_K)
+                .seed(2024)
+                .writers(1)
+                .max_concurrency_error(0.04)
+                .build()
+                .expect("quantiles engine");
             let mut w = sketch.writer();
             let items: Vec<u64> = (0..PER_NODE).map(|i| node * PER_NODE + i).collect();
             w.update_batch(&items);
@@ -597,13 +593,12 @@ fn mg_images() -> (Vec<bytes::Bytes>, HashMap<u64, u64>) {
     let mut truth = HashMap::new();
     let images = (0..NODES)
         .map(|node| {
-            let sketch: ConcurrentFrequencySketch<u64> =
-                ConcurrentFrequencySketch::<u64>::builder()
-                    .k(MG_K)
-                    .writers(1)
-                    .max_concurrency_error(0.04)
-                    .build()
-                    .expect("frequency engine");
+            let sketch = EngineBuilder::<FrequencyFamily>::new()
+                .accuracy(MG_K)
+                .writers(1)
+                .max_concurrency_error(0.04)
+                .build()
+                .expect("frequency engine");
             let mut w = sketch.writer();
             for i in 0..PER_NODE {
                 // Skewed: item 0 is globally heavy, the tail cycles

@@ -2,8 +2,9 @@
 //! against the lock-based baseline under the workloads of §7.
 
 use crate::workload::UniqueStream;
+use fcds_core::engine::{EngineBuilder, ThetaFamily};
 use fcds_core::lock_based::LockBasedTheta;
-use fcds_core::theta::{ConcurrentThetaBuilder, ConcurrentThetaSketch};
+use fcds_core::theta::ConcurrentThetaSketch;
 use fcds_core::PropagationBackendKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -135,8 +136,8 @@ impl ThetaImpl {
     fn build_concurrent(&self, lg_k: u8) -> Option<ConcurrentThetaSketch> {
         match *self {
             ThetaImpl::Concurrent { writers, e, max_b } => {
-                let mut builder = ConcurrentThetaBuilder::new()
-                    .lg_k(lg_k)
+                let mut builder = EngineBuilder::<ThetaFamily>::new()
+                    .accuracy(usize::from(lg_k))
                     .seed(9001)
                     .writers(writers)
                     .max_concurrency_error(e);
@@ -150,8 +151,8 @@ impl ThetaImpl {
                 shards,
                 backend,
             } => Some(
-                ConcurrentThetaBuilder::new()
-                    .lg_k(lg_k)
+                EngineBuilder::<ThetaFamily>::new()
+                    .accuracy(usize::from(lg_k))
                     .seed(9001)
                     .writers(writers)
                     .shards(shards)
@@ -161,8 +162,8 @@ impl ThetaImpl {
                     .expect("build sharded sketch"),
             ),
             ThetaImpl::Batched { writers, e, .. } => Some(
-                ConcurrentThetaBuilder::new()
-                    .lg_k(lg_k)
+                EngineBuilder::<ThetaFamily>::new()
+                    .accuracy(usize::from(lg_k))
                     .seed(9001)
                     .writers(writers)
                     .max_concurrency_error(e)
@@ -353,8 +354,8 @@ pub fn time_mixed(
 /// delay is part of what is measured. A fresh hash seed per trial
 /// (`nonce`) gives independent samples.
 pub fn accuracy_trial(lg_k: u8, e: f64, uniques: u64, nonce: u64) -> f64 {
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(lg_k)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(usize::from(lg_k))
         .seed(0x5EED_0000 + nonce)
         .writers(1)
         .max_concurrency_error(e)

@@ -30,6 +30,10 @@
 //!   constant's docs for why parity, not 1.25×, is the honest bound),
 //!   and batched must beat scalar outright on the ship-everything
 //!   ablation ([`INGEST_BATCHED_VS_SCALAR_SHIPALL_MIN`]).
+//!
+//! `BENCH_serve.json` is the exception: `fcds-load`'s correctness
+//! drills keep their thresholds beside the measurements, in the one
+//! table of `fcds_load::report::gates`.
 
 /// Θ delta-image publication may cost at most this multiple of the
 /// no-image single-shard path (lg_k = 16; PR 3 measured ≈ 2.5×).
@@ -126,112 +130,6 @@ pub const MERGE_TREE_HLL_MULTIWAY_SPEEDUP_F32_MIN: f64 = 2.0;
 /// global allocator. The whole point of the scratch arena is that this
 /// is exactly zero.
 pub const MERGE_TREE_WARM_ALLOCS_PER_MERGE_MAX: f64 = 0.0;
-
-/// Network tier (`BENCH_serve.json`, emitted by `fcds-load`): sustained
-/// batched ingest over loopback TCP through the frame protocol, in
-/// million items per second. The protocol costs one round trip and one
-/// FNV-1a pass per batch, so the floor is far below the in-process
-/// ingest gate — but a framing or dispatch regression (per-item
-/// syscalls, lost batching) would crash through it.
-pub const SERVE_INGEST_MITEMS_PER_S_MIN: f64 = 1.0;
-
-/// Network tier: p99 latency of live-engine estimate queries issued
-/// concurrently with the ingest load, in milliseconds.
-pub const SERVE_QUERY_P99_MS_MAX: f64 = 50.0;
-
-/// Network tier: of every rejected or failed request the load harness
-/// observed (across the baseline and every fault phase), the fraction
-/// that carried a *typed* error — a frame-protocol NACK code or a
-/// transport-level close. 1.0 is the PR's headline contract: the server
-/// never sheds silently.
-pub const SERVE_TYPED_ERROR_COVERAGE_MIN: f64 = 1.0;
-
-/// Network tier: the number of injected fault classes (delay, truncate,
-/// corrupt, sever, disconnect) after which the server still answered a
-/// clean request. All of them, or the tier is not fault-tolerant.
-pub const SERVE_FAULT_CLASSES_SURVIVED_MIN: f64 = 5.0;
-
-/// Network tier: worst time to recover to ≥ 50% of baseline ingest
-/// throughput after a fault clears, in milliseconds. The slowest class
-/// is stream desync (truncate): the writer sits in its 2 s reply
-/// timeout while the server burns its 2 s frame deadline on the
-/// half-frame, then both sides reconnect — so the protocol's own
-/// worst-case bound is ~4 s and the gate sits just above it. A wedge
-/// (breaker stuck open, connection leak) blows far past this.
-pub const SERVE_RECOVERY_MS_MAX: f64 = 5_000.0;
-
-/// Network tier, multi-stream mode (FCF1 v2): aggregate stream-addressed
-/// ingest throughput across ≥ 8 named streams spanning all four
-/// families, in million items per second. Same floor as the
-/// single-stream gate — per-key registry dispatch must not cost the
-/// tier its throughput contract.
-pub const SERVE_MULTISTREAM_INGEST_MITEMS_PER_S_MIN: f64 = 1.0;
-
-/// Network tier, multi-stream mode: p99 latency of stream-addressed
-/// estimate queries (Θ/HLL streams) issued concurrently with the
-/// multi-stream ingest load, in milliseconds. Image queries on the
-/// Quantiles/Frequency streams run concurrently to exercise their
-/// fan-in path but are not latency-gated — they are bulk exports whose
-/// size scales with the stream.
-pub const SERVE_MULTISTREAM_QUERY_P99_MS_MAX: f64 = 50.0;
-
-/// Network tier, multi-stream mode: the fraction of healthy-stream
-/// requests still ACKed while one stream's worker is dead from a
-/// poisoned batch. 1.0 is the isolation contract — per-stream workers,
-/// queues and breakers mean one stream's fault can never shed another
-/// stream's traffic.
-pub const SERVE_MULTISTREAM_ISOLATION_MIN: f64 = 1.0;
-
-/// Network tier, multi-stream mode: typed error coverage across the
-/// multi-stream drill, which deliberately provokes the v2 additions to
-/// the taxonomy (`UnknownStream`, `FamilyMismatch`) on top of the
-/// poisoned stream's failures. 1.0, same contract as single-stream.
-pub const SERVE_MULTISTREAM_TYPED_COVERAGE_MIN: f64 = 1.0;
-
-/// Replica sync: the number of streams (round-robin across all four
-/// families) that must converge on the passive peer after the source's
-/// background pusher ships their wire images. One per family, so every
-/// family's fan-in kernel is exercised through the sync path.
-pub const SYNC_CONVERGENCE_STREAMS_MIN: f64 = 4.0;
-
-/// Replica sync: worst peer-side relative error across converged
-/// streams. Quantiles/Frequency image counts replicate exactly; the
-/// bound is the probabilistic envelope of the Θ (lg_k = 12 ⇒ ~1.6% σ)
-/// and HLL (lg_m = 12 ⇒ ~1.6% σ) estimates with generous headroom.
-pub const SYNC_CONVERGENCE_RELERR_MAX: f64 = 0.08;
-
-/// Durability (`run_crash_drill`): worst-case wall-clock from
-/// re-spawning the killed server process to every stream answering
-/// queries again, in seconds. Recovery is a boot-time directory scan —
-/// O(streams) decode + CRC + registry insert, milliseconds of real
-/// work — so 5 s is dominated by process spawn + connect retries on a
-/// loaded 1-CPU runner. A recovery that scales with ingested *items*
-/// (replaying a journal instead of loading a snapshot) would blow
-/// through it.
-pub const DURABILITY_RECOVERY_S_MAX: f64 = 5.0;
-
-/// Durability: number of streams the restarted server must answer for
-/// after the SIGKILL. The drill ingests (and waits for a durable
-/// on-disk snapshot of) every one of its 8 streams before killing, so
-/// all 8 must come back — bounded loss is about *tail* items, never
-/// whole streams.
-pub const DURABILITY_STREAMS_RECOVERED_MIN: f64 = 8.0;
-
-/// Durability: worst per-family relative error of the recovered counts
-/// vs the pre-kill ingest oracle. The drill keeps churning between the
-/// last confirmed snapshot and the SIGKILL, so the recovered value may
-/// legitimately *exceed* the oracle by the churn fraction; below it,
-/// the Θ/HLL estimator envelope (~8%) is the only slack. 0.15 covers
-/// both; losing more than one snapshot interval of ingest breaks it.
-pub const DURABILITY_RELERR_MAX: f64 = 0.15;
-
-/// Durability: snapshot records that failed CRC/wire validation but
-/// were *served anyway* after restart. The drill plants a garbage file
-/// and a CRC-flipped forged record in the data dir before rebooting;
-/// recovery must quarantine both and the forged stream's key must NACK
-/// `UnknownStream`. Exactly zero — a torn or doctored record is never
-/// trusted.
-pub const DURABILITY_CORRUPT_ACCEPTED_MAX: f64 = 0.0;
 
 /// The bound direction encoded in a threshold key's suffix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

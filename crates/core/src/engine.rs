@@ -21,16 +21,16 @@
 //!   the shared [`ConcurrencyConfig`] knobs (writers, shards, backend,
 //!   error budget…) are set once on `EngineBuilder<F>` for any family
 //!   `F`, with one family-interpreted [`accuracy`](EngineBuilder::accuracy)
-//!   knob instead of four builder types each re-declaring the same
-//!   setters. The per-family builders (`ConcurrentThetaBuilder` and
-//!   friends) remain as thin deprecated shims for this PR.
+//!   knob. It is the only way to construct an engine; each family's
+//!   `impl Family` sits next to its sketch (`theta.rs`, `hll.rs`,
+//!   `quantiles.rs`, `frequency.rs`).
 
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
-use crate::frequency::{ConcurrentFrequencyBuilder, ConcurrentFrequencySketch, FrequencyWriter};
-use crate::hll::{ConcurrentHllBuilder, ConcurrentHllSketch, HllWriter};
-use crate::quantiles::{ConcurrentQuantilesBuilder, ConcurrentQuantilesSketch, QuantilesWriter};
+use crate::frequency::{ConcurrentFrequencySketch, FrequencyWriter};
+use crate::hll::{ConcurrentHllSketch, HllWriter};
+use crate::quantiles::{ConcurrentQuantilesSketch, QuantilesWriter};
 use crate::runtime::{EngineStats, FlushError};
-use crate::theta::{ConcurrentThetaBuilder, ConcurrentThetaSketch, ThetaWriter};
+use crate::theta::{ConcurrentThetaSketch, ThetaWriter};
 use bytes::Bytes;
 use fcds_sketches::error::Result;
 use fcds_sketches::hash::DEFAULT_SEED;
@@ -244,37 +244,9 @@ pub trait Family {
 #[derive(Debug, Clone, Copy)]
 pub struct ThetaFamily;
 
-impl Family for ThetaFamily {
-    type Engine = ConcurrentThetaSketch;
-    const FAMILY: SketchFamily = SketchFamily::Theta;
-    const DEFAULT_ACCURACY: usize = 12;
-
-    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentThetaBuilder::new()
-            .lg_k(accuracy as u8)
-            .seed(seed)
-            .config(config)
-            .build()
-    }
-}
-
 /// HLL family marker: `accuracy` is `lg_m`, `seed` the hash seed.
 #[derive(Debug, Clone, Copy)]
 pub struct HllFamily;
-
-impl Family for HllFamily {
-    type Engine = ConcurrentHllSketch;
-    const FAMILY: SketchFamily = SketchFamily::Hll;
-    const DEFAULT_ACCURACY: usize = 12;
-
-    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentHllBuilder::new()
-            .lg_m(accuracy as u8)
-            .seed(seed)
-            .config(config)
-            .build()
-    }
-}
 
 /// Quantiles family marker: `accuracy` is the sketch parameter `k`,
 /// `seed` seeds the de-randomisation oracle. Generic over the item
@@ -282,38 +254,11 @@ impl Family for HllFamily {
 #[derive(Debug, Clone, Copy)]
 pub struct QuantilesFamily<T = u64>(PhantomData<T>);
 
-impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
-    type Engine = ConcurrentQuantilesSketch<T>;
-    const FAMILY: SketchFamily = SketchFamily::Quantiles;
-    const DEFAULT_ACCURACY: usize = 128;
-
-    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentQuantilesBuilder::new()
-            .k(accuracy)
-            .oracle_seed(seed)
-            .config(config)
-            .build()
-    }
-}
-
 /// Misra–Gries family marker: `accuracy` is the counter budget `k`;
 /// `seed` is unused (the sketch is deterministic). Generic over the
 /// item type; the service instantiates `T = u64`.
 #[derive(Debug, Clone, Copy)]
 pub struct FrequencyFamily<T = u64>(PhantomData<T>);
-
-impl<T: Eq + std::hash::Hash + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
-    type Engine = ConcurrentFrequencySketch<T>;
-    const FAMILY: SketchFamily = SketchFamily::Frequency;
-    const DEFAULT_ACCURACY: usize = 64;
-
-    fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentFrequencyBuilder::new()
-            .k(accuracy)
-            .config(config)
-            .build()
-    }
-}
 
 /// The unified builder: one entry point for all four families, sharing
 /// the [`ConcurrencyConfig`] knobs instead of duplicating them per
@@ -532,5 +477,28 @@ mod tests {
             .shards(4)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn out_of_range_accuracy_is_a_typed_error_not_a_truncation() {
+        fn rejects<F: Family>(accuracy: usize, param: &str) {
+            match EngineBuilder::<F>::new().accuracy(accuracy).build() {
+                Err(fcds_sketches::error::SketchError::InvalidParameter { name, .. }) => {
+                    assert_eq!(name, param, "accuracy({accuracy})");
+                }
+                Err(other) => panic!("accuracy({accuracy}): wrong error {other}"),
+                Ok(_) => panic!("accuracy({accuracy}) for `{param}` must not build"),
+            }
+        }
+        // 268 as u8 == 12 and usize::MAX as u8 == 255: neither may wrap
+        // into a value the sketch constructor then judges on its own.
+        for accuracy in [268, usize::MAX] {
+            rejects::<ThetaFamily>(accuracy, "lg_k");
+            rejects::<HllFamily>(accuracy, "lg_m");
+        }
+        rejects::<ThetaFamily>(0, "lg_k");
+        rejects::<HllFamily>(0, "lg_m");
+        rejects::<QuantilesFamily>(0, "k");
+        rejects::<FrequencyFamily>(0, "k");
     }
 }

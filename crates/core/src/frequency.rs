@@ -13,11 +13,13 @@
 //! epoch pointer, like the Quantiles instantiation.
 
 use crate::composable::{GlobalSketch, LocalSketch};
-use crate::config::{ConcurrencyConfig, PropagationBackendKind};
+use crate::config::ConcurrencyConfig;
+use crate::engine::{Family, FrequencyFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::EpochCell;
 use fcds_sketches::error::Result;
 use fcds_sketches::frequency::{FrequencyEstimate, MisraGriesSketch};
+use fcds_sketches::wire::SketchFamily;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -211,80 +213,17 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyGlobal<T> {
     }
 }
 
-/// Builder for [`ConcurrentFrequencySketch`].
-///
-/// **Deprecated:** prefer the family-generic
-/// [`EngineBuilder<FrequencyFamily<T>>`](crate::engine::EngineBuilder),
-/// which shares one set of concurrency knobs across all four sketch
-/// families. This per-family builder remains as a thin shim for one
-/// release and will be removed.
-#[derive(Debug, Clone)]
-pub struct ConcurrentFrequencyBuilder {
-    k: usize,
-    config: ConcurrencyConfig,
-}
+impl<T: Eq + Hash + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
+    type Engine = ConcurrentFrequencySketch<T>;
+    const FAMILY: SketchFamily = SketchFamily::Frequency;
+    const DEFAULT_ACCURACY: usize = 64;
 
-impl Default for ConcurrentFrequencyBuilder {
-    fn default() -> Self {
-        ConcurrentFrequencyBuilder {
-            k: 64,
-            config: ConcurrencyConfig::default(),
-        }
-    }
-}
-
-impl ConcurrentFrequencyBuilder {
-    /// Starts from defaults: 64 counters, `e = 0.04`, one writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the maximum number of counters `k`.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the expected number of update threads.
-    pub fn writers(mut self, writers: usize) -> Self {
-        self.config.writers = writers;
-        self
-    }
-
-    /// Sets the maximum relative error attributable to concurrency.
-    pub fn max_concurrency_error(mut self, e: f64) -> Self {
-        self.config.max_concurrency_error = e;
-        self
-    }
-
-    /// Splits the summary into `K` shards (writers round-robined, queries
-    /// sum the shards' counter tables).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Selects the propagation backend.
-    pub fn backend(mut self, backend: PropagationBackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Overrides the full concurrency configuration.
-    pub fn config(mut self, config: ConcurrencyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds and starts the sketch.
-    pub fn build<T: Eq + Hash + Clone + Send + Sync + 'static>(
-        self,
-    ) -> Result<ConcurrentFrequencySketch<T>> {
+    fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let global = FrequencyGlobal {
-            sketch: MisraGriesSketch::new(self.k)?,
+            sketch: MisraGriesSketch::new(accuracy)?,
         };
-        let inner = ConcurrentSketch::start(global, self.config)?;
-        Ok(ConcurrentFrequencySketch { inner, k: self.k })
+        let inner = ConcurrentSketch::start(global, config)?;
+        Ok(ConcurrentFrequencySketch { inner, k: accuracy })
     }
 }
 
@@ -293,9 +232,13 @@ impl ConcurrentFrequencyBuilder {
 /// # Examples
 ///
 /// ```
-/// use fcds_core::frequency::ConcurrentFrequencyBuilder;
+/// use fcds_core::engine::{EngineBuilder, FrequencyFamily};
 ///
-/// let sketch = ConcurrentFrequencyBuilder::new().k(32).writers(2).build::<u64>().unwrap();
+/// let sketch = EngineBuilder::<FrequencyFamily>::new()
+///     .accuracy(32) // k counters
+///     .writers(2)
+///     .build()
+///     .unwrap();
 /// let mut w = sketch.writer();
 /// for i in 0..10_000u64 {
 ///     w.update(if i % 4 == 0 { 7 } else { i });
@@ -319,11 +262,6 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug
 }
 
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
-    /// Shorthand for [`ConcurrentFrequencyBuilder::new`].
-    pub fn builder() -> ConcurrentFrequencyBuilder {
-        ConcurrentFrequencyBuilder::new()
-    }
-
     /// Registers an update thread.
     pub fn writer(&self) -> FrequencyWriter<T> {
         FrequencyWriter {
@@ -426,13 +364,15 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PropagationBackendKind;
+    use crate::engine::EngineBuilder;
 
     #[test]
     fn heavy_hitter_survives_concurrency() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(32)
+        let sketch = EngineBuilder::<FrequencyFamily>::new()
+            .accuracy(32)
             .writers(4)
-            .build::<u64>()
+            .build()
             .unwrap();
         let per = crate::test_support::scaled(50_000);
         std::thread::scope(|s| {
@@ -469,11 +409,11 @@ mod tests {
     fn local_preaggregation_counts_duplicates() {
         // All updates are the same key: local buffers collapse them, and
         // the merged weight must equal the stream length exactly.
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(8)
+        let sketch = EngineBuilder::<FrequencyFamily<&'static str>>::new()
+            .accuracy(8)
             .writers(2)
             .max_concurrency_error(1.0)
-            .build::<&'static str>()
+            .build()
             .unwrap();
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -494,10 +434,10 @@ mod tests {
 
     #[test]
     fn eager_phase_small_stream_exact() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(16)
+        let sketch = EngineBuilder::<FrequencyFamily>::new()
+            .accuracy(16)
             .writers(1)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = sketch.writer();
         for i in 0..100u64 {
@@ -518,13 +458,13 @@ mod tests {
             PropagationBackendKind::DedicatedThread,
             PropagationBackendKind::WriterAssisted,
         ] {
-            let sketch = ConcurrentFrequencyBuilder::new()
-                .k(16)
+            let sketch = EngineBuilder::<FrequencyFamily>::new()
+                .accuracy(16)
                 .writers(4)
                 .shards(2)
                 .max_concurrency_error(1.0)
                 .backend(backend)
-                .build::<u64>()
+                .build()
                 .unwrap();
             // Multiple of 8 so every key gets exactly per/8 occurrences.
             let per = crate::test_support::scaled(10_000) / 8 * 8;
@@ -549,10 +489,10 @@ mod tests {
 
     #[test]
     fn string_keys_work() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(16)
+        let sketch = EngineBuilder::<FrequencyFamily<String>>::new()
+            .accuracy(16)
             .writers(1)
-            .build::<String>()
+            .build()
             .unwrap();
         let mut w = sketch.writer();
         for i in 0..1_000u64 {

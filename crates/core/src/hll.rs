@@ -12,13 +12,14 @@
 //! as the stream grows, exactly like the Θ filter.
 
 use crate::composable::{extend_compact_u64, GlobalSketch, HintCodec, LocalSketch};
-use crate::config::{ConcurrencyConfig, PropagationBackendKind};
+use crate::config::ConcurrencyConfig;
+use crate::engine::{Family, HllFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::{AtomicF64, EpochCell};
-use fcds_sketches::error::Result;
-use fcds_sketches::hash::{hash_batch_with_seed, Hashable, DEFAULT_SEED};
+use fcds_sketches::error::{Result, SketchError};
+use fcds_sketches::hash::{hash_batch_with_seed, Hashable};
 use fcds_sketches::hll::HllSketch;
-use fcds_sketches::wire::WireEncode;
+use fcds_sketches::wire::{SketchFamily, WireEncode};
 use std::num::NonZeroU64;
 
 /// The HLL hint: the number of registers' common floor `m₀` plus the
@@ -186,99 +187,19 @@ impl GlobalSketch for HllGlobal {
     }
 }
 
-/// Builder for [`ConcurrentHllSketch`].
-///
-/// **Deprecated:** prefer the family-generic
-/// [`EngineBuilder<HllFamily>`](crate::engine::EngineBuilder), which
-/// shares one set of concurrency knobs across all four sketch families.
-/// This per-family builder remains as a thin shim for one release and
-/// will be removed.
-#[derive(Debug, Clone)]
-pub struct ConcurrentHllBuilder {
-    lg_m: u8,
-    seed: u64,
-    config: ConcurrencyConfig,
-}
+impl Family for HllFamily {
+    type Engine = ConcurrentHllSketch;
+    const FAMILY: SketchFamily = SketchFamily::Hll;
+    const DEFAULT_ACCURACY: usize = 12;
 
-impl Default for ConcurrentHllBuilder {
-    fn default() -> Self {
-        ConcurrentHllBuilder {
-            lg_m: 12,
-            seed: DEFAULT_SEED,
-            config: ConcurrencyConfig::default(),
-        }
-    }
-}
-
-impl ConcurrentHllBuilder {
-    /// Starts from defaults: 4096 registers, `e = 0.04`, one writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets `lg_m` (number of registers = `2^lg_m`).
-    pub fn lg_m(mut self, lg_m: u8) -> Self {
-        self.lg_m = lg_m;
-        self
-    }
-
-    /// Sets the hash seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the expected number of update threads.
-    pub fn writers(mut self, writers: usize) -> Self {
-        self.config.writers = writers;
-        self
-    }
-
-    /// Sets the maximum relative error attributable to concurrency.
-    pub fn max_concurrency_error(mut self, e: f64) -> Self {
-        self.config.max_concurrency_error = e;
-        self
-    }
-
-    /// Splits the registers into `K` shards (writers round-robined,
-    /// queries take the register-wise max across shards).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Selects the propagation backend.
-    pub fn backend(mut self, backend: PropagationBackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Publishes each shard's register image only on every `m`-th merge
-    /// (default 1): skipped merges avoid the full register-array clone
-    /// (O(2^lg_m) bytes, independent of this knob). The
-    /// atomic estimate still publishes per merge; merged queries may lag
-    /// by up to `(m − 1)·b` updates per shard
-    /// ([`ConcurrencyConfig::query_relaxation`]), and `quiesce` restores
-    /// full freshness.
-    pub fn image_every(mut self, m: u64) -> Self {
-        self.config.image_every = m;
-        self
-    }
-
-    /// Overrides the full concurrency configuration.
-    pub fn config(mut self, config: ConcurrencyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds and starts the sketch.
-    pub fn build(self) -> Result<ConcurrentHllSketch> {
+    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
+        let lg_m = u8::try_from(accuracy)
+            .map_err(|_| SketchError::invalid("lg_m", format!("out of range: {accuracy}")))?;
         let global = HllGlobal {
-            sketch: HllSketch::new(self.lg_m, self.seed)?,
+            sketch: HllSketch::new(lg_m, seed)?,
             ingested: 0,
         };
-        let seed = self.seed;
-        let inner = ConcurrentSketch::start(global, self.config)?;
+        let inner = ConcurrentSketch::start(global, config)?;
         Ok(ConcurrentHllSketch { inner, seed })
     }
 }
@@ -288,9 +209,13 @@ impl ConcurrentHllBuilder {
 /// # Examples
 ///
 /// ```
-/// use fcds_core::hll::ConcurrentHllBuilder;
+/// use fcds_core::engine::{EngineBuilder, HllFamily};
 ///
-/// let sketch = ConcurrentHllBuilder::new().lg_m(12).writers(2).build().unwrap();
+/// let sketch = EngineBuilder::<HllFamily>::new()
+///     .accuracy(12) // lg_m
+///     .writers(2)
+///     .build()
+///     .unwrap();
 /// let mut w = sketch.writer();
 /// for i in 0..100_000u64 {
 ///     w.update(i);
@@ -306,11 +231,6 @@ pub struct ConcurrentHllSketch {
 }
 
 impl ConcurrentHllSketch {
-    /// Shorthand for [`ConcurrentHllBuilder::new`].
-    pub fn builder() -> ConcurrentHllBuilder {
-        ConcurrentHllBuilder::new()
-    }
-
     /// Registers an update thread.
     pub fn writer(&self) -> HllWriter {
         HllWriter {
@@ -437,6 +357,7 @@ impl HllWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineBuilder;
 
     #[test]
     fn hint_round_trips() {
@@ -478,8 +399,8 @@ mod tests {
 
     #[test]
     fn concurrent_estimate_accuracy() {
-        let s = ConcurrentHllBuilder::new()
-            .lg_m(12)
+        let s = EngineBuilder::<HllFamily>::new()
+            .accuracy(12)
             .seed(7)
             .writers(4)
             .build()
@@ -505,8 +426,8 @@ mod tests {
     #[test]
     fn registers_equal_sequential_union_after_quiesce() {
         let n = crate::test_support::scaled(50_000);
-        let s = ConcurrentHllBuilder::new()
-            .lg_m(10)
+        let s = EngineBuilder::<HllFamily>::new()
+            .accuracy(10)
             .seed(5)
             .writers(2)
             .max_concurrency_error(1.0)
@@ -545,8 +466,8 @@ mod tests {
             PropagationBackendKind::DedicatedThread,
             PropagationBackendKind::WriterAssisted,
         ] {
-            let s = ConcurrentHllBuilder::new()
-                .lg_m(10)
+            let s = EngineBuilder::<HllFamily>::new()
+                .accuracy(10)
                 .seed(5)
                 .writers(4)
                 .shards(4)
@@ -577,8 +498,8 @@ mod tests {
 
     #[test]
     fn tiny_stream_eager_accuracy() {
-        let s = ConcurrentHllBuilder::new()
-            .lg_m(12)
+        let s = EngineBuilder::<HllFamily>::new()
+            .accuracy(12)
             .writers(2)
             .build()
             .unwrap();

@@ -26,13 +26,14 @@
 //! the stream grows.
 
 use crate::composable::{GlobalSketch, LocalSketch};
-use crate::config::{ConcurrencyConfig, PropagationBackendKind};
+use crate::config::ConcurrencyConfig;
+use crate::engine::{Family, QuantilesFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::EpochCell;
 use fcds_sketches::error::Result;
-use fcds_sketches::oracle::{DeterministicOracle, Oracle};
+use fcds_sketches::oracle::DeterministicOracle;
 use fcds_sketches::quantiles::{QuantilesLadder, QuantilesReader, QuantilesSketch};
-use fcds_sketches::wire::{WireEncode, WireItem};
+use fcds_sketches::wire::{SketchFamily, WireEncode, WireItem};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,9 +42,8 @@ use std::sync::Arc;
 /// published ladder snapshot.
 pub struct QuantilesGlobal<T: Ord + Clone + Send + Sync + 'static> {
     sketch: QuantilesSketch<T>,
-    /// Seed for sibling shards' deterministic oracles (§4): `None` when
-    /// built around a custom oracle, which rules out `shards > 1`.
-    oracle_seed: Option<u64>,
+    /// Seed for sibling shards' deterministic oracles (§4).
+    oracle_seed: u64,
     /// Counts shards spawned off this global so each sibling gets a
     /// distinct oracle stream.
     shards_spawned: Cell<u64>,
@@ -179,15 +179,12 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
     }
 
     fn new_shard(&self) -> Self {
-        let seed = self.oracle_seed.expect(
-            "sharded quantiles require a seedable oracle (ConcurrentQuantilesBuilder::oracle_seed)",
-        );
         let idx = self.shards_spawned.get() + 1;
         self.shards_spawned.set(idx);
         // Distinct oracle stream per shard: mix the shard index into the
         // seed (splitmix64 constant) so sibling compaction coin flips are
         // not correlated.
-        let shard_seed = seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let shard_seed = self.oracle_seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         QuantilesGlobal {
             sketch: QuantilesSketch::new(self.sketch.k(), DeterministicOracle::new(shard_seed))
                 .expect("shard parameters were already validated"),
@@ -211,128 +208,28 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
     }
 }
 
-/// Builder for [`ConcurrentQuantilesSketch`].
-///
-/// **Deprecated:** prefer the family-generic
-/// [`EngineBuilder<QuantilesFamily<T>>`](crate::engine::EngineBuilder),
-/// which shares one set of concurrency knobs across all four sketch
-/// families. This per-family builder remains as a thin shim for one
-/// release and will be removed.
-#[derive(Debug, Clone)]
-pub struct ConcurrentQuantilesBuilder {
-    k: usize,
-    oracle_seed: u64,
-    config: ConcurrencyConfig,
-}
+impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
+    type Engine = ConcurrentQuantilesSketch<T>;
+    const FAMILY: SketchFamily = SketchFamily::Quantiles;
+    const DEFAULT_ACCURACY: usize = 128;
 
-impl Default for ConcurrentQuantilesBuilder {
-    fn default() -> Self {
-        ConcurrentQuantilesBuilder {
-            k: 128,
-            oracle_seed: 0xFCD5,
-            config: ConcurrencyConfig::default(),
-        }
-    }
-}
-
-impl ConcurrentQuantilesBuilder {
-    /// Starts from defaults: `k = 128`, `e = 0.04`, one writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the sketch accuracy parameter `k`.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Seeds the de-randomisation oracle that provides the compaction
-    /// coin flips (§4).
-    pub fn oracle_seed(mut self, seed: u64) -> Self {
-        self.oracle_seed = seed;
-        self
-    }
-
-    /// Sets the expected number of update threads `N`.
-    pub fn writers(mut self, writers: usize) -> Self {
-        self.config.writers = writers;
-        self
-    }
-
-    /// Sets the maximum relative error attributable to concurrency.
-    pub fn max_concurrency_error(mut self, e: f64) -> Self {
-        self.config.max_concurrency_error = e;
-        self
-    }
-
-    /// Splits the sketch into `K` shards (writers round-robined, queries
-    /// merge the shards' retained samples).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Selects the propagation backend.
-    pub fn backend(mut self, backend: PropagationBackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Publishes each shard's mergeable image only on every `m`-th merge
-    /// (default 1; see [`ConcurrencyConfig::image_every`]). Quantiles
-    /// publishes the same ladder on image and non-image merges (its
-    /// ladder *is* the image), so this knob does not add staleness here —
-    /// it exists for configuration parity with the Θ/HLL builders, and
-    /// [`ConcurrentQuantilesSketch::query_relaxation`] still reports the
-    /// engine-level conservative bound `2Nb + K·(M − 1)·b`.
-    pub fn image_every(mut self, m: u64) -> Self {
-        self.config.image_every = m;
-        self
-    }
-
-    /// Overrides the full concurrency configuration.
-    pub fn config(mut self, config: ConcurrencyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds and starts the sketch.
-    pub fn build<T: Ord + Clone + Send + Sync + 'static>(
-        self,
-    ) -> Result<ConcurrentQuantilesSketch<T>> {
-        let sketch = QuantilesSketch::new(self.k, DeterministicOracle::new(self.oracle_seed))?;
+    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let global = QuantilesGlobal {
-            sketch,
-            oracle_seed: Some(self.oracle_seed),
+            sketch: QuantilesSketch::new(accuracy, DeterministicOracle::new(seed))?,
+            oracle_seed: seed,
             shards_spawned: Cell::new(0),
         };
-        let inner = ConcurrentSketch::start(global, self.config)?;
-        Ok(ConcurrentQuantilesSketch::wrap(inner, self.k))
-    }
-
-    /// Builds around an explicit oracle. Incompatible with `shards > 1`
-    /// (sibling shards need seedable oracles); use
-    /// [`Self::oracle_seed`] for sharded deployments.
-    pub fn build_with_oracle<T: Ord + Clone + Send + Sync + 'static>(
-        self,
-        oracle: impl Oracle + 'static,
-    ) -> Result<ConcurrentQuantilesSketch<T>> {
-        if self.config.shards > 1 {
-            return Err(fcds_sketches::error::SketchError::invalid(
-                "shards",
-                "a custom oracle cannot seed sibling shards; use oracle_seed \
-                 (build) for shards > 1",
-            ));
-        }
-        let sketch = QuantilesSketch::new(self.k, oracle)?;
-        let global = QuantilesGlobal {
-            sketch,
-            oracle_seed: None,
-            shards_spawned: Cell::new(0),
-        };
-        let inner = ConcurrentSketch::start(global, self.config)?;
-        Ok(ConcurrentQuantilesSketch::wrap(inner, self.k))
+        let inner = ConcurrentSketch::start(global, config)?;
+        Ok(ConcurrentQuantilesSketch {
+            inner,
+            k: accuracy,
+            // The empty version key never matches a real K ≥ 1 version
+            // vector, so the first query builds the cache.
+            merged_cache: EpochCell::new(MergedQuantiles {
+                versions: Vec::new(),
+                reader: Arc::new(QuantilesReader::merged(std::iter::empty())),
+            }),
+        })
     }
 }
 
@@ -341,12 +238,12 @@ impl ConcurrentQuantilesBuilder {
 /// # Examples
 ///
 /// ```
-/// use fcds_core::quantiles::ConcurrentQuantilesBuilder;
+/// use fcds_core::engine::{EngineBuilder, QuantilesFamily};
 ///
-/// let sketch = ConcurrentQuantilesBuilder::new()
-///     .k(128)
+/// let sketch = EngineBuilder::<QuantilesFamily>::new()
+///     .accuracy(128) // k
 ///     .writers(2)
-///     .build::<u64>()
+///     .build()
 ///     .unwrap();
 /// let mut w = sketch.writer();
 /// for i in 0..50_000u64 {
@@ -386,24 +283,6 @@ impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for ConcurrentQuant
 }
 
 impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentQuantilesSketch<T> {
-    fn wrap(inner: ConcurrentSketch<QuantilesGlobal<T>>, k: usize) -> Self {
-        ConcurrentQuantilesSketch {
-            inner,
-            k,
-            // The empty version key never matches a real K ≥ 1 version
-            // vector, so the first sharded query builds the cache.
-            merged_cache: EpochCell::new(MergedQuantiles {
-                versions: Vec::new(),
-                reader: Arc::new(QuantilesReader::merged(std::iter::empty())),
-            }),
-        }
-    }
-
-    /// Shorthand for [`ConcurrentQuantilesBuilder::new`].
-    pub fn builder() -> ConcurrentQuantilesBuilder {
-        ConcurrentQuantilesBuilder::new()
-    }
-
     /// Registers an update thread.
     pub fn writer(&self) -> QuantilesWriter<T> {
         QuantilesWriter {
@@ -560,22 +439,24 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PropagationBackendKind;
+    use crate::engine::EngineBuilder;
     use fcds_sketches::quantiles::epsilon_for_k;
 
     #[test]
     fn empty_sketch() {
-        let s = ConcurrentQuantilesBuilder::new().build::<u64>().unwrap();
+        let s = EngineBuilder::<QuantilesFamily>::new().build().unwrap();
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.visible_n(), 0);
     }
 
     #[test]
     fn small_stream_eager_is_exact() {
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(2)
             .max_concurrency_error(0.04)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..100u64 {
@@ -590,10 +471,11 @@ mod tests {
     #[test]
     fn concurrent_rank_accuracy() {
         let k = 128;
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(k)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(k)
+            .seed(0xFCD5)
             .writers(4)
-            .build::<u64>()
+            .build()
             .unwrap();
         let n_per = crate::test_support::scaled(50_000);
         std::thread::scope(|sc| {
@@ -623,11 +505,11 @@ mod tests {
 
     #[test]
     fn snapshot_is_internally_consistent_under_ingestion() {
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(2)
             .max_concurrency_error(1.0)
-            .build::<u64>()
+            .build()
             .unwrap();
         let n = crate::test_support::scaled(100_000);
         std::thread::scope(|sc| {
@@ -655,11 +537,11 @@ mod tests {
 
     #[test]
     fn visible_n_lags_by_at_most_r_after_writer_flushes() {
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(32)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(32)
             .writers(1)
             .max_concurrency_error(1.0)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         let n = 10_000u64;
@@ -682,10 +564,10 @@ mod tests {
 
     #[test]
     fn relaxed_epsilon_shrinks_with_stream() {
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(128)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(128)
             .writers(2)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..2_000u64 {
@@ -711,13 +593,14 @@ mod tests {
             PropagationBackendKind::DedicatedThread,
             PropagationBackendKind::WriterAssisted,
         ] {
-            let s = ConcurrentQuantilesBuilder::new()
-                .k(k)
+            let s = EngineBuilder::<QuantilesFamily>::new()
+                .accuracy(k)
+                .seed(0xFCD5)
                 .writers(4)
                 .shards(2)
                 .max_concurrency_error(1.0)
                 .backend(backend)
-                .build::<u64>()
+                .build()
                 .unwrap();
             let n_per = crate::test_support::scaled(25_000);
             std::thread::scope(|sc| {
@@ -750,13 +633,13 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_is_cached_until_a_shard_republishes() {
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(2)
             .shards(2)
             .max_concurrency_error(1.0)
             .backend(PropagationBackendKind::WriterAssisted)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..10_000u64 {
@@ -788,11 +671,11 @@ mod tests {
         // The flatten moved off the propagation path for every K, so the
         // K = 1 fast path must memoise too: two snapshots with no merge
         // in between share one allocation.
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(1)
             .max_concurrency_error(1.0)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..10_000u64 {
@@ -820,11 +703,11 @@ mod tests {
     fn published_ladder_matches_flattened_snapshot() {
         // The view's raw ladder and the engine's memoised flat reader are
         // two views of the same published state.
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(1)
             .max_concurrency_error(1.0)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..50_000u64 {
@@ -846,14 +729,14 @@ mod tests {
     fn image_every_does_not_stale_quantiles() {
         // Quantiles publishes its ladder on image and non-image merges
         // alike, so M > 1 must not change quiesced freshness.
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
+        let s = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
             .writers(2)
             .shards(2)
             .max_concurrency_error(1.0)
             .image_every(4)
             .backend(PropagationBackendKind::WriterAssisted)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..20_000u64 {
@@ -867,21 +750,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_oracle_rejects_sharding() {
-        use fcds_sketches::oracle::DeterministicOracle;
-        let err = ConcurrentQuantilesBuilder::new()
-            .shards(2)
-            .writers(2)
-            .build_with_oracle::<u64>(DeterministicOracle::new(1));
-        assert!(err.is_err(), "custom oracle + shards > 1 must be an Err");
-    }
-
-    #[test]
     fn works_with_total_f64() {
         use fcds_sketches::quantiles::TotalF64;
-        let s = ConcurrentQuantilesBuilder::new()
-            .k(64)
-            .build::<TotalF64>()
+        let s = EngineBuilder::<QuantilesFamily<TotalF64>>::new()
+            .accuracy(64)
+            .build()
             .unwrap();
         let mut w = s.writer();
         for i in 0..10_000 {

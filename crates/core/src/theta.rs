@@ -18,18 +18,18 @@
 //! without any synchronisation.
 
 use crate::composable::{extend_compact_u64, GlobalSketch, LocalSketch};
-use crate::config::{ConcurrencyConfig, PropagationBackendKind};
+use crate::config::ConcurrencyConfig;
+use crate::engine::{Family, ThetaFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::{EpochCell, SeqSnapshot};
 use bytes::Bytes;
-use fcds_sketches::error::Result;
-use fcds_sketches::hash::{hash_batch_with_seed, Hashable, DEFAULT_SEED};
-use fcds_sketches::oracle::Oracle;
+use fcds_sketches::error::{Result, SketchError};
+use fcds_sketches::hash::{hash_batch_with_seed, Hashable};
 use fcds_sketches::theta::{
     normalize_hash, theta_to_fraction, untrimmed_union, untrimmed_union_unsorted, BlockSnapshot,
     CompactThetaSketch, HashBlocks, QuickSelectThetaSketch, ThetaRead,
 };
-use fcds_sketches::wire::{encode_theta_unsorted, WireEncode};
+use fcds_sketches::wire::{encode_theta_unsorted, SketchFamily, WireEncode};
 
 /// A consistent query snapshot of the concurrent Θ sketch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -312,145 +312,15 @@ impl GlobalSketch for ThetaGlobal {
     }
 }
 
-/// Builder for [`ConcurrentThetaSketch`].
-///
-/// **Deprecated:** prefer the family-generic
-/// [`EngineBuilder<ThetaFamily>`](crate::engine::EngineBuilder), which
-/// shares one set of concurrency knobs across all four sketch families.
-/// This per-family builder remains as a thin shim for one release and
-/// will be removed.
-///
-/// # Examples
-///
-/// ```
-/// use fcds_core::theta::ConcurrentThetaBuilder;
-///
-/// let sketch = ConcurrentThetaBuilder::new()
-///     .lg_k(12)                    // k = 4096 (the paper's default)
-///     .writers(4)                  // N update threads
-///     .max_concurrency_error(0.04) // e; eager limit = 2/e² = 1250
-///     .build()
-///     .unwrap();
-/// let mut w = sketch.writer();
-/// for i in 0..10_000u64 {
-///     w.update(i);
-/// }
-/// w.flush().unwrap();
-/// sketch.quiesce();
-/// assert!((sketch.estimate() - 10_000.0).abs() / 10_000.0 < 0.05);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConcurrentThetaBuilder {
-    lg_k: u8,
-    seed: u64,
-    config: ConcurrencyConfig,
-}
+impl Family for ThetaFamily {
+    type Engine = ConcurrentThetaSketch;
+    const FAMILY: SketchFamily = SketchFamily::Theta;
+    const DEFAULT_ACCURACY: usize = 12;
 
-impl Default for ConcurrentThetaBuilder {
-    fn default() -> Self {
-        ConcurrentThetaBuilder {
-            lg_k: 12,
-            seed: DEFAULT_SEED,
-            config: ConcurrencyConfig::default(),
-        }
-    }
-}
-
-impl ConcurrentThetaBuilder {
-    /// Starts from the paper's defaults: `lg_k = 12` (k = 4096),
-    /// `e = 0.04`, one writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets `lg_k` (nominal sample size `k = 2^lg_k`).
-    pub fn lg_k(mut self, lg_k: u8) -> Self {
-        self.lg_k = lg_k;
-        self
-    }
-
-    /// Sets the hash seed directly.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Draws the hash seed from a de-randomisation oracle (§4).
-    pub fn oracle(mut self, oracle: &mut dyn Oracle) -> Self {
-        self.seed = oracle.hash_seed();
-        self
-    }
-
-    /// Sets the expected number of update threads `N`.
-    pub fn writers(mut self, writers: usize) -> Self {
-        self.config.writers = writers;
-        self
-    }
-
-    /// Sets the maximum relative error attributable to concurrency (`e`,
-    /// §7.1). `1.0` disables the eager phase.
-    pub fn max_concurrency_error(mut self, e: f64) -> Self {
-        self.config.max_concurrency_error = e;
-        self
-    }
-
-    /// Caps the local buffer size `b`.
-    pub fn max_buffer_size(mut self, b: u64) -> Self {
-        self.config.max_buffer_size = b;
-        self
-    }
-
-    /// Selects `OptParSketch` (true, default) or the unoptimised
-    /// `ParSketch` (false).
-    pub fn double_buffering(mut self, enabled: bool) -> Self {
-        self.config.double_buffering = enabled;
-        self
-    }
-
-    /// Splits the global sketch into `K` shards (writers round-robined,
-    /// queries merged via an untrimmed Θ union). `r = 2Nb` is unchanged.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Selects the propagation backend (dedicated thread per shard by
-    /// default; writer-assisted for threadless embedding).
-    pub fn backend(mut self, backend: PropagationBackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Publishes each shard's mergeable image only on every `m`-th merge
-    /// (default 1). The seqlock triple still publishes on every merge;
-    /// merged queries may additionally miss up to `(m − 1)·b` updates per
-    /// shard (see [`ConcurrencyConfig::query_relaxation`]), and
-    /// [`ConcurrentThetaSketch::quiesce`] restores full freshness. Only
-    /// meaningful with [`Self::shards`] > 1.
-    pub fn image_every(mut self, m: u64) -> Self {
-        self.config.image_every = m;
-        self
-    }
-
-    /// Ablation: disables the Θ hint pre-filter (`shouldAdd`), shipping
-    /// every update through the hand-off protocol. Benchmarking only.
-    pub fn disable_prefilter(mut self, disabled: bool) -> Self {
-        self.config.disable_prefilter = disabled;
-        self
-    }
-
-    /// Overrides the full concurrency configuration.
-    pub fn config(mut self, config: ConcurrencyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds and starts the sketch (spawning the propagator thread).
-    pub fn build(self) -> Result<ConcurrentThetaSketch> {
-        let global = ThetaGlobal::new(self.lg_k, self.seed)?;
-        let lg_k = self.lg_k;
-        let seed = self.seed;
-        let inner = ConcurrentSketch::start(global, self.config)?;
+    fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
+        let lg_k = u8::try_from(accuracy)
+            .map_err(|_| SketchError::invalid("lg_k", format!("out of range: {accuracy}")))?;
+        let inner = ConcurrentSketch::start(ThetaGlobal::new(lg_k, seed)?, config)?;
         Ok(ConcurrentThetaSketch { inner, lg_k, seed })
     }
 }
@@ -469,11 +339,6 @@ pub struct ConcurrentThetaSketch {
 }
 
 impl ConcurrentThetaSketch {
-    /// Shorthand for [`ConcurrentThetaBuilder::new`].
-    pub fn builder() -> ConcurrentThetaBuilder {
-        ConcurrentThetaBuilder::new()
-    }
-
     /// Registers an update thread.
     pub fn writer(&self) -> ThetaWriter {
         ThetaWriter {
@@ -689,12 +554,14 @@ impl ThetaWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PropagationBackendKind;
+    use crate::engine::EngineBuilder;
     use crate::test_support::scaled;
     use fcds_sketches::theta::{rse, THETA_MAX};
 
     fn build(lg_k: u8, writers: usize, e: f64) -> ConcurrentThetaSketch {
-        ConcurrentThetaBuilder::new()
-            .lg_k(lg_k)
+        EngineBuilder::<ThetaFamily>::new()
+            .accuracy(usize::from(lg_k))
             .seed(42)
             .writers(writers)
             .max_concurrency_error(e)
@@ -871,8 +738,8 @@ mod tests {
 
     #[test]
     fn unoptimised_parsketch_variant_works() {
-        let s = ConcurrentThetaBuilder::new()
-            .lg_k(10)
+        let s = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(10)
             .seed(7)
             .writers(2)
             .max_concurrency_error(1.0)
@@ -968,8 +835,8 @@ mod tests {
         );
 
         // And with the filter ablated, nothing is filtered.
-        let s2 = ConcurrentThetaBuilder::new()
-            .lg_k(6)
+        let s2 = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(6)
             .seed(1)
             .writers(1)
             .max_concurrency_error(1.0)
@@ -1011,8 +878,8 @@ mod tests {
         e: f64,
         backend: PropagationBackendKind,
     ) -> ConcurrentThetaSketch {
-        ConcurrentThetaBuilder::new()
-            .lg_k(lg_k)
+        EngineBuilder::<ThetaFamily>::new()
+            .accuracy(usize::from(lg_k))
             .seed(42)
             .writers(writers)
             .shards(shards)
@@ -1147,8 +1014,8 @@ mod tests {
     #[test]
     fn image_every_keeps_quiesced_queries_fresh_and_triple_per_merge() {
         for m in [1u64, 4] {
-            let s = ConcurrentThetaBuilder::new()
-                .lg_k(10)
+            let s = EngineBuilder::<ThetaFamily>::new()
+                .accuracy(10)
                 .seed(42)
                 .writers(4)
                 .shards(2)

@@ -10,10 +10,7 @@
 //! tested with the envelope widened by the advertised relaxation, per
 //! the paper's Definition 2.
 
-use fcds_core::frequency::ConcurrentFrequencySketch;
-use fcds_core::hll::ConcurrentHllSketch;
-use fcds_core::quantiles::ConcurrentQuantilesSketch;
-use fcds_core::theta::ConcurrentThetaSketch;
+use fcds_core::engine::{EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, ThetaFamily};
 use fcds_core::WireImage;
 use fcds_sketches::frequency::MisraGriesSketch;
 use fcds_sketches::hll::HllSketch;
@@ -33,8 +30,8 @@ fn theta_node_images(
     let mut images = Vec::new();
     let mut compacts = Vec::new();
     for node in 0..nodes as u64 {
-        let sketch = ConcurrentThetaSketch::builder()
-            .lg_k(lg_k)
+        let sketch = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(usize::from(lg_k))
             .seed(77)
             .writers(2)
             .max_concurrency_error(0.05)
@@ -80,8 +77,8 @@ proptest! {
         let mut node_images = Vec::new();
         let mut shard_images = Vec::new();
         for node in 0..nodes as u64 {
-            let sketch = ConcurrentThetaSketch::builder()
-                .lg_k(6)
+            let sketch = EngineBuilder::<ThetaFamily>::new()
+                .accuracy(6)
                 .seed(77)
                 .writers(2)
                 .max_concurrency_error(0.05)
@@ -114,8 +111,8 @@ proptest! {
         let mut oracle = HllSketch::new(lg_m, 123).unwrap();
         let mut images = Vec::new();
         for node in 0..nodes as u64 {
-            let sketch = ConcurrentHllSketch::builder()
-                .lg_m(lg_m)
+            let sketch = EngineBuilder::<HllFamily>::new()
+                .accuracy(usize::from(lg_m))
                 .seed(123)
                 .writers(2)
                 .max_concurrency_error(0.05)
@@ -146,9 +143,9 @@ proptest! {
         let k = 64usize;
         let mut images = Vec::new();
         for node in 0..nodes as u64 {
-            let sketch: ConcurrentQuantilesSketch<u64> = ConcurrentQuantilesSketch::<u64>::builder()
-                .k(k)
-                .oracle_seed(5)
+            let sketch = EngineBuilder::<QuantilesFamily>::new()
+                .accuracy(k)
+                .seed(5)
                 .writers(2)
                 .max_concurrency_error(0.05)
                 .build()
@@ -194,8 +191,8 @@ proptest! {
         let mut true_counts = std::collections::HashMap::<u64, u64>::new();
         let mut images = Vec::new();
         for node in 0..nodes as u64 {
-            let sketch: ConcurrentFrequencySketch<u64> = ConcurrentFrequencySketch::<u64>::builder()
-                .k(k)
+            let sketch = EngineBuilder::<FrequencyFamily>::new()
+                .accuracy(k)
                 .writers(2)
                 .max_concurrency_error(0.05)
                 .build()
@@ -243,8 +240,8 @@ proptest! {
         let mut images = Vec::new();
         let mut lag_budget = 0u64;
         for node in 0..nodes as u64 {
-            let sketch = ConcurrentThetaSketch::builder()
-                .lg_k(lg_k)
+            let sketch = EngineBuilder::<ThetaFamily>::new()
+                .accuracy(usize::from(lg_k))
                 .seed(31)
                 .writers(1)
                 .max_concurrency_error(0.05)

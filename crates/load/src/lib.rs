@@ -1,19 +1,31 @@
-//! `fcds-load`: rate-controlled load generator and fault-injection
-//! harness for `fcds-server`.
+//! `fcds-load`: the correctness-drill harness for `fcds-server`.
 //!
-//! The harness runs writer workers (batched ingest through the frame
-//! protocol) and concurrent query workers (live-engine estimates)
-//! against a server, recording latency histograms and a typed error
-//! taxonomy. In fault mode the ingest path is routed through a
-//! [`FaultProxy`] that can delay, truncate, bit-flip, or sever the
-//! stream mid-frame, or disconnect outright — the fault classes a
-//! long-lived TCP ingest tier actually meets — and the harness measures
-//! how long the server takes to recover baseline throughput after each
-//! fault clears.
+//! Four drills exercise what nothing else in the workspace does, and
+//! each is gated on counts and error bounds only — how *fast* the
+//! served path is belongs to `benchmark/` (see its README's baseline
+//! table), not here:
 //!
-//! The binary emits `BENCH_serve.json` with the acceptance ratios and
-//! thresholds `bench_gate` enforces (see `fcds_bench::gate`'s `SERVE_*`
-//! constants).
+//! * [`run_scenario`] routes ingest through a [`FaultProxy`] that can
+//!   delay, truncate, bit-flip, or sever the stream mid-frame, or
+//!   disconnect outright — the fault classes a long-lived TCP ingest
+//!   tier actually meets — and checks that every failure is typed, the
+//!   server survives each class, and ingest recovers after it clears.
+//! * [`run_multistream`] hosts eight named streams across all four
+//!   families, poisons one, and checks the others never notice.
+//! * [`run_sync_drill`] checks that a peer converges on a source's
+//!   streams through replica pushes alone.
+//! * [`run_crash_drill`] SIGKILLs a real server process mid-checkpoint
+//!   and checks what the restart recovers and refuses.
+//!
+//! The drills share one scaffold: a `Target` names the default stream
+//! or a `(family, key)` stream; one ingest loop and one query loop run
+//! against it, in the background under `under_load` or in the
+//! foreground as `ingest_range`; `await_count` is the one
+//! poll-until-converged
+//! helper. [`report`] holds the one gate table `BENCH_serve.json` and
+//! the console summary are rendered from.
+
+pub mod report;
 
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
@@ -21,109 +33,12 @@ use fcds_server::{serve, ServerConfig};
 use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Histogram bucket layout: log2 major buckets × 16 linear minor
-/// buckets, covering the full `u64` nanosecond range with ≤ 6.25%
-/// relative resolution per bucket.
-const HIST_MINORS: usize = 16;
-const HIST_BUCKETS: usize = 64 * HIST_MINORS;
-
-/// A latency histogram with logarithmic major buckets and 16 linear
-/// minor buckets each — constant memory, no allocation on record, good
-/// enough resolution for p50/p99 at any scale.
-#[derive(Clone)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0u64; HIST_BUCKETS],
-            count: 0,
-            max_ns: 0,
-        }
-    }
-
-    fn index(ns: u64) -> usize {
-        if ns < HIST_MINORS as u64 {
-            return ns as usize;
-        }
-        let major = 63 - ns.leading_zeros() as usize;
-        let minor = ((ns >> (major - 4)) & 0xF) as usize;
-        major * HIST_MINORS + minor
-    }
-
-    /// Lower bound of the bucket at `idx` (the value reported for
-    /// quantiles that land in it).
-    fn bucket_floor(idx: usize) -> u64 {
-        let major = idx / HIST_MINORS;
-        let minor = (idx % HIST_MINORS) as u64;
-        if major < 4 {
-            // Sub-16ns values land in buckets [0, 16) directly.
-            return (major * HIST_MINORS) as u64 + minor;
-        }
-        (1u64 << major) | (minor << (major - 4))
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: Duration) {
-        let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.buckets[Self::index(ns)] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// The value at quantile `q` ∈ [0, 1], in nanoseconds (0 when
-    /// empty). Reported as the floor of the containing bucket.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_floor(idx);
-            }
-        }
-        self.max_ns
-    }
-
-    /// Maximum recorded sample, ns.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-}
 
 /// Counts of every failure outcome the workers observed, keyed by the
 /// protocol's own taxonomy. `other_nacks` catches codes added later
@@ -136,7 +51,8 @@ pub struct ErrorTaxonomy {
     /// Transport-level failures (resets, EOF, timeouts) — typed at the
     /// I/O layer rather than the protocol layer.
     io_errors: AtomicU64,
-    /// Reconnections the workers performed after a transport failure.
+    /// Connections the workers re-established after losing one to a
+    /// transport failure (a worker's first connect is not a reconnect).
     reconnects: AtomicU64,
 }
 
@@ -455,42 +371,324 @@ fn pump_clean(mut from: TcpStream, mut to: TcpStream, stop: &AtomicBool) {
     }
 }
 
-/// Scenario parameters.
+/// Where a request goes: the server's default stream (FCF1 v1 frames)
+/// or a named stream (v2 frames).
+#[derive(Debug)]
+enum Target {
+    Default,
+    Stream(SketchFamily, Vec<u8>),
+}
+
+/// The four wire families, in the order multi-stream drills assign
+/// them to streams (stream `i` gets `FAMILIES[i % 4]`).
+pub const FAMILIES: [SketchFamily; 4] = [
+    SketchFamily::Theta,
+    SketchFamily::Hll,
+    SketchFamily::Quantiles,
+    SketchFamily::Frequency,
+];
+
+/// Stream `i`'s key within a drill.
+fn drill_key(prefix: &str, i: usize) -> Vec<u8> {
+    format!("{prefix}-{i}").into_bytes()
+}
+
+/// A drill's streams: `n` keys, families round-robin.
+fn drill_targets(prefix: &str, n: usize) -> Vec<Target> {
+    (0..n)
+        .map(|i| Target::Stream(FAMILIES[i % 4], drill_key(prefix, i)))
+        .collect()
+}
+
+/// Relative-error envelope of a Θ/HLL estimate at the server's
+/// `lg_k = lg_m = 12` (σ ≈ 1.6%, so 5σ); Quantiles/Frequency counts are
+/// exact. A stream has absorbed or replicated its items once its count
+/// is inside it.
+pub const ESTIMATE_ENVELOPE: f64 = 0.08;
+
+/// Sends one ingest batch to `target`.
+fn send(c: &mut Client, target: &Target, items: &[u64]) -> std::io::Result<Reply> {
+    match target {
+        Target::Default => c.ingest(items),
+        Target::Stream(family, key) => c.ingest_stream(*family, key, items),
+    }
+}
+
+/// What one count query came back with.
+enum Counted {
+    Value(f64),
+    Nack(NackCode),
+    /// A reply fitting no contract.
+    Untyped,
+}
+
+/// The target's observed count through its natural query: the estimate
+/// for the default stream and Θ/HLL streams, the image's exact item
+/// count for Quantiles/Frequency.
+fn stream_count(c: &mut Client, target: &Target) -> std::io::Result<Counted> {
+    use SketchFamily::{Hll, Quantiles, Theta};
+    let reply = match target {
+        Target::Default => c.query_estimate(0)?,
+        Target::Stream(family @ (Theta | Hll), key) => c.query_stream_estimate(*family, key)?,
+        Target::Stream(family, key) => c.query_stream_image(*family, key)?,
+    };
+    let image_n = |n: Option<u64>| n.map_or(Counted::Untyped, |n| Counted::Value(n as f64));
+    Ok(match (reply, target) {
+        (Reply::Estimate { value, .. }, _) => Counted::Value(value),
+        (Reply::Image { bytes, .. }, Target::Stream(Quantiles, _)) => {
+            image_n(LadderWireView::<u64>::parse(&bytes).ok().map(|v| v.n()))
+        }
+        (Reply::Image { bytes, .. }, _) => {
+            image_n(MgWireView::<u64>::parse(&bytes).ok().map(|v| v.n()))
+        }
+        (Reply::Nack { code, .. }, _) => Counted::Nack(code),
+        _ => Counted::Untyped,
+    })
+}
+
+/// Polls `target`'s count every 10 ms until it is within `tolerance`
+/// (relative) of `expect` and returns that relative error; `None` once
+/// `deadline` has passed. A NACK just means another poll: a replica
+/// peer answers `UnknownStream` until the first push creates the
+/// stream, a restarted server until recovery has registered it.
+fn await_count(
+    c: &mut Client,
+    target: &Target,
+    expect: f64,
+    tolerance: f64,
+    deadline: Instant,
+) -> std::io::Result<Option<f64>> {
+    loop {
+        if let Counted::Value(got) = stream_count(c, target)? {
+            let relerr = (got - expect).abs() / expect;
+            if relerr <= tolerance {
+                return Ok(Some(relerr));
+            }
+        }
+        if Instant::now() >= deadline {
+            return Ok(None);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The counters every ingest and query loop of one drill shares, and
+/// the flag that stops its background workers.
+#[derive(Default)]
+struct Tally {
+    stop: AtomicBool,
+    items_acked: AtomicU64,
+    /// Replies fitting no contract — the silent-drop detector.
+    untyped_failures: AtomicU64,
+    taxonomy: ErrorTaxonomy,
+}
+
+/// A connection that is (re)established on demand: the
+/// connect-or-back-off step both loops share.
+struct Link {
+    addr: SocketAddr,
+    client: Option<Client>,
+    /// A connection was lost and not yet replaced.
+    lost: bool,
+}
+
+impl Link {
+    fn new(addr: SocketAddr) -> Link {
+        Link {
+            addr,
+            client: None,
+            lost: false,
+        }
+    }
+
+    /// The live client, connecting first if there is none. A failed
+    /// connect is recorded, backed off for 20 ms and yields `None`.
+    fn client(&mut self, tally: &Tally) -> Option<&mut Client> {
+        if self.client.is_none() {
+            match Client::connect(self.addr, Duration::from_secs(2)) {
+                Ok(c) => {
+                    if std::mem::take(&mut self.lost) {
+                        tally.taxonomy.record_reconnect();
+                    }
+                    self.client = Some(c);
+                }
+                Err(_) => {
+                    tally.taxonomy.record_io_error();
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+        }
+        self.client.as_mut()
+    }
+
+    /// Drops a connection whose request failed at the transport layer.
+    fn lose(&mut self, tally: &Tally) {
+        tally.taxonomy.record_io_error();
+        self.client = None;
+        self.lost = true;
+    }
+}
+
+/// Sends `items` to `target` in `batch`-item requests until the range
+/// is exhausted or `stop()` says so, and returns how many were acked.
+/// A NACKed batch is shed, not lost: it is recorded, backed off and
+/// re-sent. A transport failure leaves the batch's outcome unknown, so
+/// the same range is re-sent on a fresh connection — Θ dedups, which
+/// is exactly why the protocol can retry without a dedup layer.
+fn ingest_loop(
+    tally: &Tally,
+    link: &mut Link,
+    target: &Target,
+    items: Range<u64>,
+    batch: usize,
+    stop: impl Fn() -> bool,
+) -> u64 {
+    let mut next = items.start;
+    while next < items.end && !stop() {
+        let Some(c) = link.client(tally) else {
+            continue;
+        };
+        let chunk: Vec<u64> = (next..items.end.min(next + batch as u64)).collect();
+        match send(c, target, &chunk) {
+            Ok(Reply::Ack { .. }) => {
+                next += chunk.len() as u64;
+                tally
+                    .items_acked
+                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+            }
+            Ok(Reply::Nack { code, .. }) => {
+                tally.taxonomy.record_nack(code);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Ok(_) => {
+                tally.untyped_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => link.lose(tally),
+        }
+    }
+    next - items.start
+}
+
+/// Ingests exactly `items` into `target` in 512-item requests.
+///
+/// # Errors
+///
+/// The range was not fully acked within 10 s.
+fn ingest_range(
+    tally: &Tally,
+    link: &mut Link,
+    target: &Target,
+    items: Range<u64>,
+) -> std::io::Result<()> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let want = items.end - items.start;
+    let acked = ingest_loop(tally, link, target, items, 512, || {
+        Instant::now() >= deadline
+    });
+    if acked == want {
+        Ok(())
+    } else {
+        Err(std::io::Error::other(format!(
+            "drill ingest: {acked} of {want} items acked before the deadline"
+        )))
+    }
+}
+
+/// Queries `targets` round-robin, one every 2 ms, until the tally's
+/// stop flag is set.
+fn query_loop(tally: &Tally, link: &mut Link, targets: &[Target]) {
+    for target in targets.iter().cycle() {
+        if tally.stop.load(Ordering::Acquire) {
+            return;
+        }
+        let Some(c) = link.client(tally) else {
+            continue;
+        };
+        match stream_count(c, target) {
+            Ok(Counted::Value(_)) => {}
+            Ok(Counted::Nack(code)) => tally.taxonomy.record_nack(code),
+            Ok(Counted::Untyped) => {
+                tally.untyped_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => link.lose(tally),
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Runs `body` while background workers load the server — one ingest
+/// worker per `ingest` entry (`(addr, target, first item)`, each on its
+/// own connection) and one querier cycling over `queried` at
+/// `query_addr` — then stops and joins them. Returns `body`'s result,
+/// the tally the workers shared and each ingest worker's acked-item
+/// count, in `ingest` order.
+fn under_load<R>(
+    ingest: &[(SocketAddr, &Target, u64)],
+    batch: usize,
+    query_addr: SocketAddr,
+    queried: &[Target],
+    body: impl FnOnce(&Tally) -> R,
+) -> (R, Tally, Vec<u64>) {
+    let tally = Tally::default();
+    let (result, acked) = std::thread::scope(|s| {
+        let tally = &tally;
+        let stop = move || tally.stop.load(Ordering::Acquire);
+        let writers: Vec<_> = ingest
+            .iter()
+            .map(|&(addr, target, first)| {
+                let items = first..u64::MAX;
+                s.spawn(move || {
+                    ingest_loop(tally, &mut Link::new(addr), target, items, batch, stop)
+                })
+            })
+            .collect();
+        s.spawn(move || query_loop(tally, &mut Link::new(query_addr), queried));
+        let result = body(tally);
+        tally.stop.store(true, Ordering::Release);
+        let acked = writers
+            .into_iter()
+            .map(|w| w.join().expect("ingest worker panicked"))
+            .collect();
+        (result, acked)
+    });
+    (result, tally, acked)
+}
+
+/// Fault-scenario parameters.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Ingest writer workers (each its own connection through the
-    /// proxy).
-    pub writers: usize,
-    /// Concurrent query workers (connected directly to the server).
-    pub queriers: usize,
     /// Items per ingest batch.
     pub batch_size: usize,
-    /// Target aggregate ingest rate in items/s; 0 = unthrottled.
-    pub rate_items_per_s: u64,
     /// Baseline measurement window.
     pub baseline: Duration,
     /// How long each fault stays injected.
     pub fault_hold: Duration,
-    /// Maximum time to wait for post-fault recovery.
-    pub recovery_timeout: Duration,
 }
 
 impl Default for LoadConfig {
     fn default() -> Self {
         LoadConfig {
-            writers: 2,
-            queriers: 1,
             batch_size: 512,
-            rate_items_per_s: 0,
             baseline: Duration::from_millis(1500),
             fault_hold: Duration::from_millis(300),
-            recovery_timeout: Duration::from_secs(5),
         }
     }
 }
 
+/// Ingest writers the fault scenario runs, each on its own connection
+/// through the proxy (one querier connects directly to the server).
+const SCENARIO_WRITERS: u64 = 2;
+
 /// Width of one throughput sample bucket.
-pub const SAMPLE_BUCKET: Duration = Duration::from_millis(50);
+const SAMPLE_BUCKET: Duration = Duration::from_millis(50);
+
+/// Longest the scenario waits for ingest to recover after a fault
+/// clears. The slowest class is stream desync (truncate): the writer
+/// sits in its 2 s reply timeout while the server burns its 2 s frame
+/// deadline on the half-frame, then both sides reconnect — so the
+/// protocol's own worst case is ~4 s. A wedge (breaker stuck open,
+/// connection leak) never recovers at all.
+pub const RECOVERY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Outcome of one fault-injection phase.
 #[derive(Debug, Clone)]
@@ -498,21 +696,15 @@ pub struct FaultPhase {
     /// The injected fault class.
     pub mode: FaultMode,
     /// Time from clearing the fault to the first 50 ms bucket at ≥ 50%
-    /// of baseline throughput (`None` = never recovered in time).
+    /// of the baseline ingest rate (`None` = not within
+    /// [`RECOVERY_TIMEOUT`]).
     pub recovery: Option<Duration>,
     /// Whether the server answered a clean request after the phase.
     pub survived: bool,
 }
 
-/// Everything one scenario run measured.
+/// Everything one scenario run observed.
 pub struct ScenarioReport {
-    /// Baseline ingest throughput, items/s.
-    pub ingest_items_per_s: f64,
-    /// Baseline batch-ACK round-trip latency.
-    pub ingest_latency: LatencyHistogram,
-    /// Concurrent query latency (live-engine estimates during the
-    /// baseline window).
-    pub query_latency: LatencyHistogram,
     /// The error taxonomy across the whole run.
     pub taxonomy: ErrorTaxonomy,
     /// One entry per injected fault class.
@@ -526,130 +718,6 @@ pub struct ScenarioReport {
     pub estimate_ratio: f64,
 }
 
-struct WriterShared {
-    stop: AtomicBool,
-    items_acked: AtomicU64,
-    batches_acked: AtomicU64,
-    untyped_failures: AtomicU64,
-    taxonomy: ErrorTaxonomy,
-    ingest_hist: Mutex<LatencyHistogram>,
-    query_hist: Mutex<LatencyHistogram>,
-}
-
-fn writer_loop(
-    shared: &WriterShared,
-    proxy_addr: SocketAddr,
-    writer_index: usize,
-    cfg: &LoadConfig,
-) {
-    let mut next_item: u64 = (writer_index as u64) << 40;
-    let mut client: Option<Client> = None;
-    let per_writer_rate = if cfg.rate_items_per_s == 0 {
-        0
-    } else {
-        (cfg.rate_items_per_s / cfg.writers as u64).max(1)
-    };
-    let mut window_start = Instant::now();
-    let mut window_items = 0u64;
-    while !shared.stop.load(Ordering::Acquire) {
-        // Rate control: simple windowed pacing, good to a few percent.
-        if per_writer_rate > 0 {
-            let elapsed = window_start.elapsed().as_secs_f64();
-            if elapsed >= 1.0 {
-                window_start = Instant::now();
-                window_items = 0;
-            } else if window_items >= (per_writer_rate as f64 * elapsed.max(0.01)) as u64 {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-        }
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => match Client::connect(proxy_addr, Duration::from_secs(2)) {
-                Ok(c) => {
-                    shared.taxonomy.record_reconnect();
-                    client.insert(c)
-                }
-                Err(_) => {
-                    shared.taxonomy.record_io_error();
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            },
-        };
-        let batch: Vec<u64> = (next_item..next_item + cfg.batch_size as u64).collect();
-        let sent = Instant::now();
-        match c.ingest(&batch) {
-            Ok(Reply::Ack { .. }) => {
-                next_item += cfg.batch_size as u64;
-                window_items += cfg.batch_size as u64;
-                shared
-                    .items_acked
-                    .fetch_add(cfg.batch_size as u64, Ordering::Relaxed);
-                shared.batches_acked.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .ingest_hist
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(sent.elapsed());
-            }
-            Ok(Reply::Nack { code, .. }) => {
-                // Typed rejection: the batch was shed, not lost
-                // silently. Back off, then re-send the same range.
-                shared.taxonomy.record_nack(code);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Ok(_) => {
-                shared.untyped_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // Transport failure: typed at the I/O layer. The batch
-                // outcome is unknown, so re-send the same range — Θ
-                // dedups, which is exactly why the protocol can retry
-                // without a dedup layer.
-                shared.taxonomy.record_io_error();
-                client = None;
-            }
-        }
-    }
-}
-
-fn query_loop(shared: &WriterShared, server_addr: SocketAddr) {
-    let mut client: Option<Client> = None;
-    while !shared.stop.load(Ordering::Acquire) {
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => match Client::connect(server_addr, Duration::from_secs(2)) {
-                Ok(c) => client.insert(c),
-                Err(_) => {
-                    shared.taxonomy.record_io_error();
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            },
-        };
-        let sent = Instant::now();
-        match c.query_estimate(0) {
-            Ok(Reply::Estimate { .. }) => {
-                shared
-                    .query_hist
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(sent.elapsed());
-            }
-            Ok(Reply::Nack { code, .. }) => shared.taxonomy.record_nack(code),
-            Ok(_) => {
-                shared.untyped_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.taxonomy.record_io_error();
-                client = None;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// Runs the full scenario — baseline, then every fault class with
 /// recovery measurement — against the server at `server_addr`, routing
 /// ingest through a fresh [`FaultProxy`].
@@ -659,90 +727,66 @@ fn query_loop(shared: &WriterShared, server_addr: SocketAddr) {
 /// Propagates proxy bind errors.
 pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<ScenarioReport> {
     let proxy = FaultProxy::start(server_addr)?;
-    let proxy_addr = proxy.local_addr();
-    let shared = Arc::new(WriterShared {
-        stop: AtomicBool::new(false),
-        items_acked: AtomicU64::new(0),
-        batches_acked: AtomicU64::new(0),
-        untyped_failures: AtomicU64::new(0),
-        taxonomy: ErrorTaxonomy::default(),
-        ingest_hist: Mutex::new(LatencyHistogram::new()),
-        query_hist: Mutex::new(LatencyHistogram::new()),
-    });
+    let queried = [Target::Default];
+    let writers: Vec<_> = (0..SCENARIO_WRITERS)
+        .map(|w| (proxy.local_addr(), &queried[0], w << 40))
+        .collect();
+    let drive = |tally: &Tally| {
+        let items_acked = || tally.items_acked.load(Ordering::Relaxed);
 
-    let mut joins = Vec::new();
-    for w in 0..cfg.writers {
-        let shared = Arc::clone(&shared);
-        let cfg = cfg.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("load-writer-{w}"))
-                .spawn(move || writer_loop(&shared, proxy_addr, w, &cfg))
-                .expect("spawn writer"),
-        );
-    }
-    for q in 0..cfg.queriers {
-        let shared = Arc::clone(&shared);
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("load-query-{q}"))
-                .spawn(move || query_loop(&shared, server_addr))
-                .expect("spawn querier"),
-        );
-    }
+        // Phase 1: the baseline ingest rate, which recovery is defined
+        // against (it is not a result: `benchmark/` measures speed).
+        let baseline_start_items = items_acked();
+        let baseline_started = Instant::now();
+        std::thread::sleep(cfg.baseline);
+        let baseline_items_per_s = (items_acked() - baseline_start_items) as f64
+            / baseline_started.elapsed().as_secs_f64();
+        let baseline_bucket_items = baseline_items_per_s * SAMPLE_BUCKET.as_secs_f64();
 
-    // Phase 1: baseline.
-    let baseline_start_items = shared.items_acked.load(Ordering::Relaxed);
-    let baseline_started = Instant::now();
-    std::thread::sleep(cfg.baseline);
-    let baseline_elapsed = baseline_started.elapsed();
-    let baseline_items = shared.items_acked.load(Ordering::Relaxed) - baseline_start_items;
-    let ingest_items_per_s = baseline_items as f64 / baseline_elapsed.as_secs_f64();
-    let baseline_bucket_items = ingest_items_per_s * SAMPLE_BUCKET.as_secs_f64();
+        // Phase 2: fault classes, one at a time, with recovery
+        // measurement.
+        let mut phases = Vec::new();
+        for mode in FaultMode::ALL {
+            proxy.set_mode(mode);
+            std::thread::sleep(cfg.fault_hold);
+            proxy.set_mode(FaultMode::Off);
+            let cleared = Instant::now();
 
-    // Phase 2: fault classes, one at a time, with recovery measurement.
-    let mut phases = Vec::new();
-    for mode in FaultMode::ALL {
-        proxy.set_mode(mode);
-        std::thread::sleep(cfg.fault_hold);
-        proxy.set_mode(FaultMode::Off);
-        let cleared = Instant::now();
-
-        // Recovery: first 50 ms bucket back at ≥ 50% of baseline rate.
-        let mut recovery = None;
-        let mut last = shared.items_acked.load(Ordering::Relaxed);
-        while cleared.elapsed() < cfg.recovery_timeout {
-            std::thread::sleep(SAMPLE_BUCKET);
-            let now = shared.items_acked.load(Ordering::Relaxed);
-            if (now - last) as f64 >= baseline_bucket_items * 0.5 {
-                recovery = Some(cleared.elapsed());
-                break;
+            // Recovery: first 50 ms bucket back at ≥ 50% of baseline
+            // rate.
+            let mut recovery = None;
+            let mut last = items_acked();
+            while cleared.elapsed() < RECOVERY_TIMEOUT {
+                std::thread::sleep(SAMPLE_BUCKET);
+                let now = items_acked();
+                if (now - last) as f64 >= baseline_bucket_items * 0.5 {
+                    recovery = Some(cleared.elapsed());
+                    break;
+                }
+                last = now;
             }
-            last = now;
+
+            // Survival probe: a clean request on a fresh direct
+            // connection.
+            let survived = Client::connect(server_addr, Duration::from_secs(2))
+                .and_then(|mut c| c.ping())
+                .map(|r| matches!(r, Reply::Pong { .. }))
+                .unwrap_or(false);
+            phases.push(FaultPhase {
+                mode,
+                recovery,
+                survived,
+            });
         }
-
-        // Survival probe: a clean request on a fresh direct connection.
-        let survived = Client::connect(server_addr, Duration::from_secs(2))
-            .and_then(|mut c| c.ping())
-            .map(|r| matches!(r, Reply::Pong { .. }))
-            .unwrap_or(false);
-        phases.push(FaultPhase {
-            mode,
-            recovery,
-            survived,
-        });
-    }
-
-    shared.stop.store(true, Ordering::Release);
-    for j in joins {
-        let _ = j.join();
-    }
+        phases
+    };
+    let (phases, tally, _) = under_load(&writers, cfg.batch_size, server_addr, &queried, drive);
     drop(proxy);
 
     // Final consistency probe: the live estimate should account for the
     // acked distinct items (writers re-send on unknown outcomes, and Θ
     // dedups, so the acked distinct set is a subset of what was sent).
-    let items_acked = shared.items_acked.load(Ordering::Relaxed);
+    let items_acked = tally.items_acked.into_inner();
     let estimate = Client::connect(server_addr, Duration::from_secs(2))
         .and_then(|mut c| c.query_estimate(0))
         .ok()
@@ -757,81 +801,44 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         estimate / items_acked as f64
     };
 
-    let shared = Arc::try_unwrap(shared).ok().expect("workers joined");
     Ok(ScenarioReport {
-        ingest_items_per_s,
-        ingest_latency: shared
-            .ingest_hist
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner()),
-        query_latency: shared
-            .query_hist
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner()),
-        taxonomy: shared.taxonomy,
+        taxonomy: tally.taxonomy,
         phases,
         items_acked,
-        untyped_failures: shared.untyped_failures.load(Ordering::Relaxed),
+        untyped_failures: tally.untyped_failures.into_inner(),
         estimate_ratio,
     })
 }
-
-/// The four wire families, in the order multi-stream drills assign
-/// them to streams (stream `i` gets `FAMILIES[i % 4]`).
-pub const FAMILIES: [SketchFamily; 4] = [
-    SketchFamily::Theta,
-    SketchFamily::Hll,
-    SketchFamily::Quantiles,
-    SketchFamily::Frequency,
-];
 
 /// The poison item the multi-stream drill plants (the in-process
 /// server is started with `fault_panic_on` set to this value).
 const POISON_ITEM: u64 = u64::MAX;
 
+/// Named streams the multi-stream drill hosts: two per family.
+pub const MULTISTREAM_STREAMS: usize = 8;
+
 /// Multi-stream drill parameters.
 #[derive(Debug, Clone)]
 pub struct MultiStreamConfig {
-    /// Named streams to host (round-robin across all four families;
-    /// the acceptance floor is 8).
-    pub streams: usize,
     /// Items per v2 ingest batch.
     pub batch_size: usize,
-    /// Measurement window for the round-robin ingest/query load.
+    /// How long the per-stream writers and the querier run.
     pub window: Duration,
-    /// Target aggregate ingest rate in items/s, split evenly across
-    /// the per-stream writers; 0 = unthrottled. The default keeps 2×
-    /// headroom over the gate floor while leaving the scheduler room
-    /// for the concurrent query latency measurement (one writer thread
-    /// per stream plus each stream's workers oversubscribe a small CI
-    /// container when unthrottled).
-    pub rate_items_per_s: u64,
 }
 
 impl Default for MultiStreamConfig {
     fn default() -> Self {
         MultiStreamConfig {
-            streams: 8,
             batch_size: 512,
             window: Duration::from_millis(1500),
-            rate_items_per_s: 2_000_000,
         }
     }
 }
 
-/// Everything the multi-stream drill measured.
+/// Everything the multi-stream drill observed.
 pub struct MultiStreamReport {
     /// Streams hosted (excluding the server's default stream).
     pub streams: usize,
-    /// Aggregate v2 ingest throughput across all streams, items/s.
-    pub ingest_items_per_s: f64,
-    /// v2 batch-ACK round-trip latency across all streams.
-    pub ingest_latency: LatencyHistogram,
-    /// v2 stream-addressed estimate-query latency (Θ/HLL streams).
-    /// Image queries on the Quantiles/Frequency streams are exercised
-    /// concurrently but not recorded here: they are bulk exports whose
-    /// cost scales with stream size, not latency-path queries.
-    pub query_latency: LatencyHistogram,
     /// The typed error taxonomy across the drill, including the
     /// provoked `UnknownStream` and `FamilyMismatch` NACKs and the
     /// poisoned stream's failures.
@@ -851,165 +858,14 @@ pub struct MultiStreamReport {
     pub leaked_threads: usize,
 }
 
-/// One stream's identity within a drill.
-fn drill_key(prefix: &str, i: usize) -> Vec<u8> {
-    format!("{prefix}-{i}").into_bytes()
-}
-
-/// The stream's observed count through its family's natural v2 query:
-/// the estimate for Θ/HLL, the image's exact item count for Q/F.
-/// `None` while the stream is unknown or the reply is a NACK.
-fn stream_count(c: &mut Client, family: SketchFamily, key: &[u8]) -> std::io::Result<Option<f64>> {
-    match family {
-        SketchFamily::Theta | SketchFamily::Hll => {
-            Ok(match c.query_stream_estimate(family, key)? {
-                Reply::Estimate { value, .. } => Some(value),
-                _ => None,
-            })
-        }
-        SketchFamily::Quantiles => Ok(match c.query_stream_image(family, key)? {
-            Reply::Image { bytes, .. } => LadderWireView::<u64>::parse(&bytes)
-                .ok()
-                .map(|v| v.n() as f64),
-            _ => None,
-        }),
-        SketchFamily::Frequency => Ok(match c.query_stream_image(family, key)? {
-            Reply::Image { bytes, .. } => {
-                MgWireView::<u64>::parse(&bytes).ok().map(|v| v.n() as f64)
-            }
-            _ => None,
-        }),
-    }
-}
-
-fn stream_writer_loop(
-    shared: &WriterShared,
-    addr: SocketAddr,
-    family: SketchFamily,
-    key: &[u8],
-    batch_size: usize,
-    rate_items_per_s: u64,
-    stream_acked: &AtomicU64,
-) {
-    let mut next_item: u64 = 0;
-    let mut client: Option<Client> = None;
-    let mut window_start = Instant::now();
-    let mut window_items = 0u64;
-    while !shared.stop.load(Ordering::Acquire) {
-        // Same windowed pacing as the single-stream writer loop.
-        if rate_items_per_s > 0 {
-            let elapsed = window_start.elapsed().as_secs_f64();
-            if elapsed >= 1.0 {
-                window_start = Instant::now();
-                window_items = 0;
-            } else if window_items >= (rate_items_per_s as f64 * elapsed.max(0.01)) as u64 {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-        }
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => match Client::connect(addr, Duration::from_secs(2)) {
-                Ok(c) => {
-                    shared.taxonomy.record_reconnect();
-                    client.insert(c)
-                }
-                Err(_) => {
-                    shared.taxonomy.record_io_error();
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            },
-        };
-        let batch: Vec<u64> = (next_item..next_item + batch_size as u64).collect();
-        let sent = Instant::now();
-        match c.ingest_stream(family, key, &batch) {
-            Ok(Reply::Ack { .. }) => {
-                next_item += batch_size as u64;
-                window_items += batch_size as u64;
-                stream_acked.fetch_add(batch_size as u64, Ordering::Relaxed);
-                shared
-                    .items_acked
-                    .fetch_add(batch_size as u64, Ordering::Relaxed);
-                shared
-                    .ingest_hist
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(sent.elapsed());
-            }
-            Ok(Reply::Nack { code, .. }) => {
-                shared.taxonomy.record_nack(code);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Ok(_) => {
-                shared.untyped_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.taxonomy.record_io_error();
-                client = None;
-            }
-        }
-    }
-}
-
-fn stream_query_loop(shared: &WriterShared, addr: SocketAddr, streams: usize, prefix: &str) {
-    let mut client: Option<Client> = None;
-    let mut i = 0usize;
-    while !shared.stop.load(Ordering::Acquire) {
-        let c = match client.as_mut() {
-            Some(c) => c,
-            None => match Client::connect(addr, Duration::from_secs(2)) {
-                Ok(c) => client.insert(c),
-                Err(_) => {
-                    shared.taxonomy.record_io_error();
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            },
-        };
-        let family = FAMILIES[i % 4];
-        let key = drill_key(prefix, i);
-        i = (i + 1) % streams;
-        // Only the Θ/HLL estimate queries feed the gated latency
-        // histogram — they are the latency-path operation the p99
-        // threshold models. Image queries on the Quantiles/Frequency
-        // streams are still issued every round to exercise their fan-in
-        // path, but they are bulk exports whose size grows with the
-        // stream (megabytes under this unthrottled load), not
-        // fixed-cost queries.
-        let measured = matches!(family, SketchFamily::Theta | SketchFamily::Hll);
-        let sent = Instant::now();
-        match stream_count(c, family, &key) {
-            Ok(Some(_)) => {
-                if measured {
-                    shared
-                        .query_hist
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .record(sent.elapsed());
-                }
-            }
-            // NACKs (e.g. UnknownStream before the writer's first
-            // batch) are typed and expected during warm-up; the writer
-            // loop records its own. Skip the latency sample.
-            Ok(None) => {}
-            Err(_) => {
-                shared.taxonomy.record_io_error();
-                client = None;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// Runs the multi-stream drill: an in-process server hosts
-/// `cfg.streams` named streams round-robined across all four families,
-/// one writer connection per stream plus a round-robin querier, for
-/// `cfg.window`. Afterwards the drill provokes the stream-addressed
-/// NACKs (`UnknownStream`, `FamilyMismatch`), poisons the last
-/// stream's single worker, and measures isolation: the fraction of
-/// healthy-stream requests still ACKed while the poisoned stream is
-/// dead.
+/// [`MULTISTREAM_STREAMS`] named streams round-robined across all four
+/// families, one writer connection per stream plus a round-robin
+/// querier, for `cfg.window`. Afterwards the drill provokes the
+/// stream-addressed NACKs (`UnknownStream`, `FamilyMismatch`), poisons
+/// the last stream's single worker, and measures isolation: the
+/// fraction of healthy-stream requests still ACKed while the poisoned
+/// stream is dead.
 ///
 /// # Errors
 ///
@@ -1019,110 +875,51 @@ fn stream_query_loop(shared: &WriterShared, addr: SocketAddr, streams: usize, pr
 ///
 /// Panics if a drill worker thread panics.
 pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamReport> {
-    let streams = cfg.streams.max(1);
     let server = serve(ServerConfig {
         fault_panic_on: Some(POISON_ITEM),
         stream_workers: 1,
-        max_streams: (streams + 8).max(64),
         ..ServerConfig::default()
     })?;
     let addr = server.local_addr();
+    let targets = drill_targets("load", MULTISTREAM_STREAMS);
 
-    let shared = Arc::new(WriterShared {
-        stop: AtomicBool::new(false),
-        items_acked: AtomicU64::new(0),
-        batches_acked: AtomicU64::new(0),
-        untyped_failures: AtomicU64::new(0),
-        taxonomy: ErrorTaxonomy::default(),
-        ingest_hist: Mutex::new(LatencyHistogram::new()),
-        query_hist: Mutex::new(LatencyHistogram::new()),
-    });
-    let per_stream_acked: Arc<Vec<AtomicU64>> =
-        Arc::new((0..streams).map(|_| AtomicU64::new(0)).collect());
+    let writers: Vec<_> = targets.iter().map(|t| (addr, t, 0)).collect();
+    let ((), tally, per_stream_acked) =
+        under_load(&writers, cfg.batch_size, addr, &targets, |_| {
+            std::thread::sleep(cfg.window)
+        });
 
-    let mut joins = Vec::new();
-    for i in 0..streams {
-        let shared = Arc::clone(&shared);
-        let acked = Arc::clone(&per_stream_acked);
-        let batch_size = cfg.batch_size;
-        let per_writer_rate = if cfg.rate_items_per_s == 0 {
-            0
-        } else {
-            (cfg.rate_items_per_s / streams as u64).max(1)
-        };
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("mstream-writer-{i}"))
-                .spawn(move || {
-                    stream_writer_loop(
-                        &shared,
-                        addr,
-                        FAMILIES[i % 4],
-                        &drill_key("load", i),
-                        batch_size,
-                        per_writer_rate,
-                        &acked[i],
-                    );
-                })
-                .expect("spawn stream writer"),
-        );
+    // The writers ran flat out, so a stream may have shed its own
+    // overload into an open breaker. Let each one ack again first: what
+    // the probes below see is then the poison's doing and nothing else's.
+    let mut link = Link::new(addr);
+    for target in &targets {
+        ingest_range(&tally, &mut link, target, 0..1)?;
     }
-    {
-        let shared = Arc::clone(&shared);
-        joins.push(
-            std::thread::Builder::new()
-                .name("mstream-query".to_string())
-                .spawn(move || stream_query_loop(&shared, addr, streams, "load"))
-                .expect("spawn stream querier"),
-        );
-    }
-
-    let started = Instant::now();
-    std::thread::sleep(cfg.window);
-    shared.stop.store(true, Ordering::Release);
-    for j in joins {
-        j.join().expect("drill worker panicked");
-    }
-    let elapsed = started.elapsed();
-    let items_acked = shared.items_acked.load(Ordering::Relaxed);
-    let ingest_items_per_s = items_acked as f64 / elapsed.as_secs_f64();
-
+    drop(link);
     let mut probe = Client::connect(addr, Duration::from_secs(2))?;
 
     // Provoke the stream-addressed NACKs so typed coverage includes the
-    // new taxonomy rows. A query on an absent key must not create it;
+    // v2 taxonomy rows. A query on an absent key must not create it;
     // re-declaring stream 0 (Θ) as HLL must be refused.
     match probe.query_stream_estimate(SketchFamily::Theta, b"load-missing")? {
         Reply::Nack { code, .. } if code == NackCode::UnknownStream => {
-            shared.taxonomy.record_nack(code);
+            tally.taxonomy.record_nack(code);
         }
         other => panic!("query of absent stream: {other:?}"),
     }
     match probe.ingest_stream(SketchFamily::Hll, &drill_key("load", 0), &[1])? {
         Reply::Nack { code, .. } if code == NackCode::FamilyMismatch => {
-            shared.taxonomy.record_nack(code);
+            tally.taxonomy.record_nack(code);
         }
         other => panic!("family re-declaration: {other:?}"),
     }
 
     // Convergence: each stream's fanned-in count vs. its acked count.
     let mut streams_converged = 0;
-    for i in 0..streams {
-        let acked = per_stream_acked[i].load(Ordering::Relaxed) as f64;
-        if acked == 0.0 {
-            continue;
-        }
-        let mut ok = false;
-        for _ in 0..100 {
-            if let Some(got) = stream_count(&mut probe, FAMILIES[i % 4], &drill_key("load", i))? {
-                if (got - acked).abs() / acked <= 0.1 {
-                    ok = true;
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if ok {
+    for (target, &acked) in targets.iter().zip(&per_stream_acked) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        if acked > 0 && await_count(&mut probe, target, acked as f64, 0.1, deadline)?.is_some() {
             streams_converged += 1;
         }
     }
@@ -1130,98 +927,69 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
     // Poison the last stream (single worker dies on the planted item),
     // wait for its ingest path to fail typed, then measure isolation:
     // every other stream must still ACK everything.
-    let victim = streams - 1;
-    let victim_key = drill_key("load", victim);
-    let _ = probe.ingest_stream(FAMILIES[victim % 4], &victim_key, &[POISON_ITEM])?;
+    let (victim, healthy) = targets.split_last().expect("at least one stream");
+    let _ = send(&mut probe, victim, &[POISON_ITEM])?;
     let mut victim_dead = false;
     for _ in 0..200 {
-        match probe.ingest_stream(FAMILIES[victim % 4], &victim_key, &[1, 2, 3])? {
+        match send(&mut probe, victim, &[1, 2, 3])? {
             Reply::Nack { code, .. } => {
-                shared.taxonomy.record_nack(code);
+                tally.taxonomy.record_nack(code);
                 victim_dead = true;
                 break;
             }
             _ => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    let (mut healthy_attempts, mut healthy_acks) = (0u64, 0u64);
-    if streams > 1 {
-        for i in 0..victim {
-            for _ in 0..10 {
-                healthy_attempts += 1;
-                match probe.ingest_stream(FAMILIES[i % 4], &drill_key("load", i), &[7])? {
-                    Reply::Ack { .. } => healthy_acks += 1,
-                    Reply::Nack { code, .. } => shared.taxonomy.record_nack(code),
-                    _ => {
-                        shared.untyped_failures.fetch_add(1, Ordering::Relaxed);
-                    }
+    let mut healthy_acks = 0usize;
+    for target in healthy {
+        for _ in 0..10 {
+            match send(&mut probe, target, &[7])? {
+                Reply::Ack { .. } => healthy_acks += 1,
+                Reply::Nack { code, .. } => tally.taxonomy.record_nack(code),
+                _ => {
+                    tally.untyped_failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
     }
-    let isolation = if !victim_dead {
-        // The poison never landed (e.g. zero-length window): isolation
-        // was not exercised, report it as failed rather than vacuous.
-        0.0
-    } else if healthy_attempts == 0 {
-        1.0
+    // If the poison never landed, isolation was not exercised: report
+    // it as failed rather than vacuous.
+    let isolation = if victim_dead {
+        healthy_acks as f64 / (healthy.len() * 10) as f64
     } else {
-        healthy_acks as f64 / healthy_attempts as f64
+        0.0
     };
 
     drop(probe);
     let drain = server.shutdown();
-    let shared = Arc::try_unwrap(shared).ok().expect("workers joined");
     Ok(MultiStreamReport {
-        streams,
-        ingest_items_per_s,
-        ingest_latency: shared
-            .ingest_hist
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner()),
-        query_latency: shared
-            .query_hist
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner()),
-        taxonomy: shared.taxonomy,
-        items_acked,
-        untyped_failures: shared.untyped_failures.load(Ordering::Relaxed),
+        streams: MULTISTREAM_STREAMS,
+        taxonomy: tally.taxonomy,
+        items_acked: tally.items_acked.into_inner(),
+        untyped_failures: tally.untyped_failures.into_inner(),
         isolation,
         streams_converged,
         leaked_threads: drain.leaked_threads,
     })
 }
 
-/// Replica-sync drill parameters.
-#[derive(Debug, Clone)]
-pub struct SyncConfig {
-    /// Streams to replicate (round-robin families; the gate floor
-    /// is 4 — one per family).
-    pub streams: usize,
-    /// Distinct items ingested into each stream on the source server.
-    pub items_per_stream: u64,
-    /// The source server's replica push period.
-    pub sync_period: Duration,
-    /// How long to wait for the peer to converge before giving up.
-    pub timeout: Duration,
-}
+/// Streams the sync drill replicates: one per family, so every
+/// family's fan-in kernel is exercised through the sync path.
+pub const SYNC_STREAMS: usize = 4;
 
-impl Default for SyncConfig {
-    fn default() -> Self {
-        SyncConfig {
-            streams: 4,
-            items_per_stream: 20_000,
-            sync_period: Duration::from_millis(100),
-            timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// The source server's replica push period in the sync drill.
+const SYNC_PERIOD: Duration = Duration::from_millis(100);
+
+/// How long the sync drill waits for the source to absorb its ingest,
+/// and then for the peer to converge.
+const SYNC_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Outcome of the two-server replica-sync drill.
 pub struct SyncReport {
     /// Streams replicated.
     pub streams: usize,
-    /// Streams whose peer-side count converged within tolerance.
+    /// Streams whose peer-side count converged within
+    /// [`ESTIMATE_ENVELOPE`].
     pub converged: usize,
     /// Worst peer-side relative error across converged streams (1.0
     /// for streams that never converged).
@@ -1236,60 +1004,42 @@ pub struct SyncReport {
 }
 
 /// Runs the replica-sync drill: two in-process servers, A configured to
-/// push every stream's wire image to B each `sync_period`. The drill
-/// ingests `items_per_stream` distinct items into each of A's streams,
-/// then polls B's stream-addressed queries until every stream's count
-/// lands within the family's error envelope (8% for the probabilistic
-/// Θ/HLL estimates, exact item counts for Quantiles/Frequency images).
+/// push every stream's wire image to B every 100 ms. The drill ingests
+/// `items_per_stream` distinct items into each of A's
+/// [`SYNC_STREAMS`] streams, then polls B's stream-addressed queries
+/// until every stream's count lands within [`ESTIMATE_ENVELOPE`] (the
+/// probabilistic Θ/HLL estimates; Quantiles/Frequency image counts
+/// replicate exactly).
 ///
 /// # Errors
 ///
-/// Propagates server-start and probe I/O errors.
-///
-/// # Panics
-///
-/// Panics if source-side ingest is NACKed (nothing contends in this
-/// drill).
-pub fn run_sync_drill(cfg: &SyncConfig) -> std::io::Result<SyncReport> {
-    let streams = cfg.streams.max(1);
+/// Propagates server-start and probe I/O errors; fails when the source
+/// does not ack or absorb its ingest in time.
+pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
     let peer = serve(ServerConfig::default())?;
     let source = serve(ServerConfig {
         replica_peer: Some(peer.local_addr().to_string()),
-        replica_interval: cfg.sync_period,
+        replica_interval: SYNC_PERIOD,
         replica_source_id: 1,
         ..ServerConfig::default()
     })?;
+    let targets = drill_targets("sync", SYNC_STREAMS);
+    let expect = items_per_stream as f64;
 
-    let mut ca = Client::connect(source.local_addr(), Duration::from_secs(5))?;
-    for i in 0..streams {
-        let family = FAMILIES[i % 4];
-        let key = drill_key("sync", i);
-        let base = i as u64 * cfg.items_per_stream;
-        let items: Vec<u64> = (base..base + cfg.items_per_stream).collect();
-        for chunk in items.chunks(512) {
-            match ca.ingest_stream(family, &key, chunk)? {
-                Reply::Ack { .. } => {}
-                other => panic!("sync drill source ingest: {other:?}"),
-            }
-        }
+    let tally = Tally::default();
+    let mut link = Link::new(source.local_addr());
+    for (i, target) in targets.iter().enumerate() {
+        let base = i as u64 * items_per_stream;
+        ingest_range(&tally, &mut link, target, base..base + items_per_stream)?;
     }
     // Wait for the source's own workers to drain so the pushed images
     // carry the full stream before we start the convergence clock.
-    for i in 0..streams {
-        let expect = cfg.items_per_stream as f64;
-        let deadline = Instant::now() + cfg.timeout;
-        loop {
-            if let Some(got) = stream_count(&mut ca, FAMILIES[i % 4], &drill_key("sync", i))? {
-                if (got - expect).abs() / expect <= 0.08 {
-                    break;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "source stream {i} never absorbed its items"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    let mut ca = Client::connect(source.local_addr(), Duration::from_secs(5))?;
+    let absorb_deadline = Instant::now() + SYNC_TIMEOUT;
+    for (i, target) in targets.iter().enumerate() {
+        await_count(&mut ca, target, expect, ESTIMATE_ENVELOPE, absorb_deadline)?.ok_or_else(
+            || std::io::Error::other(format!("source stream {i} never absorbed its items")),
+        )?;
     }
 
     let clock_start = Instant::now();
@@ -1297,38 +1047,25 @@ pub fn run_sync_drill(cfg: &SyncConfig) -> std::io::Result<SyncReport> {
     let mut converged = 0usize;
     let mut worst_relerr = 0.0f64;
     let mut all_converged_at = None;
-    for i in 0..streams {
-        let family = FAMILIES[i % 4];
-        let key = drill_key("sync", i);
-        let expect = cfg.items_per_stream as f64;
-        let deadline = clock_start + cfg.timeout;
-        let mut stream_relerr = 1.0f64;
-        while Instant::now() < deadline {
-            // Queries on B return UnknownStream until A's first push
-            // creates the stream (create-on-first-merge).
-            if let Some(got) = stream_count(&mut cb, family, &key)? {
-                let relerr = (got - expect).abs() / expect;
-                stream_relerr = relerr;
-                if relerr <= 0.08 {
-                    break;
-                }
+    for target in &targets {
+        let deadline = clock_start + SYNC_TIMEOUT;
+        match await_count(&mut cb, target, expect, ESTIMATE_ENVELOPE, deadline)? {
+            Some(relerr) => {
+                converged += 1;
+                worst_relerr = worst_relerr.max(relerr);
+                all_converged_at = Some(clock_start.elapsed());
             }
-            std::thread::sleep(Duration::from_millis(10));
+            None => worst_relerr = 1.0,
         }
-        if stream_relerr <= 0.08 {
-            converged += 1;
-            all_converged_at = Some(clock_start.elapsed());
-        }
-        worst_relerr = worst_relerr.max(stream_relerr);
     }
 
     let drain_source = source.shutdown();
     let drain_peer = peer.shutdown();
     Ok(SyncReport {
-        streams,
+        streams: SYNC_STREAMS,
         converged,
         worst_relative_error: worst_relerr,
-        convergence: if converged == streams {
+        convergence: if converged == SYNC_STREAMS {
             all_converged_at
         } else {
             None
@@ -1366,8 +1103,8 @@ pub fn find_server_bin() -> Option<PathBuf> {
 /// Crash-drill parameters.
 #[derive(Debug, Clone)]
 pub struct CrashDrillConfig {
-    /// Streams to host (round-robin families; the gate floor is 8 —
-    /// two per family).
+    /// Streams to host (round-robin families; the default 8 is two per
+    /// family).
     pub streams: usize,
     /// Distinct items ingested (and verified durable) into each stream
     /// before the kill.
@@ -1379,14 +1116,8 @@ pub struct CrashDrillConfig {
     /// inside the loss window) before the SIGKILL. Spanning several
     /// snapshot intervals makes the kill land mid-checkpoint.
     pub churn: Duration,
-    /// Items per churn batch. Kept small relative to
-    /// `items_per_stream` so the recovered count stays inside the
-    /// documented relative-error window.
-    pub churn_batch: usize,
     /// How long the restarted server gets to answer for every stream.
     pub recovery_timeout: Duration,
-    /// Server binary override (`None` = [`find_server_bin`]).
-    pub server_bin: Option<PathBuf>,
 }
 
 impl Default for CrashDrillConfig {
@@ -1396,12 +1127,15 @@ impl Default for CrashDrillConfig {
             items_per_stream: 20_000,
             snapshot_interval: Duration::from_millis(150),
             churn: Duration::from_millis(450),
-            churn_batch: 32,
             recovery_timeout: Duration::from_secs(10),
-            server_bin: None,
         }
     }
 }
+
+/// Items per churn batch. Small relative to any `items_per_stream` in
+/// use, so the recovered count stays inside the documented
+/// relative-error window.
+const CHURN_BATCH: u64 = 32;
 
 /// Outcome of the kill-drill.
 pub struct CrashDrillReport {
@@ -1506,37 +1240,6 @@ fn connect_retry(addr: SocketAddr, deadline: Instant) -> std::io::Result<Client>
     }
 }
 
-/// Ingests one chunk, retrying typed back-pressure NACKs (recorded in
-/// the taxonomy) until acked or the deadline passes.
-fn ingest_acked(
-    c: &mut Client,
-    taxonomy: &ErrorTaxonomy,
-    family: SketchFamily,
-    key: &[u8],
-    chunk: &[u64],
-) -> std::io::Result<()> {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match c.ingest_stream(family, key, chunk)? {
-            Reply::Ack { .. } => return Ok(()),
-            Reply::Nack { code, .. } => {
-                taxonomy.record_nack(code);
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::other(format!(
-                        "drill ingest NACKed past deadline: {code:?}"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => {
-                return Err(std::io::Error::other(format!(
-                    "unexpected ingest reply: {other:?}"
-                )))
-            }
-        }
-    }
-}
-
 /// Runs the kill-drill against a **real server process**:
 ///
 /// 1. spawn `fcds-server` with a data dir and a short
@@ -1565,17 +1268,15 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
     use fcds_server::persist::{encode_record, snapshot_file_name};
     use fcds_server::recover::decode_record;
 
-    let bin = cfg
-        .server_bin
-        .clone()
-        .or_else(find_server_bin)
-        .ok_or_else(|| {
-            std::io::Error::other(
-                "fcds-server binary not found; run `cargo build -p fcds-server` \
-                 or set FCDS_SERVER_BIN",
-            )
-        })?;
+    let bin = find_server_bin().ok_or_else(|| {
+        std::io::Error::other(
+            "fcds-server binary not found; run `cargo build -p fcds-server` \
+             or set FCDS_SERVER_BIN",
+        )
+    })?;
     let streams = cfg.streams.max(1);
+    let targets = drill_targets("crash", streams);
+    let expect = cfg.items_per_stream as f64;
     let dir = std::env::temp_dir().join(format!(
         "fcds-crash-{}-{}",
         std::process::id(),
@@ -1583,41 +1284,26 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir)?;
-    let taxonomy = ErrorTaxonomy::default();
+    let tally = Tally::default();
 
     // Phase 1: base ingest into a fresh server.
     let (mut child, addr) = spawn_server_process(&bin, &dir, cfg.snapshot_interval)?;
     let drill = (|| -> std::io::Result<CrashDrillReport> {
         let mut c = connect_retry(addr, Instant::now() + Duration::from_secs(5))?;
-        for i in 0..streams {
-            let family = FAMILIES[i % 4];
-            let key = drill_key("crash", i);
+        let mut link = Link::new(addr);
+        for (i, target) in targets.iter().enumerate() {
             let base = i as u64 * cfg.items_per_stream;
-            let items: Vec<u64> = (base..base + cfg.items_per_stream).collect();
-            for chunk in items.chunks(512) {
-                ingest_acked(&mut c, &taxonomy, family, &key, chunk)?;
-            }
+            ingest_range(&tally, &mut link, target, base..base + cfg.items_per_stream)?;
         }
         // Wait until every stream absorbed its base (worker queues can
         // lag the ACKs), then until every on-disk snapshot covers it —
         // that makes `items_per_stream` a *durable* oracle the
         // post-crash assertions may rely on.
         let absorb_deadline = Instant::now() + Duration::from_secs(30);
-        for i in 0..streams {
-            let expect = cfg.items_per_stream as f64;
-            loop {
-                if let Some(got) = stream_count(&mut c, FAMILIES[i % 4], &drill_key("crash", i))? {
-                    if (got - expect).abs() / expect <= 0.08 {
-                        break;
-                    }
-                }
-                if Instant::now() >= absorb_deadline {
-                    return Err(std::io::Error::other(format!(
-                        "stream {i} never absorbed its base ingest"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        for (i, target) in targets.iter().enumerate() {
+            await_count(&mut c, target, expect, ESTIMATE_ENVELOPE, absorb_deadline)?.ok_or_else(
+                || std::io::Error::other(format!("stream {i} never absorbed its base ingest")),
+            )?;
         }
         let durable_deadline = Instant::now() + Duration::from_secs(30);
         for i in 0..streams {
@@ -1649,13 +1335,15 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
         let mut churn_next = (streams as u64) * cfg.items_per_stream;
         let churn_until = Instant::now() + cfg.churn;
         'churn: while Instant::now() < churn_until {
-            for i in 0..streams {
-                let family = FAMILIES[i % 4];
-                let key = drill_key("crash", i);
-                let batch: Vec<u64> = (churn_next..churn_next + cfg.churn_batch as u64).collect();
-                churn_next += cfg.churn_batch as u64;
-                ingest_acked(&mut c, &taxonomy, family, &key, &batch)?;
-                churn_items += cfg.churn_batch as u64;
+            for target in &targets {
+                ingest_range(
+                    &tally,
+                    &mut link,
+                    target,
+                    churn_next..churn_next + CHURN_BATCH,
+                )?;
+                churn_next += CHURN_BATCH;
+                churn_items += CHURN_BATCH;
                 if Instant::now() >= churn_until {
                     break 'churn;
                 }
@@ -1698,27 +1386,15 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
             let mut recovered_streams = 0usize;
             let mut worst_relerr = 0.0f64;
             let mut family_relerr = [0.0f64; 4];
-            for i in 0..streams {
-                let family = FAMILIES[i % 4];
-                let key = drill_key("crash", i);
-                let expect = cfg.items_per_stream as f64;
-                let mut answered = false;
-                while Instant::now() < recovery_deadline {
-                    if let Some(got) = stream_count(&mut probe, family, &key)? {
-                        let relerr = (got - expect).abs() / expect;
-                        worst_relerr = worst_relerr.max(relerr);
-                        family_relerr[i % 4] = family_relerr[i % 4].max(relerr);
-                        answered = true;
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                if answered {
-                    recovered_streams += 1;
-                } else {
-                    worst_relerr = 1.0;
-                    family_relerr[i % 4] = 1.0;
-                }
+            for (i, target) in targets.iter().enumerate() {
+                // Any answer counts as recovered; how far it sits from
+                // the durable oracle is the error the gate bounds.
+                let answered =
+                    await_count(&mut probe, target, expect, f64::INFINITY, recovery_deadline)?;
+                recovered_streams += usize::from(answered.is_some());
+                let relerr = answered.unwrap_or(1.0);
+                worst_relerr = worst_relerr.max(relerr);
+                family_relerr[i % 4] = family_relerr[i % 4].max(relerr);
             }
             let recovery = (recovered_streams == streams).then(|| restart_started.elapsed());
 
@@ -1774,7 +1450,7 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);
     drill.map(|mut report| {
-        report.taxonomy = taxonomy;
+        report.taxonomy = tally.taxonomy;
         report
     })
 }
@@ -1782,49 +1458,6 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_bracket_the_samples() {
-        let mut h = LatencyHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(Duration::from_micros(us));
-        }
-        let p50 = h.quantile_ns(0.50);
-        let p99 = h.quantile_ns(0.99);
-        // Bucket resolution is 1/16: accept ±10%.
-        assert!(
-            (450_000..=550_000).contains(&p50),
-            "p50 {p50} should be near 500µs"
-        );
-        assert!(
-            (900_000..=1_050_000).contains(&p99),
-            "p99 {p99} should be near 990µs"
-        );
-        assert!(p50 <= p99);
-        assert_eq!(h.count(), 1000);
-    }
-
-    #[test]
-    fn histogram_handles_empty_and_extremes() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(h.quantile_ns(0.5), 0);
-        h.record(Duration::from_nanos(0));
-        h.record(Duration::from_secs(3600));
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile_ns(0.0) <= h.quantile_ns(1.0));
-        assert!(h.max_ns() >= 3_600_000_000_000);
-    }
-
-    #[test]
-    fn histogram_merge_sums_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(20));
-        b.record(Duration::from_micros(30));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-    }
 
     #[test]
     fn taxonomy_counts_by_code() {
@@ -1866,5 +1499,71 @@ mod tests {
         }
         assert_eq!(FaultMode::from_u8(0), FaultMode::Off);
         assert_eq!(FaultMode::from_u8(99), FaultMode::Off);
+    }
+
+    #[test]
+    fn await_count_converges_polls_through_nacks_and_gives_up_at_the_deadline() {
+        let server = serve(ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut c = Client::connect(addr, Duration::from_secs(2)).unwrap();
+        let target = Target::Stream(SketchFamily::Theta, b"await".to_vec());
+        let soon = || Instant::now() + Duration::from_millis(50);
+        let later = || Instant::now() + Duration::from_secs(10);
+
+        // The stream does not exist yet: every poll is an UnknownStream
+        // NACK, which is neither an error nor an answer.
+        let absent = c.query_stream_estimate(SketchFamily::Theta, b"await");
+        assert_eq!(absent.unwrap().nack_code(), Some(NackCode::UnknownStream));
+        assert_eq!(
+            await_count(&mut c, &target, 5_000.0, 0.1, soon()).unwrap(),
+            None
+        );
+
+        let tally = Tally::default();
+        ingest_range(&tally, &mut Link::new(addr), &target, 0..5_000).unwrap();
+        let relerr = await_count(&mut c, &target, 5_000.0, 0.1, later())
+            .unwrap()
+            .expect("5 000 acked items must show up");
+        assert!(
+            relerr <= 0.1,
+            "returned error {relerr} is outside the tolerance"
+        );
+
+        // An answer outside the tolerance is not convergence.
+        assert_eq!(
+            await_count(&mut c, &target, 50_000.0, 0.1, soon()).unwrap(),
+            None
+        );
+        assert_eq!(tally.taxonomy.total_typed(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn ingest_loop_treats_the_default_stream_and_its_v2_name_alike() {
+        let run = |target: Target| {
+            // One worker applies the batches in arrival order, so the
+            // estimate is a function of the items alone.
+            let server = serve(ServerConfig {
+                ingest_workers: 1,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            let tally = Tally::default();
+            let mut link = Link::new(server.local_addr());
+            ingest_range(&tally, &mut link, &target, 0..20_000).unwrap();
+            assert_eq!(tally.items_acked.load(Ordering::Relaxed), 20_000);
+            assert_eq!(
+                tally.taxonomy.reconnects(),
+                0,
+                "a first connect is not a reconnect"
+            );
+            drop(link);
+            let drain = server.shutdown();
+            (drain.stats.ingest_items, drain.final_estimate)
+        };
+        let v1 = run(Target::Default);
+        let v2 = run(Target::Stream(SketchFamily::Theta, b"default".to_vec()));
+        assert_eq!(v1.0, 20_000);
+        assert_eq!(v1, v2);
     }
 }

@@ -1,96 +1,48 @@
-//! `fcds-load` binary: drive an `fcds-server` (in-process by default)
-//! through the baseline + fault-injection scenario and emit
-//! `BENCH_serve.json` for the CI bench gate.
+//! `fcds-load` binary: run the four correctness drills against
+//! `fcds-server` and emit `BENCH_serve.json` for the CI bench gate.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p fcds-load [--out=DIR] [--addr=HOST:PORT]
-//!     [--writers=N] [--queriers=N] [--batch=N] [--rate=ITEMS_PER_S]
-//!     [--baseline-ms=N] [--fault-hold-ms=N] [--streams=N]
-//!     [--sync-period-ms=N] [--snapshot-ms=N] [--full]
+//!     [--baseline-ms=N] [--fault-hold-ms=N]
 //! ```
 //!
-//! Without `--addr` the harness starts its own server in-process (the
-//! CI mode: one command, no orchestration); with it, the harness
-//! targets an already-running server. After the fault scenario the
-//! harness always runs the multi-stream drill (`--streams` named
-//! streams round-robined over all four families, FCF1 v2 framing,
-//! default 8), the two-server replica-sync drill (`--sync-period-ms`
-//! push period), and the crash drill (a real `fcds-server` process
-//! with `--snapshot-ms` checkpoints, SIGKILLed mid-checkpoint and
-//! restarted against its data dir). `--full` lengthens every window
-//! for lower-variance numbers.
+//! Without `--addr` the fault scenario starts its own server in-process
+//! (the CI mode: one command, no orchestration); with it, the scenario
+//! targets an already-running server. The multi-stream drill, the
+//! two-server replica-sync drill and the crash drill (a real
+//! `fcds-server` process, SIGKILLed mid-checkpoint and restarted
+//! against its data dir) always start their own servers. Each drill
+//! prints what the gates do not show; the run ends with the gate table
+//! `bench_gate` will enforce. None of its rows is a speed —
+//! `benchmark/` measures those.
 
-use fcds_bench::gate::{
-    DURABILITY_CORRUPT_ACCEPTED_MAX, DURABILITY_RECOVERY_S_MAX, DURABILITY_RELERR_MAX,
-    DURABILITY_STREAMS_RECOVERED_MIN, SERVE_FAULT_CLASSES_SURVIVED_MIN,
-    SERVE_INGEST_MITEMS_PER_S_MIN, SERVE_MULTISTREAM_INGEST_MITEMS_PER_S_MIN,
-    SERVE_MULTISTREAM_ISOLATION_MIN, SERVE_MULTISTREAM_QUERY_P99_MS_MAX,
-    SERVE_MULTISTREAM_TYPED_COVERAGE_MIN, SERVE_QUERY_P99_MS_MAX, SERVE_RECOVERY_MS_MAX,
-    SERVE_TYPED_ERROR_COVERAGE_MIN, SYNC_CONVERGENCE_RELERR_MAX, SYNC_CONVERGENCE_STREAMS_MIN,
-};
 use fcds_bench::report::{HarnessArgs, Table};
+use fcds_load::report::{gates, render_json};
 use fcds_load::{
     run_crash_drill, run_multistream, run_scenario, run_sync_drill, CrashDrillConfig,
-    CrashDrillReport, LoadConfig, MultiStreamConfig, MultiStreamReport, ScenarioReport, SyncConfig,
-    SyncReport, FAMILIES,
+    CrashDrillReport, ErrorTaxonomy, LoadConfig, MultiStreamConfig, MultiStreamReport,
+    ScenarioReport, SyncReport, FAMILIES, MULTISTREAM_STREAMS,
 };
-use fcds_server::frame::NackCode;
 use fcds_server::{serve, ServerConfig};
-use std::fmt::Write as _;
 use std::time::Duration;
 
-fn ms(ns: u64) -> f64 {
-    ns as f64 / 1.0e6
-}
+/// Items the sync drill ingests into each source stream.
+const SYNC_ITEMS_PER_STREAM: u64 = 20_000;
 
 fn main() {
     let args = HarnessArgs::parse_with_out_default(".");
 
     let mut cfg = LoadConfig::default();
-    if let Some(w) = args.get("writers").and_then(|v| v.parse().ok()) {
-        cfg.writers = w;
-    }
-    if let Some(q) = args.get("queriers").and_then(|v| v.parse().ok()) {
-        cfg.queriers = q;
-    }
-    if let Some(b) = args.get("batch").and_then(|v| v.parse().ok()) {
-        cfg.batch_size = b;
-    }
-    if let Some(r) = args.get("rate").and_then(|v| v.parse().ok()) {
-        cfg.rate_items_per_s = r;
-    }
     if let Some(b) = args.get("baseline-ms").and_then(|v| v.parse().ok()) {
         cfg.baseline = Duration::from_millis(b);
     }
     if let Some(h) = args.get("fault-hold-ms").and_then(|v| v.parse().ok()) {
         cfg.fault_hold = Duration::from_millis(h);
     }
-    if args.full {
-        cfg.baseline = Duration::from_secs(5);
-        cfg.fault_hold = Duration::from_millis(750);
-    }
-
-    let mut ms_cfg = MultiStreamConfig::default();
-    if let Some(s) = args.get("streams").and_then(|v| v.parse().ok()) {
-        ms_cfg.streams = s;
-    }
-    ms_cfg.batch_size = cfg.batch_size;
-    let mut sync_cfg = SyncConfig::default();
-    if let Some(p) = args.get("sync-period-ms").and_then(|v| v.parse().ok()) {
-        sync_cfg.sync_period = Duration::from_millis(p);
-    }
-    let mut crash_cfg = CrashDrillConfig::default();
-    if let Some(ms) = args.get("snapshot-ms").and_then(|v| v.parse().ok()) {
-        crash_cfg.snapshot_interval = Duration::from_millis(std::cmp::max(ms, 1));
-        crash_cfg.churn = Duration::from_millis(std::cmp::max(ms, 1) * 3);
-    }
-    if args.full {
-        ms_cfg.window = Duration::from_secs(4);
-        sync_cfg.items_per_stream = 100_000;
-        crash_cfg.items_per_stream = 50_000;
-    }
+    let ms_cfg = MultiStreamConfig::default();
+    let crash_cfg = CrashDrillConfig::default();
 
     // In-process server unless the caller points at a running one.
     let (server, addr) = match args.get("addr") {
@@ -103,35 +55,21 @@ fn main() {
     };
 
     println!(
-        "fcds-load: {} writers × {}-item batches, {} queriers, target {} ({})",
-        cfg.writers,
-        cfg.batch_size,
-        cfg.queriers,
-        addr,
-        if cfg.rate_items_per_s == 0 {
-            "unthrottled".to_string()
-        } else {
-            format!("{} items/s", cfg.rate_items_per_s)
-        }
+        "fault scenario: {}-item batches through the fault proxy, target {addr}",
+        cfg.batch_size
     );
-
     let report = run_scenario(addr, &cfg).expect("run scenario");
     print_report(&report);
 
     println!(
-        "multi-stream drill: {} streams × 4 families, {:.1}s window",
-        ms_cfg.streams,
+        "multi-stream drill: {MULTISTREAM_STREAMS} streams × 4 families, {:.1}s window",
         ms_cfg.window.as_secs_f64()
     );
     let ms_report = run_multistream(&ms_cfg).expect("run multi-stream drill");
     print_multistream(&ms_report);
 
-    println!(
-        "replica-sync drill: {} streams, {} ms sync period",
-        sync_cfg.streams,
-        sync_cfg.sync_period.as_millis()
-    );
-    let sync_report = run_sync_drill(&sync_cfg).expect("run sync drill");
+    println!("replica-sync drill: {SYNC_ITEMS_PER_STREAM} items per stream");
+    let sync_report = run_sync_drill(SYNC_ITEMS_PER_STREAM).expect("run sync drill");
     print_sync(&sync_report);
 
     println!(
@@ -143,7 +81,11 @@ fn main() {
     let crash_report = run_crash_drill(&crash_cfg).expect("run crash drill");
     print_crash(&crash_report);
 
-    let json = render_json(&report, &cfg, &ms_report, &sync_report, &crash_report);
+    println!("gates:");
+    for gate in gates(&report, &ms_report, &sync_report, &crash_report) {
+        println!("  {gate}");
+    }
+    let json = render_json(&cfg, &report, &ms_report, &sync_report, &crash_report);
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");
     let path = format!("{}/BENCH_serve.json", args.out_dir);
     std::fs::write(&path, &json).expect("write BENCH_serve.json");
@@ -159,25 +101,13 @@ fn main() {
     }
 }
 
-fn print_report(r: &ScenarioReport) {
-    println!(
-        "baseline: {:.2} M items/s ingest ({} items acked total)",
-        r.ingest_items_per_s / 1.0e6,
-        r.items_acked
-    );
-    println!(
-        "ingest batch RTT: p50 {:.3} ms, p99 {:.3} ms ({} batches)",
-        ms(r.ingest_latency.quantile_ns(0.50)),
-        ms(r.ingest_latency.quantile_ns(0.99)),
-        r.ingest_latency.count()
-    );
-    println!(
-        "query latency:    p50 {:.3} ms, p99 {:.3} ms ({} queries)",
-        ms(r.query_latency.quantile_ns(0.50)),
-        ms(r.query_latency.quantile_ns(0.99)),
-        r.query_latency.count()
-    );
+fn print_taxonomy(taxonomy: &ErrorTaxonomy) {
+    for (name, count) in taxonomy.rows() {
+        println!("    {name:<24} {count}");
+    }
+}
 
+fn print_report(r: &ScenarioReport) {
     let mut t = Table::new(&["fault", "recovery_ms", "survived"]);
     for p in &r.phases {
         t.row(&[
@@ -190,257 +120,46 @@ fn print_report(r: &ScenarioReport) {
     }
     println!("{}", t.render());
 
-    println!("error taxonomy:");
-    for (name, count) in r.taxonomy.rows() {
-        println!("  {name:<24} {count}");
-    }
+    println!("  error taxonomy:");
+    print_taxonomy(&r.taxonomy);
     println!(
-        "  reconnects               {}\n  untyped failures         {}",
+        "  {} items acked, {} reconnects, estimate/acked {:.4}",
+        r.items_acked,
         r.taxonomy.reconnects(),
-        r.untyped_failures
+        r.estimate_ratio
     );
-    println!("estimate/acked ratio: {:.4}", r.estimate_ratio);
 }
 
 fn print_multistream(r: &MultiStreamReport) {
     println!(
-        "  {:.2} M items/s aggregate ingest ({} items across {} streams)",
-        r.ingest_items_per_s / 1.0e6,
-        r.items_acked,
-        r.streams
+        "  {} items acked, {} / {} streams converged",
+        r.items_acked, r.streams_converged, r.streams
     );
-    println!(
-        "  stream ingest RTT p99 {:.3} ms, stream query p99 {:.3} ms",
-        ms(r.ingest_latency.quantile_ns(0.99)),
-        ms(r.query_latency.quantile_ns(0.99))
-    );
-    println!(
-        "  isolation {:.2}, {} / {} streams converged, untyped failures {}",
-        r.isolation, r.streams_converged, r.streams, r.untyped_failures
-    );
-    for (name, count) in r.taxonomy.rows() {
-        println!("    {name:<24} {count}");
-    }
+    print_taxonomy(&r.taxonomy);
 }
 
 fn print_sync(r: &SyncReport) {
+    let converged_in = r
+        .convergence
+        .map(|d| format!(" in {:.0} ms", d.as_secs_f64() * 1e3));
     println!(
-        "  {} / {} streams converged, worst relative error {:.4}, {} pushes{}",
+        "  {} / {} streams converged{}, {} pushes",
         r.converged,
         r.streams,
-        r.worst_relative_error,
-        r.pushes,
-        r.convergence
-            .map(|d| format!(", converged in {:.0} ms", d.as_secs_f64() * 1e3))
-            .unwrap_or_default()
+        converged_in.unwrap_or_default(),
+        r.pushes
     );
 }
 
 fn print_crash(r: &CrashDrillReport) {
+    let per_family: Vec<String> = (FAMILIES.iter().zip(r.family_relerr))
+        .map(|(f, e)| format!("{} {e:.4}", f.name()))
+        .collect();
     println!(
-        "  {} / {} streams recovered{}, {} churn items inside the loss window",
-        r.recovered_streams,
-        r.streams,
-        r.recovery
-            .map(|d| format!(" in {:.0} ms", d.as_secs_f64() * 1e3))
-            .unwrap_or_else(|| " (TIMEOUT)".to_string()),
-        r.churn_items
+        "  relative error by family: {}; {} churn items inside the loss window, {} files quarantined",
+        per_family.join(", "),
+        r.churn_items,
+        r.quarantined
     );
-    println!(
-        "  worst relative error {:.4} ({})",
-        r.worst_relative_error,
-        r.family_relerr
-            .iter()
-            .enumerate()
-            .map(|(i, e)| format!("{} {:.4}", FAMILIES[i].name(), e))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!(
-        "  corrupt records accepted {}, quarantined files {}",
-        r.corrupt_accepted, r.quarantined
-    );
-    for (name, count) in r.taxonomy.rows() {
-        println!("    {name:<24} {count}");
-    }
-}
-
-fn render_json(
-    r: &ScenarioReport,
-    cfg: &LoadConfig,
-    msr: &MultiStreamReport,
-    sync: &SyncReport,
-    crash: &CrashDrillReport,
-) -> String {
-    let survived = r.phases.iter().filter(|p| p.survived).count();
-    let worst_recovery_ms = r
-        .phases
-        .iter()
-        .map(|p| {
-            p.recovery
-                .map(|d| d.as_secs_f64() * 1e3)
-                // An unrecovered phase counts as an hour, far past any
-                // sane gate: it must trip the max, not vanish from it.
-                .unwrap_or(3_600_000.0)
-        })
-        .fold(0.0f64, f64::max);
-    // Typed coverage: every failure the harness saw carried a type (a
-    // NACK code or a transport error). `untyped_failures` counts
-    // protocol replies fitting no contract — the silent-drop detector.
-    let typed_coverage = if r.untyped_failures == 0 { 1.0 } else { 0.0 };
-    // Multi-stream typed coverage additionally requires the drill to
-    // have provoked (and typed) both v2 taxonomy rows.
-    let ms_typed = if msr.untyped_failures == 0
-        && msr.taxonomy.nacks(NackCode::UnknownStream) > 0
-        && msr.taxonomy.nacks(NackCode::FamilyMismatch) > 0
-    {
-        1.0
-    } else {
-        0.0
-    };
-
-    let mut rows = String::new();
-    for (i, p) in r.phases.iter().enumerate() {
-        let _ = write!(
-            rows,
-            "    {{\"fault\": \"{}\", \"recovery_ms\": {:.1}, \"survived\": {}}}{}",
-            p.mode.name(),
-            p.recovery.map(|d| d.as_secs_f64() * 1e3).unwrap_or(-1.0),
-            p.survived,
-            if i + 1 < r.phases.len() { ",\n" } else { "\n" }
-        );
-    }
-    let tax_rows = r.taxonomy.rows();
-    let mut taxonomy = String::new();
-    for (i, (name, count)) in tax_rows.iter().enumerate() {
-        let _ = write!(
-            taxonomy,
-            "    \"{name}\": {count}{}",
-            if i + 1 < tax_rows.len() { ",\n" } else { "\n" }
-        );
-    }
-    if tax_rows.is_empty() {
-        taxonomy.push('\n');
-    }
-
-    format!(
-        "{{\n  \
-         \"schema\": \"fcds-bench-serve-v1\",\n  \
-         \"config\": {{\"writers\": {writers}, \"queriers\": {queriers}, \
-         \"batch_size\": {batch}, \"rate_items_per_s\": {rate}, \
-         \"baseline_ms\": {baseline_ms}, \"fault_hold_ms\": {hold_ms}}},\n  \
-         \"ingest\": {{\"items_per_s\": {ips:.1}, \"items_acked\": {acked}, \
-         \"batch_p50_ms\": {bp50:.4}, \"batch_p99_ms\": {bp99:.4}}},\n  \
-         \"query\": {{\"p50_ms\": {qp50:.4}, \"p99_ms\": {qp99:.4}, \
-         \"count\": {qcount}}},\n  \
-         \"faults\": [\n{rows}  ],\n  \
-         \"taxonomy\": {{\n{taxonomy}  }},\n  \
-         \"reconnects\": {reconnects},\n  \
-         \"estimate_over_acked\": {est:.4},\n  \
-         \"multistream\": {{\"streams\": {ms_streams}, \
-         \"items_per_s\": {ms_ips:.1}, \"items_acked\": {ms_acked}, \
-         \"query_p99_ms\": {ms_qp99:.4}, \"isolation\": {ms_iso:.4}, \
-         \"streams_converged\": {ms_conv}}},\n  \
-         \"sync\": {{\"streams\": {sy_streams}, \
-         \"converged\": {sy_conv}, \"worst_relerr\": {sy_err:.4}, \
-         \"convergence_ms\": {sy_ms:.1}, \"pushes\": {sy_pushes}}},\n  \
-         \"crash\": {{\"streams\": {cr_streams}, \
-         \"recovered_streams\": {cr_recovered}, \
-         \"recovery_s\": {cr_recovery:.4}, \
-         \"worst_relerr\": {cr_err:.4}, \
-         \"corrupt_accepted\": {cr_corrupt}, \
-         \"quarantined\": {cr_quarantined}, \
-         \"churn_items\": {cr_churn}}},\n  \
-         \"acceptance\": {{\n    \
-         \"ingest_mitems_per_s\": {accept_ips:.4},\n    \
-         \"query_p99_ms\": {qp99:.4},\n    \
-         \"typed_error_coverage\": {typed:.1},\n    \
-         \"fault_classes_survived\": {survived}.0,\n    \
-         \"worst_recovery_ms\": {worst:.1},\n    \
-         \"multistream_ingest_mitems_per_s\": {ms_accept_ips:.4},\n    \
-         \"multistream_query_p99_ms\": {ms_qp99:.4},\n    \
-         \"multistream_isolation\": {ms_iso:.4},\n    \
-         \"multistream_typed_coverage\": {ms_typed:.1},\n    \
-         \"sync_convergence_streams\": {sy_conv}.0,\n    \
-         \"sync_convergence_relerr\": {sy_err:.4},\n    \
-         \"durability_recovery_s\": {cr_recovery:.4},\n    \
-         \"durability_streams_recovered\": {cr_recovered}.0,\n    \
-         \"durability_relerr\": {cr_err:.4},\n    \
-         \"durability_corrupt_accepted\": {cr_corrupt}.0\n  }},\n  \
-         \"thresholds\": {{\n    \
-         \"ingest_mitems_per_s_min\": {thr_ips},\n    \
-         \"query_p99_ms_max\": {thr_p99},\n    \
-         \"typed_error_coverage_min\": {thr_typed},\n    \
-         \"fault_classes_survived_min\": {thr_survived},\n    \
-         \"worst_recovery_ms_max\": {thr_recovery},\n    \
-         \"multistream_ingest_mitems_per_s_min\": {thr_ms_ips},\n    \
-         \"multistream_query_p99_ms_max\": {thr_ms_p99},\n    \
-         \"multistream_isolation_min\": {thr_ms_iso},\n    \
-         \"multistream_typed_coverage_min\": {thr_ms_typed},\n    \
-         \"sync_convergence_streams_min\": {thr_sy_streams},\n    \
-         \"sync_convergence_relerr_max\": {thr_sy_err},\n    \
-         \"durability_recovery_s_max\": {thr_cr_recovery},\n    \
-         \"durability_streams_recovered_min\": {thr_cr_streams},\n    \
-         \"durability_relerr_max\": {thr_cr_err},\n    \
-         \"durability_corrupt_accepted_max\": {thr_cr_corrupt}\n  }}\n}}\n",
-        writers = cfg.writers,
-        queriers = cfg.queriers,
-        batch = cfg.batch_size,
-        rate = cfg.rate_items_per_s,
-        baseline_ms = cfg.baseline.as_millis(),
-        hold_ms = cfg.fault_hold.as_millis(),
-        ips = r.ingest_items_per_s,
-        acked = r.items_acked,
-        bp50 = ms(r.ingest_latency.quantile_ns(0.50)),
-        bp99 = ms(r.ingest_latency.quantile_ns(0.99)),
-        qp50 = ms(r.query_latency.quantile_ns(0.50)),
-        qp99 = ms(r.query_latency.quantile_ns(0.99)),
-        qcount = r.query_latency.count(),
-        reconnects = r.taxonomy.reconnects(),
-        est = r.estimate_ratio,
-        accept_ips = r.ingest_items_per_s / 1.0e6,
-        typed = typed_coverage,
-        survived = survived,
-        worst = worst_recovery_ms,
-        ms_streams = msr.streams,
-        ms_ips = msr.ingest_items_per_s,
-        ms_acked = msr.items_acked,
-        ms_qp99 = ms(msr.query_latency.quantile_ns(0.99)),
-        ms_iso = msr.isolation,
-        ms_conv = msr.streams_converged,
-        ms_accept_ips = msr.ingest_items_per_s / 1.0e6,
-        ms_typed = ms_typed,
-        sy_streams = sync.streams,
-        sy_conv = sync.converged,
-        sy_err = sync.worst_relative_error,
-        sy_ms = sync
-            .convergence
-            .map(|d| d.as_secs_f64() * 1e3)
-            .unwrap_or(-1.0),
-        sy_pushes = sync.pushes,
-        cr_streams = crash.streams,
-        cr_recovered = crash.recovered_streams,
-        // An unrecovered drill counts as an hour, far past any sane
-        // gate: it must trip the max, not vanish from it.
-        cr_recovery = crash.recovery.map(|d| d.as_secs_f64()).unwrap_or(3_600.0),
-        cr_err = crash.worst_relative_error,
-        cr_corrupt = crash.corrupt_accepted,
-        cr_quarantined = crash.quarantined,
-        cr_churn = crash.churn_items,
-        thr_ips = SERVE_INGEST_MITEMS_PER_S_MIN,
-        thr_p99 = SERVE_QUERY_P99_MS_MAX,
-        thr_typed = SERVE_TYPED_ERROR_COVERAGE_MIN,
-        thr_survived = SERVE_FAULT_CLASSES_SURVIVED_MIN,
-        thr_recovery = SERVE_RECOVERY_MS_MAX,
-        thr_ms_ips = SERVE_MULTISTREAM_INGEST_MITEMS_PER_S_MIN,
-        thr_ms_p99 = SERVE_MULTISTREAM_QUERY_P99_MS_MAX,
-        thr_ms_iso = SERVE_MULTISTREAM_ISOLATION_MIN,
-        thr_ms_typed = SERVE_MULTISTREAM_TYPED_COVERAGE_MIN,
-        thr_sy_streams = SYNC_CONVERGENCE_STREAMS_MIN,
-        thr_sy_err = SYNC_CONVERGENCE_RELERR_MAX,
-        thr_cr_recovery = DURABILITY_RECOVERY_S_MAX,
-        thr_cr_streams = DURABILITY_STREAMS_RECOVERED_MIN,
-        thr_cr_err = DURABILITY_RELERR_MAX,
-        thr_cr_corrupt = DURABILITY_CORRUPT_ACCEPTED_MAX,
-    )
+    print_taxonomy(&r.taxonomy);
 }

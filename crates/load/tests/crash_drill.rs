@@ -8,18 +8,16 @@ use std::time::Duration;
 
 #[test]
 fn kill_drill_recovers_every_stream_and_rejects_corruption() {
-    let Some(bin) = find_server_bin() else {
+    if find_server_bin().is_none() {
         eprintln!("skipping: no fcds-server binary near this test executable");
         return;
-    };
+    }
     let cfg = CrashDrillConfig {
         streams: 4,
         items_per_stream: 8_000,
         snapshot_interval: Duration::from_millis(100),
         churn: Duration::from_millis(250),
         recovery_timeout: Duration::from_secs(15),
-        server_bin: Some(bin),
-        ..CrashDrillConfig::default()
     };
     let report = run_crash_drill(&cfg).expect("crash drill");
 

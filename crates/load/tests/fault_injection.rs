@@ -9,13 +9,9 @@ use std::time::Duration;
 
 fn short_config() -> LoadConfig {
     LoadConfig {
-        writers: 2,
-        queriers: 1,
         batch_size: 256,
-        rate_items_per_s: 0,
         baseline: Duration::from_millis(400),
         fault_hold: Duration::from_millis(120),
-        recovery_timeout: Duration::from_secs(5),
     }
 }
 
@@ -35,11 +31,8 @@ fn scenario_survives_every_fault_class_with_typed_errors_only() {
         );
     }
 
-    // The baseline window made real progress and measured latencies.
+    // The baseline window made real progress.
     assert!(report.items_acked > 0, "baseline must ack items");
-    assert!(report.ingest_items_per_s > 0.0);
-    assert!(report.ingest_latency.count() > 0);
-    assert!(report.query_latency.count() > 0);
 
     // The silent-drop detector: every failed request carried a typed
     // outcome (NACK code or transport error) — nothing vanished.

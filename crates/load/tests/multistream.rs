@@ -2,21 +2,26 @@
 //! same code paths the CI bench leg drives at full length, kept in
 //! tier-1 so a regression fails fast rather than at the bench gate.
 
-use fcds_load::{run_multistream, run_sync_drill, MultiStreamConfig, SyncConfig};
+use fcds_load::{run_multistream, run_sync_drill, MultiStreamConfig};
 use fcds_server::frame::NackCode;
 use std::time::Duration;
 
 #[test]
 fn multistream_drill_isolates_and_types_every_failure() {
     let report = run_multistream(&MultiStreamConfig {
-        streams: 8,
         batch_size: 256,
         window: Duration::from_millis(600),
-        ..MultiStreamConfig::default()
     })
     .expect("multistream drill");
     assert_eq!(report.streams, 8);
     assert!(report.items_acked > 0, "no traffic reached the streams");
+    // No proxy and no faults while the writers ran (the poison step
+    // comes after they are joined): each made one connection and kept it.
+    assert_eq!(
+        report.taxonomy.reconnects(),
+        0,
+        "a first connect is not a reconnect"
+    );
     assert_eq!(report.untyped_failures, 0, "silent failure detected");
     assert_eq!(
         report.isolation, 1.0,
@@ -30,13 +35,7 @@ fn multistream_drill_isolates_and_types_every_failure() {
 
 #[test]
 fn sync_drill_converges_every_stream_within_tolerance() {
-    let report = run_sync_drill(&SyncConfig {
-        streams: 4,
-        items_per_stream: 10_000,
-        sync_period: Duration::from_millis(100),
-        timeout: Duration::from_secs(10),
-    })
-    .expect("sync drill");
+    let report = run_sync_drill(10_000).expect("sync drill");
     assert_eq!(report.converged, report.streams);
     assert!(
         report.worst_relative_error <= 0.08,

@@ -6,8 +6,8 @@
 //! cargo run --release --example latency_quantiles
 //! ```
 
-use fcds::core::quantiles::ConcurrentQuantilesBuilder;
 use fcds::sketches::quantiles::TotalF64;
+use fcds::{EngineBuilder, QuantilesFamily};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,11 +26,11 @@ fn main() {
     const HANDLERS: usize = 4;
     const REQUESTS_PER_HANDLER: u64 = 500_000;
 
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(128)
+    let sketch = EngineBuilder::<QuantilesFamily<TotalF64>>::new()
+        .accuracy(128)
         .writers(HANDLERS)
         .max_concurrency_error(0.04)
-        .build::<TotalF64>()
+        .build()
         .expect("valid configuration");
     println!(
         "concurrent Quantiles sketch: k = {}, relaxation r = {}, ε_r bound shrinks as n grows",

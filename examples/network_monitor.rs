@@ -9,8 +9,7 @@
 //! cargo run --release --example network_monitor
 //! ```
 
-use fcds::core::hll::ConcurrentHllBuilder;
-use fcds::core::theta::ConcurrentThetaBuilder;
+use fcds::{EngineBuilder, HllFamily, ThetaFamily};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,19 +26,19 @@ fn main() {
 
     // Port 443: normal traffic — many packets, moderate flow count.
     // Port 23: a simulated scan — every packet is a new flow.
-    let https = ConcurrentHllBuilder::new()
-        .lg_m(12)
+    let https = EngineBuilder::<HllFamily>::new()
+        .accuracy(12)
         .writers(CAPTURE_THREADS)
         .build()
         .expect("build HLL");
-    let telnet = ConcurrentHllBuilder::new()
-        .lg_m(12)
+    let telnet = EngineBuilder::<HllFamily>::new()
+        .accuracy(12)
         .writers(CAPTURE_THREADS)
         .build()
         .expect("build HLL");
     // A Θ sketch over the same scan traffic for cross-validation.
-    let telnet_theta = ConcurrentThetaBuilder::new()
-        .lg_k(12)
+    let telnet_theta = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(12)
         .writers(CAPTURE_THREADS)
         .build()
         .expect("build theta");

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fcds::core::theta::ConcurrentThetaBuilder;
+use fcds::{EngineBuilder, ThetaFamily};
 use std::time::Instant;
 
 fn main() {
@@ -15,8 +15,8 @@ fn main() {
     // k = 4096, e = 0.04: the paper's default configuration. The builder
     // derives the eager-propagation limit (2/e² = 1250) and the local
     // buffer size b from these.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(12)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(12)
         .writers(WRITERS as usize)
         .max_concurrency_error(0.04)
         .build()

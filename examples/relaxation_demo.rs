@@ -9,11 +9,11 @@
 //! cargo run --release --example relaxation_demo
 //! ```
 
-use fcds::core::theta::ConcurrentThetaBuilder;
 use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
 use fcds::relaxation::history::{History, Op};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::theta::normalize_hash;
+use fcds::{EngineBuilder, ThetaFamily};
 
 const SEED: u64 = 9001;
 
@@ -44,8 +44,8 @@ fn main() {
 
     println!("\n— Theorem 1: validating a live concurrent Θ sketch —");
     let writers = 2usize;
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(8) // k = 256 keeps the demo's numbers readable
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(8) // k = 256 keeps the demo's numbers readable
         .seed(SEED)
         .writers(writers)
         .max_concurrency_error(1.0) // no eager phase: pure relaxed mode

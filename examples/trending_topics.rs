@@ -6,7 +6,7 @@
 //! cargo run --release --example trending_topics
 //! ```
 
-use fcds::core::frequency::ConcurrentFrequencyBuilder;
+use fcds::{EngineBuilder, FrequencyFamily};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,10 +22,10 @@ fn main() {
     const FEEDS: usize = 4;
     const EVENTS_PER_FEED: u64 = 500_000;
 
-    let sketch = ConcurrentFrequencyBuilder::new()
-        .k(64)
+    let sketch = EngineBuilder::<FrequencyFamily<String>>::new()
+        .accuracy(64)
         .writers(FEEDS)
-        .build::<String>()
+        .build()
         .expect("valid configuration");
 
     println!(

@@ -10,8 +10,8 @@
 //! cargo run --release --example unique_users
 //! ```
 
-use fcds::core::theta::ConcurrentThetaBuilder;
 use fcds::sketches::theta::{ThetaANotB, ThetaIntersection, ThetaRead, ThetaUnion};
+use fcds::{EngineBuilder, ThetaFamily};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,8 +55,8 @@ fn main() {
     let sketches: Vec<_> = regions
         .iter()
         .map(|_| {
-            ConcurrentThetaBuilder::new()
-                .lg_k(12)
+            EngineBuilder::<ThetaFamily>::new()
+                .accuracy(12)
                 .seed(SEED)
                 .writers(2)
                 .max_concurrency_error(0.04)

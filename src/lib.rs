@@ -33,10 +33,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use fcds::core::theta::ConcurrentThetaBuilder;
+//! use fcds::{EngineBuilder, ThetaFamily};
 //!
-//! let sketch = ConcurrentThetaBuilder::new()
-//!     .lg_k(12)
+//! let sketch = EngineBuilder::<ThetaFamily>::new()
+//!     .accuracy(12)
 //!     .writers(2)
 //!     .max_concurrency_error(0.04)
 //!     .build()
@@ -94,9 +94,8 @@ pub use fcds_sketches::wire::{
 
 // The family-generic engine tier: one builder and one object-safe
 // engine trait across all four concurrent sketches. This is what the
-// multi-stream server's per-key registry is built on, and the
-// replacement for the four per-family builders (which remain as thin
-// deprecated shims for one release).
+// multi-stream server's per-key registry is built on, and the only way
+// to construct an engine.
 pub use fcds_core::{
     EngineBuilder, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine,
     ThetaFamily, WireImage,

@@ -10,11 +10,9 @@
 //! hashes at merge time, leaving the retained set and Θ trajectory
 //! byte-identical. These tests pin that argument down end-to-end.
 
-use fcds::core::hll::ConcurrentHllBuilder;
-use fcds::core::quantiles::ConcurrentQuantilesBuilder;
-use fcds::core::theta::ConcurrentThetaBuilder;
-use fcds::core::{frequency::ConcurrentFrequencyBuilder, PropagationBackendKind};
+use fcds::core::PropagationBackendKind;
 use fcds::sketches::theta::ThetaRead;
+use fcds::{EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, ThetaFamily};
 use proptest::prelude::*;
 
 const SEED: u64 = 9001;
@@ -57,8 +55,8 @@ proptest! {
         lg_k in 5u8..=10,
     ) {
         let e = if eager { 0.04 } else { 1.0 };
-        let build = || ConcurrentThetaBuilder::new()
-            .lg_k(lg_k)
+        let build = || EngineBuilder::<ThetaFamily>::new()
+            .accuracy(usize::from(lg_k))
             .seed(SEED)
             .writers(1)
             .max_concurrency_error(e)
@@ -103,8 +101,8 @@ proptest! {
         eager in any::<bool>(),
     ) {
         let e = if eager { 0.04 } else { 1.0 };
-        let build = || ConcurrentHllBuilder::new()
-            .lg_m(8)
+        let build = || EngineBuilder::<HllFamily>::new()
+            .accuracy(8)
             .seed(SEED)
             .writers(1)
             .max_concurrency_error(e)
@@ -142,13 +140,13 @@ proptest! {
         eager in any::<bool>(),
     ) {
         let e = if eager { 0.04 } else { 1.0 };
-        let build = || ConcurrentQuantilesBuilder::new()
-            .k(64)
-            .oracle_seed(SEED)
+        let build = || EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(64)
+            .seed(SEED)
             .writers(1)
             .max_concurrency_error(e)
             .backend(PropagationBackendKind::WriterAssisted)
-            .build::<u64>()
+            .build()
             .unwrap();
         let items: Vec<u64> = (0..n).map(|i| (i * 2_654_435_761) % n).collect();
 
@@ -193,12 +191,12 @@ proptest! {
         eager in any::<bool>(),
     ) {
         let e = if eager { 0.04 } else { 1.0 };
-        let build = || ConcurrentFrequencyBuilder::new()
-            .k(16)
+        let build = || EngineBuilder::<FrequencyFamily>::new()
+            .accuracy(16)
             .writers(1)
             .max_concurrency_error(e)
             .backend(PropagationBackendKind::WriterAssisted)
-            .build::<u64>()
+            .build()
             .unwrap();
         let items: Vec<u64> = (0..n).map(|i| i % keyspace).collect();
 

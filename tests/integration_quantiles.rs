@@ -1,8 +1,8 @@
 //! Integration: the concurrent Quantiles sketch against the §6.2 relaxed
 //! PAC bound `ε_r = ε − rε/n + r/n`, across threads and stream shapes.
 
-use fcds::core::quantiles::ConcurrentQuantilesBuilder;
 use fcds::sketches::quantiles::{epsilon_for_k, relaxed_epsilon, QuantilesSketch, TotalF64};
+use fcds::{EngineBuilder, QuantilesFamily};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -12,10 +12,11 @@ fn concurrent_ranks_within_relaxed_epsilon() {
     let k = 128;
     let writers = 4;
     let n = 200_000u64;
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(k)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(k)
+        .seed(0xFCD5)
         .writers(writers)
-        .build::<u64>()
+        .build()
         .unwrap();
     std::thread::scope(|s| {
         for t in 0..writers as u64 {
@@ -56,11 +57,11 @@ fn concurrent_agrees_with_sequential_on_shuffled_stream() {
         sequential.update(v);
     }
 
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(k)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(k)
         .writers(2)
-        .oracle_seed(2)
-        .build::<u64>()
+        .seed(2)
+        .build()
         .unwrap();
     std::thread::scope(|s| {
         for half in items.chunks(items.len() / 2) {
@@ -88,10 +89,11 @@ fn concurrent_agrees_with_sequential_on_shuffled_stream() {
 #[test]
 fn skewed_distribution_percentiles() {
     // 99% small latencies, 1% outliers: p50 must be small, p999 large.
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(128)
+    let sketch = EngineBuilder::<QuantilesFamily<TotalF64>>::new()
+        .accuracy(128)
+        .seed(0xFCD5)
         .writers(2)
-        .build::<TotalF64>()
+        .build()
         .unwrap();
     let n = 100_000u64;
     std::thread::scope(|s| {
@@ -121,11 +123,11 @@ fn skewed_distribution_percentiles() {
 fn snapshot_consistency_under_load() {
     // A snapshot must be internally consistent: n equals the total weight
     // its own quantiles are computed from, and min/max bracket everything.
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(64)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(64)
         .writers(3)
         .max_concurrency_error(1.0)
-        .build::<u64>()
+        .build()
         .unwrap();
     std::thread::scope(|s| {
         for t in 0..3u64 {
@@ -152,11 +154,11 @@ fn snapshot_consistency_under_load() {
 
 #[test]
 fn visible_n_catches_up_after_flush() {
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(32)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(32)
         .writers(2)
         .max_concurrency_error(1.0)
-        .build::<u64>()
+        .build()
         .unwrap();
     let mut w1 = sketch.writer();
     let mut w2 = sketch.writer();
@@ -178,11 +180,12 @@ fn concurrent_answers_admissible_under_relaxation_checker() {
     use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
 
     let k = 128;
-    let sketch = ConcurrentQuantilesBuilder::new()
-        .k(k)
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(k)
+        .seed(0xFCD5)
         .writers(3)
         .max_concurrency_error(1.0)
-        .build::<u64>()
+        .build()
         .unwrap();
     // Permuted stream so levels are exercised non-trivially.
     let n = 60_000u64;

@@ -2,10 +2,11 @@
 //! crates — accuracy vs the sequential substrate, relaxed consistency via
 //! the checker (Theorem 1, empirically), and mergeability of the outputs.
 
-use fcds::core::theta::{ConcurrentThetaBuilder, ConcurrentThetaSketch};
+use fcds::core::theta::ConcurrentThetaSketch;
 use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::theta::{normalize_hash, rse, QuickSelectThetaSketch, ThetaRead, ThetaUnion};
+use fcds::{EngineBuilder, ThetaFamily};
 
 const SEED: u64 = 9001;
 
@@ -29,8 +30,8 @@ fn concurrent_matches_sequential_reference_after_quiesce() {
         reference.update(i);
     }
 
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(12)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(12)
         .seed(SEED)
         .writers(4)
         .max_concurrency_error(0.04)
@@ -61,8 +62,8 @@ fn theorem1_holds_at_quiescent_points() {
     // Repeatedly: ingest a chunk from 3 writers, flush, quiesce, check
     // the snapshot is admissible for the exact prefix with r = 2Nb.
     let writers = 3usize;
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(8)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(8)
         .seed(SEED)
         .writers(writers)
         .max_concurrency_error(1.0)
@@ -98,8 +99,8 @@ fn theorem1_holds_for_concurrent_queries_with_window() {
     // checked against the window [flushed_before, issued_so_far]: the
     // snapshot may lag the issued count by buffered-but-unflushed
     // updates, and the checker's r covers the in-flight hand-off.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(8)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(8)
         .seed(SEED)
         .writers(1)
         .max_concurrency_error(1.0)
@@ -136,8 +137,8 @@ fn compact_outputs_of_concurrent_sketches_are_mergeable() {
     let ranges = [(0u64, 150_000u64), (100_000, 250_000), (200_000, 350_000)];
     let mut union = ThetaUnion::new(11, SEED).unwrap();
     for (lo, hi) in ranges {
-        let sketch = ConcurrentThetaBuilder::new()
-            .lg_k(11)
+        let sketch = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(11)
             .seed(SEED)
             .writers(2)
             .build()
@@ -166,8 +167,8 @@ fn estimate_is_fresh_within_relaxation_after_quiesce() {
     // Quantitative staleness: at a quiescent point the visible retained
     // count must equal the reference exactly (staleness 0), which is the
     // strongest form of the r-bound.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(10)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(10)
         .seed(SEED)
         .writers(2)
         .max_concurrency_error(1.0)
@@ -207,8 +208,8 @@ fn estimate_is_fresh_within_relaxation_after_quiesce() {
 fn eager_phase_exactness_boundary() {
     // §5.3: within the eager limit the sketch is exact (sequential
     // semantics); this is the adaptation the paper adds for small streams.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(12)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(12)
         .seed(SEED)
         .writers(2)
         .max_concurrency_error(0.04) // limit = 1250

@@ -10,9 +10,6 @@
 //! larger than `b`, forcing mid-batch hand-offs) against the same
 //! envelopes as scalar ingestion.
 
-use fcds::core::hll::ConcurrentHllBuilder;
-use fcds::core::quantiles::ConcurrentQuantilesBuilder;
-use fcds::core::theta::ConcurrentThetaBuilder;
 use fcds::core::PropagationBackendKind;
 use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
 use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
@@ -21,6 +18,7 @@ use fcds::sketches::hash::Hashable;
 use fcds::sketches::hll::HllSketch;
 use fcds::sketches::quantiles::{epsilon_for_k, QuantilesSketch};
 use fcds::sketches::theta::normalize_hash;
+use fcds::{EngineBuilder, HllFamily, QuantilesFamily, ThetaFamily};
 use proptest::prelude::*;
 
 const SEED: u64 = 9001;
@@ -56,8 +54,8 @@ proptest! {
         let m = [1u64, 4][image_m];
         let writers = 4usize;
         let backend = backends()[writer_assisted as usize];
-        let sketch = ConcurrentThetaBuilder::new()
-            .lg_k(lg_k)
+        let sketch = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(usize::from(lg_k))
             .seed(SEED)
             .writers(writers)
             .shards(shards)
@@ -147,8 +145,8 @@ proptest! {
     ) {
         let shards = [1usize, 2, 4][shard_sel];
         let backend = backends()[writer_assisted as usize];
-        let sketch = ConcurrentHllBuilder::new()
-            .lg_m(10)
+        let sketch = EngineBuilder::<HllFamily>::new()
+            .accuracy(10)
             .seed(SEED)
             .writers(4)
             .shards(shards)
@@ -196,15 +194,15 @@ proptest! {
         let m = [1u64, 4][image_m];
         let writers = 4usize;
         let backend = backends()[writer_assisted as usize];
-        let sketch = ConcurrentQuantilesBuilder::new()
-            .k(k)
-            .oracle_seed(SEED)
+        let sketch = EngineBuilder::<QuantilesFamily>::new()
+            .accuracy(k)
+            .seed(SEED)
             .writers(writers)
             .shards(shards)
             .max_concurrency_error(1.0) // no eager: buffers from the start
             .backend(backend)
             .image_every(m)
-            .build::<u64>()
+            .build()
             .unwrap();
         let r_query = sketch.query_relaxation();
 
@@ -272,8 +270,8 @@ fn sharded_compact_union_matches_oracle_estimate() {
     for i in 0..n {
         oracle.update(i);
     }
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(11)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(11)
         .seed(SEED)
         .writers(4)
         .shards(4)

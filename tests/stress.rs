@@ -2,17 +2,16 @@
 //! shutdown semantics, and long mixed runs. These target the hand-off
 //! protocol's edge cases rather than statistical accuracy.
 
-use fcds::core::hll::ConcurrentHllBuilder;
-use fcds::core::theta::ConcurrentThetaBuilder;
 use fcds::FlushError;
+use fcds::{EngineBuilder, HllFamily, ThetaFamily};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 #[test]
 fn writer_churn_many_generations() {
     // Writers repeatedly join, write, and leave while others are active;
     // every generation's updates must be eventually visible.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(10)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(10)
         .seed(1)
         .writers(4)
         .max_concurrency_error(1.0)
@@ -42,8 +41,8 @@ fn writer_churn_many_generations() {
 
 #[test]
 fn query_hammering_does_not_disturb_ingestion() {
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(11)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(11)
         .seed(2)
         .writers(2)
         .build()
@@ -87,8 +86,8 @@ fn dropping_sketch_before_writers_is_safe() {
     // Writers must not deadlock or crash if the main handle (and its
     // propagator) goes away first; their remaining updates are dropped by
     // the documented teardown semantics.
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(8)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(8)
         .seed(3)
         .writers(2)
         .max_concurrency_error(1.0)
@@ -117,8 +116,8 @@ fn dropping_sketch_before_writers_is_safe() {
 fn rapid_create_destroy_cycles() {
     // Engine startup/shutdown leaks or races show up here.
     for i in 0..50 {
-        let sketch = ConcurrentThetaBuilder::new()
-            .lg_k(6)
+        let sketch = EngineBuilder::<ThetaFamily>::new()
+            .accuracy(6)
             .seed(i)
             .writers(1)
             .build()
@@ -135,8 +134,8 @@ fn rapid_create_destroy_cycles() {
 
 #[test]
 fn hll_under_writer_churn() {
-    let sketch = ConcurrentHllBuilder::new()
-        .lg_m(11)
+    let sketch = EngineBuilder::<HllFamily>::new()
+        .accuracy(11)
         .seed(7)
         .writers(3)
         .build()
@@ -161,8 +160,8 @@ fn hll_under_writer_churn() {
 
 #[test]
 fn zero_update_writers_are_harmless() {
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(8)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(8)
         .seed(5)
         .writers(4)
         .build()
@@ -180,8 +179,8 @@ fn zero_update_writers_are_harmless() {
 fn duplicate_heavy_concurrent_stream() {
     // All writers hammer the same small key space: dedup must hold across
     // local buffers (duplicates merge at the global sketch).
-    let sketch = ConcurrentThetaBuilder::new()
-        .lg_k(10)
+    let sketch = EngineBuilder::<ThetaFamily>::new()
+        .accuracy(10)
         .seed(6)
         .writers(4)
         .build()
