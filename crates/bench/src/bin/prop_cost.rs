@@ -1,10 +1,22 @@
 //! Per-merge propagation-cost measurement emitting `BENCH_prop_cost.json`.
 //!
 //! The paper's scalability argument needs the propagation path to stay
-//! O(b) per merge. This bench pins that down for the sharded Θ engine by
-//! timing one propagation step — merge a pre-filtered local buffer of
-//! `b` updates into a *full* global sketch, then publish — under the
-//! publication strategies the engine can run:
+//! O(b) per merge (`GlobalSketch`'s cost contract). This bench pins that
+//! down by timing one propagation step — `calc_hint`, merge a
+//! pre-filtered local buffer of `b` updates into a *full* global sketch,
+//! publish — for Θ, HLL and Misra–Gries (Quantiles needs frozen deep
+//! levels to hold two sizes apart and has its own binary,
+//! `quantiles_prop`).
+//!
+//! HLL and Misra–Gries run at two sizes each (`lg_m` ∈ {12, 16},
+//! `k` ∈ {64, 1024}) and record the large-over-small cost ratio
+//! (`hll_large_vs_small_ratio`, `frequency_large_vs_small_ratio`): an
+//! HLL hand-off touches `b` registers and reads the estimate and the
+//! hint's floor off the register-value histogram, so its cost must not
+//! know `m`; a Misra–Gries hand-off copies the ≤ k-counter table (and
+//! its reductions walk it), so its cost may grow with `k` but no faster.
+//!
+//! Θ runs under the publication strategies the sharded engine can run:
 //!
 //! * `k = 1, image = none` — the single-shard path (seqlock triple only);
 //! * `k = 4, image = delta` — chunked copy-on-write block images, the
@@ -23,22 +35,22 @@
 //! (writes `<out>/BENCH_prop_cost.json`, default the working directory,
 //! like `bench_smoke`).
 
-use fcds_bench::gate::{THETA_DELTA_VS_NO_IMAGE_MAX, THETA_WHOLE_COPY_VS_DELTA_MIN};
+use fcds_bench::gate::{
+    FREQUENCY_LARGE_VS_SMALL_MAX, HLL_LARGE_VS_SMALL_MAX, THETA_DELTA_VS_NO_IMAGE_MAX,
+    THETA_WHOLE_COPY_VS_DELTA_MIN,
+};
 use fcds_bench::report::HarnessArgs;
+use fcds_bench::workload::{time_merges, MAX_MERGES, MERGE_BATCH};
 use fcds_core::composable::{GlobalSketch, LocalSketch};
+use fcds_core::frequency::FrequencyGlobal;
+use fcds_core::hll::HllGlobal;
 use fcds_core::theta::ThetaGlobal;
 use fcds_sketches::theta::THETA_BLOCK_CAPACITY;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xB10C;
 /// Updates per merge: the engine's default lazy buffer cap `b`.
 const B: u64 = 16;
-/// Merges per timing batch (the clock is read between batches only, so
-/// `Instant::now` overhead never pollutes the cheap variants).
-const BATCH: u64 = 64;
-const MAX_MERGES: u64 = 16_384;
-const BUDGET: Duration = Duration::from_millis(250);
 
 struct SplitMix(u64);
 
@@ -75,9 +87,9 @@ fn filled_global(lg_k: u8) -> ThetaGlobal {
     g
 }
 
-/// Times `merge(b pre-filtered updates) + publish` in steady state and
-/// returns (ns per merge, merges measured, retained at the end).
-fn measure(lg_k: u8, image: Image) -> (f64, u64, usize) {
+/// Θ: `calc_hint` + `merge(b pre-filtered updates)` + `publish`; returns
+/// (ns per merge, merges measured, retained at the end).
+fn measure_theta(lg_k: u8, image: Image) -> (f64, u64, usize) {
     let mut g = filled_global(lg_k);
     if let Image::Delta { .. } = image {
         g.prepare_sharded();
@@ -89,39 +101,83 @@ fn measure(lg_k: u8, image: Image) -> (f64, u64, usize) {
     let mut local = g.new_local();
     let mut rng = SplitMix(SEED ^ 0x5EED);
     let mut merge_idx = 0u64;
-    let mut one_batch = |g: &mut ThetaGlobal, merge_idx: &mut u64| {
-        for _ in 0..BATCH {
-            // The writers' shouldAdd filter only ships hashes below the
-            // hint, so feed uniform hashes below Θ — the stream the
-            // propagator actually sees.
-            let theta = g.calc_hint();
-            for _ in 0..B {
-                local.update(1 + rng.next() % (theta - 1));
-            }
-            g.merge(&mut local);
-            *merge_idx += 1;
-            match image {
-                Image::None => g.publish(&view),
-                Image::Delta { m } if !(*merge_idx).is_multiple_of(m) => g.publish(&view),
-                Image::Delta { .. } | Image::WholeCopy => g.publish_sharded(&view),
-            }
+    let (per_merge_ns, merges) = time_merges(|| {
+        // The writers' shouldAdd filter only ships hashes below the
+        // hint, so feed uniform hashes below Θ — the stream the
+        // propagator actually sees.
+        let theta = g.calc_hint();
+        for _ in 0..B {
+            local.update(1 + rng.next() % (theta - 1));
         }
-    };
-    // Warm-up: two batches reach steady state (mirror populated, first
-    // post-publish copy-on-write behind us).
-    one_batch(&mut g, &mut merge_idx);
-    one_batch(&mut g, &mut merge_idx);
-
-    let mut merges = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < BUDGET && merges < MAX_MERGES {
-        one_batch(&mut g, &mut merge_idx);
-        merges += BATCH;
-    }
-    let per_merge_ns = start.elapsed().as_nanos() as f64 / merges as f64;
+        g.merge(&mut local);
+        merge_idx += 1;
+        match image {
+            Image::None => g.publish(&view),
+            Image::Delta { m } if !merge_idx.is_multiple_of(m) => g.publish(&view),
+            Image::Delta { .. } | Image::WholeCopy => g.publish_sharded(&view),
+        }
+    });
     g.publish(&view);
     let retained = ThetaGlobal::snapshot(&view).retained as usize;
     (per_merge_ns, merges, retained)
+}
+
+/// HLL: the same step on a global warmed with `32·m` distinct hashes
+/// (every register set, floor ≈ 3). The writers' filter only ships
+/// hashes whose rank beats the floor, so feed exactly those: uniform
+/// index bits, a tail with at least `floor` leading zeros.
+fn measure_hll(lg_m: u8) -> (f64, u64) {
+    let mut g = HllGlobal::new(lg_m, SEED).expect("valid lg_m");
+    let mut rng = SplitMix(SEED);
+    for _ in 0..(32u64 << lg_m) {
+        g.update_direct(rng.next());
+    }
+    let view = g.new_view();
+    let mut local = g.new_local();
+    time_merges(|| {
+        let hint = g.calc_hint();
+        for _ in 0..B {
+            let index = rng.next() << (64 - lg_m);
+            let tail = rng.next() >> hint.floor;
+            local.update(index | (tail >> lg_m));
+        }
+        g.merge(&mut local);
+        g.publish(&view);
+    })
+}
+
+/// Keys of the benchmark's Frequency streams — Zipf(1.1) over 10⁵ keys,
+/// here by the continuous inverse CDF — so the table is full of unequal
+/// counters and a share of every merge's keys is new (reductions run).
+fn zipf_key(word: u64) -> u64 {
+    const KEYS: f64 = 100_000.0;
+    let u = (word >> 11) as f64 / (1u64 << 53) as f64;
+    ((KEYS.powf(-0.1) - 1.0) * u + 1.0).powf(-10.0) as u64
+}
+
+/// Misra–Gries: the same step (its hint is the unit) on a `k`-counter
+/// global warmed with 2¹⁷ keys. The keys are drawn before the clock
+/// starts — a `powf` per key would cost more than the merge.
+fn measure_frequency(k: usize) -> (f64, u64) {
+    let mut g = FrequencyGlobal::<u64>::new(k).expect("valid k");
+    let mut rng = SplitMix(SEED);
+    for _ in 0..1 << 17 {
+        g.update_direct(zipf_key(rng.next()));
+    }
+    let keys: Vec<u64> = (0..(MAX_MERGES + 2 * MERGE_BATCH) * B)
+        .map(|_| zipf_key(rng.next()))
+        .collect();
+    let mut keys = keys.chunks_exact(B as usize);
+    let view = g.new_view();
+    let mut local = g.new_local();
+    time_merges(|| {
+        g.calc_hint();
+        for &key in keys.next().expect("a chunk per merge") {
+            local.update(key);
+        }
+        g.merge(&mut local);
+        g.publish(&view);
+    })
 }
 
 fn main() {
@@ -137,39 +193,58 @@ fn main() {
 
     let mut rows = String::new();
     let mut per_ns = std::collections::HashMap::new();
-    for (i, lg_k) in [12u8, 16].into_iter().enumerate() {
-        for (j, &(k, image, label, m)) in variants.iter().enumerate() {
-            let (ns, merges, retained) = measure(lg_k, image);
+    for lg_k in [12u8, 16] {
+        for &(k, image, label, m) in &variants {
+            let (ns, merges, retained) = measure_theta(lg_k, image);
             per_ns.insert((lg_k, label, m), ns);
-            if i > 0 || j > 0 {
-                rows.push_str(",\n");
-            }
-            let _ = write!(
+            let _ = writeln!(
                 rows,
-                "    {{\"lg_k\": {lg_k}, \"retained\": {retained}, \"shards\": {k}, \
-                 \"image\": \"{label}\", \"image_every\": {m}, \
-                 \"per_merge_ns\": {ns:.1}, \"merges\": {merges}}}"
+                "    {{\"family\": \"theta\", \"lg_k\": {lg_k}, \"retained\": {retained}, \
+                 \"shards\": {k}, \"image\": \"{label}\", \"image_every\": {m}, \
+                 \"per_merge_ns\": {ns:.1}, \"merges\": {merges}}},"
             );
             eprintln!(
-                "lg_k={lg_k} image={label} M={m}: {ns:.0} ns/merge ({merges} merges, retained {retained})"
+                "theta lg_k={lg_k} image={label} M={m}: {ns:.0} ns/merge ({merges} merges, retained {retained})"
             );
         }
     }
+    // One row per size; returns the large-over-small cost ratio.
+    let mut sized =
+        |family: &str, param: &str, sizes: [usize; 2], measure: fn(usize) -> (f64, u64)| {
+            let ns = sizes.map(|size| {
+                let (ns, merges) = measure(size);
+                let _ = writeln!(
+                    rows,
+                    "    {{\"family\": \"{family}\", \"{param}\": {size}, \
+                 \"per_merge_ns\": {ns:.1}, \"merges\": {merges}}},"
+                );
+                eprintln!("{family} {param}={size}: {ns:.0} ns/merge ({merges} merges)");
+                ns
+            });
+            ns[1] / ns[0]
+        };
+    let hll_ratio = sized("hll", "lg_m", [12, 16], |lg_m| measure_hll(lg_m as u8));
+    let frequency_ratio = sized("frequency", "k", [64, 1024], measure_frequency);
+    let rows = rows.trim_end().trim_end_matches(',');
 
     let delta16 = per_ns[&(16u8, "delta", 1u64)];
     let delta_vs_none = delta16 / per_ns[&(16u8, "none", 1u64)];
     let whole_vs_delta = per_ns[&(16u8, "whole_copy", 1u64)] / delta16;
 
     let json = format!(
-        "{{\n  \"schema\": \"fcds-bench-prop-cost-v1\",\n  \"cores\": {cores},\n  \
+        "{{\n  \"schema\": \"fcds-bench-prop-cost-v2\",\n  \"cores\": {cores},\n  \
          \"buffer_updates_per_merge\": {B},\n  \"block_capacity\": {THETA_BLOCK_CAPACITY},\n  \
          \"rows\": [\n{rows}\n  ],\n  \
          \"acceptance\": {{\n    \
          \"lg_k16_delta_vs_no_image_ratio\": {delta_vs_none:.2},\n    \
-         \"lg_k16_whole_copy_vs_delta_ratio\": {whole_vs_delta:.1}\n  }},\n  \
+         \"lg_k16_whole_copy_vs_delta_ratio\": {whole_vs_delta:.1},\n    \
+         \"hll_large_vs_small_ratio\": {hll_ratio:.2},\n    \
+         \"frequency_large_vs_small_ratio\": {frequency_ratio:.2}\n  }},\n  \
          \"thresholds\": {{\n    \
          \"lg_k16_delta_vs_no_image_ratio_max\": {THETA_DELTA_VS_NO_IMAGE_MAX:.1},\n    \
-         \"lg_k16_whole_copy_vs_delta_ratio_min\": {THETA_WHOLE_COPY_VS_DELTA_MIN:.1}\n  }}\n}}\n"
+         \"lg_k16_whole_copy_vs_delta_ratio_min\": {THETA_WHOLE_COPY_VS_DELTA_MIN:.1},\n    \
+         \"hll_large_vs_small_ratio_max\": {HLL_LARGE_VS_SMALL_MAX:.1},\n    \
+         \"frequency_large_vs_small_ratio_max\": {FREQUENCY_LARGE_VS_SMALL_MAX:.1}\n  }}\n}}\n"
     );
 
     let path = format!("{}/BENCH_prop_cost.json", args.out_dir);

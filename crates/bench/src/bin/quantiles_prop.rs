@@ -8,9 +8,11 @@
 //! `b` updates into a warm global sketch, then publish a snapshot into
 //! an epoch cell — under the two publication strategies:
 //!
-//! * `ladder` — the copy-on-write level ladder
-//!   ([`QuantilesSketch::ladder`]): one `Arc` clone per level plus a
-//!   sort of the ≤ 2k base buffer, independent of the retained count;
+//! * `ladder` — what the engine runs, [`QuantilesGlobal`]'s `merge` +
+//!   `publish`: each merged item takes its place in the sorted mirror
+//!   of the base buffer, the publication copies that mirror (≤ 2k
+//!   items) and clones one pointer for all the levels — no sort, no
+//!   per-level work, independent of the retained count;
 //! * `rebuild` — the pre-ladder behaviour ([`QuantilesSketch::reader`]):
 //!   re-collect and re-sort the whole retained set on every publication,
 //!   O(retained · log retained).
@@ -37,22 +39,21 @@
 
 use fcds_bench::gate::{QUANTILES_FLATNESS_MAX, QUANTILES_SPEEDUP_MIN};
 use fcds_bench::report::HarnessArgs;
+use fcds_bench::workload::time_merges;
+use fcds_core::composable::{GlobalSketch, LocalSketch};
+use fcds_core::quantiles::QuantilesGlobal;
 use fcds_core::sync::EpochCell;
 use fcds_sketches::quantiles::QuantilesSketch;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x0A17;
 const K: usize = 128;
 /// Updates per merge: the engine's default lazy buffer cap `b`.
 const B: u64 = 16;
-/// Merges per timing batch (the clock is read between batches only).
-const BATCH: u64 = 64;
-const MAX_MERGES: u64 = 16_384;
-const BUDGET: Duration = Duration::from_millis(250);
 
 /// Pre-occupied runs start at this level: the measurement performs at
-/// most `(MAX_MERGES + warm-up)·B / 2k = 1032` compactions, which churn
+/// most `(MAX_MERGES + warm-up)·B / 2k = 1032` compactions (see
+/// `fcds_bench::workload::time_merges`), which churn
 /// counter bits 0..10 only, so every pre-occupied level stays frozen for
 /// (almost) the whole window — one carry cascade may reach them at the
 /// very end, which is the amortised cost a real stream pays too.
@@ -107,37 +108,36 @@ fn warm_sketch(depth: usize) -> QuantilesSketch<u64> {
 
 /// Times `merge(b updates) + publish` in steady state and returns
 /// (ns per merge, merges measured, retained at the end of the run).
+/// Both strategies pay the same epoch-cell store; only the merge
+/// bookkeeping and the snapshot construction differ.
 fn measure(depth: usize, strategy: Strategy) -> (f64, u64, usize) {
-    let mut q = warm_sketch(depth);
-    // Both strategies pay the same epoch-cell store; only the snapshot
-    // construction differs.
-    let ladder_cell = EpochCell::new(q.ladder());
-    let rebuild_cell = EpochCell::new(q.reader());
     let mut rng = SplitMix(SEED ^ 0x5EED);
-    let mut one_batch = |q: &mut QuantilesSketch<u64>| {
-        for _ in 0..BATCH {
-            for _ in 0..B {
-                q.update(rng.next());
-            }
-            match strategy {
-                Strategy::Ladder => ladder_cell.store(q.ladder()),
-                Strategy::Rebuild => rebuild_cell.store(q.reader()),
-            }
+    match strategy {
+        Strategy::Ladder => {
+            let mut g = QuantilesGlobal::new(warm_sketch(depth), SEED);
+            let view = g.new_view();
+            let mut local = g.new_local();
+            let (ns, merges) = time_merges(|| {
+                for _ in 0..B {
+                    local.update(rng.next());
+                }
+                g.merge(&mut local);
+                g.publish(&view);
+            });
+            (ns, merges, view.ladder().retained())
         }
-    };
-    // Warm-up: two batches reach steady state (first post-snapshot
-    // copy-on-write of the base run behind us, allocator warm).
-    one_batch(&mut q);
-    one_batch(&mut q);
-
-    let mut merges = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < BUDGET && merges < MAX_MERGES {
-        one_batch(&mut q);
-        merges += BATCH;
+        Strategy::Rebuild => {
+            let mut q = warm_sketch(depth);
+            let cell = EpochCell::new(q.reader());
+            let (ns, merges) = time_merges(|| {
+                for _ in 0..B {
+                    q.update(rng.next());
+                }
+                cell.store(q.reader());
+            });
+            (ns, merges, q.ladder().retained())
+        }
     }
-    let per_merge_ns = start.elapsed().as_nanos() as f64 / merges as f64;
-    (per_merge_ns, merges, q.ladder().retained())
 }
 
 fn main() {

@@ -18,6 +18,10 @@
 //!   [`THETA_DELTA_VS_NO_IMAGE_MAX`]× the no-image K = 1 path, and the
 //!   pre-block whole-copy at least [`THETA_WHOLE_COPY_VS_DELTA_MIN`]×
 //!   slower than delta — both at lg_k = 16.
+//! * HLL and Misra–Gries (`BENCH_prop_cost.json`): one hand-off at the
+//!   larger size parameter at most [`HLL_LARGE_VS_SMALL_MAX`]× /
+//!   [`FREQUENCY_LARGE_VS_SMALL_MAX`]× one at the smaller — HLL's cost
+//!   must not know `m`; Misra–Gries' may grow with `k`, no faster.
 //! * Quantiles (`BENCH_quantiles_prop.json`): the ladder publish at
 //!   least [`QUANTILES_SPEEDUP_MIN`]× faster than the full rebuild at
 //!   the larger retained size, and at most [`QUANTILES_FLATNESS_MAX`]×
@@ -43,6 +47,25 @@ pub const THETA_DELTA_VS_NO_IMAGE_MAX: f64 = 3.0;
 /// than delta publication (lg_k = 16; PR 3 measured ≈ 340×) — i.e. the
 /// block images must keep buying at least a 5× win.
 pub const THETA_WHOLE_COPY_VS_DELTA_MIN: f64 = 5.0;
+
+/// An HLL hand-off (`calc_hint` + merge of `b` updates + `publish`) at
+/// lg_m = 16 may cost at most this multiple of one at lg_m = 12. The
+/// step touches `b` registers and reads the estimate and the floor off
+/// the register-value histogram, so the honest value is ≈ 1 (cache
+/// misses on the 64 KiB register array aside; measured 0.76 to 1.02);
+/// a publication that rescans the registers (pre-PR 18) read 27.
+pub const HLL_LARGE_VS_SMALL_MAX: f64 = 2.0;
+
+/// A Misra–Gries hand-off at k = 1024 may cost at most this multiple of
+/// one at k = 64. Unlike HLL's, this step is allowed to know its size
+/// parameter: the publication copies the ≤ k-counter table and a
+/// reduction walks it, both linear in `k` with a small constant next to
+/// the `b` hash-map updates, so the ratio sits well under the 16× size
+/// ratio — 3.6 to 5.3 over seven runs on the benchmark's Zipf(1.1) keys.
+/// The bound is half the size ratio, 1.5× headroom over the worst; a
+/// publication that sorts and re-hashes the table (the pre-PR 18
+/// `heavy_hitters(0)` → collect) read 9.0 on the same rows.
+pub const FREQUENCY_LARGE_VS_SMALL_MAX: f64 = 8.0;
 
 /// The ladder publish must beat the full O(retained · log retained)
 /// rebuild by at least this factor at the larger retained size.

@@ -66,6 +66,34 @@ impl UniqueStream {
     }
 }
 
+/// Merges per timing batch of [`time_merges`]: the clock is read between
+/// batches only, so `Instant::now` never pollutes a cheap step.
+pub const MERGE_BATCH: u64 = 64;
+/// The most merges one [`time_merges`] call measures.
+pub const MAX_MERGES: u64 = 16_384;
+const MERGE_BUDGET: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// Times one propagation step (`merge` + `publish` + `calc_hint`) in
+/// steady state for the per-merge cost benches (`prop_cost`,
+/// `quantiles_prop`): two warm-up batches — mirrors populated, first
+/// post-publish copy-on-write behind us, allocator warm — then batches
+/// until 250 ms or [`MAX_MERGES`] are spent. Returns (ns per merge,
+/// merges measured).
+pub fn time_merges(mut one_merge: impl FnMut()) -> (f64, u64) {
+    for _ in 0..2 * MERGE_BATCH {
+        one_merge();
+    }
+    let mut merges = 0u64;
+    let start = std::time::Instant::now();
+    while start.elapsed() < MERGE_BUDGET && merges < MAX_MERGES {
+        for _ in 0..MERGE_BATCH {
+            one_merge();
+        }
+        merges += MERGE_BATCH;
+    }
+    (start.elapsed().as_nanos() as f64 / merges as f64, merges)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,6 +121,27 @@ pub trait LocalSketch: Send + 'static {
 /// The shared composable sketch (`globalS` of Algorithm 2), owned by the
 /// propagator thread in the lazy phase and briefly by update threads
 /// (under the engine's mutex) during the eager phase of §5.3.
+///
+/// # Cost contract
+///
+/// [`merge`](Self::merge), [`publish`](Self::publish) (or
+/// [`publish_sharded`](Self::publish_sharded)) and
+/// [`calc_hint`](Self::calc_hint) run once per hand-off of `b` updates,
+/// one after the other, on the *serial* propagation path: every writer
+/// of the shard waits behind them, and the paper's scalability argument
+/// (Algorithm 2, §7) is that this step stays tiny. Together they must
+/// cost **O(b) amortised, independent of the sketch's size** — no scan,
+/// sort, copy or re-hash of the retained state. The eager phase calls
+/// `update_direct` + `publish` per item under the same rule. Keep what a
+/// publication needs current as the merge changes it (HLL's
+/// register-value histogram, the Quantiles sorted base mirror, Θ's block
+/// mirror), bound the rest by an accuracy parameter rather than by the
+/// stream (the ≤ 2k-item base run, the ≤ k-counter table), and leave
+/// anything O(sketch) to the query side, where it is paid per query and
+/// can be memoised per publication — as `QuantilesReader::from_ladders`
+/// and every `wire_image()` already are. `prop_cost` measures the step
+/// for all four families at two sizes each and `bench_gate` fails CI
+/// when a family's cost grows with its size.
 pub trait GlobalSketch: Send + 'static {
     /// The matching local-sketch type.
     type Local: LocalSketch;
@@ -141,7 +162,8 @@ pub trait GlobalSketch: Send + 'static {
     fn new_view(&self) -> Self::View;
 
     /// Merges (and clears) a local buffer into the global state
-    /// (line 113–114).
+    /// (line 113–114). Once per hand-off, on the serial path: O(b)
+    /// amortised (see the trait's cost contract).
     fn merge(&mut self, local: &mut Self::Local);
 
     /// Directly ingests one item — the eager-propagation path of §5.3,
@@ -151,7 +173,9 @@ pub trait GlobalSketch: Send + 'static {
 
     /// Publishes the current state into the view. The single atomic store
     /// inside is the linearisation point of the merge, mirroring the
-    /// composable Θ sketch's write to `est`.
+    /// composable Θ sketch's write to `est`. Once per hand-off (and per
+    /// eager update), on the serial path: it must not walk the sketch
+    /// (see the trait's cost contract).
     fn publish(&self, view: &Self::View);
 
     /// Reads a consistent snapshot from the view; safe to call
@@ -159,7 +183,9 @@ pub trait GlobalSketch: Send + 'static {
     /// §5.1).
     fn snapshot(view: &Self::View) -> Self::Snapshot;
 
-    /// Computes the hint piggy-backed to update threads (line 115).
+    /// Computes the hint piggy-backed to update threads (line 115). Once
+    /// per hand-off, on the serial path: read it off state the merge
+    /// keeps current (see the trait's cost contract).
     fn calc_hint(&self) -> <Self::Local as LocalSketch>::Hint;
 
     /// Number of stream items this sketch has ingested (used by the

@@ -10,7 +10,10 @@
 //! §5.1 permits.
 //!
 //! Snapshots are published as an immutable heavy-hitters table behind an
-//! epoch pointer, like the Quantiles instantiation.
+//! epoch pointer, like the Quantiles instantiation. A publication is a
+//! straight clone of the sketch's counter table (≤ k + 1 buckets copied,
+//! nothing sorted or re-hashed); ordering the heavy hitters is the
+//! query's business ([`FrequencySnapshot::heavy_hitters`]).
 
 use crate::composable::{GlobalSketch, LocalSketch};
 use crate::config::ConcurrencyConfig;
@@ -184,10 +187,7 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlo
     }
 
     fn new_shard(&self) -> Self {
-        FrequencyGlobal {
-            sketch: MisraGriesSketch::new(self.sketch.k())
-                .expect("shard parameters were already validated"),
-        }
+        FrequencyGlobal::new(self.sketch.k()).expect("shard parameters were already validated")
     }
 
     fn calc_hint(&self) {}
@@ -198,15 +198,20 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlo
 }
 
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyGlobal<T> {
+    /// Creates an empty global summary with at most `k` counters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MisraGriesSketch::new`]'s parameter validation.
+    pub fn new(k: usize) -> Result<Self> {
+        Ok(FrequencyGlobal {
+            sketch: MisraGriesSketch::new(k)?,
+        })
+    }
+
     fn snapshot_now(&self) -> FrequencySnapshot<T> {
-        let counters: HashMap<T, u64> = self
-            .sketch
-            .heavy_hitters(0)
-            .into_iter()
-            .map(|(item, e)| (item, e.lower_bound))
-            .collect();
         FrequencySnapshot {
-            counters,
+            counters: self.sketch.counter_table().clone(),
             max_error: self.sketch.max_error(),
             n: self.sketch.n(),
         }
@@ -219,10 +224,7 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> Family for FrequencyFamily<T>
     const DEFAULT_ACCURACY: usize = 64;
 
     fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        let global = FrequencyGlobal {
-            sketch: MisraGriesSketch::new(accuracy)?,
-        };
-        let inner = ConcurrentSketch::start(global, config)?;
+        let inner = ConcurrentSketch::start(FrequencyGlobal::new(accuracy)?, config)?;
         Ok(ConcurrentFrequencySketch { inner, k: accuracy })
     }
 }
@@ -502,5 +504,46 @@ mod tests {
         sketch.quiesce();
         let snap = sketch.snapshot();
         assert_eq!(snap.estimate(&"key0".to_string()).lower_bound, 200);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// A publication is the sketch's table, not a rebuild of it:
+        /// after every merge (and every eager update) the snapshot's
+        /// counters, error slack and `n` equal the sketch's — with more
+        /// keys than counters, so reductions run in between.
+        #[test]
+        fn published_snapshot_equals_the_sketch(
+            eager in 0usize..10,
+            items in proptest::collection::vec(0u64..12, 20..300),
+        ) {
+            let mut g = FrequencyGlobal::<u64>::new(4).unwrap();
+            let view = g.new_view();
+            let mut local = g.new_local();
+            let (head, tail) = items.split_at(eager);
+            let steps = head.chunks(1).map(|c| (c, true)).chain(tail.chunks(16).map(|c| (c, false)));
+            for (chunk, direct) in steps {
+                for &item in chunk {
+                    if direct {
+                        g.update_direct(item);
+                    } else {
+                        local.update(item);
+                    }
+                }
+                g.merge(&mut local);
+                g.publish(&view);
+                let snap = FrequencyGlobal::snapshot(&view);
+                let counters: HashMap<u64, u64> =
+                    g.sketch.counters().map(|(item, c)| (*item, c)).collect();
+                proptest::prop_assert_eq!(&snap.counters, &counters);
+                proptest::prop_assert_eq!(snap.max_error, g.sketch.max_error());
+                proptest::prop_assert_eq!(snap.n, g.sketch.n());
+                for (item, estimate) in snap.heavy_hitters(0) {
+                    proptest::prop_assert_eq!(estimate, g.sketch.estimate(&item));
+                }
+            }
+            proptest::prop_assert_eq!(g.sketch.n(), items.len() as u64);
+        }
     }
 }

@@ -10,6 +10,14 @@
 //! the hint is conservative and never filters an update that could still
 //! matter. The fraction of surviving updates is ~2^(−m₀), which shrinks
 //! as the stream grows, exactly like the Θ filter.
+//!
+//! Propagation never rescans the registers: the sequential sketch keeps
+//! their value histogram current as registers grow, and both things a
+//! hand-off publishes are read off it — the view's atomic estimate
+//! (Σ `counts[v]`·2^(−v) over ≤ 66 terms, the same function every other
+//! HLL estimate in the workspace ends in) and the hint's floor `m₀` (the
+//! first non-empty histogram slot). `merge` + `publish` + `calc_hint` is
+//! therefore O(b) whatever `lg_m` is, in the eager phase too.
 
 use crate::composable::{extend_compact_u64, GlobalSketch, HintCodec, LocalSketch};
 use crate::config::ConcurrencyConfig;
@@ -66,7 +74,8 @@ pub struct HllGlobal {
 }
 
 /// The published view of one HLL shard: the atomic estimate for
-/// single-shard fast-path queries, plus a register image written only by
+/// single-shard fast-path queries (fed from the sketch's register-value
+/// histogram, O(1) per publication), plus a register image written only by
 /// [`GlobalSketch::publish_sharded`] (i.e., when `K > 1`). Register-wise
 /// max across shard images is exactly the sketch a single HLL would hold
 /// on the concatenated stream, so the sharded merge is lossless.
@@ -112,6 +121,20 @@ impl LocalSketch for HllLocal {
 
     fn len(&self) -> usize {
         self.hashes.len()
+    }
+}
+
+impl HllGlobal {
+    /// Creates an empty global HLL sketch with `2^lg_m` registers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`HllSketch::new`]'s parameter validation.
+    pub fn new(lg_m: u8, seed: u64) -> Result<Self> {
+        Ok(HllGlobal {
+            sketch: HllSketch::new(lg_m, seed)?,
+            ingested: 0,
+        })
     }
 }
 
@@ -167,18 +190,14 @@ impl GlobalSketch for HllGlobal {
     }
 
     fn new_shard(&self) -> Self {
-        HllGlobal {
-            sketch: HllSketch::new(self.sketch.lg_m(), self.sketch.seed())
-                .expect("shard parameters were already validated"),
-            ingested: 0,
-        }
+        HllGlobal::new(self.sketch.lg_m(), self.sketch.seed())
+            .expect("shard parameters were already validated")
     }
 
     fn calc_hint(&self) -> HllHint {
-        let floor = self.sketch.registers().iter().copied().min().unwrap_or(0);
         HllHint {
             lg_m: self.sketch.lg_m(),
-            floor,
+            floor: self.sketch.min_register(),
         }
     }
 
@@ -195,11 +214,7 @@ impl Family for HllFamily {
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let lg_m = u8::try_from(accuracy)
             .map_err(|_| SketchError::invalid("lg_m", format!("out of range: {accuracy}")))?;
-        let global = HllGlobal {
-            sketch: HllSketch::new(lg_m, seed)?,
-            ingested: 0,
-        };
-        let inner = ConcurrentSketch::start(global, config)?;
+        let inner = ConcurrentSketch::start(HllGlobal::new(lg_m, seed)?, config)?;
         Ok(ConcurrentHllSketch { inner, seed })
     }
 }
@@ -510,5 +525,49 @@ mod tests {
         // Eager phase: immediately visible, linear-counting accurate.
         let est = s.estimate();
         assert!((est - 200.0).abs() < 10.0, "est = {est}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// What a hand-off publishes is read off the histogram; after
+        /// every merge it must equal the full-scan definition: the
+        /// hint's floor is the minimum register and the view's estimate
+        /// is the bare-array estimator's, bit for bit. Eager updates
+        /// first, then `b = 16` merges until the floor has risen.
+        #[test]
+        fn published_state_equals_a_register_rescan(
+            seed in proptest::prelude::any::<u64>(),
+            wide in proptest::prelude::any::<bool>(),
+        ) {
+            use fcds_sketches::hll::estimate_from_registers;
+            use rand::{Rng, SeedableRng};
+            let (lg_m, merges) = if wide { (12u8, 4_000) } else { (4u8, 40) };
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut g = HllGlobal::new(lg_m, 1).unwrap();
+            let view = g.new_view();
+            let mut local = g.new_local();
+            for step in 0..merges {
+                if step < 8 {
+                    g.update_direct(rng.random());
+                } else {
+                    for _ in 0..16 {
+                        local.update(rng.random());
+                    }
+                    g.merge(&mut local);
+                }
+                g.publish(&view);
+                let registers = g.sketch.registers();
+                proptest::prop_assert_eq!(
+                    g.calc_hint().floor,
+                    *registers.iter().min().unwrap()
+                );
+                proptest::prop_assert_eq!(
+                    HllGlobal::snapshot(&view).to_bits(),
+                    estimate_from_registers(registers).to_bits()
+                );
+            }
+            proptest::prop_assert!(g.calc_hint().floor > 0, "the floor never rose");
+        }
     }
 }

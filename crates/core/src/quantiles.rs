@@ -8,12 +8,16 @@
 //! linearisation point) and queries run entirely on their snapshot,
 //! concurrent with further merges.
 //!
-//! Publication is O(levels + k log k) per merge, independent of the
-//! retained-sample count: the sequential sketch keeps each compaction
-//! level as an immutable `Arc`'d sorted run, so taking a ladder snapshot
-//! clones one `Arc` per level and sorts only the (parameter-bounded,
-//! ≤ 2k) base buffer — the level-ladder analogue of the Θ sketch's
-//! chunked copy-on-write block images. The O(retained · log retained)
+//! Publication does no sort and no per-level work, whatever the
+//! retained-sample count. The sequential sketch keeps each compaction
+//! level as an immutable `Arc`'d sorted run and the list of them behind
+//! one shared pointer that changes only at a compaction (once per 2k
+//! items) — the level-ladder analogue of the Θ sketch's chunked
+//! copy-on-write block images. The propagator keeps a *sorted mirror* of
+//! the sketch's base buffer, maintained at merge: each merged item is
+//! inserted at its `partition_point`, a compaction empties the mirror.
+//! A publication is then a copy of the (parameter-bounded, ≤ 2k) mirror
+//! plus one pointer clone. The O(retained · log retained)
 //! flattening into a [`QuantilesReader`] moves to the query side, where
 //! each shard view carries a publication version and the engine memoises
 //! the flat merged reader per version *vector* (any `K`, including 1):
@@ -38,10 +42,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The global side: the sequential mergeable Quantiles sketch plus its
-/// published ladder snapshot.
+/// The global side: the sequential mergeable Quantiles sketch plus the
+/// sorted mirror of its base buffer that publication copies from.
 pub struct QuantilesGlobal<T: Ord + Clone + Send + Sync + 'static> {
     sketch: QuantilesSketch<T>,
+    /// `sketch.base_buffer()` in ascending order.
+    sorted_base: Vec<T>,
     /// Seed for sibling shards' deterministic oracles (§4).
     oracle_seed: u64,
     /// Counts shards spawned off this global so each sibling gets a
@@ -54,6 +60,33 @@ impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for QuantilesGlobal
         f.debug_struct("QuantilesGlobal")
             .field("n", &self.sketch.n())
             .finish()
+    }
+}
+
+impl<T: Ord + Clone + Send + Sync + 'static> QuantilesGlobal<T> {
+    /// Wraps a sequential sketch (empty, or warmed by the caller);
+    /// sibling shards draw their oracles from `oracle_seed`.
+    pub fn new(sketch: QuantilesSketch<T>, oracle_seed: u64) -> Self {
+        let mut sorted_base = sketch.base_buffer().to_vec();
+        sorted_base.sort_unstable();
+        QuantilesGlobal {
+            sketch,
+            sorted_base,
+            oracle_seed,
+            shards_spawned: Cell::new(0),
+        }
+    }
+
+    /// One sequential update, mirrored: the item takes its sorted place
+    /// in the mirror, and a compaction (the base buffer came back empty)
+    /// empties the mirror with it.
+    fn ingest(&mut self, item: T) {
+        let at = self.sorted_base.partition_point(|x| *x <= item);
+        self.sorted_base.insert(at, item.clone());
+        self.sketch.update(item);
+        if self.sketch.base_buffer().is_empty() {
+            self.sorted_base.clear();
+        }
     }
 }
 
@@ -108,7 +141,8 @@ impl<T: Ord + Clone + Send + 'static> LocalSketch for QuantilesLocal<T> {
 /// snapshot plus a monotone *publication version*.
 ///
 /// The ladder is what the propagator can afford to publish per merge
-/// (O(levels) `Arc` clones); the version is what makes the engine-level
+/// (a copy of its sorted base mirror and one pointer clone for all the
+/// levels); the version is what makes the engine-level
 /// flat-reader cache cheap and correct: a query compares the shards'
 /// versions against the cached merge's key and re-flattens the ladders
 /// only when some shard actually republished — instead of on every call.
@@ -151,16 +185,19 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
 
     fn merge(&mut self, local: &mut QuantilesLocal<T>) {
         for item in local.items.drain(..) {
-            self.sketch.update(item);
+            self.ingest(item);
         }
     }
 
     fn update_direct(&mut self, item: T) {
-        self.sketch.update(item);
+        self.ingest(item);
     }
 
     fn publish(&self, view: &Self::View) {
-        view.ladder.store(self.sketch.ladder());
+        let ladder = self
+            .sketch
+            .ladder_with_sorted_base(self.sorted_base.clone());
+        view.ladder.store(ladder);
         view.version.fetch_add(1, Ordering::Release);
     }
 
@@ -185,20 +222,17 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
         // seed (splitmix64 constant) so sibling compaction coin flips are
         // not correlated.
         let shard_seed = self.oracle_seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        QuantilesGlobal {
-            sketch: QuantilesSketch::new(self.sketch.k(), DeterministicOracle::new(shard_seed))
-                .expect("shard parameters were already validated"),
-            oracle_seed: self.oracle_seed,
-            shards_spawned: Cell::new(0),
-        }
+        let sketch = QuantilesSketch::new(self.sketch.k(), DeterministicOracle::new(shard_seed))
+            .expect("shard parameters were already validated");
+        QuantilesGlobal::new(sketch, self.oracle_seed)
     }
 
     /// Nothing to set up for sharded publication: the persistent level
     /// ladder *is* the copy-on-write mirror (unlike Θ, whose
     /// [`prepare_sharded`](GlobalSketch::prepare_sharded) enables a
     /// separate block mirror), so single- and multi-shard deployments
-    /// publish through the same O(levels) path and `publish_sharded`
-    /// keeps its `publish` default.
+    /// publish through the same path and `publish_sharded` keeps its
+    /// `publish` default.
     fn prepare_sharded(&mut self) {}
 
     fn calc_hint(&self) {}
@@ -214,11 +248,8 @@ impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
     const DEFAULT_ACCURACY: usize = 128;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        let global = QuantilesGlobal {
-            sketch: QuantilesSketch::new(accuracy, DeterministicOracle::new(seed))?,
-            oracle_seed: seed,
-            shards_spawned: Cell::new(0),
-        };
+        let sketch = QuantilesSketch::new(accuracy, DeterministicOracle::new(seed))?;
+        let global = QuantilesGlobal::new(sketch, seed);
         let inner = ConcurrentSketch::start(global, config)?;
         Ok(ConcurrentQuantilesSketch {
             inner,
@@ -764,5 +795,58 @@ mod tests {
         s.quiesce();
         let med = s.quantile(0.5).unwrap().0;
         assert!((med - 5_000.0).abs() < 1_000.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The sorted mirror is the base buffer, sorted: after every
+        /// merge (and every eager update) the published ladder's
+        /// weight-1 run equals the sketch's sorted base buffer, and `n`,
+        /// the extrema and the quantiles equal those of a sequential
+        /// sketch fed the same items — across many compactions
+        /// (`2k = 16`), with duplicates, for `b` ∈ {1, 16}.
+        #[test]
+        fn published_ladder_tracks_the_sequential_sketch(
+            wide in proptest::prelude::any::<bool>(),
+            eager in 0usize..20,
+            items in proptest::collection::vec(0u64..40, 60..400),
+        ) {
+            let b = if wide { 16 } else { 1 };
+            let mut g = QuantilesGlobal::new(QuantilesSketch::with_seed(8, 5).unwrap(), 5);
+            let mut reference = QuantilesSketch::<u64>::with_seed(8, 5).unwrap();
+            let view = g.new_view();
+            let mut local = g.new_local();
+            let (head, tail) = items.split_at(eager);
+            let steps = head.chunks(1).map(|c| (c, true)).chain(tail.chunks(b).map(|c| (c, false)));
+            for (chunk, direct) in steps {
+                for &item in chunk {
+                    reference.update(item);
+                    if direct {
+                        g.update_direct(item);
+                    } else {
+                        local.update(item);
+                    }
+                }
+                g.merge(&mut local);
+                g.publish(&view);
+                let ladder = view.ladder();
+                let base_run: Vec<u64> = ladder
+                    .iter_weighted()
+                    .filter(|&(_, weight)| weight == 1)
+                    .map(|(item, _)| *item)
+                    .collect();
+                let mut sorted_base = g.sketch.base_buffer().to_vec();
+                sorted_base.sort_unstable();
+                proptest::prop_assert_eq!(&base_run, &sorted_base);
+                proptest::prop_assert_eq!(ladder.n(), reference.n());
+                proptest::prop_assert_eq!(ladder.min_item(), reference.min_item());
+                proptest::prop_assert_eq!(ladder.max_item(), reference.max_item());
+                for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
+                    proptest::prop_assert_eq!(ladder.quantile(phi), reference.quantile(phi));
+                }
+            }
+            proptest::prop_assert!(reference.n() >= 3 * 16, "fewer than three compactions");
+        }
     }
 }

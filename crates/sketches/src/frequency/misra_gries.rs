@@ -127,6 +127,13 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
         self.counters.iter().map(|(item, &c)| (item, c))
     }
 
+    /// The retained counter table itself, read-only — for callers that
+    /// publish a copy of it (cloning a table of `Copy` keys copies its
+    /// buckets without re-hashing).
+    pub fn counter_table(&self) -> &HashMap<T, u64> {
+        &self.counters
+    }
+
     /// Maximum number of counters.
     pub fn k(&self) -> usize {
         self.k

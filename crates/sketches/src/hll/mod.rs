@@ -10,6 +10,14 @@
 //! Registers are plain `u8` values; merging is register-wise max, which is
 //! exactly the commutative, idempotent merge the composable-sketch
 //! interface needs.
+//!
+//! Beside the registers the sketch keeps their *value histogram*
+//! (`counts[v]` = number of registers equal to `v`), updated wherever a
+//! register changes. The estimator needs nothing else — Σ 2^(−register)
+//! is Σ `counts[v]`·2^(−v) and the linear-counting zeros are `counts[0]`
+//! — so [`HllSketch::estimate`], [`HllSketch::is_empty`] and
+//! [`HllSketch::min_register`] cost O(1) in `m`, which is what the
+//! concurrent engine's per-merge publication relies on.
 
 use crate::error::{Result, SketchError};
 use crate::hash::Hashable;
@@ -20,6 +28,14 @@ mod wire;
 pub const MIN_LG_M: u8 = 4;
 /// Maximum `lg_m` (2²¹ registers = 2 MiB of state).
 pub const MAX_LG_M: u8 = 21;
+
+/// Slots in a register-value histogram: ranks run `0..=64 − lg_m + 1`,
+/// at most 61 at [`MIN_LG_M`].
+const RANK_SLOTS: usize = 66;
+
+/// `counts[v]` = number of registers holding rank `v` (`m ≤ 2²¹` fits a
+/// `u32`).
+type RankCounts = [u32; RANK_SLOTS];
 
 /// HyperLogLog sketch with `m = 2^lg_m` one-byte registers.
 ///
@@ -40,6 +56,9 @@ pub struct HllSketch {
     lg_m: u8,
     seed: u64,
     registers: Vec<u8>,
+    /// Value histogram of `registers` — a function of them, so the
+    /// derived equality stays register equality.
+    counts: RankCounts,
 }
 
 impl HllSketch {
@@ -57,10 +76,13 @@ impl HllSketch {
                 format!("must be in {MIN_LG_M}..={MAX_LG_M}, got {lg_m}"),
             ));
         }
+        let mut counts = [0; RANK_SLOTS];
+        counts[0] = 1 << lg_m;
         Ok(HllSketch {
             lg_m,
             seed,
             registers: vec![0; 1 << lg_m],
+            counts,
         })
     }
 
@@ -84,9 +106,22 @@ impl HllSketch {
         &self.registers
     }
 
-    /// Mutable register access for deserialisation (crate-internal).
-    pub(crate) fn registers_mut(&mut self) -> &mut [u8] {
-        &mut self.registers
+    /// Overwrites every register from `src` (already validated against
+    /// the maximum rank) and recounts the histogram — crate-internal, for
+    /// wire decode and the fan-in's `to_sketch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != m`.
+    pub(crate) fn load_registers(&mut self, src: &[u8]) {
+        self.registers.copy_from_slice(src);
+        self.counts = count_ranks(src);
+    }
+
+    /// The smallest register value — the common floor below which no
+    /// update can change the sketch. O(1) in `m`.
+    pub fn min_register(&self) -> u8 {
+        self.counts.iter().position(|&c| c != 0).unwrap_or(0) as u8
     }
 
     /// Processes one stream item.
@@ -106,8 +141,11 @@ impl HllSketch {
         } else {
             tail.leading_zeros() + 1
         } as u8;
-        if rho > self.registers[idx] {
+        let old = self.registers[idx];
+        if rho > old {
             self.registers[idx] = rho;
+            self.counts[old as usize] -= 1;
+            self.counts[rho as usize] += 1;
             true
         } else {
             false
@@ -117,7 +155,7 @@ impl HllSketch {
     /// Distinct-count estimate: the HLL harmonic-mean estimator with the
     /// linear-counting correction for small cardinalities.
     pub fn estimate(&self) -> f64 {
-        estimate_from_registers(&self.registers)
+        estimate_from_counts(&self.counts)
     }
 
     /// Merges another HLL sketch into this one (register-wise max).
@@ -143,17 +181,20 @@ impl HllSketch {
                 *a = b;
             }
         }
+        self.counts = count_ranks(&self.registers);
         Ok(())
     }
 
     /// Resets all registers to zero.
     pub fn clear(&mut self) {
         self.registers.iter_mut().for_each(|r| *r = 0);
+        self.counts = [0; RANK_SLOTS];
+        self.counts[0] = self.m() as u32;
     }
 
     /// Returns `true` if no item has ever been retained.
     pub fn is_empty(&self) -> bool {
-        self.registers.iter().all(|&r| r == 0)
+        self.counts[0] as usize == self.m()
     }
 
     /// The theoretical relative standard error of HLL: `1.04/√m`.
@@ -166,18 +207,45 @@ impl HllSketch {
 /// computed over a bare register array (`m = registers.len()`, which must
 /// be a power of two). This is `HllSketch::estimate` without the sketch:
 /// the wire fan-in kernel estimates straight off its borrowed
-/// accumulator, never materialising an owned sketch.
+/// accumulator, never materialising an owned sketch. One integer pass
+/// builds the value histogram; the floating-point work is
+/// `estimate_from_counts`, the same function the sketch calls, so the
+/// two agree bit for bit.
 pub fn estimate_from_registers(registers: &[u8]) -> f64 {
-    let m = registers.len() as f64;
-    let alpha = match registers.len() {
+    estimate_from_counts(&count_ranks(registers))
+}
+
+/// The value histogram of a register array. A byte above every valid
+/// rank lands in the last slot: decode rejects such arrays, this only
+/// keeps the function total.
+fn count_ranks(registers: &[u8]) -> RankCounts {
+    let mut counts = [0; RANK_SLOTS];
+    for &r in registers {
+        counts[(r as usize).min(RANK_SLOTS - 1)] += 1;
+    }
+    counts
+}
+
+/// The one estimator: every HLL estimate in the workspace ends here, in
+/// this summation order.
+fn estimate_from_counts(counts: &RankCounts) -> f64 {
+    let registers: u32 = counts.iter().sum();
+    let m = registers as f64;
+    let alpha = match registers {
         16 => 0.673,
         32 => 0.697,
         64 => 0.709,
-        m => 0.7213 / (1.0 + 1.079 / m as f64),
+        _ => 0.7213 / (1.0 + 1.079 / m),
     };
-    let sum: f64 = registers.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
+    // Σ counts[v]·2^(−v); halving is exact, so `scale` is exactly 2^(−v).
+    let mut sum = 0.0;
+    let mut scale = 1.0;
+    for &c in counts {
+        sum += c as f64 * scale;
+        scale *= 0.5;
+    }
     let raw = alpha * m * m / sum;
-    let zeros = registers.iter().filter(|&&r| r == 0).count();
+    let zeros = counts[0];
     if raw <= 2.5 * m && zeros > 0 {
         // Linear counting is more accurate in the small range.
         m * (m / zeros as f64).ln()
@@ -296,5 +364,60 @@ mod tests {
         let mut h = HllSketch::new(4, 0).unwrap();
         assert!(h.update_hash(0));
         assert_eq!(h.registers()[0], 61); // 64-4+1
+    }
+
+    /// The histogram's definition, and the O(1) readers against theirs.
+    fn assert_histogram_current(h: &HllSketch) {
+        assert_eq!(h.counts, count_ranks(h.registers()));
+        assert_eq!(
+            h.estimate().to_bits(),
+            estimate_from_registers(h.registers()).to_bits()
+        );
+        assert_eq!(h.min_register(), *h.registers().iter().min().unwrap());
+        assert_eq!(h.is_empty(), h.registers().iter().all(|&r| r == 0));
+    }
+
+    fn burst(seed: u64, n: u64) -> impl Iterator<Item = u64> {
+        (0..n).map(move |i| (seed ^ i).hash_with_seed(seed))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Whatever interleaving of register-changing operations ran —
+        /// updates, merges, clears, a wire round trip, the fan-in's
+        /// `to_sketch` — the histogram equals a fresh count of the
+        /// registers and the estimate equals the bare-array estimator
+        /// bit for bit.
+        #[test]
+        fn histogram_tracks_registers(
+            wide in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..16, proptest::prelude::any::<u64>()), 1..120),
+        ) {
+            let lg_m = if wide { 12 } else { 4 };
+            let mut h = HllSketch::new(lg_m, 3).unwrap();
+            for (op, word) in ops {
+                let mut other = HllSketch::new(lg_m, 3).unwrap();
+                burst(word, 1 + word % 300).for_each(|x| { other.update_hash(x); });
+                match op {
+                    0 => h.clear(),
+                    1 | 2 => h.merge(&other).unwrap(),
+                    3 => {
+                        let back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+                        proptest::prop_assert_eq!(&back, &h);
+                        h = back;
+                    }
+                    4 => {
+                        let images = [h.to_bytes(), other.to_bytes()];
+                        let folded = crate::wire::hll_multiway_merge(&images).unwrap();
+                        h.merge(&other).unwrap();
+                        proptest::prop_assert_eq!(&folded, &h);
+                        h = folded;
+                    }
+                    _ => burst(!word, 1 + word % 64).for_each(|x| { h.update_hash(x); }),
+                }
+                assert_histogram_current(&h);
+            }
+        }
     }
 }

@@ -6,9 +6,13 @@
 //! breaks the paper's O(b)-amortised propagation bound exactly the way
 //! the pre-block Θ image copy did. [`QuantilesLadder`] removes that cost:
 //! the sketch keeps every compaction level as an immutable `Arc`'d sorted
-//! run, so taking a ladder snapshot is one `Arc` clone per level plus a
-//! sort of the (≤ 2k, parameter-bounded) base buffer — independent of how
-//! many levels the stream has accumulated. The expensive flattening into
+//! run and the list of those runs behind one more `Arc`, rebuilt only
+//! after a compaction, so a ladder snapshot is one pointer clone for all
+//! the levels plus the sorted (≤ 2k, parameter-bounded) base run —
+//! independent of how many levels the stream has accumulated. (The
+//! engine hands the base in already sorted;
+//! [`QuantilesSketch::ladder`](super::QuantilesSketch::ladder) sorts a
+//! copy.) The expensive flattening into
 //! a [`QuantilesReader`](super::QuantilesReader) moves to the query side,
 //! where the engine memoises it per publication version: it runs once per
 //! *republication observed by a query*, not once per merge.
@@ -29,11 +33,34 @@ struct LadderRun<T> {
     weight: u64,
 }
 
+/// The non-empty compaction levels of a sketch in ladder form, shared by
+/// every snapshot taken between two compactions.
+#[derive(Debug, Clone)]
+pub(super) struct LevelRuns<T>(Arc<Vec<LadderRun<T>>>);
+
+impl<T> LevelRuns<T> {
+    /// `levels[i]` is the sketch's level-`i` run (weight `2^(i+1)`);
+    /// empty levels are skipped.
+    pub(super) fn new(levels: &[Arc<Vec<T>>]) -> Self {
+        let runs = levels
+            .iter()
+            .enumerate()
+            .filter(|(_, items)| !items.is_empty());
+        LevelRuns(Arc::new(
+            runs.map(|(level, items)| LadderRun {
+                items: Arc::clone(items),
+                weight: 1u64 << (level + 1),
+            })
+            .collect(),
+        ))
+    }
+}
+
 /// An immutable point-in-time snapshot of a Quantiles sketch's level
 /// ladder: one sorted weight-1 run for the base buffer plus one sorted
 /// run per non-empty compaction level (weight `2^(level+1)`).
 ///
-/// Cheap to take (`Arc` clone per level — the runs are shared with the
+/// Cheap to take (the level runs and their list are shared with the
 /// sketch, copy-on-write) and cheap to clone; later sketch mutations
 /// replace whole runs and are never observed by an outstanding ladder.
 ///
@@ -46,17 +73,19 @@ struct LadderRun<T> {
 /// for i in 0..100_000u64 {
 ///     q.update(i);
 /// }
-/// let ladder = q.ladder(); // O(levels), not O(retained·log retained)
+/// let ladder = q.ladder(); // O(k log k), not O(retained·log retained)
 /// let median = ladder.quantile(0.5).unwrap();
 /// assert!((median as f64 - 50_000.0).abs() < 10_000.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantilesLadder<T: Ord + Clone> {
-    /// Non-empty sorted runs. Snapshots of one sketch hold them in
-    /// ascending weight (base first); ladders produced by
-    /// [`Self::concat`] may interleave weights — no query depends on
-    /// run order.
-    runs: Vec<LadderRun<T>>,
+    /// The sorted weight-1 run of a sketch's base buffer (may be empty).
+    base: Arc<Vec<T>>,
+    /// Non-empty sorted runs behind one shared pointer. Snapshots of one
+    /// sketch hold its levels in ascending weight; ladders produced by
+    /// [`Self::concat`] or decoded off the wire may interleave weights
+    /// (weight 1 included) — no query depends on run order.
+    levels: Arc<Vec<LadderRun<T>>>,
     n: u64,
     min_item: Option<T>,
     max_item: Option<T>,
@@ -65,7 +94,8 @@ pub struct QuantilesLadder<T: Ord + Clone> {
 impl<T: Ord + Clone> Default for QuantilesLadder<T> {
     fn default() -> Self {
         QuantilesLadder {
-            runs: Vec::new(),
+            base: Arc::default(),
+            levels: Arc::default(),
             n: 0,
             min_item: None,
             max_item: None,
@@ -79,35 +109,19 @@ impl<T: Ord + Clone> QuantilesLadder<T> {
         Self::default()
     }
 
-    /// Assembles a ladder from its parts (crate-internal; the sketch is
-    /// the only producer). `base` must be sorted; `levels[i]` holds the
-    /// (sorted) level-`i` run, empty levels skipped by the caller passing
-    /// an empty `Vec` behind the `Arc`.
-    pub(crate) fn from_parts(
+    /// Assembles a ladder from its parts (the sketch is the only
+    /// producer). `base` must be sorted.
+    pub(super) fn from_parts(
         base: Vec<T>,
-        levels: &[Arc<Vec<T>>],
+        levels: &LevelRuns<T>,
         n: u64,
         min_item: Option<T>,
         max_item: Option<T>,
     ) -> Self {
         debug_assert!(base.windows(2).all(|w| w[0] <= w[1]), "base must be sorted");
-        let mut runs = Vec::with_capacity(levels.len() + 1);
-        if !base.is_empty() {
-            runs.push(LadderRun {
-                items: Arc::new(base),
-                weight: 1,
-            });
-        }
-        for (level, items) in levels.iter().enumerate() {
-            if !items.is_empty() {
-                runs.push(LadderRun {
-                    items: Arc::clone(items),
-                    weight: 1u64 << (level + 1),
-                });
-            }
-        }
         QuantilesLadder {
-            runs,
+            base: Arc::new(base),
+            levels: Arc::clone(&levels.0),
             n,
             min_item,
             max_item,
@@ -124,23 +138,27 @@ impl<T: Ord + Clone> QuantilesLadder<T> {
         max_item: Option<T>,
     ) -> Self {
         QuantilesLadder {
-            runs: runs
-                .into_iter()
-                .map(|(items, weight)| LadderRun {
-                    items: Arc::new(items),
-                    weight,
-                })
-                .collect(),
+            base: Arc::default(),
+            levels: Arc::new(
+                runs.into_iter()
+                    .map(|(items, weight)| LadderRun {
+                        items: Arc::new(items),
+                        weight,
+                    })
+                    .collect(),
+            ),
             n,
             min_item,
             max_item,
         }
     }
 
-    /// Iterates the sorted runs as `(items, weight)` pairs in stored
-    /// order (crate-internal; the wire codec is the only consumer).
-    pub(crate) fn wire_runs(&self) -> impl Iterator<Item = (&[T], u64)> {
-        self.runs.iter().map(|r| (r.items.as_slice(), r.weight))
+    /// Iterates the non-empty sorted runs as `(items, weight)` pairs,
+    /// base first, then in stored order (what the wire codec writes).
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (&[T], u64)> {
+        let base = (!self.base.is_empty()).then(|| (self.base.as_slice(), 1));
+        let levels = self.levels.iter().map(|r| (r.items.as_slice(), r.weight));
+        base.into_iter().chain(levels)
     }
 
     /// Merges another ladder into this one by run-list concatenation:
@@ -150,7 +168,14 @@ impl<T: Ord + Clone> QuantilesLadder<T> {
     /// single sketch's ladder. This is the Quantiles merge of the
     /// wire tier ([`crate::wire::WireMerge`]).
     pub fn concat(&mut self, other: &Self) {
-        self.runs.extend(other.runs.iter().cloned());
+        let runs = Arc::make_mut(&mut self.levels);
+        if !other.base.is_empty() {
+            runs.push(LadderRun {
+                items: Arc::clone(&other.base),
+                weight: 1,
+            });
+        }
+        runs.extend(other.levels.iter().cloned());
         self.n += other.n;
         if let Some(om) = &other.min_item {
             if self.min_item.as_ref().is_none_or(|m| om < m) {
@@ -176,12 +201,12 @@ impl<T: Ord + Clone> QuantilesLadder<T> {
 
     /// Number of sorted runs (non-empty levels plus the base run).
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.runs().count()
     }
 
     /// Number of retained samples across all runs.
     pub fn retained(&self) -> usize {
-        self.runs.iter().map(|r| r.items.len()).sum()
+        self.runs().map(|(items, _)| items.len()).sum()
     }
 
     /// The exact minimum item of the summarised stream, if any.
@@ -231,9 +256,8 @@ impl<T: Ord + Clone> QuantilesLadder<T> {
             return 0.0;
         }
         let below: u64 = self
-            .runs
-            .iter()
-            .map(|r| r.items.partition_point(|v| v < item) as u64 * r.weight)
+            .runs()
+            .map(|(items, weight)| items.partition_point(|v| v < item) as u64 * weight)
             .sum();
         below as f64 / self.n as f64
     }
@@ -286,14 +310,14 @@ impl<'a, T: Ord + Clone> WeightedMerge<'a, T> {
         let mut heap = BinaryHeap::new();
         let mut run_id = 0usize;
         for ladder in ladders {
-            for run in &ladder.runs {
-                if let Some(first) = run.items.first() {
+            for (items, weight) in ladder.runs() {
+                if let Some(first) = items.first() {
                     heap.push(Reverse(MergeCursor {
                         item: first,
                         run: run_id,
                         pos: 0,
-                        items: &run.items,
-                        weight: run.weight,
+                        items,
+                        weight,
                     }));
                 }
                 run_id += 1;
@@ -409,20 +433,27 @@ mod tests {
 
     #[test]
     fn snapshot_shares_level_runs() {
-        // Taking a ladder is O(levels) Arc clones: a second snapshot of
-        // an unchanged sketch shares every level allocation.
-        let q = filled(32, 2, 100_000);
+        // Taking a ladder clones one pointer for all the levels: a
+        // second snapshot of an unchanged sketch shares the run list
+        // (and so every level allocation); only the base run (weight 1)
+        // is rebuilt per snapshot.
+        let mut q = filled(32, 2, 100_000);
         let a = q.ladder();
         let b = q.ladder();
         assert!(a.run_count() >= 3, "stream should span several levels");
-        // Base runs (weight 1) are rebuilt per snapshot; all level runs
-        // must be pointer-identical.
-        for (ra, rb) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(ra.weight, rb.weight);
-            if ra.weight > 1 {
-                assert!(Arc::ptr_eq(&ra.items, &rb.items), "level run was copied");
-            }
+        assert!(Arc::ptr_eq(&a.levels, &b.levels), "level list was copied");
+        // A compaction replaces the list but shares the untouched runs.
+        let frozen = a.levels.last().unwrap();
+        for i in 0..64u64 {
+            q.update(i);
         }
+        let c = q.ladder();
+        assert!(!Arc::ptr_eq(&a.levels, &c.levels), "stale level list");
+        let still = c.levels.iter().find(|r| r.weight == frozen.weight).unwrap();
+        assert!(
+            Arc::ptr_eq(&frozen.items, &still.items),
+            "level run was copied"
+        );
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //! flips are the randomness that §4's de-randomisation oracle captures
 //! ("In the Quantiles sketch, a coin flip is provided with every update").
 //!
-//! The levels are stored as immutable `Arc`'d runs, so
-//! [`QuantilesSketch::ladder`] yields a persistent copy-on-write
-//! [`QuantilesLadder`] snapshot in O(levels) — the publication primitive
-//! the concurrent engine uses on its propagation path.
+//! The levels are stored as immutable `Arc`'d runs and their list behind
+//! one more `Arc`, so a persistent copy-on-write [`QuantilesLadder`]
+//! snapshot costs a sorted copy of the base buffer and one pointer clone
+//! ([`QuantilesSketch::ladder`]; no sort either when the caller keeps the
+//! base sorted, [`QuantilesSketch::ladder_with_sorted_base`]) — the
+//! publication primitive the concurrent engine uses on its propagation
+//! path.
 
 mod ladder;
 mod sketch;

@@ -1,10 +1,10 @@
 //! The classic mergeable Quantiles sketch implementation.
 
-use super::ladder::{QuantilesLadder, WeightedMerge};
+use super::ladder::{LevelRuns, QuantilesLadder, WeightedMerge};
 use crate::error::{Result, SketchError};
 use crate::oracle::{DeterministicOracle, Oracle};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Sequential mergeable Quantiles sketch (Agarwal et al., PODS 2012).
 ///
@@ -33,9 +33,11 @@ pub struct QuantilesSketch<T: Ord + Clone> {
     /// of weight `2^(i+1)` (one full base buffer of `2k` weight-1 items
     /// compacts into `k` items of weight 2 at level 0). Each run is
     /// immutable behind an `Arc`: compaction *replaces* runs, never edits
-    /// them, so a [`QuantilesLadder`] snapshot shares them copy-on-write
-    /// and [`Self::ladder`] is O(levels), not O(retained).
+    /// them, so a [`QuantilesLadder`] snapshot shares them copy-on-write.
     levels: Vec<Arc<Vec<T>>>,
+    /// `levels` in ladder form, built by the first snapshot after a
+    /// compaction and shared by every snapshot until the next one.
+    level_runs: OnceLock<LevelRuns<T>>,
     /// Exact extrema (compaction can drop them from the buffers).
     min_item: Option<T>,
     max_item: Option<T>,
@@ -82,6 +84,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
             // buffer still grows to the full 2k on demand.
             base_buffer: Vec::with_capacity(k.saturating_mul(2).min(1 << 16)),
             levels: Vec::new(),
+            level_runs: OnceLock::new(),
             min_item: None,
             max_item: None,
             oracle: Box::new(oracle),
@@ -107,6 +110,12 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// Returns `true` if no items have been processed.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// The weight-1 items not yet compacted, in arrival order (fewer
+    /// than `2k`).
+    pub fn base_buffer(&self) -> &[T] {
+        &self.base_buffer
     }
 
     /// The exact minimum item seen, if any.
@@ -160,6 +169,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// visited at all.
     fn promote(&mut self, mut carry: Vec<T>, mut level: usize) {
         debug_assert_eq!(carry.len(), self.k);
+        self.level_runs.take();
         loop {
             if self.levels.len() <= level {
                 self.levels.resize_with(level + 1, || Arc::new(Vec::new()));
@@ -236,6 +246,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
         self.n = 0;
         self.base_buffer.clear();
         self.levels.clear();
+        self.level_runs.take();
         self.min_item = None;
         self.max_item = None;
     }
@@ -343,7 +354,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// O(retained · log retained) full rebuild. Kept as the
     /// [`Self::reader`] implementation (and as the baseline the
     /// `quantiles_prop` bench compares the ladder against); the
-    /// propagation path uses [`Self::ladder`] instead.
+    /// propagation path uses [`Self::ladder_with_sorted_base`] instead.
     fn weighted_items(&self) -> Vec<(T, u64)> {
         let mut out: Vec<(T, u64)> = Vec::new();
         let mut bb = self.base_buffer.clone();
@@ -370,20 +381,37 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
         }
     }
 
-    /// Takes a persistent copy-on-write snapshot of the level ladder:
-    /// one `Arc` clone per non-empty level plus a sort of the (≤ 2k,
-    /// parameter-bounded) base buffer. Unlike [`Self::reader`] the cost
-    /// is independent of how many levels the stream has accumulated,
-    /// which is what keeps the concurrent engine's per-merge publication
-    /// O(b + k log k) amortised instead of O(retained · log retained).
+    /// Takes a persistent copy-on-write snapshot of the level ladder: a
+    /// sorted copy of the (≤ 2k, parameter-bounded) base buffer plus one
+    /// shared pointer to the level runs. Unlike [`Self::reader`] the cost
+    /// is independent of how many levels the stream has accumulated. A
+    /// caller that already holds the base buffer in sorted order — the
+    /// concurrent engine's propagator, once per merge — skips the sort
+    /// with [`Self::ladder_with_sorted_base`].
     pub fn ladder(&self) -> QuantilesLadder<T> {
         let mut base = self.base_buffer.clone();
-        // Unstable sort: duplicates are indistinguishable, and this runs
-        // on the per-merge publication path.
+        // Unstable sort: duplicates are indistinguishable.
         base.sort_unstable();
+        self.ladder_with_sorted_base(base)
+    }
+
+    /// [`Self::ladder`] for a caller that maintains `sorted_base`, the
+    /// base buffer's items in ascending order, itself: no sort and no
+    /// per-level work, just the hand-over of `sorted_base` and a pointer
+    /// clone (the level-run list is rebuilt, O(levels), only by the
+    /// first snapshot after a compaction).
+    pub fn ladder_with_sorted_base(&self, sorted_base: Vec<T>) -> QuantilesLadder<T> {
+        debug_assert!(
+            {
+                let mut expect = self.base_buffer.clone();
+                expect.sort_unstable();
+                expect == sorted_base
+            },
+            "sorted_base must hold the base buffer's items in order"
+        );
         QuantilesLadder::from_parts(
-            base,
-            &self.levels,
+            sorted_base,
+            self.level_runs.get_or_init(|| LevelRuns::new(&self.levels)),
             self.n,
             self.min_item.clone(),
             self.max_item.clone(),

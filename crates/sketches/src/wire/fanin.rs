@@ -227,7 +227,7 @@ impl<'s> HllFanin<'s> {
     pub fn to_sketch(&self) -> Result<HllSketch, WireError> {
         let mut sketch = HllSketch::new(self.lg_m, self.seed)
             .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
-        sketch.registers_mut().copy_from_slice(self.registers);
+        sketch.load_registers(self.registers);
         Ok(sketch)
     }
 }

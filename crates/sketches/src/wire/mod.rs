@@ -781,19 +781,10 @@ impl WireDecode for HllSketch {
                 ),
             ));
         }
-        let max_rho = 64 - lg_m + 1;
+        view::validate_registers(lg_m, payload)?;
         let mut sketch = HllSketch::new(lg_m, seed)
             .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
-        for slot in sketch.registers_mut().iter_mut() {
-            let r = payload.get_u8();
-            if r > max_rho {
-                return Err(WireError::invariant(
-                    "hll registers",
-                    format!("register value {r} exceeds max rank {max_rho}"),
-                ));
-            }
-            *slot = r;
-        }
+        sketch.load_registers(payload);
         Ok(sketch)
     }
 }
@@ -832,7 +823,7 @@ impl<T: Ord + Clone + WireItem> WireSketch for QuantilesLadder<T> {
 ///
 /// This serialises the engine's copy-on-write ladder snapshot *without
 /// flattening*: each `Arc`'d sorted run streams out as-is, preserving
-/// the O(levels) snapshot cost on the export path.
+/// the retained-independent snapshot cost on the export path.
 impl<T: Ord + Clone + WireItem> WireEncode for QuantilesLadder<T> {
     fn wire_item_width(&self) -> u8 {
         T::WIDTH as u8
@@ -846,7 +837,7 @@ impl<T: Ord + Clone + WireItem> WireEncode for QuantilesLadder<T> {
             min.write_to(buf);
             max.write_to(buf);
         }
-        for (items, weight) in self.wire_runs() {
+        for (items, weight) in self.runs() {
             buf.put_u64_le(weight);
             buf.put_u64_le(items.len() as u64);
             for item in items {

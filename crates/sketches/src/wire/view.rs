@@ -923,7 +923,7 @@ mod tests {
             .map(|r| (r.items().collect(), r.weight()))
             .collect();
         let decoded_runs: Vec<(Vec<u64>, u64)> = decoded
-            .wire_runs()
+            .runs()
             .map(|(items, w)| (items.to_vec(), w))
             .collect();
         assert_eq!(view_runs, decoded_runs);

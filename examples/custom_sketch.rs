@@ -13,6 +13,13 @@
 //!   stale hint is always safe — this is the property §5.1's Θ argument
 //!   relies on, reproduced in miniature.
 //!
+//! `merge`, `publish` and `calc_hint` run once per hand-off on the serial
+//! propagation path, so they follow [`GlobalSketch`]'s cost contract:
+//! O(b) amortised, nothing proportional to the sketch. Here that is
+//! trivially true — the whole state is one `Option<u64>` — but a sketch
+//! with real state has to keep whatever it publishes current during the
+//! merge instead of recomputing it at publication.
+//!
 //! ```sh
 //! cargo run --release --example custom_sketch
 //! ```
