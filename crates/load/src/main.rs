@@ -21,9 +21,9 @@
 use fcds_bench::report::{HarnessArgs, Table};
 use fcds_load::report::{gates, render_json};
 use fcds_load::{
-    run_crash_drill, run_multistream, run_scenario, run_sync_drill, CrashDrillConfig,
-    CrashDrillReport, ErrorTaxonomy, LoadConfig, MultiStreamConfig, MultiStreamReport,
-    ScenarioReport, SyncReport, FAMILIES, MULTISTREAM_STREAMS,
+    confine_to_one_processor, run_crash_drill, run_multistream, run_scenario, run_sync_drill,
+    CrashDrillConfig, CrashDrillReport, ErrorTaxonomy, LoadConfig, MultiStreamConfig,
+    MultiStreamReport, ScenarioReport, SyncReport, FAMILIES, MULTISTREAM_STREAMS,
 };
 use fcds_server::{serve, ServerConfig};
 use std::time::Duration;
@@ -44,21 +44,34 @@ fn main() {
     let ms_cfg = MultiStreamConfig::default();
     let crash_cfg = CrashDrillConfig::default();
 
-    // In-process server unless the caller points at a running one.
-    let (server, addr) = match args.get("addr") {
-        Some(a) => (None, a.parse().expect("--addr must be HOST:PORT")),
-        None => {
-            let handle = serve(ServerConfig::default()).expect("start in-process server");
-            let addr = handle.local_addr();
-            (Some(handle), addr)
-        }
-    };
-
-    println!(
-        "fault scenario: {}-item batches through the fault proxy, target {addr}",
-        cfg.batch_size
-    );
-    let report = run_scenario(addr, &cfg).expect("run scenario");
+    // The fault scenario, and the in-process server it targets unless
+    // the caller points at a running one, run on one confined thread:
+    // threads inherit their spawner's mask, so the server's threads,
+    // the proxy and the writers all share one processor. The other
+    // drills (and the crash drill's child process) stay unconfined.
+    let external = args
+        .get("addr")
+        .map(|a| a.parse().expect("--addr must be HOST:PORT"));
+    let (server, report) = std::thread::scope(|s| {
+        s.spawn(|| {
+            confine_to_one_processor();
+            let (server, addr) = match external {
+                Some(addr) => (None, addr),
+                None => {
+                    let handle = serve(ServerConfig::default()).expect("start in-process server");
+                    let addr = handle.local_addr();
+                    (Some(handle), addr)
+                }
+            };
+            println!(
+                "fault scenario: {}-item batches through the fault proxy, target {addr}",
+                cfg.batch_size
+            );
+            (server, run_scenario(addr, &cfg).expect("run scenario"))
+        })
+        .join()
+        .expect("scenario thread panicked")
+    });
     print_report(&report);
 
     println!(
@@ -94,8 +107,13 @@ fn main() {
     if let Some(handle) = server {
         let drain = handle.shutdown();
         println!(
-            "server drained: {} items, {} sheds, {} nacks, {} leaked threads",
-            drain.stats.ingest_items, drain.stats.sheds, drain.stats.nacks, drain.leaked_threads
+            "server drained: {} items, {} sheds, {} nacks, {} flush errors, {} ingest panics, {} leaked threads",
+            drain.stats.ingest_items,
+            drain.stats.sheds,
+            drain.stats.nacks,
+            drain.stats.flush_errors,
+            drain.stats.worker_panics,
+            drain.leaked_threads
         );
         assert_eq!(drain.leaked_threads, 0, "drain must join every thread");
     }

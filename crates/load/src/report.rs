@@ -65,8 +65,8 @@ pub fn gates(
             Max,
             RECOVERY_TIMEOUT.as_secs_f64() * 1e3,
         ),
-        // Per-stream workers, queues and breakers: one stream's dead
-        // worker can never shed another stream's traffic.
+        // One fault latch per stream: a stream whose ingest is latched
+        // shut can never shed another stream's traffic.
         gate("multistream_isolation", msr.isolation, Min, 1.0),
         gate(
             "multistream_typed_coverage",

@@ -19,41 +19,10 @@
 //! box, 5 of 10 right after both processors had been busy for a minute,
 //! 0 of 14 in that state once confined.
 
-use fcds_load::{run_scenario, FaultMode, LoadConfig, ScenarioReport};
+use fcds_load::{confine_to_one_processor, run_scenario, FaultMode, LoadConfig, ScenarioReport};
 use fcds_server::{serve, DrainReport, ServerConfig};
 use std::sync::OnceLock;
 use std::time::Duration;
-
-/// Confines the calling thread, and every thread spawned from it
-/// afterwards (server, proxy, writers), to the first processor it is
-/// allowed on. Best effort: on failure the scenario runs unconfined.
-#[cfg(target_os = "linux")]
-fn confine_to_one_processor() {
-    // The two libc calls std already links; room for 1024 processors,
-    // the size of glibc's `cpu_set_t`.
-    extern "C" {
-        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut allowed = [0u64; 16];
-    let bytes = std::mem::size_of_val(&allowed);
-    // SAFETY: `allowed` is a live, writable buffer of exactly `bytes`
-    // bytes; pid 0 names the calling thread.
-    if unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) } != 0 {
-        return;
-    }
-    let Some(word) = allowed.iter().position(|&w| w != 0) else {
-        return;
-    };
-    let mut first = [0u64; 16];
-    first[word] = 1 << allowed[word].trailing_zeros();
-    // SAFETY: `first` is a live buffer of exactly `bytes` bytes and is
-    // only read; pid 0 names the calling thread.
-    unsafe { sched_setaffinity(0, bytes, first.as_ptr()) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn confine_to_one_processor() {}
 
 /// The one scenario run, then the server's graceful drain.
 fn scenario() -> &'static (ScenarioReport, DrainReport) {
@@ -117,7 +86,7 @@ fn scenario_survives_every_fault_class_with_typed_errors_only() {
     // The server itself comes out clean: a graceful drain with no
     // leaked threads and no worker panics.
     assert_eq!(drain.leaked_threads, 0);
-    assert_eq!(drain.workers_panicked, 0);
+    assert_eq!(drain.stats.worker_panics, 0);
     assert_eq!(drain.stats.conn_panics, 0);
 }
 

@@ -2,20 +2,23 @@
 //! sized for a small host.
 
 use crate::persist::FsyncPolicy;
-use fcds_core::PropagationBackendKind;
 use std::time::Duration;
 
 /// Server configuration. `Default` is sized for a small host (the 1-CPU
-/// CI container): two ingest workers, 64-deep queues, 1 MiB frames.
+/// CI container): a default stream sized for two writers, 1 MiB frames.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; port 0 picks a free port (see
     /// [`ServerHandle::local_addr`](crate::ServerHandle::local_addr)).
     pub addr: String,
-    /// Number of ingest worker threads, each owning one engine writer.
+    /// The declared writer count `N` of the default stream: it sizes
+    /// that engine's buffer `b = 1/(N·e)` and starts no thread. The
+    /// connection threads are the writers, so the `N` of `r = 2Nb` is
+    /// however many connections hold a writer on the stream. Named
+    /// streams declare `N = 1`.
     pub ingest_workers: usize,
-    /// Bound of each worker's ingest queue, in batches. A full queue
-    /// sheds with [`NackCode::Overload`](crate::NackCode::Overload).
+    /// Inert: there is no ingest queue (a frame is applied before it is
+    /// acked). Kept because the frozen benchmark's unit test sets it.
     pub queue_depth: usize,
     /// Maximum accepted frame payload, bytes. Larger declarations are
     /// NACKed ([`NackCode::PayloadTooLarge`](crate::NackCode::PayloadTooLarge))
@@ -30,20 +33,17 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// `lg_k` of the live Θ engine.
     pub lg_k: u8,
-    /// Propagation backend for the live engine.
-    pub backend: PropagationBackendKind,
-    /// Consecutive failures that open a worker's circuit breaker.
+    /// Consecutive transport failures that open the replica link's
+    /// circuit breaker.
     pub breaker_threshold: u32,
-    /// How long an open breaker rejects before admitting a half-open
-    /// probe.
+    /// How long the open replica-link breaker rejects before admitting
+    /// a half-open probe.
     pub breaker_cooldown: Duration,
-    /// Fault-injection hook for the robustness suite: an ingest worker
-    /// that sees this item value panics, exercising panic isolation and
-    /// the breaker over a real connection. `None` in production.
+    /// Fault-injection hook for the robustness suite: an ingest whose
+    /// batch holds this item value panics, exercising panic isolation
+    /// and the per-stream fault latch over a real connection. `None`
+    /// in production.
     pub fault_panic_on: Option<u64>,
-    /// Ingest worker threads per *non-default* stream (the default
-    /// stream uses [`Self::ingest_workers`]).
-    pub stream_workers: usize,
     /// Maximum simultaneously registered streams (including the default
     /// stream); creation beyond it NACKs with
     /// [`NackCode::Overload`](crate::NackCode::Overload).
@@ -81,11 +81,9 @@ impl Default for ServerConfig {
             frame_deadline: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             lg_k: 12,
-            backend: PropagationBackendKind::WriterAssisted,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             fault_panic_on: None,
-            stream_workers: 1,
             max_streams: 64,
             replica_peer: None,
             replica_interval: Duration::from_millis(250),

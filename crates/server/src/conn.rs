@@ -1,7 +1,7 @@
 //! Connections: the accept loop, the deadline-enforcing frame reader,
 //! and the [`Response`] every handler produces.
 
-use crate::dispatch::dispatch_frame;
+use crate::dispatch::{dispatch_frame, ConnState};
 use crate::frame::{
     check_payload, encode_frame, encode_nack_payload, parse_header, Frame, FrameType, HeaderError,
     NackCode, FRAME_HEADER_LEN,
@@ -239,11 +239,13 @@ impl Response {
     }
 }
 
-/// Serves one connection until close/shutdown/fatal error.
-fn handle_connection(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
+/// Serves one connection until close/shutdown/fatal error. Returning
+/// drops `conn`, which flushes this connection's engine writers.
+fn handle_connection(mut stream: TcpStream, ctx: &ServerCtx) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(ctx.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
+    let mut conn = ConnState::default();
     loop {
         let event = match read_frame(&mut stream, ctx) {
             Ok(e) => e,
@@ -268,7 +270,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
             ),
             ReadEvent::Frame(frame) => {
                 ctx.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                dispatch_frame(frame, ctx)
+                dispatch_frame(frame, ctx, &mut conn)
             }
         };
         let close = response.close;

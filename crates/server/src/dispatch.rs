@@ -1,31 +1,79 @@
-//! Dispatch: routing a validated frame to its handler. Ingest goes to
-//! a stream's workers; merge and query go through one [`Slots`] map
-//! each and, for queries, the one [`fan_in`] — v1 frames are the same
-//! path addressed to the default stream (family 0) or to one of the
-//! four engine-less per-family slot maps (families 1–4).
+//! Dispatch: routing a validated frame to its handler. Ingest is
+//! applied in place, through the connection's own engine writer for
+//! the stream ([`ConnState`]); merge and query go through one [`Slots`]
+//! map each and, for queries, the one [`fan_in`] — v1 frames are the
+//! same path addressed to the default stream (family 0) or to one of
+//! the four engine-less per-family slot maps (families 1–4).
 
 use crate::conn::Response;
 use crate::frame::{
     split_stream_prefix, Frame, FrameType, NackCode, StreamPrefix, FLAG_REPLACE, FLAG_STREAM,
 };
-use crate::registry::{CreateError, StreamState};
+use crate::registry::{new_stream, CreateError, StreamState};
 use crate::slots::{fan_in, validate_envelope, Consumer, Fanned, Want};
-use crate::worker::spawn_stream;
 use crate::ServerCtx;
 use bytes::Bytes;
+use fcds_core::engine::EngineWriter;
 use fcds_sketches::wire::SketchFamily;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::TrySendError;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+
+/// What a connection thread keeps between frames. The thread is one of
+/// the paper's update threads on every stream it ingests into: it owns
+/// one engine writer per stream, and dropping this (connection close)
+/// flushes each writer and retires its slot.
+#[derive(Default)]
+pub(crate) struct ConnState {
+    /// Stream key → the writer this connection holds on that stream.
+    writers: HashMap<Vec<u8>, HeldWriter>,
+    /// The decoded items of the frame in hand (reused, never shrunk).
+    items: Vec<u64>,
+}
+
+struct HeldWriter {
+    /// The stream the writer was taken from. A `Weak` is an identity
+    /// token that pins the allocation, so pointer equality cannot be
+    /// fooled by address reuse, but not the stream: an idle connection
+    /// never keeps a retired stream's engine handle alive.
+    of: Weak<StreamState>,
+    writer: Box<dyn EngineWriter>,
+}
+
+/// The connection's writer on `stream`, registered on first use. A
+/// writer held under the same key for another stream (the key was
+/// retired and re-created) is dropped, which flushes and retires it,
+/// as is every writer whose stream is gone: the map never outgrows the
+/// registry by more than the streams retired since the last miss.
+fn writer_for<'c>(
+    writers: &'c mut HashMap<Vec<u8>, HeldWriter>,
+    stream: &Arc<StreamState>,
+) -> &'c mut dyn EngineWriter {
+    let held = matches!(writers.get(&stream.key),
+        Some(h) if Weak::as_ptr(&h.of) == Arc::as_ptr(stream));
+    if !held {
+        writers.retain(|_, h| h.of.strong_count() > 0);
+        writers.insert(
+            stream.key.clone(),
+            HeldWriter {
+                of: Arc::downgrade(stream),
+                writer: stream.engine.writer(),
+            },
+        );
+    }
+    let held = writers.get_mut(&stream.key).expect("held or just inserted");
+    held.writer.as_mut()
+}
 
 /// Routes one validated frame to its handler and produces the response.
-pub(crate) fn dispatch_frame(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
+pub(crate) fn dispatch_frame(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Response {
     match frame.ftype {
         FrameType::Ping => Response::new(FrameType::Pong, frame.seq, Vec::new()),
         FrameType::Ingest | FrameType::Merge if ctx.ctl.draining.load(Ordering::Acquire) => {
             Response::nack(frame.seq, NackCode::Draining, "server is draining", false)
         }
-        FrameType::Ingest => handle_ingest(frame, ctx),
+        FrameType::Ingest => handle_ingest(frame, ctx, conn),
         FrameType::Merge => handle_merge(frame, ctx),
         FrameType::Query => handle_query(frame, ctx),
         FrameType::Shutdown => {
@@ -67,7 +115,7 @@ fn addressed(frame: &Frame) -> Result<(Option<StreamPrefix<'_>>, &[u8]), Respons
 /// for ingest/merge (create-on-first-use) and false for queries
 /// ([`NackCode::UnknownStream`] instead).
 fn resolve_stream(
-    ctx: &Arc<ServerCtx>,
+    ctx: &ServerCtx,
     seq: u16,
     prefix: &StreamPrefix<'_>,
     create: bool,
@@ -85,9 +133,8 @@ fn resolve_stream(
         )
     };
     if create {
-        let workers = ctx.cfg.stream_workers.max(1);
         match ctx.registry.get_or_create(prefix.key, prefix.family, || {
-            spawn_stream(ctx, prefix.key, prefix.family, workers)
+            new_stream(ctx, prefix.key, prefix.family)
         }) {
             Ok((stream, _created)) => Ok(stream),
             Err(CreateError::FamilyMismatch { expected }) => Err(mismatch(expected)),
@@ -113,7 +160,12 @@ fn resolve_stream(
     }
 }
 
-fn handle_ingest(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
+/// Applies one ingest frame on the calling (connection) thread: the
+/// body goes through this connection's writer into the engine and is
+/// flushed before the `Ack` is produced, so an `Ack` means the items
+/// are inside the engine's `r = 2Nb` — the served path adds no
+/// relaxation of its own.
+fn handle_ingest(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Response {
     let (prefix, body) = match addressed(&frame) {
         Ok(split) => split,
         Err(nack) => return nack,
@@ -144,75 +196,66 @@ fn handle_ingest(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
             }
         },
     };
-    let items: Vec<u64> = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
-    if items.is_empty() {
+    if body.is_empty() {
         return Response::ack(frame.seq);
     }
-    ingest_into(&stream, items, ctx, frame.seq)
+    // Fail-stop per stream: once latched, refuse without touching the
+    // engine. Other streams are never consulted.
+    if stream.dead.load(Ordering::Acquire) {
+        ctx.stats.sheds.fetch_add(1, Ordering::Relaxed);
+        return Response::nack(
+            frame.seq,
+            NackCode::Internal,
+            "stream ingest failed earlier; queries and merges still served",
+            false,
+        );
+    }
+    let ConnState { writers, items } = conn;
+    items.clear();
+    items.extend(
+        body.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+    );
+    let writer = writer_for(writers, &stream);
+    // A panic (injected fault, engine bug) or a failed flush (dead
+    // propagator) stops at this frame.
+    let applied = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(poison) = ctx.cfg.fault_panic_on {
+            if items.contains(&poison) {
+                panic!("injected fault: poisoned ingest item {poison}");
+            }
+        }
+        writer.ingest_batch(items);
+        // Flush per frame: the hand-off is propagation this thread
+        // performs anyway, and it is what lets the `Ack` mean "in the
+        // engine" and surfaces a propagation fault on the frame that
+        // hit it.
+        writer.flush()
+    }));
+    let n = items.len() as u64;
+    let fault = match applied {
+        Ok(Ok(())) => {
+            ctx.stats.ingest_items.fetch_add(n, Ordering::Relaxed);
+            stream.items.fetch_add(n, Ordering::Relaxed);
+            ctx.stats.ingest_batches.fetch_add(1, Ordering::Relaxed);
+            return Response::ack(frame.seq);
+        }
+        Ok(Err(_)) => {
+            ctx.stats.flush_errors.fetch_add(1, Ordering::Relaxed);
+            "engine flush failed; batch not applied"
+        }
+        Err(_) => {
+            ctx.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            "ingest panicked; batch not applied"
+        }
+    };
+    // The writer may be mid-update: discard it, and latch the stream.
+    writers.remove(&stream.key);
+    stream.dead.store(true, Ordering::Release);
+    Response::nack(frame.seq, NackCode::Internal, fault, false)
 }
 
-/// Routes one batch into `stream`'s workers: round-robin over live
-/// workers with closed breakers; a full queue records a breaker failure
-/// and tries the next. Failure NACKs are scoped to this stream — other
-/// streams' workers and breakers are never consulted.
-fn ingest_into(stream: &StreamState, items: Vec<u64>, ctx: &ServerCtx, seq: u16) -> Response {
-    let n = stream.workers.len();
-    let start = stream.next_worker.fetch_add(1, Ordering::Relaxed);
-    let mut batch = items;
-    let mut saw_full = false;
-    let mut saw_open = false;
-    for i in 0..n {
-        let w = &stream.workers[(start + i) % n];
-        if w.dead.load(Ordering::Acquire) {
-            continue;
-        }
-        if !w.breaker.allow() {
-            saw_open = true;
-            continue;
-        }
-        match w.tx.try_send(batch) {
-            Ok(()) => {
-                ctx.stats.ingest_batches.fetch_add(1, Ordering::Relaxed);
-                return Response::ack(seq);
-            }
-            Err(TrySendError::Full(b)) => {
-                w.breaker.record_failure();
-                saw_full = true;
-                batch = b;
-            }
-            Err(TrySendError::Disconnected(b)) => {
-                // Worker gone without marking dead (shouldn't happen,
-                // but never wedge on it).
-                w.dead.store(true, Ordering::Release);
-                w.breaker.trip();
-                batch = b;
-            }
-        }
-    }
-    ctx.stats.sheds.fetch_add(1, Ordering::Relaxed);
-    if saw_full {
-        Response::nack(
-            seq,
-            NackCode::Overload,
-            "all ingest queues full; back off and retry",
-            false,
-        )
-    } else if saw_open {
-        Response::nack(
-            seq,
-            NackCode::BreakerOpen,
-            "ingest breakers open; retry after cooldown",
-            false,
-        )
-    } else {
-        Response::nack(seq, NackCode::Internal, "no live ingest backend", false)
-    }
-}
-
-fn handle_merge(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
+fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
     let (prefix, body) = match addressed(&frame) {
         Ok(split) => split,
         Err(nack) => return nack,
@@ -262,7 +305,7 @@ fn handle_merge(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
     Response::ack(frame.seq)
 }
 
-fn handle_query(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
+fn handle_query(frame: Frame, ctx: &ServerCtx) -> Response {
     let seq = frame.seq;
     let malformed = |detail: &str| Response::nack(seq, NackCode::Malformed, detail, false);
     let (prefix, body) = match addressed(&frame) {

@@ -146,11 +146,12 @@ pub enum NackCode {
     /// The payload failed sketch-wire validation (`WireError`); detail
     /// carries the display string. Connection stays open.
     Wire = 3,
-    /// Load shed: the target ingest queue is full. The client should
-    /// back off and retry.
+    /// Capacity refusal: the stream registry or a slot map is full.
+    /// The client should back off and retry (or retire a stream).
     Overload = 4,
-    /// The target backend's circuit breaker is open; retry after its
-    /// cooldown.
+    /// Reserved: no longer produced (ingest has no breaker since the
+    /// connection threads apply it themselves). Kept so the code
+    /// numbering, and clients that match on it, stay valid.
     BreakerOpen = 5,
     /// The server is draining; no new ingest or merge work is accepted.
     Draining = 6,

@@ -10,23 +10,28 @@
 //! * **Deadlines** — every connection has a mid-frame read deadline and
 //!   a write timeout, so a stalled or severed peer can hold a thread
 //!   for at most one frame.
-//! * **Backpressure** — ingest flows through bounded per-worker queues;
-//!   a full queue sheds the batch with an explicit
-//!   [`frame::NackCode::Overload`] NACK, never a silent drop.
-//! * **Circuit breaking** — each ingest worker is guarded by a
-//!   closed/open/half-open [`breaker::CircuitBreaker`]; a worker that
-//!   keeps failing is taken out of rotation and probed after a
-//!   cooldown.
-//! * **Panic isolation** — connection threads and ingest workers run
-//!   under `catch_unwind`; a poisoned request can kill at most the
-//!   thread it is on, and a dead worker trips its breaker instead of
-//!   wedging the engine. A dead *propagator* (the engine-level fault)
-//!   surfaces as `FlushError` from the worker's writer and is handled
-//!   the same way.
+//! * **One relaxation** — connection threads are the paper's update
+//!   threads (Algorithm 2): each holds its own engine writer per stream
+//!   and applies an ingest frame in place — `ingest_batch`, `flush`,
+//!   then the `Ack`. An `Ack` therefore means the items are inside the
+//!   engine's `r = 2Nb`, with `N` the connections holding a writer on
+//!   that stream; the served path adds nothing to it. Backpressure is
+//!   the closed loop itself: nothing is acked before it is applied, so
+//!   nothing queues.
+//! * **Fault isolation** — each ingest runs under `catch_unwind`. A
+//!   poisoned batch, or a `FlushError` from a dead *propagator* (the
+//!   engine-level fault), gets [`frame::NackCode::Internal`] on the
+//!   frame that hit it and latches that stream's ingest shut
+//!   (fail-stop per stream); its queries and merges, and every other
+//!   stream, carry on. Connection threads run under a second
+//!   `catch_unwind`, so a panic anywhere else kills at most the
+//!   connection it is on. The [`breaker::CircuitBreaker`] guards the
+//!   replica link only.
 //! * **Graceful drain** — [`ServerHandle::shutdown`] stops admitting
-//!   ingest, drains the queues, flushes every writer, quiesces every
-//!   engine (republishing images), then closes the listener and joins
-//!   every thread, returning a [`DrainReport`].
+//!   ingest, closes the listener and joins every connection thread
+//!   (each flushes its writers as it goes), quiesces every engine
+//!   (republishing images), writes the final checkpoint and returns a
+//!   [`DrainReport`].
 //!
 //! # Multi-stream service (FCF1 v2)
 //!
@@ -35,7 +40,7 @@
 //! [`registry`](StreamInfo) by the stream key carried on v2 frames
 //! ([`frame::FLAG_STREAM`]). Streams are created on first ingest or
 //! merge with the frame's declared family, are isolated from each other
-//! (private workers, queues and breakers per stream), and can be
+//! (one fault latch per stream, no thread), and can be
 //! retired at runtime ([`ServerHandle::retire_stream`]). v1 frames
 //! (flags 0) are the same paths with the address implied: ingest and
 //! family-0 queries go to the built-in [`DEFAULT_STREAM`] Θ stream,
@@ -69,9 +74,9 @@
 //! * `config`, `stats` — [`ServerConfig`]; the one counter table behind
 //!   [`StatsSnapshot`].
 //! * `conn` → `dispatch` — accept loop and deadline-enforcing frame
-//!   reader; per-frame-type handlers (ingest, merge, query).
-//! * `registry`, `worker` — the key → stream map; engine spawn and the
-//!   ingest worker loop.
+//!   reader; per-frame-type handlers (ingest, merge, query) and the
+//!   connection's engine writers.
+//! * `registry` — the key → stream map and stream construction.
 //! * `slots` — the image-slot map, envelope validation, the fan-in.
 //! * [`persist`], [`recover`], `replica` — checkpointer and snapshot
 //!   format; boot-time recovery; the replica pusher.
@@ -90,7 +95,6 @@ mod registry;
 mod replica;
 mod slots;
 mod stats;
-mod worker;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use client::{Client, Reply};
@@ -107,7 +111,7 @@ use crate::stats::Stats;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -125,7 +129,7 @@ pub const DEFAULT_STREAM: &[u8] = b"default";
 struct Control {
     /// Stop admitting ingest/merge work (queries still served).
     draining: AtomicBool,
-    /// Tear everything down: listener, connections, workers.
+    /// Tear everything down: listener, connections, replica pusher.
     shutdown: AtomicBool,
     /// A client sent a `Shutdown` frame; the embedder (e.g. the binary)
     /// polls this and calls [`ServerHandle::shutdown`].
@@ -151,11 +155,6 @@ struct ServerCtx {
     /// Circuit breaker guarding the replica peer link (`None` when no
     /// peer is configured).
     replica_breaker: Option<Arc<CircuitBreaker>>,
-    /// Worker-exit counts from streams retired before the drain, folded
-    /// into the final [`DrainReport`].
-    retired_flushed: AtomicUsize,
-    retired_flush_failed: AtomicUsize,
-    retired_panicked: AtomicUsize,
 }
 
 impl ServerCtx {
@@ -175,9 +174,8 @@ impl ServerCtx {
 }
 
 /// Why [`serve`] could not start. Startup is all-or-nothing: on any
-/// variant every thread spawned so far has been joined and every
-/// stream drained — a spawn failure can never leak a half-started
-/// server.
+/// variant every thread spawned so far has been joined — a spawn
+/// failure can never leak a half-started server.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
@@ -232,8 +230,8 @@ impl From<ServeError> for io::Error {
     }
 }
 
-/// The running server: owns the accept loop, the stream registry (and
-/// every stream's worker threads), the optional replica pusher and the
+/// The running server: owns the accept loop and its connection
+/// threads, the stream registry, the optional replica pusher and the
 /// optional checkpointer. Obtain via [`serve`]; stop via
 /// [`Self::shutdown`] (or drop, which performs an abrupt but still
 /// joined teardown).
@@ -252,12 +250,6 @@ pub struct ServerHandle {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct DrainReport {
-    /// Workers whose queues drained and writers flushed cleanly.
-    pub workers_flushed: usize,
-    /// Workers whose final flush failed with a typed error.
-    pub workers_flush_failed: usize,
-    /// Workers that had died by panic before or during the drain.
-    pub workers_panicked: usize,
     /// Threads that could not be joined (must be 0 — anything else is a
     /// leak).
     pub leaked_threads: usize,
@@ -267,8 +259,8 @@ pub struct DrainReport {
     pub final_estimate: f64,
 }
 
-/// Starts the server: binds the listener, spins up the default Θ stream
-/// and its ingest workers, recovers every valid snapshot from
+/// Starts the server: binds the listener, builds the default Θ stream,
+/// recovers every valid snapshot from
 /// [`ServerConfig::data_dir`] (when set) **before accepting traffic**,
 /// then starts the checkpointer/replica-pusher background threads and
 /// the accept loop.
@@ -313,30 +305,22 @@ pub fn serve_with_store(
         v1_slots: Default::default(),
         persist: snapshot_store,
         replica_breaker,
-        retired_flushed: AtomicUsize::new(0),
-        retired_flush_failed: AtomicUsize::new(0),
-        retired_panicked: AtomicUsize::new(0),
     });
 
-    // Joins all streams and any already-running background threads so
-    // a failed startup never leaks a thread.
+    // Joins any already-running background threads so a failed startup
+    // never leaks a thread.
     let abort_start = |ctx: &Arc<ServerCtx>, joins: Vec<JoinHandle<()>>| {
         ctx.ctl.draining.store(true, Ordering::Release);
         ctx.ctl.shutdown.store(true, Ordering::Release);
-        for state in ctx.registry.drain_all() {
-            state.retired.store(true, Ordering::Release);
-            let _ = state.join_workers();
-        }
         for j in joins {
             let _ = j.join();
         }
     };
 
-    let default_workers = ctx.cfg.ingest_workers.max(1);
     if let Err(e) = ctx
         .registry
         .get_or_create(DEFAULT_STREAM, SketchFamily::Theta, || {
-            worker::spawn_stream(&ctx, DEFAULT_STREAM, SketchFamily::Theta, default_workers)
+            registry::new_stream(&ctx, DEFAULT_STREAM, SketchFamily::Theta)
         })
     {
         abort_start(&ctx, Vec::new());
@@ -449,14 +433,14 @@ impl ServerHandle {
         self.recovery.as_ref()
     }
 
-    /// Whether any stream lost an ingest worker (panic or dead
-    /// propagator) — degraded but still serving.
+    /// Whether any stream's ingest is latched shut (an ingest panicked
+    /// or a flush hit a dead propagator) — degraded but still serving.
     pub fn is_degraded(&self) -> bool {
         self.ctx
             .registry
             .list()
             .iter()
-            .any(|s| s.workers.iter().any(|w| w.dead.load(Ordering::Acquire)))
+            .any(|s| s.dead.load(Ordering::Acquire))
     }
 
     /// Whether some client requested a drain with a `Shutdown` frame.
@@ -493,9 +477,9 @@ impl ServerHandle {
             .collect()
     }
 
-    /// Retires a stream: removes it from the registry, drains and joins
-    /// its workers, and quiesces its engine. Returns `false` for the
-    /// default stream (not retirable) or an unknown key. A later v2
+    /// Retires a stream: removes it from the registry, quiesces its
+    /// engine and deletes its snapshot. Returns `false` for the default
+    /// stream (not retirable) or an unknown key. A later v2
     /// ingest/merge under the same key creates a fresh stream.
     pub fn retire_stream(&self, key: &[u8]) -> bool {
         if key == DEFAULT_STREAM {
@@ -504,17 +488,8 @@ impl ServerHandle {
         let Some(state) = self.ctx.registry.retire(key) else {
             return false;
         };
-        state.retired.store(true, Ordering::Release);
-        let (flushed, failed, panicked, _leaked) = state.join_workers();
-        self.ctx
-            .retired_flushed
-            .fetch_add(flushed, Ordering::Relaxed);
-        self.ctx
-            .retired_flush_failed
-            .fetch_add(failed, Ordering::Relaxed);
-        self.ctx
-            .retired_panicked
-            .fetch_add(panicked, Ordering::Relaxed);
+        // An ingest that raced the removal lands in an engine that is
+        // being discarded either way.
         state.engine.quiesce();
         // Retirement is permanent: drop the snapshot too, so a restart
         // cannot resurrect the retired stream.
@@ -530,11 +505,14 @@ impl ServerHandle {
 
     /// Gracefully drains and stops the server:
     ///
-    /// 1. stop admitting ingest/merge (`Draining` NACKs from here on);
-    /// 2. let workers drain their queues and flush their writers;
-    /// 3. quiesce the engine (merges every hand-off, republishes
-    ///    images);
-    /// 4. close the listener and every connection, joining all threads.
+    /// 1. stop admitting ingest/merge (`Draining` NACKs from here on)
+    ///    and stop the checkpointer;
+    /// 2. close the listener and every connection, joining their
+    ///    threads — each flushes its engine writers as it exits, so
+    ///    everything acked is handed to an engine;
+    /// 3. quiesce every engine (merges every hand-off, republishes
+    ///    images), take the final estimate and write the final
+    ///    checkpoint.
     pub fn shutdown(mut self) -> DrainReport {
         self.shutdown_inner()
     }
@@ -554,21 +532,28 @@ impl ServerHandle {
             }
         }
 
-        // Carry over worker exits from streams retired before the
-        // drain, then drain every remaining stream.
-        let mut workers_flushed = self.ctx.retired_flushed.load(Ordering::Relaxed);
-        let mut workers_flush_failed = self.ctx.retired_flush_failed.load(Ordering::Relaxed);
-        let mut workers_panicked = self.ctx.retired_panicked.load(Ordering::Relaxed);
+        // The connection threads hold the engine writers: join them
+        // before quiescing, so every acked item has been handed off.
+        self.ctx.ctl.shutdown.store(true, Ordering::Release);
+        if let Some(j) = self.accept_join.take() {
+            if j.join().is_err() {
+                leaked_threads += 1;
+            }
+        }
+        let joins = {
+            let mut g = self.conn_joins.lock().unwrap_or_else(|e| e.into_inner());
+            std::mem::take(&mut *g)
+        };
+        for j in joins {
+            if j.join().is_err() {
+                leaked_threads += 1;
+            }
+        }
+
         let mut final_estimate = 0.0f64;
         let streams = self.ctx.registry.drain_all();
         for state in &streams {
-            state.retired.store(true, Ordering::Release);
-            let (flushed, failed, panicked, leaked) = state.join_workers();
-            workers_flushed += flushed;
-            workers_flush_failed += failed;
-            workers_panicked += panicked;
-            leaked_threads += leaked;
-            // Writers are flushed (or dead); merge what is in flight
+            // Writers are flushed and gone; merge what is in flight
             // and republish every shard image.
             state.engine.quiesce();
             if state.key == DEFAULT_STREAM {
@@ -586,31 +571,13 @@ impl ServerHandle {
             persist::checkpoint_round(&self.ctx, &**store, &streams);
         }
 
-        self.ctx.ctl.shutdown.store(true, Ordering::Release);
         if let Some(j) = self.pusher_join.take() {
-            if j.join().is_err() {
-                leaked_threads += 1;
-            }
-        }
-        if let Some(j) = self.accept_join.take() {
-            if j.join().is_err() {
-                leaked_threads += 1;
-            }
-        }
-        let joins = {
-            let mut g = self.conn_joins.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        for j in joins {
             if j.join().is_err() {
                 leaked_threads += 1;
             }
         }
 
         DrainReport {
-            workers_flushed,
-            workers_flush_failed,
-            workers_panicked,
             leaked_threads,
             stats: self.ctx.stats_snapshot(),
             final_estimate,

@@ -1,10 +1,13 @@
 //! `fcds-server` binary: serve the concurrent sketch engine over TCP.
 //!
 //! ```text
-//! fcds-server [--addr=HOST:PORT] [--workers=N] [--queue-depth=N]
-//!             [--lg-k=N] [--secs=N] [--data-dir=PATH]
-//!             [--snapshot-ms=N] [--fsync=always|interval|never]
+//! fcds-server [--addr=HOST:PORT] [--workers=N] [--lg-k=N] [--secs=N]
+//!             [--data-dir=PATH] [--snapshot-ms=N]
+//!             [--fsync=always|interval|never]
 //! ```
+//!
+//! `--workers` is the declared writer count `N` of the default stream
+//! (it sizes the engine's buffer; connection threads are the writers).
 //!
 //! `--data-dir` turns on the durability tier: snapshots every
 //! `--snapshot-ms` (bounded loss ≤ one interval of acked ingest per
@@ -48,9 +51,6 @@ fn main() {
     }
     if let Some(w) = parse_flag::<usize>(&args, "--workers") {
         cfg.ingest_workers = w;
-    }
-    if let Some(d) = parse_flag::<usize>(&args, "--queue-depth") {
-        cfg.queue_depth = d;
     }
     if let Some(k) = parse_flag::<u8>(&args, "--lg-k") {
         cfg.lg_k = k;
@@ -101,11 +101,8 @@ fn main() {
 
     let report = handle.shutdown();
     println!(
-        "fcds-server: drained (workers flushed {}, flush-failed {}, panicked {}, leaked {})",
-        report.workers_flushed,
-        report.workers_flush_failed,
-        report.workers_panicked,
-        report.leaked_threads
+        "fcds-server: drained (flush errors {}, ingest panics {}, leaked {})",
+        report.stats.flush_errors, report.stats.worker_panics, report.leaked_threads
     );
     println!(
         "fcds-server: {} items in {} batches, {} sheds, {} nacks, final estimate {:.1}",

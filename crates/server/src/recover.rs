@@ -16,10 +16,9 @@
 use crate::persist::{
     snapshot_file_name, SnapshotStore, SNAP_HEADER_LEN, SNAP_MAGIC, SNAP_VERSION,
 };
-use crate::registry::CreateError;
+use crate::registry::{new_stream, CreateError};
 use crate::slots::validate_envelope;
-use crate::worker::spawn_stream;
-use crate::{ServerCtx, DEFAULT_STREAM};
+use crate::ServerCtx;
 use bytes::Bytes;
 use fcds_sketches::wire::SketchFamily;
 use std::fmt;
@@ -294,13 +293,8 @@ enum InstallError {
 }
 
 fn install(ctx: &Arc<ServerCtx>, rec: SnapshotRecord) -> Result<(), InstallError> {
-    let workers = if rec.key == DEFAULT_STREAM {
-        ctx.cfg.ingest_workers.max(1)
-    } else {
-        ctx.cfg.stream_workers.max(1)
-    };
     match ctx.registry.get_or_create(&rec.key, rec.family, || {
-        spawn_stream(ctx, &rec.key, rec.family, workers)
+        new_stream(ctx, &rec.key, rec.family)
     }) {
         Ok((state, _created)) => {
             state.slots.set_recovered(rec.image);

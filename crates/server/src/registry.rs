@@ -1,6 +1,6 @@
 //! The per-key stream registry: the map from opaque stream keys to
-//! running [`StreamEngine`]s, plus each stream's private ingest
-//! workers and its [`Slots`] map of merged-in images.
+//! running [`StreamEngine`]s, plus each stream's fault latch and its
+//! [`Slots`] map of merged-in images.
 //!
 //! Lifecycle contract (documented in the README and exercised by the
 //! `registry_streams` suite):
@@ -14,18 +14,21 @@
 //! * **Family is fixed at creation** — later frames declaring a
 //!   different family are rejected with
 //!   [`NackCode::FamilyMismatch`] and leave the stream untouched.
-//! * **Isolation** — every stream owns its worker threads, queues and
-//!   circuit breakers; a poisoned batch or open breaker on one stream
-//!   can never shed or NACK another stream's traffic.
-//! * **Retire** — removes the key, drains and joins the stream's
-//!   workers, quiesces the engine. A subsequent ingest/merge under the
-//!   same key creates a *fresh* stream (any family).
+//! * **Isolation** — a stream owns no thread: connection threads are
+//!   its update threads, each holding its own engine writer. What a
+//!   stream does own is one fault latch ([`StreamState::dead`]): a
+//!   poisoned batch or a failed flush fail-stops that stream's ingest
+//!   and can never shed or NACK another stream's traffic.
+//! * **Retire** — removes the key, quiesces the engine, deletes the
+//!   snapshot. A subsequent ingest/merge under the same key creates a
+//!   *fresh* stream (any family); a connection still holding a writer
+//!   for the old one drops it on its next frame for that key.
 //!
 //! [`NackCode::UnknownStream`]: crate::frame::NackCode::UnknownStream
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
-use crate::breaker::CircuitBreaker;
 use crate::slots::{Consumer, Slots};
+use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::{
     EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine, ThetaFamily,
@@ -33,41 +36,20 @@ use fcds_core::engine::{
 use fcds_core::PropagationBackendKind;
 use fcds_sketches::wire::SketchFamily;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::mpsc::SyncSender;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-
-/// Per-worker dispatch handle, cloned into every connection thread.
-#[derive(Clone)]
-pub(crate) struct WorkerHandle {
-    pub(crate) tx: SyncSender<Vec<u64>>,
-    pub(crate) breaker: Arc<CircuitBreaker>,
-    pub(crate) dead: Arc<AtomicBool>,
-}
-
-/// What a worker reports when it exits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WorkerExit {
-    /// Queue drained and writer flushed cleanly.
-    Flushed,
-    /// Writer flush failed (typed engine error, already counted).
-    FlushFailed,
-    /// The worker panicked (isolated; breaker tripped).
-    Panicked,
-}
 
 /// One registered stream: a running engine plus everything the server
-/// scopes to it (workers, breakers, image slots).
+/// scopes to it (fault latch, image slots).
 pub(crate) struct StreamState {
     pub(crate) key: Vec<u8>,
     pub(crate) family: SketchFamily,
     pub(crate) engine: Box<dyn StreamEngine>,
-    pub(crate) workers: Vec<WorkerHandle>,
-    pub(crate) worker_joins: Mutex<Vec<JoinHandle<WorkerExit>>>,
-    pub(crate) next_worker: AtomicUsize,
-    /// Set by retire/drain; workers exit once their queue is dry.
-    pub(crate) retired: AtomicBool,
+    /// The stream's fault latch: set when an ingest panicked or a flush
+    /// failed on any connection. Never cleared — from then on the
+    /// stream refuses ingest (fail-stop) and serves queries and merges
+    /// from what it holds.
+    pub(crate) dead: AtomicBool,
     /// Items ingested into this stream's engine (diagnostics).
     pub(crate) items: AtomicU64,
     /// Every image merged into this stream from outside its engine:
@@ -88,27 +70,6 @@ impl StreamState {
     /// empty — the live image is always present.
     pub(crate) fn images(&self, who: Consumer) -> Vec<Bytes> {
         self.slots.collect(Some(self.engine.wire_image()), who)
-    }
-
-    /// Joins every worker thread, returning
-    /// `(flushed, flush_failed, panicked, leaked)` counts. Callers set
-    /// [`Self::retired`] (or the server-wide draining flag) first so
-    /// the workers actually exit.
-    pub(crate) fn join_workers(&self) -> (usize, usize, usize, usize) {
-        let joins = {
-            let mut g = self.worker_joins.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        let (mut flushed, mut failed, mut panicked, mut leaked) = (0, 0, 0, 0);
-        for j in joins {
-            match j.join() {
-                Ok(WorkerExit::Flushed) => flushed += 1,
-                Ok(WorkerExit::FlushFailed) => failed += 1,
-                Ok(WorkerExit::Panicked) => panicked += 1,
-                Err(_) => leaked += 1, // catch_unwind means this can't happen
-            }
-        }
-        (flushed, failed, panicked, leaked)
     }
 }
 
@@ -197,7 +158,7 @@ impl Registry {
     }
 
     /// Removes `key` from the map and returns its state for the caller
-    /// to drain. `None` if the key was not registered.
+    /// to quiesce. `None` if the key was not registered.
     pub(crate) fn retire(&self, key: &[u8]) -> Option<Arc<StreamState>> {
         self.streams
             .lock()
@@ -226,17 +187,53 @@ impl Registry {
     }
 }
 
+/// The declared writer count `N` of a named stream: it sizes the
+/// engine's buffer `b`, nothing else — every connection that ingests
+/// into the stream registers its own writer, so the `N` of `r = 2Nb`
+/// is the number of connections holding one.
+const STREAM_WRITERS: usize = 1;
+
+/// Builds a stream ready to insert into the registry: the engine for
+/// `family` (declared `N` = [`ServerConfig::ingest_workers`] for the
+/// default stream, [`STREAM_WRITERS`] for a named one), no thread.
+///
+/// [`ServerConfig::ingest_workers`]: crate::ServerConfig::ingest_workers
+pub(crate) fn new_stream(
+    ctx: &ServerCtx,
+    key: &[u8],
+    family: SketchFamily,
+) -> Result<Arc<StreamState>, String> {
+    let writers = if key == DEFAULT_STREAM {
+        ctx.cfg.ingest_workers
+    } else {
+        STREAM_WRITERS
+    };
+    let state = Arc::new(StreamState {
+        key: key.to_vec(),
+        family,
+        engine: build_engine(family, ctx.cfg.lg_k, writers)?,
+        dead: AtomicBool::new(false),
+        items: AtomicU64::new(0),
+        slots: Slots::default(),
+        persisted_seq: AtomicU64::new(0),
+        snapshot_dirty: AtomicBool::new(false),
+    });
+    ctx.stats.streams_created.fetch_add(1, Ordering::Relaxed);
+    Ok(state)
+}
+
 /// The per-family engine factory: maps a wire family code onto the
-/// unified [`EngineBuilder`], sharing the server's concurrency shape
-/// (`writers`, backend) across families. Θ takes the configured `lg_k`;
-/// the other families run at their documented defaults.
-pub(crate) fn build_engine(
+/// unified [`EngineBuilder`]. Every engine is writer-assisted — the
+/// connection threads propagate, so a stream costs no thread. Θ takes
+/// the configured `lg_k`; the other families run at their documented
+/// defaults.
+fn build_engine(
     family: SketchFamily,
     lg_k: u8,
-    backend: PropagationBackendKind,
     writers: usize,
 ) -> Result<Box<dyn StreamEngine>, String> {
     let writers = writers.max(1);
+    let backend = PropagationBackendKind::WriterAssisted;
     let built = match family {
         SketchFamily::Theta => EngineBuilder::<ThetaFamily>::new()
             .accuracy(lg_k as usize)

@@ -47,17 +47,19 @@ counters! {
     frames_out,
     /// NACK frames sent (every rejected request produces exactly one).
     nacks,
-    /// Ingest batches shed on full queues.
+    /// Ingest batches refused because their stream's fault latch is set
+    /// (each is NACKed `Internal`).
     sheds,
-    /// Ingest batches accepted into worker queues.
+    /// Ingest batches applied to an engine and acked.
     ingest_batches,
     /// Stream items ingested into the live engine.
     ingest_items,
     /// Wire images accepted into a slot map: v1 merges, v2 accumulating
     /// merges and v2 REPLACE (replica) merges alike.
     merges_accepted,
-    /// Ingest-worker panics isolated (each kills one worker, trips its
-    /// breaker, and takes nothing else down).
+    /// Ingest panics isolated on a connection thread (each NACKs its
+    /// frame, latches its stream's ingest shut, and takes nothing else
+    /// down).
     worker_panics,
     /// Connection-thread panics isolated.
     conn_panics,

@@ -70,7 +70,7 @@ fn ingest_from_two_clients_reaches_the_live_engine() {
     let report = handle.shutdown();
     assert_eq!(report.stats.ingest_items, 2 * n_per_client);
     assert_eq!(report.leaked_threads, 0);
-    assert_eq!(report.workers_panicked, 0);
+    assert_eq!(report.stats.worker_panics, 0);
 }
 
 #[test]
@@ -177,18 +177,15 @@ fn shutdown_frame_flips_drain_and_refuses_new_ingest() {
     assert!(matches!(c.ping().unwrap(), Reply::Pong { .. }));
     let report = handle.shutdown();
     assert_eq!(report.stats.ingest_items, 3);
-    assert_eq!(
-        report.workers_flushed as u64 + report.stats.worker_panics,
-        2
-    );
+    assert_eq!(report.stats.flush_errors, 0);
     assert_eq!(report.leaked_threads, 0);
 }
 
 #[test]
 fn worker_panic_is_isolated_breaker_trips_and_server_survives() {
-    // One worker, poisoned item → the panic kills the only ingest
-    // backend. The server must keep serving queries and NACK ingest
-    // with a typed error, never hang or crash.
+    // A poisoned item panics the ingest it is in. The server must
+    // refuse that frame and every later ingest on the stream with a
+    // typed error, keep serving queries, and never hang or crash.
     let cfg = ServerConfig {
         ingest_workers: 1,
         fault_panic_on: Some(0xDEAD_BEEF),
@@ -198,30 +195,16 @@ fn worker_panic_is_isolated_breaker_trips_and_server_survives() {
     let mut c = connect(&handle);
     assert!(matches!(c.ingest(&[1, 2, 3]).unwrap(), Reply::Ack { .. }));
 
-    // Poison batch: accepted into the queue (the panic happens in the
-    // worker, asynchronously).
-    assert!(matches!(
-        c.ingest(&[0xDEAD_BEEF]).unwrap(),
-        Reply::Ack { .. }
-    ));
-
-    // Subsequent ingest eventually sees the dead backend: either the
-    // queue NACK (Internal — all workers dead) once the panic has been
-    // observed, or transiently Ack/Overload while the worker is dying.
-    let mut saw_internal = false;
-    for _ in 0..100 {
-        match c.ingest(&[7]).unwrap() {
-            Reply::Nack {
-                code: NackCode::Internal,
-                ..
-            } => {
-                saw_internal = true;
-                break;
-            }
-            _ => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    assert!(saw_internal, "dead worker must surface as Internal NACK");
+    // The poison batch is never applied, so it is never acked.
+    assert_eq!(
+        c.ingest(&[0xDEAD_BEEF]).unwrap().nack_code(),
+        Some(NackCode::Internal)
+    );
+    // The stream's ingest is latched shut from here on.
+    assert_eq!(
+        c.ingest(&[7]).unwrap().nack_code(),
+        Some(NackCode::Internal)
+    );
 
     // Queries still served; the connection and server survived.
     assert!(matches!(c.ping().unwrap(), Reply::Pong { .. }));
@@ -229,43 +212,9 @@ fn worker_panic_is_isolated_breaker_trips_and_server_survives() {
 
     let report = handle.shutdown();
     assert_eq!(report.stats.worker_panics, 1);
-    assert_eq!(report.workers_panicked, 1);
-    assert_eq!(report.leaked_threads, 0);
-}
-
-#[test]
-fn backpressure_sheds_with_overload_nack_when_queues_fill() {
-    // Tiny queues + a poisoned worker stuck panicking? No — simpler:
-    // stall the single worker by flooding it faster than it can drain.
-    // queue_depth 1 and large batches make the race easy to hit.
-    let cfg = ServerConfig {
-        ingest_workers: 1,
-        queue_depth: 1,
-        ..test_config()
-    };
-    let handle = serve(cfg).unwrap();
-    let mut c = connect(&handle);
-    let batch: Vec<u64> = (0..4096).collect();
-    let mut saw_overload = false;
-    for _ in 0..2000 {
-        match c.ingest(&batch).unwrap() {
-            Reply::Nack { code, .. } => {
-                assert!(
-                    code == NackCode::Overload || code == NackCode::BreakerOpen,
-                    "sheds must be typed Overload/BreakerOpen, got {code:?}"
-                );
-                saw_overload = true;
-                break;
-            }
-            Reply::Ack { .. } => {}
-            other => panic!("unexpected reply: {other:?}"),
-        }
-    }
-    assert!(saw_overload, "a 1-deep queue must shed under a flood");
-    let report = handle.shutdown();
-    assert!(report.stats.sheds >= 1);
-    // Shed batches are NOT silently dropped-and-acked: every shed has a
-    // matching NACK.
+    // Σ acked = applied: only the first batch was acked.
+    assert_eq!(report.stats.ingest_items, 3);
+    // A refusal is always a typed NACK, never a silent drop.
     assert!(report.stats.nacks >= report.stats.sheds);
     assert_eq!(report.leaked_threads, 0);
 }
@@ -296,7 +245,7 @@ fn drain_flushes_all_acked_items_into_the_final_estimate() {
         }
     }
     let report = handle.shutdown();
-    assert_eq!(report.workers_flushed, 2, "both workers must flush clean");
+    assert_eq!(report.stats.flush_errors, 0);
     assert_eq!(report.stats.ingest_items, acked);
     let expect = acked as f64;
     assert!(
