@@ -1,6 +1,6 @@
-//! CI bench-regression gate over the JSON artefacts the bench binaries
-//! emit (`BENCH_prop_cost.json`, `BENCH_quantiles_prop.json`,
-//! `BENCH_ingest.json`, `BENCH_merge_tree.json`, `BENCH_serve.json`).
+//! CI bench-regression gate over the two JSON artefacts of the
+//! measurement leg: `BENCH_engine.json` (`engine_gates`) and
+//! `BENCH_serve.json` (`fcds-load`).
 //!
 //! Each artefact documents its own acceptance ratios and thresholds (see
 //! [`fcds_bench::gate`]); this binary reads them back and exits nonzero
@@ -16,16 +16,10 @@ use fcds_bench::gate::check_doc;
 use fcds_bench::report::HarnessArgs;
 use std::process::ExitCode;
 
-const ARTEFACTS: [&str; 5] = [
-    "BENCH_prop_cost.json",
-    "BENCH_quantiles_prop.json",
-    "BENCH_ingest.json",
-    "BENCH_merge_tree.json",
-    "BENCH_serve.json",
-];
+const ARTEFACTS: [&str; 2] = ["BENCH_engine.json", "BENCH_serve.json"];
 
 fn main() -> ExitCode {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(".");
     let dir = args.get("dir").unwrap_or(".");
     let mut failures = 0usize;
     let mut enforced = 0usize;

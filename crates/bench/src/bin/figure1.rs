@@ -11,7 +11,7 @@ use fcds_bench::drivers::{self, ThetaImpl};
 use fcds_bench::report::{mops, HarnessArgs, Table};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let cores = std::thread::available_parallelism().map_or(4, |c| c.get());
     let uniques: u64 = if args.full { 1 << 23 } else { 1 << 21 };
     let trials: u64 = if args.full { 16 } else { 4 };

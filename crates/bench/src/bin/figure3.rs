@@ -14,7 +14,7 @@ use fcds_bench::report::{HarnessArgs, Table};
 use fcds_relaxation::adversary::{strong_prefers_hiding, AdversaryParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let params = AdversaryParams::table1();
     let grid = if args.full { 120 } else { 48 };
     // The interesting range of Θ is around k/n = 2^10/2^15 = 1/32 ≈ 0.031.

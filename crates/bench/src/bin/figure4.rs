@@ -12,7 +12,7 @@ use fcds_bench::report::{HarnessArgs, Table};
 use fcds_relaxation::adversary::{simulate, AdversaryParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let trials = if args.full { 200_000 } else { 40_000 };
     let params = AdversaryParams::table1();
     let res = simulate(params, trials, 0xF16);

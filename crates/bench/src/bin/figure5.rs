@@ -48,7 +48,7 @@ fn run_profile(args: &HarnessArgs, e: f64, label: &str) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     match args.get("eager").unwrap_or("both") {
         "false" => run_profile(&args, 1.0, "a (no eager)"),
         "true" => run_profile(&args, 0.04, "b (eager)"),

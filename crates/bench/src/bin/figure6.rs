@@ -15,7 +15,7 @@ use fcds_bench::profiles::SpeedProfile;
 use fcds_bench::report::{mops, HarnessArgs, Table};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let cores = std::thread::available_parallelism().map_or(4, |c| c.get());
     let lg_k = 12;
     let profile = if args.full {

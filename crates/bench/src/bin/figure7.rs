@@ -12,7 +12,7 @@ use fcds_bench::report::{mops, HarnessArgs, Table};
 use std::time::Duration;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let uniques: u64 = if args.full { 1 << 23 } else { 1 << 21 };
     let trials: u64 = if args.full { 9 } else { 5 };
     let readers = 10;

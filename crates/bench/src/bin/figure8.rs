@@ -15,7 +15,7 @@ use fcds_bench::report::{HarnessArgs, Table};
 use fcds_bench::workload;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let lg_k = 12;
     let sizes = workload::size_ladder(4, if args.full { 18 } else { 15 }, true);
     let budget: u64 = if args.full { 1 << 22 } else { 1 << 19 };

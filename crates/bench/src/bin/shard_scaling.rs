@@ -17,7 +17,7 @@ use fcds_bench::report::{mops, HarnessArgs, Table};
 use fcds_core::PropagationBackendKind;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let cores = std::thread::available_parallelism().map_or(4, |c| c.get());
     let writers = cores.max(2);
     let uniques: u64 = if args.full { 1 << 23 } else { 1 << 21 };

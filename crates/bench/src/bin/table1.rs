@@ -9,7 +9,7 @@ use fcds_relaxation::adversary::{simulate, AdversaryParams};
 use fcds_relaxation::orderstats;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     let trials = if args.full { 100_000 } else { 20_000 };
     let params = AdversaryParams::table1();
     let (n, k, r) = (params.n, params.k as u64, params.r as u64);

@@ -57,7 +57,7 @@ fn max_errors(lg_k: u8, full: bool) -> (f64, f64) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse("results");
     println!("Table 2: performance vs accuracy as a function of k (e = 0.04)\n");
     let mut table = Table::new(&[
         "k",

@@ -1,158 +1,19 @@
-//! The CI bench-regression gate: parses the acceptance ratios the bench
-//! JSON emitters record and fails when one regresses past its threshold.
+//! The CI bench-regression gate: the writer ([`render_gates`]) and the
+//! reader ([`check_doc`]) of the two members every bench JSON carries.
 //!
-//! The contract is *data-driven*: every bench JSON documents its own
+//! The contract is *data-driven*: a bench JSON documents its own
 //! thresholds in a top-level `"thresholds"` object whose keys are the
 //! acceptance-ratio names suffixed with the bound direction —
 //! `<ratio>_max` requires `acceptance.<ratio> ≤ value`, `<ratio>_min`
 //! requires `acceptance.<ratio> ≥ value`. The `bench_gate` binary simply
-//! enforces whatever the JSON declares, so adding a gated ratio to a
-//! bench needs no gate change, and the thresholds are visible in the CI
-//! artefacts themselves.
+//! enforces whatever the JSON declares, so the thresholds are visible in
+//! the CI artefacts themselves.
 //!
-//! The canonical thresholds live here as constants (the emitters embed
-//! them into the JSON; the gate then reads them back out of the
-//! artefact, keeping a single source of truth):
-//!
-//! * Θ (`BENCH_prop_cost.json`): delta-image publication at most
-//!   [`THETA_DELTA_VS_NO_IMAGE_MAX`]× the no-image K = 1 path, and the
-//!   pre-block whole-copy at least [`THETA_WHOLE_COPY_VS_DELTA_MIN`]×
-//!   slower than delta — both at lg_k = 16.
-//! * HLL and Misra–Gries (`BENCH_prop_cost.json`): one hand-off at the
-//!   larger size parameter at most [`HLL_LARGE_VS_SMALL_MAX`]× /
-//!   [`FREQUENCY_LARGE_VS_SMALL_MAX`]× one at the smaller — HLL's cost
-//!   must not know `m`; Misra–Gries' may grow with `k`, no faster.
-//! * Quantiles (`BENCH_quantiles_prop.json`): the ladder publish at
-//!   least [`QUANTILES_SPEEDUP_MIN`]× faster than the full rebuild at
-//!   the larger retained size, and at most [`QUANTILES_FLATNESS_MAX`]×
-//!   its own cost at the smaller size (retained-independence).
-//! * Ingestion (`BENCH_ingest.json`): the single-writer Θ hot path.
-//!   The scalar hint-on path must hold
-//!   [`INGEST_SCALAR_HINT_MOPS_MIN`] M updates/s (2.5× the pre-PR
-//!   baseline), batched must stay at parity with it
-//!   ([`INGEST_BATCHED_VS_SCALAR_MIN`], a noise-margin guard — see the
-//!   constant's docs for why parity, not 1.25×, is the honest bound),
-//!   and batched must beat scalar outright on the ship-everything
-//!   ablation ([`INGEST_BATCHED_VS_SCALAR_SHIPALL_MIN`]).
-//!
-//! `BENCH_serve.json` is the exception: `fcds-load`'s correctness
-//! drills keep their thresholds beside the measurements, in the one
-//! table of `fcds_load::report::gates`.
-
-/// Θ delta-image publication may cost at most this multiple of the
-/// no-image single-shard path (lg_k = 16; PR 3 measured ≈ 2.5×).
-pub const THETA_DELTA_VS_NO_IMAGE_MAX: f64 = 3.0;
-
-/// The pre-block whole-copy fallback must stay at least this much slower
-/// than delta publication (lg_k = 16; PR 3 measured ≈ 340×) — i.e. the
-/// block images must keep buying at least a 5× win.
-pub const THETA_WHOLE_COPY_VS_DELTA_MIN: f64 = 5.0;
-
-/// An HLL hand-off (`calc_hint` + merge of `b` updates + `publish`) at
-/// lg_m = 16 may cost at most this multiple of one at lg_m = 12. The
-/// step touches `b` registers and reads the estimate and the floor off
-/// the register-value histogram, so the honest value is ≈ 1 (cache
-/// misses on the 64 KiB register array aside; measured 0.76 to 1.02);
-/// a publication that rescans the registers (pre-PR 18) read 27.
-pub const HLL_LARGE_VS_SMALL_MAX: f64 = 2.0;
-
-/// A Misra–Gries hand-off at k = 1024 may cost at most this multiple of
-/// one at k = 64. Unlike HLL's, this step is allowed to know its size
-/// parameter: the publication copies the ≤ k-counter table and a
-/// reduction walks it, both linear in `k` with a small constant next to
-/// the `b` hash-map updates, so the ratio sits well under the 16× size
-/// ratio — 3.6 to 5.3 over seven runs on the benchmark's Zipf(1.1) keys.
-/// The bound is half the size ratio, 1.5× headroom over the worst; a
-/// publication that sorts and re-hashes the table (the pre-PR 18
-/// `heavy_hitters(0)` → collect) read 9.0 on the same rows.
-pub const FREQUENCY_LARGE_VS_SMALL_MAX: f64 = 8.0;
-
-/// The ladder publish must beat the full O(retained · log retained)
-/// rebuild by at least this factor at the larger retained size.
-pub const QUANTILES_SPEEDUP_MIN: f64 = 5.0;
-
-/// Ladder publish cost at the larger retained size may be at most this
-/// multiple of its cost at the smaller size (1.0 = perfectly
-/// retained-independent; headroom for timer noise and cache effects).
-pub const QUANTILES_FLATNESS_MAX: f64 = 2.0;
-
-/// Single-writer batched Θ ingestion (hint on, lazy phase) must stay at
-/// parity or better with the scalar per-item path. This PR's measured
-/// reality: the same work that built the batched path (fixed-width
-/// murmur3 lane, latched phase flip, cached pre-filter switch) also
-/// removed every per-item overhead from the *scalar* path, which now
-/// sits at the murmur3 multiply-throughput wall (~295 M updates/s on
-/// the 1-CPU container, vs the ~40 M/s recorded baseline) — and the
-/// out-of-order core already overlaps the independent per-item hash
-/// chains, so explicit batching has only ~5% left to win on hint-on
-/// integer streams (measured 1.04–1.05×). The bound is therefore a
-/// noise-margin parity guard, not a speedup claim; the absolute win is
-/// gated by [`INGEST_SCALAR_HINT_MOPS_MIN`].
-pub const INGEST_BATCHED_VS_SCALAR_MIN: f64 = 0.95;
-
-/// Where batching has a structural edge — the `disable_prefilter`
-/// ablation, where every update is buffered and shipped through the
-/// hand-off — the bulk append must actually win (measured ≈ 1.1×).
-pub const INGEST_BATCHED_VS_SCALAR_SHIPALL_MIN: f64 = 1.0;
-
-/// The scalar hint-on path must sustain at least this many million
-/// updates per second — 2.5× the ~40 M updates/s baseline the ROADMAP
-/// recorded for this container before this PR (measured ≈ 295 after
-/// it), so the hot-path win can never silently regress.
-pub const INGEST_SCALAR_HINT_MOPS_MIN: f64 = 100.0;
-
-/// Merge tree (`BENCH_merge_tree.json`): Θ fan-in estimate error vs the
-/// exact disjoint-union oracle. lg_k = 12 gives RSE ≈ 1.6%; 0.08 is a
-/// 5σ ceiling that only a merge-path bug can breach.
-pub const MERGE_TREE_THETA_RELERR_MAX: f64 = 0.08;
-
-/// Merge tree: HLL fan-in estimate error vs the oracle. lg_m = 10 gives
-/// a standard error ≈ 3.3%; 0.12 is a ~3.6σ ceiling (the merge itself
-/// is an exact lattice join, so only the estimator variance is in play).
-pub const MERGE_TREE_HLL_RELERR_MAX: f64 = 0.12;
-
-/// Merge tree: worst rank error of the merged Quantiles ladder across
-/// the φ grid, expressed as a multiple of the single-sketch
-/// `epsilon_for_k` — fan-in across N nodes × K shards compounds the
-/// per-sketch epsilon, so the bound is a small multiple, not 1.
-pub const MERGE_TREE_QUANTILES_RANKERR_VS_EPS_MAX: f64 = 4.0;
-
-/// Merge tree: the merged Misra–Gries `max_error` over the theoretical
-/// mergeable-summaries bound `n/(k+1)` — the theorem says ≤ 1 under any
-/// fan-in order.
-pub const MERGE_TREE_MG_ERROR_VS_BOUND_MAX: f64 = 1.0;
-
-/// Merge tree: fraction of probed items whose true count lies inside
-/// the merged `[lower_bound, upper_bound]` — must be every one of them.
-pub const MERGE_TREE_MG_COVERAGE_MIN: f64 = 1.0;
-
-/// Merge tree: the slowest family's fan-in rate, in images merged per
-/// second. A deliberately loose floor (real rates are thousands/s even
-/// on a loaded 1-CPU runner) that still catches an accidentally
-/// quadratic merge path.
-pub const MERGE_TREE_FANIN_IPS_MIN: f64 = 100.0;
-
-/// Merge tree: the Θ multiway loser-tree union must beat the reference
-/// pairwise decode-and-fold by at least this factor at fan-in 32. The
-/// pairwise fold re-merges a growing accumulator f − 1 times
-/// (O(f² · k) hash traffic plus f decode allocations); the kernel is a
-/// single O(f · k · log f) pass over borrowed views, so 2× is far below
-/// the measured gap and only a kernel regression can breach it.
-pub const MERGE_TREE_THETA_MULTIWAY_SPEEDUP_F32_MIN: f64 = 2.0;
-
-/// Merge tree: the HLL register-max kernel must beat the pairwise
-/// decode-and-fold by at least this factor at fan-in 32 — pairwise pays
-/// per-image register validation and a register-vector allocation per
-/// decode; the kernel folds payload bytes into one accumulator and
-/// validates once.
-pub const MERGE_TREE_HLL_MULTIWAY_SPEEDUP_F32_MIN: f64 = 2.0;
-
-/// Merge tree: heap allocations per merge in the *warm* coordinator
-/// loop (persistent [`fcds_sketches::wire::MergeScratch`], Θ and HLL
-/// `*_into` kernels), as counted by the bench binary's instrumented
-/// global allocator. The whole point of the scratch arena is that this
-/// is exactly zero.
-pub const MERGE_TREE_WARM_ALLOCS_PER_MERGE_MAX: f64 = 0.0;
+//! No threshold is written here. Each producer keeps its bounds beside
+//! the measurements they cut, as rows of [`GateCheck`]: the
+//! `engine_gates` binary's four sections for `BENCH_engine.json` (cost
+//! ratios and one allocation count — none is a speed), and
+//! `fcds_load::report::gates` for `BENCH_serve.json`.
 
 /// The bound direction encoded in a threshold key's suffix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +38,16 @@ pub struct GateCheck {
 }
 
 impl GateCheck {
+    /// One row of a producer's gate table.
+    pub fn new(name: &str, value: f64, bound: Bound, threshold: f64) -> Self {
+        GateCheck {
+            name: name.to_string(),
+            value,
+            threshold,
+            bound,
+        }
+    }
+
     /// Whether the measured value satisfies its bound.
     pub fn passed(&self) -> bool {
         match self.bound {
@@ -200,6 +71,30 @@ impl std::fmt::Display for GateCheck {
             self.name, self.value, self.threshold
         )
     }
+}
+
+/// A flat JSON object body, one `"key": value` per line.
+pub fn object(entries: impl Iterator<Item = (String, String)>) -> String {
+    let lines: Vec<String> = entries.map(|(k, v)| format!("    \"{k}\": {v}")).collect();
+    format!("{{\n{}\n  }}", lines.join(",\n"))
+}
+
+/// The `"acceptance"` and `"thresholds"` members [`check_doc`] reads,
+/// rendered from the same rows.
+pub fn render_gates(gates: &[GateCheck]) -> String {
+    let acceptance = object(
+        gates
+            .iter()
+            .map(|g| (g.name.clone(), format!("{:.4}", g.value))),
+    );
+    let thresholds = object(gates.iter().map(|g| {
+        let suffix = match g.bound {
+            Bound::Min => "min",
+            Bound::Max => "max",
+        };
+        (format!("{}_{suffix}", g.name), g.threshold.to_string())
+    }));
+    format!("\"acceptance\": {acceptance},\n  \"thresholds\": {thresholds}")
 }
 
 /// Extracts the number stored under `"key"` anywhere in `doc` (the bench

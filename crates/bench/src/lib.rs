@@ -17,6 +17,10 @@
 //! | `table1`   | Θ error analysis (closed-form + Monte-Carlo) |
 //! | `table2`   | k trade-off: crossing point and error quantiles |
 //!
+//! Beyond the paper: `shard_scaling`, and the CI measurement leg —
+//! `engine_gates` (propagation-cost, ingestion and fan-in *ratios* in one
+//! `BENCH_engine.json`) and `bench_gate` (the [`gate`] reader over it).
+//!
 //! Absolute numbers depend on the host; the *shapes* (scaling slopes,
 //! crossing points, pitchfork envelopes) are the reproduction target.
 //! Run with `--full` for paper-scale parameters; the default is sized for

@@ -99,48 +99,53 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args`, skipping the binary name.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
-    }
-
-    /// Like [`Self::parse`], but with `out_dir` defaulting to `default`
-    /// when the caller passed no `--out=` flag. The CI JSON emitters
-    /// (`bench_smoke`, `prop_cost`) use `"."` so their artefacts land in
-    /// the working directory without extra flags, unlike the figure
-    /// binaries' `results/` default.
-    pub fn parse_with_out_default(default: &str) -> Self {
-        let mut out = Self::parse();
-        if !std::env::args().any(|a| a.starts_with("--out=")) {
-            out.out_dir = default.to_string();
-        }
-        out
+    /// Parses `std::env::args`, skipping the binary name; `default_out`
+    /// is where artefacts go without an `--out=` flag (`"results"` for
+    /// the figure binaries, `"."` for the CI JSON emitters). A usage
+    /// error is printed and exits with status 2.
+    pub fn parse(default_out: &str) -> Self {
+        Self::from_iter(std::env::args().skip(1), default_out).unwrap_or_else(|e| {
+            eprintln!("usage error: {e} (flags are --full, --out=DIR, --key[=value])");
+            std::process::exit(2)
+        })
     }
 
     /// Parses from an explicit iterator (testable).
-    // Not `FromIterator`: this parses CLI flags (fallible-ish, ordered)
-    // rather than collecting, and the call sites read better as an
-    // explicit constructor.
+    ///
+    /// # Errors
+    ///
+    /// An empty `--out=` (it would write to the filesystem root) and an
+    /// argument that is not a `--flag` (it would be dropped silently).
+    // Not `FromIterator`: this parses CLI flags (fallible, ordered)
+    // rather than collecting.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(args: impl Iterator<Item = String>) -> Self {
+    pub fn from_iter(
+        args: impl Iterator<Item = String>,
+        default_out: &str,
+    ) -> Result<Self, String> {
         let mut out = HarnessArgs {
             full: false,
-            out_dir: "results".to_string(),
+            out_dir: default_out.to_string(),
             extra: Vec::new(),
         };
         for a in args {
             if a == "--full" {
                 out.full = true;
             } else if let Some(dir) = a.strip_prefix("--out=") {
+                if dir.is_empty() {
+                    return Err("--out= names no directory".to_string());
+                }
                 out.out_dir = dir.to_string();
             } else if let Some(kv) = a.strip_prefix("--") {
                 match kv.split_once('=') {
                     Some((k, v)) => out.extra.push((k.to_string(), v.to_string())),
                     None => out.extra.push((kv.to_string(), "true".to_string())),
                 }
+            } else {
+                return Err(format!("unexpected argument \"{a}\""));
             }
         }
-        out
+        Ok(out)
     }
 
     /// Looks up an extra flag.
@@ -180,18 +185,26 @@ mod tests {
         t.row(&["1".into(), "2".into()]);
     }
 
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::from_iter(args.iter().map(|s| s.to_string()), "results")
+    }
+
     #[test]
     fn args_parse() {
-        let a = HarnessArgs::from_iter(
-            ["--full", "--out=/tmp/x", "--k=256", "--eager"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let a = parse(&["--full", "--out=/tmp/x", "--k=256", "--eager"]).unwrap();
         assert!(a.full);
         assert_eq!(a.out_dir, "/tmp/x");
         assert_eq!(a.get("k"), Some("256"));
         assert_eq!(a.get("eager"), Some("true"));
         assert_eq!(a.get("missing"), None);
+        assert_eq!(parse(&[]).unwrap().out_dir, "results");
+    }
+
+    #[test]
+    fn args_reject_an_empty_out_dir_and_positional_arguments() {
+        assert!(parse(&["--out="]).unwrap_err().contains("--out="));
+        assert!(parse(&["--full", "full"]).unwrap_err().contains("\"full\""));
+        assert!(parse(&["-full"]).is_err());
     }
 
     #[test]

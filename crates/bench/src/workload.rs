@@ -66,32 +66,68 @@ impl UniqueStream {
     }
 }
 
-/// Merges per timing batch of [`time_merges`]: the clock is read between
-/// batches only, so `Instant::now` never pollutes a cheap step.
-pub const MERGE_BATCH: u64 = 64;
-/// The most merges one [`time_merges`] call measures.
-pub const MAX_MERGES: u64 = 16_384;
-const MERGE_BUDGET: std::time::Duration = std::time::Duration::from_millis(250);
+/// splitmix64 over a golden-gamma counter: a bijection on `u64`, so every
+/// value it ever emits is distinct — exactly the §7.1 write-only stream.
+#[derive(Debug, Clone)]
+pub struct SplitMix(pub u64);
 
-/// Times one propagation step (`merge` + `publish` + `calc_hint`) in
-/// steady state for the per-merge cost benches (`prop_cost`,
-/// `quantiles_prop`): two warm-up batches — mirrors populated, first
-/// post-publish copy-on-write behind us, allocator warm — then batches
-/// until 250 ms or [`MAX_MERGES`] are spent. Returns (ns per merge,
-/// merges measured).
-pub fn time_merges(mut one_merge: impl FnMut()) -> (f64, u64) {
-    for _ in 0..2 * MERGE_BATCH {
-        one_merge();
+impl SplitMix {
+    /// The next value of the sequence.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
-    let mut merges = 0u64;
-    let start = std::time::Instant::now();
-    while start.elapsed() < MERGE_BUDGET && merges < MAX_MERGES {
-        for _ in 0..MERGE_BATCH {
-            one_merge();
+}
+
+/// Rounds [`time_interleaved`] times at least, however slow a side is.
+const MIN_ROUNDS: usize = 9;
+/// Rounds [`time_interleaved`] times at most, however fast the sides are.
+pub const MAX_ROUNDS: usize = 256;
+/// Timed work after which [`time_interleaved`] stops.
+const BUDGET: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// The one timing loop of `engine_gates`: every gated figure is a
+/// quotient of two costs, so the `sides` whose costs get divided are
+/// timed *interleaved*, one call each per round — load drift on a shared
+/// box then hits all sides alike and cancels in the ratio — and each
+/// side reports the *median* of its calls, which shrugs off the outlier
+/// rounds a grand total would absorb. `input` runs untimed once per
+/// round and its value is handed to every side (fresh stream items, the
+/// same for all). One untimed round absorbs cold caches and first
+/// hand-offs; then rounds run until 250 ms of timed work or
+/// [`MAX_ROUNDS`], and at least nine. Returns each side's median seconds
+/// per call and the rounds timed; a side decides how much work one call
+/// is (a batch large enough that the two clock reads vanish in it).
+pub fn time_interleaved<I, const N: usize>(
+    mut input: impl FnMut() -> I,
+    mut sides: [&mut dyn FnMut(&I); N],
+) -> ([f64; N], usize) {
+    let warm = input();
+    for side in &mut sides {
+        side(&warm);
+    }
+    let mut secs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    let mut spent = std::time::Duration::ZERO;
+    let mut rounds = 0;
+    while rounds < MIN_ROUNDS || (spent < BUDGET && rounds < MAX_ROUNDS) {
+        let item = input();
+        for (side, secs) in sides.iter_mut().zip(&mut secs) {
+            let start = std::time::Instant::now();
+            side(&item);
+            let elapsed = start.elapsed();
+            spent += elapsed;
+            secs.push(elapsed.as_secs_f64());
         }
-        merges += MERGE_BATCH;
+        rounds += 1;
     }
-    (start.elapsed().as_nanos() as f64 / merges as f64, merges)
+    let medians = secs.map(|mut secs| {
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    });
+    (medians, rounds)
 }
 
 #[cfg(test)]
@@ -134,6 +170,30 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len() as u64, total, "slices overlapped");
+    }
+
+    #[test]
+    fn interleaved_timing_reports_a_median_per_side_in_order() {
+        let sleep = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let (mut inputs, mut fast_calls, mut slow_calls) = (0, 0, 0);
+        let (secs, rounds) = time_interleaved(
+            || inputs += 1,
+            [
+                &mut |_| {
+                    fast_calls += 1;
+                    sleep(1);
+                },
+                &mut |_| {
+                    slow_calls += 1;
+                    sleep(4);
+                },
+            ],
+        );
+        assert!(secs[0] >= 0.001 && secs[1] >= 0.004, "{secs:?}");
+        assert!(secs[0] < secs[1], "{secs:?}");
+        assert!((MIN_ROUNDS..=MAX_ROUNDS).contains(&rounds));
+        // One untimed round first; one input and one call per side per round.
+        assert_eq!([inputs, fast_calls, slow_calls], [rounds + 1; 3]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub trait LocalSketch: Send + 'static {
 /// stream (the ≤ 2k-item base run, the ≤ k-counter table), and leave
 /// anything O(sketch) to the query side, where it is paid per query and
 /// can be memoised per publication — as `QuantilesReader::from_ladders`
-/// and every `wire_image()` already are. `prop_cost` measures the step
+/// and every `wire_image()` already are. `engine_gates` measures the step
 /// for all four families at two sizes each and `bench_gate` fails CI
 /// when a family's cost grows with its size.
 pub trait GlobalSketch: Send + 'static {

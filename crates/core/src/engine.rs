@@ -12,11 +12,11 @@
 //!   family-generically; the fan-in kernels on the receiving side do
 //!   the family dispatch from the envelope's own header.
 //! * [`EngineWriter`] / [`StreamEngine`] — the object-safe pair the
-//!   server's per-stream workers are written against: a `StreamEngine`
+//!   server's connection threads are written against: a `StreamEngine`
 //!   is a running engine ingesting `u64` stream items (the service's
 //!   item type; Θ/HLL hash them, Quantiles/Misra–Gries take them as
-//!   values), and each worker thread owns one `EngineWriter` obtained
-//!   from it.
+//!   values), and each connection thread owns one `EngineWriter` per
+//!   stream it ingests into, obtained from it.
 //! * [`Family`] + [`EngineBuilder`] — the unified construction entry:
 //!   the shared [`ConcurrencyConfig`] knobs (writers, shards, backend,
 //!   error budget…) are set once on `EngineBuilder<F>` for any family
@@ -51,7 +51,7 @@ pub trait WireImage {
 }
 
 /// A per-thread ingest handle for a [`StreamEngine`], object-safe so a
-/// server worker can own "a writer" without knowing the family.
+/// server connection thread can own "a writer" without knowing the family.
 ///
 /// Items are `u64` stream elements: Θ and HLL hash them, Quantiles and
 /// Misra–Gries treat them as values. Buffered updates become durable at

@@ -32,7 +32,7 @@ use std::time::Duration;
 const SYNC_ITEMS_PER_STREAM: u64 = 20_000;
 
 fn main() {
-    let args = HarnessArgs::parse_with_out_default(".");
+    let args = HarnessArgs::parse(".");
 
     let mut cfg = LoadConfig::default();
     if let Some(b) = args.get("baseline-ms").and_then(|v| v.parse().ok()) {

@@ -10,7 +10,8 @@ use crate::{
     CrashDrillReport, FaultMode, LoadConfig, MultiStreamReport, ScenarioReport, SyncReport,
     ESTIMATE_ENVELOPE, RECOVERY_TIMEOUT, SYNC_STREAMS,
 };
-use fcds_bench::gate::{Bound, GateCheck};
+pub use fcds_bench::gate::render_gates;
+use fcds_bench::gate::{object, Bound, GateCheck};
 use fcds_server::frame::NackCode;
 use std::fmt::Write as _;
 
@@ -22,12 +23,7 @@ pub fn gates(
     crash: &CrashDrillReport,
 ) -> Vec<GateCheck> {
     use Bound::{Max, Min};
-    let gate = |name: &str, value: f64, bound, threshold: f64| GateCheck {
-        name: name.to_string(),
-        value,
-        threshold,
-        bound,
-    };
+    let gate = GateCheck::new;
     let all_typed = |untyped: u64| if untyped == 0 { 1.0 } else { 0.0 };
     // An unrecovered phase or restart counts as an hour, far past any
     // sane bound: it must trip the max, not vanish from it.
@@ -121,30 +117,6 @@ pub fn gates(
             0.0,
         ),
     ]
-}
-
-/// A flat JSON object body, one `"key": value` per line.
-fn object(entries: impl Iterator<Item = (String, String)>) -> String {
-    let lines: Vec<String> = entries.map(|(k, v)| format!("    \"{k}\": {v}")).collect();
-    format!("{{\n{}\n  }}", lines.join(",\n"))
-}
-
-/// The `"acceptance"` and `"thresholds"` members `bench_gate` enforces,
-/// rendered from the same rows.
-pub fn render_gates(gates: &[GateCheck]) -> String {
-    let acceptance = object(
-        gates
-            .iter()
-            .map(|g| (g.name.clone(), format!("{:.4}", g.value))),
-    );
-    let thresholds = object(gates.iter().map(|g| {
-        let suffix = match g.bound {
-            Bound::Min => "min",
-            Bound::Max => "max",
-        };
-        (format!("{}_{suffix}", g.name), g.threshold.to_string())
-    }));
-    format!("\"acceptance\": {acceptance},\n  \"thresholds\": {thresholds}")
 }
 
 /// The full `BENCH_serve.json` document.

@@ -1,13 +1,14 @@
-//! Per-backend circuit breaker: closed → open → half-open.
+//! Circuit breaker for the replica-peer link: closed → open → half-open.
 //!
-//! Each ingest backend (worker) gets one breaker. While *closed*,
-//! requests flow and consecutive failures are counted; at the threshold
-//! the breaker *opens* and requests are rejected outright (a
-//! `BreakerOpen` NACK — cheaper for everyone than queueing against a
-//! backend that keeps failing). After the cooldown one *half-open*
-//! probe is admitted: success re-closes the breaker, failure re-opens
-//! it for another cooldown. The classic pattern, sized for a handful of
-//! backends — one mutex per breaker, taken once per request.
+//! A server started with a replica peer owns one breaker, taken by the
+//! pusher thread (`replica.rs`) once per push round. While *closed*,
+//! rounds run and consecutive transport failures are counted; at the
+//! threshold the breaker *opens* and the pusher skips its rounds instead
+//! of dialling a peer that keeps failing. After the cooldown one
+//! *half-open* probe round is admitted: success re-closes the breaker,
+//! failure re-opens it for another cooldown. Ingest has no breaker — a
+//! stream whose engine faulted is latched shut and answers a typed NACK
+//! — and `StatsSnapshot::replica_breaker` reports this one's state.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -31,7 +32,7 @@ struct BreakerInner {
     opened_at: Option<Instant>,
 }
 
-/// A closed/open/half-open circuit breaker guarding one backend.
+/// A closed/open/half-open circuit breaker guarding one peer link.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     inner: Mutex<BreakerInner>,
@@ -111,15 +112,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Forces the breaker open (used when a backend is known dead, e.g.
-    /// its worker thread panicked — no point probing it).
-    pub fn trip(&self) {
-        let mut g = self.lock();
-        g.state = BreakerState::Open;
-        g.consecutive_failures = g.consecutive_failures.max(self.threshold);
-        g.opened_at = Some(Instant::now());
-    }
-
     /// The current state (for stats/debugging; racy by nature).
     pub fn state(&self) -> BreakerState {
         self.lock().state
@@ -177,13 +169,5 @@ mod tests {
         b.record_failure();
         assert!(!b.allow(), "cooldown must gate the half-open probe");
         assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn trip_opens_immediately() {
-        let b = CircuitBreaker::new(100, Duration::from_secs(600));
-        b.trip();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
     }
 }

@@ -13,8 +13,6 @@
 //!   (PODS 2012), the paper's second instantiation (§6.2).
 //! * [`hll`] — a HyperLogLog sketch (the artifact appendix exercises HLL;
 //!   §8 names "other sketches" as future work for the framework).
-//! * [`sampling`] — reservoir sampling, the paper's second pre-filtering
-//!   example (§5.1).
 //! * [`frequency`] — Misra–Gries heavy hitters, a fourth mergeable
 //!   summary for exercising the concurrent framework's genericity.
 //! * [`hash`] — MurmurHash3 (x64-128), the hash function used by Apache
@@ -51,7 +49,6 @@ pub mod hash;
 pub mod hll;
 pub mod oracle;
 pub mod quantiles;
-pub mod sampling;
 pub mod theta;
 pub mod wire;
 

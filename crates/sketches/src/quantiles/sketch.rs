@@ -353,7 +353,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// Collects all retained `(item, weight)` pairs sorted by item — the
     /// O(retained · log retained) full rebuild. Kept as the
     /// [`Self::reader`] implementation (and as the baseline the
-    /// `quantiles_prop` bench compares the ladder against); the
+    /// `engine_gates` bench compares the ladder against); the
     /// propagation path uses [`Self::ladder_with_sorted_base`] instead.
     fn weighted_items(&self) -> Vec<(T, u64)> {
         let mut out: Vec<(T, u64)> = Vec::new();

@@ -29,7 +29,7 @@
 //! The Θ and HLL kernels write *only* into a caller-owned
 //! [`MergeScratch`] arena and return borrowed results
 //! ([`ThetaFanin`] / [`HllFanin`]), so a warm coordinator loop performs
-//! **zero steady-state allocations** — the claim `merge_tree` measures
+//! **zero steady-state allocations** — the claim `engine_gates` measures
 //! with a counting allocator. Ladder and Misra–Gries results are owned
 //! sketches (their state is inherently heap-backed), still built in one
 //! pass.

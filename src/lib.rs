@@ -7,7 +7,7 @@
 //! This facade crate re-exports the three library crates of the workspace:
 //!
 //! * [`sketches`] — sequential sketch substrate: Θ sketches (KMV and
-//!   quick-select), the Quantiles sketch, HLL, reservoir sampling, and the
+//!   quick-select), the Quantiles sketch, HLL, Misra–Gries, and the
 //!   MurmurHash3 hash the sketches are built on.
 //! * [`core`] — the paper's contribution: the generic strongly-linearisable
 //!   concurrent sketch framework (`ParSketch`/`OptParSketch`), generalised
