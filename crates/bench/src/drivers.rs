@@ -33,17 +33,6 @@ pub enum ThetaImpl {
         /// Propagation backend.
         backend: PropagationBackendKind,
     },
-    /// The concurrent sketch fed through [`fcds_core::theta::ThetaWriter::update_batch`]
-    /// in chunks of `chunk` items (the batched ingestion fast path)
-    /// instead of one `update` call per item.
-    Batched {
-        /// Number of writer threads.
-        writers: usize,
-        /// Max concurrency error `e`.
-        e: f64,
-        /// Items per `update_batch` call.
-        chunk: usize,
-    },
     /// The lock-based baseline with `threads` updating threads.
     LockBased {
         /// Number of updating threads.
@@ -79,16 +68,6 @@ impl ThetaImpl {
         }
     }
 
-    /// The batched-ingestion configuration (`e = 1.0`, default `b`,
-    /// 256-item chunks).
-    pub fn batched(writers: usize) -> Self {
-        ThetaImpl::Batched {
-            writers,
-            e: 1.0,
-            chunk: 256,
-        }
-    }
-
     /// Human-readable label for reports.
     pub fn label(&self) -> String {
         match self {
@@ -107,9 +86,6 @@ impl ThetaImpl {
                 };
                 format!("sharded({writers}w,{shards}K,{bk})")
             }
-            ThetaImpl::Batched { writers, e, chunk } => {
-                format!("batched({writers}w,e={e},chunk={chunk})")
-            }
             ThetaImpl::LockBased { threads } => format!("lock-based({threads}t)"),
         }
     }
@@ -119,16 +95,7 @@ impl ThetaImpl {
         match self {
             ThetaImpl::Concurrent { writers, .. } => *writers,
             ThetaImpl::Sharded { writers, .. } => *writers,
-            ThetaImpl::Batched { writers, .. } => *writers,
             ThetaImpl::LockBased { threads } => *threads,
-        }
-    }
-
-    /// Items per `update_batch` call, when this is a batched variant.
-    fn batch_chunk(&self) -> Option<usize> {
-        match self {
-            ThetaImpl::Batched { chunk, .. } => Some(*chunk),
-            _ => None,
         }
     }
 
@@ -161,40 +128,15 @@ impl ThetaImpl {
                     .build()
                     .expect("build sharded sketch"),
             ),
-            ThetaImpl::Batched { writers, e, .. } => Some(
-                EngineBuilder::<ThetaFamily>::new()
-                    .accuracy(usize::from(lg_k))
-                    .seed(9001)
-                    .writers(writers)
-                    .max_concurrency_error(e)
-                    .build()
-                    .expect("build batched sketch"),
-            ),
             ThetaImpl::LockBased { .. } => None,
         }
     }
 }
 
-/// Feeds `stream` into `w`, either one update per item or — when `chunk`
-/// is set — through the batched fast path in `chunk`-item slices.
-fn feed_writer(w: &mut fcds_core::theta::ThetaWriter, stream: &UniqueStream, chunk: Option<usize>) {
-    match chunk {
-        None => {
-            for v in stream.iter() {
-                w.update(v);
-            }
-        }
-        Some(chunk) => {
-            let mut buf = Vec::with_capacity(chunk);
-            for v in stream.iter() {
-                buf.push(v);
-                if buf.len() == chunk {
-                    w.update_batch(&buf);
-                    buf.clear();
-                }
-            }
-            w.update_batch(&buf);
-        }
+/// Feeds `stream` into `w`, one update per item.
+fn feed_writer(w: &mut fcds_core::theta::ThetaWriter, stream: &UniqueStream) {
+    for v in stream.iter() {
+        w.update(v);
     }
 }
 
@@ -203,9 +145,8 @@ fn feed_writer(w: &mut fcds_core::theta::ThetaWriter, stream: &UniqueStream, chu
 /// phase (§7.1's write-only workload). `nonce` de-correlates trials.
 pub fn time_write_only(impl_: ThetaImpl, lg_k: u8, uniques: u64, nonce: u64) -> Duration {
     match impl_ {
-        ThetaImpl::Concurrent { .. } | ThetaImpl::Sharded { .. } | ThetaImpl::Batched { .. } => {
+        ThetaImpl::Concurrent { .. } | ThetaImpl::Sharded { .. } => {
             let writers = impl_.threads();
-            let chunk = impl_.batch_chunk();
             let sketch = impl_.build_concurrent(lg_k).expect("concurrent variant");
             if writers == 1 {
                 // Feed inline: thread-spawn latency would otherwise
@@ -214,7 +155,7 @@ pub fn time_write_only(impl_: ThetaImpl, lg_k: u8, uniques: u64, nonce: u64) -> 
                 let mut w = sketch.writer();
                 let stream = UniqueStream::for_thread(uniques, 1, 0, nonce);
                 let start = Instant::now();
-                feed_writer(&mut w, &stream, chunk);
+                feed_writer(&mut w, &stream);
                 return start.elapsed();
             }
             let start = Instant::now();
@@ -222,7 +163,7 @@ pub fn time_write_only(impl_: ThetaImpl, lg_k: u8, uniques: u64, nonce: u64) -> 
                 for t in 0..writers {
                     let mut w = sketch.writer();
                     let stream = UniqueStream::for_thread(uniques, writers, t, nonce);
-                    s.spawn(move || feed_writer(&mut w, &stream, chunk));
+                    s.spawn(move || feed_writer(&mut w, &stream));
                 }
             });
             start.elapsed()
@@ -277,9 +218,8 @@ pub fn time_mixed(
     let stop = AtomicBool::new(false);
     let queries = AtomicU64::new(0);
     let write_duration = match impl_ {
-        ThetaImpl::Concurrent { .. } | ThetaImpl::Sharded { .. } | ThetaImpl::Batched { .. } => {
+        ThetaImpl::Concurrent { .. } | ThetaImpl::Sharded { .. } => {
             let writers = impl_.threads();
-            let chunk = impl_.batch_chunk();
             let sketch = impl_.build_concurrent(lg_k).expect("concurrent variant");
             let start = Instant::now();
             std::thread::scope(|s| {
@@ -298,7 +238,7 @@ pub fn time_mixed(
                     .map(|t| {
                         let mut w = sketch.writer();
                         let stream = UniqueStream::for_thread(uniques, writers, t, nonce);
-                        s.spawn(move || feed_writer(&mut w, &stream, chunk))
+                        s.spawn(move || feed_writer(&mut w, &stream))
                     })
                     .collect();
                 for h in writer_handles {
@@ -381,19 +321,11 @@ mod tests {
             ThetaImpl::concurrent_b1(2),
             ThetaImpl::sharded(2, 2, PropagationBackendKind::DedicatedThread),
             ThetaImpl::sharded(2, 2, PropagationBackendKind::WriterAssisted),
-            ThetaImpl::batched(1),
-            ThetaImpl::batched(2),
             ThetaImpl::LockBased { threads: 2 },
         ] {
             let d = time_write_only(impl_, 9, 10_000, 1);
             assert!(d.as_nanos() > 0, "{} produced zero duration", impl_.label());
         }
-    }
-
-    #[test]
-    fn batched_labels_are_informative() {
-        let l = ThetaImpl::batched(4).label();
-        assert!(l.contains("4w") && l.contains("chunk=256"), "{l}");
     }
 
     #[test]

@@ -262,25 +262,38 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
     };
     // Validate before resolving: a NACKed frame must not create a
     // stream.
-    let family = match validate_envelope(body, ctx.cfg.max_frame_payload) {
-        Ok(f) => f,
+    let key = match validate_envelope(body, ctx.cfg.max_frame_payload) {
+        Ok(key) => key,
         Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
     };
+    let family = key.family();
+    if let Some(prefix) = prefix.as_ref().filter(|p| p.family != family) {
+        return Response::nack(
+            frame.seq,
+            NackCode::FamilyMismatch,
+            &format!(
+                "envelope is {}, stream is {}",
+                family.name(),
+                prefix.family.name()
+            ),
+            false,
+        );
+    }
+    // An image that cannot fan in with its target's would make every
+    // later read of the target fail. A v2 stream's images share its
+    // engine's key; a v1 store's share its first image's.
+    let index = (family.code() - 1) as usize;
+    let target = match prefix {
+        Some(_) => ctx.engine_keys[index],
+        None => *ctx.v1_keys[index].get_or_init(|| key),
+    };
+    if key != target {
+        let detail = format!("image cannot fan in with its target: {key:?} vs {target:?}");
+        return Response::nack(frame.seq, NackCode::Wire, &detail, false);
+    }
     // Create-on-first-merge: a replica push materialises the stream on
     // the receiving peer before any local ingest.
     let stream = match &prefix {
-        Some(prefix) if prefix.family != family => {
-            return Response::nack(
-                frame.seq,
-                NackCode::FamilyMismatch,
-                &format!(
-                    "envelope is {}, stream is {}",
-                    family.name(),
-                    prefix.family.name()
-                ),
-                false,
-            )
-        }
         Some(prefix) => match resolve_stream(ctx, frame.seq, prefix, true) {
             Ok(stream) => Some(stream),
             Err(nack) => return nack,

@@ -106,13 +106,13 @@ pub use registry::StreamInfo;
 pub use stats::StatsSnapshot;
 
 use crate::registry::{Registry, StreamState};
-use crate::slots::{fan_in, Consumer, Fanned, Slots, Want};
+use crate::slots::{fan_in, Consumer, FaninKey, Fanned, Slots, Want};
 use crate::stats::Stats;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -149,6 +149,12 @@ struct ServerCtx {
     /// The v1 per-family merge stores (families 1–4): slot maps with no
     /// engine behind them.
     v1_slots: [Slots; 4],
+    /// Per family, the fan-in key every v2 stream's images share, read
+    /// once at start off an empty engine's image.
+    engine_keys: [FaninKey; 4],
+    /// Per family, the fan-in key of the first image merged into the v1
+    /// store; later v1 merges must match it.
+    v1_keys: [OnceLock<FaninKey>; 4],
     /// The snapshot store of the durability tier (`None` when
     /// persistence is off).
     persist: Option<Arc<dyn SnapshotStore>>,
@@ -289,6 +295,9 @@ pub fn serve_with_store(
     let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Bind)?;
     let addr = listener.local_addr().map_err(ServeError::Bind)?;
     listener.set_nonblocking(true).map_err(ServeError::Bind)?;
+    // The default stream is built by the same factory: if this fails,
+    // so would it.
+    let engine_keys = registry::engine_keys(cfg.lg_k).map_err(ServeError::DefaultStream)?;
 
     let max_streams = cfg.max_streams.max(1);
     let replica_breaker = cfg.replica_peer.as_ref().map(|_| {
@@ -303,6 +312,8 @@ pub fn serve_with_store(
         stats: Stats::default(),
         registry: Registry::new(max_streams),
         v1_slots: Default::default(),
+        engine_keys,
+        v1_keys: Default::default(),
         persist: snapshot_store,
         replica_breaker,
     });

@@ -196,8 +196,9 @@ pub fn decode_record(bytes: &[u8]) -> Result<SnapshotRecord, RecoverError> {
     }
     let family =
         SketchFamily::from_code(family_code).ok_or(RecoverError::BadFamily { got: family_code })?;
-    let envelope_family =
-        validate_envelope(image, SNAP_MAX_IMAGE_BYTES as u32).map_err(RecoverError::Wire)?;
+    let envelope_family = validate_envelope(image, SNAP_MAX_IMAGE_BYTES as u32)
+        .map_err(RecoverError::Wire)?
+        .family();
     if envelope_family != family {
         return Err(RecoverError::Wire(format!(
             "record header says {} but envelope is {}",

@@ -27,7 +27,7 @@
 //! [`NackCode::UnknownStream`]: crate::frame::NackCode::UnknownStream
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
-use crate::slots::{Consumer, Slots};
+use crate::slots::{validate_envelope, Consumer, FaninKey, Slots};
 use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::{
@@ -220,6 +220,19 @@ pub(crate) fn new_stream(
     });
     ctx.stats.streams_created.fetch_add(1, Ordering::Relaxed);
     Ok(state)
+}
+
+/// Each family's fan-in key (Θ, HLL, Quantiles, Frequency order), read
+/// once off an empty engine's image: every stream of a family is built
+/// by [`build_engine`] with the same `lg_k`, so its images share it.
+pub(crate) fn engine_keys(lg_k: u8) -> Result<[FaninKey; 4], String> {
+    let key = |family| validate_envelope(&build_engine(family, lg_k, 1)?.wire_image(), u32::MAX);
+    Ok([
+        key(SketchFamily::Theta)?,
+        key(SketchFamily::Hll)?,
+        key(SketchFamily::Quantiles)?,
+        key(SketchFamily::Frequency)?,
+    ])
 }
 
 /// The per-family engine factory: maps a wire family code onto the

@@ -112,21 +112,63 @@ impl Slots {
     }
 }
 
+/// What an image must share with every image it fans in with, read off
+/// its view: the kernels refuse a mix with [`WireError::Incompatible`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaninKey {
+    Theta {
+        seed: u64,
+    },
+    Hll {
+        lg_m: u8,
+        seed: u64,
+    },
+    /// Ladders concatenate with any ladder.
+    Quantiles,
+    Frequency {
+        k: u64,
+    },
+}
+
+impl FaninKey {
+    pub(crate) fn family(self) -> SketchFamily {
+        match self {
+            FaninKey::Theta { .. } => SketchFamily::Theta,
+            FaninKey::Hll { .. } => SketchFamily::Hll,
+            FaninKey::Quantiles => SketchFamily::Quantiles,
+            FaninKey::Frequency { .. } => SketchFamily::Frequency,
+        }
+    }
+}
+
 /// Pre-screens an envelope with the capped peek (never size anything
-/// from an unvalidated declared length), then fully validates with the
-/// family's zero-copy view so only decodable images enter a slot. The
-/// gate for network merges and for snapshot-embedded images at
-/// recovery alike.
-pub(crate) fn validate_envelope(payload: &[u8], cap: u32) -> Result<SketchFamily, String> {
+/// from an unvalidated declared length), then runs the family's full
+/// validation — the view's parse plus, for Θ and HLL, its item-level
+/// `validate`: exactly what the owned decoders accept, so only images a
+/// later fan-in can read enter a slot. The gate for network merges and
+/// for snapshot-embedded images at recovery alike.
+pub(crate) fn validate_envelope(payload: &[u8], cap: u32) -> Result<FaninKey, String> {
     let peeked = peek(payload, cap as u64).map_err(|e| e.to_string())?;
     match peeked.family {
-        SketchFamily::Theta => ThetaWireView::parse(payload).map(|_| ()),
-        SketchFamily::Hll => HllWireView::parse(payload).map(|_| ()),
-        SketchFamily::Quantiles => LadderWireView::<u64>::parse(payload).map(|_| ()),
-        SketchFamily::Frequency => MgWireView::<u64>::parse(payload).map(|_| ()),
+        SketchFamily::Theta => ThetaWireView::parse(payload).and_then(|v| {
+            v.validate()?;
+            Ok(FaninKey::Theta { seed: v.seed() })
+        }),
+        SketchFamily::Hll => HllWireView::parse(payload).and_then(|v| {
+            v.validate()?;
+            Ok(FaninKey::Hll {
+                lg_m: v.lg_m(),
+                seed: v.seed(),
+            })
+        }),
+        SketchFamily::Quantiles => {
+            LadderWireView::<u64>::parse(payload).map(|_| FaninKey::Quantiles)
+        }
+        SketchFamily::Frequency => {
+            MgWireView::<u64>::parse(payload).map(|v| FaninKey::Frequency { k: v.k() })
+        }
     }
-    .map_err(|e| e.to_string())?;
-    Ok(peeked.family)
+    .map_err(|e| e.to_string())
 }
 
 /// What a fan-in is asked for — the wire's query kinds.
@@ -200,5 +242,63 @@ pub(crate) fn ship_image(family: SketchFamily, mut images: Vec<Bytes>) -> Result
     match fan_in(family, &images, Want::Image)? {
         Fanned::Image(image) => Ok(image),
         Fanned::Estimate(_) | Fanned::NoEstimate => unreachable!("an image was asked for"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fcds_sketches::frequency::MisraGriesSketch;
+    use fcds_sketches::hll::HllSketch;
+    use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
+    use fcds_sketches::theta::{CompactThetaSketch, QuickSelectThetaSketch};
+    use fcds_sketches::wire::WireDecode;
+
+    type Decodes = fn(&[u8]) -> bool;
+
+    fn decodes<W: WireDecode>(image: &[u8]) -> bool {
+        W::from_wire_bytes(image).is_ok()
+    }
+
+    /// The merge gate and the decoders share one definition of a valid
+    /// image: under every single-byte mutation they agree.
+    #[test]
+    fn the_gate_accepts_exactly_what_the_decoders_accept() {
+        let mut theta = QuickSelectThetaSketch::new(4, 9001).unwrap();
+        let mut hll = HllSketch::new(4, 9001).unwrap();
+        let mut quantiles = QuantilesSketch::<u64>::with_seed(16, 1).unwrap();
+        let mut mg = MisraGriesSketch::<u64>::new(8).unwrap();
+        for i in 0..200u64 {
+            theta.update(i);
+            hll.update(i);
+            quantiles.update(i);
+            mg.update(i % 12);
+        }
+        let families: [(Bytes, Decodes); 4] = [
+            (
+                theta.compact().to_wire_bytes(),
+                decodes::<CompactThetaSketch>,
+            ),
+            (hll.to_wire_bytes(), decodes::<HllSketch>),
+            (
+                quantiles.ladder().to_wire_bytes(),
+                decodes::<QuantilesLadder<u64>>,
+            ),
+            (mg.to_wire_bytes(), decodes::<MisraGriesSketch<u64>>),
+        ];
+        for (image, decodes) in families {
+            let family = peek(&image, u64::MAX).unwrap().family;
+            for offset in 0..image.len() {
+                for flip in [0xFFu8, 0x01] {
+                    let mut m = image.to_vec();
+                    m[offset] ^= flip;
+                    assert_eq!(
+                        validate_envelope(&m, u32::MAX).is_ok(),
+                        decodes(&m),
+                        "{family:?}: byte {offset} ^ {flip:#04x}"
+                    );
+                }
+            }
+        }
     }
 }

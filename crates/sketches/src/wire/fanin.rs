@@ -1,12 +1,11 @@
 //! Multiway fan-in merge kernels over borrowed wire views.
 //!
-//! [`merge_wire_images`](super::merge_wire_images) historically decoded
-//! every raw image into an owned sketch and folded the list **pairwise**
-//! — `2f` allocations and O(n·f) copy/compare work for a coordinator
-//! fanning in `f` Θ images of `n` retained hashes. The kernels in this
-//! module fan the whole list in with **one pass** per family, reading
-//! items straight out of the raw bytes through the views in
-//! [`super::view`]:
+//! Decoding every raw image into an owned sketch and folding the list
+//! **pairwise** costs `2f` allocations and O(n·f) copy/compare work for
+//! a coordinator fanning in `f` Θ images of `n` retained hashes. The
+//! kernels in this module fan the whole list in with **one pass** per
+//! family, reading items straight out of the raw bytes through the
+//! views in [`super::view`]:
 //!
 //! * **Θ** — a k-way union over sorted views driven by a loser tree,
 //!   with a streaming Θ-threshold cut: as soon as a cursor reaches the
@@ -34,17 +33,23 @@
 //! sketches (their state is inherently heap-backed), still built in one
 //! pass.
 //!
-//! Failure taxonomy is unchanged: typed [`WireError`], never a panic,
-//! and the kernels reject exactly the inputs the decode-then-fold path
-//! rejected. The one caveat is *which* of several defects in a
-//! multi-image batch is reported: the kernels validate all headers
-//! before any items, so e.g. a seed mismatch on image 2 can surface
-//! before a corrupt hash on image 1 that the pairwise fold would have
-//! hit first.
+//! Validity is decided in [`super::view`] alone. The kernels parse
+//! through the views and apply the views' item rules as they stream —
+//! Θ's `check_theta_hash` on every hash read, on the unread tail past
+//! the Θ cut and on unsorted images before canonicalisation; HLL's rank
+//! bound on the folded accumulator — and the owned decoders are the
+//! same views plus the materialisation below (`compact_from_parts`,
+//! `hll_from_parts`, and for ladders and Misra–Gries a fan-in of one
+//! image). So a kernel rejects exactly the inputs decode-then-fold
+//! rejects, always with a typed [`WireError`], never a panic. The one
+//! caveat is *which* of several defects in a multi-image batch is
+//! reported: the kernels validate all headers before any items, so e.g.
+//! a seed mismatch on image 2 can surface before a corrupt hash on
+//! image 1 that the pairwise fold would have hit first.
 
 use super::view::{
-    validate_registers, HllWireView, LadderRunSink, LadderWireView, MgWireView, ThetaWireView,
-    THETA_ITEMS_OFF,
+    check_theta_hash, validate_registers, HllWireView, LadderRunSink, LadderWireView, MgWireView,
+    ThetaWireView, THETA_ITEMS_OFF,
 };
 use super::WireItem;
 use crate::error::WireError;
@@ -160,12 +165,10 @@ impl<'s> ThetaFanin<'s> {
     ///
     /// # Errors
     ///
-    /// Never fails in practice (the kernel emits a valid hash run); any
-    /// constructor rejection is reported as the decoder's
-    /// `"theta parts"` invariant.
+    /// Never fails in practice (the kernel emits a valid hash run); see
+    /// `compact_from_parts`.
     pub fn to_compact(&self) -> Result<CompactThetaSketch, WireError> {
-        CompactThetaSketch::from_parts(self.theta, self.seed, self.hashes.to_vec())
-            .map_err(|e| WireError::invariant("theta parts", e.to_string()))
+        compact_from_parts(self.theta, self.seed, self.hashes.to_vec())
     }
 }
 
@@ -221,15 +224,38 @@ impl<'s> HllFanin<'s> {
     ///
     /// # Errors
     ///
-    /// Never fails in practice (`lg_m` was validated at parse); any
-    /// constructor rejection is reported as the decoder's
-    /// `"hll params"` invariant.
+    /// Never fails in practice (`lg_m` was validated at parse); see
+    /// `hll_from_parts`.
     pub fn to_sketch(&self) -> Result<HllSketch, WireError> {
-        let mut sketch = HllSketch::new(self.lg_m, self.seed)
-            .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
-        sketch.load_registers(self.registers);
-        Ok(sketch)
+        hll_from_parts(self.lg_m, self.seed, self.registers)
     }
+}
+
+/// The one Θ materialisation, shared by [`ThetaFanin::to_compact`] and
+/// the decoder: `from_parts` sorts and deduplicates, so an unsorted
+/// image's hashes come out canonical. A constructor rejection (never
+/// seen for validated parts) is the `"theta parts"` invariant.
+pub(super) fn compact_from_parts(
+    theta: u64,
+    seed: u64,
+    hashes: Vec<u64>,
+) -> Result<CompactThetaSketch, WireError> {
+    CompactThetaSketch::from_parts(theta, seed, hashes)
+        .map_err(|e| WireError::invariant("theta parts", e.to_string()))
+}
+
+/// The one HLL materialisation, shared by [`HllFanin::to_sketch`] and
+/// the decoder. A constructor rejection (never seen for a parsed
+/// `lg_m`) is the `"hll params"` invariant.
+pub(super) fn hll_from_parts(
+    lg_m: u8,
+    seed: u64,
+    registers: &[u8],
+) -> Result<HllSketch, WireError> {
+    let mut sketch = HllSketch::new(lg_m, seed)
+        .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
+    sketch.load_registers(registers);
+    Ok(sketch)
 }
 
 #[inline]
@@ -240,11 +266,10 @@ fn read_hash(image: &[u8], pos: u64) -> u64 {
     u64::from_le_bytes(image[off..off + 8].try_into().unwrap_or([0; 8]))
 }
 
-/// Advances `cur` to its next emittable hash, running the decoder's
-/// item validation as it streams. On reaching the joint Θ cut, the
-/// unread tail is validated too (the decode-then-fold path validated
-/// every byte, so the kernel must reject the same inputs) and the
-/// cursor exhausts.
+/// Advances `cur` to its next emittable hash, applying
+/// `check_theta_hash` as it streams. On reaching the joint Θ cut, the
+/// unread tail is checked too (the decoder validates every byte, so the
+/// kernel must reject the same inputs) and the cursor exhausts.
 fn theta_cursor_advance<B: AsRef<[u8]>>(
     cur: &mut ThetaCursor,
     images: &[B],
@@ -264,42 +289,14 @@ fn theta_cursor_advance<B: AsRef<[u8]>>(
     }
     let bytes = images[cur.src as usize].as_ref();
     let h = read_hash(bytes, cur.pos);
-    if h == 0 {
-        return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-    }
-    if h >= cur.theta {
-        return Err(WireError::invariant(
-            "theta hashes",
-            format!("hash {h} not below theta {}", cur.theta),
-        ));
-    }
-    if h <= cur.last {
-        return Err(WireError::invariant(
-            "theta hashes",
-            "hashes not strictly ascending",
-        ));
-    }
+    check_theta_hash(h, cur.theta, cur.last)?;
     if h >= joint {
         // Θ cut: nothing at or above the joint threshold can be
         // emitted, but the tail must still validate.
         let mut prev = h;
         for pos in cur.pos + 1..cur.end {
             let t = read_hash(bytes, pos);
-            if t == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-            }
-            if t >= cur.theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {t} not below theta {}", cur.theta),
-                ));
-            }
-            if t <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
+            check_theta_hash(t, cur.theta, prev)?;
             prev = t;
         }
         cur.pos = cur.end;
@@ -383,15 +380,7 @@ pub fn theta_multiway_union_into<'s, B: AsRef<[u8]>>(
         } else {
             let seg = canon.len();
             for h in view.hashes() {
-                if h == 0 {
-                    return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-                }
-                if h >= view.theta() {
-                    return Err(WireError::invariant(
-                        "theta hashes",
-                        format!("hash {h} not below theta {}", view.theta()),
-                    ));
-                }
+                check_theta_hash(h, view.theta(), 0)?;
                 if h < joint {
                     canon.push(h);
                 }

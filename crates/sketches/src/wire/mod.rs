@@ -35,9 +35,10 @@
 //! * [`WireEncode`] / [`WireDecode`] — the codec pair. Encoding is
 //!   infallible and deterministic (canonical images re-encode
 //!   byte-identically, which the committed golden-vector corpus
-//!   enforces); decoding validates every structural invariant and
-//!   returns a typed [`WireError`], never panicking on any input and
-//!   never allocating proportionally to an unvalidated length field.
+//!   enforces); decoding is the family's [`view`] parse and validation
+//!   followed by materialisation, so it returns a typed [`WireError`],
+//!   never panicking on any input and never allocating proportionally
+//!   to an unvalidated length field.
 //! * [`WireMerge`] — the merge-anywhere tier: decoded images of the same
 //!   family combine without access to the sketch that built them.
 //!   [`merge_wire_images`] fans a whole list of raw images into one
@@ -48,7 +49,9 @@
 //! The [`view`] module parses images into borrowed views
 //! ([`ThetaWireView`], [`HllWireView`], [`LadderWireView`],
 //! [`MgWireView`]) that validate the envelope once and iterate items
-//! straight out of `&[u8]`; the [`fanin`] module builds single-pass
+//! straight out of `&[u8]` — the one definition of a valid image, which
+//! the decoders, the kernels and any server-side gate share; the
+//! [`fanin`] module builds single-pass
 //! multiway merge kernels on top ([`theta_multiway_union_into`],
 //! [`hll_multiway_merge_into`], [`ladder_multiway_concat`],
 //! [`mg_multiway_merge`]) threaded through a reusable [`MergeScratch`]
@@ -91,7 +94,7 @@ pub use view::{
 
 use crate::error::WireError;
 use crate::frequency::MisraGriesSketch;
-use crate::hll::{HllSketch, MAX_LG_M, MIN_LG_M};
+use crate::hll::HllSketch;
 use crate::quantiles::{QuantilesLadder, TotalF64};
 use crate::theta::setops::{untrimmed_union, ThetaANotB, ThetaIntersection};
 use crate::theta::{jaccard, CompactThetaSketch, JaccardEstimate, ThetaRead};
@@ -225,13 +228,6 @@ impl WireHeader {
             item_width,
             payload_len,
         })
-    }
-
-    /// Reads just enough of the header to learn which family an image
-    /// belongs to — the dispatch primitive for heterogeneous image
-    /// streams.
-    pub fn peek_family(data: &[u8]) -> Result<SketchFamily, WireError> {
-        Self::parse(data).map(|(h, _)| h.family)
     }
 
     fn write(&self, buf: &mut BytesMut) {
@@ -414,30 +410,15 @@ pub trait WireEncode: WireSketch {
 
 /// Deserialisation half of the unified codec.
 pub trait WireDecode: WireSketch + Sized {
-    /// Decodes the family payload, validating every structural invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`WireError`] variant matching the first corruption
-    /// class detected. Must not panic on any input.
-    fn decode_payload(header: &WireHeader, payload: &[u8]) -> Result<Self, WireError>;
-
-    /// Decodes a complete wire image (header + payload).
+    /// Decodes a complete wire image (header + payload): the family's
+    /// [`view`] parse and validation, then materialisation. Must not
+    /// panic on any input.
     ///
     /// # Errors
     ///
     /// [`WireError::FamilyMismatch`] if the image belongs to a different
-    /// family; otherwise whatever [`Self::decode_payload`] reports.
-    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let (header, payload) = WireHeader::parse(data)?;
-        if header.family != Self::FAMILY {
-            return Err(WireError::FamilyMismatch {
-                expected: Self::FAMILY.name(),
-                found: header.family.name(),
-            });
-        }
-        Self::decode_payload(&header, payload)
-    }
+    /// family; otherwise the first corruption the view detects.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError>;
 }
 
 /// The merge-anywhere tier: combine decoded images of one family without
@@ -450,28 +431,15 @@ pub trait WireMerge: WireEncode + WireDecode {
     /// [`WireError::Incompatible`] on a seed / parameter mismatch.
     fn wire_merge_from(&mut self, other: &Self) -> Result<(), WireError>;
 
-    /// Fans a whole list of raw images into one sketch.
-    ///
-    /// The default is the reference pairwise fold (decode each image,
-    /// fold with [`Self::wire_merge_from`]); every in-tree family
-    /// overrides it with its single-pass multiway kernel from
-    /// [`fanin`], which reads items straight out of the raw bytes.
+    /// Fans a whole list of raw images into one sketch — in every
+    /// in-tree family, the single-pass multiway kernel from [`fanin`],
+    /// which reads items straight out of the raw bytes.
     ///
     /// # Errors
     ///
     /// Any decode failure, [`WireError::Incompatible`] on parameter
     /// mismatches, or [`WireError::Invariant`] for an empty list.
-    fn wire_fan_in<B: AsRef<[u8]>>(images: &[B]) -> Result<Self, WireError> {
-        let (first, rest) = images
-            .split_first()
-            .ok_or_else(|| WireError::invariant("merge", "no images to merge"))?;
-        let mut acc = Self::from_wire_bytes(first.as_ref())?;
-        for image in rest {
-            let part = Self::from_wire_bytes(image.as_ref())?;
-            acc.wire_merge_from(&part)?;
-        }
-        Ok(acc)
-    }
+    fn wire_fan_in<B: AsRef<[u8]>>(images: &[B]) -> Result<Self, WireError>;
 }
 
 /// Fans a list of raw images into one sketch (fan-in order-independent
@@ -513,7 +481,12 @@ fn setop_err(e: crate::error::SketchError) -> WireError {
 // Θ family
 // ---------------------------------------------------------------------------
 
-const THETA_FIXED: u64 = 24;
+const THETA_FIXED: usize = 24;
+
+/// Hashes bulk-encoded per chunk of this many (a 512-byte stack staging
+/// buffer — the largest chunk that stays comfortably in L1 while making
+/// the per-`put_slice` overhead negligible).
+const THETA_ENC_CHUNK: usize = 64;
 
 impl WireSketch for CompactThetaSketch {
     const FAMILY: SketchFamily = SketchFamily::Theta;
@@ -524,11 +497,6 @@ impl WireSketch for CompactThetaSketch {
 /// Canonical images carry strictly ascending hashes (flags clear);
 /// [`encode_theta_unsorted`] emits the same payload in source order with
 /// [`FLAG_THETA_UNSORTED`] set.
-/// Hashes bulk-encoded per chunk of this many (a 512-byte stack staging
-/// buffer — the largest chunk that stays comfortably in L1 while making
-/// the per-`put_slice` overhead negligible).
-const THETA_ENC_CHUNK: usize = 64;
-
 impl WireEncode for CompactThetaSketch {
     fn wire_item_width(&self) -> u8 {
         8
@@ -553,69 +521,18 @@ impl WireEncode for CompactThetaSketch {
     }
 
     fn payload_size_hint(&self) -> Option<usize> {
-        Some(THETA_FIXED as usize + 8 * self.sorted_hashes().len())
+        Some(THETA_FIXED + 8 * self.sorted_hashes().len())
     }
 }
 
 impl WireDecode for CompactThetaSketch {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width != 8 {
-            return Err(WireError::ItemWidth {
-                expected: 8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < THETA_FIXED {
-            return Err(WireError::Truncated {
-                context: "theta payload",
-                needed: THETA_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let seed = payload.get_u64_le();
-        let theta = payload.get_u64_le();
-        let count = payload.get_u64_le();
-        // The header's exact-length rule already bounds `count`: the
-        // hashes must account for every remaining payload byte, so the
-        // allocation below is capped by bytes actually present.
-        let need = count
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(THETA_FIXED))
-            .ok_or_else(|| WireError::invariant("hash count", "count overflows size"))?;
-        if need != header.payload_len {
-            return Err(WireError::invariant(
-                "hash count",
-                format!(
-                    "count {count} needs {need} payload bytes, header carries {}",
-                    header.payload_len
-                ),
-            ));
-        }
-        let sorted = header.flags & FLAG_THETA_UNSORTED == 0;
-        let mut hashes = Vec::with_capacity(count as usize);
-        let mut prev = 0u64;
-        for _ in 0..count {
-            let h = payload.get_u64_le();
-            if h == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-            }
-            if h >= theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {h} not below theta {theta}"),
-                ));
-            }
-            if sorted && h <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
-            prev = h;
-            hashes.push(h);
-        }
-        CompactThetaSketch::from_parts(theta, seed, hashes)
-            .map_err(|e| WireError::invariant("theta parts", e.to_string()))
+    /// [`ThetaWireView`] parse and validate, then the one Θ
+    /// materialisation (an unsorted image is canonicalised there). The
+    /// exact-length rule bounds the hash count by bytes present.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let view = ThetaWireView::parse(data)?;
+        view.validate()?;
+        fanin::compact_from_parts(view.theta(), view.seed(), view.hashes().collect())
     }
 }
 
@@ -641,7 +558,7 @@ impl WireMerge for CompactThetaSketch {
 /// decoder sorts, deduplicates and validates, returning a canonical
 /// [`CompactThetaSketch`].
 pub fn encode_theta_unsorted<S: ThetaRead + ?Sized>(src: &S) -> Bytes {
-    let mut buf = BytesMut::with_capacity(WIRE_HEADER_LEN + 24 + 8 * src.retained());
+    let mut buf = BytesMut::with_capacity(WIRE_HEADER_LEN + THETA_FIXED + 8 * src.retained());
     WireHeader {
         version: WIRE_VERSION,
         family: SketchFamily::Theta,
@@ -722,7 +639,7 @@ pub fn theta_jaccard_on_wire(a: &[u8], b: &[u8]) -> Result<JaccardEstimate, Wire
 // HLL family
 // ---------------------------------------------------------------------------
 
-const HLL_FIXED: u64 = 16;
+const HLL_FIXED: usize = 16;
 
 impl WireSketch for HllSketch {
     const FAMILY: SketchFamily = SketchFamily::Hll;
@@ -742,50 +659,17 @@ impl WireEncode for HllSketch {
     }
 
     fn payload_size_hint(&self) -> Option<usize> {
-        Some(HLL_FIXED as usize + self.m())
+        Some(HLL_FIXED + self.m())
     }
 }
 
 impl WireDecode for HllSketch {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width != 1 {
-            return Err(WireError::ItemWidth {
-                expected: 1,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < HLL_FIXED {
-            return Err(WireError::Truncated {
-                context: "hll payload",
-                needed: HLL_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let lg_m = payload.get_u8();
-        if !(MIN_LG_M..=MAX_LG_M).contains(&lg_m) {
-            return Err(WireError::invariant(
-                "hll lg_m",
-                format!("lg_m {lg_m} out of range {MIN_LG_M}..={MAX_LG_M}"),
-            ));
-        }
-        payload.advance(7);
-        let seed = payload.get_u64_le();
-        let m = 1u64 << lg_m;
-        if header.payload_len != HLL_FIXED + m {
-            return Err(WireError::invariant(
-                "hll registers",
-                format!(
-                    "2^lg_m = {m} registers need {} payload bytes, header carries {}",
-                    HLL_FIXED + m,
-                    header.payload_len
-                ),
-            ));
-        }
-        view::validate_registers(lg_m, payload)?;
-        let mut sketch = HllSketch::new(lg_m, seed)
-            .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
-        sketch.load_registers(payload);
-        Ok(sketch)
+    /// [`HllWireView`] parse and validate, then the one HLL
+    /// materialisation.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let view = HllWireView::parse(data)?;
+        view.validate()?;
+        fanin::hll_from_parts(view.lg_m(), view.seed(), view.registers())
     }
 }
 
@@ -807,8 +691,8 @@ impl WireMerge for HllSketch {
 // Quantiles family (ladder images)
 // ---------------------------------------------------------------------------
 
-const LADDER_FIXED: u64 = 16;
-const LADDER_RUN_FIXED: u64 = 16;
+const LADDER_FIXED: usize = 16;
+const LADDER_RUN_FIXED: usize = 16;
 
 impl<T: Ord + Clone + WireItem> WireSketch for QuantilesLadder<T> {
     const FAMILY: SketchFamily = SketchFamily::Quantiles;
@@ -849,134 +733,19 @@ impl<T: Ord + Clone + WireItem> WireEncode for QuantilesLadder<T> {
     fn payload_size_hint(&self) -> Option<usize> {
         let min_max = if self.n() > 0 { 2 * T::WIDTH } else { 0 };
         Some(
-            LADDER_FIXED as usize
+            LADDER_FIXED
                 + min_max
-                + self.run_count() * LADDER_RUN_FIXED as usize
+                + self.run_count() * LADDER_RUN_FIXED
                 + self.retained() * T::WIDTH,
         )
     }
 }
 
 impl<T: Ord + Clone + WireItem> WireDecode for QuantilesLadder<T> {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.flags & FLAG_QUANTILES_UPDATABLE != 0 {
-            return Err(WireError::invariant(
-                "quantiles flags",
-                "image is an updatable sketch, not a ladder \
-                 (use QuantilesSketch::from_bytes)",
-            ));
-        }
-        if header.item_width as usize != T::WIDTH {
-            return Err(WireError::ItemWidth {
-                expected: T::WIDTH as u8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < LADDER_FIXED {
-            return Err(WireError::Truncated {
-                context: "ladder payload",
-                needed: LADDER_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let n = payload.get_u64_le();
-        let run_count = payload.get_u32_le();
-        let _pad = payload.get_u32_le();
-        let (min_item, max_item) = if n > 0 {
-            if payload.remaining() < 2 * T::WIDTH {
-                return Err(WireError::Truncated {
-                    context: "ladder min/max",
-                    needed: 2 * T::WIDTH,
-                    have: payload.remaining(),
-                });
-            }
-            let min = T::read_from(&mut payload);
-            let max = T::read_from(&mut payload);
-            if min > max {
-                return Err(WireError::invariant("ladder min/max", "min above max"));
-            }
-            (Some(min), Some(max))
-        } else {
-            (None, None)
-        };
-        let mut runs: Vec<(Vec<T>, u64)> = Vec::with_capacity(run_count.min(64) as usize);
-        let mut weighted_total = 0u64;
-        for _ in 0..run_count {
-            if payload.remaining() < LADDER_RUN_FIXED as usize {
-                return Err(WireError::Truncated {
-                    context: "ladder run header",
-                    needed: LADDER_RUN_FIXED as usize,
-                    have: payload.remaining(),
-                });
-            }
-            let weight = payload.get_u64_le();
-            let len = payload.get_u64_le();
-            if weight == 0 || len == 0 {
-                return Err(WireError::invariant(
-                    "ladder run",
-                    "runs must be non-empty with weight >= 1",
-                ));
-            }
-            let bytes_needed = len
-                .checked_mul(T::WIDTH as u64)
-                .ok_or_else(|| WireError::invariant("ladder run", "run length overflows size"))?;
-            if (payload.remaining() as u64) < bytes_needed {
-                return Err(WireError::Truncated {
-                    context: "ladder run items",
-                    needed: bytes_needed as usize,
-                    have: payload.remaining(),
-                });
-            }
-            // Remaining payload bounds `len`, so this allocation is
-            // capped by bytes actually present.
-            let mut items = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                items.push(T::read_from(&mut payload));
-            }
-            if items.windows(2).any(|w| w[0] > w[1]) {
-                return Err(WireError::invariant("ladder run", "run not sorted"));
-            }
-            match (&min_item, &max_item) {
-                (Some(min), Some(max)) => {
-                    // first()/last() exist: len >= 1 was enforced above.
-                    if items.first().is_some_and(|lo| lo < min)
-                        || items.last().is_some_and(|hi| hi > max)
-                    {
-                        return Err(WireError::invariant(
-                            "ladder run",
-                            "retained item outside [min, max]",
-                        ));
-                    }
-                }
-                _ => {
-                    return Err(WireError::invariant(
-                        "ladder run",
-                        "non-empty run in an empty (n = 0) ladder",
-                    ));
-                }
-            }
-            weighted_total = weighted_total
-                .checked_add(
-                    (items.len() as u64)
-                        .checked_mul(weight)
-                        .ok_or_else(|| WireError::invariant("ladder run", "weight overflow"))?,
-                )
-                .ok_or_else(|| WireError::invariant("ladder run", "weight overflow"))?;
-            runs.push((items, weight));
-        }
-        if payload.has_remaining() {
-            return Err(WireError::invariant(
-                "ladder payload",
-                format!("{} trailing bytes after last run", payload.remaining()),
-            ));
-        }
-        if weighted_total != n {
-            return Err(WireError::invariant(
-                "ladder weight",
-                format!("runs carry weight {weighted_total}, header says n = {n}"),
-            ));
-        }
-        Ok(QuantilesLadder::from_wire_runs(runs, n, min_item, max_item))
+    /// A fan-in of one image: [`LadderWireView`]'s full parse streaming
+    /// every validated run into the kernel's collecting sink.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        fanin::ladder_multiway_concat(&[data])
     }
 }
 
@@ -1006,7 +775,7 @@ impl<T: Ord + Clone + WireItem> WireMerge for QuantilesLadder<T> {
 // Misra–Gries family
 // ---------------------------------------------------------------------------
 
-const MG_FIXED: u64 = 32;
+const MG_FIXED: usize = 32;
 
 impl<T: Eq + Hash + Ord + Clone + WireItem> WireSketch for MisraGriesSketch<T> {
     const FAMILY: SketchFamily = SketchFamily::Frequency;
@@ -1036,84 +805,15 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
     }
 
     fn payload_size_hint(&self) -> Option<usize> {
-        Some(MG_FIXED as usize + self.retained() * (T::WIDTH + 8))
+        Some(MG_FIXED + self.retained() * (T::WIDTH + 8))
     }
 }
 
 impl<T: Eq + Hash + Ord + Clone + WireItem> WireDecode for MisraGriesSketch<T> {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width as usize != T::WIDTH {
-            return Err(WireError::ItemWidth {
-                expected: T::WIDTH as u8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < MG_FIXED {
-            return Err(WireError::Truncated {
-                context: "misra-gries payload",
-                needed: MG_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let k = payload.get_u64_le();
-        let n = payload.get_u64_le();
-        let error = payload.get_u64_le();
-        let count = payload.get_u64_le();
-        if k == 0 {
-            return Err(WireError::invariant("misra-gries k", "k must be >= 1"));
-        }
-        if count > k {
-            return Err(WireError::invariant(
-                "misra-gries counters",
-                format!("{count} counters exceed k = {k}"),
-            ));
-        }
-        let entry_width = (T::WIDTH as u64) + 8;
-        let need = count
-            .checked_mul(entry_width)
-            .and_then(|b| b.checked_add(MG_FIXED))
-            .ok_or_else(|| WireError::invariant("misra-gries counters", "count overflows size"))?;
-        if need != header.payload_len {
-            return Err(WireError::invariant(
-                "misra-gries counters",
-                format!(
-                    "count {count} needs {need} payload bytes, header carries {}",
-                    header.payload_len
-                ),
-            ));
-        }
-        let mut entries: Vec<(T, u64)> = Vec::with_capacity(count as usize);
-        let mut counter_sum = 0u64;
-        for _ in 0..count {
-            let item = T::read_from(&mut payload);
-            let counter = payload.get_u64_le();
-            if counter == 0 {
-                return Err(WireError::invariant(
-                    "misra-gries counters",
-                    "zero counter retained",
-                ));
-            }
-            if let Some((prev, _)) = entries.last() {
-                if item <= *prev {
-                    return Err(WireError::invariant(
-                        "misra-gries counters",
-                        "items not strictly ascending",
-                    ));
-                }
-            }
-            counter_sum = counter_sum.checked_add(counter).ok_or_else(|| {
-                WireError::invariant("misra-gries counters", "counter sum overflow")
-            })?;
-            entries.push((item, counter));
-        }
-        if counter_sum.checked_add(error).is_none_or(|total| total > n) {
-            return Err(WireError::invariant(
-                "misra-gries weight",
-                format!("counters ({counter_sum}) + error ({error}) exceed n = {n}"),
-            ));
-        }
-        MisraGriesSketch::from_parts(k as usize, n, error, entries)
-            .map_err(|e| WireError::invariant("misra-gries parts", e.to_string()))
+    /// A fan-in of one image: [`MgWireView`]'s full parse, then
+    /// [`MgWireView::entries`] into one `from_parts`.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        fanin::mg_multiway_merge(&[data])
     }
 }
 
@@ -1165,10 +865,6 @@ mod tests {
         assert_eq!(h.family, SketchFamily::Theta);
         assert_eq!(h.item_width, 8);
         assert_eq!(h.payload_len as usize, payload.len());
-        assert_eq!(
-            WireHeader::peek_family(&bytes).unwrap(),
-            SketchFamily::Theta
-        );
     }
 
     #[test]
@@ -1365,7 +1061,7 @@ mod tests {
         }
         let bytes = q.to_bytes();
         assert_eq!(
-            WireHeader::peek_family(&bytes).unwrap(),
+            peek(&bytes, u64::MAX).unwrap().family,
             SketchFamily::Quantiles
         );
         assert!(matches!(

@@ -3,31 +3,33 @@
 //! A view validates the 16-byte envelope (magic, version, family, item
 //! width, exact-length rule) plus the family's *structural* frame once,
 //! and then serves items straight out of the input `&[u8]` — no payload
-//! materialisation, no allocation. Views are the parsing tier under the
-//! multiway fan-in kernels in [`super::fanin`]; the owned decoders behind
-//! [`super::WireDecode`] remain the right tool when the sketch itself is
-//! needed.
+//! materialisation, no allocation.
 //!
 //! # Validation contract
 //!
-//! All four views reject exactly the inputs the owned decoders reject,
-//! with the same [`WireError`] taxonomy — but *where* the item-level
-//! checks run differs by family, so the hot path never walks the bytes
-//! twice:
+//! This module is the wire format's only parser: what is a valid image
+//! is decided here and nowhere else. The owned decoders behind
+//! [`super::WireDecode`] are a view's parse (plus `validate` for Θ and
+//! HLL) followed by materialisation, and the fan-in kernels in
+//! [`super::fanin`] call the same item rules as they stream. *Where* the
+//! item-level checks run differs by family, so the hot path never walks
+//! the bytes twice:
 //!
-//! * [`ThetaWireView`] and [`HllWireView`] validate the header and the
-//!   fixed fields (seed/Θ/count consistency, `lg_m` range, register
-//!   count) at parse time; per-item checks (hash ordering and range,
-//!   register rank bounds) run *fused into consumption* — either inside
-//!   the fan-in kernels, which validate every byte they stream, or via
-//!   the explicit [`ThetaWireView::validate`] / [`HllWireView::validate`]
-//!   helpers.
-//! * [`LadderWireView`] and [`MgWireView`] validate everything at parse
-//!   time (one streaming pass, still allocation-free): their consumers
-//!   materialise owned runs/counters anyway, so there is no second pass
-//!   to fuse into, and the infallible iterators keep the kernels simple.
+//! * [`ThetaWireView::parse`] and [`HllWireView::parse`] are
+//!   *structural only*: the header and the fixed fields (seed/Θ/count
+//!   consistency, `lg_m` range, register count). The per-item rules
+//!   (hash range and ordering, register rank bound) run in
+//!   [`ThetaWireView::validate`] / [`HllWireView::validate`], or fused
+//!   into the kernels' consumption. Anything that *stores* an image for
+//!   a later read must call `validate`.
+//! * [`LadderWireView::parse`] and [`MgWireView::parse`] validate
+//!   everything (one streaming pass, still allocation-free): their
+//!   consumers materialise owned runs/counters anyway, so there is no
+//!   second pass to fuse into, and the infallible iterators keep the
+//!   kernels simple.
 //!
-//! Like the decoders, views never panic on any input.
+//! Every failure is a typed [`WireError`]; views never panic on any
+//! input.
 
 use super::{
     SketchFamily, WireHeader, WireItem, FLAG_QUANTILES_UPDATABLE, FLAG_THETA_UNSORTED,
@@ -95,14 +97,11 @@ impl<'a> ThetaWireView<'a> {
     /// Parses the envelope and the fixed Θ fields of a raw image.
     ///
     /// Item-level invariants (hash ordering and range) are *not* checked
-    /// here — see the module docs; use [`Self::validate`] for
-    /// decoder-equivalent strictness without materialising.
+    /// here — see the module docs; [`Self::validate`] adds them.
     ///
     /// # Errors
     ///
-    /// The same structural [`WireError`]s as
-    /// [`CompactThetaSketch::from_wire_bytes`](super::WireDecode):
-    /// header damage, family or item-width mismatch, truncated fixed
+    /// Header damage, family or item-width mismatch, truncated fixed
     /// fields, or a hash count inconsistent with the payload length.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
@@ -178,36 +177,48 @@ impl<'a> ThetaWireView<'a> {
         (0..items.len() / 8).map(move |i| u64_at(items, i))
     }
 
-    /// Runs the full item-level validation of the owned decoder — every
+    /// Runs the item-level validation [`Self::parse`] leaves out — every
     /// hash nonzero and below Θ, strictly ascending when the image is
     /// canonical — without materialising anything.
     ///
     /// # Errors
     ///
-    /// The same [`WireError::Invariant`]s as the decoder, in the same
-    /// first-violation order.
+    /// [`WireError::Invariant`] at the first hash that breaks
+    /// `check_theta_hash`.
     pub fn validate(&self) -> Result<(), WireError> {
         let mut prev = 0u64;
         for h in self.hashes() {
-            if h == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
+            check_theta_hash(h, self.theta, prev)?;
+            if self.sorted {
+                prev = h;
             }
-            if h >= self.theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {h} not below theta {}", self.theta),
-                ));
-            }
-            if self.sorted && h <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
-            prev = h;
         }
         Ok(())
     }
+}
+
+/// Θ's per-hash rule, the one copy of it: `h` is nonzero, below the
+/// image's `theta`, and above `prev` — the previous hash of a canonical
+/// image, or 0 where no order is required (the first hash, any hash of
+/// an unsorted image).
+#[inline]
+pub(crate) fn check_theta_hash(h: u64, theta: u64, prev: u64) -> Result<(), WireError> {
+    if h == 0 {
+        return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
+    }
+    if h >= theta {
+        return Err(WireError::invariant(
+            "theta hashes",
+            format!("hash {h} not below theta {theta}"),
+        ));
+    }
+    if h <= prev {
+        return Err(WireError::invariant(
+            "theta hashes",
+            "hashes not strictly ascending",
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -241,16 +252,15 @@ impl<'a> HllWireView<'a> {
     /// Parses the envelope and the fixed HLL fields of a raw image.
     ///
     /// Register *values* are not range-checked here (see the module
-    /// docs); [`Self::validate`] applies the decoder's per-register
-    /// bound, and the fan-in kernel applies it to its accumulator, which
-    /// a register-max fold can only have preserved or raised.
+    /// docs); [`Self::validate`] applies the per-register bound, and the
+    /// fan-in kernel applies it to its accumulator, which a register-max
+    /// fold can only have preserved or raised.
     ///
     /// # Errors
     ///
-    /// The same structural [`WireError`]s as
-    /// [`HllSketch::from_wire_bytes`](super::WireDecode): header damage,
-    /// family or item-width mismatch, `lg_m` out of range, or a payload
-    /// length that does not carry exactly `2^lg_m` registers.
+    /// Header damage, family or item-width mismatch, `lg_m` out of
+    /// range, or a payload length that does not carry exactly `2^lg_m`
+    /// registers.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Hll)?;
@@ -315,12 +325,12 @@ impl<'a> HllWireView<'a> {
         self.registers
     }
 
-    /// Applies the decoder's per-register rank bound
+    /// Applies the per-register rank bound [`Self::parse`] leaves out
     /// (`register ≤ 64 − lg_m + 1`).
     ///
     /// # Errors
     ///
-    /// The same [`WireError::Invariant`] as the decoder.
+    /// [`WireError::Invariant`] naming the first register above it.
     pub fn validate(&self) -> Result<(), WireError> {
         validate_registers(self.lg_m, self.registers)
     }
@@ -380,9 +390,8 @@ impl<'a, T: Ord + Clone + WireItem> LadderWireView<'a, T> {
     ///
     /// # Errors
     ///
-    /// Exactly the [`WireError`]s of
-    /// [`QuantilesLadder::from_wire_bytes`](super::WireDecode), in the
-    /// same first-violation order.
+    /// Header damage, family or item-width mismatch, an updatable-form
+    /// image, truncation, or the first run or weight invariant broken.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_sink(data, &mut NoopLadderSink)
     }
@@ -677,9 +686,9 @@ impl<'a, T: Ord + Clone + WireItem> MgWireView<'a, T> {
     ///
     /// # Errors
     ///
-    /// Exactly the [`WireError`]s of
-    /// [`MisraGriesSketch::from_wire_bytes`](super::WireDecode), in the
-    /// same first-violation order.
+    /// Header damage, family or item-width mismatch, truncation, a count
+    /// inconsistent with `k` or the payload length, or the first
+    /// counter invariant broken.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Frequency)?;
