@@ -19,7 +19,7 @@
 //!
 //! * `k = 1, image = none` — the single-shard path (seqlock triple only);
 //! * `k = 4, image = delta` — chunked copy-on-write block images, the
-//!   sharded path (`image_every` ∈ {1, 4});
+//!   sharded path;
 //! * `k = 4, image = whole_copy` — the pre-block behaviour (re-collect
 //!   all retained hashes per publication), kept reachable as the
 //!   `publish_sharded`-without-`prepare_sharded` fallback.
@@ -27,9 +27,9 @@
 //! Publication cost is retained-independent when the delta rows stay
 //! within a small factor of the no-image row while the whole-copy row
 //! grows with `retained`. Every quotient is taken between sides timed
-//! interleaved (`time_interleaved`): the four Θ strategies of one `lg_k`
-//! together, the two sizes of HLL together, the two of Misra–Gries
-//! together and on the same keys.
+//! interleaved (`time_interleaved`): the no-image and delta Θ sides of
+//! one `lg_k` together, the two sizes of HLL together, the two of
+//! Misra–Gries together and on the same keys.
 
 use super::Section;
 use fcds_bench::gate::Bound::{Max, Min};
@@ -102,9 +102,8 @@ pub fn gates(
 enum Image {
     /// `publish` only — the K = 1 path.
     None,
-    /// Block images via the propagator's mirror, published every `m`-th
-    /// merge.
-    Delta { m: u64 },
+    /// Block images via the propagator's mirror.
+    Delta,
     /// The pre-block fallback: `publish_sharded` without the mirror
     /// re-collects all retained hashes on every publication.
     WholeCopy,
@@ -129,7 +128,7 @@ impl ThetaSide {
         for _ in 0..(32u64 << lg_k) {
             g.update_direct(rng.next_u64() | 1);
         }
-        if let Image::Delta { .. } = image {
+        if image == Image::Delta {
             g.prepare_sharded();
         }
         let view = g.new_view();
@@ -167,8 +166,7 @@ impl ThetaSide {
         self.merges += 1;
         match self.image {
             Image::None => self.g.publish(&self.view),
-            Image::Delta { m } if !self.merges.is_multiple_of(m) => self.g.publish(&self.view),
-            Image::Delta { .. } | Image::WholeCopy => self.g.publish_sharded(&self.view),
+            Image::Delta | Image::WholeCopy => self.g.publish_sharded(&self.view),
         }
     }
 
@@ -239,29 +237,27 @@ fn frequency_side(k: usize) -> impl FnMut(&Vec<u64>) {
 /// Measures the section.
 pub fn run() -> Section {
     let variants = [
-        (1, Image::None, "none", 1),
-        (4, Image::Delta { m: 1 }, "delta", 1),
-        (4, Image::Delta { m: 4 }, "delta", 4),
-        (4, Image::WholeCopy, "whole_copy", 1),
+        (1, Image::None, "none"),
+        (4, Image::Delta, "delta"),
+        (4, Image::WholeCopy, "whole_copy"),
     ];
     let mut rows = Vec::new();
     // Only lg_k = 16 is gated; lg_k = 12 shows the whole-copy row growing.
     let [_, (delta_vs_no_image, whole_copy_vs_delta)] = [12u8, 16].map(|lg_k| {
         let mut sides = variants.map(|(_, image, ..)| ThetaSide::new(lg_k, image));
-        let [mut none, mut delta, mut delta4, mut whole_copy] =
+        let [mut none, mut delta, mut whole_copy] =
             sides.each_mut().map(|side| move |_: &()| side.call());
-        let ([none_secs, delta_secs, delta4_secs], _) =
-            time_interleaved(|| (), [&mut none, &mut delta, &mut delta4]);
+        let ([none_secs, delta_secs], _) = time_interleaved(|| (), [&mut none, &mut delta]);
         // Alone: a whole-copy publication retires an O(retained) image
         // to the thread's epoch collector, and a neighbour's next
         // publication would pay for freeing it. At ≈ 400× against a
         // bound of 5 this quotient needs no drift cancelled.
         let ([whole_copy_secs], _) = time_interleaved(|| (), [&mut whole_copy]);
-        let secs = [none_secs, delta_secs, delta4_secs, whole_copy_secs];
-        for ((side, secs), (shards, _, label, m)) in sides.iter().zip(secs).zip(variants) {
+        let secs = [none_secs, delta_secs, whole_copy_secs];
+        for ((side, secs), (shards, _, label)) in sides.iter().zip(secs).zip(variants) {
             rows.push(format!(
                 "{{\"family\": \"theta\", \"lg_k\": {lg_k}, \"retained\": {}, \
-                 \"shards\": {shards}, \"image\": \"{label}\", \"image_every\": {m}, \
+                 \"shards\": {shards}, \"image\": \"{label}\", \
                  \"per_merge_ns\": {:.1}, \"merges\": {}}}",
                 side.retained(),
                 secs * 1e9 / BATCH as f64,

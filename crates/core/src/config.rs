@@ -15,14 +15,18 @@ pub const DEFAULT_MAX_BUFFER: u64 = 16;
 /// the writer that hands a buffer off (or any writer waiting on its own
 /// hand-off) merges pending buffers into the shard under a try-lock.
 /// Embedders that cannot spawn threads get the same `r = 2Nb` relaxation
-/// guarantee, trading propagation latency for writer cycles.
+/// guarantee ([`ConcurrencyConfig::relaxation`]), trading propagation
+/// latency for writer cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PropagationBackendKind {
     /// One dedicated propagator thread per shard (the paper's `t0`).
     #[default]
     DedicatedThread,
     /// Threadless: flushing writers propagate into their shard under a
-    /// try-lock; `quiesce` drives any leftovers.
+    /// try-lock, so nobody blocks behind a peer already doing the work;
+    /// `quiesce` drives any leftovers. A partial flush that lost the
+    /// try-lock becomes visible once some writer flushes again or
+    /// `quiesce` runs.
     WriterAssisted,
 }
 
@@ -58,20 +62,6 @@ pub struct ConcurrencyConfig {
     pub shards: usize,
     /// How buffers are propagated into the shards' globals.
     pub backend: PropagationBackendKind,
-    /// Publish the shard's mergeable *image* only on every `M`-th merge
-    /// (`M = image_every`, default 1 = publish on every merge). The cheap
-    /// per-merge publication (Θ's seqlock triple, HLL's atomic estimate)
-    /// still happens on every merge, so this is a *deliberate,
-    /// bounded-staleness* relaxation of the sharded query path only: a
-    /// merged query may additionally miss up to `(M − 1)·b` merged-but-
-    /// unpublished updates per shard, raising the query staleness bound
-    /// from `r = 2Nb` to `r + K·(M − 1)·b` (see
-    /// [`Self::query_relaxation`]). Ignored when `shards == 1` (no image
-    /// is published at all) and during the eager phase (which publishes
-    /// the image on every update — its contract is zero relaxation
-    /// error). [`crate::runtime::ConcurrentSketch::quiesce`] republishes
-    /// skipped images, restoring full freshness at quiescence.
-    pub image_every: u64,
 }
 
 impl Default for ConcurrencyConfig {
@@ -84,7 +74,6 @@ impl Default for ConcurrencyConfig {
             disable_prefilter: false,
             shards: 1,
             backend: PropagationBackendKind::default(),
-            image_every: 1,
         }
     }
 }
@@ -106,9 +95,6 @@ impl ConcurrencyConfig {
         }
         if self.shards == 0 {
             return Err(SketchError::invalid("shards", "must be ≥ 1"));
-        }
-        if self.image_every == 0 {
-            return Err(SketchError::invalid("image_every", "must be ≥ 1"));
         }
         if self.shards > self.writers {
             return Err(SketchError::invalid(
@@ -151,36 +137,18 @@ impl ConcurrencyConfig {
     }
 
     /// The relaxation bound `r` induced by this configuration: `2Nb` with
-    /// double buffering (Theorem 1), `Nb` without (Lemma 1).
+    /// double buffering (Theorem 1), `Nb` without (Lemma 1) — the one
+    /// staleness bound every engine query satisfies.
     ///
     /// Deliberately independent of [`shards`](Self::shards): writers, not
     /// shards, carry the relaxation. Each writer has at most one full
     /// buffer in flight plus one partial buffer regardless of which shard
-    /// it is keyed onto, so splitting the global sketch `K` ways leaves
-    /// the query staleness bound at `2Nb`.
+    /// it is keyed onto, and every merge republishes its shard's image,
+    /// so splitting the global sketch `K` ways leaves the query staleness
+    /// bound at `2Nb`.
     pub fn relaxation(&self) -> u64 {
         let factor = if self.double_buffering { 2 } else { 1 };
         factor * self.writers as u64 * self.buffer_size()
-    }
-
-    /// The staleness bound a *merged query* satisfies: the writer-side
-    /// relaxation [`Self::relaxation`] plus, when image publication is
-    /// throttled (`shards > 1` and `image_every > 1`), up to
-    /// `(image_every − 1)·b` merged-but-unpublished updates per shard.
-    ///
-    /// The extra term is per-shard because each shard throttles its own
-    /// image independently: between two image publications a shard
-    /// performs at most `image_every − 1` merges, each carrying at most
-    /// one local buffer of `b` updates. `fcds-relaxation`'s
-    /// `sharded::sharded_query_relaxation` is the executable reference
-    /// for this accounting.
-    pub fn query_relaxation(&self) -> u64 {
-        let r = self.relaxation();
-        if self.shards > 1 && self.image_every > 1 {
-            r + self.shards as u64 * (self.image_every - 1) * self.buffer_size()
-        } else {
-            r
-        }
     }
 
     /// The overall error bound of §7.1 for a Θ sketch with nominal size
@@ -298,43 +266,6 @@ mod tests {
             assert!(c.validate().is_ok());
             assert_eq!(c.relaxation(), r1, "r must not depend on K");
         }
-    }
-
-    #[test]
-    fn image_every_validation_and_query_relaxation() {
-        let c = ConcurrencyConfig {
-            image_every: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err(), "image_every = 0 must be rejected");
-
-        // K = 1: no image is published, so image_every never widens r.
-        let c = ConcurrencyConfig {
-            writers: 4,
-            image_every: 4,
-            ..Default::default()
-        };
-        assert_eq!(c.query_relaxation(), c.relaxation());
-
-        // Sharded with M = 1: unchanged (today's semantics).
-        let c = ConcurrencyConfig {
-            writers: 4,
-            shards: 4,
-            ..Default::default()
-        };
-        assert_eq!(c.query_relaxation(), c.relaxation());
-
-        // Sharded with M > 1: + K·(M−1)·b.
-        let c = ConcurrencyConfig {
-            writers: 4,
-            shards: 2,
-            image_every: 4,
-            ..Default::default()
-        };
-        assert_eq!(
-            c.query_relaxation(),
-            c.relaxation() + 2 * 3 * c.buffer_size()
-        );
     }
 
     #[test]

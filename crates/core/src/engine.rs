@@ -370,13 +370,6 @@ impl<F: Family> EngineBuilder<F> {
         self
     }
 
-    /// Publishes each shard's mergeable image only on every `m`-th
-    /// merge (default 1).
-    pub fn image_every(mut self, m: u64) -> Self {
-        self.config.image_every = m;
-        self
-    }
-
     /// Ablation: disables the pre-filter hint. Benchmarking only.
     pub fn disable_prefilter(mut self, disabled: bool) -> Self {
         self.config.disable_prefilter = disabled;

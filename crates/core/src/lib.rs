@@ -26,21 +26,20 @@
 //! * Each update thread buffers into a local sketch and hands it off via
 //!   a single atomic (`prop_i`) every `b` updates — one memory fence per
 //!   batch ([`sync::PropSlot`]).
-//! * A [`runtime::PropagationBackend`] merges local buffers into the
-//!   writer's shard and *publishes* a snapshot through an atomic view
-//!   (Θ: a seqlock triple; Quantiles: an epoch-managed pointer) —
-//!   queries never touch the global sketches and never block. The
-//!   default is the paper's dedicated thread, one per shard; the
-//!   writer-assisted backend removes the background thread entirely.
+//! * Propagation merges local buffers into the writer's shard and
+//!   *publishes* a snapshot through an atomic view (Θ: a seqlock triple;
+//!   Quantiles: an epoch-managed pointer) — queries never touch the
+//!   global sketches and never block. [`config::PropagationBackendKind`]
+//!   picks who propagates: the paper's dedicated thread, one per shard
+//!   (the default), or the writers themselves, with no background
+//!   thread at all.
 //! * Queries merge the `K` shard views losslessly
 //!   ([`composable::GlobalSketch::merge_shard_views`]): Θ unions, HLL
 //!   register max, Quantiles sample union, Misra–Gries counter addition.
 //!   The relaxation bound stays `r = 2Nb` for any `K` — writers, not
-//!   shards, carry the relaxation. Θ's shard image is published as
-//!   chunked copy-on-write blocks (O(1) per publication, not
-//!   O(retained)), and `ConcurrencyConfig::image_every` can throttle
-//!   image publication to every M-th merge for a checker-verified
-//!   bounded-staleness trade (`query_relaxation() = 2Nb + K·(M−1)·b`).
+//!   shards, carry the relaxation, and every merge republishes its
+//!   shard's image. Θ's shard image is published as chunked
+//!   copy-on-write blocks (O(1) per publication, not O(retained)).
 //! * The hint piggy-backed on `prop_i` (Θ itself for the Θ sketch) lets
 //!   update threads pre-filter doomed updates (`shouldAdd`), which is
 //!   what makes the design scale (Figure 1).
@@ -83,10 +82,7 @@ pub use engine::{
     EngineBuilder, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine,
     ThetaFamily, WireImage,
 };
-pub use runtime::{
-    ConcurrentSketch, DedicatedThreadBackend, FlushError, PropagationBackend, SketchWriter,
-    WriterAssistedBackend,
-};
+pub use runtime::{ConcurrentSketch, FlushError, SketchWriter};
 
 /// Test-only helpers shared by this crate's heavy suites and the facade
 /// integration tests. Not part of the public API.

@@ -374,16 +374,6 @@ impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentQuantilesSketch<T> {
         self.inner.relaxation()
     }
 
-    /// The engine-level merged-query staleness bound
-    /// ([`Self::relaxation`] plus `K·(M − 1)·b` when `image_every = M`
-    /// throttles image publication). Quantiles publishes its ladder on
-    /// every merge regardless of M, so this is conservative here — the
-    /// actual staleness stays `r = 2Nb` — but it is the bound the
-    /// generic checker machinery uses across sketches.
-    pub fn query_relaxation(&self) -> u64 {
-        self.inner.query_relaxation()
-    }
-
     /// The relaxed rank-error bound `ε_r` of §6.2 at the current visible
     /// stream length.
     pub fn relaxed_epsilon(&self) -> f64 {
@@ -754,30 +744,6 @@ mod tests {
         for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
             assert_eq!(ladder.quantile(phi), flat.quantile(phi), "phi={phi}");
         }
-    }
-
-    #[test]
-    fn image_every_does_not_stale_quantiles() {
-        // Quantiles publishes its ladder on image and non-image merges
-        // alike, so M > 1 must not change quiesced freshness.
-        let s = EngineBuilder::<QuantilesFamily>::new()
-            .accuracy(64)
-            .writers(2)
-            .shards(2)
-            .max_concurrency_error(1.0)
-            .image_every(4)
-            .backend(PropagationBackendKind::WriterAssisted)
-            .build()
-            .unwrap();
-        let mut w = s.writer();
-        for i in 0..20_000u64 {
-            w.update(i);
-        }
-        w.flush().unwrap();
-        s.quiesce();
-        assert_eq!(s.visible_n(), 20_000);
-        assert_eq!(s.quantile(0.0), Some(0));
-        assert_eq!(s.quantile(1.0), Some(19_999));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The generic concurrent sketch engine — Algorithm 2 of the paper,
-//! generalised to a K-way sharded global with pluggable propagation.
+//! generalised to a K-way sharded global.
 //!
 //! [`ConcurrentSketch`] wires together:
 //!
@@ -7,12 +7,13 @@
 //!   double-buffered local sketch (`localS_i[2]`, `cur_i`), round-robined
 //!   onto `K` **shards** (independent global sketches with their own
 //!   views and worker registries);
-//! * a [`PropagationBackend`] that merges handed-off local buffers into
-//!   their shard and piggy-backs hints on the `prop_i` atomics
-//!   (lines 110–115). Two backends ship: [`DedicatedThreadBackend`] — the
-//!   paper's background thread `t0`, one per shard — and
-//!   [`WriterAssistedBackend`], which has no threads at all: the flushing
-//!   writer drains its shard under a try-lock;
+//! * propagation, which merges handed-off local buffers into their shard
+//!   and piggy-backs hints on the `prop_i` atomics (lines 110–115), run
+//!   as [`ConcurrencyConfig::backend`] selects:
+//!   [`PropagationBackendKind::DedicatedThread`] — the paper's background
+//!   thread `t0`, one per shard — or
+//!   [`PropagationBackendKind::WriterAssisted`], which has no threads at
+//!   all: the flushing writer drains its shard under a try-lock;
 //! * any number of query threads reading snapshots from the shards'
 //!   published views (lines 116–118), merged losslessly across shards
 //!   ([`GlobalSketch::merge_shard_views`]), never blocking on and never
@@ -65,7 +66,7 @@
 use crate::composable::{GlobalSketch, HintCodec, LocalSketch};
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
 use crate::sync::PropSlot;
-use fcds_sketches::error::Result;
+use fcds_sketches::error::{Result, SketchError};
 use parking_lot::Mutex;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -96,12 +97,10 @@ pub struct EngineStats {
     /// Buffer hand-offs performed by writers (`prop_i ← 0` stores).
     pub handoffs: u64,
     /// Shard-image publications (`publish_sharded` calls) since the
-    /// engine started serving. Always 0 on a single-shard engine; with
-    /// `image_every = M > 1`, roughly `merges / M` plus the forced
-    /// publications during the eager phase and at
-    /// [`ConcurrentSketch::quiesce`]. The initial per-shard publication
-    /// at engine start happens before the counters exist and is not
-    /// included.
+    /// engine started serving. Always 0 on a single-shard engine; on a
+    /// sharded one, one per merge plus one per eager-phase update. The
+    /// initial per-shard publication at engine start happens before the
+    /// counters exist and is not included.
     pub image_publications: u64,
     /// Updates dropped by the writers' `shouldAdd` pre-filter (§5.1) —
     /// the hint's observable contribution to scalability, and the live
@@ -170,10 +169,6 @@ struct ShardState<G: GlobalSketch> {
     /// Bumped on registry changes so a dedicated propagator reloads its
     /// local copy.
     slots_version: AtomicU64,
-    /// Merges since the last image publication; drives the
-    /// `image_every` throttle. Only written under the shard's global
-    /// lock, so the atomic is for `&self` access, not for contention.
-    merges_since_image: AtomicU64,
     /// Set when the shard's dedicated propagator thread dies by panic.
     /// Writers waiting on a hand-off check it to fail fast
     /// ([`FlushError::PropagatorDead`]) instead of spinning forever, and
@@ -181,11 +176,12 @@ struct ShardState<G: GlobalSketch> {
     propagator_dead: AtomicBool,
 }
 
-/// Engine state shared between the main handle, writers, propagation
-/// backends, and query threads. Backends receive `&EngineCore` and drive
-/// propagation through [`EngineCore::drain_shard`] /
-/// [`EngineCore::try_drain_shard`].
-pub struct EngineCore<G: GlobalSketch> {
+/// Engine state shared between the main handle, writers, dedicated
+/// propagators, and query threads. All propagation goes through
+/// [`EngineCore::drain_shard`] / [`EngineCore::try_drain_shard`] (or
+/// [`EngineCore::try_propagate`] in the dedicated loop), which serialise
+/// the propagator side on the shard lock.
+struct EngineCore<G: GlobalSketch> {
     shards: Vec<ShardState<G>>,
     /// `shards.len() > 1`; selects `publish_sharded` over `publish`.
     sharded: bool,
@@ -206,86 +202,52 @@ pub struct EngineCore<G: GlobalSketch> {
     counters: Counters,
 }
 
-impl<G: GlobalSketch> std::fmt::Debug for EngineCore<G> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineCore")
-            .field("shards", &self.shards.len())
-            .field("config", &self.config)
-            .field("phase", &self.phase.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 impl<G: GlobalSketch> EngineCore<G> {
-    /// Number of shards `K`.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the engine handle has been dropped (backend service
-    /// threads should exit once this is set and their shard is drained).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Marks `shard`'s propagation service as dead (see
-    /// [`FlushError::PropagatorDead`]). Called by backends whose service
-    /// thread for the shard is unwinding; once set it never clears.
-    pub fn mark_propagator_dead(&self, shard: usize) {
-        self.shards[shard]
-            .propagator_dead
-            .store(true, Ordering::Release);
-    }
-
-    /// Whether `shard`'s propagation service has died (never set by the
-    /// threadless [`WriterAssistedBackend`]).
-    pub fn propagator_dead(&self, shard: usize) -> bool {
+    /// Whether `shard`'s dedicated propagator has died (never set under
+    /// the threadless writer-assisted backend).
+    fn propagator_dead(&self, shard: usize) -> bool {
         self.shards[shard].propagator_dead.load(Ordering::Acquire)
     }
 
     /// Merges every pending hand-off of `shard` into its global sketch,
-    /// blocking on the shard lock. Returns `true` if any buffer was
-    /// merged.
-    pub fn drain_shard(&self, shard: usize) -> bool {
+    /// blocking on the shard lock.
+    fn drain_shard(&self, shard: usize) {
         let sh = &self.shards[shard];
-        let mut g = sh.global.lock();
-        self.drain_shard_locked(&mut g, sh)
+        self.drain_shard_locked(&mut sh.global.lock(), sh);
     }
 
-    /// Like [`Self::drain_shard`] but gives up (returning `false`) if
-    /// another thread currently holds the shard lock — that thread is
-    /// propagating already.
-    pub fn try_drain_shard(&self, shard: usize) -> bool {
+    /// Like [`Self::drain_shard`] but gives up if another thread
+    /// currently holds the shard lock — that thread is propagating
+    /// already.
+    fn try_drain_shard(&self, shard: usize) {
         let sh = &self.shards[shard];
-        match sh.global.try_lock() {
-            Some(mut g) => self.drain_shard_locked(&mut g, sh),
-            None => false,
+        if let Some(mut g) = sh.global.try_lock() {
+            self.drain_shard_locked(&mut g, sh);
         }
     }
 
-    /// Publishes `g`'s state into the shard's view. When the engine is
-    /// sharded this includes the mergeable image — on every `image_every`-th
-    /// merge, or unconditionally when `force_image` is set (engine start,
-    /// eager phase, quiesce); skipped merges still publish the cheap
-    /// per-merge state (`G::publish`), so e.g. Θ's seqlock triple keeps
-    /// single-shard-equivalent freshness regardless of the throttle.
-    fn publish_view(&self, g: &G, shard: &ShardState<G>, force_image: bool) {
-        if !self.sharded {
-            g.publish(&shard.view);
-            return;
+    /// A writer's share of propagation, called right after it hands a
+    /// buffer off on `shard` and on every iteration of its wait for a
+    /// merge (line 125). Under the writer-assisted backend this is the
+    /// only progress the shard gets, so the writer drains it unless
+    /// another thread already is; a dedicated propagator needs no help.
+    fn assist(&self, shard: usize) {
+        match self.config.backend {
+            PropagationBackendKind::DedicatedThread => {}
+            PropagationBackendKind::WriterAssisted => self.try_drain_shard(shard),
         }
-        let image_due = force_image || {
-            let since = shard.merges_since_image.fetch_add(1, Ordering::Relaxed) + 1;
-            since >= self.config.image_every
-        };
-        if image_due {
-            shard.merges_since_image.store(0, Ordering::Relaxed);
-            g.publish_sharded(&shard.view);
+    }
+
+    /// Publishes `g`'s state into a shard's view — when the engine is
+    /// sharded, the mergeable image that queries merge across shards.
+    fn publish_view(&self, g: &G, view: &G::View) {
+        if self.sharded {
+            g.publish_sharded(view);
             self.counters
                 .image_publications
                 .fetch_add(1, Ordering::Relaxed);
         } else {
-            g.publish(&shard.view);
+            g.publish(view);
         }
     }
 
@@ -313,7 +275,7 @@ impl<G: GlobalSketch> EngineCore<G> {
                 debug_assert!(buf.is_empty(), "merge must clear the local buffer");
             });
         }
-        self.publish_view(g, shard, false);
+        self.publish_view(g, &shard.view);
         let hint = g.calc_hint();
         slot.complete_propagation(hint.encode().get());
         self.counters.merges.fetch_add(1, Ordering::Relaxed);
@@ -322,7 +284,7 @@ impl<G: GlobalSketch> EngineCore<G> {
 
     /// Propagates every pending slot of a shard and prunes drained
     /// retired slots. Caller holds the shard's global lock.
-    fn drain_shard_locked(&self, g: &mut G, shard: &ShardState<G>) -> bool {
+    fn drain_shard_locked(&self, g: &mut G, shard: &ShardState<G>) {
         // Scan under the registry lock and collect only slots that need
         // work: the writer-assisted wait loop calls this on every spin
         // iteration, so the common nothing-pending case must not
@@ -339,14 +301,12 @@ impl<G: GlobalSketch> EngineCore<G> {
             }
             (pending, saw_retired)
         };
-        let mut did_work = false;
         for slot in &pending {
-            did_work |= self.propagate_slot_locked(g, shard, slot);
+            self.propagate_slot_locked(g, shard, slot);
         }
         if saw_retired {
             self.prune_retired(shard);
         }
-        did_work
     }
 
     /// Drops fully drained retired slots from a shard's registry, bumping
@@ -375,67 +335,6 @@ impl<G: GlobalSketch> EngineCore<G> {
     }
 }
 
-/// How merged buffers travel from writers into the shards' globals.
-///
-/// The engine calls these hooks at the marked points; all propagation
-/// work must go through [`EngineCore::drain_shard`] /
-/// [`EngineCore::try_drain_shard`] (or, for service threads spawned by
-/// [`Self::spawn`], the same primitives in a loop), which serialise the
-/// propagator side on the shard lock. Implement this trait to plug a
-/// custom policy (e.g., an async-runtime task per shard) into
-/// [`ConcurrentSketch::start_with_backend`].
-pub trait PropagationBackend<G: GlobalSketch>: Send + Sync + 'static {
-    /// Called once at engine start; spawns any service threads. The
-    /// engine sets the shutdown flag and joins the returned handles on
-    /// drop.
-    fn spawn(&self, core: &Arc<EngineCore<G>>) -> Vec<JoinHandle<()>> {
-        let _ = core;
-        Vec::new()
-    }
-
-    /// Called by a writer immediately after it hands a full buffer off on
-    /// `shard`.
-    fn after_handoff(&self, core: &EngineCore<G>, shard: usize) {
-        let _ = (core, shard);
-    }
-
-    /// Called on every iteration of a writer's wait-for-merge loop
-    /// (line 125); a threadless backend must make progress here or the
-    /// writer would spin forever.
-    fn while_waiting(&self, core: &EngineCore<G>, shard: usize) {
-        let _ = (core, shard);
-    }
-
-    /// Called by [`ConcurrentSketch::quiesce`] while hand-offs are
-    /// pending anywhere.
-    fn drive(&self, core: &EngineCore<G>) {
-        let _ = core;
-    }
-}
-
-/// The paper's propagation scheme: one dedicated background thread per
-/// shard (`t0` of Algorithm 2) spins over its shard's slots and merges
-/// hand-offs as they appear. Writers and queries never propagate.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DedicatedThreadBackend;
-
-impl<G: GlobalSketch> PropagationBackend<G> for DedicatedThreadBackend {
-    fn spawn(&self, core: &Arc<EngineCore<G>>) -> Vec<JoinHandle<()>> {
-        (0..core.shard_count())
-            .map(|shard| {
-                let core = Arc::clone(core);
-                std::thread::Builder::new()
-                    .name(format!("fcds-propagator-{shard}"))
-                    .spawn(move || {
-                        let _guard = PropagatorDeadGuard { core: &core, shard };
-                        propagator_loop(&core, shard);
-                    })
-                    .expect("spawn propagator thread")
-            })
-            .collect()
-    }
-}
-
 /// Marks the shard dead if the propagator thread unwinds. A merge can
 /// panic (a buggy or adversarial `GlobalSketch::merge`); without this,
 /// every writer of the shard would spin forever in `wait_merged` on a
@@ -448,37 +347,10 @@ struct PropagatorDeadGuard<'a, G: GlobalSketch> {
 impl<G: GlobalSketch> Drop for PropagatorDeadGuard<'_, G> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.core.mark_propagator_dead(self.shard);
-        }
-    }
-}
-
-/// Threadless propagation for embedders that cannot (or do not want to)
-/// give the sketch a background thread: the writer that hands a buffer
-/// off — or any writer waiting for its own merge — drains its shard under
-/// a try-lock, so exactly one thread propagates into a shard at a time
-/// and nobody blocks behind a peer that is already doing the work.
-///
-/// Trade-off vs [`DedicatedThreadBackend`]: hand-offs are merged with the
-/// writer's own cycles (slightly lower ingest throughput per writer, one
-/// fewer hot core), and a partial [`SketchWriter::flush`] only becomes
-/// visible once some writer flushes again or
-/// [`ConcurrentSketch::quiesce`] runs. The relaxation bound is unchanged.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WriterAssistedBackend;
-
-impl<G: GlobalSketch> PropagationBackend<G> for WriterAssistedBackend {
-    fn after_handoff(&self, core: &EngineCore<G>, shard: usize) {
-        core.try_drain_shard(shard);
-    }
-
-    fn while_waiting(&self, core: &EngineCore<G>, shard: usize) {
-        core.try_drain_shard(shard);
-    }
-
-    fn drive(&self, core: &EngineCore<G>) {
-        for shard in 0..core.shard_count() {
-            core.drain_shard(shard);
+            // Once set it never clears (see `FlushError::PropagatorDead`).
+            self.core.shards[self.shard]
+                .propagator_dead
+                .store(true, Ordering::Release);
         }
     }
 }
@@ -489,11 +361,12 @@ impl<G: GlobalSketch> PropagationBackend<G> for WriterAssistedBackend {
 ///
 /// Create writers with [`ConcurrentSketch::writer`] (one per update
 /// thread; writers are `Send` but not `Sync`), query from any thread with
-/// [`ConcurrentSketch::snapshot`], and drop the handle to stop any
-/// backend service threads.
+/// [`ConcurrentSketch::snapshot`], and drop the handle to stop the
+/// dedicated propagators, if any.
 pub struct ConcurrentSketch<G: GlobalSketch> {
     shared: Arc<EngineCore<G>>,
-    backend: Arc<dyn PropagationBackend<G>>,
+    /// The dedicated propagators, one per shard (none when
+    /// writer-assisted); joined on drop.
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -516,26 +389,10 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid.
+    /// Returns an error if the configuration is invalid, or if the OS
+    /// refuses a dedicated propagator thread — the propagators already
+    /// started are then stopped and joined before this returns.
     pub fn start(global: G, config: ConcurrencyConfig) -> Result<Self> {
-        let backend: Arc<dyn PropagationBackend<G>> = match config.backend {
-            PropagationBackendKind::DedicatedThread => Arc::new(DedicatedThreadBackend),
-            PropagationBackendKind::WriterAssisted => Arc::new(WriterAssistedBackend),
-        };
-        Self::start_with_backend(global, config, backend)
-    }
-
-    /// Starts the engine with an explicit (possibly custom) propagation
-    /// backend; `config.backend` is ignored in favour of `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn start_with_backend(
-        global: G,
-        config: ConcurrencyConfig,
-        backend: Arc<dyn PropagationBackend<G>>,
-    ) -> Result<Self> {
         config.validate()?;
         let eager_limit = config.eager_limit();
         let lazy_b = config.buffer_size();
@@ -566,30 +423,55 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
                     view,
                     slots: Mutex::new(Vec::new()),
                     slots_version: AtomicU64::new(0),
-                    merges_since_image: AtomicU64::new(0),
                     propagator_dead: AtomicBool::new(false),
                 }
             })
             .collect();
-        let shared = Arc::new(EngineCore {
-            shards,
-            sharded,
-            phase: AtomicU8::new(if start_eager { PHASE_EAGER } else { PHASE_LAZY }),
-            buffer_size: AtomicU64::new(if start_eager { 1 } else { lazy_b }),
-            config,
-            eager_limit,
-            lazy_b,
-            eager_ingested: AtomicU64::new(initial_len),
-            next_shard: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-        });
-        let handles = backend.spawn(&shared);
-        Ok(ConcurrentSketch {
-            shared,
-            backend,
-            handles,
-        })
+        let mut engine = ConcurrentSketch {
+            shared: Arc::new(EngineCore {
+                shards,
+                sharded,
+                phase: AtomicU8::new(if start_eager { PHASE_EAGER } else { PHASE_LAZY }),
+                buffer_size: AtomicU64::new(if start_eager { 1 } else { lazy_b }),
+                config,
+                eager_limit,
+                lazy_b,
+                eager_ingested: AtomicU64::new(initial_len),
+                next_shard: AtomicUsize::new(0),
+                shutdown: AtomicBool::new(false),
+                counters: Counters::default(),
+            }),
+            handles: Vec::new(),
+        };
+        match engine.shared.config.backend {
+            PropagationBackendKind::DedicatedThread => {
+                for shard in 0..engine.shared.shards.len() {
+                    let core = Arc::clone(&engine.shared);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("fcds-propagator-{shard}"))
+                        .spawn(move || {
+                            let _guard = PropagatorDeadGuard { core: &core, shard };
+                            propagator_loop(&core, shard);
+                        });
+                    match spawned {
+                        Ok(handle) => engine.handles.push(handle),
+                        // Dropping `engine` sets `shutdown` and joins the
+                        // propagators already spawned.
+                        Err(err) => {
+                            return Err(SketchError::invalid(
+                                "backend",
+                                format!(
+                                    "the OS refused the propagator thread for shard {shard} \
+                                     ({err}); the writer-assisted backend needs no threads"
+                                ),
+                            ))
+                        }
+                    }
+                }
+            }
+            PropagationBackendKind::WriterAssisted => {}
+        }
+        Ok(engine)
     }
 
     /// Registers a new update thread, assigning it to the next shard
@@ -615,7 +497,6 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
         let lazy = self.shared.phase.load(Ordering::Acquire) == PHASE_LAZY;
         SketchWriter {
             shared: Arc::clone(&self.shared),
-            backend: Arc::clone(&self.backend),
             slot,
             shard: shard_idx,
             cur: 0,
@@ -681,14 +562,6 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
         self.shared.config.relaxation()
     }
 
-    /// The staleness bound of a *merged query*
-    /// ([`ConcurrencyConfig::query_relaxation`]): equals
-    /// [`Self::relaxation`] unless image publication is throttled
-    /// (`image_every > 1` on a sharded engine).
-    pub fn query_relaxation(&self) -> u64 {
-        self.shared.config.query_relaxation()
-    }
-
     /// Whether the sketch is still in the eager phase of §5.3.
     pub fn is_eager(&self) -> bool {
         self.shared.phase.load(Ordering::Acquire) == PHASE_EAGER
@@ -727,22 +600,16 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
             if !pending {
                 break;
             }
-            self.backend.drive(&self.shared);
-            std::thread::yield_now();
-        }
-        // Republish any image the `image_every` throttle skipped, so a
-        // quiesced engine is fully fresh regardless of M. Dead shards
-        // are skipped — their global may be mid-merge.
-        if self.shared.sharded && self.shared.config.image_every > 1 {
-            for sh in &self.shared.shards {
-                if sh.propagator_dead.load(Ordering::Acquire) {
-                    continue;
-                }
-                if sh.merges_since_image.load(Ordering::Relaxed) != 0 {
-                    let g = sh.global.lock();
-                    self.shared.publish_view(&g, sh, true);
+            match self.shared.config.backend {
+                // The shards' own propagators merge; wait for them.
+                PropagationBackendKind::DedicatedThread => {}
+                PropagationBackendKind::WriterAssisted => {
+                    for shard in 0..self.shared.shards.len() {
+                        self.shared.drain_shard(shard);
+                    }
                 }
             }
+            std::thread::yield_now();
         }
     }
 
@@ -797,7 +664,7 @@ impl<G: GlobalSketch> Drop for ConcurrentSketch<G> {
             let _ = h.join();
         }
         // Final drain so post-shutdown snapshots reflect every completed
-        // hand-off; service threads (if any) are joined, so this handle
+        // hand-off; dedicated propagators (if any) are joined, so this handle
         // owns propagation now. Also what makes the writer-assisted
         // backend's teardown deterministic. Shards whose propagator died
         // are skipped: their global may be mid-merge and draining into it
@@ -811,7 +678,7 @@ impl<G: GlobalSketch> Drop for ConcurrentSketch<G> {
 }
 
 /// The dedicated propagator servicing one shard (Algorithm 2,
-/// lines 110–115, run by [`DedicatedThreadBackend`]).
+/// lines 110–115) under [`PropagationBackendKind::DedicatedThread`].
 fn propagator_loop<G: GlobalSketch>(core: &EngineCore<G>, shard_idx: usize) {
     let shard = &core.shards[shard_idx];
     let mut local_slots: Vec<Arc<PropSlot<G::Local>>> = Vec::new();
@@ -837,7 +704,7 @@ fn propagator_loop<G: GlobalSketch>(core: &EngineCore<G>, shard_idx: usize) {
             seen_version = shard.slots_version.load(Ordering::Acquire);
         }
 
-        if core.is_shutting_down() {
+        if core.shutdown.load(Ordering::Acquire) {
             // Final drain so that post-shutdown snapshots reflect every
             // completed hand-off.
             core.drain_shard(shard_idx);
@@ -862,7 +729,6 @@ fn propagator_loop<G: GlobalSketch>(core: &EngineCore<G>, shard_idx: usize) {
 /// and retires its slot.
 pub struct SketchWriter<G: GlobalSketch> {
     shared: Arc<EngineCore<G>>,
-    backend: Arc<dyn PropagationBackend<G>>,
     slot: Arc<PropSlot<G::Local>>,
     shard: usize,
     cur: usize,
@@ -1103,9 +969,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
         let before = g.stream_len();
         g.update_direct(item);
         let delta = g.stream_len() - before;
-        // Force the image past any `image_every` throttle: the eager
-        // phase's contract is zero relaxation error.
-        self.shared.publish_view(&g, shard, true);
+        self.shared.publish_view(&g, &shard.view);
         self.shared
             .counters
             .eager_updates
@@ -1164,7 +1028,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
             .counters
             .handoffs
             .fetch_add(1, Ordering::Relaxed);
-        self.backend.after_handoff(&self.shared, self.shard);
+        self.shared.assist(self.shard);
 
         if !self.shared.config.double_buffering {
             // Unoptimised ParSketch: the update thread idles until its
@@ -1199,7 +1063,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(self.latch_dead(FlushError::ShuttingDown));
             }
-            self.backend.while_waiting(&self.shared, self.shard);
+            self.shared.assist(self.shard);
             backoff.snooze();
         }
     }
@@ -1490,24 +1354,47 @@ mod tests {
 
     #[test]
     fn writer_assisted_spawns_no_threads() {
-        let cfg = ConcurrencyConfig {
-            writers: 1,
-            backend: PropagationBackendKind::WriterAssisted,
-            max_concurrency_error: 1.0,
-            ..Default::default()
-        };
-        let sketch = ConcurrentSketch::start(SumGlobal::default(), cfg).unwrap();
-        assert!(
-            sketch.handles.is_empty(),
-            "threadless backend spawned threads"
-        );
-        let mut w = sketch.writer();
-        for i in 0..10_000u64 {
-            w.update(i);
+        // The backend switch, cell by cell: the dedicated backend starts
+        // one named propagator per shard, the writer-assisted one none,
+        // and either way a flushed and quiesced engine holds the exact sum.
+        use PropagationBackendKind::{DedicatedThread, WriterAssisted};
+        for backend in [DedicatedThread, WriterAssisted] {
+            for shards in [1usize, 2, 4] {
+                let cfg = ConcurrencyConfig {
+                    writers: shards,
+                    shards,
+                    backend,
+                    max_concurrency_error: 1.0,
+                    ..Default::default()
+                };
+                let sketch = ConcurrentSketch::start(SumGlobal::default(), cfg).unwrap();
+                let threads: Vec<_> = sketch
+                    .handles
+                    .iter()
+                    .map(|h| h.thread().name().map(str::to_owned))
+                    .collect();
+                let expected: Vec<_> = match backend {
+                    DedicatedThread => (0..shards)
+                        .map(|s| Some(format!("fcds-propagator-{s}")))
+                        .collect(),
+                    WriterAssisted => Vec::new(),
+                };
+                assert_eq!(threads, expected, "{backend:?}, K = {shards}");
+                let mut writers: Vec<_> = (0..shards).map(|_| sketch.writer()).collect();
+                for i in 0..10_000u64 {
+                    writers[i as usize % shards].update(i);
+                }
+                for w in &mut writers {
+                    w.flush().unwrap();
+                }
+                sketch.quiesce();
+                assert_eq!(
+                    sketch.snapshot(),
+                    expected_sum(1, 10_000),
+                    "{backend:?}, K = {shards}"
+                );
+            }
         }
-        w.flush().unwrap();
-        sketch.quiesce();
-        assert_eq!(sketch.snapshot(), (9_999 * 10_000 / 2) as f64);
     }
 
     #[test]
@@ -1746,46 +1633,6 @@ mod tests {
         }
         sketch.quiesce();
         assert_eq!(sketch.snapshot(), 100.0);
-    }
-
-    #[test]
-    fn image_every_throttles_image_publications() {
-        // Writer-assisted so every merge happens on this thread
-        // (deterministic counts), M = 4, no eager phase.
-        let cfg = ConcurrencyConfig {
-            writers: 2,
-            shards: 2,
-            backend: PropagationBackendKind::WriterAssisted,
-            max_concurrency_error: 1.0,
-            max_buffer_size: 8,
-            image_every: 4,
-            ..Default::default()
-        };
-        let sketch = ConcurrentSketch::start(SumGlobal::default(), cfg).unwrap();
-        {
-            let mut w0 = sketch.writer();
-            let mut w1 = sketch.writer();
-            for i in 0..1_000u64 {
-                w0.update(i);
-                w1.update(i);
-            }
-        }
-        sketch.quiesce();
-        let stats = sketch.stats();
-        assert!(stats.merges >= 100, "merges = {}", stats.merges);
-        // ~merges/4 + ≤ 2 forced at quiesce (start-time publications are
-        // not counted): far below 1:1.
-        assert!(
-            stats.image_publications <= stats.merges / 4 + 8,
-            "throttle ineffective: {} images for {} merges",
-            stats.image_publications,
-            stats.merges
-        );
-        assert!(stats.image_publications >= 1);
-        // Quiesce restored full freshness (SumGlobal's image is its view,
-        // but the engine-level contract is exactness after quiesce).
-        assert_eq!(sketch.snapshot(), 2.0 * (999.0 * 1000.0 / 2.0));
-        assert_eq!(sketch.query_relaxation(), sketch.relaxation() + 2 * 3 * 8);
     }
 
     #[test]

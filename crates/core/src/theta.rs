@@ -373,13 +373,6 @@ impl ConcurrentThetaSketch {
         self.inner.relaxation()
     }
 
-    /// The merged-query staleness bound: [`Self::relaxation`] plus
-    /// `K·(M − 1)·b` when image publication is throttled
-    /// (`image_every = M > 1` on a sharded engine).
-    pub fn query_relaxation(&self) -> u64 {
-        self.inner.query_relaxation()
-    }
-
     /// Whether the sketch is still in the eager phase (§5.3).
     pub fn is_eager(&self) -> bool {
         self.inner.is_eager()
@@ -1009,53 +1002,6 @@ mod tests {
         let image = view.image.load();
         assert_eq!(image.retained(), g.sketch.retained());
         assert_eq!(image.theta(), g.sketch.theta());
-    }
-
-    #[test]
-    fn image_every_keeps_quiesced_queries_fresh_and_triple_per_merge() {
-        for m in [1u64, 4] {
-            let s = EngineBuilder::<ThetaFamily>::new()
-                .accuracy(10)
-                .seed(42)
-                .writers(4)
-                .shards(2)
-                .max_concurrency_error(1.0)
-                .image_every(m)
-                .backend(PropagationBackendKind::WriterAssisted)
-                .build()
-                .unwrap();
-            let n_per = scaled(50_000);
-            std::thread::scope(|sc| {
-                for t in 0..4u64 {
-                    let mut w = s.writer();
-                    sc.spawn(move || {
-                        for i in 0..n_per {
-                            w.update(t * n_per + i);
-                        }
-                        w.flush().unwrap();
-                    });
-                }
-            });
-            s.quiesce();
-            // Quiesce republishes skipped images: the merged snapshot must
-            // agree exactly with the untrimmed union of the globals.
-            let snap = s.snapshot();
-            let compact = s.compact();
-            assert_eq!(compact.theta(), snap.theta, "M = {m}");
-            assert_eq!(compact.retained() as u64, snap.retained, "M = {m}");
-            assert_eq!(compact.estimate(), snap.estimate, "M = {m}");
-            if m > 1 {
-                let stats = s.stats();
-                assert!(
-                    stats.image_publications < stats.merges,
-                    "M = {m}: {} images for {} merges",
-                    stats.image_publications,
-                    stats.merges
-                );
-                // e = 1.0 ⇒ b = max_buffer_size = 16; K = 2 shards.
-                assert_eq!(s.query_relaxation(), s.relaxation() + 2 * (m - 1) * 16);
-            }
-        }
     }
 
     #[test]

@@ -254,7 +254,7 @@ proptest! {
             // No flush, no quiesce: the image may miss up to r_query
             // updates still sitting in buffers or in flight.
             images.push(sketch.wire_image());
-            lag_budget += sketch.query_relaxation();
+            lag_budget += sketch.relaxation();
         }
         let merged: CompactThetaSketch = merge_wire_images(&images).unwrap();
         let total = nodes as u64 * per_node;

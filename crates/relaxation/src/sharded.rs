@@ -24,25 +24,11 @@
 //! layouts. [`merged_observation`] is the executable specification of
 //! that merge; `fcds-core`'s query path computes the identical triple.
 //!
-//! ## Throttled image publication (`image_every = M`)
-//!
-//! The engine may deliberately publish a shard's mergeable image only on
-//! every `M`-th merge (its cheap per-merge view — Θ's seqlock triple —
-//! still publishes every merge). This widens what a *merged query* may
-//! miss: besides the writers' in-flight buffers (`≤ 2b` per writer),
-//! each shard may hold up to `M − 1` merges' worth of updates that are
-//! merged into its global but absent from its published image — at most
-//! `(M − 1)·b` per shard, because a merge consumes one local buffer of
-//! at most `b` updates. Hidden updates from the two sources are
-//! disjoint (a buffered update is by definition not yet merged), so the
-//! totals add:
-//!
-//! > `r_query = 2Nb + K·(M − 1)·b`
-//!
-//! computed by [`sharded_query_relaxation`] (the executable reference
-//! mirrored by `fcds-core`'s `ConcurrencyConfig::query_relaxation`).
-//! `M = 1` recovers `r = 2Nb` exactly; quiescing republishes skipped
-//! images, so a quiesced engine is admissible at `r = 0` for any `M`.
+//! The engine republishes a shard's image on every merge, so nothing is
+//! merged into a shard's global yet missing from its image: `r = 2Nb`
+//! (`fcds-core`'s `ConcurrencyConfig::relaxation`) is the whole bound a
+//! merged query satisfies, and a quiesced engine is admissible at
+//! `r = 0`.
 
 use crate::checker::ThetaObservation;
 use fcds_sketches::error::Result;
@@ -68,25 +54,6 @@ pub fn merged_observation<'a>(
         retained: union.retained() as u64,
         estimate: union.estimate(),
     })
-}
-
-/// The staleness bound a merged query satisfies when image publication
-/// is throttled to every `image_every`-th merge: the writer-side
-/// relaxation `r` (use `2Nb` with double buffering, `Nb` without) plus
-/// `(image_every − 1)·b` merged-but-unpublished updates per shard.
-///
-/// This is the executable reference for the accounting derived in the
-/// module docs; `fcds-core`'s `ConcurrencyConfig::query_relaxation`
-/// computes the identical value from its configuration.
-pub fn sharded_query_relaxation(r: u64, shards: usize, image_every: u64, b: u64) -> u64 {
-    assert!(shards >= 1, "need at least one shard");
-    assert!(image_every >= 1, "image_every must be ≥ 1");
-    if shards == 1 {
-        // A single-shard engine publishes no image at all; queries read
-        // the per-merge view, which the throttle never touches.
-        return r;
-    }
-    r + shards as u64 * (image_every - 1) * b
 }
 
 #[cfg(test)]
@@ -184,64 +151,6 @@ mod tests {
                 .is_err(),
             "2000 hidden updates accepted under r = 64"
         );
-    }
-
-    #[test]
-    fn throttled_images_stay_within_the_adjusted_bound() {
-        // N = 4 writers, b = 8, K shards, image_every = M: each shard's
-        // published image may miss its writers' 2b in-flight updates
-        // *plus* (M − 1)·b merged-but-unpublished ones. The merged
-        // observation must be admissible under the adjusted bound.
-        let stream = hashed_stream(80_000);
-        let b = 8usize;
-        let writers = 4usize;
-        let r = (2 * writers * b) as u64;
-        for m in [1u64, 4] {
-            for k_shards in [1usize, 2, 4] {
-                let r_query = sharded_query_relaxation(r, k_shards, m, b as u64);
-                let image_lag = if k_shards > 1 {
-                    (m as usize - 1) * b
-                } else {
-                    0
-                };
-                let hide_per_shard = (writers / k_shards) * 2 * b + image_lag;
-                let images = shard_images(&stream, stream.len(), k_shards, 6, hide_per_shard);
-                let obs = merged_observation(images.iter()).unwrap();
-                ThetaChecker::new(64, r_query)
-                    .check_at(&stream, stream.len(), &obs)
-                    .unwrap_or_else(|v| panic!("K = {k_shards}, M = {m}: {v}"));
-            }
-        }
-    }
-
-    #[test]
-    fn image_staleness_beyond_the_adjusted_bound_is_rejected() {
-        // Hiding clearly more than (M − 1)·b extra per shard must fail
-        // the adjusted bound (exact mode: every hidden update counts).
-        let stream = hashed_stream(8_000);
-        let b = 8u64;
-        let writers = 4usize;
-        let k_shards = 4usize;
-        let m = 4u64;
-        let r_query = sharded_query_relaxation(2 * writers as u64 * b, k_shards, m, b);
-        // 500 hidden per shard = 2000 total ≫ r_query = 64 + 96 = 160.
-        let images = shard_images(&stream, stream.len(), k_shards, 12, 500);
-        let obs = merged_observation(images.iter()).unwrap();
-        assert!(
-            ThetaChecker::new(4096, r_query)
-                .check_at(&stream, stream.len(), &obs)
-                .is_err(),
-            "2000 hidden updates accepted under r_query = {r_query}"
-        );
-    }
-
-    #[test]
-    fn query_relaxation_reference_values() {
-        // M = 1 recovers r for any K; K = 1 ignores M entirely.
-        assert_eq!(sharded_query_relaxation(64, 4, 1, 8), 64);
-        assert_eq!(sharded_query_relaxation(64, 1, 4, 8), 64);
-        // K = 2, M = 4, b = 8: r + 2·3·8.
-        assert_eq!(sharded_query_relaxation(64, 2, 4, 8), 64 + 48);
     }
 
     #[test]

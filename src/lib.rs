@@ -11,8 +11,8 @@
 //!   MurmurHash3 hash the sketches are built on.
 //! * [`core`] — the paper's contribution: the generic strongly-linearisable
 //!   concurrent sketch framework (`ParSketch`/`OptParSketch`), generalised
-//!   to a K-way sharded engine with pluggable propagation backends
-//!   (dedicated thread per shard, or threadless writer-assisted); its Θ,
+//!   to a K-way sharded engine with two propagation backends (dedicated
+//!   thread per shard, or threadless writer-assisted); its Θ,
 //!   Quantiles, HLL and frequency instantiations; and the lock-based
 //!   baseline.
 //! * [`relaxation`] — the relaxed-consistency framework: operation
@@ -69,10 +69,7 @@ pub use fcds_sketches as sketches;
 // The engine-level configuration surface, re-exported flat: these are
 // the types every embedder touches regardless of which sketch they
 // instantiate (shard count, propagation backend, error budget).
-pub use fcds_core::{
-    ConcurrencyConfig, DedicatedThreadBackend, FlushError, PropagationBackend,
-    PropagationBackendKind, WriterAssistedBackend,
-};
+pub use fcds_core::{ConcurrencyConfig, FlushError, PropagationBackendKind};
 
 // The wire/merge tier, re-exported flat: sketch on any node, emit a
 // versioned image, merge the images anywhere. These are the types every

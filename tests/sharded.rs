@@ -1,9 +1,8 @@
 //! Cross-crate properties of the K-way sharded engine: sharded histories
-//! stay within the `r = 2Nb` relaxation — widened to
-//! `r + K·(M − 1)·b` when image publication is throttled to every M-th
-//! merge — shard-count independent, both propagation backends; and
-//! merged queries are lossless against a sequential oracle fed the same
-//! stream (M = 1). Sharded Quantiles rank estimates under the
+//! stay within the `r = 2Nb` relaxation (`relaxation()`, the one
+//! staleness bound), shard-count independent, both propagation
+//! backends; and merged queries are lossless against a sequential oracle
+//! fed the same stream. Sharded Quantiles rank estimates under the
 //! copy-on-write ladder stay within the checker's relaxation envelope of
 //! the sequential sketch on the same stream. The Θ grid additionally
 //! covers the batched ingestion fast path (`update_batch` with chunks
@@ -13,7 +12,6 @@
 use fcds::core::PropagationBackendKind;
 use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
 use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
-use fcds::relaxation::sharded::sharded_query_relaxation;
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::hll::HllSketch;
 use fcds::sketches::quantiles::{epsilon_for_k, QuantilesSketch};
@@ -35,23 +33,19 @@ proptest! {
 
     /// Theorem 1 on sharded executions: with 4 writers' partial buffers
     /// still in flight (writers alive, nothing flushed), the merged query
-    /// must be admissible for the full issued prefix under the adjusted
-    /// bound r_query = 2Nb + K·(M − 1)·b — for K ∈ {1, 2, 4},
-    /// image_every M ∈ {1, 4}, and both backends (M = 1 makes r_query the
-    /// plain r = 2Nb). After flush + quiesce the same query must be
-    /// admissible with r = 0 for any M: quiesce republishes skipped
-    /// images, and the shard merge itself adds no relaxation.
+    /// must be admissible for the full issued prefix under r = 2Nb — for
+    /// K ∈ {1, 2, 4} and both backends. After flush + quiesce the same
+    /// query must be admissible with r = 0: the shard merge itself adds
+    /// no relaxation.
     #[test]
     fn sharded_histories_pass_the_adjusted_checker(
         per_writer in 2_000u64..6_000,
         lg_k in 6u8..=12,
         shard_sel in 0usize..3,
-        image_m in 0usize..2,
         writer_assisted in any::<bool>(),
         batched in any::<bool>(),
     ) {
         let shards = [1usize, 2, 4][shard_sel];
-        let m = [1u64, 4][image_m];
         let writers = 4usize;
         let backend = backends()[writer_assisted as usize];
         let sketch = EngineBuilder::<ThetaFamily>::new()
@@ -61,18 +55,10 @@ proptest! {
             .shards(shards)
             .max_concurrency_error(1.0) // no eager: buffers from the start
             .backend(backend)
-            .image_every(m)
             .build()
             .unwrap();
-        let b = sketch.relaxation() / (2 * writers as u64);
-        let r_query = sketch.query_relaxation();
-        // The engine's bound must agree with fcds-relaxation's
-        // executable reference for the same parameters.
-        prop_assert_eq!(
-            r_query,
-            sharded_query_relaxation(sketch.relaxation(), shards, m, b)
-        );
-        let checker = ThetaChecker::new(sketch.k(), r_query);
+        let r = sketch.relaxation();
+        let checker = ThetaChecker::new(sketch.k(), r);
 
         let mut handles: Vec<_> = (0..writers).map(|_| sketch.writer()).collect();
         let mut stream: Vec<u64> = Vec::new();
@@ -105,7 +91,7 @@ proptest! {
         }
 
         // Writers alive, partial buffers unflushed: the snapshot may miss
-        // up to 2b updates per writer plus (M − 1)·b per shard, no more.
+        // up to 2b updates per writer, no more.
         let snap = sketch.snapshot();
         let obs = ThetaObservation {
             theta: snap.theta,
@@ -114,10 +100,9 @@ proptest! {
         };
         checker
             .check_at(&stream, stream.len(), &obs)
-            .unwrap_or_else(|v| panic!("K={shards} M={m} {backend:?} r={r_query}: {v}"));
+            .unwrap_or_else(|v| panic!("K={shards} {backend:?} r={r}: {v}"));
 
-        // Flushed and quiesced: zero staleness, even across the merge and
-        // for throttled images (quiesce republishes them).
+        // Flushed and quiesced: zero staleness, even across the merge.
         for w in &mut handles {
             w.flush().unwrap();
         }
@@ -130,7 +115,7 @@ proptest! {
         };
         ThetaChecker::new(sketch.k(), 0)
             .check_at(&stream, stream.len(), &obs)
-            .unwrap_or_else(|v| panic!("K={shards} M={m} {backend:?} quiesced: {v}"));
+            .unwrap_or_else(|v| panic!("K={shards} {backend:?} quiesced: {v}"));
     }
 
     /// Lossless merge: a K-shard HLL run must land on exactly the
@@ -174,10 +159,9 @@ proptest! {
 
     /// §6.2 on sharded executions under the copy-on-write ladder: the
     /// merged rank estimates must be admissible under the relaxed PAC
-    /// envelope — for K ∈ {1, 2, 4}, image_every M ∈ {1, 4}, and both
-    /// backends. Mid-stream (writers alive, partial buffers unflushed)
-    /// the envelope uses the engine's conservative merged-query bound
-    /// `r_query = 2Nb + K·(M − 1)·b`; after flush + quiesce the same
+    /// envelope — for K ∈ {1, 2, 4} and both backends. Mid-stream
+    /// (writers alive, partial buffers unflushed) the envelope uses the
+    /// engine's bound `r = 2Nb`; after flush + quiesce the same
     /// queries must be admissible with `r = 0` (the ladder publication
     /// and the shard merge add no relaxation of their own), and the
     /// answers must agree with a sequential sketch fed the same stream
@@ -186,12 +170,10 @@ proptest! {
     fn sharded_quantiles_stay_within_the_relaxation_envelope(
         per_writer in 2_000u64..6_000,
         shard_sel in 0usize..3,
-        image_m in 0usize..2,
         writer_assisted in any::<bool>(),
     ) {
         let k = 128usize;
         let shards = [1usize, 2, 4][shard_sel];
-        let m = [1u64, 4][image_m];
         let writers = 4usize;
         let backend = backends()[writer_assisted as usize];
         let sketch = EngineBuilder::<QuantilesFamily>::new()
@@ -201,10 +183,9 @@ proptest! {
             .shards(shards)
             .max_concurrency_error(1.0) // no eager: buffers from the start
             .backend(backend)
-            .image_every(m)
             .build()
             .unwrap();
-        let r_query = sketch.query_relaxation();
+        let r = sketch.relaxation();
 
         // Permuted distinct stream so the level ladders are exercised
         // non-trivially on every shard.
@@ -219,18 +200,18 @@ proptest! {
         // convention as the sequential checker tests).
         let phis = [0.1, 0.5, 0.9];
         let eps = 3.0 * epsilon_for_k(k);
-        let mid_checker = QuantilesChecker::new(eps, r_query);
+        let mid_checker = QuantilesChecker::new(eps, r);
         let snap = sketch.snapshot();
         if !snap.is_empty() {
             for phi in phis {
                 let obs = QuantileObservation { phi, answer: snap.quantile(phi).unwrap() };
                 mid_checker
                     .check_at(&stream, stream.len(), &obs)
-                    .unwrap_or_else(|v| panic!("K={shards} M={m} {backend:?} mid-stream phi={phi}: {v}"));
+                    .unwrap_or_else(|v| panic!("K={shards} {backend:?} mid-stream phi={phi}: {v}"));
             }
         }
 
-        // Flushed and quiesced: zero staleness for any M, and agreement
+        // Flushed and quiesced: zero staleness, and agreement
         // with a sequential oracle on the same stream.
         for w in &mut handles {
             w.flush().unwrap();
@@ -247,13 +228,13 @@ proptest! {
             let obs = QuantileObservation { phi, answer };
             quiesced_checker
                 .check_at(&stream, stream.len(), &obs)
-                .unwrap_or_else(|v| panic!("K={shards} M={m} {backend:?} quiesced phi={phi}: {v}"));
+                .unwrap_or_else(|v| panic!("K={shards} {backend:?} quiesced phi={phi}: {v}"));
             // Both sides carry ≤ ε rank error on the same stream, so
             // their answers' ranks differ by at most 2ε (plus fit slack).
             let seq_rank = sequential.rank(&answer);
             prop_assert!(
                 (seq_rank - phi).abs() <= 2.0 * eps,
-                "K={shards} M={m} {backend:?}: sharded answer for phi={phi} has sequential rank {seq_rank}"
+                "K={shards} {backend:?}: sharded answer for phi={phi} has sequential rank {seq_rank}"
             );
         }
     }
