@@ -12,12 +12,14 @@
 //! | 5      | 1    | `flags`       | must be 0 in v1                           |
 //! | 6      | 2    | `seq`         | client sequence number, echoed in replies |
 //! | 8      | 4    | `payload_len` | payload bytes following the header        |
-//! | 12     | 4    | `checksum`    | FNV-1a 32 over the payload                |
+//! | 12     | 4    | `checksum`    | CRC-32C over the payload                  |
 //!
-//! The checksum is not cryptographic — it exists so a bit-flipped
-//! payload (a real fault class for long-lived TCP streams through
-//! middleboxes, and one the fault-injection harness synthesises) turns
-//! into a typed NACK instead of a garbage merge. Header corruption is
+//! The checksum is CRC-32C (Castagnoli), which catches every single-bit
+//! error and every burst of up to 32 bits in the payload. It is not
+//! cryptographic — it exists so a bit-flipped payload (a real fault
+//! class for long-lived TCP streams through middleboxes, and one the
+//! fault-injection harness synthesises) turns into a typed NACK instead
+//! of a garbage merge. Header corruption is
 //! caught by the magic/type/flags checks; payload corruption by the
 //! checksum; declared-length abuse by the server's configured cap
 //! *before* any buffer is sized from it.
@@ -49,6 +51,7 @@
 //! Any other flag bit, or a defined bit on the wrong frame type, is
 //! rejected as [`HeaderError::BadFlags`] before the payload is read.
 
+use crate::crc::crc32c;
 use fcds_sketches::wire::SketchFamily;
 
 /// `"FCF1"` little-endian: fcds frame protocol, version 1.
@@ -241,7 +244,8 @@ pub enum HeaderError {
         /// The receiver's cap.
         cap: u32,
     },
-    /// The payload's FNV-1a 32 does not match the header.
+    /// The payload's CRC-32C does not match the header. A frame from a
+    /// peer that still sends the old FNV-1a checksum lands here too.
     ChecksumMismatch {
         /// Checksum the header declared.
         declared: u32,
@@ -309,18 +313,8 @@ pub struct ParsedHeader {
     /// Declared payload length (≤ the cap passed to
     /// [`parse_header`]).
     pub payload_len: u32,
-    /// Declared payload checksum, verified by [`check_payload`].
+    /// Declared payload CRC-32C, verified by [`check_payload`].
     pub checksum: u32,
-}
-
-/// FNV-1a 32-bit over `data`.
-pub fn fnv1a32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Parses and validates a 16-byte frame header against `max_payload`,
@@ -388,7 +382,7 @@ pub fn parse_header(
 /// flight.
 pub fn check_payload(header: &ParsedHeader, payload: &[u8]) -> Result<(), HeaderError> {
     debug_assert_eq!(payload.len() as u32, header.payload_len);
-    let computed = fnv1a32(payload);
+    let computed = crc32c(payload);
     if computed != header.checksum {
         return Err(HeaderError::ChecksumMismatch {
             declared: header.checksum,
@@ -415,7 +409,7 @@ pub fn encode_frame_flags(ftype: FrameType, flags: u8, seq: u16, payload: &[u8])
     out.push(flags);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+    out.extend_from_slice(&crc32c(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -633,20 +627,68 @@ mod tests {
         assert_eq!(err.nack_code(), NackCode::PayloadTooLarge);
     }
 
+    /// Flips `pattern`'s bits into `payload` from bit `start` on and
+    /// asserts the frame's checksum catches it as a kept-open NACK.
+    fn assert_caught(parsed: &ParsedHeader, payload: &mut [u8], start: usize, pattern: u32) {
+        let flip = |payload: &mut [u8]| {
+            for i in (0..32).filter(|i| pattern >> i & 1 != 0) {
+                payload[(start + i) / 8] ^= 1 << ((start + i) % 8);
+            }
+        };
+        flip(payload);
+        let err = check_payload(parsed, payload).unwrap_err();
+        assert_eq!(err.nack_code(), NackCode::Checksum);
+        assert!(!err.closes_connection());
+        flip(payload);
+    }
+
     #[test]
     fn checksum_catches_single_bit_flips() {
-        let payload = b"the payload under test".to_vec();
-        let bytes = encode_frame(FrameType::Merge, 3, &payload);
-        let header: [u8; FRAME_HEADER_LEN] = bytes[..FRAME_HEADER_LEN].try_into().unwrap();
-        let parsed = parse_header(&header, u32::MAX, true).unwrap();
-        for bit in 0..payload.len() * 8 {
-            let mut corrupted = payload.clone();
-            corrupted[bit / 8] ^= 1 << (bit % 8);
-            let err = check_payload(&parsed, &corrupted).unwrap_err();
-            assert_eq!(err.nack_code(), NackCode::Checksum);
-            assert!(!err.closes_connection());
+        // A short Merge payload, and a full-size Ingest frame of 512
+        // items (4 KiB) for which the bursts are sampled too.
+        let items: Vec<u8> = (0..512u64)
+            .flat_map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes())
+            .collect();
+        for (ftype, mut payload) in [
+            (FrameType::Merge, b"the payload under test".to_vec()),
+            (FrameType::Ingest, items),
+        ] {
+            let bytes = encode_frame(ftype, 3, &payload);
+            let parsed = parse(&bytes).unwrap();
+            let bits = payload.len() * 8;
+            for bit in 0..bits {
+                assert_caught(&parsed, &mut payload, bit, 1);
+            }
+            // CRC-32 catches every burst of up to 32 bits: first and last
+            // bit flipped, anything between.
+            for len in 2..=32usize {
+                for start in (0..=bits - len).step_by(61) {
+                    let inner = (start as u32).wrapping_mul(0x2545_F491) & ((1 << (len - 1)) - 1);
+                    assert_caught(&parsed, &mut payload, start, 1 | inner | 1 << (len - 1));
+                }
+            }
+            check_payload(&parsed, &payload).unwrap();
         }
-        check_payload(&parsed, &payload).unwrap();
+    }
+
+    #[test]
+    fn fnv_checksummed_frames_nack_checksum_and_stay_open() {
+        // A peer that predates CRC-32C sends the payload's FNV-1a 32 in
+        // the checksum field; 0xCEC7_6F54 is that value for this payload.
+        let payload = b"the payload under test";
+        let mut bytes = encode_frame(FrameType::Merge, 3, payload);
+        bytes[12..16].copy_from_slice(&0xCEC7_6F54u32.to_le_bytes());
+        let parsed = parse(&bytes).unwrap();
+        let err = check_payload(&parsed, payload).unwrap_err();
+        assert!(matches!(
+            err,
+            HeaderError::ChecksumMismatch {
+                declared: 0xCEC7_6F54,
+                ..
+            }
+        ));
+        assert_eq!(err.nack_code(), NackCode::Checksum);
+        assert!(!err.closes_connection());
     }
 
     #[test]

@@ -82,11 +82,13 @@
 //!   format; boot-time recovery; the replica pusher.
 //! * [`frame`], [`client`], [`breaker`] — the wire protocol, a blocking
 //!   client for it, the circuit breaker.
+//! * `crc` — the frame checksum (CRC-32C) and the snapshot one (IEEE).
 
 pub mod breaker;
 pub mod client;
 mod config;
 mod conn;
+mod crc;
 mod dispatch;
 pub mod frame;
 pub mod persist;

@@ -33,11 +33,15 @@
 //! mismatch (the file's actual length no longer matches), and
 //! everything else to a CRC mismatch.
 //!
+//! The record CRC stays IEEE while frames use CRC-32C because it is
+//! part of the on-disk format: version-1 files already on disk carry it.
+//!
 //! The durability contract this buys (documented in the README):
 //! bounded loss of at most one `snapshot_interval` of acked ingest per
 //! stream — recovery is one more *relaxation* in the paper's sense, a
 //! quantified window on top of `r_query`, not a correctness loss.
 
+pub use crate::crc::crc32;
 use crate::recover::SNAP_MAX_IMAGE_BYTES;
 use crate::registry::StreamState;
 use crate::slots::{ship_image, Consumer};
@@ -64,47 +68,6 @@ pub const SNAP_SUFFIX: &str = ".snap";
 pub const TMP_SUFFIX: &str = ".tmp";
 /// Suffix appended to a snapshot that failed validation at recovery.
 pub const QUARANTINE_SUFFIX: &str = ".quarantine";
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// table, built at compile time — the container is offline, so no crc
-/// crate.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Feeds `data` into a running CRC-32 state (start from
-/// `0xFFFF_FFFF`, finish by inverting).
-fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state
-}
-
-/// CRC-32 (IEEE) over the concatenation of `parts`.
-pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut state = 0xFFFF_FFFFu32;
-    for p in parts {
-        state = crc32_feed(state, p);
-    }
-    !state
-}
 
 /// Encodes one snapshot record (see the module docs for the layout).
 ///
