@@ -6,9 +6,11 @@
 //! the two publication strategies:
 //!
 //! * `ladder` — what the engine runs, [`QuantilesGlobal`]'s `merge` +
-//!   `publish`: each merged item takes its place in the sorted mirror
-//!   of the base buffer, the publication copies that mirror (≤ 2k
-//!   items) and clones one pointer for all the levels — no sort, no
+//!   `publish`: the merge appends its items to the sorted mirror of the
+//!   base buffer and re-sorts it once (a stable sort that merges the
+//!   sorted prefix with the appended run), the publication copies that
+//!   mirror (≤ 2k items) and clones one
+//!   pointer for all the levels — no sort of retained items, no
 //!   per-level work, independent of the retained count;
 //! * `rebuild` — the pre-ladder behaviour ([`QuantilesSketch::reader`]):
 //!   re-collect and re-sort the whole retained set on every publication,

@@ -127,11 +127,13 @@ pub trait LocalSketch: Send + 'static {
 /// [`merge`](Self::merge), [`publish`](Self::publish) (or
 /// [`publish_sharded`](Self::publish_sharded)) and
 /// [`calc_hint`](Self::calc_hint) run once per hand-off of `b` updates,
-/// one after the other, on the *serial* propagation path: every writer
-/// of the shard waits behind them, and the paper's scalability argument
-/// (Algorithm 2, §7) is that this step stays tiny. Together they must
-/// cost **O(b) amortised, independent of the sketch's size** — no scan,
-/// sort, copy or re-hash of the retained state. The eager phase calls
+/// or once per inline slice of ≤ `INLINE_SLICE` (1 024) updates that a
+/// writer-assisted writer merges itself, one after the other, on the
+/// *serial* propagation path: every writer of the shard waits behind
+/// them, and the paper's scalability argument (Algorithm 2, §7) is that
+/// this step stays tiny. Together they must cost **O(items merged)
+/// amortised, independent of the sketch's size** — no scan, sort, copy
+/// or re-hash of the retained state. The eager phase calls
 /// `update_direct` + `publish` per item under the same rule. Keep what a
 /// publication needs current as the merge changes it (HLL's
 /// register-value histogram, the Quantiles sorted base mirror, Θ's block
@@ -162,8 +164,8 @@ pub trait GlobalSketch: Send + 'static {
     fn new_view(&self) -> Self::View;
 
     /// Merges (and clears) a local buffer into the global state
-    /// (line 113–114). Once per hand-off, on the serial path: O(b)
-    /// amortised (see the trait's cost contract).
+    /// (line 113–114). Once per hand-off or inline slice, on the serial
+    /// path: O(items merged) amortised (see the trait's cost contract).
     fn merge(&mut self, local: &mut Self::Local);
 
     /// Directly ingests one item — the eager-propagation path of §5.3,
@@ -173,7 +175,7 @@ pub trait GlobalSketch: Send + 'static {
 
     /// Publishes the current state into the view. The single atomic store
     /// inside is the linearisation point of the merge, mirroring the
-    /// composable Θ sketch's write to `est`. Once per hand-off (and per
+    /// composable Θ sketch's write to `est`. Once per merge (and per
     /// eager update), on the serial path: it must not walk the sketch
     /// (see the trait's cost contract).
     fn publish(&self, view: &Self::View);
@@ -184,7 +186,7 @@ pub trait GlobalSketch: Send + 'static {
     fn snapshot(view: &Self::View) -> Self::Snapshot;
 
     /// Computes the hint piggy-backed to update threads (line 115). Once
-    /// per hand-off, on the serial path: read it off state the merge
+    /// per merge, on the serial path: read it off state the merge
     /// keeps current (see the trait's cost contract).
     fn calc_hint(&self) -> <Self::Local as LocalSketch>::Hint;
 

@@ -146,6 +146,13 @@ impl ConcurrencyConfig {
     /// it is keyed onto, and every merge republishes its shard's image,
     /// so splitting the global sketch `K` ways leaves the query staleness
     /// bound at `2Nb`.
+    ///
+    /// A batched `update_batch` call is one update operation of |batch|
+    /// items: a query concurrent with it may see any prefix of it, cut at
+    /// a slice or `b` boundary, and `r` bounds the items of *returned*
+    /// calls a query may miss. A writer-assisted call that merged its
+    /// batch inline leaves nothing of its writer unpublished; one that
+    /// lost the shard lock leaves at most the usual two buffers of `b`.
     pub fn relaxation(&self) -> u64 {
         let factor = if self.double_buffering { 2 } else { 1 };
         factor * self.writers as u64 * self.buffer_size()

@@ -457,6 +457,47 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_assisted_batch_that_keeps_the_lock_leaves_nothing_unpublished() {
+        // One writer, no eager phase, no rival for the shard lock: every
+        // `ingest_batch` that fills its buffer with items to go merges
+        // the rest inline — one merge per slice of ≤ 1 024 buffered
+        // items, no hand-off, nothing left unpublished without a flush.
+        fn check(engine: &dyn StreamEngine, visible_n: &dyn Fn() -> u64) {
+            let mut w = engine.writer();
+            // Warm-up in 8-item calls: each buffer fills exactly as a
+            // call ends, so these hand off at `b` = 16 and leave 8 items
+            // buffered.
+            let mut fed = 0u64;
+            for _ in 0..101 {
+                w.ingest_batch(&(fed..fed + 8).collect::<Vec<u64>>());
+                fed += 8;
+            }
+            assert_eq!(visible_n(), fed - 8);
+            for (len, slices) in [(250, 1), (2 * 1024 + 5, 3)] {
+                let before = engine.stats();
+                w.ingest_batch(&(fed..fed + len).collect::<Vec<u64>>());
+                fed += len;
+                let after = engine.stats();
+                assert_eq!(visible_n(), fed, "{len}-item call");
+                assert_eq!(after.handoffs, before.handoffs, "{len}-item call");
+                assert_eq!(after.merges, before.merges + slices, "{len}-item call");
+            }
+        }
+        let q = EngineBuilder::<QuantilesFamily>::new()
+            .max_concurrency_error(1.0)
+            .backend(PropagationBackendKind::WriterAssisted)
+            .build()
+            .unwrap();
+        check(&q, &|| q.visible_n());
+        let f = EngineBuilder::<FrequencyFamily>::new()
+            .max_concurrency_error(1.0)
+            .backend(PropagationBackendKind::WriterAssisted)
+            .build()
+            .unwrap();
+        check(&f, &|| f.snapshot().n);
+    }
+
+    #[test]
     fn shared_knobs_apply_to_every_family() {
         // A config error (shards > writers) must surface identically
         // through the unified builder for any family.

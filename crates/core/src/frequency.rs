@@ -342,10 +342,11 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
     }
 
     /// Processes a batch of stream items through the amortised fast path
-    /// (hand-offs at `b`-boundaries mid-batch — see
-    /// [`SketchWriter::update_batch`]); the pre-aggregating local map
-    /// still collapses duplicates before the hand-off. Equivalent to
-    /// calling [`Self::update`] once per item.
+    /// (a writer that wins its shard lock at a `b`-boundary merges the
+    /// rest of the batch itself — see [`SketchWriter::update_batch`]);
+    /// the pre-aggregating local map still collapses duplicates before
+    /// each merge. Counts the same items as calling [`Self::update`] once
+    /// per item.
     pub fn update_batch(&mut self, items: &[T]) {
         self.inner.update_batch(items);
     }

@@ -319,11 +319,11 @@ impl HllWriter {
     /// hash, rank, and min-register filter run in one in-register pass
     /// per item against a hint hoisted per chunk, survivors are
     /// compacted branchlessly into a stack buffer and appended with one
-    /// reserved extend, hand-offs at `b`-boundaries mid-batch
-    /// (`SketchWriter::push_accepted`). Equivalent to calling
-    /// [`Self::update`] once per item — a stale hint only filters less
-    /// (registers never decrease), and the filtered-out extras would be
-    /// register no-ops anyway.
+    /// reserved extend, hand-offs at `b`-boundaries mid-batch or an
+    /// inline merge of the chunk's rest (`SketchWriter::push_accepted`).
+    /// Equivalent to calling [`Self::update`] once per item — a stale
+    /// hint only filters less (registers never decrease), and the
+    /// filtered-out extras would be register no-ops anyway.
     pub fn update_batch<T: Hashable>(&mut self, items: &[T]) {
         const CHUNK: usize = 32;
         let mut rest = items;

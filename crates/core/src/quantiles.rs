@@ -8,19 +8,23 @@
 //! linearisation point) and queries run entirely on their snapshot,
 //! concurrent with further merges.
 //!
-//! Publication does no sort and no per-level work, whatever the
-//! retained-sample count. The sequential sketch keeps each compaction
-//! level as an immutable `Arc`'d sorted run and the list of them behind
-//! one shared pointer that changes only at a compaction (once per 2k
-//! items) — the level-ladder analogue of the Θ sketch's chunked
-//! copy-on-write block images. The propagator keeps a *sorted mirror* of
-//! the sketch's base buffer, maintained at merge: each merged item is
-//! inserted at its `partition_point`, a compaction empties the mirror.
-//! A publication is then a copy of the (parameter-bounded, ≤ 2k) mirror
-//! plus one pointer clone. The O(retained · log retained)
-//! flattening into a [`QuantilesReader`] moves to the query side, where
-//! each shard view carries a publication version and the engine memoises
-//! the flat merged reader per version *vector* (any `K`, including 1):
+//! Propagation sorts nothing but the ≤ 2k-item base mirror and does no
+//! per-level work, whatever the retained-sample count. The sequential
+//! sketch keeps each compaction level as an immutable `Arc`'d sorted run
+//! and the list of them behind one shared pointer that changes only at a
+//! compaction (once per 2k items) — the level-ladder analogue of the Θ
+//! sketch's chunked copy-on-write block images. The propagator keeps a
+//! *sorted mirror* of the sketch's base buffer with one sort per merge:
+//! the merged items that survive the merge's last compaction are
+//! appended unsorted, and one stable sort sorts them and merges them
+//! into the mirror's sorted prefix; a compaction empties the mirror
+//! (caesium's writer splits the same way: append unsorted, sort once,
+//! merge sorted runs). A publication is then a copy of the
+//! (parameter-bounded, ≤ 2k) mirror plus one pointer clone. The
+//! O(retained · log retained) flattening into a [`QuantilesReader`]
+//! moves to the query side, where each shard view carries a publication
+//! version and the engine memoises the flat merged reader per version
+//! *vector* (any `K`, including 1):
 //! it runs once per republication observed by a query, never on the
 //! propagation path ([`ConcurrentQuantilesSketch::snapshot`]).
 //!
@@ -46,7 +50,8 @@ use std::sync::Arc;
 /// sorted mirror of its base buffer that publication copies from.
 pub struct QuantilesGlobal<T: Ord + Clone + Send + Sync + 'static> {
     sketch: QuantilesSketch<T>,
-    /// `sketch.base_buffer()` in ascending order.
+    /// `sketch.base_buffer()` in ascending order, kept with one sort per
+    /// merge (and per eager update) by `ingest`.
     sorted_base: Vec<T>,
     /// Seed for sibling shards' deterministic oracles (§4).
     oracle_seed: u64,
@@ -77,16 +82,21 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesGlobal<T> {
         }
     }
 
-    /// One sequential update, mirrored: the item takes its sorted place
-    /// in the mirror, and a compaction (the base buffer came back empty)
-    /// empties the mirror with it.
-    fn ingest(&mut self, item: T) {
-        let at = self.sorted_base.partition_point(|x| *x <= item);
-        self.sorted_base.insert(at, item.clone());
-        self.sketch.update(item);
-        if self.sketch.base_buffer().is_empty() {
-            self.sorted_base.clear();
+    /// Sequential updates in arrival order, mirrored with one sort: the
+    /// items after the last compaction (the base buffer came back empty,
+    /// and the mirror with it) are appended unsorted, and one stable sort
+    /// takes the mirror's sorted prefix as a run, sorts the appended
+    /// items and merges the two runs.
+    fn ingest(&mut self, items: impl IntoIterator<Item = T>) {
+        for item in items {
+            self.sketch.update(item.clone());
+            if self.sketch.base_buffer().is_empty() {
+                self.sorted_base.clear();
+            } else {
+                self.sorted_base.push(item);
+            }
         }
+        self.sorted_base.sort();
     }
 }
 
@@ -184,13 +194,11 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
     }
 
     fn merge(&mut self, local: &mut QuantilesLocal<T>) {
-        for item in local.items.drain(..) {
-            self.ingest(item);
-        }
+        self.ingest(local.items.drain(..));
     }
 
     fn update_direct(&mut self, item: T) {
-        self.ingest(item);
+        self.ingest(std::iter::once(item));
     }
 
     fn publish(&self, view: &Self::View) {
@@ -437,9 +445,11 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesWriter<T> {
     }
 
     /// Processes a batch of stream elements through the amortised fast
-    /// path (one reserved buffer extend per chunk, hand-offs at
-    /// `b`-boundaries mid-batch — see [`SketchWriter::update_batch`]).
-    /// Equivalent to calling [`Self::update`] once per element.
+    /// path: one reserved buffer extend per chunk, and a writer that wins
+    /// its shard lock at a `b`-boundary merges the rest of the batch
+    /// itself, one publication per slice (see
+    /// [`SketchWriter::update_batch`]). Lands the sketch in the same
+    /// state as calling [`Self::update`] once per element.
     pub fn update_batch(&mut self, items: &[T]) {
         self.inner.update_batch(items);
     }

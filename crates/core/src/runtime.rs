@@ -47,8 +47,28 @@
 //!   hoists the *hint* out of the loop: a chunk of up to `b` items is
 //!   filtered against one hint read, survivors are compacted branchlessly
 //!   and appended to the local buffer in one reserved extend
-//!   ([`LocalSketch::update_batch_filtered`]), and the buffer is handed
-//!   off at `b`-boundaries mid-batch exactly like the scalar path.
+//!   ([`LocalSketch::update_batch_filtered`]).
+//! * **Inline merges.** When the buffer fills with items of the same call
+//!   still to go, a writer-assisted writer first tries its shard lock. If
+//!   it wins, it drains the shard's pending hand-offs (its own included),
+//!   fills its current buffer with up to `INLINE_SLICE` (1 024) items of
+//!   the call, merges and publishes once, and goes on to the next slice
+//!   the same way — even a remainder shorter than `b`. If it loses, the
+//!   buffer is handed off at the `b`-boundary exactly like the scalar
+//!   path, and so is the rest of the call until a later boundary wins
+//!   the lock. The dedicated backend always hands off: its propagator is
+//!   the paper's `t0`. The slice cap bounds how much a writer's buffer
+//!   grows (and keeps, since a cleared `Vec` keeps its capacity) and how
+//!   long the shard lock is held; it has no bearing on accuracy.
+//!
+//! What a batch means for the relaxation: an `update_batch` call is one
+//! update operation of |batch| items. A query concurrent with the call
+//! may see any prefix of it, cut at a slice or `b` boundary. When the
+//! call returns without ever losing the shard lock, nothing of this
+//! writer is unpublished; otherwise the `b`-bounded path ran and the
+//! usual two buffers of at most `b` per writer are outstanding. Either
+//! way `r = 2Nb` ([`ConcurrencyConfig::relaxation`]) bounds the items of
+//! *returned* calls a query may miss.
 //!
 //! Hoisting the hint means it can go stale *within* a chunk: the
 //! propagator may publish a fresher (smaller-Θ) hint while the chunk is
@@ -61,7 +81,9 @@
 //! unchanged; the only cost is a few doomed hashes riding a hand-off.
 //! Chunks are capped at a small constant (`b` items here, 32 in the
 //! front-ends' fused hash-and-filter loops), so staleness within a batch
-//! is bounded by one chunk regardless of the caller's batch size.
+//! is bounded by one chunk regardless of the caller's batch size; an
+//! inline slice is filtered under the shard lock, where no other merge
+//! can move the shard's hint.
 
 use crate::composable::{GlobalSketch, HintCodec, LocalSketch};
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
@@ -75,6 +97,10 @@ use std::thread::JoinHandle;
 
 const PHASE_EAGER: u8 = 0;
 const PHASE_LAZY: u8 = 1;
+
+/// The most items a writer's buffer holds for one inline merge (see the
+/// module docs): 8 KiB of `u64`s, however large the caller's batch.
+const INLINE_SLICE: usize = 1024;
 
 /// Engine counters, readable at any time (monotone, `Relaxed` updates —
 /// they are diagnostics, not synchronisation).
@@ -91,10 +117,12 @@ struct Counters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Local buffers merged into some shard (lines 113–115 executions).
+    /// A writer's inline slice (see the module docs) counts as one merge.
     pub merges: u64,
     /// Updates applied directly during the eager phase (§5.3).
     pub eager_updates: u64,
-    /// Buffer hand-offs performed by writers (`prop_i ← 0` stores).
+    /// Buffer hand-offs performed by writers (`prop_i ← 0` stores). An
+    /// inline slice is merged by its own writer and counts as none.
     pub handoffs: u64,
     /// Shard-image publications (`publish_sharded` calls) since the
     /// engine started serving. Always 0 on a single-shard engine; on a
@@ -808,12 +836,22 @@ impl<G: GlobalSketch> SketchWriter<G> {
     /// path: the phase check, the pre-filter switch, and the hint are
     /// hoisted out of the per-item loop; survivors are compacted against
     /// the hint and appended to the local buffer chunk-wise
-    /// ([`LocalSketch::update_batch_filtered`]); and the buffer is
-    /// handed off at `b`-boundaries mid-batch, so arbitrarily large
-    /// batches preserve the `r = 2Nb` relaxation exactly.
+    /// ([`LocalSketch::update_batch_filtered`]). When the buffer fills
+    /// with items still to go, a writer-assisted writer that wins its
+    /// shard lock merges the rest of the batch itself, one merge and one
+    /// publication per slice of up to 1 024 items; otherwise, and always
+    /// under the dedicated backend, the buffer is handed off at the
+    /// `b`-boundary (see the module docs).
     ///
-    /// Equivalent to calling [`Self::update`] once per item: the hint is
-    /// refreshed only at flush boundaries in both paths, and within a
+    /// The call is one update operation of |batch| items. A concurrent
+    /// query may see any prefix of it, cut at a slice or `b` boundary. If
+    /// the call never lost the shard lock, none of this writer's items is
+    /// unpublished when it returns; if it did, at most two buffers of `b`
+    /// are, as after [`Self::update`]. Either way `r = 2Nb` bounds the
+    /// items of returned calls a query may miss.
+    ///
+    /// Lands the sketch in the same state as calling [`Self::update`]
+    /// once per item, pinned by `tests/batch_equivalence.rs`: within a
     /// chunk (capped at `b` items) a concurrently-published fresher hint
     /// is missed harmlessly — hints are conservative and monotone, so a
     /// stale hint only filters *less*, and the global sketch rejects the
@@ -833,32 +871,11 @@ impl<G: GlobalSketch> SketchWriter<G> {
             self.update(first.clone());
             rest = tail;
         }
-        if !self.prefilter {
-            // Ablated filter: everything is accepted, so the whole batch
-            // is a room-bounded bulk append.
+        if self.prefilter {
+            self.feed(rest, |l, hint, chunk| l.update_batch_filtered(hint, chunk));
+        } else {
+            // Ablated filter: everything is accepted.
             self.push_accepted(rest);
-            return;
-        }
-        while !rest.is_empty() {
-            debug_assert!(self.counter < self.b);
-            // Filtering only shrinks a chunk, so taking at most the
-            // buffer's remaining room guarantees the hand-off happens at
-            // exactly b buffered updates, as in the scalar path.
-            let room = (self.b - self.counter) as usize;
-            let (chunk, tail) = rest.split_at(rest.len().min(room));
-            rest = tail;
-            let hint = self.hint;
-            // SAFETY: we are the unique worker of this slot and `cur` is
-            // our current buffer.
-            let kept = unsafe {
-                self.slot
-                    .with_worker_buffer(self.cur, |l| l.update_batch_filtered(hint, chunk))
-            };
-            self.filtered += (chunk.len() - kept) as u64;
-            self.counter += kept as u64;
-            if self.counter >= self.b {
-                let _ = self.flush_inner();
-            }
         }
     }
 
@@ -886,32 +903,119 @@ impl<G: GlobalSketch> SketchWriter<G> {
         self.filtered += n;
     }
 
-    /// Appends already-accepted items to the local buffer in
-    /// room-bounded slices, handing off at `b`-boundaries. The front
-    /// ends' fused batch loops (hash → filter in registers) land their
-    /// survivors here; callers must have counted rejected items via
+    /// Appends already-accepted items to the local buffer like
+    /// [`Self::update_batch`], without a filter. The front ends' fused
+    /// batch loops (hash → filter in registers) land their survivors
+    /// here; callers must have counted rejected items via
     /// [`Self::note_filtered`] and must only be in the lazy phase.
     pub(crate) fn push_accepted(&mut self, items: &[<G::Local as LocalSketch>::Item])
     where
         <G::Local as LocalSketch>::Item: Clone,
     {
+        self.feed(items, |l, _, chunk| {
+            l.update_batch(chunk);
+            chunk.len()
+        });
+    }
+
+    /// The lazy-phase batch loop: `fill` buffers a chunk's survivors of
+    /// the hint and returns how many it kept. Chunks are room-bounded,
+    /// and filtering only shrinks a chunk, so a full buffer holds exactly
+    /// `b` updates, as in the scalar path. A full buffer with items still
+    /// to go tries [`Self::merge_inline`], and once one slice merged
+    /// inline every later slice of the call goes straight to the lock;
+    /// a full buffer that does not merge inline is handed off.
+    fn feed<F>(&mut self, items: &[<G::Local as LocalSketch>::Item], fill: F)
+    where
+        F: Fn(
+            &mut G::Local,
+            <G::Local as LocalSketch>::Hint,
+            &[<G::Local as LocalSketch>::Item],
+        ) -> usize,
+    {
+        debug_assert!(self.lazy);
         let mut rest = items;
+        let mut inline = false;
         while !rest.is_empty() {
+            inline = inline && self.merge_inline(&mut rest, &fill);
+            if inline {
+                continue;
+            }
             debug_assert!(self.counter < self.b);
             let room = (self.b - self.counter) as usize;
             let (chunk, tail) = rest.split_at(rest.len().min(room));
             rest = tail;
+            let hint = self.hint;
             // SAFETY: we are the unique worker of this slot and `cur` is
             // our current buffer.
-            unsafe {
+            let kept = unsafe {
                 self.slot
-                    .with_worker_buffer(self.cur, |l| l.update_batch(chunk));
-            }
-            self.counter += chunk.len() as u64;
+                    .with_worker_buffer(self.cur, |l| fill(l, hint, chunk))
+            };
+            self.filtered += (chunk.len() - kept) as u64;
+            self.counter += kept as u64;
             if self.counter >= self.b {
-                let _ = self.flush_inner();
+                inline = !rest.is_empty() && self.merge_inline(&mut rest, &fill);
+                if !inline {
+                    // A failed boundary flush discards the buffer and
+                    // latches the writer dead (see `update`).
+                    let _ = self.flush_inner();
+                }
             }
         }
+    }
+
+    /// The writer-assisted inline step: if the writer wins its shard
+    /// lock, it drains the shard's pending hand-offs (its own included),
+    /// tops its current buffer up to [`INLINE_SLICE`] items from the
+    /// front of `rest` through `fill`, merges and publishes once, and
+    /// takes the fresh hint — one merge, no hand-off. Returns `false`,
+    /// having changed nothing, under the dedicated backend, on a writer
+    /// latched dead, during shutdown, or when the lock is taken; the
+    /// caller then hands off as usual.
+    fn merge_inline<F>(&mut self, rest: &mut &[<G::Local as LocalSketch>::Item], fill: &F) -> bool
+    where
+        F: Fn(
+            &mut G::Local,
+            <G::Local as LocalSketch>::Hint,
+            &[<G::Local as LocalSketch>::Item],
+        ) -> usize,
+    {
+        let core = &*self.shared;
+        if core.config.backend != PropagationBackendKind::WriterAssisted
+            || self.dead.is_some()
+            || core.shutdown.load(Ordering::Acquire)
+        {
+            return false;
+        }
+        let shard = &core.shards[self.shard];
+        let Some(mut g) = shard.global.try_lock() else {
+            return false;
+        };
+        core.drain_shard_locked(&mut g, shard);
+        let take = INLINE_SLICE.saturating_sub(self.counter as usize);
+        let (slice, tail) = rest.split_at(rest.len().min(take));
+        *rest = tail;
+        let hint = self.hint;
+        // SAFETY: we are the unique worker of this slot and `cur` is our
+        // current buffer; the shard lock we hold serialises the merge
+        // with every other propagation into this shard.
+        let kept = unsafe {
+            self.slot.with_worker_buffer(self.cur, |l| {
+                let kept = fill(l, hint, slice);
+                g.merge(l);
+                debug_assert!(l.is_empty(), "merge must clear the local buffer");
+                kept
+            })
+        };
+        core.publish_view(&g, &shard.view);
+        self.hint = g.calc_hint();
+        drop(g);
+        core.counters.merges.fetch_add(1, Ordering::Relaxed);
+        self.filtered += (slice.len() - kept) as u64;
+        self.counter = 0;
+        self.sync_filtered();
+        true
     }
 
     /// The pre-latch slow path: checks the shared phase, applies the

@@ -464,8 +464,8 @@ impl ThetaWriter {
     /// scalar path's per-call plumbing never materialises — and
     /// branchlessly compacts the rare survivors into a stack buffer
     /// that is appended to the local buffer in one reserved extend,
-    /// handing off at `b`-boundaries mid-batch
-    /// (`SketchWriter::push_accepted`).
+    /// handing off at `b`-boundaries mid-batch or merging the chunk's
+    /// rest inline (`SketchWriter::push_accepted`).
     ///
     /// Equivalent to calling [`Self::update`] once per item: the hint
     /// may go stale within a chunk, which is safe because Θ only

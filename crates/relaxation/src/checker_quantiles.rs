@@ -89,20 +89,56 @@ impl QuantilesChecker {
         preceding: usize,
         obs: &QuantileObservation<T>,
     ) -> Result<(), QuantilesViolation> {
-        let window = &stream[..preceding];
-        if !window.contains(&obs.answer) {
+        self.check_window(stream, preceding, preceding, obs)
+    }
+
+    /// Checks an observation for a query concurrent with ingestion: the
+    /// query's linearisation point saw some prefix of length in
+    /// `lo..=hi` — e.g. `lo` = items of batch calls that returned before
+    /// the query was invoked, `hi` = items of calls invoked before it
+    /// responded. Admissible iff any prefix in the window admits it;
+    /// otherwise the violation at `hi` is returned. Incremental: the
+    /// answer's rank is counted once over the first `lo` items and then
+    /// advanced one item per prefix length.
+    pub fn check_window<T: Ord>(
+        &self,
+        stream: &[T],
+        lo: usize,
+        hi: usize,
+        obs: &QuantileObservation<T>,
+    ) -> Result<(), QuantilesViolation> {
+        assert!(lo <= hi && hi <= stream.len(), "bad window");
+        let mut rank = AnswerRank::default();
+        for item in &stream[..lo] {
+            rank.add(item, &obs.answer);
+        }
+        let mut verdict = self.check_rank(lo, rank, obs.phi);
+        for (len, item) in (lo + 1..=hi).zip(&stream[lo..hi]) {
+            if verdict.is_ok() {
+                break;
+            }
+            rank.add(item, &obs.answer);
+            verdict = self.check_rank(len, rank, obs.phi);
+        }
+        verdict
+    }
+
+    /// The admissibility test for an answer of `rank` in a prefix of
+    /// `len` items.
+    fn check_rank(&self, len: usize, rank: AnswerRank, phi: f64) -> Result<(), QuantilesViolation> {
+        if rank.equal == 0 {
             return Err(QuantilesViolation::NotInStream);
         }
-        let n = preceding as f64;
-        let below = window.iter().filter(|v| **v < obs.answer).count() as f64;
-        let equal = window.iter().filter(|v| **v == obs.answer).count() as f64;
+        let n = len as f64;
+        let below = rank.below as f64;
+        let equal = rank.equal as f64;
         // The answer occupies the rank interval [below, below+equal); use
         // the closest point to the envelope (duplicates make any of these
         // ranks legitimate for the returned element).
         let r = self.r as f64;
         let eps = self.epsilon;
-        let lo = ((obs.phi - eps) * (n - r)).max(0.0);
-        let hi = ((obs.phi + eps) * (n - r) + r).min(n);
+        let lo = ((phi - eps) * (n - r)).max(0.0);
+        let hi = ((phi + eps) * (n - r) + r).min(n);
         let rank_lo = below;
         let rank_hi = below + equal;
         // Admissible iff the rank interval intersects the envelope.
@@ -114,6 +150,25 @@ impl QuantilesChecker {
             });
         }
         Ok(())
+    }
+}
+
+/// Where an answer sits in a stream prefix: the items below it and the
+/// items equal to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct AnswerRank {
+    below: usize,
+    equal: usize,
+}
+
+impl AnswerRank {
+    /// Counts one more prefix item into the rank of `answer`.
+    fn add<T: Ord>(&mut self, item: &T, answer: &T) {
+        match item.cmp(answer) {
+            std::cmp::Ordering::Less => self.below += 1,
+            std::cmp::Ordering::Equal => self.equal += 1,
+            std::cmp::Ordering::Greater => {}
+        }
     }
 }
 
@@ -179,6 +234,35 @@ mod tests {
                 .check_at(&stream, p + d as usize, &obs)
                 .unwrap_or_else(|v| panic!("d={d}: {v}"));
         }
+    }
+
+    #[test]
+    fn window_admits_an_answer_from_any_prefix_in_it() {
+        // An ascending stream moves the median with every item: the
+        // median of the first 10 000 items is far off at 20 000, and
+        // admissible for any window reaching back to 10 000.
+        let stream: Vec<u64> = (0..20_000).collect();
+        let checker = QuantilesChecker::new(0.01, 16);
+        let obs = QuantileObservation {
+            phi: 0.5,
+            answer: 5_000u64,
+        };
+        assert!(checker.check_at(&stream, 20_000, &obs).is_err());
+        checker
+            .check_window(&stream, 10_000, 20_000, &obs)
+            .unwrap_or_else(|v| panic!("{v}"));
+        checker
+            .check_window(&stream, 9_000, 10_000, &obs)
+            .unwrap_or_else(|v| panic!("{v}"));
+        // Prefixes that do not reach the answer, or see it far off.
+        assert_eq!(
+            checker.check_window(&stream, 0, 5_000, &obs),
+            Err(QuantilesViolation::NotInStream)
+        );
+        assert!(matches!(
+            checker.check_window(&stream, 15_000, 20_000, &obs),
+            Err(QuantilesViolation::RankOutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -173,6 +173,79 @@ fn visible_n_catches_up_after_flush() {
 }
 
 #[test]
+fn answers_concurrent_with_batch_calls_pass_the_window_checker() {
+    // A batch call is one update operation: a query concurrent with it
+    // may see any prefix of it. So each answer must be admissible for
+    // some prefix between the items of calls that returned before the
+    // query was invoked and the items of calls invoked before it
+    // responded — with the writer-assisted writer merging its 250-item
+    // calls inline, under the engine's own `r`.
+    use fcds::core::PropagationBackendKind;
+    use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let k = 128;
+    let sketch = EngineBuilder::<QuantilesFamily>::new()
+        .accuracy(k)
+        .seed(0xFCD5)
+        .max_concurrency_error(1.0)
+        .backend(PropagationBackendKind::WriterAssisted)
+        .build()
+        .unwrap();
+    let n = 50_000u64;
+    let stream: Vec<u64> = (0..n).map(|i| (i * 2_654_435_761) % n).collect();
+    let (invoked, returned, done) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicBool::new(false),
+    );
+    let mut observations = Vec::new();
+    std::thread::scope(|s| {
+        let mut w = sketch.writer();
+        let (stream, invoked, returned, done) = (&stream, &invoked, &returned, &done);
+        s.spawn(move || {
+            let mut fed = 0;
+            for call in stream.chunks(250) {
+                invoked.store(fed + call.len(), Ordering::SeqCst);
+                w.update_batch(call);
+                fed += call.len();
+                returned.store(fed, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        loop {
+            let last = done.load(Ordering::SeqCst);
+            for phi in [0.1, 0.5, 0.9] {
+                let lo = returned.load(Ordering::SeqCst);
+                let answer = sketch.quantile(phi);
+                let hi = invoked.load(Ordering::SeqCst);
+                observations.push((lo, hi, phi, answer));
+            }
+            if last {
+                break;
+            }
+        }
+    });
+    let r = sketch.relaxation();
+    let checker = QuantilesChecker::new(3.0 * epsilon_for_k(k), r);
+    // Check a bounded, evenly spread sample so a debug run stays fast.
+    let step = observations.len().div_ceil(600);
+    for &(lo, hi, phi, answer) in observations.iter().step_by(step) {
+        // An empty answer may only hide at most `r` items of returned calls.
+        let Some(answer) = answer else {
+            assert!(lo as u64 <= r, "phi={phi}: no answer after {lo} items");
+            continue;
+        };
+        checker
+            .check_window(&stream, lo, hi, &QuantileObservation { phi, answer })
+            .unwrap_or_else(|v| panic!("phi={phi} in [{lo}, {hi}]: {v}"));
+    }
+    assert_eq!(observations.last().map(|o| o.0), Some(stream.len()));
+    // Every call merged inline, so nothing is left unpublished.
+    assert_eq!(sketch.visible_n(), n);
+}
+
+#[test]
 fn concurrent_answers_admissible_under_relaxation_checker() {
     // Cross-crate validation of §6.2: every quantile answer of the
     // concurrent sketch, taken at a quiescent point, must be admissible
