@@ -6,7 +6,7 @@
 //! Agreement is exact where the merge is a lattice join (HLL register
 //! max, Θ untrimmed union) and bounded elsewhere (Quantiles within the
 //! k-driven rank envelope, Misra–Gries within the `n/(k+1)` error
-//! bound). Mid-stream images taken under the `r_query` relaxation are
+//! bound). Mid-stream images taken under the `r = 2Nb` relaxation are
 //! tested with the envelope widened by the advertised relaxation, per
 //! the paper's Definition 2.
 
@@ -227,7 +227,7 @@ proptest! {
         }
     }
 
-    /// Mid-stream images under the `r_query` relaxation: a wire image
+    /// Mid-stream images under the `r = 2Nb` relaxation: a wire image
     /// taken *without* quiescing may lag by at most `r` updates per
     /// node; the merged estimate must stay within the relaxed envelope
     /// of Definition 2 (widened by the sketch's RSE).
@@ -251,8 +251,8 @@ proptest! {
             for i in 0..per_node {
                 w.update(node * per_node + i);
             }
-            // No flush, no quiesce: the image may miss up to r_query
-            // updates still sitting in buffers or in flight.
+            // No flush, no quiesce: the image may miss up to
+            // `relaxation()` updates still sitting in buffers or in flight.
             images.push(sketch.wire_image());
             lag_budget += sketch.relaxation();
         }

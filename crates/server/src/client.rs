@@ -219,8 +219,9 @@ impl Client {
         self.roundtrip(FrameType::Ingest, &payload)
     }
 
-    /// Submits one fcds wire envelope to its family's v1 slot map
-    /// (accumulating).
+    /// v1: merges one Θ wire envelope into the `default` stream's
+    /// accumulating store. The image must share the server's seed; any
+    /// other family is `FamilyMismatch`.
     ///
     /// # Errors
     ///
@@ -229,8 +230,9 @@ impl Client {
         self.roundtrip(FrameType::Merge, image)
     }
 
-    /// Queries an estimate. `family` 0 is the `default` Θ stream, 1–4
-    /// the v1 per-family slot maps.
+    /// v1: queries the estimate of (`default`, `family`), with `family`
+    /// 0 an alias for Θ. `default` is a Θ stream, so 0 and 1 get the
+    /// same reply and 2–4 get `FamilyMismatch`.
     ///
     /// # Errors
     ///
@@ -239,8 +241,8 @@ impl Client {
         self.roundtrip(FrameType::Query, &[0, family])
     }
 
-    /// Queries a wire image (same family coding as
-    /// [`Client::query_estimate`]).
+    /// v1: queries the wire image of (`default`, `family`) (same family
+    /// coding as [`Client::query_estimate`]).
     ///
     /// # Errors
     ///

@@ -1,9 +1,9 @@
-//! Dispatch: routing a validated frame to its handler. Ingest is
-//! applied in place, through the connection's own engine writer for
-//! the stream ([`ConnState`]); merge and query go through one [`Slots`]
-//! map each and, for queries, the one [`fan_in`] — v1 frames are the
-//! same path addressed to the default stream (family 0) or to one of
-//! the four engine-less per-family slot maps (families 1–4).
+//! Dispatch: routing a validated frame to its handler. Every frame is
+//! stream-addressed ([`addressed`]): a v1 frame is a v2 frame to
+//! [`DEFAULT_STREAM`]. Ingest is applied in place, through the
+//! connection's own engine writer for the stream ([`ConnState`]); a
+//! merge goes into the stream's [`Slots`](crate::slots::Slots) map and a
+//! query is the one [`fan_in`] over the stream's images.
 
 use crate::conn::Response;
 use crate::frame::{
@@ -11,7 +11,7 @@ use crate::frame::{
 };
 use crate::registry::{new_stream, CreateError, StreamState};
 use crate::slots::{fan_in, validate_envelope, Consumer, Fanned, Want};
-use crate::ServerCtx;
+use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::EngineWriter;
 use fcds_sketches::wire::SketchFamily;
@@ -93,25 +93,32 @@ pub(crate) fn dispatch_frame(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState
     }
 }
 
-/// Splits a frame's payload into its v2 stream prefix (`None` on a v1
-/// frame) and the v1-shaped body. The header check admits `REPLACE`
-/// only on merges, so only they can carry a source id.
-fn addressed(frame: &Frame) -> Result<(Option<StreamPrefix<'_>>, &[u8]), Response> {
-    if frame.flags & FLAG_STREAM == 0 {
-        return Ok((None, &frame.payload));
+/// Splits a frame's payload into its stream address and the v1-shaped
+/// body. A v1 frame (flags 0) is addressed to [`DEFAULT_STREAM`]:
+/// ingest and merge to Θ, a query `[kind, f]` to family `f`, with 0 an
+/// alias for Θ. The header check admits `REPLACE` only on merges, so
+/// only they can carry a source id.
+fn addressed(frame: &Frame) -> Result<(StreamPrefix<'_>, &[u8]), Response> {
+    let malformed = |detail: &str| Response::nack(frame.seq, NackCode::Malformed, detail, false);
+    if frame.flags & FLAG_STREAM != 0 {
+        return split_stream_prefix(&frame.payload, frame.flags & FLAG_REPLACE != 0)
+            .map_err(|e| malformed(&e.to_string()));
     }
-    match split_stream_prefix(&frame.payload, frame.flags & FLAG_REPLACE != 0) {
-        Ok((prefix, body)) => Ok((Some(prefix), body)),
-        Err(e) => Err(Response::nack(
-            frame.seq,
-            NackCode::Malformed,
-            &e.to_string(),
-            false,
-        )),
-    }
+    let family = match (frame.ftype, &frame.payload[..]) {
+        (FrameType::Query, &[_, code]) if code != 0 => {
+            SketchFamily::from_code(code).ok_or_else(|| malformed("unknown query family"))?
+        }
+        _ => SketchFamily::Theta,
+    };
+    let prefix = StreamPrefix {
+        family,
+        key: DEFAULT_STREAM,
+        source: None,
+    };
+    Ok((prefix, &frame.payload))
 }
 
-/// Resolves a v2 stream prefix against the registry. `create` is true
+/// Resolves a stream address against the registry. `create` is true
 /// for ingest/merge (create-on-first-use) and false for queries
 /// ([`NackCode::UnknownStream`] instead).
 fn resolve_stream(
@@ -179,22 +186,9 @@ fn handle_ingest(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Respons
             false,
         );
     }
-    let stream = match prefix {
-        Some(prefix) => match resolve_stream(ctx, frame.seq, &prefix, true) {
-            Ok(stream) => stream,
-            Err(nack) => return nack,
-        },
-        None => match ctx.default_stream() {
-            Some(stream) => stream,
-            None => {
-                return Response::nack(
-                    frame.seq,
-                    NackCode::Internal,
-                    "default stream missing",
-                    false,
-                )
-            }
-        },
+    let stream = match resolve_stream(ctx, frame.seq, &prefix, true) {
+        Ok(stream) => stream,
+        Err(nack) => return nack,
     };
     if body.is_empty() {
         return Response::ack(frame.seq);
@@ -267,7 +261,7 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
         Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
     };
     let family = key.family();
-    if let Some(prefix) = prefix.as_ref().filter(|p| p.family != family) {
+    if prefix.family != family {
         return Response::nack(
             frame.seq,
             NackCode::FamilyMismatch,
@@ -279,39 +273,31 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
             false,
         );
     }
-    // An image that cannot fan in with its target's would make every
-    // later read of the target fail. A v2 stream's images share its
-    // engine's key; a v1 store's share its first image's.
-    let index = (family.code() - 1) as usize;
-    let target = match prefix {
-        Some(_) => ctx.engine_keys[index],
-        None => *ctx.v1_keys[index].get_or_init(|| key),
-    };
+    // An image that cannot fan in with its stream's would make every
+    // later read of the stream fail; a stream's images share its
+    // engine's key.
+    let target = ctx.engine_keys[(family.code() - 1) as usize];
     if key != target {
         let detail = format!("image cannot fan in with its target: {key:?} vs {target:?}");
         return Response::nack(frame.seq, NackCode::Wire, &detail, false);
     }
     // Create-on-first-merge: a replica push materialises the stream on
     // the receiving peer before any local ingest.
-    let stream = match &prefix {
-        Some(prefix) => match resolve_stream(ctx, frame.seq, prefix, true) {
-            Ok(stream) => Some(stream),
-            Err(nack) => return nack,
-        },
-        None => None,
+    let stream = match resolve_stream(ctx, frame.seq, &prefix, true) {
+        Ok(stream) => stream,
+        Err(nack) => return nack,
     };
-    let slots = match &stream {
-        Some(stream) => &stream.slots,
-        None => ctx.v1_slots(family),
-    };
-    let source = prefix.and_then(|p| p.source);
-    if slots.put(source, Bytes::from(body.to_vec())).is_err() {
+    if stream
+        .slots
+        .put(prefix.source, Bytes::from(body.to_vec()))
+        .is_err()
+    {
         return Response::nack(frame.seq, NackCode::Overload, "slot map at capacity", false);
     }
     // Accumulated pushes are part of a stream's durable state; make the
     // checkpointer rewrite the snapshot even if `items` is unchanged.
     // (Replica slots are not: see `Consumer::Checkpoint`.)
-    if let (Some(stream), None) = (&stream, source) {
+    if prefix.source.is_none() {
         stream.snapshot_dirty.store(true, Ordering::Release);
     }
     ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
@@ -325,47 +311,20 @@ fn handle_query(frame: Frame, ctx: &ServerCtx) -> Response {
         Ok(split) => split,
         Err(nack) => return nack,
     };
-    let stream = match &prefix {
-        Some(prefix) => match resolve_stream(ctx, seq, prefix, false) {
-            Ok(stream) => Some(stream),
-            Err(nack) => return nack,
-        },
-        None => None,
-    };
-    let &[kind, family] = body else {
+    // The family byte is the address of a v1 query and redundant with
+    // the prefix of a v2 one. A malformed body is refused before the
+    // stream is resolved, as ingest and merge do.
+    let &[kind, _] = body else {
         return malformed("query payload must be [kind, family]");
     };
     let Some(want) = Want::from_kind(kind) else {
-        return malformed(if stream.is_some() {
-            "unknown query kind"
-        } else {
-            "unknown query kind or family"
-        });
+        return malformed("unknown query kind");
     };
-    let (family, images) = match (stream, family) {
-        // v2: the family byte is redundant with the prefix and ignored.
-        (Some(stream), _) => (stream.family, stream.images(Consumer::Query)),
-        // v1 family 0 is the default stream, so boot-recovered and
-        // pushed state is visible to v1 clients too.
-        (None, 0) => match ctx.default_stream() {
-            Some(stream) => (stream.family, stream.images(Consumer::Query)),
-            // Only mid-drain, once the registry has been emptied.
-            None => {
-                return match want {
-                    Want::Estimate => estimate_reply(seq, 0.0),
-                    Want::Image => {
-                        Response::nack(seq, NackCode::Internal, "default stream missing", false)
-                    }
-                }
-            }
-        },
-        // v1 families 1–4: the engine-less per-family slot maps.
-        (None, code) => match SketchFamily::from_code(code) {
-            Some(family) => (family, ctx.v1_slots(family).collect(None, Consumer::Query)),
-            None => return malformed("unknown query kind or family"),
-        },
+    let stream = match resolve_stream(ctx, seq, &prefix, false) {
+        Ok(stream) => stream,
+        Err(nack) => return nack,
     };
-    match fan_in(family, &images, want) {
+    match fan_in(stream.family, &stream.images(Consumer::Query), want) {
         Ok(Fanned::Estimate(value)) => estimate_reply(seq, value),
         Ok(Fanned::Image(bytes)) => Response::new(FrameType::Image, seq, bytes.as_ref().to_vec()),
         Ok(Fanned::NoEstimate) => Response::nack(

@@ -86,13 +86,13 @@ pub enum FrameType {
     /// Batch ingest: payload is `n × u64` items (LE), `n ≥ 0`,
     /// `payload_len % 8 == 0`. Answered with Ack or a shed Nack.
     Ingest = 0x02,
-    /// Merge an fcds wire envelope (any family) into the server's merge
-    /// store. Payload is exactly one envelope.
+    /// Merge an fcds wire envelope into a stream's slot map (v1: the
+    /// `default` Θ stream). Payload is exactly one envelope.
     Merge = 0x03,
     /// Query: payload is `[kind: u8, family: u8]`. `kind` 0 = estimate
     /// (answered with [`FrameType::Estimate`]), 1 = wire image (answered
-    /// with [`FrameType::Image`]). `family` 0 = the live Θ engine,
-    /// 1–4 = the merge store for that `SketchFamily` code.
+    /// with [`FrameType::Image`]). On a v1 frame the query is of
+    /// (`default`, `family`), with `family` 0 an alias for Θ.
     Query = 0x04,
     /// Ask the server to start draining (answered with Ack; ingest and
     /// merge frames are NACKed with `Draining` from then on).
@@ -414,8 +414,8 @@ pub fn encode_frame_flags(ftype: FrameType, flags: u8, seq: u16, payload: &[u8])
     out
 }
 
-/// A decoded v2 stream prefix (see the module docs for the byte
-/// layout).
+/// A stream address: a decoded v2 stream prefix (see the module docs
+/// for the byte layout), or the one the server implies for a v1 frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamPrefix<'a> {
     /// The sketch family the sender declares for the stream.

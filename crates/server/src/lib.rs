@@ -41,19 +41,19 @@
 //! ([`frame::FLAG_STREAM`]). Streams are created on first ingest or
 //! merge with the frame's declared family, are isolated from each other
 //! (one fault latch per stream, no thread), and can be
-//! retired at runtime ([`ServerHandle::retire_stream`]). v1 frames
-//! (flags 0) are the same paths with the address implied: ingest and
-//! family-0 queries go to the built-in [`DEFAULT_STREAM`] Θ stream,
-//! merges and family-1–4 queries to four engine-less per-family slot
-//! maps.
+//! retired at runtime ([`ServerHandle::retire_stream`]). A v1 frame
+//! (flags 0) is a v2 frame with the address implied: ingest and merge
+//! go to the built-in [`DEFAULT_STREAM`] Θ stream, and a query `[kind,
+//! f]` to (`default`, `f`), with `f` = 0 an alias for Θ. There is one
+//! kind of stream and one merge surface.
 //!
 //! # One slot map, one fan-in
 //!
 //! Whatever a stream holds besides its live engine — the image
 //! recovered at boot, the newest image per replica source, every
 //! accumulated merge — is a validated wire image in one ordered,
-//! bounded slot map, and every read (v1 and v2 queries, the
-//! checkpointer, the replica pusher, the drain's final estimate) is the
+//! bounded slot map, and every read (queries, the checkpointer, the
+//! replica pusher, the drain's final estimate) is the
 //! same operation: fan the live image in with the slot classes that
 //! consumer sees, using the family's multiway merge kernel. The paper's
 //! composability requirement is exactly this: `merge` over snapshots is
@@ -107,14 +107,14 @@ pub use recover::{RecoverError, RecoveryOutcome, SnapshotRecord};
 pub use registry::StreamInfo;
 pub use stats::StatsSnapshot;
 
-use crate::registry::{Registry, StreamState};
-use crate::slots::{fan_in, Consumer, FaninKey, Fanned, Slots, Want};
+use crate::registry::Registry;
+use crate::slots::{fan_in, Consumer, FaninKey, Fanned, Want};
 use crate::stats::Stats;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -148,15 +148,9 @@ struct ServerCtx {
     ctl: Control,
     stats: Stats,
     registry: Registry,
-    /// The v1 per-family merge stores (families 1–4): slot maps with no
-    /// engine behind them.
-    v1_slots: [Slots; 4],
-    /// Per family, the fan-in key every v2 stream's images share, read
-    /// once at start off an empty engine's image.
+    /// Per family, the fan-in key every stream's images share, read once
+    /// at start off an empty engine's image.
     engine_keys: [FaninKey; 4],
-    /// Per family, the fan-in key of the first image merged into the v1
-    /// store; later v1 merges must match it.
-    v1_keys: [OnceLock<FaninKey>; 4],
     /// The snapshot store of the durability tier (`None` when
     /// persistence is off).
     persist: Option<Arc<dyn SnapshotStore>>,
@@ -166,15 +160,6 @@ struct ServerCtx {
 }
 
 impl ServerCtx {
-    /// The built-in v1 stream. Present from [`serve`] until drain.
-    fn default_stream(&self) -> Option<Arc<StreamState>> {
-        self.registry.get(DEFAULT_STREAM)
-    }
-
-    fn v1_slots(&self, family: SketchFamily) -> &Slots {
-        &self.v1_slots[(family.code() - 1) as usize]
-    }
-
     fn stats_snapshot(&self) -> StatsSnapshot {
         self.stats
             .snapshot(self.replica_breaker.as_ref().map(|b| b.state()))
@@ -313,9 +298,7 @@ pub fn serve_with_store(
         ctl: Control::default(),
         stats: Stats::default(),
         registry: Registry::new(max_streams),
-        v1_slots: Default::default(),
         engine_keys,
-        v1_keys: Default::default(),
         persist: snapshot_store,
         replica_breaker,
     });
@@ -459,15 +442,6 @@ impl ServerHandle {
     /// Whether some client requested a drain with a `Shutdown` frame.
     pub fn drain_requested(&self) -> bool {
         self.ctx.ctl.drain_requested.load(Ordering::Acquire)
-    }
-
-    /// Estimate of the default stream's live Θ engine (concurrent query
-    /// path).
-    pub fn live_estimate(&self) -> f64 {
-        self.ctx
-            .default_stream()
-            .and_then(|s| s.engine.estimate())
-            .unwrap_or(0.0)
     }
 
     /// Every live stream: key, family, items ingested, durability lag.

@@ -39,7 +39,7 @@
 //! The durability contract this buys (documented in the README):
 //! bounded loss of at most one `snapshot_interval` of acked ingest per
 //! stream — recovery is one more *relaxation* in the paper's sense, a
-//! quantified window on top of `r_query`, not a correctness loss.
+//! quantified window on top of `r = 2Nb`, not a correctness loss.
 
 pub use crate::crc::crc32;
 use crate::recover::SNAP_MAX_IMAGE_BYTES;

@@ -69,7 +69,7 @@ impl StreamState {
     /// The live engine's image followed by the slots `who` sees. Never
     /// empty — the live image is always present.
     pub(crate) fn images(&self, who: Consumer) -> Vec<Bytes> {
-        self.slots.collect(Some(self.engine.wire_image()), who)
+        self.slots.collect(self.engine.wire_image(), who)
     }
 }
 

@@ -1,10 +1,11 @@
 //! The image-slot map and the one fan-in over it.
 //!
 //! Everything the server holds besides live engines is a validated wire
-//! image in a [`Slots`] map, and every read — v1 and v2 queries, the
+//! image in its stream's [`Slots`] map, and every read — queries, the
 //! checkpointer, the replica pusher, the drain's final estimate — is
-//! [`fan_in`] over a set of images [`Slots::collect`] picked. Which
-//! slot classes a consumer sees is the [`Consumer`] table below.
+//! [`fan_in`] over the live image plus the images [`Slots::collect`]
+//! picked. Which slot classes a consumer sees is the [`Consumer`] table
+//! below.
 
 use bytes::Bytes;
 use fcds_sketches::theta::ThetaRead;
@@ -67,8 +68,7 @@ impl Consumer {
 pub(crate) struct SlotsFull;
 
 /// One mutex over one ordered map of validated wire images. Each stream
-/// owns one; the four v1 per-family stores are four more with no live
-/// image.
+/// owns one.
 #[derive(Default)]
 pub(crate) struct Slots {
     map: Mutex<BTreeMap<SlotKey, Bytes>>,
@@ -102,11 +102,11 @@ impl Slots {
         map.insert(SlotKey::Recovered, image);
     }
 
-    /// `live` (if any) followed by every slot `who` sees, in key order.
-    pub(crate) fn collect(&self, live: Option<Bytes>, who: Consumer) -> Vec<Bytes> {
+    /// `live` followed by every slot `who` sees, in key order.
+    pub(crate) fn collect(&self, live: Bytes, who: Consumer) -> Vec<Bytes> {
         let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         let slots = map.iter().filter(|(k, _)| who.sees(**k));
-        live.into_iter()
+        std::iter::once(live)
             .chain(slots.map(|(_, image)| image.clone()))
             .collect()
     }

@@ -54,8 +54,8 @@ counters! {
     ingest_batches,
     /// Stream items ingested into the live engine.
     ingest_items,
-    /// Wire images accepted into a slot map: v1 merges, v2 accumulating
-    /// merges and v2 REPLACE (replica) merges alike.
+    /// Wire images accepted into a slot map: accumulating and REPLACE
+    /// (replica) merges alike.
     merges_accepted,
     /// Ingest panics isolated on a connection thread (each NACKs its
     /// frame, latches its stream's ingest shut, and takes nothing else

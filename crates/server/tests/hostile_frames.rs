@@ -19,6 +19,7 @@
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{encode_frame, FrameType, NackCode, FRAME_HEADER_LEN};
 use fcds_server::{serve, ServerConfig, ServerHandle};
+use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::WireEncode;
 use std::io::ErrorKind;
 use std::time::Duration;
@@ -169,8 +170,9 @@ fn hostile_merge_envelopes_nack_wire_and_never_enter_the_store() {
     let handle = serve(hostile_config()).unwrap();
     let mut c = connect(&handle);
 
-    // A valid Θ image to mutate.
-    let mut s = fcds_sketches::theta::QuickSelectThetaSketch::new(10, 0).unwrap();
+    // A valid Θ image to mutate, with the server's seed: v1 merges go
+    // into the `default` stream.
+    let mut s = fcds_sketches::theta::QuickSelectThetaSketch::new(10, DEFAULT_SEED).unwrap();
     for i in 0..5_000u64 {
         s.update(i);
     }
@@ -211,12 +213,12 @@ fn hostile_merge_envelopes_nack_wire_and_never_enter_the_store() {
     absurd[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(c.merge(&absurd).unwrap().nack_code(), Some(NackCode::Wire));
 
-    // None of the rejects contaminated the store: a theta estimate
-    // query still reports the empty-store Wire error...
-    assert_eq!(
-        c.query_estimate(1).unwrap().nack_code(),
-        Some(NackCode::Wire)
-    );
+    // None of the rejects entered `default`: nothing was ingested, so
+    // its estimate is still zero...
+    match c.query_estimate(0).unwrap() {
+        Reply::Estimate { value, .. } => assert_eq!(value, 0.0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
     // ...and after one good merge the estimate reflects only it.
     assert!(matches!(c.merge(&good).unwrap(), Reply::Ack { .. }));
     match c.query_estimate(1).unwrap() {

@@ -6,6 +6,7 @@
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{FrameType, NackCode};
 use fcds_server::{serve, BreakerState, ServerConfig};
+use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::{peek, SketchFamily, WireEncode};
 use std::time::Duration;
 
@@ -86,9 +87,10 @@ fn merge_store_accepts_and_fans_in_wire_images() {
     let handle = serve(test_config()).unwrap();
     let mut c = connect(&handle);
 
-    // Two Θ images over disjoint ranges, built locally.
-    let mut s1 = fcds_sketches::theta::QuickSelectThetaSketch::new(12, 0).unwrap();
-    let mut s2 = fcds_sketches::theta::QuickSelectThetaSketch::new(12, 0).unwrap();
+    // Two Θ images over disjoint ranges, built locally with the
+    // server's seed: a v1 merge goes into the `default` stream.
+    let mut s1 = fcds_sketches::theta::QuickSelectThetaSketch::new(12, DEFAULT_SEED).unwrap();
+    let mut s2 = fcds_sketches::theta::QuickSelectThetaSketch::new(12, DEFAULT_SEED).unwrap();
     for i in 0..30_000u64 {
         s1.update(i);
         s2.update(i + 30_000);
@@ -124,19 +126,13 @@ fn merge_store_accepts_and_fans_in_wire_images() {
 fn estimate_query_on_unsupported_family_gets_typed_nack() {
     let handle = serve(test_config()).unwrap();
     let mut c = connect(&handle);
-    let reply = c.query_estimate(SketchFamily::Quantiles.code()).unwrap();
+    let quantiles = SketchFamily::Quantiles;
+    let reply = c.ingest_stream(quantiles, b"latency", &[1, 2, 3]).unwrap();
+    assert!(matches!(reply, Reply::Ack { .. }));
+    let reply = c.query_stream_estimate(quantiles, b"latency").unwrap();
     assert_eq!(reply.nack_code(), Some(NackCode::Unsupported));
     // The connection stays usable.
     assert!(matches!(c.ping().unwrap(), Reply::Pong { .. }));
-    handle.shutdown();
-}
-
-#[test]
-fn estimate_query_on_empty_merge_store_gets_wire_nack() {
-    let handle = serve(test_config()).unwrap();
-    let mut c = connect(&handle);
-    let reply = c.query_estimate(SketchFamily::Theta.code()).unwrap();
-    assert_eq!(reply.nack_code(), Some(NackCode::Wire));
     handle.shutdown();
 }
 

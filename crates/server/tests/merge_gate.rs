@@ -76,9 +76,10 @@ fn images_that_cannot_fan_in_are_nacked_and_create_no_stream() {
     assert_eq!(reply.nack_code(), Some(NackCode::Wire), "{reply:?}");
     assert_eq!(handle.stats().streams_created, created);
 
-    // A v1 store's images must share its first image's seed.
-    assert!(matches!(c.merge(&seed0).unwrap(), Reply::Ack { .. }));
-    assert_eq!(c.merge(&own).unwrap().nack_code(), Some(NackCode::Wire));
+    // A v1 merge goes to the `default` stream, so it must share that
+    // stream's seed: the server's.
+    assert_eq!(c.merge(&seed0).unwrap().nack_code(), Some(NackCode::Wire));
+    assert!(matches!(c.merge(&own).unwrap(), Reply::Ack { .. }));
     assert!(matches!(
         c.query_estimate(1).unwrap(),
         Reply::Estimate { .. }

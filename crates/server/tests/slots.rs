@@ -6,13 +6,15 @@
 //! pushed (accumulating) — and every read is one fan-in over the
 //! classes its consumer sees. This suite pins that: accumulate vs.
 //! replace, which consumer sees which class across a restart, v1 frames
-//! as sugar for the `default` Θ stream, the full v1 query table, and
-//! that a NACKed frame never creates a stream.
+//! (ingest, merge, query) as sugar for the `default` Θ stream, the full
+//! v1 query table, and that a NACKed frame never creates a stream.
 
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{encode_stream_prefix, FrameType, NackCode, FLAG_STREAM};
 use fcds_server::{serve, ServerConfig, ServerHandle, DEFAULT_STREAM};
-use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
+use fcds_sketches::hash::DEFAULT_SEED;
+use fcds_sketches::theta::QuickSelectThetaSketch;
+use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily, WireEncode};
 use std::time::Duration;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -254,6 +256,63 @@ fn v1_frames_are_sugar_for_the_default_theta_stream() {
     handle.shutdown();
 }
 
+/// `default`'s estimate asked three ways — v2, v1 family 0, v1 family
+/// 1 — which must agree bit for bit.
+fn default_estimate(c: &mut Client) -> f64 {
+    let replies = [
+        c.query_stream_estimate(SketchFamily::Theta, DEFAULT_STREAM)
+            .unwrap(),
+        c.query_estimate(0).unwrap(),
+        c.query_estimate(1).unwrap(),
+    ];
+    let bits: Vec<u64> = replies
+        .iter()
+        .map(|reply| match reply {
+            Reply::Estimate { value, .. } => value.to_bits(),
+            other => panic!("estimate reply: {other:?}"),
+        })
+        .collect();
+    assert!(bits.iter().all(|b| *b == bits[0]), "{replies:?}");
+    f64::from_bits(bits[0])
+}
+
+#[test]
+fn v1_merges_land_in_the_default_stream() {
+    let dir = std::env::temp_dir().join(format!("fcds-v1-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || ServerConfig {
+        data_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config()
+    };
+    let mut sketch = QuickSelectThetaSketch::new(12, DEFAULT_SEED).unwrap();
+    for i in 500..1_000u64 {
+        sketch.update(i);
+    }
+    let image = sketch.compact().to_wire_bytes();
+    {
+        let handle = serve(durable()).expect("first life");
+        let mut c = connect(&handle);
+        expect_ack(c.ingest(&(0..500).collect::<Vec<u64>>()).unwrap());
+        wait_applied(&handle, DEFAULT_STREAM, 500);
+        expect_ack(c.merge(&image).unwrap());
+        let estimate = default_estimate(&mut c);
+        assert!(
+            (estimate - 1_000.0).abs() < 1.0,
+            "live ∪ merged: {estimate}"
+        );
+        drop(c);
+        assert_eq!(handle.shutdown().leaked_threads, 0);
+    }
+    // The merge is a pushed slot of `default`, so it was checkpointed.
+    let handle = serve(durable()).expect("second life");
+    let mut c = connect(&handle);
+    let estimate = default_estimate(&mut c);
+    assert!((estimate - 1_000.0).abs() < 1.0, "recovered: {estimate}");
+    drop(c);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What a v1 query must come back as.
 #[derive(Debug, PartialEq)]
 enum Expect {
@@ -274,60 +333,53 @@ fn classify(reply: Reply) -> Expect {
 #[test]
 fn every_v1_kind_family_pair_answers_as_before() {
     use Expect::{Estimate, Image, Nack};
-    use NackCode::{Malformed, Unsupported, Wire};
+    use NackCode::{FamilyMismatch, Malformed};
     let handle = serve(test_config()).unwrap();
     let mut c = connect(&handle);
-    let mut run = |table: &[(u8, u8, Expect)], when: &str| {
-        for (kind, family, want) in table {
-            let reply = {
-                c.send_frame(FrameType::Query, &[*kind, *family]).unwrap();
-                c.read_reply().unwrap()
-            };
+    // A v1 query `[kind, f]` is a query of (`default`, `f`), with 0 an
+    // alias for Θ. `default` is a Θ stream with a live engine, so it is
+    // never empty, and any other family is `FamilyMismatch`, as it is
+    // for a v2 query.
+    let table = [
+        (0, 0, Estimate),
+        (0, 1, Estimate),
+        (0, 2, Nack(FamilyMismatch)),
+        (0, 3, Nack(FamilyMismatch)),
+        (0, 4, Nack(FamilyMismatch)),
+        (0, 5, Nack(Malformed)),
+        (1, 0, Image),
+        (1, 1, Image),
+        (1, 2, Nack(FamilyMismatch)),
+        (1, 3, Nack(FamilyMismatch)),
+        (1, 4, Nack(FamilyMismatch)),
+        (1, 5, Nack(Malformed)),
+        (2, 0, Nack(Malformed)),
+        (2, 1, Nack(Malformed)),
+        (2, 3, Nack(Malformed)),
+        (2, 5, Nack(Malformed)),
+    ];
+    let mut run = |when: &str| {
+        for (kind, family, want) in &table {
+            c.send_frame(FrameType::Query, &[*kind, *family]).unwrap();
+            let reply = c.read_reply().unwrap();
             assert_eq!(classify(reply), *want, "({kind}, {family}) {when}");
         }
     };
-    // Family 0 is the default stream's live engine: never empty. The
-    // per-family stores start empty, which the kernels report as a
-    // wire error — except where the family has no estimate at all.
-    run(
-        &[
-            (0, 0, Estimate),
-            (0, 1, Nack(Wire)),
-            (0, 2, Nack(Wire)),
-            (0, 3, Nack(Unsupported)),
-            (0, 4, Nack(Unsupported)),
-            (0, 5, Nack(Malformed)),
-            (1, 0, Image),
-            (1, 1, Nack(Wire)),
-            (1, 2, Nack(Wire)),
-            (1, 3, Nack(Wire)),
-            (1, 4, Nack(Wire)),
-            (1, 5, Nack(Malformed)),
-            (2, 0, Nack(Malformed)),
-            (2, 3, Nack(Malformed)),
-        ],
-        "on empty stores",
-    );
+    run("at start");
+    // A v1 merge is a merge into (`default`, Θ): a Θ image lands there,
+    // any other family is refused and creates nothing.
     let mut c2 = connect(&handle);
     for family in FAMILIES {
         let image = mint_image(&handle, &mut c2, family, &(0..300).collect::<Vec<_>>());
-        expect_ack(c2.merge(&image).unwrap());
+        let reply = c2.merge(&image).unwrap();
+        match family {
+            SketchFamily::Theta => expect_ack(reply),
+            _ => assert_eq!(reply.nack_code(), Some(FamilyMismatch), "{family:?}"),
+        }
     }
-    run(
-        &[
-            (0, 0, Estimate),
-            (0, 1, Estimate),
-            (0, 2, Estimate),
-            (0, 3, Nack(Unsupported)),
-            (0, 4, Nack(Unsupported)),
-            (1, 0, Image),
-            (1, 1, Image),
-            (1, 2, Image),
-            (1, 3, Image),
-            (1, 4, Image),
-        ],
-        "after one merge per family",
-    );
+    let keys: Vec<_> = handle.list_streams().into_iter().map(|s| s.key).collect();
+    assert_eq!(keys, [DEFAULT_STREAM.to_vec()], "only the default stream");
+    run("after one merge per family");
     handle.shutdown();
 }
 
