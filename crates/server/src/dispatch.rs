@@ -3,14 +3,15 @@
 //! [`DEFAULT_STREAM`]. Ingest is applied in place, through the
 //! connection's own engine writer for the stream ([`ConnState`]); a
 //! merge goes into the stream's [`Slots`](crate::slots::Slots) map and a
-//! query is the one [`fan_in`] over the stream's images.
+//! query is [`StreamState::query`]: the engine's published estimate
+//! for a stream with no slot, otherwise the one fan-in over its images.
 
 use crate::conn::Response;
 use crate::frame::{
     split_stream_prefix, Frame, FrameType, NackCode, StreamPrefix, FLAG_REPLACE, FLAG_STREAM,
 };
 use crate::registry::{new_stream, CreateError, StreamState};
-use crate::slots::{fan_in, validate_envelope, Consumer, Fanned, Want};
+use crate::slots::{validate_envelope, Fanned, Want};
 use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::EngineWriter;
@@ -324,7 +325,7 @@ fn handle_query(frame: Frame, ctx: &ServerCtx) -> Response {
         Ok(stream) => stream,
         Err(nack) => return nack,
     };
-    match fan_in(stream.family, &stream.images(Consumer::Query), want) {
+    match stream.query(want) {
         Ok(Fanned::Estimate(value)) => estimate_reply(seq, value),
         Ok(Fanned::Image(bytes)) => Response::new(FrameType::Image, seq, bytes.as_ref().to_vec()),
         Ok(Fanned::NoEstimate) => Response::nack(

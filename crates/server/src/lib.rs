@@ -52,12 +52,14 @@
 //! Whatever a stream holds besides its live engine — the image
 //! recovered at boot, the newest image per replica source, every
 //! accumulated merge — is a validated wire image in one ordered,
-//! bounded slot map, and every read (queries, the checkpointer, the
-//! replica pusher, the drain's final estimate) is the
-//! same operation: fan the live image in with the slot classes that
-//! consumer sees, using the family's multiway merge kernel. The paper's
-//! composability requirement is exactly this: `merge` over snapshots is
-//! the only way state is combined.
+//! bounded slot map. An estimate of a stream with no slot (a query's or
+//! the drain's final one) is the engine's published snapshot, as in
+//! the paper's Algorithm 1 query. Anything with a slot, and every image
+//! (image queries, the checkpointer, the replica pusher), is the
+//! fan-in: the live image merged with the slot classes that consumer
+//! sees, using the family's multiway merge kernel. The paper's composability
+//! requirement is exactly this: `merge` over snapshots is the only way
+//! state is combined.
 //!
 //! **Replica sync**: configure [`ServerConfig::replica_peer`] and the
 //! server periodically ships what it holds for every stream (live ∪
@@ -108,7 +110,7 @@ pub use registry::StreamInfo;
 pub use stats::StatsSnapshot;
 
 use crate::registry::Registry;
-use crate::slots::{fan_in, Consumer, FaninKey, Fanned, Want};
+use crate::slots::{FaninKey, Fanned, Want};
 use crate::stats::Stats;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
@@ -544,12 +546,12 @@ impl ServerHandle {
             // and republish every shard image.
             state.engine.quiesce();
             if state.key == DEFAULT_STREAM {
-                // Fan in like a query so boot-recovered state counts.
-                final_estimate =
-                    match fan_in(state.family, &state.images(Consumer::Query), Want::Estimate) {
-                        Ok(Fanned::Estimate(value)) => value,
-                        _ => state.engine.estimate().unwrap_or(0.0),
-                    };
+                // Answer like a query: the published snapshot, or the
+                // fan-in when a slot (e.g. boot-recovered state) exists.
+                final_estimate = match state.query(Want::Estimate) {
+                    Ok(Fanned::Estimate(value)) => value,
+                    _ => state.engine.estimate().unwrap_or(0.0),
+                };
             }
         }
         // Final checkpoint after quiesce: a *graceful* shutdown is

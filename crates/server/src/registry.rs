@@ -27,7 +27,7 @@
 //! [`NackCode::UnknownStream`]: crate::frame::NackCode::UnknownStream
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
-use crate::slots::{validate_envelope, Consumer, FaninKey, Slots};
+use crate::slots::{fan_in, validate_envelope, Consumer, FaninKey, Fanned, Slots, Want};
 use crate::{ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::{
@@ -35,6 +35,7 @@ use fcds_core::engine::{
 };
 use fcds_core::PropagationBackendKind;
 use fcds_sketches::wire::SketchFamily;
+use fcds_sketches::WireError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,10 +67,48 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    /// The live engine's image followed by the slots `who` sees. Never
-    /// empty — the live image is always present.
+    fn new(key: &[u8], family: SketchFamily, engine: Box<dyn StreamEngine>) -> StreamState {
+        StreamState {
+            key: key.to_vec(),
+            family,
+            engine,
+            dead: AtomicBool::new(false),
+            items: AtomicU64::new(0),
+            slots: Slots::default(),
+            persisted_seq: AtomicU64::new(0),
+            snapshot_dirty: AtomicBool::new(false),
+        }
+    }
+
+    /// The live engine's image followed by the slots `who` sees: what a
+    /// checkpoint or a replica push ships. Never empty — the live image
+    /// is always present.
     pub(crate) fn images(&self, who: Consumer) -> Vec<Bytes> {
-        self.slots.collect(self.engine.wire_image(), who)
+        self.with_live(self.slots.collect(who))
+    }
+
+    /// Answers a query. An estimate of a stream with no slot is the
+    /// engine's published snapshot — no image, no sort, no shard lock
+    /// (every engine mutation republishes under the lock it takes, so
+    /// the snapshot is what the fan-in of the lone live image would
+    /// read). Anything with a slot, and every image, is the fan-in of
+    /// the live image with the slots.
+    pub(crate) fn query(&self, want: Want) -> Result<Fanned, WireError> {
+        let slots = self.slots.collect(Consumer::Query);
+        if slots.is_empty() && want == Want::Estimate {
+            return Ok(self
+                .engine
+                .estimate()
+                .map_or(Fanned::NoEstimate, Fanned::Estimate));
+        }
+        fan_in(self.family, &self.with_live(slots), want)
+    }
+
+    /// The live engine's image followed by `slots`.
+    fn with_live(&self, slots: Vec<Bytes>) -> Vec<Bytes> {
+        std::iter::once(self.engine.wire_image())
+            .chain(slots)
+            .collect()
     }
 }
 
@@ -208,16 +247,8 @@ pub(crate) fn new_stream(
     } else {
         STREAM_WRITERS
     };
-    let state = Arc::new(StreamState {
-        key: key.to_vec(),
-        family,
-        engine: build_engine(family, ctx.cfg.lg_k, writers)?,
-        dead: AtomicBool::new(false),
-        items: AtomicU64::new(0),
-        slots: Slots::default(),
-        persisted_seq: AtomicU64::new(0),
-        snapshot_dirty: AtomicBool::new(false),
-    });
+    let engine = build_engine(family, ctx.cfg.lg_k, writers)?;
+    let state = Arc::new(StreamState::new(key, family, engine));
     ctx.stats.streams_created.fetch_add(1, Ordering::Relaxed);
     Ok(state)
 }
@@ -267,4 +298,65 @@ fn build_engine(
             .build_boxed(),
     };
     built.map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fcds_core::engine::EngineWriter;
+    use fcds_core::runtime::EngineStats;
+    use fcds_sketches::hash::DEFAULT_SEED;
+    use fcds_sketches::theta::QuickSelectThetaSketch;
+    use fcds_sketches::wire::WireEncode;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const NO_IMAGE: &str = "wire_image called";
+
+    /// A Θ engine with a fixed published estimate that panics when asked
+    /// for an image.
+    struct NoImage;
+
+    impl fcds_core::engine::WireImage for NoImage {
+        fn wire_image(&self) -> Bytes {
+            panic!("{NO_IMAGE}");
+        }
+    }
+
+    impl StreamEngine for NoImage {
+        fn family(&self) -> SketchFamily {
+            SketchFamily::Theta
+        }
+        fn writer(&self) -> Box<dyn EngineWriter> {
+            unreachable!("no ingest here")
+        }
+        fn estimate(&self) -> Option<f64> {
+            Some(42.0)
+        }
+        fn quiesce(&self) {}
+        fn stats(&self) -> EngineStats {
+            unreachable!("no drain here")
+        }
+    }
+
+    #[test]
+    fn a_slot_less_estimate_never_builds_an_image() {
+        let state = StreamState::new(b"stub", SketchFamily::Theta, Box::new(NoImage));
+        match state.query(Want::Estimate) {
+            Ok(Fanned::Estimate(value)) => assert_eq!(value.to_bits(), 42.0f64.to_bits()),
+            _ => panic!("a slot-less estimate is the engine's"),
+        }
+
+        // One slot: the same query now fans in, which needs the image.
+        let slot = QuickSelectThetaSketch::new(12, DEFAULT_SEED).unwrap();
+        state
+            .slots
+            .put(None, slot.compact().to_wire_bytes())
+            .unwrap();
+        let fanned = catch_unwind(AssertUnwindSafe(|| state.query(Want::Estimate)));
+        let payload = fanned.err().expect("an estimate with a slot fans in");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(NO_IMAGE)
+        );
+    }
 }

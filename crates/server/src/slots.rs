@@ -1,8 +1,9 @@
 //! The image-slot map and the one fan-in over it.
 //!
 //! Everything the server holds besides live engines is a validated wire
-//! image in its stream's [`Slots`] map, and every read — queries, the
-//! checkpointer, the replica pusher, the drain's final estimate — is
+//! image in its stream's [`Slots`] map. An estimate of a stream with no
+//! slot is the engine's published snapshot; anything with a slot, and
+//! every image — a query's, a checkpoint's, a replica push's — is
 //! [`fan_in`] over the live image plus the images [`Slots::collect`]
 //! picked. Which slot classes a consumer sees is the [`Consumer`] table
 //! below.
@@ -102,12 +103,12 @@ impl Slots {
         map.insert(SlotKey::Recovered, image);
     }
 
-    /// `live` followed by every slot `who` sees, in key order.
-    pub(crate) fn collect(&self, live: Bytes, who: Consumer) -> Vec<Bytes> {
+    /// Every slot `who` sees, in key order.
+    pub(crate) fn collect(&self, who: Consumer) -> Vec<Bytes> {
         let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        let slots = map.iter().filter(|(k, _)| who.sees(**k));
-        std::iter::once(live)
-            .chain(slots.map(|(_, image)| image.clone()))
+        map.iter()
+            .filter(|(k, _)| who.sees(**k))
+            .map(|(_, image)| image.clone())
             .collect()
     }
 }
@@ -248,11 +249,70 @@ pub(crate) fn ship_image(family: SketchFamily, mut images: Vec<Bytes>) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcds_core::engine::{EngineBuilder, HllFamily, StreamEngine, ThetaFamily};
+    use fcds_core::PropagationBackendKind;
     use fcds_sketches::frequency::MisraGriesSketch;
     use fcds_sketches::hll::HllSketch;
     use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
     use fcds_sketches::theta::{CompactThetaSketch, QuickSelectThetaSketch};
     use fcds_sketches::wire::WireDecode;
+
+    /// A quiesced engine fed `0..n` through `writers` writers (one per
+    /// shard, so every shard holds items).
+    fn quiesced(engine: Box<dyn StreamEngine>, writers: usize, n: u64) -> Box<dyn StreamEngine> {
+        let mut ws: Vec<_> = (0..writers).map(|_| engine.writer()).collect();
+        let items: Vec<u64> = (0..n).collect();
+        for (i, chunk) in items.chunks(4_096).enumerate() {
+            ws[i % writers].ingest_batch(chunk);
+        }
+        for w in &mut ws {
+            w.flush().unwrap();
+        }
+        drop(ws);
+        engine.quiesce();
+        engine
+    }
+
+    /// What lets `StreamState::query` answer a slot-less estimate off
+    /// the engine: after `quiesce` the published estimate is bit for bit
+    /// the estimate of the fan-in of the engine's one image.
+    #[test]
+    fn a_quiesced_engine_estimates_what_its_lone_image_fans_in_to() {
+        let theta = |shards| {
+            EngineBuilder::<ThetaFamily>::new()
+                .accuracy(12)
+                .writers(shards)
+                .shards(shards)
+                .backend(PropagationBackendKind::WriterAssisted)
+                .build_boxed()
+                .unwrap()
+        };
+        let hll = EngineBuilder::<HllFamily>::new()
+            .backend(PropagationBackendKind::WriterAssisted)
+            .build_boxed()
+            .unwrap();
+        let cases = [
+            ("Θ lg_k 12, exact mode", quiesced(theta(1), 1, 1_000)),
+            ("Θ lg_k 12, 2^21 items", quiesced(theta(1), 1, 1 << 21)),
+            (
+                "Θ lg_k 12, 2^21 items, 2 shards",
+                quiesced(theta(2), 2, 1 << 21),
+            ),
+            ("HLL default lg_m, 2^21 items", quiesced(hll, 1, 1 << 21)),
+        ];
+        for (case, engine) in cases {
+            let published = engine.estimate().unwrap();
+            let fanned = match fan_in(engine.family(), &[engine.wire_image()], Want::Estimate) {
+                Ok(Fanned::Estimate(value)) => value,
+                _ => panic!("{case}: the fan-in has an estimate"),
+            };
+            assert_eq!(
+                published.to_bits(),
+                fanned.to_bits(),
+                "{case}: {published} vs {fanned}"
+            );
+        }
+    }
 
     type Decodes = fn(&[u8]) -> bool;
 

@@ -3,11 +3,14 @@
 //! network tier's happy paths plus its headline fault story (worker
 //! panic → breaker → recovery → graceful drain).
 
+use fcds_core::ConcurrencyConfig;
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{FrameType, NackCode};
 use fcds_server::{serve, BreakerState, ServerConfig};
 use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::{peek, SketchFamily, WireEncode};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -72,6 +75,62 @@ fn ingest_from_two_clients_reaches_the_live_engine() {
     assert_eq!(report.stats.ingest_items, 2 * n_per_client);
     assert_eq!(report.leaked_threads, 0);
     assert_eq!(report.stats.worker_panics, 0);
+}
+
+/// Theorem 1 through the socket. While one connection ingests into
+/// `default`, every estimate a second connection reads lies between the
+/// items acked before the query was sent, less the stream's relaxation
+/// `r = 2Nb`, and the items sent before its reply came back. 3 000
+/// distinct items keep Θ in exact mode, where the estimate is the
+/// number of items the answer includes.
+#[test]
+fn served_estimates_stay_inside_the_relaxation_window() {
+    let cfg = test_config();
+    let r = ConcurrencyConfig {
+        writers: cfg.ingest_workers,
+        ..ConcurrencyConfig::default()
+    }
+    .relaxation();
+    let handle = serve(cfg).unwrap();
+    let addr = handle.local_addr();
+    let (sent, acked, done) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+    // Both connections are up before the first item is sent.
+    let start = Barrier::new(2);
+    let answers = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut c = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
+            start.wait();
+            for chunk in (0..3_000u64).collect::<Vec<_>>().chunks(16) {
+                sent.fetch_add(chunk.len() as u64, Ordering::SeqCst);
+                assert!(matches!(c.ingest(chunk).unwrap(), Reply::Ack { .. }));
+                acked.fetch_add(chunk.len() as u64, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let mut q = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
+        start.wait();
+        let mut answers = 0;
+        loop {
+            // Read before the query, so the last one sees every ack.
+            let finished = done.load(Ordering::SeqCst);
+            let lo = acked.load(Ordering::SeqCst).saturating_sub(r);
+            let value = match q.query_estimate(0).unwrap() {
+                Reply::Estimate { value, .. } => value,
+                other => panic!("unexpected reply: {other:?}"),
+            };
+            let hi = sent.load(Ordering::SeqCst);
+            assert!(
+                lo as f64 <= value && value <= hi as f64,
+                "estimate {value} outside [{lo}, {hi}] (r = {r})"
+            );
+            answers += 1;
+            if finished {
+                return answers;
+            }
+        }
+    });
+    assert!(answers > 1, "{answers} answers");
+    assert_eq!(handle.shutdown().leaked_threads, 0);
 }
 
 #[test]

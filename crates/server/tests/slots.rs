@@ -3,8 +3,8 @@
 //!
 //! A stream's state besides its live engine is a map of image slots in
 //! three classes — boot-recovered, replica (replace-by-source) and
-//! pushed (accumulating) — and every read is one fan-in over the
-//! classes its consumer sees. This suite pins that: accumulate vs.
+//! pushed (accumulating) — and every read of a stream with a slot is
+//! one fan-in over the classes its consumer sees. This suite pins that: accumulate vs.
 //! replace, which consumer sees which class across a restart, v1 frames
 //! (ingest, merge, query) as sugar for the `default` Θ stream, the full
 //! v1 query table, and that a NACKed frame never creates a stream.
