@@ -1,7 +1,7 @@
 //! `fcds-load`: the correctness-drill harness for `fcds-server`.
 //!
 //! Four drills exercise what nothing else in the workspace does, and
-//! each is gated on counts and error bounds only — how *fast* the
+//! each is gated on counts and relaxation checks only — how *fast* the
 //! served path is belongs to `benchmark/` (see its README's baseline
 //! table), not here:
 //!
@@ -17,27 +17,38 @@
 //! * [`run_crash_drill`] SIGKILLs a real server process mid-checkpoint
 //!   and checks what the restart recovers and refuses.
 //!
-//! The drills share one scaffold: a `Target` names the default stream
-//! or a `(family, key)` stream; one ingest loop and one query loop run
-//! against it, in the background under `under_load` or in the
-//! foreground as `ingest_range`; `await_count` is the one
-//! poll-until-converged
-//! helper. [`report`] holds the one gate table `BENCH_serve.json` and
-//! the console summary are rendered from.
+//! The last three judge every read by one rule, the paper's Theorem 1:
+//! an answer is what the sequential sketch returns on some prefix of
+//! the stream the drill sent, with at most `r` of its items hidden
+//! ([`fcds_server::stream_relaxation`]). Each read is an image taken
+//! while between `acked` and `sent` items of the stream were in, and
+//! `admissible` checks it with the `fcds-relaxation` checkers.
+//!
+//! The drills share one scaffold: a `DrillStream` names the default
+//! stream or a `(family, key)` stream and logs what was sent to it; one
+//! ingest loop and one query loop run against it, in the background
+//! under `under_load` or in the foreground as `ingest_range`;
+//! `await_admitted` is the one poll-until-admitted helper. [`report`]
+//! holds the one gate table `BENCH_serve.json` and the console summary
+//! are rendered from.
 
 pub mod report;
 
+use fcds_relaxation::checker::{ThetaChecker, ThetaObservation};
+use fcds_relaxation::checker_hll::HllChecker;
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
-use fcds_server::{serve, ServerConfig};
-use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
+use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
+use fcds_sketches::hash::Hashable;
+use fcds_sketches::theta::{normalize_hash, theta_to_fraction};
+use fcds_sketches::wire::{HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Counts of every failure outcome the workers observed, keyed by the
@@ -379,6 +390,166 @@ enum Target {
     Stream(SketchFamily, Vec<u8>),
 }
 
+impl Target {
+    fn family(&self) -> SketchFamily {
+        match self {
+            Target::Default => SketchFamily::Theta,
+            Target::Stream(family, _) => *family,
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        match self {
+            Target::Default => DEFAULT_STREAM,
+            Target::Stream(_, key) => key,
+        }
+    }
+}
+
+/// Θ/HLL reads the query loop keeps per stream for checking, the
+/// latest ones: each check hashes the whole stream.
+const SAMPLED_READS: usize = 16;
+
+/// One image read of a stream, with its window: `acked` items were
+/// acked before the query was sent, `sent` items sent before its reply
+/// arrived.
+struct ImageRead {
+    image: Vec<u8>,
+    acked: usize,
+    sent: usize,
+}
+
+/// One stream as a drill drives it: where its frames go, every item
+/// sent to it in order, and how many of those are acked. A drill stream
+/// has one writer, so the acked items are a prefix of the sent ones.
+struct DrillStream {
+    target: Target,
+    /// The items sent, as the ranges `ingest_loop` sent them in.
+    sent: Mutex<Vec<Range<u64>>>,
+    acked: AtomicUsize,
+    /// The query loop's image reads: every Quantiles/Frequency one, the
+    /// last [`SAMPLED_READS`] for Θ/HLL.
+    reads: Mutex<Vec<ImageRead>>,
+}
+
+impl DrillStream {
+    fn new(target: Target) -> DrillStream {
+        DrillStream {
+            target,
+            sent: Mutex::default(),
+            acked: AtomicUsize::new(0),
+            reads: Mutex::default(),
+        }
+    }
+
+    /// Logs `items`, about to be sent. A re-sent batch is the logged
+    /// tail and adds nothing.
+    fn log(&self, items: Range<u64>) {
+        let mut sent = self.sent.lock().expect("log lock");
+        match sent.last_mut() {
+            Some(last) if last.end == items.end => {}
+            Some(last) if last.end == items.start => last.end = items.end,
+            _ => sent.push(items),
+        }
+    }
+
+    fn acked(&self) -> usize {
+        self.acked.load(Ordering::SeqCst)
+    }
+
+    /// How many items were sent so far.
+    fn sent(&self) -> usize {
+        let sent = self.sent.lock().expect("log lock");
+        sent.iter().map(|r| (r.end - r.start) as usize).sum()
+    }
+
+    /// Every item sent so far, in order.
+    fn items(&self) -> Vec<u64> {
+        let sent = self.sent.lock().expect("log lock");
+        sent.iter().flat_map(Range::clone).collect()
+    }
+
+    /// Keeps the query loop's read, taken after `acked` items were
+    /// acked, for checking.
+    fn keep(&self, image: Vec<u8>, acked: usize) {
+        let sent = self.sent();
+        let mut reads = self.reads.lock().expect("reads lock");
+        let sampled = matches!(
+            self.target.family(),
+            SketchFamily::Theta | SketchFamily::Hll
+        );
+        if sampled && reads.len() == SAMPLED_READS {
+            reads.remove(0);
+        }
+        reads.push(ImageRead { image, acked, sent });
+    }
+
+    /// How many of the kept reads and `extra` are not admissible with
+    /// relaxation `r`.
+    fn violations(&self, r: u64, extra: Option<ImageRead>) -> usize {
+        let items = self.items();
+        let reads = self.reads.lock().expect("reads lock");
+        reads
+            .iter()
+            .chain(&extra)
+            .filter(|read| {
+                !admissible(
+                    self.target.family(),
+                    &read.image,
+                    &items[..read.sent],
+                    read.acked,
+                    r,
+                )
+            })
+            .count()
+    }
+}
+
+/// Whether `image`, a `family` answer read after the first `acked`
+/// items of `sent` were acked and before any item past `sent` was sent,
+/// is what the sequential sketch returns on some prefix `p ∈ [acked,
+/// sent.len()]` with at most `r` of its items hidden (Theorem 1). Θ and
+/// HLL hash the items as the engine does, with the image's seed; the
+/// Quantiles and Misra–Gries images carry their exact item count `n`.
+fn admissible(family: SketchFamily, image: &[u8], sent: &[u64], acked: usize, r: u64) -> bool {
+    let (lo, hi) = (acked, sent.len());
+    let count_in = |n: u64| (lo.saturating_sub(r as usize) as u64..=hi as u64).contains(&n);
+    match family {
+        SketchFamily::Theta => ThetaWireView::parse(image).is_ok_and(|view| {
+            let hashes: Vec<u64> = sent
+                .iter()
+                .map(|item| normalize_hash(item.hash_with_seed(view.seed())))
+                .collect();
+            let retained = view.len() as u64;
+            let obs = ThetaObservation {
+                theta: view.theta(),
+                retained,
+                estimate: retained as f64 / theta_to_fraction(view.theta()),
+            };
+            // Every drill server runs the default lg_k.
+            let k = 1 << ServerConfig::default().lg_k;
+            ThetaChecker::new(k, r)
+                .check_window(&hashes, lo, hi, &obs)
+                .is_ok()
+        }),
+        SketchFamily::Hll => HllWireView::parse(image).is_ok_and(|view| {
+            let hashes: Vec<u64> = sent
+                .iter()
+                .map(|item| item.hash_with_seed(view.seed()))
+                .collect();
+            HllChecker::new(r)
+                .check_window(&hashes, lo, hi, view.registers())
+                .is_ok()
+        }),
+        SketchFamily::Quantiles => {
+            LadderWireView::<u64>::parse(image).is_ok_and(|view| count_in(view.n()))
+        }
+        SketchFamily::Frequency => {
+            MgWireView::<u64>::parse(image).is_ok_and(|view| count_in(view.n()))
+        }
+    }
+}
+
 /// The four wire families, in the order multi-stream drills assign
 /// them to streams (stream `i` gets `FAMILIES[i % 4]`).
 pub const FAMILIES: [SketchFamily; 4] = [
@@ -394,17 +565,11 @@ fn drill_key(prefix: &str, i: usize) -> Vec<u8> {
 }
 
 /// A drill's streams: `n` keys, families round-robin.
-fn drill_targets(prefix: &str, n: usize) -> Vec<Target> {
+fn drill_streams(prefix: &str, n: usize) -> Vec<DrillStream> {
     (0..n)
-        .map(|i| Target::Stream(FAMILIES[i % 4], drill_key(prefix, i)))
+        .map(|i| DrillStream::new(Target::Stream(FAMILIES[i % 4], drill_key(prefix, i))))
         .collect()
 }
-
-/// Relative-error envelope of a Θ/HLL estimate at the server's
-/// `lg_k = lg_m = 12` (σ ≈ 1.6%, so 5σ); Quantiles/Frequency counts are
-/// exact. A stream has absorbed or replicated its items once its count
-/// is inside it.
-pub const ESTIMATE_ENVELOPE: f64 = 0.08;
 
 /// Sends one ingest batch to `target`.
 fn send(c: &mut Client, target: &Target, items: &[u64]) -> std::io::Result<Reply> {
@@ -414,55 +579,42 @@ fn send(c: &mut Client, target: &Target, items: &[u64]) -> std::io::Result<Reply
     }
 }
 
-/// What one count query came back with.
-enum Counted {
-    Value(f64),
+/// What one image query came back with.
+enum Answer {
+    Image(Vec<u8>),
     Nack(NackCode),
     /// A reply fitting no contract.
     Untyped,
 }
 
-/// The target's observed count through its natural query: the estimate
-/// for the default stream and Θ/HLL streams, the image's exact item
-/// count for Quantiles/Frequency.
-fn stream_count(c: &mut Client, target: &Target) -> std::io::Result<Counted> {
-    use SketchFamily::{Hll, Quantiles, Theta};
+/// The target's wire image.
+fn read_image(c: &mut Client, target: &Target) -> std::io::Result<Answer> {
     let reply = match target {
-        Target::Default => c.query_estimate(0)?,
-        Target::Stream(family @ (Theta | Hll), key) => c.query_stream_estimate(*family, key)?,
+        Target::Default => c.query_image(0)?,
         Target::Stream(family, key) => c.query_stream_image(*family, key)?,
     };
-    let image_n = |n: Option<u64>| n.map_or(Counted::Untyped, |n| Counted::Value(n as f64));
-    Ok(match (reply, target) {
-        (Reply::Estimate { value, .. }, _) => Counted::Value(value),
-        (Reply::Image { bytes, .. }, Target::Stream(Quantiles, _)) => {
-            image_n(LadderWireView::<u64>::parse(&bytes).ok().map(|v| v.n()))
-        }
-        (Reply::Image { bytes, .. }, _) => {
-            image_n(MgWireView::<u64>::parse(&bytes).ok().map(|v| v.n()))
-        }
-        (Reply::Nack { code, .. }, _) => Counted::Nack(code),
-        _ => Counted::Untyped,
+    Ok(match reply {
+        Reply::Image { bytes, .. } => Answer::Image(bytes),
+        Reply::Nack { code, .. } => Answer::Nack(code),
+        _ => Answer::Untyped,
     })
 }
 
-/// Polls `target`'s count every 10 ms until it is within `tolerance`
-/// (relative) of `expect` and returns that relative error; `None` once
-/// `deadline` has passed. A NACK just means another poll: a replica
-/// peer answers `UnknownStream` until the first push creates the
-/// stream, a restarted server until recovery has registered it.
-fn await_count(
+/// Polls `target`'s image every 10 ms until `admits` accepts one and
+/// returns it; `None` once `deadline` has passed. A NACK just means
+/// another poll: a replica peer answers `UnknownStream` until the first
+/// push creates the stream, a restarted server until recovery has
+/// registered it.
+fn await_admitted(
     c: &mut Client,
     target: &Target,
-    expect: f64,
-    tolerance: f64,
     deadline: Instant,
-) -> std::io::Result<Option<f64>> {
+    mut admits: impl FnMut(&[u8]) -> bool,
+) -> std::io::Result<Option<Vec<u8>>> {
     loop {
-        if let Counted::Value(got) = stream_count(c, target)? {
-            let relerr = (got - expect).abs() / expect;
-            if relerr <= tolerance {
-                return Ok(Some(relerr));
+        if let Answer::Image(image) = read_image(c, target)? {
+            if admits(&image) {
+                return Ok(Some(image));
             }
         }
         if Instant::now() >= deadline {
@@ -529,8 +681,9 @@ impl Link {
     }
 }
 
-/// Sends `items` to `target` in `batch`-item requests until the range
-/// is exhausted or `stop()` says so, and returns how many were acked.
+/// Sends `items` to `stream` in `batch`-item requests, logging each
+/// before it goes out, until the range is exhausted or `stop()` says
+/// so, and returns how many were acked.
 /// A NACKed batch is shed, not lost: it is recorded, backed off and
 /// re-sent. A transport failure leaves the batch's outcome unknown, so
 /// the same range is re-sent on a fresh connection — Θ dedups, which
@@ -538,7 +691,7 @@ impl Link {
 fn ingest_loop(
     tally: &Tally,
     link: &mut Link,
-    target: &Target,
+    stream: &DrillStream,
     items: Range<u64>,
     batch: usize,
     stop: impl Fn() -> bool,
@@ -548,10 +701,13 @@ fn ingest_loop(
         let Some(c) = link.client(tally) else {
             continue;
         };
-        let chunk: Vec<u64> = (next..items.end.min(next + batch as u64)).collect();
-        match send(c, target, &chunk) {
+        let range = next..items.end.min(next + batch as u64);
+        stream.log(range.clone());
+        let chunk: Vec<u64> = range.collect();
+        match send(c, &stream.target, &chunk) {
             Ok(Reply::Ack { .. }) => {
                 next += chunk.len() as u64;
+                stream.acked.fetch_add(chunk.len(), Ordering::SeqCst);
                 tally
                     .items_acked
                     .fetch_add(chunk.len() as u64, Ordering::Relaxed);
@@ -569,7 +725,7 @@ fn ingest_loop(
     next - items.start
 }
 
-/// Ingests exactly `items` into `target` in 512-item requests.
+/// Ingests exactly `items` into `stream` in 512-item requests.
 ///
 /// # Errors
 ///
@@ -577,12 +733,12 @@ fn ingest_loop(
 fn ingest_range(
     tally: &Tally,
     link: &mut Link,
-    target: &Target,
+    stream: &DrillStream,
     items: Range<u64>,
 ) -> std::io::Result<()> {
     let deadline = Instant::now() + Duration::from_secs(10);
     let want = items.end - items.start;
-    let acked = ingest_loop(tally, link, target, items, 512, || {
+    let acked = ingest_loop(tally, link, stream, items, 512, || {
         Instant::now() >= deadline
     });
     if acked == want {
@@ -594,20 +750,21 @@ fn ingest_range(
     }
 }
 
-/// Queries `targets` round-robin, one every 2 ms, until the tally's
-/// stop flag is set.
-fn query_loop(tally: &Tally, link: &mut Link, targets: &[Target]) {
-    for target in targets.iter().cycle() {
+/// Reads the images of `streams` round-robin, one every 2 ms, until the
+/// tally's stop flag is set, and offers each to its stream for checking.
+fn query_loop(tally: &Tally, link: &mut Link, streams: &[DrillStream]) {
+    for stream in streams.iter().cycle() {
         if tally.stop.load(Ordering::Acquire) {
             return;
         }
         let Some(c) = link.client(tally) else {
             continue;
         };
-        match stream_count(c, target) {
-            Ok(Counted::Value(_)) => {}
-            Ok(Counted::Nack(code)) => tally.taxonomy.record_nack(code),
-            Ok(Counted::Untyped) => {
+        let acked = stream.acked();
+        match read_image(c, &stream.target) {
+            Ok(Answer::Image(image)) => stream.keep(image, acked),
+            Ok(Answer::Nack(code)) => tally.taxonomy.record_nack(code),
+            Ok(Answer::Untyped) => {
                 tally.untyped_failures.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => link.lose(tally),
@@ -617,41 +774,39 @@ fn query_loop(tally: &Tally, link: &mut Link, targets: &[Target]) {
 }
 
 /// Runs `body` while background workers load the server — one ingest
-/// worker per `ingest` entry (`(addr, target, first item)`, each on its
+/// worker per `ingest` entry (`(addr, stream, first item)`, each on its
 /// own connection) and one querier cycling over `queried` at
-/// `query_addr` — then stops and joins them. Returns `body`'s result,
-/// the tally the workers shared and each ingest worker's acked-item
-/// count, in `ingest` order.
+/// `query_addr` — then stops and joins them. Returns `body`'s result
+/// and the tally the workers shared.
 fn under_load<R>(
-    ingest: &[(SocketAddr, &Target, u64)],
+    ingest: &[(SocketAddr, &DrillStream, u64)],
     batch: usize,
     query_addr: SocketAddr,
-    queried: &[Target],
+    queried: &[DrillStream],
     body: impl FnOnce(&Tally) -> R,
-) -> (R, Tally, Vec<u64>) {
+) -> (R, Tally) {
     let tally = Tally::default();
-    let (result, acked) = std::thread::scope(|s| {
+    let result = std::thread::scope(|s| {
         let tally = &tally;
         let stop = move || tally.stop.load(Ordering::Acquire);
         let writers: Vec<_> = ingest
             .iter()
-            .map(|&(addr, target, first)| {
+            .map(|&(addr, stream, first)| {
                 let items = first..u64::MAX;
                 s.spawn(move || {
-                    ingest_loop(tally, &mut Link::new(addr), target, items, batch, stop)
+                    ingest_loop(tally, &mut Link::new(addr), stream, items, batch, stop)
                 })
             })
             .collect();
         s.spawn(move || query_loop(tally, &mut Link::new(query_addr), queried));
         let result = body(tally);
         tally.stop.store(true, Ordering::Release);
-        let acked = writers
-            .into_iter()
-            .map(|w| w.join().expect("ingest worker panicked"))
-            .collect();
-        (result, acked)
+        for w in writers {
+            w.join().expect("ingest worker panicked");
+        }
+        result
     });
-    (result, tally, acked)
+    (result, tally)
 }
 
 /// Fault-scenario parameters.
@@ -765,10 +920,16 @@ pub fn confine_to_one_processor() {}
 /// Propagates proxy bind errors.
 pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<ScenarioReport> {
     let proxy = FaultProxy::start(server_addr)?;
-    let queried = [Target::Default];
-    let writers: Vec<_> = (0..SCENARIO_WRITERS)
-        .map(|w| (proxy.local_addr(), &queried[0], w << 40))
+    // One log per writer: both write the default stream, so its items
+    // have no single order and the querier's reads go unchecked.
+    let logs: Vec<_> = (0..SCENARIO_WRITERS)
+        .map(|_| DrillStream::new(Target::Default))
         .collect();
+    let writers: Vec<_> = (0..SCENARIO_WRITERS)
+        .zip(&logs)
+        .map(|(w, log)| (proxy.local_addr(), log, w << 40))
+        .collect();
+    let queried = &logs[..1];
     let drive = |tally: &Tally| {
         let items_acked = || tally.items_acked.load(Ordering::Relaxed);
 
@@ -818,7 +979,7 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         }
         phases
     };
-    let (phases, tally, _) = under_load(&writers, cfg.batch_size, server_addr, &queried, drive);
+    let (phases, tally) = under_load(&writers, cfg.batch_size, server_addr, queried, drive);
     drop(proxy);
 
     // Final consistency probe: the live estimate should account for the
@@ -888,10 +1049,10 @@ pub struct MultiStreamReport {
     /// Fraction of healthy-stream requests ACKed *after* one stream was
     /// poisoned — the isolation metric; the gate requires 1.0.
     pub isolation: f64,
-    /// Streams whose fanned-in count converged on their acked count
-    /// (within the family's error envelope; excludes the poisoned
-    /// stream).
-    pub streams_converged: usize,
+    /// Reads not admissible under the stream's relaxation (must be 0):
+    /// each stream's read once its writer stopped, at `[acked, sent]`,
+    /// and the reads the querier kept while the writers ran.
+    pub relaxation_violations: usize,
     /// Threads the in-process server leaked on drain (must be 0).
     pub leaked_threads: usize,
 }
@@ -913,18 +1074,18 @@ pub struct MultiStreamReport {
 ///
 /// Panics if a drill worker thread panics.
 pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamReport> {
-    let server = serve(ServerConfig {
+    let server_cfg = ServerConfig {
         fault_panic_on: Some(POISON_ITEM),
         ..ServerConfig::default()
-    })?;
+    };
+    let server = serve(server_cfg.clone())?;
     let addr = server.local_addr();
-    let targets = drill_targets("load", MULTISTREAM_STREAMS);
+    let streams = drill_streams("load", MULTISTREAM_STREAMS);
 
-    let writers: Vec<_> = targets.iter().map(|t| (addr, t, 0)).collect();
-    let ((), tally, per_stream_acked) =
-        under_load(&writers, cfg.batch_size, addr, &targets, |_| {
-            std::thread::sleep(cfg.window)
-        });
+    let writers: Vec<_> = streams.iter().map(|s| (addr, s, 0)).collect();
+    let ((), tally) = under_load(&writers, cfg.batch_size, addr, &streams, |_| {
+        std::thread::sleep(cfg.window)
+    });
 
     let mut probe = Client::connect(addr, Duration::from_secs(2))?;
 
@@ -944,19 +1105,26 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
         other => panic!("family re-declaration: {other:?}"),
     }
 
-    // Convergence: each stream's fanned-in count vs. its acked count.
-    let mut streams_converged = 0;
-    for (target, &acked) in targets.iter().zip(&per_stream_acked) {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        if acked > 0 && await_count(&mut probe, target, acked as f64, 0.1, deadline)?.is_some() {
-            streams_converged += 1;
-        }
+    // Every stream's read now that its writer stopped, and the reads the
+    // querier kept, checked against what the writer sent. An answer
+    // that is not an image admits nothing.
+    let mut relaxation_violations = 0;
+    for stream in &streams {
+        let (acked, sent) = (stream.acked(), stream.sent());
+        let image = match read_image(&mut probe, &stream.target)? {
+            Answer::Image(image) => image,
+            _ => Vec::new(),
+        };
+        let r = stream_relaxation(&server_cfg, stream.target.key(), 1);
+        let settled = ImageRead { image, acked, sent };
+        relaxation_violations += stream.violations(r, Some(settled));
     }
 
     // Poison the last stream (the planted item latches its ingest
     // shut), see its ingest path fail typed, then measure isolation:
     // every other stream must still ACK everything.
-    let (victim, healthy) = targets.split_last().expect("at least one stream");
+    let (victim, healthy) = streams.split_last().expect("at least one stream");
+    let victim = &victim.target;
     let _ = send(&mut probe, victim, &[POISON_ITEM])?;
     let victim_dead = match send(&mut probe, victim, &[1, 2, 3])? {
         Reply::Nack { code, .. } => {
@@ -966,9 +1134,9 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
         _ => false,
     };
     let mut healthy_acks = 0usize;
-    for target in healthy {
+    for stream in healthy {
         for _ in 0..10 {
-            match send(&mut probe, target, &[7])? {
+            match send(&mut probe, &stream.target, &[7])? {
                 Reply::Ack { .. } => healthy_acks += 1,
                 Reply::Nack { code, .. } => tally.taxonomy.record_nack(code),
                 _ => {
@@ -993,7 +1161,7 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
         items_acked: tally.items_acked.into_inner(),
         untyped_failures: tally.untyped_failures.into_inner(),
         isolation,
-        streams_converged,
+        relaxation_violations,
         leaked_threads: drain.leaked_threads,
     })
 }
@@ -1005,22 +1173,28 @@ pub const SYNC_STREAMS: usize = 4;
 /// The source server's replica push period in the sync drill.
 const SYNC_PERIOD: Duration = Duration::from_millis(100);
 
-/// How long the sync drill waits for the source to absorb its ingest,
+/// How long the sync drill waits for the source to admit its ingest,
 /// and then for the peer to converge.
 const SYNC_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Ingest rounds of the sync drill. The peer must converge after each,
+/// so a pusher that stops shipping new images cannot pass on its first.
+const SYNC_ROUNDS: u64 = 2;
 
 /// Outcome of the two-server replica-sync drill.
 pub struct SyncReport {
     /// Streams replicated.
     pub streams: usize,
-    /// Streams whose peer-side count converged within
-    /// [`ESTIMATE_ENVELOPE`].
+    /// Streams whose peer read was admitted at `[sent, sent]` — every
+    /// item in, up to the source's relaxation — before the last round's
+    /// deadline.
     pub converged: usize,
-    /// Worst peer-side relative error across converged streams (1.0
-    /// for streams that never converged).
-    pub worst_relative_error: f64,
-    /// Time from the last source-side ACK until every stream had
-    /// converged on the peer (`None` if any stream timed out).
+    /// Peer reads not admitted at `[0, sent]` (any pushed image is some
+    /// prefix of the stream), plus streams that did not converge in a
+    /// round (must be 0).
+    pub relaxation_violations: usize,
+    /// Time from the source admitting the last round until every stream
+    /// had converged on the peer (`None` if any stream timed out).
     pub convergence: Option<Duration>,
     /// Replica pushes the source's background pusher delivered.
     pub pushes: u64,
@@ -1031,57 +1205,73 @@ pub struct SyncReport {
 /// Runs the replica-sync drill: two in-process servers, A configured to
 /// push every stream's wire image to B every 100 ms. The drill ingests
 /// `items_per_stream` distinct items into each of A's
-/// [`SYNC_STREAMS`] streams, then polls B's stream-addressed queries
-/// until every stream's count lands within [`ESTIMATE_ENVELOPE`] (the
-/// probabilistic Θ/HLL estimates; Quantiles/Frequency image counts
-/// replicate exactly).
+/// [`SYNC_STREAMS`] streams in two rounds. After each it
+/// waits until A's own images admit every item, then polls B's
+/// stream-addressed image queries until each stream's is admitted at
+/// `[sent, sent]` under A's relaxation. Every earlier B read must
+/// still be admitted at `[0, sent]`.
 ///
 /// # Errors
 ///
 /// Propagates server-start and probe I/O errors; fails when the source
-/// does not ack or absorb its ingest in time.
+/// does not ack or admit its ingest in time.
 pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
     let peer = serve(ServerConfig::default())?;
-    let source = serve(ServerConfig {
+    let source_cfg = ServerConfig {
         replica_peer: Some(peer.local_addr().to_string()),
         replica_interval: SYNC_PERIOD,
         replica_source_id: 1,
         ..ServerConfig::default()
-    })?;
-    let targets = drill_targets("sync", SYNC_STREAMS);
-    let expect = items_per_stream as f64;
+    };
+    let source = serve(source_cfg.clone())?;
+    let streams = drill_streams("sync", SYNC_STREAMS);
+    // One writer fed each stream; `at` is the window's low end.
+    let admits = |stream: &DrillStream, items: &[u64], at: usize, image: &[u8]| {
+        let r = stream_relaxation(&source_cfg, stream.target.key(), 1);
+        admissible(stream.target.family(), image, items, at, r)
+    };
 
     let tally = Tally::default();
     let mut link = Link::new(source.local_addr());
-    for (i, target) in targets.iter().enumerate() {
-        let base = i as u64 * items_per_stream;
-        ingest_range(&tally, &mut link, target, base..base + items_per_stream)?;
-    }
-    // Check the source's images carry the full stream before we start
-    // the convergence clock.
     let mut ca = Client::connect(source.local_addr(), Duration::from_secs(5))?;
-    let absorb_deadline = Instant::now() + SYNC_TIMEOUT;
-    for (i, target) in targets.iter().enumerate() {
-        await_count(&mut ca, target, expect, ESTIMATE_ENVELOPE, absorb_deadline)?.ok_or_else(
-            || std::io::Error::other(format!("source stream {i} never absorbed its items")),
-        )?;
-    }
-
-    let clock_start = Instant::now();
     let mut cb = Client::connect(peer.local_addr(), Duration::from_secs(5))?;
-    let mut converged = 0usize;
-    let mut worst_relerr = 0.0f64;
-    let mut all_converged_at = None;
-    for target in &targets {
-        let deadline = clock_start + SYNC_TIMEOUT;
-        match await_count(&mut cb, target, expect, ESTIMATE_ENVELOPE, deadline)? {
-            Some(relerr) => {
-                converged += 1;
-                worst_relerr = worst_relerr.max(relerr);
-                all_converged_at = Some(clock_start.elapsed());
-            }
-            None => worst_relerr = 1.0,
+    let (mut converged, mut relaxation_violations, mut convergence) = (0, 0, None);
+    let per_round = items_per_stream / SYNC_ROUNDS;
+    for round in 0..SYNC_ROUNDS {
+        for (i, stream) in streams.iter().enumerate() {
+            let base = i as u64 * items_per_stream + round * per_round;
+            ingest_range(&tally, &mut link, stream, base..base + per_round)?;
         }
+        // Check the source's images carry the full stream before we
+        // start the convergence clock.
+        let absorb_deadline = Instant::now() + SYNC_TIMEOUT;
+        for (i, stream) in streams.iter().enumerate() {
+            let items = stream.items();
+            await_admitted(&mut ca, &stream.target, absorb_deadline, |image| {
+                admits(stream, &items, items.len(), image)
+            })?
+            .ok_or_else(|| {
+                std::io::Error::other(format!("source stream {i} never admitted its items"))
+            })?;
+        }
+
+        let clock_start = Instant::now();
+        converged = 0;
+        for stream in &streams {
+            let items = stream.items();
+            let deadline = clock_start + SYNC_TIMEOUT;
+            let last = await_admitted(&mut cb, &stream.target, deadline, |image| {
+                let all_in = admits(stream, &items, items.len(), image);
+                relaxation_violations += usize::from(!all_in && !admits(stream, &items, 0, image));
+                all_in
+            })?;
+            if last.is_some() {
+                converged += 1;
+            } else {
+                relaxation_violations += 1;
+            }
+        }
+        convergence = (converged == SYNC_STREAMS).then(|| clock_start.elapsed());
     }
 
     let drain_source = source.shutdown();
@@ -1089,12 +1279,8 @@ pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
     Ok(SyncReport {
         streams: SYNC_STREAMS,
         converged,
-        worst_relative_error: worst_relerr,
-        convergence: if converged == SYNC_STREAMS {
-            all_converged_at
-        } else {
-            None
-        },
+        relaxation_violations,
+        convergence,
         pushes: drain_source.stats.replica_pushes,
         leaked_threads: drain_source.leaked_threads + drain_peer.leaked_threads,
     })
@@ -1157,9 +1343,7 @@ impl Default for CrashDrillConfig {
     }
 }
 
-/// Items per churn batch. Small relative to any `items_per_stream` in
-/// use, so the recovered count stays inside the documented
-/// relative-error window.
+/// Items per churn batch: a trickle inside the loss window.
 const CHURN_BATCH: u64 = 32;
 
 /// Outcome of the kill-drill.
@@ -1172,22 +1356,17 @@ pub struct CrashDrillReport {
     /// (`None` if any stream timed out) — includes process startup and
     /// the boot-time snapshot scan.
     pub recovery: Option<Duration>,
-    /// Worst per-stream relative error of the recovered count vs the
-    /// pre-kill durable oracle (`items_per_stream`), across all
-    /// streams. Churn ingested inside the loss window may legitimately
-    /// surface, so the bound is churn fraction + the probabilistic
-    /// families' estimate envelope.
-    pub worst_relative_error: f64,
-    /// Worst relative error per family (Θ, HLL, Quantiles, Frequency).
-    pub family_relerr: [f64; 4],
+    /// Streams whose first answer after the restart is not admitted at
+    /// `[seq, sent]`, with `seq` the item count the stream's on-disk
+    /// record claimed just before the kill (must be 0).
+    pub relaxation_violations: usize,
     /// Whether the planted CRC-invalid record was served after restart
     /// (must be 0 — corrupt records are quarantined, never trusted).
     pub corrupt_accepted: usize,
     /// `.quarantine` files found in the data dir after restart (the
     /// drill plants two invalid records, so ≥ 2).
     pub quarantined: usize,
-    /// Churn items ACKed inside the loss window (context for the
-    /// relative-error bound).
+    /// Churn items ACKed inside the loss window.
     pub churn_items: u64,
     /// Typed errors met while driving the drill.
     pub taxonomy: ErrorTaxonomy,
@@ -1280,8 +1459,9 @@ fn connect_retry(addr: SocketAddr, deadline: Instant) -> std::io::Result<Client>
 /// 4. plant two invalid snapshot records in the data dir (pure garbage
 ///    and a structurally valid record whose CRC is wrong);
 /// 5. restart the server on the same dir and measure: time until every
-///    stream answers, per-family relative error vs the durable oracle,
-///    whether the corrupt record was served (it must NACK
+///    stream answers, whether each first answer is admitted at `[seq,
+///    sent]` with `seq` read off the stream's record just before the
+///    kill, whether the corrupt record was served (it must NACK
 ///    `UnknownStream`), and how many files were quarantined.
 ///
 /// # Errors
@@ -1300,8 +1480,7 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
         )
     })?;
     let streams = cfg.streams.max(1);
-    let targets = drill_targets("crash", streams);
-    let expect = cfg.items_per_stream as f64;
+    let targets = drill_streams("crash", streams);
     let dir = std::env::temp_dir().join(format!(
         "fcds-crash-{}-{}",
         std::process::id(),
@@ -1313,35 +1492,27 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
 
     // Phase 1: base ingest into a fresh server.
     let (mut child, addr) = spawn_server_process(&bin, &dir, cfg.snapshot_interval)?;
+    // The item count stream `i`'s on-disk record claims. Reads race
+    // benignly with the checkpointer's atomic rename: they see the old
+    // record or the new one.
+    let durable_seq = |i: usize| {
+        std::fs::read(dir.join(snapshot_file_name(&drill_key("crash", i))))
+            .ok()
+            .and_then(|bytes| decode_record(&bytes).ok())
+            .map(|rec| rec.seq)
+    };
     let drill = (|| -> std::io::Result<CrashDrillReport> {
-        let mut c = connect_retry(addr, Instant::now() + Duration::from_secs(5))?;
         let mut link = Link::new(addr);
-        for (i, target) in targets.iter().enumerate() {
+        for (i, stream) in targets.iter().enumerate() {
             let base = i as u64 * cfg.items_per_stream;
-            ingest_range(&tally, &mut link, target, base..base + cfg.items_per_stream)?;
+            ingest_range(&tally, &mut link, stream, base..base + cfg.items_per_stream)?;
         }
-        // Check that every stream absorbed its base, then wait until
-        // every on-disk snapshot covers it —
-        // that makes `items_per_stream` a *durable* oracle the
-        // post-crash assertions may rely on.
-        let absorb_deadline = Instant::now() + Duration::from_secs(30);
-        for (i, target) in targets.iter().enumerate() {
-            await_count(&mut c, target, expect, ESTIMATE_ENVELOPE, absorb_deadline)?.ok_or_else(
-                || std::io::Error::other(format!("stream {i} never absorbed its base ingest")),
-            )?;
-        }
+        // Wait until every on-disk snapshot covers the base ingest, so
+        // no stream can be lost whole; a stale read is another poll.
         let durable_deadline = Instant::now() + Duration::from_secs(30);
         for i in 0..streams {
-            let path = dir.join(snapshot_file_name(&drill_key("crash", i)));
             loop {
-                // Reads race benignly with the checkpointer's atomic
-                // rename: we see the old record or the new one, and a
-                // stale read just means another poll.
-                let covered = std::fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| decode_record(&bytes).ok())
-                    .is_some_and(|rec| rec.seq >= cfg.items_per_stream);
-                if covered {
+                if durable_seq(i).is_some_and(|seq| seq >= cfg.items_per_stream) {
                     break;
                 }
                 if Instant::now() >= durable_deadline {
@@ -1360,11 +1531,11 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
         let mut churn_next = (streams as u64) * cfg.items_per_stream;
         let churn_until = Instant::now() + cfg.churn;
         'churn: while Instant::now() < churn_until {
-            for target in &targets {
+            for stream in &targets {
                 ingest_range(
                     &tally,
                     &mut link,
-                    target,
+                    stream,
                     churn_next..churn_next + CHURN_BATCH,
                 )?;
                 churn_next += CHURN_BATCH;
@@ -1374,12 +1545,18 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
                 }
             }
             // Paced, not flat-out: the churn models a trickle inside
-            // the loss window, and everything the last pre-kill
-            // checkpoint captured legitimately surfaces in the
-            // recovered counts — unthrottled loopback churn would dwarf
-            // the oracle and turn the relative-error bound meaningless.
+            // the loss window.
             std::thread::sleep(Duration::from_millis(10));
         }
+        // What the restart must at least hold: each record's `seq`,
+        // captured before its image was, just before the kill.
+        let seqs = (0..streams)
+            .map(|i| {
+                durable_seq(i).ok_or_else(|| {
+                    std::io::Error::other(format!("stream {i}'s snapshot unreadable"))
+                })
+            })
+            .collect::<std::io::Result<Vec<u64>>>()?;
         child.kill()?; // SIGKILL: no drain, no final checkpoint
         child.wait()?;
 
@@ -1409,17 +1586,25 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
             let recovery_deadline = restart_started + cfg.recovery_timeout;
             let mut probe = connect_retry(addr2, recovery_deadline)?;
             let mut recovered_streams = 0usize;
-            let mut worst_relerr = 0.0f64;
-            let mut family_relerr = [0.0f64; 4];
-            for (i, target) in targets.iter().enumerate() {
-                // Any answer counts as recovered; how far it sits from
-                // the durable oracle is the error the gate bounds.
-                let answered =
-                    await_count(&mut probe, target, expect, f64::INFINITY, recovery_deadline)?;
-                recovered_streams += usize::from(answered.is_some());
-                let relerr = answered.unwrap_or(1.0);
-                worst_relerr = worst_relerr.max(relerr);
-                family_relerr[i % 4] = family_relerr[i % 4].max(relerr);
+            let mut relaxation_violations = 0usize;
+            for (stream, &seq) in targets.iter().zip(&seqs) {
+                // Any answer counts as recovered; the first one must be
+                // admitted at `[seq, sent]` under the writer's `r`.
+                let Some(image) =
+                    await_admitted(&mut probe, &stream.target, recovery_deadline, |_| true)?
+                else {
+                    continue;
+                };
+                recovered_streams += 1;
+                let r = stream_relaxation(&ServerConfig::default(), stream.target.key(), 1);
+                let family = stream.target.family();
+                relaxation_violations += usize::from(!admissible(
+                    family,
+                    &image,
+                    &stream.items(),
+                    seq as usize,
+                    r,
+                ));
             }
             let recovery = (recovered_streams == streams).then(|| restart_started.elapsed());
 
@@ -1447,8 +1632,7 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
                 streams,
                 recovered_streams,
                 recovery,
-                worst_relative_error: worst_relerr,
-                family_relerr,
+                relaxation_violations,
                 corrupt_accepted,
                 quarantined,
                 churn_items,
@@ -1527,37 +1711,47 @@ mod tests {
     }
 
     #[test]
-    fn await_count_converges_polls_through_nacks_and_gives_up_at_the_deadline() {
-        let server = serve(ServerConfig::default()).unwrap();
+    fn await_admitted_polls_through_nacks_and_gives_up_at_the_deadline() {
+        let cfg = ServerConfig::default();
+        let server = serve(cfg.clone()).unwrap();
         let addr = server.local_addr();
         let mut c = Client::connect(addr, Duration::from_secs(2)).unwrap();
-        let target = Target::Stream(SketchFamily::Theta, b"await".to_vec());
+        let stream = DrillStream::new(Target::Stream(SketchFamily::Theta, b"await".to_vec()));
+        let r = stream_relaxation(&cfg, b"await", 1);
         let soon = || Instant::now() + Duration::from_millis(50);
         let later = || Instant::now() + Duration::from_secs(10);
+        // Admitted at `[n, n]`: every one of the first `n` items is in.
+        let all_in = |n: u64| {
+            let items: Vec<u64> = (0..n).collect();
+            move |image: &[u8]| admissible(SketchFamily::Theta, image, &items, items.len(), r)
+        };
 
         // The stream does not exist yet: every poll is an UnknownStream
         // NACK, which is neither an error nor an answer.
-        let absent = c.query_stream_estimate(SketchFamily::Theta, b"await");
+        let absent = c.query_stream_image(SketchFamily::Theta, b"await");
         assert_eq!(absent.unwrap().nack_code(), Some(NackCode::UnknownStream));
-        assert_eq!(
-            await_count(&mut c, &target, 5_000.0, 0.1, soon()).unwrap(),
-            None
+        assert!(
+            await_admitted(&mut c, &stream.target, soon(), all_in(5_000))
+                .unwrap()
+                .is_none()
         );
 
         let tally = Tally::default();
-        ingest_range(&tally, &mut Link::new(addr), &target, 0..5_000).unwrap();
-        let relerr = await_count(&mut c, &target, 5_000.0, 0.1, later())
-            .unwrap()
-            .expect("5 000 acked items must show up");
+        ingest_range(&tally, &mut Link::new(addr), &stream, 0..5_000).unwrap();
+        assert_eq!(stream.items(), (0..5_000).collect::<Vec<_>>());
+        assert_eq!((stream.acked(), stream.sent()), (5_000, 5_000));
         assert!(
-            relerr <= 0.1,
-            "returned error {relerr} is outside the tolerance"
+            await_admitted(&mut c, &stream.target, later(), all_in(5_000))
+                .unwrap()
+                .is_some(),
+            "5 000 acked items must be admitted at [5 000, 5 000]"
         );
 
-        // An answer outside the tolerance is not convergence.
-        assert_eq!(
-            await_count(&mut c, &target, 50_000.0, 0.1, soon()).unwrap(),
-            None
+        // 45 000 items that were never sent cannot all be in.
+        assert!(
+            await_admitted(&mut c, &stream.target, soon(), all_in(50_000))
+                .unwrap()
+                .is_none()
         );
         assert_eq!(tally.taxonomy.total_typed(), 0);
         server.shutdown();
@@ -1566,6 +1760,7 @@ mod tests {
     #[test]
     fn ingest_loop_treats_the_default_stream_and_its_v2_name_alike() {
         let run = |target: Target| {
+            let stream = DrillStream::new(target);
             // One connection applies the batches in arrival order, so
             // the estimate is a function of the items alone.
             let server = serve(ServerConfig {
@@ -1575,7 +1770,7 @@ mod tests {
             .unwrap();
             let tally = Tally::default();
             let mut link = Link::new(server.local_addr());
-            ingest_range(&tally, &mut link, &target, 0..20_000).unwrap();
+            ingest_range(&tally, &mut link, &stream, 0..20_000).unwrap();
             assert_eq!(tally.items_acked.load(Ordering::Relaxed), 20_000);
             assert_eq!(
                 tally.taxonomy.reconnects(),

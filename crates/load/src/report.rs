@@ -3,19 +3,21 @@
 //! [`gates`] is the only place a drill threshold is written: the
 //! `"acceptance"` and `"thresholds"` objects `bench_gate` reads
 //! ([`fcds_bench::gate::check_doc`]) and the console summary are both
-//! rendered from its rows. Every row is a count or an error bound —
-//! none is a speed.
+//! rendered from its rows. Every row is a count or a time — none is a
+//! speed, and none is a relative-error tolerance: whether a read holds
+//! what it should is the relaxation checkers' call, counted as
+//! violations.
 
 use crate::{
     CrashDrillReport, FaultMode, LoadConfig, MultiStreamReport, ScenarioReport, SyncReport,
-    ESTIMATE_ENVELOPE, RECOVERY_TIMEOUT, SYNC_STREAMS,
+    RECOVERY_TIMEOUT, SYNC_STREAMS,
 };
 pub use fcds_bench::gate::render_gates;
 use fcds_bench::gate::{object, Bound, GateCheck};
 use fcds_server::frame::NackCode;
 use std::fmt::Write as _;
 
-/// The eleven gated measurements of one `fcds-load` run.
+/// The twelve gated measurements of one `fcds-load` run.
 pub fn gates(
     r: &ScenarioReport,
     msr: &MultiStreamReport,
@@ -74,6 +76,14 @@ pub fn gates(
             Min,
             1.0,
         ),
+        // Every read is what the sequential sketch returns on a prefix
+        // of the stream inside its window, missing at most `r` items.
+        gate(
+            "served_relaxation_violations",
+            msr.relaxation_violations as f64,
+            Max,
+            0.0,
+        ),
         gate(
             "sync_convergence_streams",
             sync.converged as f64,
@@ -81,10 +91,10 @@ pub fn gates(
             SYNC_STREAMS as f64,
         ),
         gate(
-            "sync_convergence_relerr",
-            sync.worst_relative_error,
+            "peer_relaxation_violations",
+            sync.relaxation_violations as f64,
             Max,
-            ESTIMATE_ENVELOPE,
+            0.0,
         ),
         // Recovery is a boot-time directory scan — O(streams) decode +
         // CRC + registry insert — so 5 s is process spawn plus connect
@@ -104,11 +114,14 @@ pub fn gates(
             Min,
             crash.streams as f64,
         ),
-        // Churn between the last confirmed snapshot and the SIGKILL may
-        // legitimately surface above the durable oracle; below it the
-        // Θ/HLL estimator envelope is the only slack. 0.15 covers both;
-        // losing more than one snapshot interval of ingest breaks it.
-        gate("durability_relerr", crash.worst_relative_error, Max, 0.15),
+        // A restarted stream holds at least what its on-disk record's
+        // `seq` claims: losing one acked batch more breaks it.
+        gate(
+            "crash_relaxation_violations",
+            crash.relaxation_violations as f64,
+            Max,
+            0.0,
+        ),
         // A torn or doctored snapshot record is never trusted.
         gate(
             "durability_corrupt_accepted",
@@ -146,7 +159,7 @@ pub fn render_json(
             .into_iter()
             .map(|(name, count)| (name, count.to_string())),
     );
-    let mut out = String::from("{\n  \"schema\": \"fcds-bench-serve-v2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fcds-bench-serve-v3\",\n");
     let _ = write!(
         out,
         "  \"config\": {{\"batch_size\": {}, \"baseline_ms\": {}, \"fault_hold_ms\": {}}},\n  \
@@ -166,25 +179,25 @@ pub fn render_json(
     let _ = write!(
         out,
         "  \"multistream\": {{\"streams\": {}, \"items_acked\": {}, \"isolation\": {:.4}, \
-         \"streams_converged\": {}}},\n  \
-         \"sync\": {{\"streams\": {}, \"converged\": {}, \"worst_relerr\": {:.4}, \
+         \"relaxation_violations\": {}}},\n  \
+         \"sync\": {{\"streams\": {}, \"converged\": {}, \"relaxation_violations\": {}, \
          \"convergence_ms\": {:.1}, \"pushes\": {}}},\n  \
          \"crash\": {{\"streams\": {}, \"recovered_streams\": {}, \"recovery_ms\": {:.1}, \
-         \"worst_relerr\": {:.4}, \"corrupt_accepted\": {}, \"quarantined\": {}, \
+         \"relaxation_violations\": {}, \"corrupt_accepted\": {}, \"quarantined\": {}, \
          \"churn_items\": {}}},\n  ",
         msr.streams,
         msr.items_acked,
         msr.isolation,
-        msr.streams_converged,
+        msr.relaxation_violations,
         sync.streams,
         sync.converged,
-        sync.worst_relative_error,
+        sync.relaxation_violations,
         ms_or(sync.convergence),
         sync.pushes,
         crash.streams,
         crash.recovered_streams,
         ms_or(crash.recovery),
-        crash.worst_relative_error,
+        crash.relaxation_violations,
         crash.corrupt_accepted,
         crash.quarantined,
         crash.churn_items,

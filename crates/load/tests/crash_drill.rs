@@ -30,14 +30,9 @@ fn kill_drill_recovers_every_stream_and_rejects_corruption() {
         "recovery timed out ({:?})",
         cfg.recovery_timeout
     );
-    // Recovered counts sit between the durable oracle and oracle+churn,
-    // padded by the Θ/HLL estimator envelope.
-    assert!(
-        report.worst_relative_error <= 0.2,
-        "worst relative error {} (per family: {:?})",
-        report.worst_relative_error,
-        report.family_relerr
-    );
+    // Each restarted stream holds at least what its record's `seq`
+    // claimed before the kill, up to the writer's relaxation.
+    assert_eq!(report.relaxation_violations, 0);
     assert_eq!(
         report.corrupt_accepted, 0,
         "a CRC-invalid record was served after restart"

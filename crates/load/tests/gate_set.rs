@@ -1,7 +1,8 @@
 //! Pins the set of gates `fcds-load` declares in `BENCH_serve.json`, so
 //! a renamed, dropped or re-directed gate fails tier-1 rather than the
-//! CI bench leg: exactly the eleven count-and-bound checks, no speed
-//! gate, and each one trips alone when its measurement is doctored.
+//! CI bench leg: exactly the twelve count-and-time checks, no speed
+//! gate, no relative-error tolerance, and each one trips alone when its
+//! measurement is doctored.
 
 use fcds_bench::gate::{check_doc, Bound};
 use fcds_load::report::{gates, render_gates, render_json};
@@ -12,17 +13,18 @@ use fcds_load::{
 use fcds_server::frame::NackCode;
 use std::time::Duration;
 
-const GATES: [&str; 11] = [
+const GATES: [&str; 12] = [
     "typed_error_coverage",
     "fault_classes_survived",
     "worst_recovery_ms",
     "multistream_isolation",
     "multistream_typed_coverage",
+    "served_relaxation_violations",
     "sync_convergence_streams",
-    "sync_convergence_relerr",
+    "peer_relaxation_violations",
     "durability_recovery_s",
     "durability_streams_recovered",
-    "durability_relerr",
+    "crash_relaxation_violations",
     "durability_corrupt_accepted",
 ];
 
@@ -56,13 +58,13 @@ fn healthy() -> (
         items_acked: 1_000_000,
         untyped_failures: 0,
         isolation: 1.0,
-        streams_converged: 8,
+        relaxation_violations: 0,
         leaked_threads: 0,
     };
     let sync = SyncReport {
         streams: 4,
         converged: 4,
-        worst_relative_error: 0.01,
+        relaxation_violations: 0,
         convergence: Some(Duration::from_millis(120)),
         pushes: 9,
         leaked_threads: 0,
@@ -71,8 +73,7 @@ fn healthy() -> (
         streams: 8,
         recovered_streams: 8,
         recovery: Some(Duration::from_millis(40)),
-        worst_relative_error: 0.02,
-        family_relerr: [0.02, 0.01, 0.0, 0.0],
+        relaxation_violations: 0,
         corrupt_accepted: 0,
         quarantined: 2,
         churn_items: 4_000,
@@ -82,7 +83,7 @@ fn healthy() -> (
 }
 
 #[test]
-fn bench_serve_declares_exactly_the_eleven_count_and_bound_gates() {
+fn bench_serve_declares_exactly_the_twelve_count_and_time_gates() {
     let (scenario, multistream, sync, crash) = healthy();
     let doc = render_json(
         &LoadConfig::default(),
@@ -99,6 +100,11 @@ fn bench_serve_declares_exactly_the_eleven_count_and_bound_gates() {
         assert!(
             !check.name.contains("items_per_s") && !check.name.contains("p99"),
             "{} is a speed gate; benchmark/ owns those",
+            check.name
+        );
+        assert!(
+            !check.name.contains("relerr"),
+            "{} is a relative-error tolerance; the relaxation checkers replace those",
             check.name
         );
     }
@@ -129,11 +135,12 @@ fn a_doctored_measurement_fails_its_own_gate_and_no_other() {
 fn a_drill_that_never_finished_trips_its_bound() {
     // An unrecovered fault phase, an unconverged peer and a restart that
     // timed out have no duration to report; they must fail their gates,
-    // not drop out of them.
+    // not drop out of them. The peer stream that never converged is a
+    // relaxation violation too.
     let (mut scenario, multistream, mut sync, mut crash) = healthy();
     scenario.phases[0].recovery = None;
     sync.converged = 3;
-    sync.worst_relative_error = 1.0;
+    sync.relaxation_violations = 1;
     crash.recovery = None;
     let failed: Vec<String> = gates(&scenario, &multistream, &sync, &crash)
         .into_iter()
@@ -145,7 +152,7 @@ fn a_drill_that_never_finished_trips_its_bound() {
         [
             "worst_recovery_ms",
             "sync_convergence_streams",
-            "sync_convergence_relerr",
+            "peer_relaxation_violations",
             "durability_recovery_s",
         ]
     );

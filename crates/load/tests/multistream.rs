@@ -27,21 +27,20 @@ fn multistream_drill_isolates_and_types_every_failure() {
         report.isolation, 1.0,
         "poisoned stream bled into its neighbours"
     );
-    assert_eq!(report.streams_converged, 8);
+    assert_eq!(
+        report.relaxation_violations, 0,
+        "a read held other than a prefix of what was sent, within r"
+    );
     assert!(report.taxonomy.nacks(NackCode::UnknownStream) >= 1);
     assert!(report.taxonomy.nacks(NackCode::FamilyMismatch) >= 1);
     assert_eq!(report.leaked_threads, 0);
 }
 
 #[test]
-fn sync_drill_converges_every_stream_within_tolerance() {
+fn sync_drill_converges_every_stream_inside_the_relaxation() {
     let report = run_sync_drill(10_000).expect("sync drill");
     assert_eq!(report.converged, report.streams);
-    assert!(
-        report.worst_relative_error <= 0.08,
-        "worst relative error {}",
-        report.worst_relative_error
-    );
+    assert_eq!(report.relaxation_violations, 0);
     assert!(report.convergence.is_some());
     assert!(report.pushes > 0, "replica pusher never delivered");
     assert_eq!(report.leaked_threads, 0);

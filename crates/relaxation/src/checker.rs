@@ -139,15 +139,7 @@ impl ThetaChecker {
         preceding: usize,
         obs: &ThetaObservation,
     ) -> Result<(), Violation> {
-        let mut distinct: Vec<u64> = Vec::new();
-        let mut seen = HashSet::new();
-        for &h in &stream[..preceding] {
-            if seen.insert(h) {
-                distinct.push(h);
-            }
-        }
-        distinct.sort_unstable();
-        self.check_sorted(&distinct, obs)
+        self.scan(stream, preceding, preceding, obs)
     }
 
     /// Checks an observation for a query concurrent with ingestion: the
@@ -161,72 +153,54 @@ impl ThetaChecker {
         obs: &ThetaObservation,
     ) -> Result<(), Violation> {
         assert!(lo <= hi && hi <= stream.len(), "bad window");
-        // Build the distinct sorted prefix incrementally from lo to hi.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut sorted: Vec<u64> = Vec::new();
-        for &h in &stream[..lo] {
-            if seen.insert(h) {
-                sorted.push(h);
-            }
-        }
-        sorted.sort_unstable();
-        let mut last_violation = None;
-        for p in lo..=hi {
-            if p > lo {
-                let h = stream[p - 1];
-                if seen.insert(h) {
-                    let idx = sorted.partition_point(|&x| x < h);
-                    sorted.insert(idx, h);
-                }
-            }
-            match self.check_sorted(&sorted, obs) {
-                Ok(()) => return Ok(()),
-                Err(v) => last_violation = Some(v),
-            }
-        }
-        Err(Violation::NoValidPrefix {
-            last: Box::new(last_violation.expect("window non-empty")),
-        })
+        self.scan(stream, lo, hi, obs)
+            .map_err(|last| Violation::NoValidPrefix {
+                last: Box::new(last),
+            })
     }
 
-    /// Core admissibility test against a sorted, distinct preceding set.
-    fn check_sorted(
+    /// One pass over `stream[..hi]` that tests every prefix length in
+    /// `lo..=hi`; the violation at `hi` if none admits `obs`. Only the
+    /// hashes below Θ, and Θ itself, bear on admissibility, so only those
+    /// are kept — in estimation mode about `k` of them.
+    fn scan(
         &self,
-        sorted_distinct: &[u64],
+        stream: &[u64],
+        lo: usize,
+        hi: usize,
         obs: &ThetaObservation,
     ) -> Result<(), Violation> {
-        if obs.theta == THETA_MAX {
-            // Exact mode: the query saw |S| ∈ [|P|−r, |P|] distinct items.
-            let total = sorted_distinct.len() as u64;
-            let lo = total.saturating_sub(self.r);
-            if obs.retained < lo || obs.retained > total {
-                return Err(Violation::RetainedOutOfRange {
-                    retained: obs.retained,
-                    lo,
-                    hi: total,
-                });
-            }
-            let implied = obs.retained as f64;
-            if (obs.estimate - implied).abs() > 1e-6 {
-                return Err(Violation::EstimateMismatch {
-                    observed: obs.estimate,
-                    implied,
-                });
-            }
-            return Ok(());
+        let mut prefix = BelowTheta::default();
+        for &h in &stream[..lo] {
+            prefix.push(h, obs.theta);
         }
+        let mut verdict = self.admits(&prefix, obs);
+        for &h in &stream[lo..hi] {
+            if verdict.is_ok() {
+                break;
+            }
+            prefix.push(h, obs.theta);
+            verdict = self.admits(&prefix, obs);
+        }
+        verdict
+    }
 
-        // Estimation mode.
-        if (obs.retained as usize) < self.k {
-            return Err(Violation::BelowK {
-                retained: obs.retained,
-                k: self.k,
-            });
+    /// Core admissibility test against one prefix.
+    fn admits(&self, prefix: &BelowTheta, obs: &ThetaObservation) -> Result<(), Violation> {
+        let exact = obs.theta == THETA_MAX;
+        if !exact {
+            if (obs.retained as usize) < self.k {
+                return Err(Violation::BelowK {
+                    retained: obs.retained,
+                    k: self.k,
+                });
+            }
+            if !prefix.theta_seen {
+                return Err(Violation::ThetaNotInStream { theta: obs.theta });
+            }
         }
-        if sorted_distinct.binary_search(&obs.theta).is_err() {
-            return Err(Violation::ThetaNotInStream { theta: obs.theta });
-        }
-        let c_full = sorted_distinct.partition_point(|&x| x < obs.theta) as u64;
+        // C(Θ) — in exact mode every distinct hash, |P|.
+        let c_full = prefix.distinct.len() as u64;
         let lo = c_full.saturating_sub(self.r);
         if obs.retained < lo || obs.retained > c_full {
             return Err(Violation::RetainedOutOfRange {
@@ -235,7 +209,11 @@ impl ThetaChecker {
                 hi: c_full,
             });
         }
-        let implied = obs.retained as f64 / theta_to_fraction(obs.theta);
+        let implied = if exact {
+            obs.retained as f64
+        } else {
+            obs.retained as f64 / theta_to_fraction(obs.theta)
+        };
         let rel = (obs.estimate - implied).abs() / implied.max(1.0);
         if rel > 1e-9 {
             return Err(Violation::EstimateMismatch {
@@ -244,6 +222,24 @@ impl ThetaChecker {
             });
         }
         Ok(())
+    }
+}
+
+/// What a prefix of the stream holds for one observed Θ: its distinct
+/// hashes below Θ, and whether Θ itself occurred.
+#[derive(Default)]
+struct BelowTheta {
+    distinct: HashSet<u64>,
+    theta_seen: bool,
+}
+
+impl BelowTheta {
+    fn push(&mut self, h: u64, theta: u64) {
+        if h < theta {
+            self.distinct.insert(h);
+        } else {
+            self.theta_seen |= h == theta;
+        }
     }
 }
 

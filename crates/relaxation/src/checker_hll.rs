@@ -1,0 +1,257 @@
+//! Run-time r-relaxation checker for the concurrent HyperLogLog sketch.
+//!
+//! An HLL answer is its register array `A`. The sequential sketch over a
+//! sub-stream `S` holds, in register `j`, the largest rank of `S`'s items
+//! in bucket `j` (0 if there are none). So `A` is what the sequential
+//! sketch returns on some `S` that misses at most `r` updates of the
+//! prefix `P` iff both of these hold:
+//!
+//! * every non-zero `A[j]` is *reached*: some item of bucket `j` in `P`
+//!   has rank exactly `A[j]`;
+//! * the items of `P` whose rank exceeds `A` at their bucket — which
+//!   every such `S` must hide — number at most `r`.
+//!
+//! Both are necessary, and together sufficient: hiding exactly those
+//! items leaves a sub-stream whose registers are `A`. Both counts only
+//! grow with the prefix, so [`HllChecker::check_window`] is one pass over
+//! the stream at O(1) per item.
+//!
+//! Bucket and rank are [`HllSketch::update_hash`]'s: the top `lg_m` bits
+//! of the hash pick the register, and the rank is the position of the
+//! first 1-bit in the rest.
+//!
+//! [`HllSketch::update_hash`]: fcds_sketches::hll::HllSketch::update_hash
+
+/// Why an HLL answer was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HllViolation {
+    /// No item of the register's bucket in any prefix of the window has
+    /// the register's rank.
+    Unreached {
+        /// The register index.
+        register: usize,
+        /// Its rank in the answer.
+        rank: u8,
+    },
+    /// Admitting the answer would hide more than `r` updates.
+    TooManyHidden {
+        /// The prefix length at which the count passed `r`.
+        prefix: usize,
+        /// Updates that would have to be hidden there.
+        hidden: u64,
+        /// The relaxation bound.
+        r: u64,
+    },
+}
+
+impl std::fmt::Display for HllViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HllViolation::Unreached { register, rank } => {
+                write!(f, "register {register} holds rank {rank} no item reaches")
+            }
+            HllViolation::TooManyHidden { prefix, hidden, r } => {
+                write!(
+                    f,
+                    "{hidden} updates of prefix {prefix} must be hidden, r = {r}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for HllViolation {}
+
+/// The r-relaxation checker for concurrent HLL executions. The answer
+/// is a register array; its length `2^lg_m` fixes the bucket width.
+#[derive(Debug, Clone, Copy)]
+pub struct HllChecker {
+    r: u64,
+}
+
+impl HllChecker {
+    /// Creates a checker with relaxation bound `r` (`2Nb`, Theorem 1).
+    pub fn new(r: u64) -> Self {
+        HllChecker { r }
+    }
+
+    /// Checks `registers` against a query that saw exactly the first
+    /// `preceding` updates of `stream` (hashes, in ingestion order).
+    pub fn check_at(
+        &self,
+        stream: &[u64],
+        preceding: usize,
+        registers: &[u8],
+    ) -> Result<(), HllViolation> {
+        self.check_window(stream, preceding, preceding, registers)
+    }
+
+    /// Checks `registers` for a query whose linearisation point saw some
+    /// prefix of length in `lo..=hi`. Admissible iff any prefix in the
+    /// window admits it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not inside `stream` or the register count
+    /// is not a power of two.
+    pub fn check_window(
+        &self,
+        stream: &[u64],
+        lo: usize,
+        hi: usize,
+        registers: &[u8],
+    ) -> Result<(), HllViolation> {
+        assert!(lo <= hi && hi <= stream.len(), "bad window");
+        assert!(registers.len().is_power_of_two(), "register count");
+        let lg_m = registers.len().trailing_zeros();
+        let mut reached = vec![false; registers.len()];
+        let mut unreached = registers.iter().filter(|&&a| a != 0).count();
+        let mut hidden = 0u64;
+        for (p, &hash) in stream[..hi].iter().enumerate() {
+            if p >= lo && unreached == 0 {
+                return Ok(());
+            }
+            let (j, rank) = bucket_rank(hash, lg_m);
+            match rank.cmp(&registers[j]) {
+                std::cmp::Ordering::Equal if !reached[j] => {
+                    reached[j] = true;
+                    unreached -= 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    hidden += 1;
+                    if hidden > self.r {
+                        return Err(HllViolation::TooManyHidden {
+                            prefix: p + 1,
+                            hidden,
+                            r: self.r,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        match (0..registers.len()).find(|&j| registers[j] != 0 && !reached[j]) {
+            None => Ok(()),
+            Some(register) => Err(HllViolation::Unreached {
+                register,
+                rank: registers[register],
+            }),
+        }
+    }
+}
+
+/// The register a hash updates and the rank it offers there.
+fn bucket_rank(hash: u64, lg_m: u32) -> (usize, u8) {
+    let tail = hash << lg_m;
+    let rank = if tail == 0 {
+        64 - lg_m + 1
+    } else {
+        tail.leading_zeros() + 1
+    };
+    ((hash >> (64 - lg_m)) as usize, rank as u8)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fcds_sketches::hash::Hashable;
+    use fcds_sketches::hll::HllSketch;
+
+    const SEED: u64 = 9001;
+
+    fn hashed_stream(n: u64) -> Vec<u64> {
+        (0..n).map(|i| i.hash_with_seed(SEED)).collect()
+    }
+
+    /// The sequential lg_m 12 sketch after the first `p` items.
+    fn registers_at(stream: &[u64], p: usize) -> HllSketch {
+        let mut sketch = HllSketch::new(12, SEED).unwrap();
+        for &h in &stream[..p] {
+            sketch.update_hash(h);
+        }
+        sketch
+    }
+
+    #[test]
+    fn sequential_run_is_a_0_relaxation() {
+        // Pins bucket and rank to `HllSketch::update_hash`: a mismatch
+        // leaves registers unreached or items hidden.
+        let stream = hashed_stream(50_000);
+        let checker = HllChecker::new(0);
+        for p in [0, 1, 100, 4_096, 20_000, 50_000] {
+            let sketch = registers_at(&stream, p);
+            checker
+                .check_at(&stream, p, sketch.registers())
+                .unwrap_or_else(|v| panic!("prefix {p}: {v}"));
+        }
+    }
+
+    #[test]
+    fn a_register_no_item_reaches_is_rejected() {
+        let stream = hashed_stream(20_000);
+        let mut registers = registers_at(&stream, 20_000).registers().to_vec();
+        // One past a register's maximum: no item of the bucket has it.
+        registers[7] += 1;
+        assert_eq!(
+            HllChecker::new(0).check_at(&stream, 20_000, &registers),
+            Err(HllViolation::Unreached {
+                register: 7,
+                rank: registers[7]
+            })
+        );
+    }
+
+    #[test]
+    fn hiding_r_items_is_admitted_and_r_plus_1_is_rejected() {
+        let stream = hashed_stream(50_000);
+        let base = registers_at(&stream, 20_000);
+        // Prefix lengths after which 1, 2, … later items would grow the
+        // answer's registers, found by the sketch itself.
+        let growing: Vec<usize> = (20_000..stream.len())
+            .filter(|&i| base.clone().update_hash(stream[i]))
+            .map(|i| i + 1)
+            .take(9)
+            .collect();
+        let r = 8;
+        let checker = HllChecker::new(r);
+        checker
+            .check_at(&stream, growing[7], base.registers())
+            .unwrap();
+        assert_eq!(
+            checker.check_at(&stream, growing[8], base.registers()),
+            Err(HllViolation::TooManyHidden {
+                prefix: growing[8],
+                hidden: r + 1,
+                r
+            })
+        );
+    }
+
+    #[test]
+    fn a_window_reaching_back_to_the_answers_prefix_admits_it() {
+        let stream = hashed_stream(30_000);
+        let answer = registers_at(&stream, 20_000);
+        let checker = HllChecker::new(0);
+        checker
+            .check_window(&stream, 10_000, 30_000, answer.registers())
+            .unwrap();
+        assert!(checker
+            .check_window(&stream, 25_000, 30_000, answer.registers())
+            .is_err());
+    }
+
+    #[test]
+    fn violation_display_messages() {
+        let v = HllViolation::Unreached {
+            register: 3,
+            rank: 9,
+        };
+        assert!(v.to_string().contains("register 3"));
+        let v = HllViolation::TooManyHidden {
+            prefix: 10,
+            hidden: 5,
+            r: 4,
+        };
+        assert!(v.to_string().contains("r = 4"));
+    }
+}

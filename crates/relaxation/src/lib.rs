@@ -15,6 +15,9 @@
 //!   observation is admissible under the `r = 2Nb` relaxation. Used by
 //!   integration tests to validate Lemma 1/Theorem 1 empirically on real
 //!   multi-threaded executions.
+//! * [`checker_hll`] — the exact checker for HyperLogLog answers, off
+//!   the registers: every non-zero register is reached by an item of the
+//!   prefix, and at most `r` items exceed theirs.
 //! * [`checker_quantiles`] — the analogous checker for quantile queries,
 //!   testing answers against the §6.2 envelope `(φ ± ε_r)·n`.
 //! * [`adversary`] — Monte-Carlo simulation of the §6.1 adversaries
@@ -34,6 +37,7 @@
 
 pub mod adversary;
 pub mod checker;
+pub mod checker_hll;
 pub mod checker_quantiles;
 pub mod history;
 pub mod orderstats;

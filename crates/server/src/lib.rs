@@ -15,7 +15,8 @@
 //!   and applies an ingest frame in place — `ingest_batch`, `flush`,
 //!   then the `Ack`. An `Ack` therefore means the items are inside the
 //!   engine's `r = 2Nb`, with `N` the connections holding a writer on
-//!   that stream; the served path adds nothing to it. Backpressure is
+//!   that stream ([`stream_relaxation`]); the served path adds nothing
+//!   to it. Backpressure is
 //!   the closed loop itself: nothing is acked before it is applied, so
 //!   nothing queues.
 //! * **Fault isolation** — each ingest runs under `catch_unwind`. A
@@ -106,7 +107,7 @@ pub use config::ServerConfig;
 pub use frame::{FrameType, NackCode};
 pub use persist::{DirStore, FsyncPolicy, SnapshotStore};
 pub use recover::{RecoverError, RecoveryOutcome, SnapshotRecord};
-pub use registry::StreamInfo;
+pub use registry::{stream_relaxation, StreamInfo};
 pub use stats::StatsSnapshot;
 
 use crate::registry::Registry;

@@ -28,12 +28,12 @@
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
 use crate::slots::{fan_in, validate_envelope, Consumer, FaninKey, Fanned, Slots, Want};
-use crate::{ServerCtx, DEFAULT_STREAM};
+use crate::{ServerConfig, ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::{
     EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine, ThetaFamily,
 };
-use fcds_core::PropagationBackendKind;
+use fcds_core::{ConcurrencyConfig, PropagationBackendKind};
 use fcds_sketches::wire::SketchFamily;
 use fcds_sketches::WireError;
 use std::collections::HashMap;
@@ -232,22 +232,40 @@ impl Registry {
 /// is the number of connections holding one.
 const STREAM_WRITERS: usize = 1;
 
+/// The declared writer count `N` of stream `key`:
+/// [`ServerConfig::ingest_workers`] for the default stream,
+/// [`STREAM_WRITERS`] for a named one.
+fn declared_writers(cfg: &ServerConfig, key: &[u8]) -> usize {
+    let writers = if key == DEFAULT_STREAM {
+        cfg.ingest_workers
+    } else {
+        STREAM_WRITERS
+    };
+    writers.max(1)
+}
+
+/// The relaxation `r = 2Nb` of stream `key` while `live_writers`
+/// connections hold a writer on it: every query misses at most this
+/// many acked items (Theorem 1). `b` is sized from the stream's
+/// *declared* `N`, the `N` of `2Nb` is the live one — no writer cap, so
+/// a client that opens more connections widens `r` instead of being
+/// refused.
+pub fn stream_relaxation(cfg: &ServerConfig, key: &[u8], live_writers: usize) -> u64 {
+    let declared = ConcurrencyConfig {
+        writers: declared_writers(cfg, key),
+        ..ConcurrencyConfig::default()
+    };
+    declared.relaxation() / declared.writers as u64 * live_writers as u64
+}
+
 /// Builds a stream ready to insert into the registry: the engine for
-/// `family` (declared `N` = [`ServerConfig::ingest_workers`] for the
-/// default stream, [`STREAM_WRITERS`] for a named one), no thread.
-///
-/// [`ServerConfig::ingest_workers`]: crate::ServerConfig::ingest_workers
+/// `family` with the stream's declared `N`, no thread.
 pub(crate) fn new_stream(
     ctx: &ServerCtx,
     key: &[u8],
     family: SketchFamily,
 ) -> Result<Arc<StreamState>, String> {
-    let writers = if key == DEFAULT_STREAM {
-        ctx.cfg.ingest_workers
-    } else {
-        STREAM_WRITERS
-    };
-    let engine = build_engine(family, ctx.cfg.lg_k, writers)?;
+    let engine = build_engine(family, ctx.cfg.lg_k, declared_writers(&ctx.cfg, key))?;
     let state = Arc::new(StreamState::new(key, family, engine));
     ctx.stats.streams_created.fetch_add(1, Ordering::Relaxed);
     Ok(state)
@@ -276,7 +294,6 @@ fn build_engine(
     lg_k: u8,
     writers: usize,
 ) -> Result<Box<dyn StreamEngine>, String> {
-    let writers = writers.max(1);
     let backend = PropagationBackendKind::WriterAssisted;
     let built = match family {
         SketchFamily::Theta => EngineBuilder::<ThetaFamily>::new()
@@ -358,5 +375,37 @@ mod tests {
             payload.downcast_ref::<String>().map(String::as_str),
             Some(NO_IMAGE)
         );
+    }
+
+    #[test]
+    fn stream_relaxation_sizes_b_from_the_declared_n_and_counts_live_writers() {
+        let cfg = ServerConfig {
+            ingest_workers: 2,
+            ..ServerConfig::default()
+        };
+        // b = 16 at N = 1, 12 at N = 2 (e = 0.04).
+        assert_eq!(stream_relaxation(&cfg, b"named", 1), 32);
+        assert_eq!(stream_relaxation(&cfg, DEFAULT_STREAM, 1), 24);
+        for writers in 1..=8 {
+            let cfg = ServerConfig {
+                ingest_workers: writers,
+                ..ServerConfig::default()
+            };
+            let declared = |writers| {
+                ConcurrencyConfig {
+                    writers,
+                    ..ConcurrencyConfig::default()
+                }
+                .relaxation()
+            };
+            assert_eq!(
+                stream_relaxation(&cfg, DEFAULT_STREAM, writers),
+                declared(writers)
+            );
+            assert_eq!(
+                stream_relaxation(&cfg, b"named", STREAM_WRITERS),
+                declared(STREAM_WRITERS)
+            );
+        }
     }
 }

@@ -3,10 +3,9 @@
 //! network tier's happy paths plus its headline fault story (worker
 //! panic → breaker → recovery → graceful drain).
 
-use fcds_core::ConcurrencyConfig;
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{FrameType, NackCode};
-use fcds_server::{serve, BreakerState, ServerConfig};
+use fcds_server::{serve, stream_relaxation, BreakerState, ServerConfig, DEFAULT_STREAM};
 use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::{peek, SketchFamily, WireEncode};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,11 +85,8 @@ fn ingest_from_two_clients_reaches_the_live_engine() {
 #[test]
 fn served_estimates_stay_inside_the_relaxation_window() {
     let cfg = test_config();
-    let r = ConcurrencyConfig {
-        writers: cfg.ingest_workers,
-        ..ConcurrencyConfig::default()
-    }
-    .relaxation();
+    // One connection ingests.
+    let r = stream_relaxation(&cfg, DEFAULT_STREAM, 1);
     let handle = serve(cfg).unwrap();
     let addr = handle.local_addr();
     let (sent, acked, done) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
