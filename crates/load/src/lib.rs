@@ -22,7 +22,8 @@
 //! the stream the drill sent, with at most `r` of its items hidden
 //! ([`fcds_server::stream_relaxation`]). Each read is an image taken
 //! while between `acked` and `sent` items of the stream were in, and
-//! `admissible` checks it with the `fcds-relaxation` checkers.
+//! [`fcds_relaxation::check_image`] checks it with the `lg_k` of the
+//! config the drill served.
 //!
 //! The drills share one scaffold: a `DrillStream` names the default
 //! stream or a `(family, key)` stream and logs what was sent to it; one
@@ -34,14 +35,11 @@
 
 pub mod report;
 
-use fcds_relaxation::checker::{ThetaChecker, ThetaObservation};
-use fcds_relaxation::checker_hll::HllChecker;
+use fcds_relaxation::check_image;
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
 use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
-use fcds_sketches::hash::Hashable;
-use fcds_sketches::theta::{normalize_hash, theta_to_fraction};
-use fcds_sketches::wire::{HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView};
+use fcds_sketches::wire::SketchFamily;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -275,14 +273,15 @@ fn proxy_accept_loop(
                 pumps.push(
                     std::thread::Builder::new()
                         .name("proxy-c2s".to_string())
-                        .spawn(move || pump_with_faults(client, server, &mode_c2s, &stop_c2s))
+                        .spawn(move || pump(client, server, &mode_c2s, &stop_c2s))
                         .expect("spawn pump"),
                 );
                 let stop_s2c = Arc::clone(stop);
+                let clean = AtomicU8::new(FaultMode::Off as u8);
                 pumps.push(
                     std::thread::Builder::new()
                         .name("proxy-s2c".to_string())
-                        .spawn(move || pump_clean(server2, client2, &stop_s2c))
+                        .spawn(move || pump(server2, client2, &clean, &stop_s2c))
                         .expect("spawn pump"),
                 );
             }
@@ -297,8 +296,10 @@ fn proxy_accept_loop(
     }
 }
 
-/// Client→server pump, applying the current fault mode chunk by chunk.
-fn pump_with_faults(mut from: TcpStream, mut to: TcpStream, mode: &AtomicU8, stop: &AtomicBool) {
+/// Forwards `from` to `to`, applying the current fault `mode` chunk by
+/// chunk: the client→server pump. The server→client pump's mode stays
+/// `Off`.
+fn pump(mut from: TcpStream, mut to: TcpStream, mode: &AtomicU8, stop: &AtomicBool) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(25)));
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -356,32 +357,6 @@ fn pump_with_faults(mut from: TcpStream, mut to: TcpStream, mode: &AtomicU8, sto
     }
 }
 
-/// Server→client pump: always clean.
-fn pump_clean(mut from: TcpStream, mut to: TcpStream, stop: &AtomicBool) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match from.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Where a request goes: the server's default stream (FCF1 v1 frames)
 /// or a named stream (v2 frames).
 #[derive(Debug)]
@@ -406,8 +381,8 @@ impl Target {
     }
 }
 
-/// Θ/HLL reads the query loop keeps per stream for checking, the
-/// latest ones: each check hashes the whole stream.
+/// Θ/HLL/Misra–Gries reads the query loop keeps per stream for
+/// checking, the latest ones: each check runs over the whole stream.
 const SAMPLED_READS: usize = 16;
 
 /// One image read of a stream, with its window: `acked` items were
@@ -427,8 +402,8 @@ struct DrillStream {
     /// The items sent, as the ranges `ingest_loop` sent them in.
     sent: Mutex<Vec<Range<u64>>>,
     acked: AtomicUsize,
-    /// The query loop's image reads: every Quantiles/Frequency one, the
-    /// last [`SAMPLED_READS`] for Θ/HLL.
+    /// The query loop's image reads: every Quantiles one, the last
+    /// [`SAMPLED_READS`] for the other families.
     reads: Mutex<Vec<ImageRead>>,
 }
 
@@ -474,79 +449,26 @@ impl DrillStream {
     fn keep(&self, image: Vec<u8>, acked: usize) {
         let sent = self.sent();
         let mut reads = self.reads.lock().expect("reads lock");
-        let sampled = matches!(
-            self.target.family(),
-            SketchFamily::Theta | SketchFamily::Hll
-        );
-        if sampled && reads.len() == SAMPLED_READS {
+        if self.target.family() != SketchFamily::Quantiles && reads.len() == SAMPLED_READS {
             reads.remove(0);
         }
         reads.push(ImageRead { image, acked, sent });
     }
 
-    /// How many of the kept reads and `extra` are not admissible with
-    /// relaxation `r`.
-    fn violations(&self, r: u64, extra: Option<ImageRead>) -> usize {
+    /// How many of the kept reads and `extra` are not admissible under
+    /// the relaxation of the server `cfg` configures.
+    fn violations(&self, cfg: &ServerConfig, extra: Option<ImageRead>) -> usize {
+        let r = stream_relaxation(cfg, self.target.key(), 1);
         let items = self.items();
         let reads = self.reads.lock().expect("reads lock");
         reads
             .iter()
             .chain(&extra)
             .filter(|read| {
-                !admissible(
-                    self.target.family(),
-                    &read.image,
-                    &items[..read.sent],
-                    read.acked,
-                    r,
-                )
+                let (family, sent) = (self.target.family(), &items[..read.sent]);
+                check_image(family, &read.image, sent, read.acked, r, cfg.lg_k).is_err()
             })
             .count()
-    }
-}
-
-/// Whether `image`, a `family` answer read after the first `acked`
-/// items of `sent` were acked and before any item past `sent` was sent,
-/// is what the sequential sketch returns on some prefix `p ∈ [acked,
-/// sent.len()]` with at most `r` of its items hidden (Theorem 1). Θ and
-/// HLL hash the items as the engine does, with the image's seed; the
-/// Quantiles and Misra–Gries images carry their exact item count `n`.
-fn admissible(family: SketchFamily, image: &[u8], sent: &[u64], acked: usize, r: u64) -> bool {
-    let (lo, hi) = (acked, sent.len());
-    let count_in = |n: u64| (lo.saturating_sub(r as usize) as u64..=hi as u64).contains(&n);
-    match family {
-        SketchFamily::Theta => ThetaWireView::parse(image).is_ok_and(|view| {
-            let hashes: Vec<u64> = sent
-                .iter()
-                .map(|item| normalize_hash(item.hash_with_seed(view.seed())))
-                .collect();
-            let retained = view.len() as u64;
-            let obs = ThetaObservation {
-                theta: view.theta(),
-                retained,
-                estimate: retained as f64 / theta_to_fraction(view.theta()),
-            };
-            // Every drill server runs the default lg_k.
-            let k = 1 << ServerConfig::default().lg_k;
-            ThetaChecker::new(k, r)
-                .check_window(&hashes, lo, hi, &obs)
-                .is_ok()
-        }),
-        SketchFamily::Hll => HllWireView::parse(image).is_ok_and(|view| {
-            let hashes: Vec<u64> = sent
-                .iter()
-                .map(|item| item.hash_with_seed(view.seed()))
-                .collect();
-            HllChecker::new(r)
-                .check_window(&hashes, lo, hi, view.registers())
-                .is_ok()
-        }),
-        SketchFamily::Quantiles => {
-            LadderWireView::<u64>::parse(image).is_ok_and(|view| count_in(view.n()))
-        }
-        SketchFamily::Frequency => {
-            MgWireView::<u64>::parse(image).is_ok_and(|view| count_in(view.n()))
-        }
     }
 }
 
@@ -1115,9 +1037,8 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
             Answer::Image(image) => image,
             _ => Vec::new(),
         };
-        let r = stream_relaxation(&server_cfg, stream.target.key(), 1);
         let settled = ImageRead { image, acked, sent };
-        relaxation_violations += stream.violations(r, Some(settled));
+        relaxation_violations += stream.violations(&server_cfg, Some(settled));
     }
 
     // Poison the last stream (the planted item latches its ingest
@@ -1228,7 +1149,7 @@ pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
     // One writer fed each stream; `at` is the window's low end.
     let admits = |stream: &DrillStream, items: &[u64], at: usize, image: &[u8]| {
         let r = stream_relaxation(&source_cfg, stream.target.key(), 1);
-        admissible(stream.target.family(), image, items, at, r)
+        check_image(stream.target.family(), image, items, at, r, source_cfg.lg_k).is_ok()
     };
 
     let tally = Tally::default();
@@ -1376,20 +1297,25 @@ pub struct CrashDrillReport {
 /// (binary run + tests) never collide.
 static CRASH_DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Spawns a real `fcds-server` process on a free port with the
-/// durability tier pointed at `dir`, and parses the listening address
-/// off its stdout (printed only after recovery completes, so the
-/// returned address is immediately queryable).
+/// Spawns a real `fcds-server` process on a free port with `cfg`'s
+/// `lg_k` and snapshot interval and the durability tier pointed at
+/// `dir`, and parses the listening address off its stdout (printed only
+/// after recovery completes, so the returned address is immediately
+/// queryable).
 fn spawn_server_process(
     bin: &Path,
     dir: &Path,
-    snapshot_interval: Duration,
+    cfg: &ServerConfig,
 ) -> std::io::Result<(Child, SocketAddr)> {
     use std::io::BufRead as _;
     let mut child = Command::new(bin)
         .arg("--addr=127.0.0.1:0")
+        .arg(format!("--lg-k={}", cfg.lg_k))
         .arg(format!("--data-dir={}", dir.display()))
-        .arg(format!("--snapshot-ms={}", snapshot_interval.as_millis()))
+        .arg(format!(
+            "--snapshot-ms={}",
+            cfg.snapshot_interval.as_millis()
+        ))
         .arg("--fsync=interval")
         // Safety net: a drill that dies without killing its child must
         // not leave an orphan server running forever.
@@ -1479,6 +1405,11 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
              or set FCDS_SERVER_BIN",
         )
     })?;
+    // The configuration both server processes run.
+    let served = ServerConfig {
+        snapshot_interval: cfg.snapshot_interval,
+        ..ServerConfig::default()
+    };
     let streams = cfg.streams.max(1);
     let targets = drill_streams("crash", streams);
     let dir = std::env::temp_dir().join(format!(
@@ -1491,7 +1422,7 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
     let tally = Tally::default();
 
     // Phase 1: base ingest into a fresh server.
-    let (mut child, addr) = spawn_server_process(&bin, &dir, cfg.snapshot_interval)?;
+    let (mut child, addr) = spawn_server_process(&bin, &dir, &served)?;
     // The item count stream `i`'s on-disk record claims. Reads race
     // benignly with the checkpointer's atomic rename: they see the old
     // record or the new one.
@@ -1580,7 +1511,7 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
 
         // Phase 4: restart on the same dir and measure recovery.
         let restart_started = Instant::now();
-        let (child2, addr2) = spawn_server_process(&bin, &dir, cfg.snapshot_interval)?;
+        let (child2, addr2) = spawn_server_process(&bin, &dir, &served)?;
         let mut child2 = child2;
         let outcome = (|| -> std::io::Result<CrashDrillReport> {
             let recovery_deadline = restart_started + cfg.recovery_timeout;
@@ -1596,15 +1527,11 @@ pub fn run_crash_drill(cfg: &CrashDrillConfig) -> std::io::Result<CrashDrillRepo
                     continue;
                 };
                 recovered_streams += 1;
-                let r = stream_relaxation(&ServerConfig::default(), stream.target.key(), 1);
-                let family = stream.target.family();
-                relaxation_violations += usize::from(!admissible(
-                    family,
-                    &image,
-                    &stream.items(),
-                    seq as usize,
-                    r,
-                ));
+                let r = stream_relaxation(&served, stream.target.key(), 1);
+                let (family, items) = (stream.target.family(), stream.items());
+                relaxation_violations += usize::from(
+                    check_image(family, &image, &items, seq as usize, r, served.lg_k).is_err(),
+                );
             }
             let recovery = (recovered_streams == streams).then(|| restart_started.elapsed());
 
@@ -1723,7 +1650,9 @@ mod tests {
         // Admitted at `[n, n]`: every one of the first `n` items is in.
         let all_in = |n: u64| {
             let items: Vec<u64> = (0..n).collect();
-            move |image: &[u8]| admissible(SketchFamily::Theta, image, &items, items.len(), r)
+            move |image: &[u8]| {
+                check_image(SketchFamily::Theta, image, &items, items.len(), r, cfg.lg_k).is_ok()
+            }
         };
 
         // The stream does not exist yet: every poll is an UnknownStream

@@ -1,13 +1,20 @@
-//! Run-time r-relaxation checker for the concurrent Θ sketch.
+//! Run-time r-relaxation checkers: one window loop for every family.
 //!
 //! Theorem 1 promises: every query of `OptParSketch` returns the result
 //! the *sequential* (de-randomised) sketch would return on some
 //! sub-stream missing at most `r = 2Nb` of the preceding updates (in some
-//! order). This module decides, for an observed query snapshot, whether
-//! such a sub-stream exists — turning the paper's correctness theorem
-//! into an executable test oracle.
+//! order). A [`Checker`] decides, for an observed answer, whether such a
+//! sub-stream exists — turning the paper's correctness theorem into an
+//! executable test oracle. The theorem holds for any family, so the
+//! window loop is written once ([`Checker::check_window`]); a family
+//! supplies only what a prefix of the stream holds for one answer and an
+//! O(1) test of it, so a window is one pass at O(1) per item. Every
+//! family reports rejections as one [`Violation`].
 //!
-//! ## Admissibility conditions
+//! The families: [`ThetaChecker`] (here), [`HllChecker`],
+//! [`QuantilesChecker`] and [`MgChecker`].
+//!
+//! ## Θ admissibility conditions
 //!
 //! The quick-select Θ sketch maintains the invariant that its retained
 //! set is exactly `{h ∈ seen : h < Θ}`, with Θ either 1 (`u64::MAX`, exact
@@ -26,9 +33,221 @@
 //! state is order-insensitive as a set, and the relaxation permits
 //! reordering) makes them tight in practice, so violations reliably
 //! expose lost updates, double merges, or torn snapshots.
+//!
+//! [`HllChecker`]: crate::checker_hll::HllChecker
+//! [`QuantilesChecker`]: crate::checker_quantiles::QuantilesChecker
+//! [`MgChecker`]: crate::checker_mg::MgChecker
 
+use fcds_sketches::error::WireError;
 use fcds_sketches::theta::{theta_to_fraction, THETA_MAX};
 use std::collections::HashSet;
+
+/// An r-relaxation checker for one sketch family over a stream of
+/// `Item`s: what a stream prefix holds for one observed answer, and
+/// whether that prefix admits it.
+pub trait Checker<Item> {
+    /// The observed answer.
+    type Answer: ?Sized;
+    /// What a stream prefix holds that bears on one answer.
+    type Prefix;
+
+    /// The empty prefix's state for `obs`.
+    fn prefix(&self, obs: &Self::Answer) -> Self::Prefix;
+
+    /// Extends `prefix` by one stream item.
+    fn push(&self, prefix: &mut Self::Prefix, item: &Item, obs: &Self::Answer);
+
+    /// Whether the prefix of `len` items `prefix` describes admits `obs`.
+    /// O(1).
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] that rules the prefix out.
+    fn admits(&self, prefix: &Self::Prefix, len: usize, obs: &Self::Answer) -> Verdict;
+
+    /// Checks `obs` against a query that saw exactly the first `at` items
+    /// of `stream`.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] at `at`.
+    fn check_at(&self, stream: &[Item], at: usize, obs: &Self::Answer) -> Verdict {
+        self.check_window(stream, at, at, obs)
+    }
+
+    /// Checks `obs` for a query concurrent with ingestion: its
+    /// linearisation point saw some prefix of length in `lo..=hi` — e.g.
+    /// `lo` = items of calls that returned before the query was invoked,
+    /// `hi` = items of calls invoked before it responded. Admissible iff
+    /// any prefix in the window admits it. One pass over `stream[..hi]`.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] at `hi` when no prefix in the window admits
+    /// `obs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not inside `stream`.
+    fn check_window(&self, stream: &[Item], lo: usize, hi: usize, obs: &Self::Answer) -> Verdict {
+        assert!(lo <= hi && hi <= stream.len(), "bad window");
+        let mut prefix = self.prefix(obs);
+        for (len, item) in stream[..hi].iter().enumerate() {
+            if len >= lo && self.admits(&prefix, len, obs).is_ok() {
+                return Ok(());
+            }
+            self.push(&mut prefix, item, obs);
+        }
+        self.admits(&prefix, hi, obs)
+    }
+}
+
+/// An answer's verdict: admissible, or the [`Violation`] that rules it
+/// out.
+pub type Verdict = Result<(), Violation>;
+
+/// Why an answer is inadmissible under the r-relaxation, for every
+/// family.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Violation {
+    /// Θ: Θ is not a hash of any preceding update (and not 1).
+    ThetaNotInStream {
+        /// The offending Θ.
+        theta: u64,
+    },
+    /// Θ: the retained count cannot be produced by hiding ≤ r updates.
+    RetainedOutOfRange {
+        /// Observed retained count.
+        retained: u64,
+        /// Smallest admissible value.
+        lo: u64,
+        /// Largest admissible value.
+        hi: u64,
+    },
+    /// Θ: estimation mode with fewer than k retained samples.
+    BelowK {
+        /// Observed retained count.
+        retained: u64,
+        /// The sketch's k.
+        k: usize,
+    },
+    /// Θ: the estimate does not match `retained/Θ` (or `retained` in
+    /// exact mode).
+    EstimateMismatch {
+        /// Observed estimate.
+        observed: f64,
+        /// Estimate implied by (Θ, retained).
+        implied: f64,
+    },
+    /// HLL: no item of the register's bucket in the prefix has the
+    /// register's rank.
+    Unreached {
+        /// The lowest such register.
+        register: usize,
+        /// Its rank in the answer.
+        rank: u8,
+    },
+    /// HLL, Misra–Gries: admitting the answer would hide more updates
+    /// than may be hidden.
+    TooManyHidden {
+        /// The prefix length.
+        prefix: usize,
+        /// Updates that would have to be hidden there.
+        hidden: u64,
+        /// Updates that may be hidden there.
+        allowed: u64,
+    },
+    /// Quantiles: the answer is not an element of the prefix.
+    NotInStream,
+    /// Quantiles: the answer's rank lies outside the relaxed PAC
+    /// envelope.
+    RankOutOfRange {
+        /// True normalised rank of the answer in the prefix.
+        rank: f64,
+        /// Lower envelope bound (normalised).
+        lo: f64,
+        /// Upper envelope bound (normalised).
+        hi: f64,
+    },
+    /// Quantiles, Misra–Gries: the answer summarises `n` items, and the
+    /// prefix admits only `[lo, hi]`.
+    LengthOutOfRange {
+        /// The answer's item count.
+        n: u64,
+        /// Smallest admissible count.
+        lo: u64,
+        /// Largest admissible count.
+        hi: u64,
+    },
+    /// Misra–Gries: reported keys whose counter exceeds their count in
+    /// the prefix.
+    Overcounted {
+        /// How many keys.
+        keys: usize,
+    },
+    /// The image does not parse or validate.
+    Malformed(WireError),
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::ThetaNotInStream { theta } => {
+                write!(f, "theta {theta} is not a preceding update's hash")
+            }
+            Self::RetainedOutOfRange { retained, lo, hi } => {
+                write!(f, "retained {retained} outside admissible [{lo}, {hi}]")
+            }
+            Self::BelowK { retained, k } => {
+                write!(f, "estimation mode with retained {retained} < k = {k}")
+            }
+            Self::EstimateMismatch { observed, implied } => {
+                write!(
+                    f,
+                    "estimate {observed} but (theta, retained) imply {implied}"
+                )
+            }
+            Self::Unreached { register, rank } => {
+                write!(f, "register {register} holds rank {rank} no item reaches")
+            }
+            Self::TooManyHidden {
+                prefix,
+                hidden,
+                allowed,
+            } => {
+                write!(
+                    f,
+                    "{hidden} updates of prefix {prefix} must be hidden, {allowed} may be"
+                )
+            }
+            Self::NotInStream => write!(f, "answer not in preceding stream"),
+            Self::RankOutOfRange { rank, lo, hi } => {
+                write!(f, "answer rank {rank:.4} outside [{lo:.4}, {hi:.4}]")
+            }
+            Self::LengthOutOfRange { n, lo, hi } => {
+                write!(f, "answer of {n} items outside admissible [{lo}, {hi}]")
+            }
+            Self::Overcounted { keys } => write!(f, "{keys} counters exceed their key's count"),
+            Self::Malformed(e) => write!(f, "malformed image: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for Violation {}
+
+impl From<WireError> for Violation {
+    fn from(e: WireError) -> Self {
+        Violation::Malformed(e)
+    }
+}
+
+/// `Ok` iff an answer of `n` items lies in `[lo, hi]`.
+pub(crate) fn length_in(n: u64, lo: u64, hi: u64) -> Verdict {
+    if (lo..=hi).contains(&n) {
+        return Ok(());
+    }
+    Err(Violation::LengthOutOfRange { n, lo, hi })
+}
 
 /// A query observation to validate: the published (Θ, retained, estimate)
 /// triple of the concurrent Θ sketch.
@@ -42,76 +261,8 @@ pub struct ThetaObservation {
     pub estimate: f64,
 }
 
-/// Reasons an observation is inadmissible under the r-relaxation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Violation {
-    /// Θ is not a hash of any preceding update (and not 1).
-    ThetaNotInStream {
-        /// The offending Θ.
-        theta: u64,
-    },
-    /// The retained count cannot be produced by hiding ≤ r updates.
-    RetainedOutOfRange {
-        /// Observed retained count.
-        retained: u64,
-        /// Smallest admissible value.
-        lo: u64,
-        /// Largest admissible value.
-        hi: u64,
-    },
-    /// Estimation mode with fewer than k retained samples.
-    BelowK {
-        /// Observed retained count.
-        retained: u64,
-        /// The sketch's k.
-        k: usize,
-    },
-    /// The estimate does not match `retained/Θ` (or `retained` in exact
-    /// mode).
-    EstimateMismatch {
-        /// Observed estimate.
-        observed: f64,
-        /// Estimate implied by (Θ, retained).
-        implied: f64,
-    },
-    /// No prefix length in the queried window admits the observation.
-    NoValidPrefix {
-        /// The most specific violation found at the window's upper end.
-        last: Box<Violation>,
-    },
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Violation::ThetaNotInStream { theta } => {
-                write!(f, "theta {theta} is not a preceding update's hash")
-            }
-            Violation::RetainedOutOfRange { retained, lo, hi } => {
-                write!(f, "retained {retained} outside admissible [{lo}, {hi}]")
-            }
-            Violation::BelowK { retained, k } => {
-                write!(f, "estimation mode with retained {retained} < k = {k}")
-            }
-            Violation::EstimateMismatch { observed, implied } => {
-                write!(
-                    f,
-                    "estimate {observed} but (theta, retained) imply {implied}"
-                )
-            }
-            Violation::NoValidPrefix { last } => {
-                write!(
-                    f,
-                    "no prefix in window admits the observation; last: {last}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for Violation {}
-
-/// The r-relaxation checker for concurrent Θ sketch executions.
+/// The r-relaxation checker for concurrent Θ sketch executions, over a
+/// stream of normalised hashes (duplicates allowed).
 #[derive(Debug, Clone)]
 pub struct ThetaChecker {
     k: usize,
@@ -124,123 +275,60 @@ impl ThetaChecker {
     pub fn new(k: usize, r: u64) -> Self {
         ThetaChecker { k, r }
     }
+}
 
-    /// The relaxation bound.
-    pub fn r(&self) -> u64 {
-        self.r
+impl Checker<u64> for ThetaChecker {
+    type Answer = ThetaObservation;
+    type Prefix = BelowTheta;
+
+    fn prefix(&self, _: &ThetaObservation) -> BelowTheta {
+        BelowTheta::default()
     }
 
-    /// Checks an observation against a query that saw exactly the first
-    /// `preceding` updates of `stream` (normalised hashes, in ingestion
-    /// order, duplicates allowed).
-    pub fn check_at(
-        &self,
-        stream: &[u64],
-        preceding: usize,
-        obs: &ThetaObservation,
-    ) -> Result<(), Violation> {
-        self.scan(stream, preceding, preceding, obs)
-    }
-
-    /// Checks an observation for a query concurrent with ingestion: the
-    /// query's linearisation point saw some prefix of length in
-    /// `lo..=hi`. Admissible iff any prefix in the window admits it.
-    pub fn check_window(
-        &self,
-        stream: &[u64],
-        lo: usize,
-        hi: usize,
-        obs: &ThetaObservation,
-    ) -> Result<(), Violation> {
-        assert!(lo <= hi && hi <= stream.len(), "bad window");
-        self.scan(stream, lo, hi, obs)
-            .map_err(|last| Violation::NoValidPrefix {
-                last: Box::new(last),
-            })
-    }
-
-    /// One pass over `stream[..hi]` that tests every prefix length in
-    /// `lo..=hi`; the violation at `hi` if none admits `obs`. Only the
-    /// hashes below Θ, and Θ itself, bear on admissibility, so only those
-    /// are kept — in estimation mode about `k` of them.
-    fn scan(
-        &self,
-        stream: &[u64],
-        lo: usize,
-        hi: usize,
-        obs: &ThetaObservation,
-    ) -> Result<(), Violation> {
-        let mut prefix = BelowTheta::default();
-        for &h in &stream[..lo] {
-            prefix.push(h, obs.theta);
+    fn push(&self, prefix: &mut BelowTheta, &h: &u64, obs: &ThetaObservation) {
+        if h < obs.theta {
+            prefix.distinct.insert(h);
+        } else {
+            prefix.theta_seen |= h == obs.theta;
         }
-        let mut verdict = self.admits(&prefix, obs);
-        for &h in &stream[lo..hi] {
-            if verdict.is_ok() {
-                break;
-            }
-            prefix.push(h, obs.theta);
-            verdict = self.admits(&prefix, obs);
-        }
-        verdict
     }
 
-    /// Core admissibility test against one prefix.
-    fn admits(&self, prefix: &BelowTheta, obs: &ThetaObservation) -> Result<(), Violation> {
-        let exact = obs.theta == THETA_MAX;
+    fn admits(&self, prefix: &BelowTheta, _: usize, obs: &ThetaObservation) -> Verdict {
+        let (exact, retained, k) = (obs.theta == THETA_MAX, obs.retained, self.k);
         if !exact {
-            if (obs.retained as usize) < self.k {
-                return Err(Violation::BelowK {
-                    retained: obs.retained,
-                    k: self.k,
-                });
+            if (retained as usize) < k {
+                return Err(Violation::BelowK { retained, k });
             }
             if !prefix.theta_seen {
                 return Err(Violation::ThetaNotInStream { theta: obs.theta });
             }
         }
         // C(Θ) — in exact mode every distinct hash, |P|.
-        let c_full = prefix.distinct.len() as u64;
-        let lo = c_full.saturating_sub(self.r);
-        if obs.retained < lo || obs.retained > c_full {
-            return Err(Violation::RetainedOutOfRange {
-                retained: obs.retained,
-                lo,
-                hi: c_full,
-            });
+        let hi = prefix.distinct.len() as u64;
+        let lo = hi.saturating_sub(self.r);
+        if retained < lo || retained > hi {
+            return Err(Violation::RetainedOutOfRange { retained, lo, hi });
         }
         let implied = if exact {
-            obs.retained as f64
+            retained as f64
         } else {
-            obs.retained as f64 / theta_to_fraction(obs.theta)
+            retained as f64 / theta_to_fraction(obs.theta)
         };
-        let rel = (obs.estimate - implied).abs() / implied.max(1.0);
-        if rel > 1e-9 {
-            return Err(Violation::EstimateMismatch {
-                observed: obs.estimate,
-                implied,
-            });
+        let observed = obs.estimate;
+        if (observed - implied).abs() / implied.max(1.0) > 1e-9 {
+            return Err(Violation::EstimateMismatch { observed, implied });
         }
         Ok(())
     }
 }
 
 /// What a prefix of the stream holds for one observed Θ: its distinct
-/// hashes below Θ, and whether Θ itself occurred.
-#[derive(Default)]
-struct BelowTheta {
+/// hashes below Θ, and whether Θ itself occurred. Only those bear on
+/// admissibility — in estimation mode about `k` of them.
+#[derive(Debug, Default)]
+pub struct BelowTheta {
     distinct: HashSet<u64>,
     theta_seen: bool,
-}
-
-impl BelowTheta {
-    fn push(&mut self, h: u64, theta: u64) {
-        if h < theta {
-            self.distinct.insert(h);
-        } else {
-            self.theta_seen |= h == theta;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -457,9 +545,13 @@ mod tests {
             hi: 20,
         };
         assert!(v.to_string().contains("[12, 20]"));
-        let v = Violation::NoValidPrefix {
-            last: Box::new(Violation::BelowK { retained: 1, k: 16 }),
+        let v = Violation::LengthOutOfRange {
+            n: 7,
+            lo: 8,
+            hi: 40,
         };
-        assert!(v.to_string().contains("no prefix"));
+        assert!(v.to_string().contains("[8, 40]"));
+        let v = Violation::from(WireError::BadMagic { found: 0 });
+        assert!(v.to_string().starts_with("malformed image"));
     }
 }

@@ -12,9 +12,10 @@
 //!   every such `S` must hide — number at most `r`.
 //!
 //! Both are necessary, and together sufficient: hiding exactly those
-//! items leaves a sub-stream whose registers are `A`. Both counts only
-//! grow with the prefix, so [`HllChecker::check_window`] is one pass over
-//! the stream at O(1) per item.
+//! items leaves a sub-stream whose registers are `A`. Registers only
+//! become reached and the hidden count only grows, so the prefix keeps
+//! the lowest unreached register and advances it lazily: every test is
+//! O(1) and a window one pass.
 //!
 //! Bucket and rank are [`HllSketch::update_hash`]'s: the top `lg_m` bits
 //! of the hash pick the register, and the rank is the position of the
@@ -22,48 +23,11 @@
 //!
 //! [`HllSketch::update_hash`]: fcds_sketches::hll::HllSketch::update_hash
 
-/// Why an HLL answer was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HllViolation {
-    /// No item of the register's bucket in any prefix of the window has
-    /// the register's rank.
-    Unreached {
-        /// The register index.
-        register: usize,
-        /// Its rank in the answer.
-        rank: u8,
-    },
-    /// Admitting the answer would hide more than `r` updates.
-    TooManyHidden {
-        /// The prefix length at which the count passed `r`.
-        prefix: usize,
-        /// Updates that would have to be hidden there.
-        hidden: u64,
-        /// The relaxation bound.
-        r: u64,
-    },
-}
+use crate::checker::{Checker, Verdict, Violation};
 
-impl std::fmt::Display for HllViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HllViolation::Unreached { register, rank } => {
-                write!(f, "register {register} holds rank {rank} no item reaches")
-            }
-            HllViolation::TooManyHidden { prefix, hidden, r } => {
-                write!(
-                    f,
-                    "{hidden} updates of prefix {prefix} must be hidden, r = {r}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for HllViolation {}
-
-/// The r-relaxation checker for concurrent HLL executions. The answer
-/// is a register array; its length `2^lg_m` fixes the bucket width.
+/// The r-relaxation checker for concurrent HLL executions, over a
+/// stream of hashes. The answer is a register array; its length `2^lg_m`
+/// fixes the bucket width.
 #[derive(Debug, Clone, Copy)]
 pub struct HllChecker {
     r: u64,
@@ -74,68 +38,74 @@ impl HllChecker {
     pub fn new(r: u64) -> Self {
         HllChecker { r }
     }
+}
 
-    /// Checks `registers` against a query that saw exactly the first
-    /// `preceding` updates of `stream` (hashes, in ingestion order).
-    pub fn check_at(
-        &self,
-        stream: &[u64],
-        preceding: usize,
-        registers: &[u8],
-    ) -> Result<(), HllViolation> {
-        self.check_window(stream, preceding, preceding, registers)
+/// What a prefix of the stream holds for one register array: which
+/// registers an item reached, the lowest non-zero one none has, and the
+/// items that exceed their register.
+#[derive(Debug)]
+pub struct HllPrefix {
+    lg_m: u32,
+    reached: Vec<bool>,
+    first_unreached: usize,
+    hidden: u64,
+}
+
+impl HllPrefix {
+    /// Moves `first_unreached` past reached and zero registers.
+    fn advance(&mut self, registers: &[u8]) {
+        while registers
+            .get(self.first_unreached)
+            .is_some_and(|&a| a == 0 || self.reached[self.first_unreached])
+        {
+            self.first_unreached += 1;
+        }
     }
+}
 
-    /// Checks `registers` for a query whose linearisation point saw some
-    /// prefix of length in `lo..=hi`. Admissible iff any prefix in the
-    /// window admits it.
-    ///
+impl Checker<u64> for HllChecker {
+    type Answer = [u8];
+    type Prefix = HllPrefix;
+
     /// # Panics
     ///
-    /// Panics if the window is not inside `stream` or the register count
-    /// is not a power of two.
-    pub fn check_window(
-        &self,
-        stream: &[u64],
-        lo: usize,
-        hi: usize,
-        registers: &[u8],
-    ) -> Result<(), HllViolation> {
-        assert!(lo <= hi && hi <= stream.len(), "bad window");
+    /// Panics if the register count is not a power of two.
+    fn prefix(&self, registers: &[u8]) -> HllPrefix {
         assert!(registers.len().is_power_of_two(), "register count");
-        let lg_m = registers.len().trailing_zeros();
-        let mut reached = vec![false; registers.len()];
-        let mut unreached = registers.iter().filter(|&&a| a != 0).count();
-        let mut hidden = 0u64;
-        for (p, &hash) in stream[..hi].iter().enumerate() {
-            if p >= lo && unreached == 0 {
-                return Ok(());
+        let mut prefix = HllPrefix {
+            lg_m: registers.len().trailing_zeros(),
+            reached: vec![false; registers.len()],
+            first_unreached: 0,
+            hidden: 0,
+        };
+        prefix.advance(registers);
+        prefix
+    }
+
+    fn push(&self, prefix: &mut HllPrefix, &hash: &u64, registers: &[u8]) {
+        let (j, rank) = bucket_rank(hash, prefix.lg_m);
+        match rank.cmp(&registers[j]) {
+            std::cmp::Ordering::Equal if !prefix.reached[j] => {
+                prefix.reached[j] = true;
+                prefix.advance(registers);
             }
-            let (j, rank) = bucket_rank(hash, lg_m);
-            match rank.cmp(&registers[j]) {
-                std::cmp::Ordering::Equal if !reached[j] => {
-                    reached[j] = true;
-                    unreached -= 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    hidden += 1;
-                    if hidden > self.r {
-                        return Err(HllViolation::TooManyHidden {
-                            prefix: p + 1,
-                            hidden,
-                            r: self.r,
-                        });
-                    }
-                }
-                _ => {}
-            }
+            std::cmp::Ordering::Greater => prefix.hidden += 1,
+            _ => {}
         }
-        match (0..registers.len()).find(|&j| registers[j] != 0 && !reached[j]) {
+    }
+
+    fn admits(&self, prefix: &HllPrefix, len: usize, registers: &[u8]) -> Verdict {
+        let (hidden, allowed, register) = (prefix.hidden, self.r, prefix.first_unreached);
+        if hidden > allowed {
+            return Err(Violation::TooManyHidden {
+                prefix: len,
+                hidden,
+                allowed,
+            });
+        }
+        match registers.get(register) {
             None => Ok(()),
-            Some(register) => Err(HllViolation::Unreached {
-                register,
-                rank: registers[register],
-            }),
+            Some(&rank) => Err(Violation::Unreached { register, rank }),
         }
     }
 }
@@ -194,7 +164,7 @@ mod tests {
         registers[7] += 1;
         assert_eq!(
             HllChecker::new(0).check_at(&stream, 20_000, &registers),
-            Err(HllViolation::Unreached {
+            Err(Violation::Unreached {
                 register: 7,
                 rank: registers[7]
             })
@@ -219,10 +189,10 @@ mod tests {
             .unwrap();
         assert_eq!(
             checker.check_at(&stream, growing[8], base.registers()),
-            Err(HllViolation::TooManyHidden {
+            Err(Violation::TooManyHidden {
                 prefix: growing[8],
                 hidden: r + 1,
-                r
+                allowed: r
             })
         );
     }
@@ -242,16 +212,16 @@ mod tests {
 
     #[test]
     fn violation_display_messages() {
-        let v = HllViolation::Unreached {
+        let v = Violation::Unreached {
             register: 3,
             rank: 9,
         };
         assert!(v.to_string().contains("register 3"));
-        let v = HllViolation::TooManyHidden {
+        let v = Violation::TooManyHidden {
             prefix: 10,
             hidden: 5,
-            r: 4,
+            allowed: 4,
         };
-        assert!(v.to_string().contains("r = 4"));
+        assert!(v.to_string().contains("4 may be"));
     }
 }

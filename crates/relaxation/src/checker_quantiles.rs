@@ -16,6 +16,7 @@
 //! the membership requirement that the answer is an actual stream
 //! element).
 
+use crate::checker::{Checker, Verdict, Violation};
 use fcds_sketches::quantiles::relaxed_epsilon;
 
 /// A quantile-query observation to validate.
@@ -26,35 +27,6 @@ pub struct QuantileObservation<T> {
     /// The returned element.
     pub answer: T,
 }
-
-/// Why a quantiles observation was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuantilesViolation {
-    /// The answer is not an element of the preceding stream.
-    NotInStream,
-    /// The answer's rank lies outside the relaxed PAC envelope.
-    RankOutOfRange {
-        /// True normalised rank of the answer in the preceding stream.
-        rank: f64,
-        /// Lower envelope bound (normalised).
-        lo: f64,
-        /// Upper envelope bound (normalised).
-        hi: f64,
-    },
-}
-
-impl std::fmt::Display for QuantilesViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QuantilesViolation::NotInStream => write!(f, "answer not in preceding stream"),
-            QuantilesViolation::RankOutOfRange { rank, lo, hi } => {
-                write!(f, "answer rank {rank:.4} outside [{lo:.4}, {hi:.4}]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QuantilesViolation {}
 
 /// The r-relaxation checker for quantile queries.
 #[derive(Debug, Clone, Copy)]
@@ -75,75 +47,40 @@ impl QuantilesChecker {
     pub fn epsilon_r(&self, n: u64) -> f64 {
         relaxed_epsilon(self.epsilon, self.r, n)
     }
+}
 
-    /// Checks an observation against the first `preceding` elements of
-    /// `stream`.
-    ///
+impl<T: Ord> Checker<T> for QuantilesChecker {
+    type Answer = QuantileObservation<T>;
+    type Prefix = AnswerRank;
+
+    fn prefix(&self, _: &QuantileObservation<T>) -> AnswerRank {
+        AnswerRank::default()
+    }
+
+    fn push(&self, rank: &mut AnswerRank, item: &T, obs: &QuantileObservation<T>) {
+        match item.cmp(&obs.answer) {
+            std::cmp::Ordering::Less => rank.below += 1,
+            std::cmp::Ordering::Equal => rank.equal += 1,
+            std::cmp::Ordering::Greater => {}
+        }
+    }
+
     /// The envelope derives from Equation (1) of §6.2 with the hidden
     /// split `(i, j)` free: rank must lie in
     /// `[(φ−ε)(n−r), (φ+ε)(n−r)+r]` (normalised by n, and clipped to
     /// `[0, 1]`).
-    pub fn check_at<T: Ord>(
-        &self,
-        stream: &[T],
-        preceding: usize,
-        obs: &QuantileObservation<T>,
-    ) -> Result<(), QuantilesViolation> {
-        self.check_window(stream, preceding, preceding, obs)
-    }
-
-    /// Checks an observation for a query concurrent with ingestion: the
-    /// query's linearisation point saw some prefix of length in
-    /// `lo..=hi` — e.g. `lo` = items of batch calls that returned before
-    /// the query was invoked, `hi` = items of calls invoked before it
-    /// responded. Admissible iff any prefix in the window admits it;
-    /// otherwise the violation at `hi` is returned. Incremental: the
-    /// answer's rank is counted once over the first `lo` items and then
-    /// advanced one item per prefix length.
-    pub fn check_window<T: Ord>(
-        &self,
-        stream: &[T],
-        lo: usize,
-        hi: usize,
-        obs: &QuantileObservation<T>,
-    ) -> Result<(), QuantilesViolation> {
-        assert!(lo <= hi && hi <= stream.len(), "bad window");
-        let mut rank = AnswerRank::default();
-        for item in &stream[..lo] {
-            rank.add(item, &obs.answer);
-        }
-        let mut verdict = self.check_rank(lo, rank, obs.phi);
-        for (len, item) in (lo + 1..=hi).zip(&stream[lo..hi]) {
-            if verdict.is_ok() {
-                break;
-            }
-            rank.add(item, &obs.answer);
-            verdict = self.check_rank(len, rank, obs.phi);
-        }
-        verdict
-    }
-
-    /// The admissibility test for an answer of `rank` in a prefix of
-    /// `len` items.
-    fn check_rank(&self, len: usize, rank: AnswerRank, phi: f64) -> Result<(), QuantilesViolation> {
+    fn admits(&self, rank: &AnswerRank, len: usize, obs: &QuantileObservation<T>) -> Verdict {
         if rank.equal == 0 {
-            return Err(QuantilesViolation::NotInStream);
+            return Err(Violation::NotInStream);
         }
-        let n = len as f64;
-        let below = rank.below as f64;
-        let equal = rank.equal as f64;
-        // The answer occupies the rank interval [below, below+equal); use
-        // the closest point to the envelope (duplicates make any of these
-        // ranks legitimate for the returned element).
-        let r = self.r as f64;
-        let eps = self.epsilon;
-        let lo = ((phi - eps) * (n - r)).max(0.0);
-        let hi = ((phi + eps) * (n - r) + r).min(n);
-        let rank_lo = below;
-        let rank_hi = below + equal;
-        // Admissible iff the rank interval intersects the envelope.
-        if rank_hi < lo || rank_lo > hi {
-            return Err(QuantilesViolation::RankOutOfRange {
+        let (n, r, below) = (len as f64, self.r as f64, rank.below as f64);
+        let lo = ((obs.phi - self.epsilon) * (n - r)).max(0.0);
+        let hi = ((obs.phi + self.epsilon) * (n - r) + r).min(n);
+        // The answer occupies the rank interval [below, below+equal)
+        // (duplicates make any of these ranks legitimate for the
+        // returned element): admissible iff it intersects the envelope.
+        if below + (rank.equal as f64) < lo || below > hi {
+            return Err(Violation::RankOutOfRange {
                 rank: below / n,
                 lo: lo / n,
                 hi: hi / n,
@@ -156,20 +93,9 @@ impl QuantilesChecker {
 /// Where an answer sits in a stream prefix: the items below it and the
 /// items equal to it.
 #[derive(Debug, Clone, Copy, Default)]
-struct AnswerRank {
+pub struct AnswerRank {
     below: usize,
     equal: usize,
-}
-
-impl AnswerRank {
-    /// Counts one more prefix item into the rank of `answer`.
-    fn add<T: Ord>(&mut self, item: &T, answer: &T) {
-        match item.cmp(answer) {
-            std::cmp::Ordering::Less => self.below += 1,
-            std::cmp::Ordering::Equal => self.equal += 1,
-            std::cmp::Ordering::Greater => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -257,11 +183,11 @@ mod tests {
         // Prefixes that do not reach the answer, or see it far off.
         assert_eq!(
             checker.check_window(&stream, 0, 5_000, &obs),
-            Err(QuantilesViolation::NotInStream)
+            Err(Violation::NotInStream)
         );
         assert!(matches!(
             checker.check_window(&stream, 15_000, 20_000, &obs),
-            Err(QuantilesViolation::RankOutOfRange { .. })
+            Err(Violation::RankOutOfRange { .. })
         ));
     }
 
@@ -276,7 +202,7 @@ mod tests {
         };
         assert!(matches!(
             checker.check_at(&stream, stream.len(), &obs),
-            Err(QuantilesViolation::RankOutOfRange { .. })
+            Err(Violation::RankOutOfRange { .. })
         ));
     }
 
@@ -290,7 +216,7 @@ mod tests {
         };
         assert_eq!(
             checker.check_at(&stream, stream.len(), &obs),
-            Err(QuantilesViolation::NotInStream)
+            Err(Violation::NotInStream)
         );
     }
 

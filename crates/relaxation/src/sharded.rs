@@ -59,7 +59,7 @@ pub fn merged_observation<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::ThetaChecker;
+    use crate::checker::{Checker, ThetaChecker};
     use fcds_sketches::hash::Hashable;
     use fcds_sketches::theta::{normalize_hash, QuickSelectThetaSketch};
 

@@ -9,7 +9,7 @@
 //! cargo run --release --example relaxation_demo
 //! ```
 
-use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
+use fcds::relaxation::checker::{Checker, ThetaChecker, ThetaObservation};
 use fcds::relaxation::history::{History, Op};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::theta::normalize_hash;

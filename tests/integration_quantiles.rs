@@ -182,6 +182,7 @@ fn answers_concurrent_with_batch_calls_pass_the_window_checker() {
     // calls inline, under the engine's own `r`.
     use fcds::core::PropagationBackendKind;
     use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
+    use fcds::relaxation::Checker;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let k = 128;
@@ -251,6 +252,7 @@ fn concurrent_answers_admissible_under_relaxation_checker() {
     // concurrent sketch, taken at a quiescent point, must be admissible
     // under the r-relaxed PAC envelope.
     use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
+    use fcds::relaxation::Checker;
 
     let k = 128;
     let sketch = EngineBuilder::<QuantilesFamily>::new()

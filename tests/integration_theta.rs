@@ -3,7 +3,7 @@
 //! the checker (Theorem 1, empirically), and mergeability of the outputs.
 
 use fcds::core::theta::ConcurrentThetaSketch;
-use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
+use fcds::relaxation::checker::{Checker, ThetaChecker, ThetaObservation};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::theta::{normalize_hash, rse, QuickSelectThetaSketch, ThetaRead, ThetaUnion};
 use fcds::{EngineBuilder, ThetaFamily};

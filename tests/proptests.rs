@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests (proptest): invariants that must hold
 //! for arbitrary streams, parameters, and split points.
 
-use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
+use fcds::relaxation::checker::{Checker, ThetaChecker, ThetaObservation};
 use fcds::relaxation::history::{History, Op};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::quantiles::QuantilesSketch;

@@ -10,7 +10,7 @@
 //! envelopes as scalar ingestion.
 
 use fcds::core::PropagationBackendKind;
-use fcds::relaxation::checker::{ThetaChecker, ThetaObservation};
+use fcds::relaxation::checker::{Checker, ThetaChecker, ThetaObservation};
 use fcds::relaxation::checker_quantiles::{QuantileObservation, QuantilesChecker};
 use fcds::sketches::hash::Hashable;
 use fcds::sketches::hll::HllSketch;
