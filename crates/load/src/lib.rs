@@ -5,11 +5,12 @@
 //! served path is belongs to `benchmark/` (see its README's baseline
 //! table), not here:
 //!
-//! * [`run_scenario`] routes ingest through a [`FaultProxy`] that can
-//!   delay, truncate, bit-flip, or sever the stream mid-frame, or
-//!   disconnect outright — the fault classes a long-lived TCP ingest
-//!   tier actually meets — and checks that every failure is typed, the
-//!   server survives each class, and ingest recovers after it clears.
+//! * [`run_scenario`] injects faults into its ingest writers' own
+//!   connections — each frame delayed, truncated, bit-flipped or
+//!   severed mid-frame, or the connection dropped outright, the fault
+//!   classes a long-lived TCP ingest tier actually meets — and checks
+//!   that every failure is typed, the server survives each class, and
+//!   ingest recovers after it clears.
 //! * [`run_multistream`] hosts eight named streams across all four
 //!   families, poisons one, and checks the others never notice.
 //! * [`run_sync_drill`] checks that a peer converges on a source's
@@ -36,17 +37,17 @@
 pub mod report;
 
 use fcds_relaxation::check_image;
-use fcds_server::client::{Client, Reply};
+use fcds_server::client::{connect_tcp, Client, Reply};
 use fcds_server::frame::NackCode;
 use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
 use fcds_sketches::wire::SketchFamily;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Counts of every failure outcome the workers observed, keyed by the
@@ -136,24 +137,27 @@ impl ErrorTaxonomy {
     }
 }
 
-/// The fault classes the proxy can inject on the client→server path.
+/// The fault classes a writer's `FaultyStream` injects into each frame
+/// it sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FaultMode {
     /// Pass-through.
     Off = 0,
-    /// Hold each forwarded chunk for 100 ms (stalls frames mid-flight,
-    /// driving the server's read deadline).
+    /// Write the first half of each frame, hold 100 ms, then write the
+    /// rest (a stall mid-frame, inside the server's read deadline).
     Delay = 1,
-    /// Drop the second half of each chunk (desynchronises the frame
-    /// stream — the server sees garbage at the next boundary).
+    /// Write the first half of each frame and report the whole written
+    /// (desynchronises the frame stream).
     Truncate = 2,
-    /// Flip one bit per chunk (drives the payload checksum).
+    /// Flip bit `0x10` of byte 20 of each frame, or of its last byte if
+    /// it is shorter (drives the payload checksum).
     Corrupt = 3,
-    /// Forward half a chunk, then kill the connection (mid-frame
-    /// disconnect).
+    /// Write the first half of a frame, then shut the connection down
+    /// and fail the write (a mid-frame disconnect).
     Sever = 4,
-    /// Kill the connection before forwarding anything.
+    /// Shut the connection down and fail the write before sending
+    /// anything.
     Disconnect = 5,
 }
 
@@ -192,168 +196,97 @@ impl FaultMode {
     }
 }
 
-/// A TCP proxy that forwards client connections to an upstream server
-/// and injects the currently selected [`FaultMode`] into the
-/// client→server byte stream. Server→client bytes always pass through
-/// clean: the faults under test are ingest-path faults.
-pub struct FaultProxy {
-    addr: SocketAddr,
-    mode: Arc<AtomicU8>,
-    stop: Arc<AtomicBool>,
-    accept_join: Option<std::thread::JoinHandle<()>>,
+/// How long [`FaultMode::Delay`] holds a frame mid-write.
+const FAULT_DELAY: Duration = Duration::from_millis(100);
+
+/// A writer's own connection with the drill's current [`FaultMode`]
+/// applied to every write, and so to every frame: the client writes a
+/// frame in one call. Reads pass through unchanged — the faults under
+/// test are ingest-path faults.
+struct FaultyStream<'a> {
+    stream: TcpStream,
+    mode: &'a AtomicU8,
 }
 
-impl FaultProxy {
-    /// Starts a proxy in front of `upstream`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener bind errors.
-    pub fn start(upstream: SocketAddr) -> std::io::Result<FaultProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let mode = Arc::new(AtomicU8::new(FaultMode::Off as u8));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_join = {
-            let mode = Arc::clone(&mode);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("fault-proxy".to_string())
-                .spawn(move || proxy_accept_loop(listener, upstream, &mode, &stop))
-                .expect("spawn proxy")
-        };
-        Ok(FaultProxy {
-            addr,
-            mode,
-            stop,
-            accept_join: Some(accept_join),
-        })
-    }
-
-    /// The address clients should connect to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Selects the fault injected into subsequent traffic.
-    pub fn set_mode(&self, mode: FaultMode) {
-        self.mode.store(mode as u8, Ordering::Release);
+impl Read for FaultyStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.read(buf)
     }
 }
 
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(j) = self.accept_join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-fn proxy_accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    mode: &Arc<AtomicU8>,
-    stop: &Arc<AtomicBool>,
-) {
-    let mut pumps: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                let Ok(server) = TcpStream::connect(upstream) else {
-                    continue;
-                };
-                let (Ok(client2), Ok(server2)) = (client.try_clone(), server.try_clone()) else {
-                    continue;
-                };
-                pumps.retain(|j| !j.is_finished());
-                let mode_c2s = Arc::clone(mode);
-                let stop_c2s = Arc::clone(stop);
-                pumps.push(
-                    std::thread::Builder::new()
-                        .name("proxy-c2s".to_string())
-                        .spawn(move || pump(client, server, &mode_c2s, &stop_c2s))
-                        .expect("spawn pump"),
-                );
-                let stop_s2c = Arc::clone(stop);
-                let clean = AtomicU8::new(FaultMode::Off as u8);
-                pumps.push(
-                    std::thread::Builder::new()
-                        .name("proxy-s2c".to_string())
-                        .spawn(move || pump(server2, client2, &clean, &stop_s2c))
-                        .expect("spawn pump"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    for j in pumps {
-        let _ = j.join();
-    }
-}
-
-/// Forwards `from` to `to`, applying the current fault `mode` chunk by
-/// chunk: the client→server pump. The server→client pump's mode stays
-/// `Off`.
-fn pump(mut from: TcpStream, mut to: TcpStream, mode: &AtomicU8, stop: &AtomicBool) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let n = match from.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        };
-        match FaultMode::from_u8(mode.load(Ordering::Acquire)) {
-            FaultMode::Off => {
-                if to.write_all(&buf[..n]).is_err() {
-                    return;
-                }
-            }
+impl Write for FaultyStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mode = FaultMode::from_u8(self.mode.load(Ordering::Acquire));
+        let (head, tail) = buf.split_at(buf.len().div_ceil(2));
+        match mode {
+            FaultMode::Off => return self.stream.write(buf),
             FaultMode::Delay => {
-                std::thread::sleep(Duration::from_millis(100));
-                if to.write_all(&buf[..n]).is_err() {
-                    return;
-                }
+                self.stream.write_all(head)?;
+                std::thread::sleep(FAULT_DELAY);
+                self.stream.write_all(tail)?;
             }
-            FaultMode::Truncate => {
-                // Drop the tail; later bytes arrive misaligned, so the
-                // server sees a desynchronised stream.
-                if to.write_all(&buf[..n.div_ceil(2)]).is_err() {
-                    return;
-                }
-            }
+            // The tail is reported written but never sent: the stream
+            // is out of step until the server's frame deadline ends it.
+            FaultMode::Truncate => self.stream.write_all(head)?,
             FaultMode::Corrupt => {
-                let mut corrupted = buf[..n].to_vec();
-                // Deterministically flip one bit past the header so the
-                // checksum (not the magic) catches it.
-                let idx = if n > 20 { 20 } else { n - 1 };
-                corrupted[idx] ^= 0x10;
-                if to.write_all(&corrupted).is_err() {
-                    return;
+                // Past the 16-byte header, so the checksum (not the
+                // magic) catches it.
+                let mut corrupted = buf.to_vec();
+                if let Some(byte) = corrupted.get_mut(20.min(buf.len().saturating_sub(1))) {
+                    *byte ^= 0x10;
                 }
+                self.stream.write_all(&corrupted)?;
             }
-            FaultMode::Sever => {
-                let _ = to.write_all(&buf[..n.div_ceil(2)]);
-                return; // drops both ends of this connection
-            }
-            FaultMode::Disconnect => {
-                return;
+            FaultMode::Sever | FaultMode::Disconnect => {
+                if mode == FaultMode::Sever {
+                    self.stream.write_all(head)?;
+                }
+                let _ = self.stream.shutdown(Shutdown::Both);
+                return Err(std::io::Error::new(
+                    ErrorKind::ConnectionAborted,
+                    format!("fault injected: {}", mode.name()),
+                ));
             }
         }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// How a drill opens a connection: a bare address dials clean, a
+/// [`Faulted`] one through a [`FaultyStream`].
+trait Dial {
+    /// The stream the client speaks over.
+    type Stream: Read + Write;
+    /// Opens one connection.
+    fn dial(&self) -> std::io::Result<Client<Self::Stream>>;
+}
+
+impl Dial for SocketAddr {
+    type Stream = TcpStream;
+    fn dial(&self) -> std::io::Result<Client> {
+        Client::connect(self, Duration::from_secs(2))
+    }
+}
+
+/// A writer's server address and the drill's shared fault selector.
+#[derive(Clone, Copy)]
+struct Faulted<'a> {
+    addr: SocketAddr,
+    mode: &'a AtomicU8,
+}
+
+impl<'a> Dial for Faulted<'a> {
+    type Stream = FaultyStream<'a>;
+    fn dial(&self) -> std::io::Result<Client<FaultyStream<'a>>> {
+        let stream = connect_tcp(self.addr, Duration::from_secs(2))?;
+        Ok(Client::new(FaultyStream {
+            stream,
+            mode: self.mode,
+        }))
     }
 }
 
@@ -493,9 +426,9 @@ fn drill_streams(prefix: &str, n: usize) -> Vec<DrillStream> {
         .collect()
 }
 
-/// Sends one ingest batch to `target`.
-fn send(c: &mut Client, target: &Target, items: &[u64]) -> std::io::Result<Reply> {
-    match target {
+/// Sends one ingest batch to `to`.
+fn send<S: Read + Write>(c: &mut Client<S>, to: &Target, items: &[u64]) -> std::io::Result<Reply> {
+    match to {
         Target::Default => c.ingest(items),
         Target::Stream(family, key) => c.ingest_stream(*family, key, items),
     }
@@ -559,17 +492,17 @@ struct Tally {
 
 /// A connection that is (re)established on demand: the
 /// connect-or-back-off step both loops share.
-struct Link {
-    addr: SocketAddr,
-    client: Option<Client>,
+struct Link<D: Dial = SocketAddr> {
+    dial: D,
+    client: Option<Client<D::Stream>>,
     /// A connection was lost and not yet replaced.
     lost: bool,
 }
 
-impl Link {
-    fn new(addr: SocketAddr) -> Link {
+impl<D: Dial> Link<D> {
+    fn new(dial: D) -> Link<D> {
         Link {
-            addr,
+            dial,
             client: None,
             lost: false,
         }
@@ -577,9 +510,9 @@ impl Link {
 
     /// The live client, connecting first if there is none. A failed
     /// connect is recorded, backed off for 20 ms and yields `None`.
-    fn client(&mut self, tally: &Tally) -> Option<&mut Client> {
+    fn client(&mut self, tally: &Tally) -> Option<&mut Client<D::Stream>> {
         if self.client.is_none() {
-            match Client::connect(self.addr, Duration::from_secs(2)) {
+            match self.dial.dial() {
                 Ok(c) => {
                     if std::mem::take(&mut self.lost) {
                         tally.taxonomy.record_reconnect();
@@ -610,9 +543,9 @@ impl Link {
 /// re-sent. A transport failure leaves the batch's outcome unknown, so
 /// the same range is re-sent on a fresh connection — Θ dedups, which
 /// is exactly why the protocol can retry without a dedup layer.
-fn ingest_loop(
+fn ingest_loop<D: Dial>(
     tally: &Tally,
-    link: &mut Link,
+    link: &mut Link<D>,
     stream: &DrillStream,
     items: Range<u64>,
     batch: usize,
@@ -696,12 +629,12 @@ fn query_loop(tally: &Tally, link: &mut Link, streams: &[DrillStream]) {
 }
 
 /// Runs `body` while background workers load the server — one ingest
-/// worker per `ingest` entry (`(addr, stream, first item)`, each on its
+/// worker per `ingest` entry (`(dial, stream, first item)`, each on its
 /// own connection) and one querier cycling over `queried` at
 /// `query_addr` — then stops and joins them. Returns `body`'s result
 /// and the tally the workers shared.
-fn under_load<R>(
-    ingest: &[(SocketAddr, &DrillStream, u64)],
+fn under_load<D: Dial + Copy + Send, R>(
+    ingest: &[(D, &DrillStream, u64)],
     batch: usize,
     query_addr: SocketAddr,
     queried: &[DrillStream],
@@ -713,10 +646,10 @@ fn under_load<R>(
         let stop = move || tally.stop.load(Ordering::Acquire);
         let writers: Vec<_> = ingest
             .iter()
-            .map(|&(addr, stream, first)| {
+            .map(|&(dial, stream, first)| {
                 let items = first..u64::MAX;
                 s.spawn(move || {
-                    ingest_loop(tally, &mut Link::new(addr), stream, items, batch, stop)
+                    ingest_loop(tally, &mut Link::new(dial), stream, items, batch, stop)
                 })
             })
             .collect();
@@ -752,8 +685,8 @@ impl Default for LoadConfig {
     }
 }
 
-/// Ingest writers the fault scenario runs, each on its own connection
-/// through the proxy (one querier connects directly to the server).
+/// Ingest writers the fault scenario runs, each on its own
+/// [`FaultyStream`] (the querier connects clean).
 const SCENARIO_WRITERS: u64 = 2;
 
 /// Width of one throughput sample bucket.
@@ -763,7 +696,7 @@ const SAMPLE_BUCKET: Duration = Duration::from_millis(50);
 /// clears. The slowest class is stream desync (truncate): the writer
 /// sits in its 2 s reply timeout while the server burns its 2 s frame
 /// deadline on the half-frame, then both sides reconnect — so the
-/// protocol's own worst case is ~4 s. A wedge (breaker stuck open,
+/// protocol's own worst case is ~4 s. A wedge (a latched stream, a
 /// connection leak) never recovers at all.
 pub const RECOVERY_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -795,53 +728,16 @@ pub struct ScenarioReport {
     pub estimate_ratio: f64,
 }
 
-/// Confines the calling thread, and every thread spawned from it
-/// afterwards (server, proxy, writers), to the first processor it is
-/// allowed on. Best effort: on failure the caller runs unconfined.
-///
-/// [`run_scenario`]'s recovery criterion needs it: the proxied closed
-/// loop runs 3× to 8× slower with its threads spread over two
-/// processors than packed onto one, and every reconnect re-rolls the
-/// placement, so a baseline taken packed and a recovery taken spread
-/// never meet at 50 % (`tests/fault_injection.rs` has the measurements).
-#[cfg(target_os = "linux")]
-pub fn confine_to_one_processor() {
-    // The two libc calls std already links; room for 1024 processors,
-    // the size of glibc's `cpu_set_t`.
-    extern "C" {
-        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut allowed = [0u64; 16];
-    let bytes = std::mem::size_of_val(&allowed);
-    // SAFETY: `allowed` is a live, writable buffer of exactly `bytes`
-    // bytes; pid 0 names the calling thread.
-    if unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) } != 0 {
-        return;
-    }
-    let Some(word) = allowed.iter().position(|&w| w != 0) else {
-        return;
-    };
-    let mut first = [0u64; 16];
-    first[word] = 1 << allowed[word].trailing_zeros();
-    // SAFETY: `first` is a live buffer of exactly `bytes` bytes and is
-    // only read; pid 0 names the calling thread.
-    unsafe { sched_setaffinity(0, bytes, first.as_ptr()) };
-}
-
-/// Confinement is Linux-only; elsewhere the caller runs unconfined.
-#[cfg(not(target_os = "linux"))]
-pub fn confine_to_one_processor() {}
-
 /// Runs the full scenario — baseline, then every fault class with
-/// recovery measurement — against the server at `server_addr`, routing
-/// ingest through a fresh [`FaultProxy`].
-///
-/// # Errors
-///
-/// Propagates proxy bind errors.
-pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Result<ScenarioReport> {
-    let proxy = FaultProxy::start(server_addr)?;
+/// recovery measurement — against the server at `server_addr`, with
+/// each fault injected into the ingest writers' own connections. Every
+/// failure the scenario meets is counted in its report.
+pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> ScenarioReport {
+    let mode = AtomicU8::new(FaultMode::Off as u8);
+    let faulted = Faulted {
+        addr: server_addr,
+        mode: &mode,
+    };
     // One log per writer: both write the default stream, so its items
     // have no single order and the querier's reads go unchecked.
     let logs: Vec<_> = (0..SCENARIO_WRITERS)
@@ -849,7 +745,7 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         .collect();
     let writers: Vec<_> = (0..SCENARIO_WRITERS)
         .zip(&logs)
-        .map(|(w, log)| (proxy.local_addr(), log, w << 40))
+        .map(|(w, log)| (faulted, log, w << 40))
         .collect();
     let queried = &logs[..1];
     let drive = |tally: &Tally| {
@@ -867,10 +763,10 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         // Phase 2: fault classes, one at a time, with recovery
         // measurement.
         let mut phases = Vec::new();
-        for mode in FaultMode::ALL {
-            proxy.set_mode(mode);
+        for fault in FaultMode::ALL {
+            mode.store(fault as u8, Ordering::Release);
             std::thread::sleep(cfg.fault_hold);
-            proxy.set_mode(FaultMode::Off);
+            mode.store(FaultMode::Off as u8, Ordering::Release);
             let cleared = Instant::now();
 
             // Recovery: first 50 ms bucket back at ≥ 50% of baseline
@@ -894,7 +790,7 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
                 .map(|r| matches!(r, Reply::Pong { .. }))
                 .unwrap_or(false);
             phases.push(FaultPhase {
-                mode,
+                mode: fault,
                 recovery,
                 survived,
             });
@@ -902,7 +798,6 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         phases
     };
     let (phases, tally) = under_load(&writers, cfg.batch_size, server_addr, queried, drive);
-    drop(proxy);
 
     // Final consistency probe: the live estimate should account for the
     // acked distinct items (writers re-send on unknown outcomes, and Θ
@@ -922,13 +817,13 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> std::io::Resul
         estimate / items_acked as f64
     };
 
-    Ok(ScenarioReport {
+    ScenarioReport {
         taxonomy: tally.taxonomy,
         phases,
         items_acked,
         untyped_failures: tally.untyped_failures.into_inner(),
         estimate_ratio,
-    })
+    }
 }
 
 /// The poison item the multi-stream drill plants (the in-process
@@ -1635,6 +1530,60 @@ mod tests {
         }
         assert_eq!(FaultMode::from_u8(0), FaultMode::Off);
         assert_eq!(FaultMode::from_u8(99), FaultMode::Off);
+    }
+
+    #[test]
+    fn each_fault_class_has_one_exact_outcome_per_frame() {
+        // A short frame deadline, so the truncated frame times out fast.
+        let server = serve(ServerConfig {
+            frame_deadline: Duration::from_millis(200),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mode = AtomicU8::new(FaultMode::Off as u8);
+        let faulted = Faulted {
+            addr: server.local_addr(),
+            mode: &mode,
+        };
+        let items: Vec<u64> = (0..64).collect();
+        let mut applied = 0;
+        for fault in [FaultMode::Off].into_iter().chain(FaultMode::ALL) {
+            let mut c = faulted.dial().unwrap();
+            mode.store(fault as u8, Ordering::Release);
+            let started = Instant::now();
+            let outcome = c.ingest(&items);
+            mode.store(FaultMode::Off as u8, Ordering::Release);
+            match fault {
+                FaultMode::Off => assert!(matches!(outcome.unwrap(), Reply::Ack { .. })),
+                FaultMode::Delay => {
+                    assert!(matches!(outcome.unwrap(), Reply::Ack { .. }));
+                    assert!(started.elapsed() >= FAULT_DELAY);
+                }
+                // The half frame stalls until the server's deadline.
+                FaultMode::Truncate => {
+                    assert_eq!(outcome.unwrap().nack_code(), Some(NackCode::Timeout));
+                }
+                FaultMode::Corrupt => {
+                    assert_eq!(outcome.unwrap().nack_code(), Some(NackCode::Checksum));
+                    assert!(
+                        matches!(c.ping().unwrap(), Reply::Pong { .. }),
+                        "stays open"
+                    );
+                }
+                FaultMode::Sever | FaultMode::Disconnect => {
+                    assert!(outcome.is_err());
+                    let closed = c.read_reply().unwrap_err().kind();
+                    assert_eq!(closed, ErrorKind::UnexpectedEof, "shut down");
+                }
+            }
+            if matches!(fault, FaultMode::Off | FaultMode::Delay) {
+                applied += items.len() as u64;
+            }
+            assert_eq!(server.stats().ingest_items, applied, "after {fault:?}");
+        }
+        let drain = server.shutdown();
+        assert_eq!(drain.stats.ingest_items, applied);
+        assert_eq!(drain.leaked_threads, 0);
     }
 
     #[test]

@@ -10,20 +10,21 @@
 //!
 //! Without `--addr` the fault scenario starts its own server in-process
 //! (the CI mode: one command, no orchestration); with it, the scenario
-//! targets an already-running server. The multi-stream drill, the
-//! two-server replica-sync drill and the crash drill (a real
-//! `fcds-server` process, SIGKILLed mid-checkpoint and restarted
-//! against its data dir) always start their own servers. Each drill
-//! prints what the gates do not show; the run ends with the gate table
-//! `bench_gate` will enforce. None of its rows is a speed —
-//! `benchmark/` measures those.
+//! targets an already-running server — the faults live in the
+//! scenario's own client connections, so they need nothing from the
+//! server. The multi-stream drill, the two-server replica-sync drill
+//! and the crash drill (a real `fcds-server` process, SIGKILLed
+//! mid-checkpoint and restarted against its data dir) always start
+//! their own servers. Each drill prints what the gates do not show;
+//! the run ends with the gate table `bench_gate` will enforce. None of
+//! its rows is a speed — `benchmark/` measures those.
 
 use fcds_bench::report::{HarnessArgs, Table};
 use fcds_load::report::{gates, render_json};
 use fcds_load::{
-    confine_to_one_processor, run_crash_drill, run_multistream, run_scenario, run_sync_drill,
-    CrashDrillConfig, CrashDrillReport, ErrorTaxonomy, LoadConfig, MultiStreamConfig,
-    MultiStreamReport, ScenarioReport, SyncReport, MULTISTREAM_STREAMS,
+    run_crash_drill, run_multistream, run_scenario, run_sync_drill, CrashDrillConfig,
+    CrashDrillReport, ErrorTaxonomy, LoadConfig, MultiStreamConfig, MultiStreamReport,
+    ScenarioReport, SyncReport, MULTISTREAM_STREAMS,
 };
 use fcds_server::{serve, ServerConfig};
 use std::time::Duration;
@@ -44,34 +45,19 @@ fn main() {
     let ms_cfg = MultiStreamConfig::default();
     let crash_cfg = CrashDrillConfig::default();
 
-    // The fault scenario, and the in-process server it targets unless
-    // the caller points at a running one, run on one confined thread:
-    // threads inherit their spawner's mask, so the server's threads,
-    // the proxy and the writers all share one processor. The other
-    // drills (and the crash drill's child process) stay unconfined.
-    let external = args
-        .get("addr")
-        .map(|a| a.parse().expect("--addr must be HOST:PORT"));
-    let (server, report) = std::thread::scope(|s| {
-        s.spawn(|| {
-            confine_to_one_processor();
-            let (server, addr) = match external {
-                Some(addr) => (None, addr),
-                None => {
-                    let handle = serve(ServerConfig::default()).expect("start in-process server");
-                    let addr = handle.local_addr();
-                    (Some(handle), addr)
-                }
-            };
-            println!(
-                "fault scenario: {}-item batches through the fault proxy, target {addr}",
-                cfg.batch_size
-            );
-            (server, run_scenario(addr, &cfg).expect("run scenario"))
-        })
-        .join()
-        .expect("scenario thread panicked")
-    });
+    let (server, addr) = match args.get("addr") {
+        Some(addr) => (None, addr.parse().expect("--addr must be HOST:PORT")),
+        None => {
+            let handle = serve(ServerConfig::default()).expect("start in-process server");
+            let addr = handle.local_addr();
+            (Some(handle), addr)
+        }
+    };
+    println!(
+        "fault scenario: {}-item batches, faults injected into the writers' own connections, target {addr}",
+        cfg.batch_size
+    );
+    let report = run_scenario(addr, &cfg);
     print_report(&report);
 
     println!(

@@ -15,8 +15,8 @@ fn multistream_drill_isolates_and_types_every_failure() {
     .expect("multistream drill");
     assert_eq!(report.streams, 8);
     assert!(report.items_acked > 0, "no traffic reached the streams");
-    // No proxy and no faults while the writers ran (the poison step
-    // comes after they are joined): each made one connection and kept it.
+    // No faults while the writers ran (the poison step comes after
+    // they are joined): each made one connection and kept it.
     assert_eq!(
         report.taxonomy.reconnects(),
         0,

@@ -4,6 +4,14 @@
 //! [`Client::send_raw`]) and the `fcds-load` harness — one
 //! implementation of framing on the client side, so a protocol change
 //! breaks loudly in one place.
+//!
+//! The client speaks over any `Read + Write` byte stream (a
+//! [`TcpStream`] unless said otherwise): [`Client::new`] takes one, and
+//! [`Client::connect`] is `new` over a configured TCP connection. A
+//! wrapper stream is how a test splits, stalls or damages the bytes of
+//! one connection without a second hop. Every request is one
+//! `write_all` of its whole frame, so a wrapper's first `write` call of
+//! a request holds the whole frame.
 
 use crate::frame::{
     check_payload, decode_nack_payload, encode_frame, encode_frame_flags, encode_stream_prefix,
@@ -74,30 +82,50 @@ impl Reply {
     }
 }
 
-/// A blocking frame-protocol client over one TCP connection.
-pub struct Client {
-    stream: TcpStream,
+/// A blocking frame-protocol client over one byte stream, by default
+/// a TCP connection.
+pub struct Client<S = TcpStream> {
+    stream: S,
     next_seq: u16,
     /// Reply payloads above this are refused (mirror of the server cap).
     max_reply_payload: u32,
 }
 
 impl Client {
-    /// Connects and applies `timeout` to reads and writes.
+    /// Connects, applies `timeout` to reads and writes and turns Nagle
+    /// off: [`Client::new`] over the connection [`connect_tcp`] opens.
     ///
     /// # Errors
     ///
     /// Propagates connect/configure I/O errors.
     pub fn connect<A: ToSocketAddrs>(addr: A, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
+        connect_tcp(addr, timeout).map(Client::new)
+    }
+}
+
+/// Opens the TCP connection [`Client::connect`] speaks over: `timeout`
+/// on reads and writes, Nagle off. For a client over a wrapper of it.
+///
+/// # Errors
+///
+/// Propagates connect/configure I/O errors.
+pub fn connect_tcp<A: ToSocketAddrs>(addr: A, timeout: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+impl<S: Read + Write> Client<S> {
+    /// A client over `stream`, which already reaches the server: every
+    /// request is written to it and every reply read from it.
+    pub fn new(stream: S) -> Client<S> {
+        Client {
             stream,
             next_seq: 1,
             max_reply_payload: 64 << 20,
-        })
+        }
     }
 
     fn seq(&mut self) -> u16 {
@@ -107,8 +135,8 @@ impl Client {
     }
 
     /// Writes raw bytes to the stream, bypassing the frame encoder —
-    /// the hostile-frame tests and the fault-injection proxy build
-    /// deliberately broken frames with this.
+    /// the hostile-frame tests build deliberately broken frames with
+    /// this.
     ///
     /// # Errors
     ///

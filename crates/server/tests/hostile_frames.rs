@@ -16,12 +16,13 @@
 //! | invalid merge envelope    | `Wire`           | open       |
 //! | truncated frame + stall   | `Timeout`        | closed     |
 
-use fcds_server::client::{Client, Reply};
+use fcds_server::client::{connect_tcp, Client, Reply};
 use fcds_server::frame::{encode_frame, FrameType, NackCode, FRAME_HEADER_LEN};
-use fcds_server::{serve, ServerConfig, ServerHandle};
+use fcds_server::{serve, ServerConfig, ServerHandle, DEFAULT_STREAM};
 use fcds_sketches::hash::DEFAULT_SEED;
-use fcds_sketches::wire::WireEncode;
-use std::io::ErrorKind;
+use fcds_sketches::wire::{SketchFamily, WireEncode};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -317,4 +318,141 @@ fn a_volley_of_hostile_frames_never_kills_the_server() {
     );
     assert_eq!(report.stats.worker_panics, 0);
     assert_eq!(report.leaked_threads, 0);
+}
+
+/// A connection that splits every write into pieces at seeded offsets
+/// and pauses about 1 ms between them, so the server's reads see a
+/// frame in as many fragments as the pieces arrive in. Reads pass
+/// through.
+struct Splitting {
+    stream: TcpStream,
+    /// [`xorshift`] state.
+    rng: u64,
+}
+
+/// One step of xorshift64 (`state` must be non-zero).
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+impl Read for Splitting {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Splitting {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut rest = buf;
+        while !rest.is_empty() {
+            // Pieces of 1 byte up to 128, so splits land inside the
+            // header, at its end and deep in the payload.
+            let cap = 1usize << (xorshift(&mut self.rng) % 8);
+            let piece = 1 + (xorshift(&mut self.rng) as usize) % cap.min(rest.len());
+            self.stream.write_all(&rest[..piece])?;
+            rest = &rest[piece..];
+            if !rest.is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// The streams the split-write mix addresses: the default stream over
+/// v1 frames, and one v2 stream per family.
+const SPLIT_TARGETS: [(Option<SketchFamily>, &[u8]); 5] = [
+    (None, DEFAULT_STREAM),
+    (Some(SketchFamily::Theta), b"split-theta"),
+    (Some(SketchFamily::Hll), b"split-hll"),
+    (Some(SketchFamily::Quantiles), b"split-quantiles"),
+    (Some(SketchFamily::Frequency), b"split-frequency"),
+];
+
+/// One request of the mix: ingest `items` into, or (with no items)
+/// query the image of, target `t`.
+fn split_request<S: Read + Write>(c: &mut Client<S>, t: usize, items: &[u64]) -> Reply {
+    let reply = match (SPLIT_TARGETS[t], items.is_empty()) {
+        ((None, _), false) => c.ingest(items),
+        ((None, _), true) => c.query_image(0),
+        ((Some(family), key), false) => c.ingest_stream(family, key, items),
+        ((Some(family), key), true) => c.query_stream_image(family, key),
+    };
+    reply.expect("request over a healthy connection")
+}
+
+#[test]
+fn replies_do_not_depend_on_how_writes_are_split() {
+    // Replayable: the shim has no shrinking, so a failure names its
+    // seed, and `FCDS_SPLIT_SEED` re-runs it alone.
+    let seeds: Vec<u64> = match std::env::var("FCDS_SPLIT_SEED") {
+        Ok(seed) => vec![seed.parse().expect("FCDS_SPLIT_SEED is a u64")],
+        Err(_) => vec![0x5EED_0001, 0x5EED_0002],
+    };
+    let cfg = ServerConfig {
+        ingest_workers: 1,
+        ..ServerConfig::default()
+    };
+    for seed in seeds {
+        println!("split-write mix: seed {seed}");
+        let (split_server, twin) = (serve(cfg.clone()).unwrap(), serve(cfg.clone()).unwrap());
+        let stream = connect_tcp(split_server.local_addr(), CLIENT_TIMEOUT).unwrap();
+        let mut split = Client::new(Splitting {
+            stream,
+            rng: seed | 1,
+        });
+        let mut whole = connect(&twin);
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || xorshift(&mut rng);
+        // One ingest creates each stream, then 40 seeded requests (a
+        // third of them image queries), then every stream's final image.
+        let mut request = |i: usize| {
+            let t = if i < SPLIT_TARGETS.len() {
+                i
+            } else {
+                (next() % 5) as usize
+            };
+            let len = if i >= SPLIT_TARGETS.len() && next() % 3 == 0 {
+                0
+            } else {
+                1 + next() % 40
+            };
+            let first = next() % 10_000;
+            (t, (first..first + len).collect::<Vec<u64>>())
+        };
+        for i in 0..SPLIT_TARGETS.len() + 40 {
+            let (t, items) = request(i);
+            let got = split_request(&mut split, t, &items);
+            let want = split_request(&mut whole, t, &items);
+            assert_eq!(
+                got,
+                want,
+                "seed {seed}: request {i} (target {t}, {} items)",
+                items.len()
+            );
+        }
+        for t in 0..SPLIT_TARGETS.len() {
+            let got = split_request(&mut split, t, &[]);
+            assert!(
+                matches!(got, Reply::Image { .. }),
+                "seed {seed}: final read of {t}"
+            );
+            assert_eq!(
+                got,
+                split_request(&mut whole, t, &[]),
+                "seed {seed}: final image of {t}"
+            );
+        }
+        for server in [split_server, twin] {
+            let report = server.shutdown();
+            assert_eq!((report.stats.conn_panics, report.leaked_threads), (0, 0));
+        }
+    }
 }

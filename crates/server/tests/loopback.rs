@@ -233,7 +233,7 @@ fn shutdown_frame_flips_drain_and_refuses_new_ingest() {
 }
 
 #[test]
-fn worker_panic_is_isolated_breaker_trips_and_server_survives() {
+fn ingest_panic_latches_its_stream_and_the_server_survives() {
     // A poisoned item panics the ingest it is in. The server must
     // refuse that frame and every later ingest on the stream with a
     // typed error, keep serving queries, and never hang or crash.
