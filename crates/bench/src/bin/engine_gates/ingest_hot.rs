@@ -9,9 +9,12 @@
 //!
 //! * `scalar` — one [`ThetaWriter::update`] per item (phase latch +
 //!   cached pre-filter switch);
-//! * `batched` — [`ThetaWriter::update_batch`] in 256-item chunks:
-//!   hashes unrolled 4-wide for ILP, survivors compacted branchlessly
-//!   against one hoisted hint read per sub-chunk;
+//! * `batched` — [`ThetaWriter::update_batch`] in 256-item chunks: per
+//!   32-item sub-chunk one hoisted hint read, a hash pass that also
+//!   reduces the sub-chunk's minimum, and a branchless compaction only
+//!   when that minimum is below the hint. On CPUs with AVX-512F/DQ/VL the
+//!   pass runs eight murmur3 lanes per instruction; each row's `lane`
+//!   (`"avx512"` or `"baseline"`) says which copy this runner measured;
 //! * both of the above with `disable_prefilter` (the ablation: every
 //!   update rides the hand-off protocol), so the hint's contribution
 //!   stays visible next to the batching win.
@@ -31,6 +34,7 @@ use fcds_bench::workload::{time_interleaved, SplitMix};
 use fcds_core::engine::{EngineBuilder, ThetaFamily};
 use fcds_core::theta::{ConcurrentThetaSketch, ThetaWriter};
 use fcds_core::PropagationBackendKind;
+use fcds_sketches::hash::Avx512;
 
 const SEED: u64 = 9001;
 const LG_K: u8 = 12;
@@ -44,14 +48,14 @@ const WARMUP: u64 = 1 << 21;
 /// The section's two gates, each bound beside the ratio it cuts.
 pub fn gates(batched_vs_scalar_hint: f64, batched_vs_scalar_shipall: f64) -> Vec<GateCheck> {
     vec![
-        // Hint on, lazy phase: a noise-margin parity guard, not a
-        // speedup claim. The work that built the batched path (fixed-
-        // width murmur3 lane, latched phase flip, cached pre-filter
-        // switch) also took every per-item overhead off the *scalar*
-        // path, which now sits at the murmur3 multiply-throughput wall —
-        // and the out-of-order core already overlaps the independent
-        // per-item hash chains, so explicit batching has only ~5% left
-        // to win on hint-on integer streams (measured 1.04–1.05×).
+        // Hint on, lazy phase: a parity guard, not a speedup claim. The
+        // scalar path hashes one item at a time, bound by the scalar
+        // 64-bit multiplies, and the out-of-order core overlaps the
+        // independent hash chains, so the baseline batched copy wins
+        // little (1.04–1.32× on a 2-vCPU Sapphire Rapids VM). The
+        // AVX-512 copy does eight of those multiplies per `vpmullq`
+        // (2.1–3.4× there); the bound is for the baseline copy, which
+        // runners without AVX-512F/DQ/VL measure.
         GateCheck::new(
             "batched_vs_scalar_hint_speedup",
             batched_vs_scalar_hint,
@@ -61,8 +65,9 @@ pub fn gates(batched_vs_scalar_hint: f64, batched_vs_scalar_shipall: f64) -> Vec
         // Where batching has a structural edge — every update buffered
         // and shipped through the hand-off — the bulk append must
         // actually win (measured ≈ 1.1× with a hand-off at every `b`;
-        // 2.27–2.31× since a writer-assisted batch merges the rest of a
-        // fused chunk inline when its buffer fills).
+        // 2.27–2.34× since a writer-assisted batch merges the rest of a
+        // fused chunk inline when its buffer fills, 2.8–3.3× with the
+        // AVX-512 batch hash).
         GateCheck::new(
             "batched_vs_scalar_shipall_speedup",
             batched_vs_scalar_shipall,
@@ -111,6 +116,7 @@ fn batched_pass(w: &mut ThetaWriter, items: &[u64]) {
 pub fn run() -> Section {
     let mut rng = SplitMix(SEED);
     let mut rows = Vec::new();
+    let lane = Avx512::lane();
     let [hint, shipall] = [true, false].map(|prefilter| {
         let (_scalar_engine, mut scalar) = warmed_writer(prefilter, &mut rng);
         let (_batched_engine, mut batched) = warmed_writer(prefilter, &mut rng);
@@ -124,8 +130,8 @@ pub fn run() -> Section {
         let (secs, rounds) = time_interleaved(fresh_items, [&mut scalar_side, &mut batched_side]);
         for (path, secs) in ["scalar", "batched"].into_iter().zip(secs) {
             rows.push(format!(
-                "{{\"path\": \"{path}\", \"prefilter\": {prefilter}, \"lg_k\": {LG_K}, \
-                 \"chunk\": {CHUNK}, \"ns_per_item\": {:.3}, \"items\": {}}}",
+                "{{\"path\": \"{path}\", \"lane\": \"{lane}\", \"prefilter\": {prefilter}, \
+                 \"lg_k\": {LG_K}, \"chunk\": {CHUNK}, \"ns_per_item\": {:.3}, \"items\": {}}}",
                 secs * 1e9 / PASS as f64,
                 rounds * PASS
             ));

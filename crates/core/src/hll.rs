@@ -25,7 +25,7 @@ use crate::engine::{Family, HllFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::{AtomicF64, EpochCell};
 use fcds_sketches::error::{Result, SketchError};
-use fcds_sketches::hash::{hash_batch_with_seed, Hashable};
+use fcds_sketches::hash::{hash_batch_with_seed, Avx512, Hashable};
 use fcds_sketches::hll::HllSketch;
 use fcds_sketches::wire::{SketchFamily, WireEncode};
 use std::num::NonZeroU64;
@@ -58,7 +58,15 @@ impl HintCodec for HllHint {
 /// the number of leading zeros after the index bits.
 #[inline]
 pub fn rho(hash: u64, lg_m: u8) -> u8 {
-    let tail = hash << lg_m;
+    tail_rank(hash << lg_m, lg_m)
+}
+
+/// [`rho`] of a hash whose index bits are already shifted out.
+/// Non-increasing in `tail`: a zero tail ranks highest (`64 − lg_m + 1`,
+/// above any non-zero tail's), and a larger non-zero tail has fewer
+/// leading zeros.
+#[inline]
+fn tail_rank(tail: u64, lg_m: u8) -> u8 {
     if tail == 0 {
         64 - lg_m + 1
     } else {
@@ -316,16 +324,16 @@ impl HllWriter {
     }
 
     /// Processes a batch of stream items through the fused fast path:
-    /// hash, rank, and min-register filter run in one in-register pass
-    /// per item against a hint hoisted per chunk, survivors are
-    /// compacted branchlessly into a stack buffer and appended with one
-    /// reserved extend, hand-offs at `b`-boundaries mid-batch or an
-    /// inline merge of the chunk's rest (`SketchWriter::push_accepted`).
+    /// per chunk of 32 items, one hoisted hint read, then
+    /// `filter_chunk` hashes and keeps what ranks above the hint's
+    /// floor (on CPUs with AVX-512F/DQ/VL, eight hashes per
+    /// instruction), and the survivors are appended with one reserved
+    /// extend, handing off at `b`-boundaries mid-batch or merging the
+    /// chunk's rest inline (`SketchWriter::push_accepted`).
     /// Equivalent to calling [`Self::update`] once per item — a stale
     /// hint only filters less (registers never decrease), and the
     /// filtered-out extras would be register no-ops anyway.
     pub fn update_batch<T: Hashable>(&mut self, items: &[T]) {
-        const CHUNK: usize = 32;
         let mut rest = items;
         while !self.inner.is_lazy() {
             let Some((first, tail)) = rest.split_first() else {
@@ -342,15 +350,11 @@ impl HllWriter {
             }
             return;
         }
+        let lane = Avx512::detect();
         let mut survivors = [0u64; CHUNK];
         for chunk in rest.chunks(CHUNK) {
             let hint = self.inner.hint();
-            let mut kept = 0usize;
-            for item in chunk {
-                let h = item.hash_with_seed(self.seed);
-                survivors[kept] = h;
-                kept += (rho(h, hint.lg_m) > hint.floor) as usize;
-            }
+            let kept = filter_chunk(lane, chunk, self.seed, hint, &mut survivors);
             self.inner.note_filtered((chunk.len() - kept) as u64);
             self.inner.push_accepted(&survivors[..kept]);
         }
@@ -369,6 +373,78 @@ impl HllWriter {
     }
 }
 
+/// Items per fused chunk of [`HllWriter::update_batch`].
+const CHUNK: usize = 32;
+
+/// The HLL writer's per-chunk step, written once: hashes `chunk`
+/// (≤ [`CHUNK`] items) and compacts the hashes whose rank exceeds
+/// `hint.floor` into `survivors` in stream order, returning how many it
+/// kept.
+///
+/// Shaped to vectorise: the hash pass is a straight loop into a stack
+/// array that also reduces the smallest tail (the hash with its index
+/// bits shifted out). [`tail_rank`] is non-increasing, so that tail has
+/// the chunk's largest rank, and the branchless compaction runs only
+/// when it beats the floor. Ranks are compared, never tails against a
+/// threshold, so floor 0 keeps every hash and the largest floor,
+/// `64 − lg_m + 1`, keeps none, a zero tail included. `#[inline(always)]`
+/// so that each caller compiles its own copy: the baseline one, and
+/// [`filter_chunk_avx512`].
+#[inline(always)]
+fn filter_chunk_body<T: Hashable>(
+    chunk: &[T],
+    seed: u64,
+    hint: HllHint,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    let mut hashes = [0u64; CHUNK];
+    let mut min_tail = u64::MAX;
+    for (h, item) in hashes.iter_mut().zip(chunk) {
+        *h = item.hash_with_seed(seed);
+        min_tail = min_tail.min(*h << hint.lg_m);
+    }
+    if tail_rank(min_tail, hint.lg_m) <= hint.floor {
+        return 0;
+    }
+    let mut kept = 0;
+    for &h in &hashes[..chunk.len()] {
+        survivors[kept] = h;
+        kept += (rho(h, hint.lg_m) > hint.floor) as usize;
+    }
+    kept
+}
+
+/// [`filter_chunk_body`] compiled for AVX-512F/DQ/VL, where LLVM turns
+/// murmur3's 64-bit multiplies into `vpmullq` over eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn filter_chunk_avx512<T: Hashable>(
+    chunk: &[T],
+    seed: u64,
+    hint: HllHint,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    filter_chunk_body(chunk, seed, hint, survivors)
+}
+
+/// Runs the copy of [`filter_chunk_body`] that `lane` allows.
+#[inline]
+fn filter_chunk<T: Hashable>(
+    lane: Option<Avx512>,
+    chunk: &[T],
+    seed: u64,
+    hint: HllHint,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    match lane {
+        // SAFETY: `filter_chunk_avx512` needs AVX-512F/DQ/VL, and an
+        // `Avx512` exists only once `Avx512::detect` confirmed them.
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => unsafe { filter_chunk_avx512(chunk, seed, hint, survivors) },
+        _ => filter_chunk_body(chunk, seed, hint, survivors),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +455,73 @@ mod tests {
         for (lg_m, floor) in [(4u8, 0u8), (12, 3), (21, 61)] {
             let h = HllHint { lg_m, floor };
             assert_eq!(HllHint::decode(h.encode()), h);
+        }
+    }
+
+    #[test]
+    fn dispatched_filter_kernel_equals_the_baseline_copy() {
+        // The copy this CPU runs (AVX-512 where present) against the
+        // baseline, over every chunk length: random keys through the
+        // real hash, then chosen hashes of every rank, a zero tail
+        // (the top rank) included.
+        use crate::test_support::RawHash;
+        use rand::{Rng, SeedableRng};
+        /// Runs both copies on `chunk`, checks that each keeps the
+        /// one-at-a-time filter's survivors in stream order, and returns
+        /// what each filtered.
+        fn both<T: Hashable>(lane: Option<Avx512>, chunk: &[T], hint: HllHint) -> [usize; 2] {
+            let want: Vec<u64> = chunk
+                .iter()
+                .map(|item| item.hash_with_seed(9001))
+                .filter(|&h| rho(h, hint.lg_m) > hint.floor)
+                .collect();
+            let mut out = [[0u64; CHUNK]; 2];
+            let kept = [
+                filter_chunk(lane, chunk, 9001, hint, &mut out[0]),
+                filter_chunk_body(chunk, 9001, hint, &mut out[1]),
+            ];
+            for (copy, (out, kept)) in ["dispatched", "baseline"].iter().zip(out.iter().zip(kept)) {
+                assert_eq!(
+                    out[..kept],
+                    want[..],
+                    "{copy}: {hint:?}, {} items",
+                    chunk.len()
+                );
+            }
+            kept.map(|k| chunk.len() - k)
+        }
+        const ITEM_SEED: u64 = 0x0411_C0DE;
+        println!(
+            "HLL filter lane: {}; items seeded {ITEM_SEED:#x}",
+            Avx512::lane()
+        );
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(ITEM_SEED);
+        let lane = Avx512::detect();
+        for lg_m in [4u8, 12, 16] {
+            let max_floor = 64 - lg_m + 1;
+            // Index bits all clear or all set; a tail of each rank below
+            // `max_floor`, and the zero tail, whose rank is `max_floor`.
+            let index = u64::MAX << (64 - lg_m);
+            let edges: Vec<u64> = (1..max_floor)
+                .map(|rank| 1u64 << (64 - rank - lg_m))
+                .chain([0])
+                .flat_map(|tail| [tail, tail | index])
+                .collect();
+            for floor in [0, 1, max_floor] {
+                let hint = HllHint { lg_m, floor };
+                let mut filtered = [0usize; 2];
+                for len in 0..=CHUNK {
+                    let keys: Vec<u64> = (0..len).map(|_| rng.random()).collect();
+                    let raw: Vec<RawHash> = (0..len)
+                        .map(|_| RawHash(edges[rng.random_range(0..edges.len())]))
+                        .collect();
+                    for f in [both(lane, &keys, hint), both(lane, &raw, hint)] {
+                        filtered[0] += f[0];
+                        filtered[1] += f[1];
+                    }
+                }
+                assert_eq!(filtered[0], filtered[1], "filtered total, {hint:?}");
+            }
         }
     }
 

@@ -100,4 +100,17 @@ pub mod test_support {
             .unwrap_or(1);
         (n * par.min(4) / 4).max(1)
     }
+
+    /// A stream item that hashes to itself under every seed, so a test
+    /// can put chosen hashes — a filter's edge cases — through the
+    /// writers' fused batch kernels.
+    #[cfg(test)]
+    pub(crate) struct RawHash(pub u64);
+
+    #[cfg(test)]
+    impl fcds_sketches::hash::Hashable for RawHash {
+        fn hash_with_seed(&self, _seed: u64) -> u64 {
+            self.0
+        }
+    }
 }

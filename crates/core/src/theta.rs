@@ -24,7 +24,7 @@ use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::{EpochCell, SeqSnapshot};
 use bytes::Bytes;
 use fcds_sketches::error::{Result, SketchError};
-use fcds_sketches::hash::{hash_batch_with_seed, Hashable};
+use fcds_sketches::hash::{hash_batch_with_seed, Avx512, Hashable};
 use fcds_sketches::theta::{
     normalize_hash, theta_to_fraction, untrimmed_union, untrimmed_union_unsorted, BlockSnapshot,
     CompactThetaSketch, HashBlocks, QuickSelectThetaSketch, ThetaRead,
@@ -387,9 +387,20 @@ impl ConcurrentThetaSketch {
     /// Freezes the current global state into an immutable compact sketch
     /// (for set operations or serialisation). With `K > 1` shards this is
     /// the untrimmed union of the shard images. Takes the shard locks in
-    /// turn; not a hot-path operation.
+    /// turn, each only to copy Θ, the seed and the retained hashes; the
+    /// sort runs after the lock is released.
     pub fn compact(&self) -> CompactThetaSketch {
-        let mut parts = self.inner.with_globals(|g| g.sketch.compact());
+        let copies = self.inner.with_globals(|g| {
+            let s = &g.sketch;
+            (s.theta(), s.seed(), s.hashes().collect::<Vec<_>>())
+        });
+        let mut parts: Vec<CompactThetaSketch> = copies
+            .into_iter()
+            .map(|(theta, seed, hashes)| {
+                CompactThetaSketch::from_parts(theta, seed, hashes)
+                    .expect("retained hashes are non-zero and below Θ")
+            })
+            .collect();
         if parts.len() == 1 {
             return parts.pop().expect("at least one shard");
         }
@@ -458,14 +469,12 @@ impl ThetaWriter {
     }
 
     /// Processes a batch of stream items through the fused fast path:
-    /// one pass hashes each item (the fixed-width murmur3 lane for
-    /// integer keys), normalises and filters it against one hoisted Θ
-    /// hint read per chunk — all in registers, the hash array of the
-    /// scalar path's per-call plumbing never materialises — and
-    /// branchlessly compacts the rare survivors into a stack buffer
-    /// that is appended to the local buffer in one reserved extend,
-    /// handing off at `b`-boundaries mid-batch or merging the chunk's
-    /// rest inline (`SketchWriter::push_accepted`).
+    /// per chunk of 32 items, one hoisted Θ hint read, then
+    /// `filter_chunk` hashes, normalises and keeps what is below the
+    /// hint (on CPUs with AVX-512F/DQ/VL, eight hashes per instruction),
+    /// and the survivors are appended to the local buffer in one
+    /// reserved extend, handing off at `b`-boundaries mid-batch or
+    /// merging the chunk's rest inline (`SketchWriter::push_accepted`).
     ///
     /// Equivalent to calling [`Self::update`] once per item: the hint
     /// may go stale within a chunk, which is safe because Θ only
@@ -473,7 +482,6 @@ impl ThetaWriter {
     /// rejects the extra hashes at merge time (see the
     /// [`crate::runtime`] module docs).
     pub fn update_batch<T: Hashable>(&mut self, items: &[T]) {
-        const CHUNK: usize = 32;
         let mut rest = items;
         // Eager phase (§5.3): scalar until the writer latches lazy.
         while !self.inner.is_lazy() {
@@ -495,20 +503,13 @@ impl ThetaWriter {
             }
             return;
         }
+        let lane = Avx512::detect();
         let mut survivors = [0u64; CHUNK];
         for chunk in rest.chunks(CHUNK) {
             // One hint read per chunk; flushes inside push_accepted
             // refresh it for the next chunk.
             let hint = self.inner.hint();
-            let mut kept = 0usize;
-            for item in chunk {
-                let h = normalize_hash(item.hash_with_seed(self.seed));
-                // Branchless compaction: always write, advance past
-                // survivors only. The hash chains stay independent, so
-                // the CPU overlaps them across iterations.
-                survivors[kept] = h;
-                kept += (h < hint) as usize;
-            }
+            let kept = filter_chunk(lane, chunk, self.seed, hint, &mut survivors);
             self.inner.note_filtered((chunk.len() - kept) as u64);
             self.inner.push_accepted(&survivors[..kept]);
         }
@@ -544,6 +545,74 @@ impl ThetaWriter {
     }
 }
 
+/// Items per fused chunk of [`ThetaWriter::update_batch`].
+const CHUNK: usize = 32;
+
+/// The Θ writer's per-chunk step, written once: hashes `chunk`
+/// (≤ [`CHUNK`] items), normalises, and compacts the hashes below `hint`
+/// into `survivors` in stream order, returning how many it kept.
+///
+/// Shaped to vectorise: the hash pass is a straight loop into a stack
+/// array that also reduces the chunk's minimum, and the branchless
+/// compaction runs only when that minimum is below the hint — once Θ
+/// has shrunk, almost every chunk stops after the hash pass.
+/// `#[inline(always)]` so that each caller compiles its own copy:
+/// the baseline one, and [`filter_chunk_avx512`].
+#[inline(always)]
+fn filter_chunk_body<T: Hashable>(
+    chunk: &[T],
+    seed: u64,
+    hint: u64,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    let mut hashes = [0u64; CHUNK];
+    let mut min = u64::MAX;
+    for (h, item) in hashes.iter_mut().zip(chunk) {
+        *h = normalize_hash(item.hash_with_seed(seed));
+        min = min.min(*h);
+    }
+    if min >= hint {
+        return 0;
+    }
+    let mut kept = 0;
+    for &h in &hashes[..chunk.len()] {
+        survivors[kept] = h;
+        kept += (h < hint) as usize;
+    }
+    kept
+}
+
+/// [`filter_chunk_body`] compiled for AVX-512F/DQ/VL, where LLVM turns
+/// murmur3's 64-bit multiplies into `vpmullq` over eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn filter_chunk_avx512<T: Hashable>(
+    chunk: &[T],
+    seed: u64,
+    hint: u64,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    filter_chunk_body(chunk, seed, hint, survivors)
+}
+
+/// Runs the copy of [`filter_chunk_body`] that `lane` allows.
+#[inline]
+fn filter_chunk<T: Hashable>(
+    lane: Option<Avx512>,
+    chunk: &[T],
+    seed: u64,
+    hint: u64,
+    survivors: &mut [u64; CHUNK],
+) -> usize {
+    match lane {
+        // SAFETY: `filter_chunk_avx512` needs AVX-512F/DQ/VL, and an
+        // `Avx512` exists only once `Avx512::detect` confirmed them.
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => unsafe { filter_chunk_avx512(chunk, seed, hint, survivors) },
+        _ => filter_chunk_body(chunk, seed, hint, survivors),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,6 +620,61 @@ mod tests {
     use crate::engine::EngineBuilder;
     use crate::test_support::scaled;
     use fcds_sketches::theta::{rse, THETA_MAX};
+
+    #[test]
+    fn dispatched_filter_kernel_equals_the_baseline_copy() {
+        // The copy this CPU runs (AVX-512 where present) against the
+        // baseline, over every chunk length: random keys through the
+        // real hash, then chosen hashes on each hint's edges.
+        use crate::test_support::RawHash;
+        use rand::{Rng, SeedableRng};
+        /// Runs both copies on `chunk`, checks that each keeps the
+        /// one-at-a-time filter's survivors in stream order, and returns
+        /// what each filtered.
+        fn both<T: Hashable>(lane: Option<Avx512>, chunk: &[T], hint: u64) -> [usize; 2] {
+            let want: Vec<u64> = chunk
+                .iter()
+                .map(|item| normalize_hash(item.hash_with_seed(9001)))
+                .filter(|&h| h < hint)
+                .collect();
+            let mut out = [[0u64; CHUNK]; 2];
+            let kept = [
+                filter_chunk(lane, chunk, 9001, hint, &mut out[0]),
+                filter_chunk_body(chunk, 9001, hint, &mut out[1]),
+            ];
+            for (copy, (out, kept)) in ["dispatched", "baseline"].iter().zip(out.iter().zip(kept)) {
+                assert_eq!(
+                    out[..kept],
+                    want[..],
+                    "{copy}: hint {hint}, {} items",
+                    chunk.len()
+                );
+            }
+            kept.map(|k| chunk.len() - k)
+        }
+        const ITEM_SEED: u64 = 0x7E7A_C0DE;
+        println!(
+            "Θ filter lane: {}; items seeded {ITEM_SEED:#x}",
+            Avx512::lane()
+        );
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(ITEM_SEED);
+        let lane = Avx512::detect();
+        for hint in [1, 2, u64::MAX / 2, u64::MAX] {
+            let edges = [0, 1, 2, hint - 1, hint, hint.saturating_add(1), u64::MAX];
+            let mut filtered = [0usize; 2];
+            for len in 0..=CHUNK {
+                let keys: Vec<u64> = (0..len).map(|_| rng.random()).collect();
+                let raw: Vec<RawHash> = (0..len)
+                    .map(|_| RawHash(edges[rng.random_range(0..edges.len())]))
+                    .collect();
+                for f in [both(lane, &keys, hint), both(lane, &raw, hint)] {
+                    filtered[0] += f[0];
+                    filtered[1] += f[1];
+                }
+            }
+            assert_eq!(filtered[0], filtered[1], "filtered total, hint {hint}");
+        }
+    }
 
     fn build(lg_k: u8, writers: usize, e: f64) -> ConcurrentThetaSketch {
         EngineBuilder::<ThetaFamily>::new()

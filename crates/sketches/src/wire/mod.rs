@@ -60,13 +60,9 @@
 //! [`WireMerge::wire_fan_in`]; [`peek`] classifies an image from its
 //! first 16 bytes for server-side routing.
 //!
-//! # Θ set algebra on the wire
+//! # Unsorted Θ images
 //!
-//! Beyond union, Θ images support the full estimator algebra without
-//! rebuilding updatable sketches: [`theta_union_on_wire`],
-//! [`theta_intersection_on_wire`], [`theta_a_not_b_on_wire`] and
-//! [`theta_jaccard_on_wire`] operate directly on serialised images.
-//! [`encode_theta_unsorted`] additionally serialises any [`ThetaRead`]
+//! [`encode_theta_unsorted`] serialises any [`ThetaRead`]
 //! view — e.g. the engine's copy-on-write block snapshots — without
 //! sorting first (flag bit 0); the decoder canonicalises.
 //!
@@ -96,8 +92,8 @@ use crate::error::WireError;
 use crate::frequency::MisraGriesSketch;
 use crate::hll::HllSketch;
 use crate::quantiles::{QuantilesLadder, TotalF64};
-use crate::theta::setops::{untrimmed_union, ThetaANotB, ThetaIntersection};
-use crate::theta::{jaccard, CompactThetaSketch, JaccardEstimate, ThetaRead};
+use crate::theta::setops::untrimmed_union;
+use crate::theta::{CompactThetaSketch, ThetaRead};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::hash::Hash;
 
@@ -582,59 +578,6 @@ pub fn encode_theta_unsorted<S: ThetaRead + ?Sized>(src: &S) -> Bytes {
     buf.freeze()
 }
 
-/// Unions Θ wire images without trimming, returning the merged image.
-///
-/// # Errors
-///
-/// Decode failures, seed mismatches ([`WireError::Incompatible`]), or an
-/// empty image list.
-pub fn theta_union_on_wire<I, B>(images: I) -> Result<Bytes, WireError>
-where
-    I: IntoIterator<Item = B>,
-    B: AsRef<[u8]>,
-{
-    let merged: CompactThetaSketch = merge_wire_images(images)?;
-    Ok(merged.to_wire_bytes())
-}
-
-/// Intersects two Θ wire images, returning the result image.
-///
-/// # Errors
-///
-/// Decode failures or a seed mismatch.
-pub fn theta_intersection_on_wire(a: &[u8], b: &[u8]) -> Result<Bytes, WireError> {
-    let a = CompactThetaSketch::from_wire_bytes(a)?;
-    let b = CompactThetaSketch::from_wire_bytes(b)?;
-    let mut gadget = ThetaIntersection::new(a.seed());
-    gadget.update(&a).map_err(setop_err)?;
-    gadget.update(&b).map_err(setop_err)?;
-    let out = gadget.result().map_err(setop_err)?;
-    Ok(out.to_wire_bytes())
-}
-
-/// Computes A-not-B over two Θ wire images, returning the result image.
-///
-/// # Errors
-///
-/// Decode failures or a seed mismatch.
-pub fn theta_a_not_b_on_wire(a: &[u8], b: &[u8]) -> Result<Bytes, WireError> {
-    let a = CompactThetaSketch::from_wire_bytes(a)?;
-    let b = CompactThetaSketch::from_wire_bytes(b)?;
-    let out = ThetaANotB::new().compute(&a, &b).map_err(setop_err)?;
-    Ok(out.to_wire_bytes())
-}
-
-/// Estimates the Jaccard similarity of two Θ wire images.
-///
-/// # Errors
-///
-/// Decode failures or a seed mismatch.
-pub fn theta_jaccard_on_wire(a: &[u8], b: &[u8]) -> Result<JaccardEstimate, WireError> {
-    let a = CompactThetaSketch::from_wire_bytes(a)?;
-    let b = CompactThetaSketch::from_wire_bytes(b)?;
-    jaccard(&a, &b).map_err(setop_err)
-}
-
 // ---------------------------------------------------------------------------
 // HLL family
 // ---------------------------------------------------------------------------
@@ -988,35 +931,6 @@ mod tests {
             merge_wire_images::<HllSketch, _, _>(images),
             Err(WireError::Invariant { .. })
         ));
-    }
-
-    #[test]
-    fn theta_set_algebra_on_wire() {
-        let sketch = |lo: u64, hi: u64| {
-            let mut s = QuickSelectThetaSketch::new(10, 5).unwrap();
-            for i in lo..hi {
-                s.update(i);
-            }
-            s.compact().to_wire_bytes()
-        };
-        // A = [0, 60k), B = [40k, 100k): |A∩B| = 20k, |A∪B| = 100k.
-        let a = sketch(0, 60_000);
-        let b = sketch(40_000, 100_000);
-        let union = CompactThetaSketch::from_wire_bytes(&theta_union_on_wire([&a, &b]).unwrap())
-            .unwrap()
-            .estimate();
-        assert!((union - 100_000.0).abs() / 100_000.0 < 0.1, "union {union}");
-        let inter =
-            CompactThetaSketch::from_wire_bytes(&theta_intersection_on_wire(&a, &b).unwrap())
-                .unwrap()
-                .estimate();
-        assert!((inter - 20_000.0).abs() / 20_000.0 < 0.25, "inter {inter}");
-        let diff = CompactThetaSketch::from_wire_bytes(&theta_a_not_b_on_wire(&a, &b).unwrap())
-            .unwrap()
-            .estimate();
-        assert!((diff - 40_000.0).abs() / 40_000.0 < 0.25, "a\\b {diff}");
-        let j = theta_jaccard_on_wire(&a, &b).unwrap();
-        assert!((j.estimate - 0.2).abs() < 0.1, "jaccard {}", j.estimate);
     }
 
     #[test]
