@@ -997,6 +997,13 @@ const SYNC_TIMEOUT: Duration = Duration::from_secs(10);
 /// so a pusher that stops shipping new images cannot pass on its first.
 const SYNC_ROUNDS: u64 = 2;
 
+/// Sync periods the drill waits after the last convergence before it
+/// counts idle pushes, so a push already in flight is not counted.
+const IDLE_SETTLE_PERIODS: u32 = 2;
+
+/// Sync periods over which the drill counts pushes of idle streams.
+const IDLE_PERIODS: u32 = 5;
+
 /// Outcome of the two-server replica-sync drill.
 pub struct SyncReport {
     /// Streams replicated.
@@ -1014,6 +1021,10 @@ pub struct SyncReport {
     pub convergence: Option<Duration>,
     /// Replica pushes the source's background pusher delivered.
     pub pushes: u64,
+    /// Pushes the source delivered over five sync periods with every
+    /// stream idle and converged (must be 0: an unchanged stream is not
+    /// re-shipped).
+    pub idle_pushes: u64,
     /// Leaked threads across both servers' drains (must be 0).
     pub leaked_threads: usize,
 }
@@ -1025,7 +1036,8 @@ pub struct SyncReport {
 /// waits until A's own images admit every item, then polls B's
 /// stream-addressed image queries until each stream's is admitted at
 /// `[sent, sent]` under A's relaxation. Every earlier B read must
-/// still be admitted at `[0, sent]`.
+/// still be admitted at `[0, sent]`. After the last convergence it
+/// counts the pushes of the now idle streams.
 ///
 /// # Errors
 ///
@@ -1089,6 +1101,10 @@ pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
         }
         convergence = (converged == SYNC_STREAMS).then(|| clock_start.elapsed());
     }
+    std::thread::sleep(SYNC_PERIOD * IDLE_SETTLE_PERIODS);
+    let pushed_before = source.stats().replica_pushes;
+    std::thread::sleep(SYNC_PERIOD * IDLE_PERIODS);
+    let idle_pushes = source.stats().replica_pushes - pushed_before;
 
     let drain_source = source.shutdown();
     let drain_peer = peer.shutdown();
@@ -1098,6 +1114,7 @@ pub fn run_sync_drill(items_per_stream: u64) -> std::io::Result<SyncReport> {
         relaxation_violations,
         convergence,
         pushes: drain_source.stats.replica_pushes,
+        idle_pushes,
         leaked_threads: drain_source.leaked_threads + drain_peer.leaked_threads,
     })
 }

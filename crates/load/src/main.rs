@@ -147,11 +147,12 @@ fn print_sync(r: &SyncReport) {
         .convergence
         .map(|d| format!(" in {:.0} ms", d.as_secs_f64() * 1e3));
     println!(
-        "  {} / {} streams converged{}, {} pushes",
+        "  {} / {} streams converged{}, {} pushes ({} while idle)",
         r.converged,
         r.streams,
         converged_in.unwrap_or_default(),
-        r.pushes
+        r.pushes,
+        r.idle_pushes
     );
 }
 

@@ -17,7 +17,7 @@ use fcds_bench::gate::{object, Bound, GateCheck};
 use fcds_server::frame::NackCode;
 use std::fmt::Write as _;
 
-/// The twelve gated measurements of one `fcds-load` run.
+/// The thirteen gated measurements of one `fcds-load` run.
 pub fn gates(
     r: &ScenarioReport,
     msr: &MultiStreamReport,
@@ -96,6 +96,9 @@ pub fn gates(
             Max,
             0.0,
         ),
+        // A stream that did not change since its last push is not
+        // pushed again: idle streams cost no replica traffic.
+        gate("sync_idle_pushes", sync.idle_pushes as f64, Max, 0.0),
         // Recovery is a boot-time directory scan — O(streams) decode +
         // CRC + registry insert — so 5 s is process spawn plus connect
         // retries on a loaded 1-CPU runner. A recovery that scales with
@@ -159,7 +162,7 @@ pub fn render_json(
             .into_iter()
             .map(|(name, count)| (name, count.to_string())),
     );
-    let mut out = String::from("{\n  \"schema\": \"fcds-bench-serve-v3\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fcds-bench-serve-v4\",\n");
     let _ = write!(
         out,
         "  \"config\": {{\"batch_size\": {}, \"baseline_ms\": {}, \"fault_hold_ms\": {}}},\n  \
@@ -181,7 +184,7 @@ pub fn render_json(
         "  \"multistream\": {{\"streams\": {}, \"items_acked\": {}, \"isolation\": {:.4}, \
          \"relaxation_violations\": {}}},\n  \
          \"sync\": {{\"streams\": {}, \"converged\": {}, \"relaxation_violations\": {}, \
-         \"convergence_ms\": {:.1}, \"pushes\": {}}},\n  \
+         \"convergence_ms\": {:.1}, \"pushes\": {}, \"idle_pushes\": {}}},\n  \
          \"crash\": {{\"streams\": {}, \"recovered_streams\": {}, \"recovery_ms\": {:.1}, \
          \"relaxation_violations\": {}, \"corrupt_accepted\": {}, \"quarantined\": {}, \
          \"churn_items\": {}}},\n  ",
@@ -194,6 +197,7 @@ pub fn render_json(
         sync.relaxation_violations,
         ms_or(sync.convergence),
         sync.pushes,
+        sync.idle_pushes,
         crash.streams,
         crash.recovered_streams,
         ms_or(crash.recovery),

@@ -1,6 +1,6 @@
 //! Pins the set of gates `fcds-load` declares in `BENCH_serve.json`, so
 //! a renamed, dropped or re-directed gate fails tier-1 rather than the
-//! CI bench leg: exactly the twelve count-and-time checks, no speed
+//! CI bench leg: exactly the thirteen count-and-time checks, no speed
 //! gate, no relative-error tolerance, and each one trips alone when its
 //! measurement is doctored.
 
@@ -13,7 +13,7 @@ use fcds_load::{
 use fcds_server::frame::NackCode;
 use std::time::Duration;
 
-const GATES: [&str; 12] = [
+const GATES: [&str; 13] = [
     "typed_error_coverage",
     "fault_classes_survived",
     "worst_recovery_ms",
@@ -22,6 +22,7 @@ const GATES: [&str; 12] = [
     "served_relaxation_violations",
     "sync_convergence_streams",
     "peer_relaxation_violations",
+    "sync_idle_pushes",
     "durability_recovery_s",
     "durability_streams_recovered",
     "crash_relaxation_violations",
@@ -67,6 +68,7 @@ fn healthy() -> (
         relaxation_violations: 0,
         convergence: Some(Duration::from_millis(120)),
         pushes: 9,
+        idle_pushes: 0,
         leaked_threads: 0,
     };
     let crash = CrashDrillReport {
@@ -83,7 +85,7 @@ fn healthy() -> (
 }
 
 #[test]
-fn bench_serve_declares_exactly_the_twelve_count_and_time_gates() {
+fn bench_serve_declares_exactly_the_thirteen_count_and_time_gates() {
     let (scenario, multistream, sync, crash) = healthy();
     let doc = render_json(
         &LoadConfig::default(),

@@ -43,5 +43,6 @@ fn sync_drill_converges_every_stream_inside_the_relaxation() {
     assert_eq!(report.relaxation_violations, 0);
     assert!(report.convergence.is_some());
     assert!(report.pushes > 0, "replica pusher never delivered");
+    assert_eq!(report.idle_pushes, 0, "an idle stream was pushed again");
     assert_eq!(report.leaked_threads, 0);
 }

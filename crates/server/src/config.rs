@@ -33,12 +33,10 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// `lg_k` of the live Θ engine.
     pub lg_k: u8,
-    /// Consecutive transport failures that open the replica link's
-    /// circuit breaker.
+    /// Inert: there is no circuit breaker (a dead replica peer is
+    /// retried after a doubling, jittered backoff). Kept because the
+    /// frozen benchmark's unit test sets it.
     pub breaker_threshold: u32,
-    /// How long the open replica-link breaker rejects before admitting
-    /// a half-open probe.
-    pub breaker_cooldown: Duration,
     /// Fault-injection hook for the robustness suite: an ingest whose
     /// batch holds this item value panics, exercising panic isolation
     /// and the per-stream fault latch over a real connection. `None`
@@ -50,8 +48,9 @@ pub struct ServerConfig {
     pub max_streams: usize,
     /// Replica peer address (`host:port`). `Some` turns on the
     /// background pusher: every [`Self::replica_interval`] the server
-    /// ships each stream's live wire image to the peer as a v2 REPLACE
-    /// merge under [`Self::replica_source_id`].
+    /// ships each changed stream's image to the peer as a v2 REPLACE
+    /// merge under [`Self::replica_source_id`], and every stream on
+    /// each (re)connect.
     pub replica_peer: Option<String>,
     /// Push period of the replica pusher.
     pub replica_interval: Duration,
@@ -82,7 +81,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(2),
             lg_k: 12,
             breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(250),
             fault_panic_on: None,
             max_streams: 64,
             replica_peer: None,

@@ -289,17 +289,10 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
         Err(nack) => return nack,
     };
     if stream
-        .slots
-        .put(prefix.source, Bytes::from(body.to_vec()))
+        .merge(prefix.source, Bytes::from(body.to_vec()))
         .is_err()
     {
         return Response::nack(frame.seq, NackCode::Overload, "slot map at capacity", false);
-    }
-    // Accumulated pushes are part of a stream's durable state; make the
-    // checkpointer rewrite the snapshot even if `items` is unchanged.
-    // (Replica slots are not: see `Consumer::Checkpoint`.)
-    if prefix.source.is_none() {
-        stream.snapshot_dirty.store(true, Ordering::Release);
     }
     ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
     Response::ack(frame.seq)

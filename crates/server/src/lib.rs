@@ -26,8 +26,7 @@
 //!   (fail-stop per stream); its queries and merges, and every other
 //!   stream, carry on. Connection threads run under a second
 //!   `catch_unwind`, so a panic anywhere else kills at most the
-//!   connection it is on. The [`breaker::CircuitBreaker`] guards the
-//!   replica link only.
+//!   connection it is on.
 //! * **Graceful drain** — [`ServerHandle::shutdown`] stops admitting
 //!   ingest, closes the listener and joins every connection thread
 //!   (each flushes its writers as it goes), quiesces every engine
@@ -60,17 +59,18 @@
 //! fan-in: the live image merged with the slot classes that consumer
 //! sees, using the family's multiway merge kernel. The paper's composability
 //! requirement is exactly this: `merge` over snapshots is the only way
-//! state is combined.
+//! state is combined. Checkpoints and replica pushes leave through one
+//! shipper loop (`ship`), which skips the streams its sink holds.
 //!
 //! **Replica sync**: configure [`ServerConfig::replica_peer`] and the
-//! server periodically ships what it holds for every stream (live ∪
+//! server ships what it holds for each stream that changed (live ∪
 //! recovered) to the peer as a v2 REPLACE merge
 //! ([`frame::FLAG_REPLACE`]) keyed by
 //! [`ServerConfig::replica_source_id`]. The peer keeps the newest image
 //! per source, so two servers ingesting disjoint substreams converge on
 //! the union within one sync period. Replacement — not accumulation —
-//! is what keeps periodic re-pushes idempotent for the families whose
-//! merges are not (Quantiles concat, Misra–Gries counter addition).
+//! is what keeps re-pushes idempotent for the families whose merges
+//! are not (Quantiles concat, Misra–Gries counter addition).
 //!
 //! # Module map
 //!
@@ -81,13 +81,12 @@
 //!   connection's engine writers.
 //! * `registry` — the key → stream map and stream construction.
 //! * `slots` — the image-slot map, envelope validation, the fan-in.
-//! * [`persist`], [`recover`], `replica` — checkpointer and snapshot
-//!   format; boot-time recovery; the replica pusher.
-//! * [`frame`], [`client`], [`breaker`] — the wire protocol, a blocking
-//!   client for it, the circuit breaker.
+//! * `ship`, [`persist`], [`recover`] — the shipper loop and the
+//!   replica peer's sink; the checkpointer's sink and snapshot format;
+//!   boot-time recovery.
+//! * [`frame`], [`client`] — the wire protocol and a client for it.
 //! * `crc` — the frame checksum (CRC-32C) and the snapshot one (IEEE).
 
-pub mod breaker;
 pub mod client;
 mod config;
 mod conn;
@@ -97,11 +96,10 @@ pub mod frame;
 pub mod persist;
 pub mod recover;
 mod registry;
-mod replica;
+mod ship;
 mod slots;
 mod stats;
 
-pub use breaker::{BreakerState, CircuitBreaker};
 pub use client::{Client, Reply};
 pub use config::ServerConfig;
 pub use frame::{FrameType, NackCode};
@@ -111,7 +109,7 @@ pub use registry::{stream_relaxation, StreamInfo};
 pub use stats::StatsSnapshot;
 
 use crate::registry::Registry;
-use crate::slots::{FaninKey, Fanned, Want};
+use crate::slots::{Consumer, FaninKey, Fanned, Want};
 use crate::stats::Stats;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
@@ -134,15 +132,14 @@ pub const DEFAULT_STREAM: &[u8] = b"default";
 struct Control {
     /// Stop admitting ingest/merge work (queries still served).
     draining: AtomicBool,
-    /// Tear everything down: listener, connections, replica pusher.
+    /// Tear everything down: listener, connections.
     shutdown: AtomicBool,
     /// A client sent a `Shutdown` frame; the embedder (e.g. the binary)
     /// polls this and calls [`ServerHandle::shutdown`].
     drain_requested: AtomicBool,
-    /// Stops the background checkpointer ahead of the drain path's
-    /// final checkpoint pass, so exactly one writer touches the store
-    /// during teardown.
-    checkpoint_stop: AtomicBool,
+    /// Stops both shippers ahead of the drain path's final checkpoint
+    /// pass, so exactly one writer touches the store during teardown.
+    ship_stop: AtomicBool,
 }
 
 /// Everything a connection thread needs.
@@ -157,16 +154,6 @@ struct ServerCtx {
     /// The snapshot store of the durability tier (`None` when
     /// persistence is off).
     persist: Option<Arc<dyn SnapshotStore>>,
-    /// Circuit breaker guarding the replica peer link (`None` when no
-    /// peer is configured).
-    replica_breaker: Option<Arc<CircuitBreaker>>,
-}
-
-impl ServerCtx {
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats
-            .snapshot(self.replica_breaker.as_ref().map(|b| b.state()))
-    }
 }
 
 /// Why [`serve`] could not start. Startup is all-or-nothing: on any
@@ -235,8 +222,7 @@ pub struct ServerHandle {
     ctx: Arc<ServerCtx>,
     addr: SocketAddr,
     accept_join: Option<JoinHandle<()>>,
-    pusher_join: Option<JoinHandle<()>>,
-    checkpoint_join: Option<JoinHandle<()>>,
+    shipper_joins: Vec<JoinHandle<()>>,
     conn_joins: Arc<Mutex<Vec<JoinHandle<()>>>>,
     recovery: Option<RecoveryOutcome>,
     drained: bool,
@@ -290,12 +276,6 @@ pub fn serve_with_store(
     let engine_keys = registry::engine_keys(cfg.lg_k).map_err(ServeError::DefaultStream)?;
 
     let max_streams = cfg.max_streams.max(1);
-    let replica_breaker = cfg.replica_peer.as_ref().map(|_| {
-        Arc::new(CircuitBreaker::new(
-            cfg.breaker_threshold.max(1),
-            cfg.breaker_cooldown,
-        ))
-    });
     let ctx = Arc::new(ServerCtx {
         cfg,
         ctl: Control::default(),
@@ -303,13 +283,13 @@ pub fn serve_with_store(
         registry: Registry::new(max_streams),
         engine_keys,
         persist: snapshot_store,
-        replica_breaker,
     });
 
     // Joins any already-running background threads so a failed startup
     // never leaks a thread.
     let abort_start = |ctx: &Arc<ServerCtx>, joins: Vec<JoinHandle<()>>| {
         ctx.ctl.draining.store(true, Ordering::Release);
+        ctx.ctl.ship_stop.store(true, Ordering::Release);
         ctx.ctl.shutdown.store(true, Ordering::Release);
         for j in joins {
             let _ = j.join();
@@ -343,46 +323,41 @@ pub fn serve_with_store(
         std::thread::Builder::new().name(name.to_string()).spawn(f)
     };
 
-    let checkpoint_join = match ctx.persist.clone() {
-        Some(snap_store) => {
-            let ctx2 = Arc::clone(&ctx);
-            match spawn_named(
-                "fcds-checkpoint",
-                Box::new(move || persist::checkpointer(ctx2, snap_store)),
-            ) {
-                Ok(j) => Some(j),
-                Err(source) => {
-                    abort_start(&ctx, Vec::new());
-                    return Err(ServeError::Spawn {
-                        what: "checkpointer",
-                        source,
-                    });
-                }
+    // One shipper thread per configured sink, so a peer that blocks
+    // for `write_timeout` never holds a checkpoint back.
+    type Shipped = Box<dyn ship::Sink + Send>;
+    let checkpoints = ctx.persist.clone().map(|store| Box::new(store) as Shipped);
+    let pusher =
+        (ctx.cfg.replica_peer.clone()).map(|peer| Box::new(ship::Peer::new(peer)) as Shipped);
+    let sinks = [
+        (
+            "fcds-checkpoint",
+            "checkpointer",
+            ctx.cfg.snapshot_interval,
+            checkpoints,
+        ),
+        (
+            "fcds-replica-push",
+            "replica pusher",
+            ctx.cfg.replica_interval,
+            pusher,
+        ),
+    ];
+    let mut shipper_joins = Vec::new();
+    for (name, what, interval, sink) in sinks {
+        let Some(mut sink) = sink else { continue };
+        let ctx2 = Arc::clone(&ctx);
+        match spawn_named(
+            name,
+            Box::new(move || ship::shipper(ctx2, &mut *sink, interval)),
+        ) {
+            Ok(j) => shipper_joins.push(j),
+            Err(source) => {
+                abort_start(&ctx, shipper_joins);
+                return Err(ServeError::Spawn { what, source });
             }
         }
-        None => None,
-    };
-
-    let pusher_join = match ctx.cfg.replica_peer.clone() {
-        Some(peer) => {
-            let ctx2 = Arc::clone(&ctx);
-            match spawn_named(
-                "fcds-replica-push",
-                Box::new(move || replica::replica_pusher(ctx2, peer)),
-            ) {
-                Ok(j) => Some(j),
-                Err(source) => {
-                    let joins = checkpoint_join.into_iter().collect();
-                    abort_start(&ctx, joins);
-                    return Err(ServeError::Spawn {
-                        what: "replica pusher",
-                        source,
-                    });
-                }
-            }
-        }
-        None => None,
-    };
+    }
 
     let conn_joins: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let accept_join = {
@@ -394,8 +369,7 @@ pub fn serve_with_store(
         ) {
             Ok(j) => j,
             Err(source) => {
-                let joins = checkpoint_join.into_iter().chain(pusher_join).collect();
-                abort_start(&ctx, joins);
+                abort_start(&ctx, shipper_joins);
                 return Err(ServeError::Spawn {
                     what: "accept loop",
                     source,
@@ -408,8 +382,7 @@ pub fn serve_with_store(
         ctx,
         addr,
         accept_join: Some(accept_join),
-        pusher_join,
-        checkpoint_join,
+        shipper_joins,
         conn_joins,
         recovery,
         drained: false,
@@ -424,7 +397,7 @@ impl ServerHandle {
 
     /// Current counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.ctx.stats_snapshot()
+        self.ctx.stats.snapshot()
     }
 
     /// What boot-time recovery did (`None` when persistence is off).
@@ -455,7 +428,7 @@ impl ServerHandle {
             .iter()
             .map(|s| {
                 let items = s.items.load(Ordering::Relaxed);
-                let last_persisted_seq = s.persisted_seq.load(Ordering::Relaxed);
+                let last_persisted_seq = s.mark(Consumer::Checkpoint).seq();
                 StreamInfo {
                     key: s.key.clone(),
                     family: s.family,
@@ -496,7 +469,7 @@ impl ServerHandle {
     /// Gracefully drains and stops the server:
     ///
     /// 1. stop admitting ingest/merge (`Draining` NACKs from here on)
-    ///    and stop the checkpointer;
+    ///    and stop the checkpointer and the replica pusher;
     /// 2. close the listener and every connection, joining their
     ///    threads — each flushes its engine writers as it exits, so
     ///    everything acked is handed to an engine;
@@ -512,11 +485,11 @@ impl ServerHandle {
         self.ctx.ctl.draining.store(true, Ordering::Release);
 
         // Hand snapshot writing over to this thread: stop and join the
-        // checkpointer *before* the final post-quiesce checkpoints, so
-        // a stale concurrent round can never overwrite a final record.
-        self.ctx.ctl.checkpoint_stop.store(true, Ordering::Release);
+        // shippers *before* the final post-quiesce checkpoints, so a
+        // stale concurrent round can never overwrite a final record.
+        self.ctx.ctl.ship_stop.store(true, Ordering::Release);
         let mut leaked_threads = 0usize;
-        if let Some(j) = self.checkpoint_join.take() {
+        for j in self.shipper_joins.drain(..) {
             if j.join().is_err() {
                 leaked_threads += 1;
             }
@@ -557,19 +530,13 @@ impl ServerHandle {
         }
         // Final checkpoint after quiesce: a *graceful* shutdown is
         // zero-loss, the bounded-loss window applies to crashes only.
-        if let Some(store) = &self.ctx.persist {
-            persist::checkpoint_round(&self.ctx, &**store, &streams);
-        }
-
-        if let Some(j) = self.pusher_join.take() {
-            if j.join().is_err() {
-                leaked_threads += 1;
-            }
+        if let Some(mut store) = self.ctx.persist.clone() {
+            ship::ship_round(&self.ctx, &mut store, &streams);
         }
 
         DrainReport {
             leaked_threads,
-            stats: self.ctx.stats_snapshot(),
+            stats: self.ctx.stats.snapshot(),
             final_estimate,
         }
     }

@@ -1,7 +1,8 @@
 //! The durability tier: per-stream snapshot files written by a
 //! background checkpointer.
 //!
-//! Every `snapshot_interval` the checkpointer encodes each registered
+//! Every `snapshot_interval` the checkpointer (the shipper loop of
+//! `ship.rs` with a [`SnapshotStore`] for its sink) encodes each changed
 //! stream's *durable image* — the fan-in of its live engine image with
 //! the slots a checkpoint sees (recovered and pushed, never replica:
 //! see `slots::Consumer`) — into a single self-validating record and
@@ -44,16 +45,15 @@
 pub use crate::crc::crc32;
 use crate::recover::SNAP_MAX_IMAGE_BYTES;
 use crate::registry::StreamState;
-use crate::slots::{ship_image, Consumer};
-use crate::{ServerCtx, POLL_INTERVAL};
+use crate::ship::{Failed, Sink};
+use crate::slots::Consumer;
+use crate::ServerConfig;
 use fcds_sketches::wire::SketchFamily;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Magic bytes opening every snapshot record.
 pub const SNAP_MAGIC: [u8; 4] = *b"FCSN";
@@ -260,88 +260,31 @@ impl SnapshotStore for DirStore {
     }
 }
 
-/// Checkpoints one stream if it has durable progress since its last
-/// snapshot. Returns `Ok(true)` when a record was written, `Ok(false)`
-/// when the stream was clean.
-fn checkpoint_stream(
-    state: &StreamState,
-    store: &dyn SnapshotStore,
-    fsync_file: bool,
-) -> Result<bool, String> {
-    // Capture the sequence *before* collecting images: concurrent
-    // ingest can only make the image richer than `seq` claims, so the
-    // recorded lag is conservative, never optimistic.
-    let seq = state.items.load(Ordering::Relaxed);
-    let was_dirty = state.snapshot_dirty.swap(false, Ordering::AcqRel);
-    if seq == state.persisted_seq.load(Ordering::Relaxed) && !was_dirty {
-        return Ok(false);
+/// The checkpointer's sink: one snapshot record per stream, under the
+/// configured fsync policy.
+impl Sink for Arc<dyn SnapshotStore> {
+    fn consumer(&self) -> Consumer {
+        Consumer::Checkpoint
     }
-    let restore_dirty = || {
-        if was_dirty {
-            state.snapshot_dirty.store(true, Ordering::Release);
-        }
-    };
-    let image = match ship_image(state.family, state.images(Consumer::Checkpoint)) {
-        Ok(image) => image,
-        Err(e) => {
-            restore_dirty();
-            return Err(format!("merge for snapshot: {e}"));
-        }
-    };
-    let record = encode_record(state.family, &state.key, seq, image.as_ref());
-    if let Err(e) = store.put(&snapshot_file_name(&state.key), &record, fsync_file) {
-        restore_dirty();
-        return Err(format!("snapshot put: {e}"));
-    }
-    state.persisted_seq.store(seq, Ordering::Release);
-    Ok(true)
-}
 
-/// One checkpoint round over `streams` — every registered stream for
-/// the background checkpointer, the just-quiesced ones for the drain's
-/// final pass — with the configured fsync policy applied. Errors are
-/// counted, never fatal — a full disk degrades durability, it does not
-/// take ingest down.
-pub(crate) fn checkpoint_round(
-    ctx: &ServerCtx,
-    store: &dyn SnapshotStore,
-    streams: &[Arc<StreamState>],
-) {
-    let fsync_file = ctx.cfg.fsync_policy == FsyncPolicy::Always;
-    let mut wrote = false;
-    for state in streams {
-        match checkpoint_stream(state, store, fsync_file) {
-            Ok(true) => {
-                wrote = true;
-                ctx.stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false) => {}
-            Err(_) => {
-                ctx.stats.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn put(
+        &mut self,
+        cfg: &ServerConfig,
+        state: &StreamState,
+        seq: u64,
+        image: &[u8],
+    ) -> Result<(), Failed> {
+        let record = encode_record(state.family, &state.key, seq, image);
+        let fsync_file = cfg.fsync_policy == FsyncPolicy::Always;
+        let name = snapshot_file_name(&state.key);
+        SnapshotStore::put(&**self, &name, &record, fsync_file).map_err(|_| Failed::Call)
     }
-    if wrote && ctx.cfg.fsync_policy != FsyncPolicy::Never && store.sync_dir().is_err() {
-        ctx.stats.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
-/// The background checkpointer thread: one [`checkpoint_round`] per
-/// `snapshot_interval` until shutdown (or the dedicated stop flag the
-/// drain path uses to hand writing over to the final-checkpoint pass).
-pub(crate) fn checkpointer(ctx: Arc<ServerCtx>, store: Arc<dyn SnapshotStore>) {
-    let mut last = Instant::now();
-    loop {
-        if ctx.ctl.shutdown.load(Ordering::Acquire)
-            || ctx.ctl.checkpoint_stop.load(Ordering::Acquire)
-        {
-            return;
+    /// Makes a round's renames durable, unless the policy is `Never`.
+    fn close(&mut self, cfg: &ServerConfig, wrote: bool) -> Result<(), Failed> {
+        if wrote && cfg.fsync_policy != FsyncPolicy::Never {
+            self.sync_dir().map_err(|_| Failed::Call)?;
         }
-        std::thread::sleep(POLL_INTERVAL);
-        if last.elapsed() < ctx.cfg.snapshot_interval {
-            continue;
-        }
-        last = Instant::now();
-        checkpoint_round(&ctx, &*store, &ctx.registry.list());
+        Ok(())
     }
 }

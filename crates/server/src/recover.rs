@@ -17,7 +17,7 @@ use crate::persist::{
     snapshot_file_name, SnapshotStore, SNAP_HEADER_LEN, SNAP_MAGIC, SNAP_VERSION,
 };
 use crate::registry::{new_stream, CreateError};
-use crate::slots::validate_envelope;
+use crate::slots::{validate_envelope, Consumer};
 use crate::ServerCtx;
 use bytes::Bytes;
 use fcds_sketches::wire::SketchFamily;
@@ -300,7 +300,7 @@ fn install(ctx: &Arc<ServerCtx>, rec: SnapshotRecord) -> Result<(), InstallError
         Ok((state, _created)) => {
             state.slots.set_recovered(rec.image);
             state.items.store(rec.seq, Ordering::Release);
-            state.persisted_seq.store(rec.seq, Ordering::Release);
+            state.mark(Consumer::Checkpoint).shipped(rec.seq);
             Ok(())
         }
         Err(CreateError::FamilyMismatch { expected }) => {

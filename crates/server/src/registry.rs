@@ -27,7 +27,8 @@
 //! [`NackCode::UnknownStream`]: crate::frame::NackCode::UnknownStream
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
-use crate::slots::{fan_in, validate_envelope, Consumer, FaninKey, Fanned, Slots, Want};
+use crate::ship::Mark;
+use crate::slots::{fan_in, validate_envelope, Consumer, FaninKey, Fanned, Slots, SlotsFull, Want};
 use crate::{ServerConfig, ServerCtx, DEFAULT_STREAM};
 use bytes::Bytes;
 use fcds_core::engine::{
@@ -56,14 +57,11 @@ pub(crate) struct StreamState {
     /// Every image merged into this stream from outside its engine:
     /// the boot-recovered snapshot, replica pushes, accumulating merges.
     pub(crate) slots: Slots,
-    /// [`Self::items`] as of the last durable snapshot (0 = never
-    /// persisted). `items - persisted_seq` is the stream's snapshot lag:
-    /// the ingest a crash right now would lose.
-    pub(crate) persisted_seq: AtomicU64,
-    /// Set when non-ingest durable state changes (an accepted v2 merge)
-    /// so the checkpointer rewrites the snapshot even though `items`
-    /// did not move.
-    pub(crate) snapshot_dirty: AtomicBool,
+    /// One [`Mark`] per [`Consumer::SHIPPERS`] entry: how far the
+    /// snapshot store and the replica peer have caught up. `items` less
+    /// the checkpoint mark's seq is the stream's snapshot lag, the
+    /// ingest a crash right now would lose.
+    marks: [Mark; 2],
 }
 
 impl StreamState {
@@ -75,9 +73,27 @@ impl StreamState {
             dead: AtomicBool::new(false),
             items: AtomicU64::new(0),
             slots: Slots::default(),
-            persisted_seq: AtomicU64::new(0),
-            snapshot_dirty: AtomicBool::new(false),
+            marks: Default::default(),
         }
+    }
+
+    /// The mark of shipping consumer `who`.
+    pub(crate) fn mark(&self, who: Consumer) -> &Mark {
+        let at = Consumer::SHIPPERS.iter().position(|&s| s == who);
+        &self.marks[at.expect("only a shipping consumer has a mark")]
+    }
+
+    /// Stores an accepted merge's image and dirties the mark of every
+    /// shipping consumer that sees its slot, so their next rounds ship
+    /// the stream even though `items` did not move.
+    pub(crate) fn merge(&self, source: Option<u64>, image: Bytes) -> Result<(), SlotsFull> {
+        let key = self.slots.put(source, image)?;
+        for (who, mark) in Consumer::SHIPPERS.iter().zip(&self.marks) {
+            if who.sees(key) {
+                mark.dirty();
+            }
+        }
+        Ok(())
     }
 
     /// The live engine's image followed by the slots `who` sees: what a

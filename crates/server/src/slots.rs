@@ -25,7 +25,7 @@ pub(crate) const SLOT_CAP: usize = 1024;
 /// What a slot holds. The derived order is the fan-in order: recovered
 /// state, then replicas by source id, then pushes in arrival order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SlotKey {
+pub(crate) enum SlotKey {
     /// The image recovered from this stream's snapshot at boot. The
     /// live engine restarts empty, so this slot *is* the pre-crash
     /// state.
@@ -44,9 +44,10 @@ enum SlotKey {
 pub(crate) enum Consumer {
     /// Queries see everything.
     Query,
-    /// Checkpoints leave replica slots out: their source re-pushes them
-    /// within one `replica_interval`, and persisting them would
-    /// double-count on the peer for the non-idempotent families.
+    /// Checkpoints leave replica slots out: their source re-pushes every
+    /// stream when it reconnects to a restarted server, and persisting
+    /// them would double-count on the peer for the non-idempotent
+    /// families.
     Checkpoint,
     /// A replica push ships only what this server itself holds — live
     /// plus recovered, so a post-crash push never shrinks the peer's
@@ -55,7 +56,13 @@ pub(crate) enum Consumer {
 }
 
 impl Consumer {
-    fn sees(self, key: SlotKey) -> bool {
+    /// The consumers that ship images out of the server, each with its
+    /// own mark on every stream (`StreamState::mark`).
+    pub(crate) const SHIPPERS: [Consumer; 2] = [Consumer::Checkpoint, Consumer::ReplicaPush];
+
+    /// Whether this consumer's images carry a slot of class `key` —
+    /// and so whether a merge into one dirties its mark.
+    pub(crate) fn sees(self, key: SlotKey) -> bool {
         match key {
             SlotKey::Recovered => true,
             SlotKey::Replica(_) => self == Consumer::Query,
@@ -77,8 +84,9 @@ pub(crate) struct Slots {
 
 impl Slots {
     /// Stores an already-validated image: under `source` it replaces
-    /// that replica's slot, without one it accumulates.
-    pub(crate) fn put(&self, source: Option<u64>, image: Bytes) -> Result<(), SlotsFull> {
+    /// that replica's slot, without one it accumulates. Returns the
+    /// slot it filled.
+    pub(crate) fn put(&self, source: Option<u64>, image: Bytes) -> Result<SlotKey, SlotsFull> {
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         let key = match source {
             Some(source) => SlotKey::Replica(source),
@@ -93,7 +101,7 @@ impl Slots {
             return Err(SlotsFull);
         }
         map.insert(key, image);
-        Ok(())
+        Ok(key)
     }
 
     /// Installs the boot-recovered image (recovery runs before traffic,

@@ -3,7 +3,6 @@
 //! [`StatsSnapshot`] and the copy between them, so adding a counter is
 //! one line there.
 
-use crate::breaker::BreakerState;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
@@ -20,16 +19,12 @@ macro_rules! counters {
         #[non_exhaustive]
         pub struct StatsSnapshot {
             $($(#[$doc])+ pub $name: u64,)+
-            /// State of the replica-peer circuit breaker (`None` when no
-            /// peer is configured).
-            pub replica_breaker: Option<BreakerState>,
         }
 
         impl Stats {
-            pub(crate) fn snapshot(&self, replica_breaker: Option<BreakerState>) -> StatsSnapshot {
+            pub(crate) fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+
-                    replica_breaker,
                 }
             }
         }
@@ -74,7 +69,8 @@ counters! {
     streams_retired,
     /// Replica images successfully pushed (acked by the peer).
     replica_pushes,
-    /// Replica pushes that failed (connect/write error or peer NACK).
+    /// Replica pushes that failed (connect/write error or peer NACK),
+    /// plus failed idle-round pings.
     replica_push_errors,
     /// Snapshot records committed by the checkpointer.
     snapshots_written,

@@ -1,11 +1,12 @@
 //! End-to-end loopback tests: a real server on 127.0.0.1, real TCP
 //! clients, the full frame protocol. This is the CI smoke test for the
-//! network tier's happy paths plus its headline fault story (worker
-//! panic → breaker → recovery → graceful drain).
+//! network tier's happy paths plus its headline fault story (ingest
+//! panic → the stream's fault latch → the server serves on → graceful
+//! drain).
 
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{FrameType, NackCode};
-use fcds_server::{serve, stream_relaxation, BreakerState, ServerConfig, DEFAULT_STREAM};
+use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
 use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::{peek, SketchFamily, WireEncode};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -268,21 +269,6 @@ fn ingest_panic_latches_its_stream_and_the_server_survives() {
     // A refusal is always a typed NACK, never a silent drop.
     assert!(report.stats.nacks >= report.stats.sheds);
     assert_eq!(report.leaked_threads, 0);
-}
-
-#[test]
-fn breaker_standalone_recovers_through_half_open() {
-    // The breaker unit covers the state machine; this drills the
-    // recovery sequence the server relies on end to end.
-    let b = fcds_server::CircuitBreaker::new(2, Duration::from_millis(50));
-    b.record_failure();
-    b.record_failure();
-    assert_eq!(b.state(), BreakerState::Open);
-    assert!(!b.allow());
-    std::thread::sleep(Duration::from_millis(60));
-    assert!(b.allow(), "cooldown elapsed: half-open probe admitted");
-    b.record_success();
-    assert_eq!(b.state(), BreakerState::Closed);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Durability-tier suite: snapshot encode/decode totality, crash-shaped
 //! filesystem states, boot-time recovery, quarantine semantics, and the
-//! replica-pusher circuit breaker.
+//! replica pusher's backoff from a dead peer.
 //!
 //! The adversarial core is exhaustive, not sampled: *every* byte-boundary
 //! truncation and *every* single-byte mutation of a real snapshot record
@@ -16,7 +16,7 @@ use fcds_server::persist::{
     SNAP_SUFFIX, TMP_SUFFIX,
 };
 use fcds_server::recover::{decode_record, RecoverError};
-use fcds_server::{serve, serve_with_store, BreakerState, ServeError, ServerConfig, ServerHandle};
+use fcds_server::{serve, serve_with_store, ServeError, ServerConfig, ServerHandle};
 use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
 use std::io;
 use std::path::PathBuf;
@@ -419,20 +419,19 @@ fn bind_conflict_is_a_typed_startup_error() {
 }
 
 #[test]
-fn replica_breaker_opens_on_dead_peer_and_is_reported() {
+fn replica_pusher_backs_off_from_a_dead_peer() {
     // A port that was bound and released: connects fail fast.
     let dead = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap()
     };
-    let cfg = ServerConfig {
+    let interval = Duration::from_millis(50);
+    let handle = serve(ServerConfig {
         replica_peer: Some(dead.to_string()),
-        replica_interval: Duration::from_millis(15),
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(100),
+        replica_interval: interval,
         ..ServerConfig::default()
-    };
-    let handle = serve(cfg).expect("serve");
+    })
+    .expect("serve");
     // Ingest so the pusher has something to ship.
     let mut c = connect(&handle);
     ingest_all(
@@ -442,30 +441,34 @@ fn replica_breaker_opens_on_dead_peer_and_is_reported() {
         &(0..100).collect::<Vec<_>>(),
     );
 
+    // Every failed round is counted.
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = handle.stats();
-        if stats.replica_breaker == Some(BreakerState::Open) && stats.replica_push_errors >= 2 {
-            break;
+    let first = loop {
+        let errors = handle.stats().replica_push_errors;
+        if errors > 0 {
+            break errors;
         }
-        assert!(
-            Instant::now() < deadline,
-            "breaker never opened: {:?}, {} errors",
-            stats.replica_breaker,
-            stats.replica_push_errors
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+        assert!(Instant::now() < deadline, "no push error counted");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    // A pusher retrying every interval fails once per interval; the
+    // backoff doubles its wait per failure. An upper bound only: a
+    // slow box fails less often, never more.
+    let window = Duration::from_secs(2);
+    std::thread::sleep(window);
+    let failed = handle.stats().replica_push_errors - first;
+    let fixed_interval = window.as_millis() / interval.as_millis();
+    assert!(
+        u128::from(failed) * 2 <= fixed_interval,
+        "{failed} failed rounds in {window:?}: no backoff ({fixed_interval} at a fixed interval)"
+    );
+    assert_eq!(handle.stats().replica_pushes, 0);
+
     // The broken peer link never affects the serving path.
     let count = observed_count(&mut c, SketchFamily::Theta, b"pushme");
     assert!(count > 90.0, "serving path degraded: {count}");
     drop(c);
-    handle.shutdown();
-
-    // Without a peer there is no breaker to report.
-    let plain = serve(ServerConfig::default()).expect("serve plain");
-    assert_eq!(plain.stats().replica_breaker, None);
-    plain.shutdown();
+    assert_eq!(handle.shutdown().leaked_threads, 0);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! query-during-drain), per-stream fault isolation (a poisoned worker
 //! on one stream never NACKs another), hostile v2 frames (oversized
 //! key, bad family code, truncated prefixes, misplaced flags, v1/v2
-//! mixing on one connection), and two-server replica-sync convergence.
+//! mixing on one connection), and two-server replica-sync convergence,
+//! including the refill of a peer that restarted empty.
 
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::{
@@ -50,24 +51,51 @@ fn ingest_all(c: &mut Client, family: SketchFamily, key: &[u8], items: &[u64]) {
     }
 }
 
-/// The observed distinct-count (Θ/HLL) or total item count (Q/F) for a
-/// keyed stream, via the family's natural query.
-fn observed_count(c: &mut Client, family: SketchFamily, key: &[u8]) -> f64 {
-    match family {
-        SketchFamily::Theta | SketchFamily::Hll => {
-            match c.query_stream_estimate(family, key).unwrap() {
-                Reply::Estimate { value, .. } => value,
-                other => panic!("estimate reply: {other:?}"),
-            }
+/// The distinct-count (Θ/HLL) or total item count (Q/F) a server holds
+/// for a keyed stream, via the family's natural query; `None` when it
+/// answers otherwise (e.g. `UnknownStream` before a replica's first
+/// push).
+fn count_of(c: &mut Client, family: SketchFamily, key: &[u8]) -> Option<f64> {
+    let reply = match family {
+        SketchFamily::Theta | SketchFamily::Hll => c.query_stream_estimate(family, key),
+        SketchFamily::Quantiles | SketchFamily::Frequency => c.query_stream_image(family, key),
+    };
+    match (family, reply.unwrap()) {
+        (_, Reply::Estimate { value, .. }) => Some(value),
+        (SketchFamily::Quantiles, Reply::Image { bytes, .. }) => {
+            Some(LadderWireView::<u64>::parse(&bytes).unwrap().n() as f64)
         }
-        SketchFamily::Quantiles => match c.query_stream_image(family, key).unwrap() {
-            Reply::Image { bytes, .. } => LadderWireView::<u64>::parse(&bytes).unwrap().n() as f64,
-            other => panic!("image reply: {other:?}"),
-        },
-        SketchFamily::Frequency => match c.query_stream_image(family, key).unwrap() {
-            Reply::Image { bytes, .. } => MgWireView::<u64>::parse(&bytes).unwrap().n() as f64,
-            other => panic!("image reply: {other:?}"),
-        },
+        (_, Reply::Image { bytes, .. }) => {
+            Some(MgWireView::<u64>::parse(&bytes).unwrap().n() as f64)
+        }
+        _ => None,
+    }
+}
+
+/// [`count_of`] a stream the server must hold.
+fn observed_count(c: &mut Client, family: SketchFamily, key: &[u8]) -> f64 {
+    count_of(c, family, key).unwrap_or_else(|| panic!("{family:?}/{key:?}: no count"))
+}
+
+/// Polls a replica peer until its count of each of the four
+/// `stream_key(i)` streams is within 8 % of `expect`, allowing a few
+/// sync periods of slack for scheduling (and a backed-off reconnect).
+fn await_peer(peer: &ServerHandle, expect: f64) {
+    let mut c = connect(peer);
+    for (i, family) in FAMILIES.iter().enumerate() {
+        let mut last = None;
+        for _ in 0..250 {
+            last = count_of(&mut c, *family, &stream_key(i));
+            if last.is_some_and(|n| (n - expect).abs() / expect <= 0.08) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let converged = last.is_some_and(|n| (n - expect).abs() / expect <= 0.08);
+        assert!(
+            converged,
+            "{family:?}/{i}: peer saw {last:?}, want ~{expect}"
+        );
     }
 }
 
@@ -502,49 +530,13 @@ fn replica_sync_converges_across_two_servers() {
     }
 
     // B must materialise all four streams (create-on-first-merge) and
-    // converge within the family's error envelope. Allow a few sync
-    // periods of slack for scheduling.
-    let mut cb = connect(&b);
-    for (i, family) in FAMILIES.iter().enumerate() {
-        let mut converged = false;
-        let mut last = 0.0;
-        for _ in 0..100 {
-            std::thread::sleep(Duration::from_millis(20));
-            match family {
-                SketchFamily::Theta | SketchFamily::Hll => {
-                    match cb.query_stream_estimate(*family, &stream_key(i)) {
-                        Ok(Reply::Estimate { value, .. }) => last = value,
-                        Ok(_) => continue, // UnknownStream until first push
-                        Err(e) => panic!("query: {e}"),
-                    }
-                }
-                _ => match cb.query_stream_image(*family, &stream_key(i)) {
-                    Ok(Reply::Image { bytes, .. }) => {
-                        last = match family {
-                            SketchFamily::Quantiles => {
-                                LadderWireView::<u64>::parse(&bytes).unwrap().n() as f64
-                            }
-                            _ => MgWireView::<u64>::parse(&bytes).unwrap().n() as f64,
-                        }
-                    }
-                    Ok(_) => continue,
-                    Err(e) => panic!("query: {e}"),
-                },
-            }
-            if (last - per_stream as f64).abs() / per_stream as f64 <= 0.08 {
-                converged = true;
-                break;
-            }
-        }
-        assert!(
-            converged,
-            "{family:?}/{i}: peer saw {last}, want ~{per_stream}"
-        );
-    }
+    // converge within the family's error envelope.
+    await_peer(&b, per_stream as f64);
 
     // Re-pushes replaced (not accumulated) the source slot: the image
     // query of a Frequency stream still decodes and its n stayed ~one
     // stream's worth, proving idempotence for a non-idempotent family.
+    let mut cb = connect(&b);
     match cb
         .query_stream_image(SketchFamily::Frequency, &stream_key(3))
         .unwrap()
@@ -561,4 +553,45 @@ fn replica_sync_converges_across_two_servers() {
     let rb = b.shutdown();
     assert_eq!(rb.leaked_threads, 0);
     assert!(rb.stats.merges_accepted > 0);
+}
+
+/// A peer without a data dir comes back empty from a restart. The
+/// source, idle since its ingest, refills it anyway: an idle round
+/// pings, which is how the source notices the old connection died, and
+/// it re-pushes every stream when it reconnects.
+#[test]
+fn a_restarted_peer_is_refilled_without_new_ingest() {
+    let b = serve(test_config()).unwrap();
+    let peer_addr = b.local_addr();
+    let a = serve(ServerConfig {
+        replica_peer: Some(peer_addr.to_string()),
+        replica_interval: Duration::from_millis(50),
+        replica_source_id: 7,
+        ..test_config()
+    })
+    .unwrap();
+    let per_stream = 5_000u64;
+    let mut ca = connect(&a);
+    for (i, family) in FAMILIES.iter().enumerate() {
+        let base = i as u64 * per_stream;
+        let items: Vec<u64> = (base..base + per_stream).collect();
+        ingest_all(&mut ca, *family, &stream_key(i), &items);
+    }
+    drop(ca);
+    await_peer(&b, per_stream as f64);
+    assert_eq!(b.shutdown().leaked_threads, 0);
+
+    let b = serve(ServerConfig {
+        addr: peer_addr.to_string(),
+        ..test_config()
+    })
+    .unwrap();
+    await_peer(&b, per_stream as f64);
+    let ra = a.shutdown();
+    assert_eq!(
+        ra.stats.ingest_items,
+        4 * per_stream,
+        "no ingest after the restart"
+    );
+    assert_eq!(ra.leaked_threads + b.shutdown().leaked_threads, 0);
 }
