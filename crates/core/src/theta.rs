@@ -29,7 +29,7 @@ use fcds_sketches::theta::{
     normalize_hash, theta_to_fraction, untrimmed_union, untrimmed_union_unsorted, BlockSnapshot,
     CompactThetaSketch, HashBlocks, QuickSelectThetaSketch, ThetaRead,
 };
-use fcds_sketches::wire::{encode_theta_unsorted, SketchFamily, WireEncode};
+use fcds_sketches::wire::{SketchFamily, WireEncode};
 
 /// A consistent query snapshot of the concurrent Θ sketch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -405,18 +405,6 @@ impl ConcurrentThetaSketch {
             return parts.pop().expect("at least one shard");
         }
         untrimmed_union(parts.iter()).expect("shards share one hash seed")
-    }
-
-    /// One wire image per shard, streamed straight from the propagators'
-    /// copy-on-write block snapshots in insertion order (flag
-    /// `FLAG_THETA_UNSORTED`) — no sort, no shard union on the export
-    /// path. Decoders canonicalise, and the untrimmed union of the shard
-    /// images equals [`WireImage::wire_image`]'s sketch.
-    ///
-    /// [`WireImage::wire_image`]: crate::engine::WireImage::wire_image
-    pub fn shard_wire_images(&self) -> Vec<Bytes> {
-        self.inner
-            .with_globals(|g| encode_theta_unsorted(&g.image_now()))
     }
 
     /// The configured error bound `max{e + 1/√k, 2/√k}` (§7.1).

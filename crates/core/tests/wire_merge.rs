@@ -66,39 +66,6 @@ proptest! {
         prop_assert_eq!(merged.sorted_hashes(), oracle.sorted_hashes());
     }
 
-    /// Θ: merging the *per-shard* unsorted images of every node — the
-    /// zero-flatten export path — lands on the same state as merging
-    /// the per-node canonical images.
-    #[test]
-    fn theta_shard_images_merge_to_the_same_state(
-        nodes in 2usize..4,
-        per_node in 500u64..2_000,
-    ) {
-        let mut node_images = Vec::new();
-        let mut shard_images = Vec::new();
-        for node in 0..nodes as u64 {
-            let sketch = EngineBuilder::<ThetaFamily>::new()
-                .accuracy(6)
-                .seed(77)
-                .writers(2)
-                .max_concurrency_error(0.05)
-                .build()
-                .unwrap();
-            let mut w = sketch.writer();
-            for i in 0..per_node {
-                w.update(node * per_node + i);
-            }
-            w.flush().unwrap();
-            sketch.quiesce();
-            node_images.push(sketch.wire_image());
-            shard_images.extend(sketch.shard_wire_images());
-        }
-        let via_nodes: CompactThetaSketch = merge_wire_images(&node_images).unwrap();
-        let via_shards: CompactThetaSketch = merge_wire_images(&shard_images).unwrap();
-        prop_assert_eq!(via_nodes.theta(), via_shards.theta());
-        prop_assert_eq!(via_nodes.sorted_hashes(), via_shards.sorted_hashes());
-    }
-
     /// HLL: register max is a lattice join, so N concurrent nodes
     /// merged on the wire equal one sequential sketch over the union
     /// stream — exactly, register for register.

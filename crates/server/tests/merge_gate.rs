@@ -1,7 +1,8 @@
 //! The merge gate: an `Ack`ed merge never makes a later read of its
 //! stream fail. An image the decoders reject (bad items behind a sound
-//! frame) or one that cannot fan in with the stream's own (another
-//! seed) gets `Nack(Wire)` and never enters a slot.
+//! frame, a nonzero reserved flags byte) or one that cannot fan in with
+//! the stream's own (another seed) gets `Nack(Wire)` and never enters a
+//! slot.
 
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
@@ -51,6 +52,45 @@ fn images_with_bad_items_are_nacked_and_the_stream_keeps_answering() {
     assert_eq!(hll[WIRE_HEADER_LEN], 12, "the server's lg_m");
     *hll.last_mut().unwrap() = 60;
     refused(&mut c, SketchFamily::Hll, b"hll", &hll);
+    assert_eq!(handle.stats().merges_accepted, 0);
+    assert_eq!(handle.shutdown().leaked_threads, 0);
+}
+
+#[test]
+fn images_with_forged_flags_are_nacked_and_create_no_stream() {
+    let handle = serve(ServerConfig::default()).unwrap();
+    let mut c = connect(&handle);
+    // Per family, flag bits it never defined; v1 reserves the whole byte.
+    let cases = [
+        (SketchFamily::Theta, b"theta".as_slice(), 0x40u8),
+        (SketchFamily::Hll, b"hll", 0xF0),
+        (SketchFamily::Quantiles, b"quantiles", 0x02),
+        (SketchFamily::Frequency, b"frequency", 0x80),
+    ];
+    let images: Vec<Vec<u8>> = cases
+        .iter()
+        .map(|&(family, key, _)| stream_image(&mut c, family, key))
+        .collect();
+    let created = handle.stats().streams_created;
+    for (&(family, key, flags), mut image) in cases.iter().zip(images) {
+        image[6] = flags;
+        for target in [key, b"fresh"] {
+            let reply = c.merge_stream(family, target, &image).unwrap();
+            assert_eq!(
+                reply.nack_code(),
+                Some(NackCode::Wire),
+                "{family:?}: {reply:?}"
+            );
+        }
+        // The target still answers: Θ and HLL an estimate, all an image.
+        if matches!(family, SketchFamily::Theta | SketchFamily::Hll) {
+            let reply = c.query_stream_estimate(family, key).unwrap();
+            assert!(matches!(reply, Reply::Estimate { .. }), "{reply:?}");
+        }
+        let reply = c.query_stream_image(family, key).unwrap();
+        assert!(matches!(reply, Reply::Image { .. }), "{reply:?}");
+    }
+    assert_eq!(handle.stats().streams_created, created);
     assert_eq!(handle.stats().merges_accepted, 0);
     assert_eq!(handle.shutdown().leaked_threads, 0);
 }

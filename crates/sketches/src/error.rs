@@ -23,11 +23,6 @@ pub enum SketchError {
         /// Description of the mismatch.
         reason: String,
     },
-    /// A serialised sketch image could not be decoded.
-    Corrupt {
-        /// Description of the corruption.
-        reason: String,
-    },
 }
 
 impl SketchError {
@@ -45,13 +40,6 @@ impl SketchError {
             reason: reason.into(),
         }
     }
-
-    /// Convenience constructor for [`SketchError::Corrupt`].
-    pub fn corrupt(reason: impl Into<String>) -> Self {
-        SketchError::Corrupt {
-            reason: reason.into(),
-        }
-    }
 }
 
 impl fmt::Display for SketchError {
@@ -62,9 +50,6 @@ impl fmt::Display for SketchError {
             }
             SketchError::Incompatible { reason } => {
                 write!(f, "incompatible sketches: {reason}")
-            }
-            SketchError::Corrupt { reason } => {
-                write!(f, "corrupt sketch image: {reason}")
             }
         }
     }
@@ -199,20 +184,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<WireError> for SketchError {
-    /// Wire failures fold into the coarse [`SketchError`] taxonomy:
-    /// merge-compatibility failures stay [`SketchError::Incompatible`],
-    /// everything else is a [`SketchError::Corrupt`] image.
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::Incompatible { detail } => SketchError::Incompatible { reason: detail },
-            other => SketchError::Corrupt {
-                reason: other.to_string(),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,12 +204,6 @@ mod tests {
             e.to_string(),
             "incompatible sketches: k mismatch: 128 vs 256"
         );
-    }
-
-    #[test]
-    fn display_corrupt() {
-        let e = SketchError::corrupt("truncated preamble");
-        assert_eq!(e.to_string(), "corrupt sketch image: truncated preamble");
     }
 
     #[test]

@@ -22,8 +22,6 @@
 use crate::error::{Result, SketchError};
 use crate::hash::Hashable;
 
-mod wire;
-
 /// Minimum `lg_m` (number of registers = 2^lg_m ≥ 16).
 pub const MIN_LG_M: u8 = 4;
 /// Maximum `lg_m` (2²¹ registers = 2 MiB of state).
@@ -257,6 +255,21 @@ fn estimate_from_counts(counts: &RankCounts) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{WireDecode, WireEncode};
+
+    #[test]
+    fn deserialised_sketch_keeps_ingesting() {
+        let mut h = HllSketch::new(10, 5).unwrap();
+        for i in 0..10_000u64 {
+            h.update(i);
+        }
+        let mut back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
+        for i in 10_000..20_000u64 {
+            back.update(i);
+            h.update(i);
+        }
+        assert_eq!(back, h);
+    }
 
     #[test]
     fn rejects_out_of_range_lg_m() {
@@ -403,12 +416,12 @@ mod tests {
                     0 => h.clear(),
                     1 | 2 => h.merge(&other).unwrap(),
                     3 => {
-                        let back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+                        let back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
                         proptest::prop_assert_eq!(&back, &h);
                         h = back;
                     }
                     4 => {
-                        let images = [h.to_bytes(), other.to_bytes()];
+                        let images = [h.to_wire_bytes(), other.to_wire_bytes()];
                         let folded = crate::wire::hll_multiway_merge(&images).unwrap();
                         h.merge(&other).unwrap();
                         proptest::prop_assert_eq!(&folded, &h);

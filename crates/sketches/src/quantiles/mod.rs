@@ -30,11 +30,10 @@
 
 mod ladder;
 mod sketch;
-mod wire;
 
+pub use crate::wire::WireItem;
 pub use ladder::{QuantilesLadder, WeightedMerge};
 pub use sketch::{QuantilesReader, QuantilesSketch};
-pub use wire::WireItem;
 
 /// Total-order wrapper for `f64` keys (quantile sketches need `Ord`).
 ///

@@ -251,39 +251,6 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
         self.max_item = None;
     }
 
-    /// Decomposes the sketch for serialisation (crate-internal).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn wire_parts(&self) -> (usize, u64, &[T], &[Arc<Vec<T>>], Option<&T>, Option<&T>) {
-        (
-            self.k,
-            self.n,
-            &self.base_buffer,
-            &self.levels,
-            self.min_item.as_ref(),
-            self.max_item.as_ref(),
-        )
-    }
-
-    /// Rebuilds a sketch from deserialised parts (crate-internal; the
-    /// caller has validated the structural invariants).
-    pub(crate) fn from_wire_parts(
-        k: usize,
-        n: u64,
-        base_buffer: Vec<T>,
-        levels: Vec<Vec<T>>,
-        min_item: Option<T>,
-        max_item: Option<T>,
-        oracle: impl crate::oracle::Oracle + 'static,
-    ) -> crate::error::Result<Self> {
-        let mut sketch = QuantilesSketch::new(k, oracle)?;
-        sketch.n = n;
-        sketch.base_buffer = base_buffer;
-        sketch.levels = levels.into_iter().map(Arc::new).collect();
-        sketch.min_item = min_item;
-        sketch.max_item = max_item;
-        Ok(sketch)
-    }
-
     /// Builds a sketch whose listed `levels` are pre-occupied: each entry
     /// `(level, items)` installs a sorted run of exactly `k` items with
     /// weight `2^(level+1)`; the base buffer starts empty and `n` is the

@@ -7,8 +7,6 @@
 
 use super::{ThetaRead, THETA_MAX};
 use crate::error::{Result, SketchError};
-use crate::wire::{WireDecode, WireEncode};
-use bytes::Bytes;
 
 /// An immutable Θ sketch: sorted retained hashes, Θ, and the hash seed.
 ///
@@ -91,26 +89,6 @@ impl CompactThetaSketch {
         self.hashes.is_empty()
     }
 
-    /// Serialises into the unified wire format (Θ family). Alias of
-    /// [`WireEncode::to_wire_bytes`] — see [`crate::wire`] for the
-    /// envelope and payload layout.
-    pub fn to_bytes(&self) -> Bytes {
-        self.to_wire_bytes()
-    }
-
-    /// Deserialises a sketch produced by [`Self::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`crate::wire::WireDecode`] failure folded into
-    /// [`SketchError`]: [`SketchError::Corrupt`] on bad magic, version,
-    /// truncation, or invariant violations (unsorted or out-of-range
-    /// hashes). Callers that need the precise corruption class should use
-    /// [`WireDecode::from_wire_bytes`] directly.
-    pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(data)?)
-    }
-
     /// Membership test in the retained set (binary search).
     pub fn contains_hash(&self, hash: u64) -> bool {
         self.hashes.binary_search(&hash).is_ok()
@@ -138,7 +116,9 @@ impl ThetaRead for CompactThetaSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
     use crate::theta::{KmvThetaSketch, QuickSelectThetaSketch};
+    use crate::wire::{WireDecode, WireEncode};
 
     fn sample_sketch() -> CompactThetaSketch {
         let mut s = QuickSelectThetaSketch::new(6, 9001).unwrap();
@@ -183,46 +163,49 @@ mod tests {
     #[test]
     fn round_trip_serialisation() {
         let c = sample_sketch();
-        let bytes = c.to_bytes();
-        let back = CompactThetaSketch::from_bytes(&bytes).unwrap();
+        let bytes = c.to_wire_bytes();
+        let back = CompactThetaSketch::from_wire_bytes(&bytes).unwrap();
         assert_eq!(back, c);
     }
 
     #[test]
     fn empty_round_trip() {
         let c = CompactThetaSketch::empty(9001);
-        let back = CompactThetaSketch::from_bytes(&c.to_bytes()).unwrap();
+        let back = CompactThetaSketch::from_wire_bytes(&c.to_wire_bytes()).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.estimate(), 0.0);
     }
 
     #[test]
     fn corrupt_magic_rejected() {
-        let mut bytes = sample_sketch().to_bytes().to_vec();
+        let mut bytes = sample_sketch().to_wire_bytes().to_vec();
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            CompactThetaSketch::from_bytes(&bytes),
-            Err(SketchError::Corrupt { .. })
+            CompactThetaSketch::from_wire_bytes(&bytes),
+            Err(WireError::BadMagic { .. })
         ));
     }
 
     #[test]
     fn truncated_rejected() {
-        let bytes = sample_sketch().to_bytes();
-        assert!(CompactThetaSketch::from_bytes(&bytes[..bytes.len() - 4]).is_err());
-        assert!(CompactThetaSketch::from_bytes(&bytes[..16]).is_err());
+        let bytes = sample_sketch().to_wire_bytes();
+        assert!(CompactThetaSketch::from_wire_bytes(&bytes[..bytes.len() - 4]).is_err());
+        assert!(CompactThetaSketch::from_wire_bytes(&bytes[..16]).is_err());
     }
 
     #[test]
     fn unsorted_payload_rejected() {
         let c = sample_sketch();
-        let mut bytes = c.to_bytes().to_vec();
+        let mut bytes = c.to_wire_bytes().to_vec();
         // Swap the first two 8-byte hash entries: the payload starts at
         // 16 (header) with seed/theta/count, so hashes begin at 40.
         for i in 0..8 {
             bytes.swap(40 + i, 48 + i);
         }
-        assert!(CompactThetaSketch::from_bytes(&bytes).is_err());
+        assert!(matches!(
+            CompactThetaSketch::from_wire_bytes(&bytes),
+            Err(WireError::Invariant { .. })
+        ));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! * **Θ** — a k-way union over sorted views driven by a loser tree,
 //!   with a streaming Θ-threshold cut: as soon as a cursor reaches the
 //!   joint Θ (the minimum across images) it leaves the tournament.
-//!   Unsorted shard images are canonicalised (filter < joint Θ, sort,
-//!   dedup) into a reusable scratch segment first, then race like any
-//!   other cursor.
+//!   Every image is sorted, so each cursor streams straight from its
+//!   image's bytes.
 //! * **HLL** — register-wise max folded directly from the payload bytes
 //!   of every image into one accumulator; the rank bound is validated
 //!   once on the accumulator (a max fold can only preserve or raise a
@@ -35,8 +34,8 @@
 //!
 //! Validity is decided in [`super::view`] alone. The kernels parse
 //! through the views and apply the views' item rules as they stream —
-//! Θ's `check_theta_hash` on every hash read, on the unread tail past
-//! the Θ cut and on unsorted images before canonicalisation; HLL's rank
+//! Θ's `check_theta_hash` on every hash read and on the unread tail past
+//! the Θ cut; HLL's rank
 //! bound on the folded accumulator — and the owned decoders are the
 //! same views plus the materialisation below (`compact_from_parts`,
 //! `hll_from_parts`, and for ladders and Misra–Gries a fan-in of one
@@ -59,26 +58,22 @@ use crate::quantiles::QuantilesLadder;
 use crate::theta::{CompactThetaSketch, ThetaRead};
 use std::hash::Hash;
 
-/// Tree slot / cursor-source marker for "nothing here".
+/// Tree slot marker for "nothing here".
 const SENTINEL: u32 = u32::MAX;
-
-/// Cursor source marker: the cursor streams from the canonicalised
-/// scratch segment, not from a raw image.
-const CANON_SRC: u32 = u32::MAX;
 
 /// Cursor head marker for an exhausted cursor. Safe as a sentinel: every
 /// live head is a hash strictly below its image's Θ ≤ `u64::MAX`.
 const EXHAUSTED: u64 = u64::MAX;
 
-/// One streaming position inside a Θ image (or a canonicalised scratch
-/// segment). Plain `Copy` data — no borrowed slice — so cursors can live
-/// in the reusable [`MergeScratch`] across calls; byte access resolves
-/// through the image list at advance time.
+/// One streaming position inside a Θ image. Plain `Copy` data — no
+/// borrowed slice — so cursors can live in the reusable [`MergeScratch`]
+/// across calls; byte access resolves through the image list at advance
+/// time.
 #[derive(Debug, Clone, Copy, Default)]
 struct ThetaCursor {
-    /// Image index, or [`CANON_SRC`] for a scratch segment.
+    /// Image index.
     src: u32,
-    /// Next item index (into the image's hash region, or into `canon`).
+    /// Next item index into the image's hash region.
     pos: u64,
     /// One-past-last item index.
     end: u64,
@@ -92,7 +87,7 @@ struct ThetaCursor {
 
 /// Reusable arena for the fan-in kernels.
 ///
-/// All kernel working state — canonicalisation buffers, the loser tree,
+/// All kernel working state — the cursors, the loser tree,
 /// the output hash run, the HLL register accumulator — lives here, so a
 /// coordinator that keeps one `MergeScratch` across query ticks merges
 /// with zero steady-state allocations once the buffers have grown to the
@@ -123,8 +118,6 @@ struct ThetaCursor {
 /// ```
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    /// Canonicalised hashes of unsorted Θ images, one segment per image.
-    canon: Vec<u64>,
     /// The merged, deduplicated output hash run.
     out: Vec<u64>,
     /// One cursor per input image.
@@ -232,9 +225,8 @@ impl<'s> HllFanin<'s> {
 }
 
 /// The one Θ materialisation, shared by [`ThetaFanin::to_compact`] and
-/// the decoder: `from_parts` sorts and deduplicates, so an unsorted
-/// image's hashes come out canonical. A constructor rejection (never
-/// seen for validated parts) is the `"theta parts"` invariant.
+/// the decoder. A constructor rejection (never seen for validated parts)
+/// is the `"theta parts"` invariant.
 pub(super) fn compact_from_parts(
     theta: u64,
     seed: u64,
@@ -273,18 +265,10 @@ fn read_hash(image: &[u8], pos: u64) -> u64 {
 fn theta_cursor_advance<B: AsRef<[u8]>>(
     cur: &mut ThetaCursor,
     images: &[B],
-    canon: &[u64],
     joint: u64,
 ) -> Result<(), WireError> {
     if cur.pos == cur.end {
         cur.head = EXHAUSTED;
-        return Ok(());
-    }
-    if cur.src == CANON_SRC {
-        // Canonicalised segment: already validated, deduplicated and
-        // filtered below the joint Θ.
-        cur.head = canon[cur.pos as usize];
-        cur.pos += 1;
         return Ok(());
     }
     let bytes = images[cur.src as usize].as_ref();
@@ -336,18 +320,14 @@ pub fn theta_multiway_union_into<'s, B: AsRef<[u8]>>(
         return Err(WireError::invariant("merge", "no images to merge"));
     }
     let MergeScratch {
-        canon,
-        out,
-        cursors,
-        tree,
-        ..
+        out, cursors, tree, ..
     } = scratch;
-    canon.clear();
     out.clear();
     cursors.clear();
 
-    // Header pass: joint seed (first wins, as in the pairwise fold) and
-    // joint Θ (minimum across images).
+    // Header pass: joint seed (first wins, as in the pairwise fold),
+    // joint Θ (minimum across images) and one cursor per image, which
+    // streams straight from the image's bytes.
     let mut seed = 0u64;
     let mut joint = u64::MAX;
     for (i, image) in images.iter().enumerate() {
@@ -362,54 +342,17 @@ pub fn theta_multiway_union_into<'s, B: AsRef<[u8]>>(
             )));
         }
         joint = joint.min(view.theta());
-    }
-
-    // Cursor pass: sorted images stream in place; unsorted shard images
-    // are canonicalised into a scratch segment first.
-    for (i, image) in images.iter().enumerate() {
-        let view = ThetaWireView::parse(image.as_ref())?;
-        if view.is_sorted() {
-            cursors.push(ThetaCursor {
-                src: i as u32,
-                pos: 0,
-                end: view.len() as u64,
-                theta: view.theta(),
-                last: 0,
-                head: 0,
-            });
-        } else {
-            let seg = canon.len();
-            for h in view.hashes() {
-                check_theta_hash(h, view.theta(), 0)?;
-                if h < joint {
-                    canon.push(h);
-                }
-            }
-            canon[seg..].sort_unstable();
-            // In-place dedup of the new segment.
-            let mut w = seg;
-            let mut r = seg;
-            while r < canon.len() {
-                let v = canon[r];
-                if w == seg || canon[w - 1] != v {
-                    canon[w] = v;
-                    w += 1;
-                }
-                r += 1;
-            }
-            canon.truncate(w);
-            cursors.push(ThetaCursor {
-                src: CANON_SRC,
-                pos: seg as u64,
-                end: w as u64,
-                theta: view.theta(),
-                last: 0,
-                head: 0,
-            });
-        }
+        cursors.push(ThetaCursor {
+            src: i as u32,
+            pos: 0,
+            end: view.len() as u64,
+            theta: view.theta(),
+            last: 0,
+            head: 0,
+        });
     }
     for cur in cursors.iter_mut() {
-        theta_cursor_advance(cur, images, canon, joint)?;
+        theta_cursor_advance(cur, images, joint)?;
     }
 
     // Loser tree over the cursor heads: leaves at `nk + i`, padded with
@@ -451,7 +394,7 @@ pub fn theta_multiway_union_into<'s, B: AsRef<[u8]>>(
             out.push(h);
             last_emitted = h;
         }
-        theta_cursor_advance(&mut cursors[j], images, canon, joint)?;
+        theta_cursor_advance(&mut cursors[j], images, joint)?;
         let mut node = (nk + j) >> 1;
         let mut cand = winner;
         while node > 0 {
@@ -665,7 +608,7 @@ where
 mod tests {
     use super::*;
     use crate::theta::QuickSelectThetaSketch;
-    use crate::wire::{encode_theta_unsorted, merge_wire_images, WireDecode, WireEncode};
+    use crate::wire::{merge_wire_images, WireDecode, WireEncode};
     use bytes::Bytes;
 
     fn theta_images(nodes: u64, per_node: u64, lg_k: u8, seed: u64) -> Vec<Bytes> {
@@ -695,19 +638,6 @@ mod tests {
         assert_eq!(multiway.seed(), pairwise.seed());
         assert_eq!(multiway.sorted_hashes(), pairwise.sorted_hashes());
         assert_eq!(multiway.to_compact().unwrap(), pairwise);
-    }
-
-    #[test]
-    fn theta_multiway_handles_mixed_sorted_unsorted() {
-        let mut images = theta_images(3, 4_000, 6, 7);
-        let mut s = QuickSelectThetaSketch::new(6, 7).unwrap();
-        for i in 10_000..14_000u64 {
-            s.update(i);
-        }
-        images.push(encode_theta_unsorted(&s));
-        let pairwise: CompactThetaSketch = merge_wire_images(&images).unwrap();
-        let multiway = theta_multiway_union(&images).unwrap();
-        assert_eq!(multiway, pairwise);
     }
 
     #[test]

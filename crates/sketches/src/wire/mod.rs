@@ -20,15 +20,17 @@
 //! | 0      | 4    | `magic`       | `"FCDS"` (`0x46 0x43 0x44 0x53`)       |
 //! | 4      | 1    | `version`     | format version, currently `1`          |
 //! | 5      | 1    | `family`      | [`SketchFamily`] code                  |
-//! | 6      | 1    | `flags`       | family-specific bits                   |
+//! | 6      | 1    | `flags`       | reserved, `0` in v1                    |
 //! | 7      | 1    | `item_width`  | item encoding width in bytes, 0 if N/A |
 //! | 8      | 8    | `payload_len` | exact payload byte count               |
 //!
 //! The header is followed by exactly `payload_len` payload bytes; inputs
 //! with missing *or trailing* bytes are rejected, so an image's length is
-//! always `16 + payload_len`. Per-family payload layouts are documented
-//! on the [`WireEncode`] impls below and tabulated in the repository
-//! README.
+//! always `16 + payload_len`. The flags byte is reserved: v1 defines no
+//! flag, so a nonzero byte is [`WireError::Invariant`] at the header and
+//! every family has exactly one payload layout. Per-family payload
+//! layouts are documented on the [`WireEncode`] impls below and
+//! tabulated in the repository README.
 //!
 //! # Traits
 //!
@@ -60,22 +62,17 @@
 //! [`WireMerge::wire_fan_in`]; [`peek`] classifies an image from its
 //! first 16 bytes for server-side routing.
 //!
-//! # Unsorted Θ images
-//!
-//! [`encode_theta_unsorted`] serialises any [`ThetaRead`]
-//! view — e.g. the engine's copy-on-write block snapshots — without
-//! sorting first (flag bit 0); the decoder canonicalises.
-//!
 //! # Versioning and compatibility policy
 //!
 //! The version byte is bumped only for layout changes that old decoders
 //! would misread; decoders reject versions they do not know
 //! ([`WireError::UnsupportedVersion`]) rather than guessing. New sketch
 //! families extend the family byte without a version bump (old decoders
-//! report [`WireError::UnknownFamily`]); new *flags* must keep the
-//! flag-clear encoding meaning what it meant. The golden vectors under
-//! `tests/vectors/` pin version 1: any edit that changes a committed
-//! byte is a format break and must ship as version 2.
+//! report [`WireError::UnknownFamily`]). v1 decoders refuse every flag
+//! bit, so a layout that needs a flag is a new layout and ships as
+//! version 2. The golden vectors under `tests/vectors/` pin version 1:
+//! any edit that changes a committed byte is a format break and must
+//! ship as version 2.
 
 pub mod fanin;
 pub mod view;
@@ -106,18 +103,6 @@ pub const WIRE_VERSION: u8 = 1;
 /// Size of the fixed envelope header in bytes.
 pub const WIRE_HEADER_LEN: usize = 16;
 
-/// Θ flag bit 0: the hash payload is in insertion order, not sorted.
-pub const FLAG_THETA_UNSORTED: u8 = 1;
-
-/// Quantiles flag bit 0: the payload is the updatable-sketch state
-/// (level array keyed by `k`), not a ladder image.
-pub const FLAG_QUANTILES_UPDATABLE: u8 = 1;
-
-/// Quantiles flag bit 1: the summarised stream is non-empty (min/max
-/// items present). Only used by the updatable form; the ladder form
-/// derives presence from `n`.
-pub const FLAG_QUANTILES_NONEMPTY: u8 = 2;
-
 /// Sketch family codes carried in the header's `family` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -126,7 +111,7 @@ pub enum SketchFamily {
     Theta = 1,
     /// HyperLogLog.
     Hll = 2,
-    /// Quantiles (ladder images and updatable sketches).
+    /// Quantiles (ladder images).
     Quantiles = 3,
     /// Misra–Gries frequent items.
     Frequency = 4,
@@ -167,8 +152,6 @@ pub struct WireHeader {
     pub version: u8,
     /// Sketch family of the payload.
     pub family: SketchFamily,
-    /// Family-specific flag bits.
-    pub flags: u8,
     /// Item encoding width in bytes (0 where the family has none).
     pub item_width: u8,
     /// Exact payload length in bytes.
@@ -193,7 +176,9 @@ impl WireHeader {
     }
 
     /// Validates and decodes the 16 header bytes alone — no exact-length
-    /// check, so `data` may be a bare prefix of an image.
+    /// check, so `data` may be a bare prefix of an image. The one check
+    /// of the reserved flags byte: `peek`, every view, every decoder and
+    /// every fan-in kernel come through here.
     fn parse_prefix(data: &[u8]) -> Result<WireHeader, WireError> {
         if data.len() < WIRE_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -215,12 +200,17 @@ impl WireHeader {
         let family = SketchFamily::from_code(family_code)
             .ok_or(WireError::UnknownFamily { found: family_code })?;
         let flags = cursor.get_u8();
+        if flags != 0 {
+            return Err(WireError::invariant(
+                "header flags",
+                format!("flags byte {flags:#04x} is reserved and must be 0 in v1"),
+            ));
+        }
         let item_width = cursor.get_u8();
         let payload_len = cursor.get_u64_le();
         Ok(WireHeader {
             version,
             family,
-            flags,
             item_width,
             payload_len,
         })
@@ -230,7 +220,7 @@ impl WireHeader {
         buf.put_u32_le(WIRE_MAGIC);
         buf.put_u8(self.version);
         buf.put_u8(self.family.code());
-        buf.put_u8(self.flags);
+        buf.put_u8(0); // flags: reserved in v1
         buf.put_u8(self.item_width);
         buf.put_u64_le(self.payload_len);
     }
@@ -241,8 +231,6 @@ impl WireHeader {
 pub struct PeekedHeader {
     /// Sketch family of the payload.
     pub family: SketchFamily,
-    /// Family-specific flag bits.
-    pub flags: u8,
     /// Item encoding width in bytes (0 where the family has none).
     pub item_width: u8,
     /// Payload length the header *declares*. Unverified: `peek` never
@@ -250,8 +238,8 @@ pub struct PeekedHeader {
     pub payload_len: u64,
 }
 
-/// Reads only the 16-byte header of a raw image — family, flags, item
-/// width and declared payload length — without touching (or requiring)
+/// Reads only the 16-byte header of a raw image — family, item width
+/// and declared payload length — without touching (or requiring)
 /// the payload. This is the server-side routing primitive: a frame
 /// dispatcher can classify an image from its first 16 bytes while the
 /// rest is still in flight.
@@ -270,8 +258,9 @@ pub struct PeekedHeader {
 ///
 /// [`WireError::Truncated`] below 16 bytes, and the header taxonomy
 /// ([`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] /
-/// [`WireError::UnknownFamily`]) for damaged headers — identical to the
-/// full parser, byte for byte. [`WireError::PayloadLength`] when the
+/// [`WireError::UnknownFamily`] / [`WireError::Invariant`] for a nonzero
+/// flags byte) for damaged headers — identical to the full parser, byte
+/// for byte. [`WireError::PayloadLength`] when the
 /// declared length exceeds `max_payload_len` (the error's `have` field
 /// carries the cap: the most payload the caller was willing to accept).
 ///
@@ -301,7 +290,6 @@ pub fn peek(data: &[u8], max_payload_len: u64) -> Result<PeekedHeader, WireError
     }
     Ok(PeekedHeader {
         family: header.family,
-        flags: header.flags,
         item_width: header.item_width,
         payload_len: header.payload_len,
     })
@@ -362,11 +350,6 @@ pub trait WireSketch {
 /// invariants) and deterministic: a canonical image decoded by
 /// [`WireDecode`] re-encodes byte-identically.
 pub trait WireEncode: WireSketch {
-    /// Family-specific flag bits for this value (default none).
-    fn wire_flags(&self) -> u8 {
-        0
-    }
-
     /// Item width advertised in the header (0 where the family has no
     /// variable item type).
     fn wire_item_width(&self) -> u8 {
@@ -392,7 +375,6 @@ pub trait WireEncode: WireSketch {
         WireHeader {
             version: WIRE_VERSION,
             family: Self::FAMILY,
-            flags: self.wire_flags(),
             item_width: self.wire_item_width(),
             payload_len: 0,
         }
@@ -488,11 +470,8 @@ impl WireSketch for CompactThetaSketch {
     const FAMILY: SketchFamily = SketchFamily::Theta;
 }
 
-/// Θ payload: `seed(u64) | theta(u64) | count(u64) | count × hash(u64)`.
-///
-/// Canonical images carry strictly ascending hashes (flags clear);
-/// [`encode_theta_unsorted`] emits the same payload in source order with
-/// [`FLAG_THETA_UNSORTED`] set.
+/// Θ payload: `seed(u64) | theta(u64) | count(u64) | count × hash(u64)`,
+/// hashes strictly ascending, all nonzero and below Θ.
 impl WireEncode for CompactThetaSketch {
     fn wire_item_width(&self) -> u8 {
         8
@@ -523,8 +502,8 @@ impl WireEncode for CompactThetaSketch {
 
 impl WireDecode for CompactThetaSketch {
     /// [`ThetaWireView`] parse and validate, then the one Θ
-    /// materialisation (an unsorted image is canonicalised there). The
-    /// exact-length rule bounds the hash count by bytes present.
+    /// materialisation. The exact-length rule bounds the hash count by
+    /// bytes present.
     fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
         let view = ThetaWireView::parse(data)?;
         view.validate()?;
@@ -546,36 +525,6 @@ impl WireMerge for CompactThetaSketch {
     fn wire_fan_in<B: AsRef<[u8]>>(images: &[B]) -> Result<Self, WireError> {
         fanin::theta_multiway_union(images)
     }
-}
-
-/// Serialises any readable Θ view *without sorting*: hashes stream out in
-/// iteration order under [`FLAG_THETA_UNSORTED`]. This is the zero-sort
-/// export path for the engine's copy-on-write block snapshots; the
-/// decoder sorts, deduplicates and validates, returning a canonical
-/// [`CompactThetaSketch`].
-pub fn encode_theta_unsorted<S: ThetaRead + ?Sized>(src: &S) -> Bytes {
-    let mut buf = BytesMut::with_capacity(WIRE_HEADER_LEN + THETA_FIXED + 8 * src.retained());
-    WireHeader {
-        version: WIRE_VERSION,
-        family: SketchFamily::Theta,
-        flags: FLAG_THETA_UNSORTED,
-        item_width: 8,
-        payload_len: 0,
-    }
-    .write(&mut buf);
-    buf.put_u64_le(src.seed());
-    buf.put_u64_le(src.theta());
-    let count_at = buf.len();
-    buf.put_u64_le(0);
-    let mut count = 0u64;
-    for h in src.hashes() {
-        buf.put_u64_le(h);
-        count += 1;
-    }
-    buf[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
-    let payload_len = (buf.len() - WIRE_HEADER_LEN) as u64;
-    buf[8..16].copy_from_slice(&payload_len.to_le_bytes());
-    buf.freeze()
 }
 
 // ---------------------------------------------------------------------------
@@ -641,8 +590,7 @@ impl<T: Ord + Clone + WireItem> WireSketch for QuantilesLadder<T> {
     const FAMILY: SketchFamily = SketchFamily::Quantiles;
 }
 
-/// Quantiles ladder payload (flags clear — contrast the updatable form
-/// behind [`crate::quantiles::QuantilesSketch::to_bytes`]):
+/// Quantiles ladder payload:
 /// `n(u64) | run_count(u32) | pad(u32) | min | max | run_count × run`,
 /// each run `weight(u64) | len(u64) | len × item`, items sorted
 /// ascending. `min`/`max` are present iff `n > 0`. The per-run weights
@@ -786,7 +734,6 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireMerge for MisraGriesSketch<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::DeterministicOracle;
     use crate::quantiles::QuantilesSketch;
     use crate::theta::QuickSelectThetaSketch;
 
@@ -819,25 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_theta_decodes_to_canonical() {
-        let mut s = QuickSelectThetaSketch::new(6, 3).unwrap();
-        for i in 0..20_000u64 {
-            s.update(i);
-        }
-        let raw = encode_theta_unsorted(&s);
-        let (h, _) = WireHeader::parse(&raw).unwrap();
-        assert_eq!(h.flags & FLAG_THETA_UNSORTED, FLAG_THETA_UNSORTED);
-        let decoded = CompactThetaSketch::from_wire_bytes(&raw).unwrap();
-        assert_eq!(decoded, s.compact());
-        // Canonical re-encode differs from the unsorted image only by
-        // flags + hash order; both decode to the same sketch.
-        assert_eq!(
-            CompactThetaSketch::from_wire_bytes(&decoded.to_wire_bytes()).unwrap(),
-            decoded
-        );
-    }
-
-    #[test]
     fn hll_round_trips_byte_identically() {
         let mut h = HllSketch::new(8, 42).unwrap();
         for i in 0..40_000u64 {
@@ -864,6 +792,21 @@ mod tests {
             for phi in [0.0, 0.25, 0.5, 0.75, 1.0] {
                 assert_eq!(back.quantile(phi), ladder.quantile(phi), "n={n} phi={phi}");
             }
+        }
+    }
+
+    #[test]
+    fn ladder_round_trips_total_f64() {
+        let mut q = QuantilesSketch::<TotalF64>::with_seed(32, 2).unwrap();
+        for i in 0..10_000u64 {
+            q.update(TotalF64((i as f64).sin()));
+        }
+        let ladder = q.ladder();
+        let bytes = ladder.to_wire_bytes();
+        let back = QuantilesLadder::<TotalF64>::from_wire_bytes(&bytes).unwrap();
+        assert_eq!(back.to_wire_bytes(), bytes);
+        for phi in [0.0, 0.5, 1.0] {
+            assert_eq!(back.quantile(phi), ladder.quantile(phi), "phi={phi}");
         }
     }
 
@@ -965,26 +908,6 @@ mod tests {
         assert_eq!(merged.quantile(1.0), Some(89_999));
         let med = merged.quantile(0.5).unwrap() as f64;
         assert!((med - 45_000.0).abs() < 5_000.0, "median {med}");
-    }
-
-    #[test]
-    fn updatable_quantiles_image_is_not_a_ladder() {
-        let mut q = QuantilesSketch::<u64>::with_seed(16, 1).unwrap();
-        for i in 0..1_000u64 {
-            q.update(i);
-        }
-        let bytes = q.to_bytes();
-        assert_eq!(
-            peek(&bytes, u64::MAX).unwrap().family,
-            SketchFamily::Quantiles
-        );
-        assert!(matches!(
-            QuantilesLadder::<u64>::from_wire_bytes(&bytes),
-            Err(WireError::Invariant { .. })
-        ));
-        // And the updatable decoder round-trips it.
-        let back = QuantilesSketch::<u64>::from_bytes(&bytes, DeterministicOracle::new(0)).unwrap();
-        assert_eq!(back.n(), 1_000);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Borrowed, zero-copy views over raw wire images.
 //!
-//! A view validates the 16-byte envelope (magic, version, family, item
-//! width, exact-length rule) plus the family's *structural* frame once,
-//! and then serves items straight out of the input `&[u8]` — no payload
-//! materialisation, no allocation.
+//! A view validates the 16-byte envelope (magic, version, family,
+//! reserved flags, item width, exact-length rule) plus the family's
+//! *structural* frame once, and then serves items straight out of the
+//! input `&[u8]` — no payload materialisation, no allocation.
 //!
 //! # Validation contract
 //!
@@ -31,10 +31,7 @@
 //! Every failure is a typed [`WireError`]; views never panic on any
 //! input.
 
-use super::{
-    SketchFamily, WireHeader, WireItem, FLAG_QUANTILES_UPDATABLE, FLAG_THETA_UNSORTED,
-    WIRE_HEADER_LEN,
-};
+use super::{SketchFamily, WireHeader, WireItem, WIRE_HEADER_LEN};
 use crate::error::WireError;
 use crate::hll::{MAX_LG_M, MIN_LG_M};
 use bytes::Buf;
@@ -81,14 +78,12 @@ pub(crate) const THETA_ITEMS_OFF: usize = WIRE_HEADER_LEN + 24;
 /// let image = s.compact().to_wire_bytes();
 /// let view = ThetaWireView::parse(&image).unwrap();
 /// assert_eq!(view.len(), s.compact().retained());
-/// assert!(view.is_sorted());
 /// assert!(view.hashes().all(|h| h < view.theta()));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ThetaWireView<'a> {
     seed: u64,
     theta: u64,
-    sorted: bool,
     /// Exactly `count × 8` bytes of little-endian hashes.
     items: &'a [u8],
 }
@@ -139,7 +134,6 @@ impl<'a> ThetaWireView<'a> {
         Ok(ThetaWireView {
             seed,
             theta,
-            sorted: header.flags & FLAG_THETA_UNSORTED == 0,
             items: &payload[24..],
         })
     }
@@ -164,13 +158,6 @@ impl<'a> ThetaWireView<'a> {
         self.items.is_empty()
     }
 
-    /// Whether the payload is canonical (strictly ascending hashes) as
-    /// opposed to an insertion-order
-    /// [`encode_theta_unsorted`](super::encode_theta_unsorted) image.
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
     /// Iterates the hashes in payload order, straight from the bytes.
     pub fn hashes(&self) -> impl Iterator<Item = u64> + 'a {
         let items = self.items;
@@ -178,8 +165,8 @@ impl<'a> ThetaWireView<'a> {
     }
 
     /// Runs the item-level validation [`Self::parse`] leaves out — every
-    /// hash nonzero and below Θ, strictly ascending when the image is
-    /// canonical — without materialising anything.
+    /// hash nonzero, below Θ and strictly ascending — without
+    /// materialising anything.
     ///
     /// # Errors
     ///
@@ -189,18 +176,15 @@ impl<'a> ThetaWireView<'a> {
         let mut prev = 0u64;
         for h in self.hashes() {
             check_theta_hash(h, self.theta, prev)?;
-            if self.sorted {
-                prev = h;
-            }
+            prev = h;
         }
         Ok(())
     }
 }
 
 /// Θ's per-hash rule, the one copy of it: `h` is nonzero, below the
-/// image's `theta`, and above `prev` — the previous hash of a canonical
-/// image, or 0 where no order is required (the first hash, any hash of
-/// an unsorted image).
+/// image's `theta`, and above `prev` — the previous hash, or 0 before
+/// the first.
 #[inline]
 pub(crate) fn check_theta_hash(h: u64, theta: u64, prev: u64) -> Result<(), WireError> {
     if h == 0 {
@@ -390,8 +374,8 @@ impl<'a, T: Ord + Clone + WireItem> LadderWireView<'a, T> {
     ///
     /// # Errors
     ///
-    /// Header damage, family or item-width mismatch, an updatable-form
-    /// image, truncation, or the first run or weight invariant broken.
+    /// Header damage, family or item-width mismatch, truncation, or the
+    /// first run or weight invariant broken.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_sink(data, &mut NoopLadderSink)
     }
@@ -407,13 +391,6 @@ impl<'a, T: Ord + Clone + WireItem> LadderWireView<'a, T> {
     ) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Quantiles)?;
-        if header.flags & FLAG_QUANTILES_UPDATABLE != 0 {
-            return Err(WireError::invariant(
-                "quantiles flags",
-                "image is an updatable sketch, not a ladder \
-                 (use QuantilesSketch::from_bytes)",
-            ));
-        }
         if header.item_width as usize != T::WIDTH {
             return Err(WireError::ItemWidth {
                 expected: T::WIDTH as u8,
@@ -816,7 +793,7 @@ mod tests {
     use crate::hll::HllSketch;
     use crate::quantiles::{QuantilesLadder, QuantilesSketch};
     use crate::theta::{CompactThetaSketch, QuickSelectThetaSketch, ThetaRead};
-    use crate::wire::{encode_theta_unsorted, WireDecode, WireEncode};
+    use crate::wire::{WireDecode, WireEncode};
 
     fn theta_image(n: u64) -> bytes::Bytes {
         let mut s = QuickSelectThetaSketch::new(6, 7).unwrap();
@@ -834,23 +811,9 @@ mod tests {
         assert_eq!(view.seed(), decoded.seed());
         assert_eq!(view.theta(), decoded.theta());
         assert_eq!(view.len(), decoded.retained());
-        assert!(view.is_sorted());
         assert!(view.validate().is_ok());
         let from_view: Vec<u64> = view.hashes().collect();
         assert_eq!(from_view, decoded.sorted_hashes());
-    }
-
-    #[test]
-    fn theta_view_unsorted_flag_and_validate() {
-        let mut s = QuickSelectThetaSketch::new(6, 3).unwrap();
-        for i in 0..5_000u64 {
-            s.update(i);
-        }
-        let raw = encode_theta_unsorted(&s);
-        let view = ThetaWireView::parse(&raw).unwrap();
-        assert!(!view.is_sorted());
-        assert!(view.validate().is_ok());
-        assert_eq!(view.len(), s.retained());
     }
 
     #[test]
@@ -950,12 +913,26 @@ mod tests {
         bad[16] ^= 0x01;
         assert!(LadderWireView::<u64>::parse(&bad).is_err());
         assert!(QuantilesLadder::<u64>::from_wire_bytes(&bad).is_err());
-        // The updatable form is not a ladder.
-        let updatable = q.to_bytes();
+    }
+
+    #[test]
+    fn ladder_unsorted_run_rejected() {
+        let mut q = QuantilesSketch::<u64>::with_seed(16, 1).unwrap();
+        for i in 0..5_000u64 {
+            q.update(i);
+        }
+        let image = q.ladder().to_wire_bytes();
+        // Swap the first two items of the first run (after the 16-byte
+        // envelope, n | run_count | pad, min | max, weight | len).
+        let mut bad = image.to_vec();
+        for i in 0..8 {
+            bad.swap(64 + i, 72 + i);
+        }
         assert!(matches!(
-            LadderWireView::<u64>::parse(&updatable),
+            LadderWireView::<u64>::parse(&bad),
             Err(WireError::Invariant { .. })
         ));
+        assert!(QuantilesLadder::<u64>::from_wire_bytes(&bad).is_err());
     }
 
     #[test]

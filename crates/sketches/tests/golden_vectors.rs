@@ -21,12 +21,9 @@ use bytes::Bytes;
 use fcds_sketches::error::WireError;
 use fcds_sketches::frequency::MisraGriesSketch;
 use fcds_sketches::hll::HllSketch;
-use fcds_sketches::oracle::DeterministicOracle;
 use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
 use fcds_sketches::theta::QuickSelectThetaSketch;
-use fcds_sketches::wire::{
-    SketchFamily, WireDecode, WireEncode, WireHeader, FLAG_QUANTILES_UPDATABLE,
-};
+use fcds_sketches::wire::{SketchFamily, WireDecode, WireEncode, WireHeader};
 use std::path::{Path, PathBuf};
 
 fn vectors_dir() -> PathBuf {
@@ -80,18 +77,6 @@ fn corpus() -> Vec<(String, String, Bytes)> {
                 q.ladder().to_wire_bytes(),
             ));
         }
-    }
-
-    for n in [0u64, 10_000] {
-        let mut q = QuantilesSketch::<u64>::with_seed(32, 7).unwrap();
-        for i in 0..n {
-            q.update(i);
-        }
-        out.push((
-            format!("quantiles_updatable_k32_n{n}"),
-            format!("quantiles updatable sketch: k=32 oracle_seed=7 over 0..{n}"),
-            q.to_bytes(),
-        ));
     }
 
     for k in [8usize, 64] {
@@ -199,6 +184,7 @@ fn every_golden_vector_round_trips_byte_identically() {
     let committed = committed_vectors();
     let mut families_seen = std::collections::BTreeSet::new();
     for (stem, bytes) in &committed {
+        assert_eq!(bytes[6], 0, "vector `{stem}` sets the reserved flags byte");
         let (header, _) = WireHeader::parse(bytes)
             .unwrap_or_else(|e| panic!("vector `{stem}` has an unparseable header: {e}"));
         families_seen.insert(header.family.code());
@@ -208,19 +194,10 @@ fn every_golden_vector_round_trips_byte_identically() {
                 .unwrap()
                 .to_wire_bytes()
                 .to_vec(),
-            SketchFamily::Quantiles => {
-                if header.flags & FLAG_QUANTILES_UPDATABLE != 0 {
-                    QuantilesSketch::<u64>::from_bytes(bytes, DeterministicOracle::new(0))
-                        .unwrap()
-                        .to_bytes()
-                        .to_vec()
-                } else {
-                    QuantilesLadder::<u64>::from_wire_bytes(bytes)
-                        .unwrap()
-                        .to_wire_bytes()
-                        .to_vec()
-                }
-            }
+            SketchFamily::Quantiles => QuantilesLadder::<u64>::from_wire_bytes(bytes)
+                .unwrap()
+                .to_wire_bytes()
+                .to_vec(),
             SketchFamily::Frequency => MisraGriesSketch::<u64>::from_wire_bytes(bytes)
                 .unwrap()
                 .to_wire_bytes()

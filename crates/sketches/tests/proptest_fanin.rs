@@ -3,9 +3,9 @@
 //!
 //! The oracle here is an *explicit* `from_wire_bytes` + `wire_merge_from`
 //! fold — deliberately not `merge_wire_images`, which now routes through
-//! the kernels under test. Coverage includes unsorted Θ images, item
-//! duplicates across images (overlapping node ranges), empty and
-//! singleton fan-ins, and mixed sorted/unsorted image lists. Misra–Gries
+//! the kernels under test. Coverage includes item duplicates across
+//! images (overlapping node ranges), empty sketches, and empty and
+//! singleton fan-ins. Misra–Gries
 //! is byte-identical in exact mode (distinct items ≤ k); in overflow
 //! mode both folds are valid summaries of the union stream, so the
 //! kernel is held to the mergeable-summaries contract instead: same `n`,
@@ -17,8 +17,8 @@ use fcds_sketches::hll::HllSketch;
 use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
 use fcds_sketches::theta::{CompactThetaSketch, QuickSelectThetaSketch};
 use fcds_sketches::wire::{
-    encode_theta_unsorted, hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge,
-    theta_multiway_union, WireEncode, WireMerge,
+    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, theta_multiway_union,
+    WireEncode, WireMerge,
 };
 use fcds_sketches::WireError;
 use proptest::prelude::*;
@@ -56,32 +56,25 @@ fn empty_fanin_is_rejected_by_every_kernel() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Θ: k-way loser-tree union over any mix of sorted and unsorted
-    /// images — byte-identical to the pairwise untrimmed-union fold.
+    /// Θ: k-way loser-tree union over sorted images — byte-identical to
+    /// the pairwise untrimmed-union fold.
     /// Overlapping node ranges plant duplicate hashes across images;
     /// `n = 0` nodes plant empty sketches; a single node exercises the
     /// singleton fan-in.
     #[test]
     fn theta_multiway_matches_pairwise_oracle(
-        nodes in prop::collection::vec(
-            (0u64..2_000, 0u64..4_000, any::<bool>()),
-            1..6,
-        ),
+        nodes in prop::collection::vec((0u64..2_000, 0u64..4_000), 1..6),
         lg_k in 4u8..7,
         seed in 0u64..100,
     ) {
         let images: Vec<Bytes> = nodes
             .iter()
-            .map(|&(start, n, unsorted)| {
+            .map(|&(start, n)| {
                 let mut s = QuickSelectThetaSketch::new(lg_k, seed).unwrap();
                 for i in 0..n {
                     s.update(start + i);
                 }
-                if unsorted {
-                    encode_theta_unsorted(&s)
-                } else {
-                    s.compact().to_wire_bytes()
-                }
+                s.compact().to_wire_bytes()
             })
             .collect();
         let oracle: CompactThetaSketch = pairwise_fold(&images).unwrap();

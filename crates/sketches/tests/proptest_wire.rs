@@ -5,19 +5,23 @@
 //! robustness suite for the unified envelope: truncation at *every* byte
 //! boundary, single-byte mutation at *every* offset, and a hostile-header
 //! matrix asserting each corruption class maps to its intended
-//! [`WireError`] variant. No input may panic or trigger a large
+//! [`WireError`] variant, including a reserved flags byte set on every
+//! committed golden vector. No input may panic or trigger a large
 //! allocation before validation.
 
 use fcds_sketches::frequency::MisraGriesSketch;
 use fcds_sketches::hll::HllSketch;
-use fcds_sketches::oracle::DeterministicOracle;
 use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
 use fcds_sketches::theta::{CompactThetaSketch, QuickSelectThetaSketch, ThetaRead};
-use fcds_sketches::wire::{peek, WireDecode, WireEncode, WireHeader, WIRE_HEADER_LEN};
+use fcds_sketches::wire::{
+    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, peek, theta_multiway_union,
+    HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView, WireDecode, WireEncode,
+    WireHeader, WIRE_HEADER_LEN,
+};
 use fcds_sketches::WireError;
 use proptest::prelude::*;
 
-/// One smallish valid image per family/form, reused by the exhaustive
+/// One smallish valid image per family, reused by the exhaustive
 /// suites below. Kept deliberately small so every-offset loops stay fast.
 fn sample_images() -> Vec<(&'static str, Vec<u8>)> {
     let mut theta = QuickSelectThetaSketch::new(4, 1).unwrap();
@@ -34,7 +38,6 @@ fn sample_images() -> Vec<(&'static str, Vec<u8>)> {
         ("theta", theta.compact().to_wire_bytes().to_vec()),
         ("hll", hll.to_wire_bytes().to_vec()),
         ("quantiles_ladder", quant.ladder().to_wire_bytes().to_vec()),
-        ("quantiles_updatable", quant.to_bytes().to_vec()),
         ("mg", mg.to_wire_bytes().to_vec()),
     ]
 }
@@ -45,7 +48,6 @@ fn decode_all(bytes: &[u8]) {
     let _ = CompactThetaSketch::from_wire_bytes(bytes);
     let _ = HllSketch::from_wire_bytes(bytes);
     let _ = QuantilesLadder::<u64>::from_wire_bytes(bytes);
-    let _ = QuantilesSketch::<u64>::from_bytes(bytes, DeterministicOracle::new(0));
     let _ = MisraGriesSketch::<u64>::from_wire_bytes(bytes);
 }
 
@@ -100,14 +102,6 @@ fn single_byte_mutation_at_every_offset_never_panics() {
                         hashes.windows(2).all(|w| w[0] < w[1])
                             && hashes.iter().all(|&h| h < c.theta()),
                         "{name}: mutation at {offset}^{mask:#x} decoded to an invalid theta image"
-                    );
-                }
-                if let Ok(q) =
-                    QuantilesSketch::<u64>::from_bytes(&mutated, DeterministicOracle::new(0))
-                {
-                    assert!(
-                        q.check_weight_invariant(),
-                        "{name}: mutation at {offset}^{mask:#x} broke the weight invariant"
                     );
                 }
             }
@@ -237,7 +231,6 @@ fn corruption_classes_map_to_intended_error_variants() {
         let (header, _) = WireHeader::parse(&bytes).expect(name);
         let peeked = peek(&bytes[..WIRE_HEADER_LEN], u64::MAX).expect(name);
         assert_eq!(peeked.family, header.family, "{name}: peek family");
-        assert_eq!(peeked.flags, header.flags, "{name}: peek flags");
         assert_eq!(
             peeked.payload_len,
             (bytes.len() - WIRE_HEADER_LEN) as u64,
@@ -313,13 +306,81 @@ fn forged_count_fields_cannot_drive_allocation() {
     bytes[WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let decoded = MisraGriesSketch::<u64>::from_wire_bytes(&bytes).unwrap();
     assert_eq!(decoded.n(), mg.n());
+}
 
-    // Same for the updatable Quantiles `k` (a u32): forging it to the
-    // maximum must not pre-allocate a 2k-item base buffer.
-    let q = QuantilesSketch::<u64>::with_seed(16, 1).unwrap();
-    let mut bytes = q.to_bytes().to_vec();
-    bytes[WIRE_HEADER_LEN..WIRE_HEADER_LEN + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let _ = QuantilesSketch::<u64>::from_bytes(&bytes, DeterministicOracle::new(0));
+/// The committed golden vectors (`tests/vectors/*.hex`: `#` comment
+/// lines, then the image as hex), with their file stems.
+fn golden_vectors() -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/vectors");
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("tests/vectors is committed") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "hex") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let hex: String = text.lines().filter(|l| !l.starts_with('#')).collect();
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+                .collect();
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            out.push((stem, bytes));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The flags byte is reserved in v1: every committed vector with any one
+/// of its 8 bits set is refused by `peek`, by its family's view, by
+/// `from_wire_bytes` and by its family's fan-in kernel — each with the
+/// header's `Invariant`, before any payload byte is read.
+#[test]
+fn every_flag_bit_is_refused_on_every_golden_vector() {
+    let vectors = golden_vectors();
+    assert!(vectors.len() >= 20, "corpus too small: {}", vectors.len());
+    for (stem, bytes) in vectors {
+        let family = peek(&bytes, u64::MAX).expect(&stem).family;
+        for bit in 0..8 {
+            let mut forged = bytes.clone();
+            forged[6] |= 1 << bit;
+            let image = [forged.as_slice()];
+            let mut results = vec![peek(&forged, u64::MAX).map(drop)];
+            results.extend(match family {
+                SketchFamily::Theta => [
+                    ThetaWireView::parse(&forged).map(drop),
+                    CompactThetaSketch::from_wire_bytes(&forged).map(drop),
+                    theta_multiway_union(&image).map(drop),
+                ],
+                SketchFamily::Hll => [
+                    HllWireView::parse(&forged).map(drop),
+                    HllSketch::from_wire_bytes(&forged).map(drop),
+                    hll_multiway_merge(&image).map(drop),
+                ],
+                SketchFamily::Quantiles => [
+                    LadderWireView::<u64>::parse(&forged).map(drop),
+                    QuantilesLadder::<u64>::from_wire_bytes(&forged).map(drop),
+                    ladder_multiway_concat::<u64, _>(&image).map(drop),
+                ],
+                SketchFamily::Frequency => [
+                    MgWireView::<u64>::parse(&forged).map(drop),
+                    MisraGriesSketch::<u64>::from_wire_bytes(&forged).map(drop),
+                    mg_multiway_merge::<u64, _>(&image).map(drop),
+                ],
+            });
+            for (path, result) in ["peek", "view", "decoder", "kernel"].iter().zip(results) {
+                assert!(
+                    matches!(
+                        result,
+                        Err(WireError::Invariant {
+                            context: "header flags",
+                            ..
+                        })
+                    ),
+                    "{stem}: flag bit {bit} through the {path} gave {result:?}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -336,7 +397,7 @@ proptest! {
             s.update(i);
         }
         let c = s.compact();
-        let back = CompactThetaSketch::from_bytes(&c.to_bytes()).unwrap();
+        let back = CompactThetaSketch::from_wire_bytes(&c.to_wire_bytes()).unwrap();
         prop_assert_eq!(back, c);
     }
 
@@ -350,27 +411,8 @@ proptest! {
         for i in 0..n {
             h.update(i);
         }
-        let back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+        let back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
         prop_assert_eq!(back, h);
-    }
-
-    #[test]
-    fn quantiles_round_trips(
-        n in 0u64..20_000,
-        k in 2usize..128,
-        seed in 0u64..1_000,
-    ) {
-        let mut q = QuantilesSketch::<u64>::with_seed(k, seed).unwrap();
-        for i in 0..n {
-            q.update(i.wrapping_mul(0x9E37_79B9) % 10_000);
-        }
-        let bytes = q.to_bytes();
-        let back = QuantilesSketch::<u64>::from_bytes(&bytes, DeterministicOracle::new(0)).unwrap();
-        prop_assert_eq!(back.n(), q.n());
-        prop_assert!(back.check_weight_invariant());
-        for phi in [0.0, 0.1, 0.5, 0.9, 1.0] {
-            prop_assert_eq!(back.quantile(phi), q.quantile(phi));
-        }
     }
 
     /// Random single-byte corruption either fails decoding or decodes to
@@ -385,37 +427,16 @@ proptest! {
         for i in 0..n {
             s.update(i);
         }
-        let mut bytes = s.compact().to_bytes().to_vec();
+        let mut bytes = s.compact().to_wire_bytes().to_vec();
         let idx = flip_at % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
-        match CompactThetaSketch::from_bytes(&bytes) {
+        match CompactThetaSketch::from_wire_bytes(&bytes) {
             Err(_) => {}
             Ok(c) => {
                 // If it decodes, its invariants must hold.
                 let hashes = c.sorted_hashes();
                 prop_assert!(hashes.windows(2).all(|w| w[0] < w[1]));
                 prop_assert!(hashes.iter().all(|&h| h < c.theta()));
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_quantiles_never_panics(
-        n in 100u64..5_000,
-        flip_at in 0usize..100_000,
-        flip_bit in 0u8..8,
-    ) {
-        let mut q = QuantilesSketch::<u64>::with_seed(16, 1).unwrap();
-        for i in 0..n {
-            q.update(i);
-        }
-        let mut bytes = q.to_bytes().to_vec();
-        let idx = flip_at % bytes.len();
-        bytes[idx] ^= 1 << flip_bit;
-        match QuantilesSketch::<u64>::from_bytes(&bytes, DeterministicOracle::new(0)) {
-            Err(_) => {}
-            Ok(back) => {
-                prop_assert!(back.check_weight_invariant());
             }
         }
     }
@@ -430,10 +451,10 @@ proptest! {
         for i in 0..n {
             h.update(i);
         }
-        let mut bytes = h.to_bytes().to_vec();
+        let mut bytes = h.to_wire_bytes().to_vec();
         let idx = flip_at % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
-        let _ = HllSketch::from_bytes(&bytes); // must not panic
+        let _ = HllSketch::from_wire_bytes(&bytes); // must not panic
     }
 
     /// The ladder image (merge-tier form) round-trips bit-exactly and

@@ -10,7 +10,10 @@
 //! cargo run --release --example unique_users
 //! ```
 
-use fcds::sketches::theta::{ThetaANotB, ThetaIntersection, ThetaRead, ThetaUnion};
+use fcds::sketches::theta::{
+    CompactThetaSketch, ThetaANotB, ThetaIntersection, ThetaRead, ThetaUnion,
+};
+use fcds::sketches::wire::{WireDecode, WireEncode};
 use fcds::{EngineBuilder, ThetaFamily};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -103,8 +106,8 @@ fn main() {
     println!("users only in us-east ≈ {:.0}", only_us.estimate());
 
     // Serialise a compact image as a downstream system would.
-    let bytes = us.to_bytes();
-    let back = fcds::sketches::theta::CompactThetaSketch::from_bytes(&bytes).expect("round trip");
+    let bytes = us.to_wire_bytes();
+    let back = CompactThetaSketch::from_wire_bytes(&bytes).expect("round trip");
     println!(
         "\ncompact us-east image: {} bytes, estimate preserved: {}",
         bytes.len(),
