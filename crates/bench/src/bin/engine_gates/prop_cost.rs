@@ -12,8 +12,12 @@
 //! `k` ∈ {64, 1024}) and gate the large-over-small cost ratio: an HLL
 //! hand-off touches `b` registers and reads the estimate and the hint's
 //! floor off the register-value histogram, so its cost must not know
-//! `m`; a Misra–Gries hand-off copies the ≤ k-counter table (and its
-//! reductions walk it), so its cost may grow with `k` but no faster.
+//! `m`; a Misra–Gries hand-off sorts its `b` keys, merge-joins their
+//! runs with the ≤ k key-sorted counters, reduces once and copies the
+//! counter run, so its cost may grow with `k` but no faster. Misra–Gries
+//! also has rows, not gated, at 256 keys per merge: a connection thread
+//! applies each 256-item frame as one inline merge, so that is the
+//! regime the server runs.
 //!
 //! Θ runs under the publication strategies the sharded engine can run:
 //!
@@ -36,13 +40,16 @@ use fcds_bench::gate::Bound::{Max, Min};
 use fcds_bench::gate::GateCheck;
 use fcds_bench::workload::{time_interleaved, SplitMix};
 use fcds_core::composable::{GlobalSketch, LocalSketch};
-use fcds_core::frequency::FrequencyGlobal;
 use fcds_core::hll::HllGlobal;
 use fcds_core::theta::ThetaGlobal;
+use fcds_sketches::frequency::MisraGriesSketch;
 
 const SEED: u64 = 0xB10C;
 /// Updates per merge: the engine's default lazy buffer cap `b`.
 const B: usize = 16;
+/// Keys per Misra–Gries merge on the served path: one frame, merged
+/// inline.
+const SERVED_B: usize = 256;
 /// Hand-offs per timed call, so the clock never pollutes a cheap step.
 const BATCH: usize = 64;
 /// The same for Misra–Gries. A publication retires the previous table to
@@ -83,12 +90,11 @@ pub fn gates(
         // registers (pre-PR 18) read 27.
         GateCheck::new("hll_large_vs_small_ratio", hll_large_vs_small, Max, 2.0),
         // A Misra–Gries hand-off at k = 1024 over one at k = 64. This
-        // step may know its size parameter: the publication copies the
-        // ≤ k-counter table and a reduction walks it, both linear in `k`
-        // with a small constant next to the `b` hash-map updates —
-        // 3.6 to 5.3 on the benchmark's Zipf(1.1) keys against a 16×
-        // size ratio. The bound is half the size ratio; a publication
-        // that sorts and re-hashes the table (pre-PR 18) read 9.0.
+        // step may know its size parameter: the merge-join and the one
+        // reduction walk the ≤ k key-sorted counters and the publication
+        // copies them, all linear in `k` with a small constant, next to
+        // sorting the `b` keys. The bound is half the 16× size ratio; a
+        // publication that sorts and re-hashes the table read 9.0.
         GateCheck::new(
             "frequency_large_vs_small_ratio",
             frequency_large_vs_small,
@@ -211,11 +217,11 @@ fn zipf_key(word: u64) -> u64 {
     ((KEYS.powf(-0.1) - 1.0) * u + 1.0).powf(-10.0) as u64
 }
 
-/// Misra–Gries hand-offs (the hint is the unit), one per `B` keys handed
+/// Misra–Gries hand-offs (the hint is the unit), one per `b` keys handed
 /// in, on a `k`-counter global warmed with 2¹⁷ keys. The keys are drawn
 /// outside the clock — a `powf` per key would cost more than the merge.
-fn frequency_side(k: usize) -> impl FnMut(&Vec<u64>) {
-    let mut g = FrequencyGlobal::<u64>::new(k).expect("valid k");
+fn frequency_side(k: usize, b: usize) -> impl FnMut(&Vec<u64>) {
+    let mut g = MisraGriesSketch::<u64>::new(k).expect("valid k");
     let mut rng = SplitMix(SEED);
     for _ in 0..1 << 17 {
         g.update_direct(zipf_key(rng.next_u64()));
@@ -223,12 +229,12 @@ fn frequency_side(k: usize) -> impl FnMut(&Vec<u64>) {
     let view = g.new_view();
     let mut local = g.new_local();
     move |keys| {
-        for chunk in keys.chunks_exact(B) {
+        for chunk in keys.chunks_exact(b) {
             g.calc_hint();
             for &key in chunk {
                 local.update(key);
             }
-            g.merge(&mut local);
+            GlobalSketch::merge(&mut g, &mut local);
             g.publish(&view);
         }
     }
@@ -274,7 +280,7 @@ pub fn run() -> Section {
             for (size, secs) in sizes.into_iter().zip(secs) {
                 rows.push(format!(
                     "{{\"family\": \"{family}\", \"{param}\": {size}, \
-                 \"per_merge_ns\": {:.1}, \"merges\": {}}}",
+                 \"items_per_merge\": {B}, \"per_merge_ns\": {:.1}, \"merges\": {}}}",
                     secs * 1e9 / batch as f64,
                     rounds * batch
                 ));
@@ -287,15 +293,27 @@ pub fn run() -> Section {
     let hll_ratio = sized("hll", "lg_m", sizes, BATCH, timing);
 
     let sizes = [64, 1024];
-    let [mut small, mut large] = sizes.map(frequency_side);
+    let [mut small, mut large] = sizes.map(|k| frequency_side(k, B));
     let mut rng = SplitMix(SEED ^ 0x5EED);
-    let keys = || -> Vec<u64> {
+    let mut keys = || -> Vec<u64> {
         std::iter::repeat_with(|| zipf_key(rng.next_u64()))
             .take(FREQUENCY_BATCH * B)
             .collect()
     };
-    let timing = time_interleaved(keys, [&mut small, &mut large]);
+    let timing = time_interleaved(&mut keys, [&mut small, &mut large]);
     let frequency_ratio = sized("frequency", "k", sizes, FREQUENCY_BATCH, timing);
+    // The served merge size: the same keys per call, in 256-key merges.
+    let [mut small, mut large] = sizes.map(|k| frequency_side(k, SERVED_B));
+    let (secs, rounds) = time_interleaved(&mut keys, [&mut small, &mut large]);
+    let merges = FREQUENCY_BATCH * B / SERVED_B;
+    for (k, secs) in sizes.into_iter().zip(secs) {
+        rows.push(format!(
+            "{{\"family\": \"frequency\", \"k\": {k}, \"items_per_merge\": {SERVED_B}, \
+             \"per_merge_ns\": {:.1}, \"merges\": {}}}",
+            secs * 1e9 / merges as f64,
+            rounds * merges
+        ));
+    }
 
     Section {
         name: "prop_cost",

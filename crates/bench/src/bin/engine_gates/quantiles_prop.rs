@@ -6,15 +6,20 @@
 //! the two publication strategies:
 //!
 //! * `ladder` — what the engine runs, [`QuantilesGlobal`]'s `merge` +
-//!   `publish`: the merge appends its items to the sorted mirror of the
-//!   base buffer and re-sorts it once (a stable sort that merges the
-//!   sorted prefix with the appended run), the publication copies that
-//!   mirror (≤ 2k items) and clones one
+//!   `publish`: the merge sorts its items in place, in the pieces that
+//!   fill the base buffer, and merges each piece into the base buffer,
+//!   which it keeps sorted, so a compaction sorts nothing; the
+//!   publication copies the base buffer (≤ 2k items) and clones one
 //!   pointer for all the levels — no sort of retained items, no
 //!   per-level work, independent of the retained count;
 //! * `rebuild` — the pre-ladder behaviour ([`QuantilesSketch::reader`]):
 //!   re-collect and re-sort the whole retained set on every publication,
 //!   O(retained · log retained).
+//!
+//! The gated rows merge `b = 16` items, the engine's default lazy
+//! buffer cap. Two more rows, not gated, merge 256: a connection thread
+//! applies each 256-item frame as one inline merge, so that is the
+//! regime the server runs.
 //!
 //! ## Warm states
 //!
@@ -46,7 +51,10 @@ const SEED: u64 = 0x0A17;
 const K: usize = 128;
 /// Updates per merge: the engine's default lazy buffer cap `b`.
 const B: usize = 16;
-/// Merges per timed call, so the clock never pollutes a cheap step.
+/// Updates per merge on the served path: one frame, merged inline.
+const SERVED_B: usize = 256;
+/// Merges per timed call at `B`, so the clock never pollutes a cheap
+/// step. Every call streams `BATCH · B` updates, whatever its `b`.
 const BATCH: usize = 64;
 
 /// Pre-occupied runs start at this level: one interleaving performs at
@@ -98,12 +106,14 @@ fn warm_sketch(depth: usize) -> QuantilesSketch<u64> {
 /// epoch-cell store; only the merge bookkeeping and the snapshot
 /// construction differ.
 enum Side {
-    /// Publish the persistent ladder snapshot (what the engine runs).
+    /// Publish the persistent ladder snapshot (what the engine runs),
+    /// merging `b` updates at a time.
     Ladder {
         g: QuantilesGlobal<u64>,
         view: <QuantilesGlobal<u64> as GlobalSketch>::View,
         local: <QuantilesGlobal<u64> as GlobalSketch>::Local,
         rng: SplitMix,
+        b: usize,
     },
     /// Publish a freshly rebuilt flat reader (the pre-ladder path).
     Rebuild {
@@ -114,7 +124,7 @@ enum Side {
 }
 
 impl Side {
-    fn new(depth: usize, ladder: bool) -> Self {
+    fn new(depth: usize, ladder: bool, b: usize) -> Self {
         let q = warm_sketch(depth);
         let rng = SplitMix(SEED ^ 0x5EED);
         if ladder {
@@ -125,6 +135,7 @@ impl Side {
                 view,
                 local,
                 rng,
+                b,
             }
         } else {
             let cell = EpochCell::new(q.reader());
@@ -132,17 +143,26 @@ impl Side {
         }
     }
 
-    /// `BATCH` times `merge(b updates) + publish`.
+    /// Updates per merge.
+    fn b(&self) -> usize {
+        match self {
+            Side::Ladder { b, .. } => *b,
+            Side::Rebuild { .. } => B,
+        }
+    }
+
+    /// `BATCH · B / b` times `merge(b updates) + publish`.
     fn call(&mut self) {
-        for _ in 0..BATCH {
+        for _ in 0..BATCH * B / self.b() {
             match self {
                 Side::Ladder {
                     g,
                     view,
                     local,
                     rng,
+                    b,
                 } => {
-                    for _ in 0..B {
+                    for _ in 0..*b {
                         local.update(rng.next_u64());
                     }
                     g.merge(local);
@@ -169,12 +189,14 @@ impl Side {
 /// Measures the section.
 pub fn run() -> Section {
     let variants = [
-        (SMALL_DEPTH, true),
-        (LARGE_DEPTH, true),
-        (LARGE_DEPTH, false),
+        (SMALL_DEPTH, true, B),
+        (LARGE_DEPTH, true, B),
+        (LARGE_DEPTH, false, B),
+        (SMALL_DEPTH, true, SERVED_B),
+        (LARGE_DEPTH, true, SERVED_B),
     ];
-    let mut sides = variants.map(|(depth, ladder)| Side::new(depth, ladder));
-    let [mut ladder_small, mut ladder_large, mut rebuild_large] =
+    let mut sides = variants.map(|(depth, ladder, b)| Side::new(depth, ladder, b));
+    let [mut ladder_small, mut ladder_large, mut rebuild_large, mut served_small, mut served_large] =
         sides.each_mut().map(|side| move |_: &()| side.call());
     // One interleaving per gated pair. Publications are freed by the
     // thread's epoch collector some 64 publications later, inside a
@@ -185,23 +207,28 @@ pub fn run() -> Section {
         time_interleaved(|| (), [&mut ladder_small, &mut ladder_large]);
     let ([large_beside_rebuild_secs, rebuild_secs], rebuild_rounds) =
         time_interleaved(|| (), [&mut ladder_large, &mut rebuild_large]);
+    let ([served_small_secs, served_large_secs], served_rounds) =
+        time_interleaved(|| (), [&mut served_small, &mut served_large]);
     let timings = [
         (small_secs, rounds),
         (large_secs, rounds),
         (rebuild_secs, rebuild_rounds),
+        (served_small_secs, served_rounds),
+        (served_large_secs, served_rounds),
     ];
     let rows = (variants.iter().zip(&sides).zip(timings))
-        .map(|((&(depth, ladder), side), (secs, rounds))| {
+        .map(|((&(depth, ladder, b), side), (secs, rounds))| {
+            let merges = BATCH * B / b;
             format!(
                 "{{\"k\": {K}, \"warm_levels\": {depth}, \"warm_n\": {}, \
                  \"retained_warm\": {}, \"retained_end\": {}, \"strategy\": \"{}\", \
-                 \"per_merge_ns\": {:.1}, \"merges\": {}}}",
+                 \"items_per_merge\": {b}, \"per_merge_ns\": {:.1}, \"merges\": {}}}",
                 warm_sketch(depth).n(),
                 K * depth,
                 side.retained(),
                 if ladder { "ladder" } else { "rebuild" },
-                secs * 1e9 / BATCH as f64,
-                rounds * BATCH
+                secs * 1e9 / merges as f64,
+                rounds * merges
             )
         })
         .collect();

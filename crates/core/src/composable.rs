@@ -118,6 +118,54 @@ pub trait LocalSketch: Send + 'static {
     }
 }
 
+/// The local sketch of the families with no pre-filter (Quantiles,
+/// Misra–Gries): a plain buffer of items, `shouldAdd` constantly true
+/// (the degenerate hint §5.1 allows). The global merges it as one batch,
+/// sorting it in place, and clears it.
+#[derive(Debug)]
+pub struct ItemBuffer<T> {
+    pub(crate) items: Vec<T>,
+}
+
+impl<T> Default for ItemBuffer<T> {
+    fn default() -> Self {
+        ItemBuffer { items: Vec::new() }
+    }
+}
+
+impl<T: Clone + Send + 'static> LocalSketch for ItemBuffer<T> {
+    type Item = T;
+    type Hint = ();
+
+    fn update(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    fn update_batch(&mut self, items: &[T]) {
+        self.items.extend_from_slice(items);
+    }
+
+    /// `shouldAdd` is constantly true, so the filtered batch path — the
+    /// one the engine takes in the default (non-ablated) configuration —
+    /// is the same bulk extend.
+    fn update_batch_filtered(&mut self, _hint: (), items: &[T]) -> usize {
+        self.items.extend_from_slice(items);
+        items.len()
+    }
+
+    fn should_add(_: (), _: &T) -> bool {
+        true
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+}
+
 /// The shared composable sketch (`globalS` of Algorithm 2), owned by the
 /// propagator thread in the lazy phase and briefly by update threads
 /// (under the engine's mutex) during the eager phase of §5.3.
@@ -136,7 +184,7 @@ pub trait LocalSketch: Send + 'static {
 /// or re-hash of the retained state. The eager phase calls
 /// `update_direct` + `publish` per item under the same rule. Keep what a
 /// publication needs current as the merge changes it (HLL's
-/// register-value histogram, the Quantiles sorted base mirror, Θ's block
+/// register-value histogram, the Quantiles sorted base buffer, Θ's block
 /// mirror), bound the rest by an accuracy parameter rather than by the
 /// stream (the ≤ 2k-item base run, the ≤ k-counter table), and leave
 /// anything O(sketch) to the query side, where it is paid per query and

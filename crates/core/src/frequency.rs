@@ -1,21 +1,28 @@
 //! A concurrent frequent-items (Misra–Gries) sketch — a fourth
 //! instantiation of the generic framework.
 //!
-//! Misra–Gries merges by counter addition + reduction, so local buffers
-//! can even pre-aggregate: the local sketch here is a small counting map
-//! that collapses duplicate items before the hand-off, which both
-//! shrinks the merge and demonstrates that "local sketch" need not mean
-//! "plain buffer". There is no sound static pre-filter (any item can
-//! grow a counter), so the hint is trivial — exactly the degenerate case
-//! §5.1 permits.
+//! Algorithm 2 asks the global sketch to merge a local summary, and for
+//! Misra–Gries that merge is the mergeable-summaries one (Agarwal et
+//! al., PODS 2012): add the counters, then reduce once. So the local
+//! sketch is a plain item buffer ([`ItemBuffer`], shared with the
+//! Quantiles instantiation) and the global is the sequential
+//! [`MisraGriesSketch`] itself: a merge sorts the buffer in place,
+//! run-length counts it, merge-joins the runs with the key-sorted
+//! counters and runs one reduction by the `(k+1)`-th largest counter
+//! ([`MisraGriesSketch::merge_batch`]). No item is hashed on the
+//! propagation path, and the result depends only on the batches merged,
+//! not on any hash order. There is no sound static pre-filter (any item
+//! can grow a counter), so the hint is trivial — exactly the degenerate
+//! case §5.1 permits.
 //!
 //! Snapshots are published as an immutable heavy-hitters table behind an
 //! epoch pointer, like the Quantiles instantiation. A publication is a
-//! straight clone of the sketch's counter table (≤ k + 1 buckets copied,
-//! nothing sorted or re-hashed); ordering the heavy hitters is the
-//! query's business ([`FrequencySnapshot::heavy_hitters`]).
+//! copy of the sketch's sorted counter run (≤ k entries, nothing sorted
+//! or hashed), and a snapshot's `estimate` is a binary search in it;
+//! ordering the heavy hitters is the query's business
+//! ([`FrequencySnapshot::heavy_hitters`]).
 
-use crate::composable::{GlobalSketch, LocalSketch};
+use crate::composable::{GlobalSketch, ItemBuffer};
 use crate::config::ConcurrencyConfig;
 use crate::engine::{Family, FrequencyFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
@@ -23,24 +30,38 @@ use crate::sync::EpochCell;
 use fcds_sketches::error::Result;
 use fcds_sketches::frequency::{FrequencyEstimate, MisraGriesSketch};
 use fcds_sketches::wire::SketchFamily;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Immutable snapshot of the frequency summary.
 #[derive(Debug, Clone)]
-pub struct FrequencySnapshot<T: Eq + Hash + Clone> {
-    counters: HashMap<T, u64>,
+pub struct FrequencySnapshot<T> {
+    /// `(item, counter)` pairs in strictly ascending item order.
+    counters: Vec<(T, u64)>,
     /// Uniform error slack (see [`MisraGriesSketch::max_error`]).
     pub max_error: u64,
     /// Stream length reflected by this snapshot.
     pub n: u64,
 }
 
-impl<T: Eq + Hash + Clone> FrequencySnapshot<T> {
+impl<T: Ord + Clone> FrequencySnapshot<T> {
+    /// A copy of `sketch`'s counters, slack and stream length.
+    fn of(sketch: &MisraGriesSketch<T>) -> Self {
+        FrequencySnapshot {
+            counters: sketch
+                .counters()
+                .map(|(item, c)| (item.clone(), c))
+                .collect(),
+            max_error: sketch.max_error(),
+            n: sketch.n(),
+        }
+    }
+
     /// Frequency estimate for an item.
     pub fn estimate(&self, item: &T) -> FrequencyEstimate {
-        let lower = self.counters.get(item).copied().unwrap_or(0);
+        let lower = self
+            .counters
+            .binary_search_by(|(held, _)| held.cmp(item))
+            .map_or(0, |at| self.counters[at].1);
         FrequencyEstimate {
             lower_bound: lower,
             upper_bound: lower + self.max_error,
@@ -56,16 +77,22 @@ impl<T: Eq + Hash + Clone> FrequencySnapshot<T> {
     where
         T: 'a,
     {
-        let mut counters: HashMap<T, u64> = HashMap::new();
+        let mut counters: Vec<(T, u64)> = Vec::new();
         let mut max_error = 0u64;
         let mut n = 0u64;
         for p in parts {
-            for (item, &c) in &p.counters {
-                *counters.entry(item.clone()).or_insert(0) += c;
-            }
+            counters.extend(p.counters.iter().cloned());
             max_error += p.max_error;
             n += p.n;
         }
+        counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        counters.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         FrequencySnapshot {
             counters,
             max_error,
@@ -79,11 +106,11 @@ impl<T: Eq + Hash + Clone> FrequencySnapshot<T> {
         let mut out: Vec<(T, FrequencyEstimate)> = self
             .counters
             .iter()
-            .map(|(item, &c)| {
+            .map(|(item, c)| {
                 (
                     item.clone(),
                     FrequencyEstimate {
-                        lower_bound: c,
+                        lower_bound: *c,
                         upper_bound: c + self.max_error,
                     },
                 )
@@ -95,86 +122,32 @@ impl<T: Eq + Hash + Clone> FrequencySnapshot<T> {
     }
 }
 
-/// Global side: the sequential Misra–Gries summary.
-pub struct FrequencyGlobal<T: Eq + Hash + Clone + Send + Sync + 'static> {
-    sketch: MisraGriesSketch<T>,
-}
-
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug for FrequencyGlobal<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrequencyGlobal")
-            .field("n", &self.sketch.n())
-            .finish()
-    }
-}
-
-/// Local side: a pre-aggregating counter map.
-#[derive(Debug)]
-pub struct FrequencyLocal<T: Eq + Hash> {
-    counts: HashMap<T, u64>,
-    items: usize,
-}
-
-impl<T: Eq + Hash> Default for FrequencyLocal<T> {
-    fn default() -> Self {
-        FrequencyLocal {
-            counts: HashMap::new(),
-            items: 0,
-        }
-    }
-}
-
-impl<T: Eq + Hash + Clone + Send + 'static> LocalSketch for FrequencyLocal<T> {
-    type Item = T;
-    type Hint = ();
-
-    fn update(&mut self, item: T) {
-        *self.counts.entry(item).or_insert(0) += 1;
-        self.items += 1;
-    }
-
-    fn should_add(_: (), _: &T) -> bool {
-        true
-    }
-
-    fn clear(&mut self) {
-        self.counts.clear();
-        self.items = 0;
-    }
-
-    /// Counts *stream items* buffered (not distinct keys): the engine's
-    /// `b` bound is on updates, matching the `r = 2Nb` analysis.
-    fn len(&self) -> usize {
-        self.items
-    }
-}
-
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlobal<T> {
-    type Local = FrequencyLocal<T>;
+/// The global side is the sequential summary itself: a merge is its
+/// batch merge, a publication a copy of its counter run.
+impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for MisraGriesSketch<T> {
+    type Local = ItemBuffer<T>;
     type View = EpochCell<FrequencySnapshot<T>>;
     type Snapshot = Arc<FrequencySnapshot<T>>;
 
-    fn new_local(&self) -> FrequencyLocal<T> {
-        FrequencyLocal::default()
+    fn new_local(&self) -> ItemBuffer<T> {
+        ItemBuffer::default()
     }
 
     fn new_view(&self) -> Self::View {
-        EpochCell::new(self.snapshot_now())
+        EpochCell::new(FrequencySnapshot::of(self))
     }
 
-    fn merge(&mut self, local: &mut FrequencyLocal<T>) {
-        for (item, count) in local.counts.drain() {
-            self.sketch.update_weighted(item, count);
-        }
-        local.items = 0;
+    fn merge(&mut self, local: &mut ItemBuffer<T>) {
+        self.merge_batch(&mut local.items);
+        local.items.clear();
     }
 
     fn update_direct(&mut self, item: T) {
-        self.sketch.update(item);
+        self.update(item);
     }
 
     fn publish(&self, view: &Self::View) {
-        view.store(self.snapshot_now());
+        view.store(FrequencySnapshot::of(self));
     }
 
     fn snapshot(view: &Self::View) -> Arc<FrequencySnapshot<T>> {
@@ -187,44 +160,23 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlo
     }
 
     fn new_shard(&self) -> Self {
-        FrequencyGlobal::new(self.sketch.k()).expect("shard parameters were already validated")
+        MisraGriesSketch::new(self.k()).expect("shard parameters were already validated")
     }
 
     fn calc_hint(&self) {}
 
     fn stream_len(&self) -> u64 {
-        self.sketch.n()
+        self.n()
     }
 }
 
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyGlobal<T> {
-    /// Creates an empty global summary with at most `k` counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MisraGriesSketch::new`]'s parameter validation.
-    pub fn new(k: usize) -> Result<Self> {
-        Ok(FrequencyGlobal {
-            sketch: MisraGriesSketch::new(k)?,
-        })
-    }
-
-    fn snapshot_now(&self) -> FrequencySnapshot<T> {
-        FrequencySnapshot {
-            counters: self.sketch.counter_table().clone(),
-            max_error: self.sketch.max_error(),
-            n: self.sketch.n(),
-        }
-    }
-}
-
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
+impl<T: Ord + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
     type Engine = ConcurrentFrequencySketch<T>;
     const FAMILY: SketchFamily = SketchFamily::Frequency;
     const DEFAULT_ACCURACY: usize = 64;
 
     fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        let inner = ConcurrentSketch::start(FrequencyGlobal::new(accuracy)?, config)?;
+        let inner = ConcurrentSketch::start(MisraGriesSketch::new(accuracy)?, config)?;
         Ok(ConcurrentFrequencySketch { inner, k: accuracy })
     }
 }
@@ -250,20 +202,18 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> Family for FrequencyFamily<T>
 /// let snap = sketch.snapshot();
 /// assert!(snap.estimate(&7).upper_bound >= 2_500);
 /// ```
-pub struct ConcurrentFrequencySketch<T: Eq + Hash + Clone + Send + Sync + 'static> {
-    inner: ConcurrentSketch<FrequencyGlobal<T>>,
+pub struct ConcurrentFrequencySketch<T: Ord + Clone + Send + Sync + 'static> {
+    inner: ConcurrentSketch<MisraGriesSketch<T>>,
     k: usize,
 }
 
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug
-    for ConcurrentFrequencySketch<T>
-{
+impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for ConcurrentFrequencySketch<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentFrequencySketch").finish()
     }
 }
 
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
+impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
     /// Registers an update thread.
     pub fn writer(&self) -> FrequencyWriter<T> {
         FrequencyWriter {
@@ -307,7 +257,7 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> 
 /// the counters of many images with one final reduction.
 impl<T> crate::engine::WireImage for ConcurrentFrequencySketch<T>
 where
-    T: Eq + Hash + Ord + Clone + Send + Sync + 'static + fcds_sketches::wire::WireItem,
+    T: Ord + Clone + Send + Sync + 'static + fcds_sketches::wire::WireItem,
 {
     fn wire_image(&self) -> bytes::Bytes {
         use fcds_sketches::wire::WireEncode;
@@ -316,7 +266,7 @@ where
             self.k,
             snap.n,
             snap.max_error,
-            snap.counters.iter().map(|(item, &c)| (item.clone(), c)),
+            snap.counters.iter().cloned(),
         )
         .expect("snapshot counters satisfy the Misra-Gries invariants");
         mg.to_wire_bytes()
@@ -324,17 +274,17 @@ where
 }
 
 /// Per-thread writer for [`ConcurrentFrequencySketch`].
-pub struct FrequencyWriter<T: Eq + Hash + Clone + Send + Sync + 'static> {
-    inner: SketchWriter<FrequencyGlobal<T>>,
+pub struct FrequencyWriter<T: Ord + Clone + Send + Sync + 'static> {
+    inner: SketchWriter<MisraGriesSketch<T>>,
 }
 
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug for FrequencyWriter<T> {
+impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for FrequencyWriter<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrequencyWriter").finish()
     }
 }
 
-impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
+impl<T: Ord + Clone + Send + Sync + 'static> FrequencyWriter<T> {
     /// Processes one stream item.
     #[inline]
     pub fn update(&mut self, item: T) {
@@ -343,10 +293,8 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
 
     /// Processes a batch of stream items through the amortised fast path
     /// (a writer that wins its shard lock at a `b`-boundary merges the
-    /// rest of the batch itself — see [`SketchWriter::update_batch`]);
-    /// the pre-aggregating local map still collapses duplicates before
-    /// each merge. Counts the same items as calling [`Self::update`] once
-    /// per item.
+    /// rest of the batch itself — see [`SketchWriter::update_batch`]).
+    /// Counts the same items as calling [`Self::update`] once per item.
     pub fn update_batch(&mut self, items: &[T]) {
         self.inner.update_batch(items);
     }
@@ -367,6 +315,7 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::composable::LocalSketch;
     use crate::config::PropagationBackendKind;
     use crate::engine::EngineBuilder;
 
@@ -409,9 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn local_preaggregation_counts_duplicates() {
-        // All updates are the same key: local buffers collapse them, and
-        // the merged weight must equal the stream length exactly.
+    fn one_hot_key_counts_exactly() {
+        // All updates are the same key: each merged batch is one run, and
+        // the key's counter must equal the stream length exactly.
         let sketch = EngineBuilder::<FrequencyFamily<&'static str>>::new()
             .accuracy(8)
             .writers(2)
@@ -433,6 +382,37 @@ mod tests {
         let snap = sketch.snapshot();
         assert_eq!(snap.estimate(&"hot").lower_bound, 20_000);
         assert_eq!(snap.n, 20_000);
+    }
+
+    #[test]
+    fn same_batches_give_the_same_image() {
+        // Far more keys than counters, so every merge reduces: the image
+        // must still be a function of the batches alone.
+        use crate::engine::WireImage;
+        let image = || {
+            let sketch = EngineBuilder::<FrequencyFamily>::new()
+                .accuracy(16)
+                .writers(1)
+                .max_concurrency_error(1.0)
+                .backend(PropagationBackendKind::WriterAssisted)
+                .build()
+                .unwrap();
+            let mut w = sketch.writer();
+            let items: Vec<u64> = (0..20_000u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 5_000 / (1 + i % 7))
+                .collect();
+            for batch in items.chunks(256) {
+                w.update_batch(batch);
+            }
+            w.flush().unwrap();
+            sketch.quiesce();
+            assert!(sketch.snapshot().max_error > 0, "no reduction ran");
+            sketch.wire_image()
+        };
+        let first = image();
+        for _ in 0..4 {
+            assert_eq!(image(), first);
+        }
     }
 
     #[test]
@@ -519,7 +499,7 @@ mod tests {
             eager in 0usize..10,
             items in proptest::collection::vec(0u64..12, 20..300),
         ) {
-            let mut g = FrequencyGlobal::<u64>::new(4).unwrap();
+            let mut g = MisraGriesSketch::<u64>::new(4).unwrap();
             let view = g.new_view();
             let mut local = g.new_local();
             let (head, tail) = items.split_at(eager);
@@ -532,19 +512,21 @@ mod tests {
                         local.update(item);
                     }
                 }
-                g.merge(&mut local);
+                GlobalSketch::merge(&mut g, &mut local);
                 g.publish(&view);
-                let snap = FrequencyGlobal::snapshot(&view);
-                let counters: HashMap<u64, u64> =
-                    g.sketch.counters().map(|(item, c)| (*item, c)).collect();
+                let snap = MisraGriesSketch::snapshot(&view);
+                let counters: Vec<(u64, u64)> = g.counters().map(|(item, c)| (*item, c)).collect();
                 proptest::prop_assert_eq!(&snap.counters, &counters);
-                proptest::prop_assert_eq!(snap.max_error, g.sketch.max_error());
-                proptest::prop_assert_eq!(snap.n, g.sketch.n());
+                proptest::prop_assert_eq!(snap.max_error, g.max_error());
+                proptest::prop_assert_eq!(snap.n, g.n());
                 for (item, estimate) in snap.heavy_hitters(0) {
-                    proptest::prop_assert_eq!(estimate, g.sketch.estimate(&item));
+                    proptest::prop_assert_eq!(estimate, g.estimate(&item));
+                }
+                for absent in [12, 13] {
+                    proptest::prop_assert_eq!(snap.estimate(&absent), g.estimate(&absent));
                 }
             }
-            proptest::prop_assert_eq!(g.sketch.n(), items.len() as u64);
+            proptest::prop_assert_eq!(g.n(), items.len() as u64);
         }
     }
 }

@@ -2,38 +2,39 @@
 //! (§6.2).
 //!
 //! The Quantiles sketch has no useful pre-filter, so it uses the trivial
-//! hint (`shouldAdd ≡ true`, which §5.1 explicitly allows). Snapshots are
-//! published as an immutable [`QuantilesLadder`] behind an epoch-managed
-//! pointer cell: the pointer swap is a single atomic store (the merge's
-//! linearisation point) and queries run entirely on their snapshot,
-//! concurrent with further merges.
+//! hint (`shouldAdd ≡ true`, which §5.1 explicitly allows), and its local
+//! sketch is a plain item buffer ([`ItemBuffer`], shared with the
+//! Misra–Gries instantiation). Snapshots are published as an immutable
+//! [`QuantilesLadder`] behind an epoch-managed pointer cell: the pointer
+//! swap is a single atomic store (the merge's linearisation point) and
+//! queries run entirely on their snapshot, concurrent with further
+//! merges.
 //!
-//! Propagation sorts nothing but the ≤ 2k-item base mirror and does no
-//! per-level work, whatever the retained-sample count. The sequential
-//! sketch keeps each compaction level as an immutable `Arc`'d sorted run
-//! and the list of them behind one shared pointer that changes only at a
-//! compaction (once per 2k items) — the level-ladder analogue of the Θ
-//! sketch's chunked copy-on-write block images. The propagator keeps a
-//! *sorted mirror* of the sketch's base buffer with one sort per merge:
-//! the merged items that survive the merge's last compaction are
-//! appended unsorted, and one stable sort sorts them and merges them
-//! into the mirror's sorted prefix; a compaction empties the mirror
-//! (caesium's writer splits the same way: append unsorted, sort once,
-//! merge sorted runs). A publication is then a copy of the
-//! (parameter-bounded, ≤ 2k) mirror plus one pointer clone. The
-//! O(retained · log retained) flattening into a [`QuantilesReader`]
-//! moves to the query side, where each shard view carries a publication
-//! version and the engine memoises the flat merged reader per version
-//! *vector* (any `K`, including 1):
-//! it runs once per republication observed by a query, never on the
-//! propagation path ([`ConcurrentQuantilesSketch::snapshot`]).
+//! Propagation sorts each merged item once and does no per-level work,
+//! whatever the retained-sample count. A merge is the sequential
+//! sketch's batch merge ([`QuantilesSketch::merge_batch`]): it cuts the
+//! buffer where the sketch's base buffer fills, sorts each piece in
+//! place and merges it into the base buffer, which it keeps in
+//! ascending order, so a full base buffer compacts without a sort
+//! (caesium's writer splits the same way: sort once, merge sorted runs).
+//! The sketch keeps each compaction level as an immutable `Arc`'d sorted
+//! run and the list of them behind one shared pointer that changes only
+//! at a compaction (once per 2k items) — the level-ladder analogue of
+//! the Θ sketch's chunked copy-on-write block images. A publication is
+//! then a copy of the (parameter-bounded, ≤ 2k) sorted base buffer plus
+//! one pointer clone. The O(retained · log retained) flattening into a
+//! [`QuantilesReader`] moves to the query side, where each shard view
+//! carries a publication version and the engine memoises the flat
+//! merged reader per version *vector* (any `K`, including 1): it runs
+//! once per republication observed by a query, never on the propagation
+//! path ([`ConcurrentQuantilesSketch::snapshot`]).
 //!
 //! By Theorem 1 plus the analysis of §6.2, a query misses at most
 //! `r = 2Nb` updates and therefore returns an element whose rank error is
 //! at most `ε_r = ε − rε/n + r/n` — the relaxation penalty vanishes as
 //! the stream grows.
 
-use crate::composable::{GlobalSketch, LocalSketch};
+use crate::composable::{GlobalSketch, ItemBuffer};
 use crate::config::ConcurrencyConfig;
 use crate::engine::{Family, QuantilesFamily};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
@@ -46,13 +47,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The global side: the sequential mergeable Quantiles sketch plus the
-/// sorted mirror of its base buffer that publication copies from.
+/// The global side: the sequential mergeable Quantiles sketch, whose
+/// batch merge keeps its base buffer sorted for publication to copy.
 pub struct QuantilesGlobal<T: Ord + Clone + Send + Sync + 'static> {
     sketch: QuantilesSketch<T>,
-    /// `sketch.base_buffer()` in ascending order, kept with one sort per
-    /// merge (and per eager update) by `ingest`.
-    sorted_base: Vec<T>,
     /// Seed for sibling shards' deterministic oracles (§4).
     oracle_seed: u64,
     /// Counts shards spawned off this global so each sibling gets a
@@ -72,78 +70,11 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesGlobal<T> {
     /// Wraps a sequential sketch (empty, or warmed by the caller);
     /// sibling shards draw their oracles from `oracle_seed`.
     pub fn new(sketch: QuantilesSketch<T>, oracle_seed: u64) -> Self {
-        let mut sorted_base = sketch.base_buffer().to_vec();
-        sorted_base.sort_unstable();
         QuantilesGlobal {
             sketch,
-            sorted_base,
             oracle_seed,
             shards_spawned: Cell::new(0),
         }
-    }
-
-    /// Sequential updates in arrival order, mirrored with one sort: the
-    /// items after the last compaction (the base buffer came back empty,
-    /// and the mirror with it) are appended unsorted, and one stable sort
-    /// takes the mirror's sorted prefix as a run, sorts the appended
-    /// items and merges the two runs.
-    fn ingest(&mut self, items: impl IntoIterator<Item = T>) {
-        for item in items {
-            self.sketch.update(item.clone());
-            if self.sketch.base_buffer().is_empty() {
-                self.sorted_base.clear();
-            } else {
-                self.sorted_base.push(item);
-            }
-        }
-        self.sorted_base.sort();
-    }
-}
-
-/// The local side: a plain buffer of incoming items.
-#[derive(Debug)]
-pub struct QuantilesLocal<T> {
-    items: Vec<T>,
-}
-
-impl<T> Default for QuantilesLocal<T> {
-    fn default() -> Self {
-        QuantilesLocal { items: Vec::new() }
-    }
-}
-
-impl<T: Ord + Clone + Send + 'static> LocalSketch for QuantilesLocal<T> {
-    type Item = T;
-    /// Trivial hint: the Quantiles sketch has no pre-filter (§5.1 allows
-    /// `shouldAdd` to be constantly true).
-    type Hint = ();
-
-    fn update(&mut self, item: T) {
-        self.items.push(item);
-    }
-
-    fn update_batch(&mut self, items: &[T]) {
-        self.items.extend_from_slice(items);
-    }
-
-    /// `shouldAdd` is constantly true here, so the filtered batch path —
-    /// the one the engine takes in the default (non-ablated)
-    /// configuration — is the same bulk extend.
-    fn update_batch_filtered(&mut self, _hint: (), items: &[T]) -> usize {
-        self.items.extend_from_slice(items);
-        items.len()
-    }
-
-    fn should_add(_: (), _: &T) -> bool {
-        true
-    }
-
-    fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
     }
 }
 
@@ -151,8 +82,8 @@ impl<T: Ord + Clone + Send + 'static> LocalSketch for QuantilesLocal<T> {
 /// snapshot plus a monotone *publication version*.
 ///
 /// The ladder is what the propagator can afford to publish per merge
-/// (a copy of its sorted base mirror and one pointer clone for all the
-/// levels); the version is what makes the engine-level
+/// (a copy of the sketch's sorted base buffer and one pointer clone for
+/// all the levels); the version is what makes the engine-level
 /// flat-reader cache cheap and correct: a query compares the shards'
 /// versions against the cached merge's key and re-flattens the ladders
 /// only when some shard actually republished — instead of on every call.
@@ -178,12 +109,12 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesView<T> {
 }
 
 impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T> {
-    type Local = QuantilesLocal<T>;
+    type Local = ItemBuffer<T>;
     type View = QuantilesView<T>;
     type Snapshot = Arc<QuantilesReader<T>>;
 
-    fn new_local(&self) -> QuantilesLocal<T> {
-        QuantilesLocal::default()
+    fn new_local(&self) -> ItemBuffer<T> {
+        ItemBuffer::default()
     }
 
     fn new_view(&self) -> Self::View {
@@ -193,19 +124,19 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
         }
     }
 
-    fn merge(&mut self, local: &mut QuantilesLocal<T>) {
-        self.ingest(local.items.drain(..));
+    fn merge(&mut self, local: &mut ItemBuffer<T>) {
+        self.sketch.merge_batch(&mut local.items);
+        local.items.clear();
     }
 
-    fn update_direct(&mut self, item: T) {
-        self.ingest(std::iter::once(item));
+    /// A batch of one, so the base buffer stays sorted and the eager
+    /// phase's per-item publication sorts nothing either.
+    fn update_direct(&mut self, mut item: T) {
+        self.sketch.merge_batch(std::slice::from_mut(&mut item));
     }
 
     fn publish(&self, view: &Self::View) {
-        let ladder = self
-            .sketch
-            .ladder_with_sorted_base(self.sorted_base.clone());
-        view.ladder.store(ladder);
+        view.ladder.store(self.sketch.ladder());
         view.version.fetch_add(1, Ordering::Release);
     }
 
@@ -470,6 +401,7 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::composable::LocalSketch;
     use crate::config::PropagationBackendKind;
     use crate::engine::EngineBuilder;
     use fcds_sketches::quantiles::epsilon_for_k;
@@ -776,9 +708,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// The sorted mirror is the base buffer, sorted: after every
-        /// merge (and every eager update) the published ladder's
-        /// weight-1 run equals the sketch's sorted base buffer, and `n`,
+        /// A publication copies the base buffer the batch merge keeps
+        /// sorted: after every merge (and every eager update) the
+        /// published ladder's weight-1 run equals the sketch's sorted
+        /// base buffer, and `n`,
         /// the extrema and the quantiles equal those of a sequential
         /// sketch fed the same items — across many compactions
         /// (`2k = 16`), with duplicates, for `b` ∈ {1, 16}.

@@ -23,8 +23,9 @@
 //! the stream the drill sent, with at most `r` of its items hidden
 //! ([`fcds_server::stream_relaxation`]). Each read is an image taken
 //! while between `acked` and `sent` items of the stream were in, and
-//! [`fcds_relaxation::check_image`] checks it with the `lg_k` of the
-//! config the drill served.
+//! [`fcds_relaxation::check_images`] checks a stream's reads, in one
+//! walk of what was sent, with the `lg_k` of the config the drill
+//! served.
 //!
 //! The drills share one scaffold: a `DrillStream` names the default
 //! stream or a `(family, key)` stream and logs what was sent to it; one
@@ -36,7 +37,7 @@
 
 pub mod report;
 
-use fcds_relaxation::check_image;
+use fcds_relaxation::{check_image, check_images};
 use fcds_server::client::{connect_tcp, Client, Reply};
 use fcds_server::frame::NackCode;
 use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
@@ -389,18 +390,20 @@ impl DrillStream {
     }
 
     /// How many of the kept reads and `extra` are not admissible under
-    /// the relaxation of the server `cfg` configures.
+    /// the relaxation of the server `cfg` configures, judged in one walk
+    /// of the sent items.
     fn violations(&self, cfg: &ServerConfig, extra: Option<ImageRead>) -> usize {
         let r = stream_relaxation(cfg, self.target.key(), 1);
         let items = self.items();
         let reads = self.reads.lock().expect("reads lock");
-        reads
+        let windows: Vec<(&[u8], usize, usize)> = reads
             .iter()
             .chain(&extra)
-            .filter(|read| {
-                let (family, sent) = (self.target.family(), &items[..read.sent]);
-                check_image(family, &read.image, sent, read.acked, r, cfg.lg_k).is_err()
-            })
+            .map(|read| (&read.image[..], read.acked, read.sent))
+            .collect();
+        check_images(self.target.family(), &items, &windows, r, cfg.lg_k)
+            .iter()
+            .filter(|verdict| verdict.is_err())
             .count()
     }
 }

@@ -48,14 +48,22 @@ use std::collections::HashSet;
 pub trait Checker<Item> {
     /// The observed answer.
     type Answer: ?Sized;
+    /// What a stream prefix holds whatever the answer — e.g. each key's
+    /// count — kept once per walk of the stream and shared by every
+    /// answer checked in it. `()` for a family with nothing to share.
+    type Log: Default;
     /// What a stream prefix holds that bears on one answer.
     type Prefix;
 
     /// The empty prefix's state for `obs`.
     fn prefix(&self, obs: &Self::Answer) -> Self::Prefix;
 
-    /// Extends `prefix` by one stream item.
-    fn push(&self, prefix: &mut Self::Prefix, item: &Item, obs: &Self::Answer);
+    /// Extends the shared `log` by one stream item, before any answer's
+    /// [`Self::push`] of it. Nothing by default.
+    fn log(&self, _log: &mut Self::Log, _item: &Item) {}
+
+    /// Extends `prefix` by one stream item; `log` already holds it.
+    fn push(&self, log: &Self::Log, prefix: &mut Self::Prefix, item: &Item, obs: &Self::Answer);
 
     /// Whether the prefix of `len` items `prefix` describes admits `obs`.
     /// O(1).
@@ -90,15 +98,54 @@ pub trait Checker<Item> {
     ///
     /// Panics if the window is not inside `stream`.
     fn check_window(&self, stream: &[Item], lo: usize, hi: usize, obs: &Self::Answer) -> Verdict {
-        assert!(lo <= hi && hi <= stream.len(), "bad window");
-        let mut prefix = self.prefix(obs);
-        for (len, item) in stream[..hi].iter().enumerate() {
-            if len >= lo && self.admits(&prefix, len, obs).is_ok() {
-                return Ok(());
-            }
-            self.push(&mut prefix, item, obs);
+        self.check_many(stream, &[(lo, hi, obs)])
+            .pop()
+            .expect("one verdict per read")
+    }
+
+    /// [`Self::check_window`] for many reads of one stream, each a
+    /// `(lo, hi, answer)` window, in one pass over `stream`: the shared
+    /// [`Self::Log`] is built once, and each read's prefix goes with it
+    /// until the read is decided — at the first prefix in its window
+    /// that admits it, or at its `hi`. Every read is tested against its
+    /// own window at every prefix, so the reads need no order. Returns
+    /// the verdicts in `reads`' order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window is not inside `stream`.
+    fn check_many(&self, stream: &[Item], reads: &[(usize, usize, &Self::Answer)]) -> Vec<Verdict> {
+        let mut verdicts: Vec<Verdict> = vec![Ok(()); reads.len()];
+        let mut live: Vec<(usize, Self::Prefix)> = Vec::with_capacity(reads.len());
+        for (i, &(lo, hi, obs)) in reads.iter().enumerate() {
+            assert!(lo <= hi && hi <= stream.len(), "bad window");
+            live.push((i, self.prefix(obs)));
         }
-        self.admits(&prefix, hi, obs)
+        let mut log = Self::Log::default();
+        for len in 0..=stream.len() {
+            live.retain(|(i, prefix)| {
+                let (lo, hi, obs) = reads[*i];
+                if len < lo {
+                    return true;
+                }
+                match self.admits(prefix, len, obs) {
+                    Ok(()) => false,
+                    Err(violation) if len == hi => {
+                        verdicts[*i] = Err(violation);
+                        false
+                    }
+                    Err(_) => true,
+                }
+            });
+            let Some(item) = stream.get(len).filter(|_| !live.is_empty()) else {
+                break;
+            };
+            self.log(&mut log, item);
+            for (i, prefix) in &mut live {
+                self.push(&log, prefix, item, reads[*i].2);
+            }
+        }
+        verdicts
     }
 }
 
@@ -279,13 +326,14 @@ impl ThetaChecker {
 
 impl Checker<u64> for ThetaChecker {
     type Answer = ThetaObservation;
+    type Log = ();
     type Prefix = BelowTheta;
 
     fn prefix(&self, _: &ThetaObservation) -> BelowTheta {
         BelowTheta::default()
     }
 
-    fn push(&self, prefix: &mut BelowTheta, &h: &u64, obs: &ThetaObservation) {
+    fn push(&self, _: &(), prefix: &mut BelowTheta, &h: &u64, obs: &ThetaObservation) {
         if h < obs.theta {
             prefix.distinct.insert(h);
         } else {

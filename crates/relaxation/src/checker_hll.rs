@@ -65,6 +65,7 @@ impl HllPrefix {
 
 impl Checker<u64> for HllChecker {
     type Answer = [u8];
+    type Log = ();
     type Prefix = HllPrefix;
 
     /// # Panics
@@ -82,7 +83,7 @@ impl Checker<u64> for HllChecker {
         prefix
     }
 
-    fn push(&self, prefix: &mut HllPrefix, &hash: &u64, registers: &[u8]) {
+    fn push(&self, _: &(), prefix: &mut HllPrefix, &hash: &u64, registers: &[u8]) {
         let (j, rank) = bucket_rank(hash, prefix.lg_m);
         match rank.cmp(&registers[j]) {
             std::cmp::Ordering::Equal if !prefix.reached[j] => {

@@ -1,14 +1,16 @@
 //! Run-time r-relaxation checker for the concurrent Misra–Gries sketch.
 //!
-//! Misra–Gries is not byte-deterministic — which counters a reduction
-//! drops depends on the order and the merge schedule — so the checker
-//! tests bounds rather than replaying the sequential sketch. An image of
-//! a sub-stream `S` reports `n = |S|`, a uniform slack `error` and
-//! counters `c_x` with `c_x ≤ f_S(x) ≤ c_x + error` for every key (an
-//! unreported key has `c_x = 0`): the engine's writer-local buffers are
-//! exact counter maps and the global runs weighted Misra–Gries with
-//! `error` accumulated, so every published image keeps this. If `S` is a
-//! prefix `P` of length `p` with `p − n` items hidden, then:
+//! Misra–Gries is not a function of the items alone — which counters a
+//! reduction drops depends on how the stream was cut into merged
+//! batches, and under concurrency that schedule is not replayable — so
+//! the checker tests bounds rather than replaying the sequential sketch.
+//! An image of a sub-stream `S` reports `n = |S|`, a uniform slack
+//! `error` and counters `c_x` with `c_x ≤ f_S(x) ≤ c_x + error` for
+//! every key (an unreported key has `c_x = 0`): the engine merges each
+//! writer's buffered items as one exact batch summary and reduces with
+//! `error` accumulated (the mergeable-summaries merge), so every
+//! published image keeps this. If `S` is a prefix `P` of length `p` with
+//! `p − n` items hidden, then:
 //!
 //! * `n ≤ p ≤ n + r`;
 //! * every reported key has `f_p(x) ≥ c_x`, since `f_p(x) ≥ f_S(x)`;
@@ -16,9 +18,10 @@
 //!   `Σ_x max(0, f_p(x) − c_x − error) ≤ p − n`.
 //!
 //! All three hold for every admissible image, so a failure is a real
-//! violation. Prefix counts only grow, so the prefix keeps the number of
-//! reported keys not yet reached and the summed excess, and every test
-//! is O(1).
+//! violation. Prefix counts only grow, so the walk keeps each key's
+//! count once, in the log every answer shares, and each answer's prefix
+//! keeps the number of reported keys not yet reached and the summed
+//! excess: every test is O(1).
 
 use crate::checker::{length_in, Checker, Verdict, Violation};
 use std::collections::HashMap;
@@ -50,41 +53,50 @@ impl MgChecker {
     }
 }
 
-/// What a prefix of the stream holds for one answer: each key's count,
-/// the reported keys whose counter it has not reached, and
-/// `Σ_x max(0, f_p(x) − c_x − error)`.
+/// What a prefix of the stream holds for one answer: the reported keys
+/// whose counter it has not reached, and
+/// `Σ_x max(0, f_p(x) − c_x − error)`. Each key's prefix count is the
+/// walk's shared log.
 #[derive(Debug)]
-pub struct MgPrefix<T> {
-    counts: HashMap<T, u64>,
+pub struct MgPrefix {
     unmet: usize,
     excess: u64,
 }
 
 impl<T: Eq + Hash + Clone> Checker<T> for MgChecker {
     type Answer = MgObservation<T>;
-    type Prefix = MgPrefix<T>;
+    type Log = HashMap<T, u64>;
+    type Prefix = MgPrefix;
 
-    fn prefix(&self, obs: &MgObservation<T>) -> MgPrefix<T> {
+    fn prefix(&self, obs: &MgObservation<T>) -> MgPrefix {
         MgPrefix {
-            counts: HashMap::new(),
             unmet: obs.counters.values().filter(|&&c| c > 0).count(),
             excess: 0,
         }
     }
 
-    fn push(&self, prefix: &mut MgPrefix<T>, item: &T, obs: &MgObservation<T>) {
-        let count = prefix.counts.entry(item.clone()).or_insert(0);
-        *count += 1;
+    fn log(&self, counts: &mut HashMap<T, u64>, item: &T) {
+        *counts.entry(item.clone()).or_insert(0) += 1;
+    }
+
+    fn push(
+        &self,
+        counts: &HashMap<T, u64>,
+        prefix: &mut MgPrefix,
+        item: &T,
+        obs: &MgObservation<T>,
+    ) {
+        let count = counts[item];
         let counter = obs.counters.get(item).copied().unwrap_or(0);
-        if *count == counter {
+        if count == counter {
             prefix.unmet -= 1;
         }
-        if *count > counter.saturating_add(obs.error) {
+        if count > counter.saturating_add(obs.error) {
             prefix.excess += 1;
         }
     }
 
-    fn admits(&self, prefix: &MgPrefix<T>, len: usize, obs: &MgObservation<T>) -> Verdict {
+    fn admits(&self, prefix: &MgPrefix, len: usize, obs: &MgObservation<T>) -> Verdict {
         let p = len as u64;
         length_in(obs.n, p.saturating_sub(self.r), p)?;
         if prefix.unmet > 0 {
@@ -127,7 +139,7 @@ mod tests {
         MgObservation {
             n: mg.n(),
             error: mg.max_error(),
-            counters: mg.counter_table().clone(),
+            counters: mg.counters().map(|(&item, c)| (item, c)).collect(),
         }
     }
 
@@ -191,5 +203,30 @@ mod tests {
             MgChecker::new(r).check_at(&stream, 20_000, &obs),
             Err(Violation::TooManyHidden { .. })
         ));
+    }
+
+    #[test]
+    fn one_walk_gives_every_read_its_own_verdict() {
+        let stream = skewed_stream(20_000);
+        let r = 32;
+        let stale = answer_at(&stream, 5_000);
+        let mut overcounted = answer_at(&stream, 12_000);
+        let key = *overcounted.counters.keys().max().unwrap();
+        overcounted.counters.insert(key, count(&stream, key) + 1);
+        let (fresh, late) = (answer_at(&stream, 15_000), answer_at(&stream, 19_990));
+        let reads = [
+            (15_000, 15_040, &fresh),
+            (9_000, 9_000, &stale),
+            (0, 20_000, &overcounted),
+            (19_000, 20_000, &late),
+            (4_990, 5_010, &stale),
+        ];
+        let checker = MgChecker::new(r);
+        let verdicts = checker.check_many(&stream, &reads);
+        for (&(lo, hi, obs), verdict) in reads.iter().zip(&verdicts) {
+            assert_eq!(*verdict, checker.check_window(&stream, lo, hi, obs));
+        }
+        let admitted: Vec<bool> = verdicts.iter().map(Result::is_ok).collect();
+        assert_eq!(admitted, [true, false, false, true, true]);
     }
 }

@@ -51,13 +51,14 @@ impl QuantilesChecker {
 
 impl<T: Ord> Checker<T> for QuantilesChecker {
     type Answer = QuantileObservation<T>;
+    type Log = ();
     type Prefix = AnswerRank;
 
     fn prefix(&self, _: &QuantileObservation<T>) -> AnswerRank {
         AnswerRank::default()
     }
 
-    fn push(&self, rank: &mut AnswerRank, item: &T, obs: &QuantileObservation<T>) {
+    fn push(&self, _: &(), rank: &mut AnswerRank, item: &T, obs: &QuantileObservation<T>) {
         match item.cmp(&obs.answer) {
             std::cmp::Ordering::Less => rank.below += 1,
             std::cmp::Ordering::Equal => rank.equal += 1,

@@ -26,8 +26,9 @@
 //! * [`checker_mg`] — the checker for Misra–Gries answers, by bounds:
 //!   the item count, every counter against its key's prefix count, and
 //!   the items the counters and `error` leave uncounted.
-//! * [`check_image`] — the one function that turns a served wire image
-//!   into a verdict, for all four families.
+//! * [`check_images`] — the one function that turns served wire images
+//!   of one stream into verdicts, for all four families, with one walk
+//!   of the stream per family ([`check_image`] for a single read).
 //! * [`adversary`] — Monte-Carlo simulation of the §6.1 adversaries
 //!   (`A_s` knows the coin flips, `A_w` does not) over iid uniform
 //!   hashes, regenerating Table 1 and Figures 3–4.
@@ -64,12 +65,7 @@ use fcds_sketches::wire::{HllWireView, LadderWireView, MgWireView, SketchFamily,
 /// Whether `image`, a `family` answer read while between `lo` and
 /// `items.len()` of `items` were in, is what the sequential sketch
 /// returns on some prefix `p ∈ [lo, items.len()]` with at most `r` of
-/// its items hidden (Theorem 1). `lg_k` is the Θ sketch's.
-///
-/// Θ and HLL hash `items` as the engine does, with the image's seed, and
-/// run their exact checkers; Misra–Gries runs [`MgChecker`] on the
-/// image's counters. A Quantiles image is held to its item count `n`
-/// alone: its rank envelope's ε is an empirical fit, not a bound.
+/// its items hidden (Theorem 1): [`check_images`] of one read.
 ///
 /// # Errors
 ///
@@ -87,39 +83,132 @@ pub fn check_image(
     r: u64,
     lg_k: u8,
 ) -> Verdict {
-    let hi = items.len();
-    assert!(lo <= hi, "bad window");
+    check_images(family, items, &[(image, lo, items.len())], r, lg_k)
+        .pop()
+        .expect("one verdict per read")
+}
+
+/// The verdict on each of many `family` reads of one stream, in order.
+/// A read `(image, lo, hi)` was taken while between `lo` and `hi` of
+/// `items` were in, and is admissible iff it is what the sequential
+/// sketch returns on some prefix `p ∈ [lo, hi]` with at most `r` of its
+/// items hidden (Theorem 1). `lg_k` is the Θ sketch's.
+///
+/// Θ and HLL hash `items` as the engine does, once per seed the images
+/// carry, and run their exact checkers; Misra–Gries runs [`MgChecker`]
+/// on the images' counters. Each family's reads share one walk of the
+/// stream ([`Checker::check_many`]). A Quantiles image is held to its
+/// item count `n` alone: its rank envelope's ε is an empirical fit, not
+/// a bound. An image that does not parse or validate gets
+/// [`Violation::Malformed`].
+///
+/// # Panics
+///
+/// Panics if a window is not inside `items`.
+pub fn check_images(
+    family: SketchFamily,
+    items: &[u64],
+    reads: &[(&[u8], usize, usize)],
+    r: u64,
+    lg_k: u8,
+) -> Vec<Verdict> {
+    for &(_, lo, hi) in reads {
+        assert!(lo <= hi && hi <= items.len(), "bad window");
+    }
     let hashed = |seed: u64| items.iter().map(move |item| item.hash_with_seed(seed));
     match family {
         SketchFamily::Theta => {
-            let view = ThetaWireView::parse(image)?;
-            view.validate()?;
-            let hashes: Vec<u64> = hashed(view.seed()).map(normalize_hash).collect();
-            let retained = view.len() as u64;
-            let obs = ThetaObservation {
-                theta: view.theta(),
-                retained,
-                estimate: retained as f64 / theta_to_fraction(view.theta()),
-            };
-            ThetaChecker::new(1 << lg_k, r).check_window(&hashes, lo, hi, &obs)
+            let parsed: Vec<_> = reads
+                .iter()
+                .map(|&(image, ..)| {
+                    let view = ThetaWireView::parse(image)?;
+                    view.validate()?;
+                    let retained = view.len() as u64;
+                    let obs = ThetaObservation {
+                        theta: view.theta(),
+                        retained,
+                        estimate: retained as f64 / theta_to_fraction(view.theta()),
+                    };
+                    Ok((view.seed(), obs))
+                })
+                .collect();
+            let checker = ThetaChecker::new(1 << lg_k, r);
+            walk_per_seed(&checker, reads, &parsed, |seed| {
+                hashed(seed).map(normalize_hash).collect()
+            })
         }
         SketchFamily::Hll => {
-            let view = HllWireView::parse(image)?;
-            view.validate()?;
-            let hashes: Vec<u64> = hashed(view.seed()).collect();
-            HllChecker::new(r).check_window(&hashes, lo, hi, view.registers())
+            let parsed: Vec<_> = reads
+                .iter()
+                .map(|&(image, ..)| {
+                    let view = HllWireView::parse(image)?;
+                    view.validate()?;
+                    Ok((view.seed(), view.registers()))
+                })
+                .collect();
+            walk_per_seed(&HllChecker::new(r), reads, &parsed, |seed| {
+                hashed(seed).collect()
+            })
         }
-        SketchFamily::Quantiles => {
-            let n = LadderWireView::<u64>::parse(image)?.n();
-            length_in(n, lo.saturating_sub(r as usize) as u64, hi as u64)
-        }
+        SketchFamily::Quantiles => reads
+            .iter()
+            .map(|&(image, lo, hi)| {
+                let n = LadderWireView::<u64>::parse(image)?.n();
+                length_in(n, lo.saturating_sub(r as usize) as u64, hi as u64)
+            })
+            .collect(),
         SketchFamily::Frequency => {
-            let view = MgWireView::<u64>::parse(image)?;
-            let (n, error, counters) = (view.n(), view.error(), view.entries().collect());
-            let obs = MgObservation { n, error, counters };
-            MgChecker::new(r).check_window(items, lo, hi, &obs)
+            let parsed: Vec<_> = reads
+                .iter()
+                .map(|&(image, ..)| {
+                    let view = MgWireView::<u64>::parse(image)?;
+                    let (n, error, counters) = (view.n(), view.error(), view.entries().collect());
+                    Ok((0, MgObservation { n, error, counters }))
+                })
+                .collect();
+            walk_per_seed(&MgChecker::new(r), reads, &parsed, |_| items.to_vec())
         }
     }
+}
+
+/// Runs `checker` over the reads whose images `parsed` into
+/// `(seed, answer)`, one [`Checker::check_many`] walk per distinct seed
+/// over the stream `stream_for(seed)`, and returns every read's verdict
+/// in order — a parse failure as its own.
+fn walk_per_seed<C, A>(
+    checker: &C,
+    reads: &[(&[u8], usize, usize)],
+    parsed: &[Result<(u64, A), Violation>],
+    stream_for: impl Fn(u64) -> Vec<u64>,
+) -> Vec<Verdict>
+where
+    C: Checker<u64>,
+    A: std::borrow::Borrow<C::Answer>,
+{
+    let mut verdicts: Vec<Verdict> = parsed
+        .iter()
+        .map(|p| p.as_ref().map(|_| ()).map_err(Clone::clone))
+        .collect();
+    let mut seeds: Vec<u64> = parsed.iter().flatten().map(|(seed, _)| *seed).collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    for seed in seeds {
+        let (at, windows): (Vec<usize>, Vec<_>) = parsed
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match p {
+                Ok((s, answer)) if *s == seed => {
+                    Some((i, (reads[i].1, reads[i].2, answer.borrow())))
+                }
+                _ => None,
+            })
+            .unzip();
+        let verdicts_for_seed = checker.check_many(&stream_for(seed), &windows);
+        for (i, verdict) in at.into_iter().zip(verdicts_for_seed) {
+            verdicts[i] = verdict;
+        }
+    }
+    verdicts
 }
 
 #[cfg(test)]
@@ -139,5 +228,32 @@ mod tests {
                 Err(Violation::Malformed(_))
             ));
         }
+    }
+
+    #[test]
+    fn each_read_of_a_stream_gets_its_own_verdict() {
+        use fcds_sketches::frequency::MisraGriesSketch;
+        use fcds_sketches::wire::WireEncode;
+        let items: Vec<u64> = (0..5_000u64).map(|i| i % 97 % (1 + i % 5)).collect();
+        let image_at = |p: usize| {
+            let mut mg = MisraGriesSketch::new(16).unwrap();
+            items[..p].iter().for_each(|&item| mg.update(item));
+            mg.to_wire_bytes()
+        };
+        let (early, late) = (image_at(1_000), image_at(4_000));
+        let reads: [(&[u8], usize, usize); 4] = [
+            (&late, 3_990, 4_010),
+            (b"not an image", 0, 10),
+            (&early, 2_000, 2_000),
+            (&early, 990, 1_000),
+        ];
+        let verdicts = check_images(SketchFamily::Frequency, &items, &reads, 16, 12);
+        assert!(verdicts[0].is_ok(), "{:?}", verdicts[0]);
+        assert!(matches!(verdicts[1], Err(Violation::Malformed(_))));
+        assert!(matches!(
+            verdicts[2],
+            Err(Violation::LengthOutOfRange { .. })
+        ));
+        assert!(verdicts[3].is_ok(), "{:?}", verdicts[3]);
     }
 }

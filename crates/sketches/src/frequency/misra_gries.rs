@@ -1,8 +1,6 @@
 //! The Misra–Gries frequent-items summary.
 
 use crate::error::{Result, SketchError};
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// A frequency estimate for one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +31,10 @@ impl FrequencyEstimate {
 /// and `max_error() ≤ n/(k+1)`. Every item with `f > n/(k+1)` is
 /// guaranteed to be present in the summary.
 ///
+/// The counters are one run sorted by item, so a lookup is a binary
+/// search and a batch ([`Self::merge_batch`]) merge-joins with them
+/// without hashing anything.
+///
 /// # Examples
 ///
 /// ```
@@ -49,16 +51,18 @@ impl FrequencyEstimate {
 /// assert!(est.upper_bound >= 1_000);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MisraGriesSketch<T: Eq + Hash + Clone> {
+pub struct MisraGriesSketch<T: Ord + Clone> {
     k: usize,
     n: u64,
-    counters: HashMap<T, u64>,
+    /// The retained `(item, counter)` pairs in strictly ascending item
+    /// order, every counter ≥ 1, at most `k` of them between calls.
+    counters: Vec<(T, u64)>,
     /// Total weight removed by decrements — the uniform over-/under-count
     /// slack of every absent or retained item.
     error: u64,
 }
 
-impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
+impl<T: Ord + Clone> MisraGriesSketch<T> {
     /// Creates a sketch holding at most `k` counters.
     ///
     /// # Errors
@@ -73,8 +77,8 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
             n: 0,
             // Capacity is only a hint — cap it so a hostile `k` decoded
             // from the wire cannot drive a giant eager allocation. The
-            // table still grows to the full k + 1 on demand.
-            counters: HashMap::with_capacity(k.saturating_add(1).min(1 << 16)),
+            // run still grows to the full k + 1 on demand.
+            counters: Vec::with_capacity(k.saturating_add(1).min(1 << 16)),
             error: 0,
         })
     }
@@ -112,8 +116,17 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
                 .ok_or_else(|| {
                     SketchError::invalid("counters", "counters + error exceed stream length n")
                 })?;
-            *sketch.counters.entry(item).or_insert(0) += count;
+            sketch.counters.push((item, count));
         }
+        sketch.counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // `total ≤ n` above bounds every sum.
+        sketch.counters.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         while sketch.counters.len() > sketch.k {
             sketch.reduce();
         }
@@ -121,17 +134,10 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
         Ok(sketch)
     }
 
-    /// Iterates the retained `(item, counter)` pairs in arbitrary
-    /// (hash-map) order.
+    /// Iterates the retained `(item, counter)` pairs in ascending item
+    /// order.
     pub fn counters(&self) -> impl Iterator<Item = (&T, u64)> {
-        self.counters.iter().map(|(item, &c)| (item, c))
-    }
-
-    /// The retained counter table itself, read-only — for callers that
-    /// publish a copy of it (cloning a table of `Copy` keys copies its
-    /// buckets without re-hashing).
-    pub fn counter_table(&self) -> &HashMap<T, u64> {
-        &self.counters
+        self.counters.iter().map(|(item, c)| (item, *c))
     }
 
     /// Maximum number of counters.
@@ -167,14 +173,62 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
             return;
         }
         self.n += weight;
-        if let Some(c) = self.counters.get_mut(&item) {
-            *c += weight;
-            return;
+        match self.counters.binary_search_by(|(held, _)| held.cmp(&item)) {
+            Ok(at) => self.counters[at].1 += weight,
+            Err(at) => {
+                self.counters.insert(at, (item, weight));
+                if self.counters.len() > self.k {
+                    self.reduce();
+                }
+            }
         }
-        self.counters.insert(item, weight);
+    }
+
+    /// Processes a batch of stream items as one mergeable-summaries merge
+    /// (Agarwal et al., PODS 2012): the batch, sorted in place, is an
+    /// exact summary of itself; its runs of equal items add to the
+    /// counters in one merge-join, and one reduction by the `(k+1)`-th
+    /// largest counter brings them back to `k`. The bounds of
+    /// [`MisraGriesSketch`] hold after it. While the counters fit in `k`
+    /// it lands in the same state as [`Self::update`] per item; past
+    /// that its one reduction can keep other counters than the per-item
+    /// reductions would. `items` is left sorted.
+    pub fn merge_batch(&mut self, items: &mut [T]) {
+        items.sort_unstable();
+        self.n += items.len() as u64;
+        self.add_runs(
+            items
+                .chunk_by(|a, b| a == b)
+                .map(|run| (&run[0], run.len() as u64)),
+        );
         if self.counters.len() > self.k {
-            self.reduce();
+            let mut counts: Vec<u64> = self.counters.iter().map(|(_, c)| *c).collect();
+            let cut_at = counts.len() - (self.k + 1);
+            let cut = *counts.select_nth_unstable(cut_at).1;
+            self.subtract(cut);
         }
+    }
+
+    /// Adds `runs` — `(item, count)` pairs in strictly ascending item
+    /// order — to the counters in one merge-join pass.
+    fn add_runs<'a>(&mut self, runs: impl Iterator<Item = (&'a T, u64)>)
+    where
+        T: 'a,
+    {
+        let most = runs.size_hint().1.unwrap_or(0);
+        let mut merged = Vec::with_capacity(self.counters.len() + most);
+        let mut held = std::mem::take(&mut self.counters).into_iter().peekable();
+        for (item, count) in runs {
+            while let Some(entry) = held.next_if(|(x, _)| x < item) {
+                merged.push(entry);
+            }
+            match held.next_if(|(x, _)| x == item) {
+                Some((x, c)) => merged.push((x, c + count)),
+                None => merged.push((item.clone(), count)),
+            }
+        }
+        merged.extend(held);
+        self.counters = merged;
     }
 
     /// The Misra–Gries reduction: subtract the median-ish decrement (the
@@ -184,20 +238,29 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
     fn reduce(&mut self) {
         let min = self
             .counters
-            .values()
-            .copied()
+            .iter()
+            .map(|(_, c)| *c)
             .min()
-            .expect("reduce on non-empty map");
-        self.error += min;
-        self.counters.retain(|_, c| {
-            *c -= min;
+            .expect("reduce on a non-empty run");
+        self.subtract(min);
+    }
+
+    /// Subtracts `cut` from every counter, drops those it empties, and
+    /// accrues it to the error slack.
+    fn subtract(&mut self, cut: u64) {
+        self.error += cut;
+        self.counters.retain_mut(|(_, c)| {
+            *c = c.saturating_sub(cut);
             *c > 0
         });
     }
 
     /// Frequency estimate for an item.
     pub fn estimate(&self, item: &T) -> FrequencyEstimate {
-        let lower = self.counters.get(item).copied().unwrap_or(0);
+        let lower = self
+            .counters
+            .binary_search_by(|(held, _)| held.cmp(item))
+            .map_or(0, |at| self.counters[at].1);
         FrequencyEstimate {
             lower_bound: lower,
             upper_bound: lower + self.error,
@@ -210,11 +273,11 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
         let mut out: Vec<(T, FrequencyEstimate)> = self
             .counters
             .iter()
-            .map(|(item, &c)| {
+            .map(|(item, c)| {
                 (
                     item.clone(),
                     FrequencyEstimate {
-                        lower_bound: c,
+                        lower_bound: *c,
                         upper_bound: c + self.error,
                     },
                 )
@@ -241,9 +304,7 @@ impl<T: Eq + Hash + Clone> MisraGriesSketch<T> {
         }
         self.n += other.n;
         self.error += other.error;
-        for (item, &c) in &other.counters {
-            *self.counters.entry(item.clone()).or_insert(0) += c;
-        }
+        self.add_runs(other.counters.iter().map(|(item, c)| (item, *c)));
         while self.counters.len() > self.k {
             self.reduce();
         }
@@ -407,6 +468,56 @@ mod tests {
         for i in 0..10_000u64 {
             mg.update(i);
             assert!(mg.retained() <= 5);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The batch merge keeps the Misra–Gries guarantees: after every
+        /// batch, every key's counter `c` and true count `f` satisfy
+        /// `c ≤ f ≤ c + error`, `error ≤ n/(k+1)` and at most `k`
+        /// counters are held; while the distinct keys fit in `k` the
+        /// state is the one per-item updates reach.
+        #[test]
+        fn batch_merge_keeps_the_bounds(
+            k in 1usize..12,
+            keyspace in 1u64..40,
+            items in proptest::collection::vec(0u64..1_000, 0..400),
+            sizes in proptest::collection::vec(0usize..70, 1..8),
+        ) {
+            let items: Vec<u64> = items.iter().map(|i| i % keyspace).collect();
+            let mut batched = MisraGriesSketch::new(k).unwrap();
+            let mut scalar = MisraGriesSketch::new(k).unwrap();
+            let mut truth = vec![0u64; keyspace as usize];
+            let mut rest = &items[..];
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.max(1).min(rest.len()));
+                rest = tail;
+                batched.merge_batch(&mut chunk.to_vec());
+                for &item in chunk {
+                    scalar.update(item);
+                    truth[item as usize] += 1;
+                }
+                let error = batched.max_error();
+                for (key, &f) in truth.iter().enumerate() {
+                    let c = batched.estimate(&(key as u64)).lower_bound;
+                    proptest::prop_assert!(c <= f && f <= c + error, "key {} c {} f {} error {}", key, c, f, error);
+                }
+                proptest::prop_assert!(error * (k as u64 + 1) <= batched.n());
+                proptest::prop_assert!(batched.retained() <= k);
+                proptest::prop_assert!(batched.counters().map(|(x, _)| x).is_sorted_by(|a, b| a < b));
+            }
+            proptest::prop_assert_eq!(batched.n(), items.len() as u64);
+            if truth.iter().filter(|&&f| f > 0).count() <= k {
+                let exact: Vec<(u64, u64)> = scalar.counters().map(|(&x, c)| (x, c)).collect();
+                let merged: Vec<(u64, u64)> = batched.counters().map(|(&x, c)| (x, c)).collect();
+                proptest::prop_assert_eq!(merged, exact);
+                proptest::prop_assert_eq!(batched.max_error(), 0);
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 //! The classic mergeable design: a *base buffer* of `2k` incoming items
 //! plus a ladder of *levels*, each either empty or holding `k` sorted
 //! items with weight `2^level`. When the base buffer fills it is sorted
-//! and *compacted* — every other item survives, the parity chosen by a
+//! (if scalar updates left it unsorted) and *compacted* — every other item survives, the parity chosen by a
 //! coin flip from the [oracle](crate::oracle) — and the `k` survivors
 //! carry-propagate up the ladder exactly like binary addition. The coin
 //! flips are the randomness that §4's de-randomisation oracle captures
@@ -23,10 +23,11 @@
 //! The levels are stored as immutable `Arc`'d runs and their list behind
 //! one more `Arc`, so a persistent copy-on-write [`QuantilesLadder`]
 //! snapshot costs a sorted copy of the base buffer and one pointer clone
-//! ([`QuantilesSketch::ladder`]; no sort either when the caller keeps the
-//! base sorted, [`QuantilesSketch::ladder_with_sorted_base`]) — the
-//! publication primitive the concurrent engine uses on its propagation
-//! path.
+//! ([`QuantilesSketch::ladder`]) — the publication primitive the
+//! concurrent engine uses on its propagation path. The engine ingests
+//! through [`QuantilesSketch::merge_batch`], which sorts each item once,
+//! in the piece of the batch that fills the base buffer, and keeps the
+//! base buffer sorted, so neither the compaction nor the snapshot sorts.
 
 mod ladder;
 mod sketch;

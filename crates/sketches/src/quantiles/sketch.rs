@@ -27,8 +27,13 @@ use std::sync::{Arc, OnceLock};
 pub struct QuantilesSketch<T: Ord + Clone> {
     k: usize,
     n: u64,
-    /// Unsorted incoming items, capacity `2k`.
+    /// The weight-1 items not yet compacted, capacity `2k`.
     base_buffer: Vec<T>,
+    /// Whether `base_buffer` is in ascending order. [`Self::merge_batch`]
+    /// keeps it sorted; a scalar [`Self::update`] that arrives out of
+    /// order clears the flag, and the next compaction, batch merge or
+    /// snapshot sorts it once.
+    base_sorted: bool,
     /// `levels[i]` is either empty or a sorted run of exactly `k` items
     /// of weight `2^(i+1)` (one full base buffer of `2k` weight-1 items
     /// compacts into `k` items of weight 2 at level 0). Each run is
@@ -83,6 +88,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
             // from the wire cannot drive a giant eager allocation. The
             // buffer still grows to the full 2k on demand.
             base_buffer: Vec::with_capacity(k.saturating_mul(2).min(1 << 16)),
+            base_sorted: true,
             levels: Vec::new(),
             level_runs: OnceLock::new(),
             min_item: None,
@@ -112,8 +118,9 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
         self.n == 0
     }
 
-    /// The weight-1 items not yet compacted, in arrival order (fewer
-    /// than `2k`).
+    /// The weight-1 items not yet compacted (fewer than `2k`): in
+    /// ascending order after a [`Self::merge_batch`], in no particular
+    /// order after scalar updates.
     pub fn base_buffer(&self) -> &[T] {
         &self.base_buffer
     }
@@ -130,14 +137,8 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
 
     /// Processes one stream element.
     pub fn update(&mut self, item: T) {
-        match &mut self.min_item {
-            Some(m) if *m <= item => {}
-            m => *m = Some(item.clone()),
-        }
-        match &mut self.max_item {
-            Some(m) if *m >= item => {}
-            m => *m = Some(item.clone()),
-        }
+        self.observe_extrema(&item, &item);
+        self.base_sorted &= self.base_buffer.last().is_none_or(|last| *last <= item);
         self.base_buffer.push(item);
         self.n += 1;
         if self.base_buffer.len() == 2 * self.k {
@@ -145,11 +146,58 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
         }
     }
 
-    /// Sorts and compacts the full base buffer into a weight-2 carry and
+    /// Processes a batch of stream elements, landing in the same state
+    /// as [`Self::update`] once per element in slice order (equal items
+    /// are taken to be indistinguishable, as for any total order).
+    ///
+    /// The batch is cut where the base buffer fills, in arrival order;
+    /// each piece is sorted in place and merged into the sorted base
+    /// buffer from the back, with no allocation, so a full base buffer
+    /// compacts without a sort. `items` is left permuted.
+    pub fn merge_batch(&mut self, items: &mut [T]) {
+        self.sort_base();
+        let mut rest = items;
+        while !rest.is_empty() {
+            let take = rest.len().min(2 * self.k - self.base_buffer.len());
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            piece.sort_unstable();
+            self.observe_extrema(&piece[0], &piece[piece.len() - 1]);
+            self.n += piece.len() as u64;
+            merge_into_sorted(&mut self.base_buffer, piece);
+            if self.base_buffer.len() == 2 * self.k {
+                self.process_full_base_buffer();
+            }
+        }
+    }
+
+    /// Widens the exact extrema to cover `lo..=hi`.
+    fn observe_extrema(&mut self, lo: &T, hi: &T) {
+        match &mut self.min_item {
+            Some(m) if *m <= *lo => {}
+            m => *m = Some(lo.clone()),
+        }
+        match &mut self.max_item {
+            Some(m) if *m >= *hi => {}
+            m => *m = Some(hi.clone()),
+        }
+    }
+
+    /// Puts the base buffer in ascending order if scalar updates left it
+    /// unsorted.
+    fn sort_base(&mut self) {
+        if !self.base_sorted {
+            // Unstable sort: duplicates are indistinguishable.
+            self.base_buffer.sort_unstable();
+            self.base_sorted = true;
+        }
+    }
+
+    /// Compacts the full (sorted) base buffer into a weight-2 carry and
     /// propagates it up the level ladder (binary-addition style).
     fn process_full_base_buffer(&mut self) {
         debug_assert_eq!(self.base_buffer.len(), 2 * self.k);
-        self.base_buffer.sort();
+        self.sort_base();
         let carry = Self::compact(&self.base_buffer, self.oracle.flip());
         self.base_buffer.clear();
         self.promote(carry, 0);
@@ -179,30 +227,36 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
                 return;
             }
             let resident = std::mem::replace(&mut self.levels[level], Arc::new(Vec::new()));
-            let merged = Self::merge_sorted(&resident, &carry);
-            carry = Self::compact(&merged, self.oracle.flip());
+            carry = Self::merge_compact(&resident, &carry, self.oracle.flip());
             level += 1;
         }
     }
 
-    /// Merges two sorted slices into one sorted vector.
-    fn merge_sorted(a: &[T], b: &[T]) -> Vec<T> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (a.iter().peekable(), b.iter().peekable());
-        loop {
-            match (ia.peek(), ib.peek()) {
-                (Some(x), Some(y)) => {
-                    if x <= y {
-                        out.push(ia.next().expect("peeked").clone());
-                    } else {
-                        out.push(ib.next().expect("peeked").clone());
-                    }
-                }
-                (Some(_), None) => out.push(ia.next().expect("peeked").clone()),
-                (None, Some(_)) => out.push(ib.next().expect("peeked").clone()),
-                (None, None) => return out,
+    /// [`Self::compact`] of the merge of two sorted runs, without
+    /// materialising the merge: walks both runs in item order (`a`'s
+    /// item first on a tie) and keeps every other item. The walk picks
+    /// its next item by a select rather than a branch, which random
+    /// runs would mispredict half the time.
+    fn merge_compact(a: &[T], b: &[T], odd: bool) -> Vec<T> {
+        let mut out = Vec::with_capacity((a.len() + b.len()) / 2);
+        let (mut i, mut j, mut keep) = (0, 0, !odd);
+        while i < a.len() && j < b.len() {
+            let from_a = a[i] <= b[j];
+            let item = if from_a { &a[i] } else { &b[j] };
+            if keep {
+                out.push(item.clone());
             }
+            i += usize::from(from_a);
+            j += usize::from(!from_a);
+            keep = !keep;
         }
+        for item in a[i..].iter().chain(&b[j..]) {
+            if keep {
+                out.push(item.clone());
+            }
+            keep = !keep;
+        }
+        out
     }
 
     /// Merges another sketch into this one; afterwards `self` summarises
@@ -245,6 +299,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     pub fn clear(&mut self) {
         self.n = 0;
         self.base_buffer.clear();
+        self.base_sorted = true;
         self.levels.clear();
         self.level_runs.take();
         self.min_item = None;
@@ -321,7 +376,7 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// O(retained · log retained) full rebuild. Kept as the
     /// [`Self::reader`] implementation (and as the baseline the
     /// `engine_gates` bench compares the ladder against); the
-    /// propagation path uses [`Self::ladder_with_sorted_base`] instead.
+    /// propagation path uses [`Self::ladder`] instead.
     fn weighted_items(&self) -> Vec<(T, u64)> {
         let mut out: Vec<(T, u64)> = Vec::new();
         let mut bb = self.base_buffer.clone();
@@ -351,33 +406,18 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// Takes a persistent copy-on-write snapshot of the level ladder: a
     /// sorted copy of the (≤ 2k, parameter-bounded) base buffer plus one
     /// shared pointer to the level runs. Unlike [`Self::reader`] the cost
-    /// is independent of how many levels the stream has accumulated. A
-    /// caller that already holds the base buffer in sorted order — the
-    /// concurrent engine's propagator, once per merge — skips the sort
-    /// with [`Self::ladder_with_sorted_base`].
+    /// is independent of how many levels the stream has accumulated.
+    /// After a [`Self::merge_batch`] the base buffer is already sorted
+    /// and the copy is all the work: the level-run list is rebuilt,
+    /// O(levels), only by the first snapshot after a compaction.
     pub fn ladder(&self) -> QuantilesLadder<T> {
         let mut base = self.base_buffer.clone();
-        // Unstable sort: duplicates are indistinguishable.
-        base.sort_unstable();
-        self.ladder_with_sorted_base(base)
-    }
-
-    /// [`Self::ladder`] for a caller that maintains `sorted_base`, the
-    /// base buffer's items in ascending order, itself: no sort and no
-    /// per-level work, just the hand-over of `sorted_base` and a pointer
-    /// clone (the level-run list is rebuilt, O(levels), only by the
-    /// first snapshot after a compaction).
-    pub fn ladder_with_sorted_base(&self, sorted_base: Vec<T>) -> QuantilesLadder<T> {
-        debug_assert!(
-            {
-                let mut expect = self.base_buffer.clone();
-                expect.sort_unstable();
-                expect == sorted_base
-            },
-            "sorted_base must hold the base buffer's items in order"
-        );
+        if !self.base_sorted {
+            // Unstable sort: duplicates are indistinguishable.
+            base.sort_unstable();
+        }
         QuantilesLadder::from_parts(
-            sorted_base,
+            base,
             self.level_runs.get_or_init(|| LevelRuns::new(&self.levels)),
             self.n,
             self.min_item.clone(),
@@ -398,6 +438,30 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     pub fn rank(&self, item: &T) -> f64 {
         self.reader().rank(item)
     }
+}
+
+/// Merges the sorted `piece` into the sorted `base` in place: `base`
+/// grows by `piece.len()` (within its reserved capacity), and the merge
+/// fills it from the back, a resident item on a tie going first. Like
+/// `QuantilesSketch::merge_compact` it picks each item by a select, not
+/// a branch.
+fn merge_into_sorted<T: Ord + Clone>(base: &mut Vec<T>, piece: &[T]) {
+    let mut resident = base.len();
+    base.extend_from_slice(piece);
+    let mut rest = piece.len();
+    while resident > 0 && rest > 0 {
+        let from_base = base[resident - 1] > piece[rest - 1];
+        let item = if from_base {
+            &base[resident - 1]
+        } else {
+            &piece[rest - 1]
+        }
+        .clone();
+        base[resident + rest - 1] = item;
+        resident -= usize::from(from_base);
+        rest -= usize::from(!from_base);
+    }
+    base[..rest].clone_from_slice(&piece[..rest]);
 }
 
 /// An immutable snapshot of a quantiles sketch's retained items, suitable
@@ -841,6 +905,71 @@ mod tests {
         let (va, vb) = (a.quantile(0.5).unwrap(), b.quantile(0.5).unwrap());
         for v in [va, vb] {
             assert!((v as f64 / 50_000.0 - 0.5).abs() < 0.1);
+        }
+    }
+
+    /// `items` through one sketch per item and through another in
+    /// chunks of `sizes` (cycled), every `scalar_every`-th chunk per item
+    /// and the rest by `merge_batch`: the two wire images must be
+    /// byte-identical.
+    fn assert_batches_equal_scalar<T>(k: usize, items: &[T], sizes: &[usize], scalar_every: usize)
+    where
+        T: Ord + Clone + crate::wire::WireItem,
+    {
+        use crate::wire::WireEncode;
+        let mut scalar = QuantilesSketch::with_seed(k, 11).unwrap();
+        items.iter().for_each(|item| scalar.update(item.clone()));
+        let mut batched = QuantilesSketch::with_seed(k, 11).unwrap();
+        let mut rest = items;
+        for (i, &size) in sizes.iter().cycle().enumerate() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            if scalar_every > 0 && i % scalar_every == 0 {
+                chunk.iter().for_each(|item| batched.update(item.clone()));
+            } else {
+                batched.merge_batch(&mut chunk.to_vec());
+            }
+        }
+        assert!(batched.check_weight_invariant());
+        assert_eq!(
+            scalar.ladder().to_wire_bytes(),
+            batched.ladder().to_wire_bytes(),
+            "k {k}, chunks {sizes:?}, every {scalar_every}th per item"
+        );
+    }
+
+    #[test]
+    fn batches_equal_scalar_updates_byte_for_byte() {
+        use crate::quantiles::TotalF64;
+        for k in [2usize, 3, 128] {
+            let n = 7 * 2 * k + 5;
+            let distinct: Vec<u64> = (0..n as u64)
+                .map(|i| (i * 2_654_435_761) % 1_000_003)
+                .collect();
+            let duplicates: Vec<u64> = (0..n as u64).map(|i| (i * 7) % 5).collect();
+            let zeros: Vec<TotalF64> = (0..n)
+                .map(|i| TotalF64([0.0, -0.0, 1.5, -0.0, -2.0, 0.0, f64::NAN][(i * 5) % 7]))
+                .collect();
+            let two_k = 2 * k;
+            let plans: [&[usize]; 7] = [
+                &[1],
+                &[two_k],
+                &[two_k - 1],
+                &[two_k + 1],
+                &[k, two_k + 1, 1, 2 * two_k - 1],
+                &[two_k - 1, 2, two_k, 0, 3 * two_k],
+                &[n],
+            ];
+            for sizes in plans {
+                for scalar_every in [0, 3] {
+                    assert_batches_equal_scalar(k, &distinct, sizes, scalar_every);
+                    assert_batches_equal_scalar(k, &duplicates, sizes, scalar_every);
+                    assert_batches_equal_scalar(k, &zeros, sizes, scalar_every);
+                }
+            }
         }
     }
 

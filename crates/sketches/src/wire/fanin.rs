@@ -56,7 +56,6 @@ use crate::frequency::MisraGriesSketch;
 use crate::hll::{estimate_from_registers, HllSketch};
 use crate::quantiles::QuantilesLadder;
 use crate::theta::{CompactThetaSketch, ThetaRead};
-use std::hash::Hash;
 
 /// Tree slot marker for "nothing here".
 const SENTINEL: u32 = u32::MAX;
@@ -554,7 +553,8 @@ where
 }
 
 /// Misra–Gries fan-in: counters from every image accumulate into a
-/// single map, followed by one final reduction back to `k` counters —
+/// single key-sorted run, followed by one final reduction back to `k`
+/// counters —
 /// the mergeable-summaries construction, preserving the `n/(k+1)` error
 /// bound for any fan-in. (When reductions fire, retained counter values
 /// may differ from the pairwise fold's — both are valid summaries of the
@@ -568,7 +568,7 @@ where
 /// list.
 pub fn mg_multiway_merge<T, B>(images: &[B]) -> Result<MisraGriesSketch<T>, WireError>
 where
-    T: Eq + Hash + Ord + Clone + WireItem,
+    T: Ord + Clone + WireItem,
     B: AsRef<[u8]>,
 {
     if images.is_empty() {

@@ -92,7 +92,6 @@ use crate::quantiles::{QuantilesLadder, TotalF64};
 use crate::theta::setops::untrimmed_union;
 use crate::theta::{CompactThetaSketch, ThetaRead};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::hash::Hash;
 
 /// The four magic bytes `"FCDS"`, read as a little-endian `u32`.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"FCDS");
@@ -668,16 +667,16 @@ impl<T: Ord + Clone + WireItem> WireMerge for QuantilesLadder<T> {
 
 const MG_FIXED: usize = 32;
 
-impl<T: Eq + Hash + Ord + Clone + WireItem> WireSketch for MisraGriesSketch<T> {
+impl<T: Ord + Clone + WireItem> WireSketch for MisraGriesSketch<T> {
     const FAMILY: SketchFamily = SketchFamily::Frequency;
 }
 
 /// Misra–Gries payload:
 /// `k(u64) | n(u64) | error(u64) | count(u64) | count × (item | counter(u64))`,
-/// entries sorted by strictly ascending item (the canonical order — the
-/// in-memory hash map has none). Invariants: `count ≤ k`, every counter
+/// entries sorted by strictly ascending item (the sketch's own counter
+/// order). Invariants: `count ≤ k`, every counter
 /// `≥ 1`, and `Σ counters + error ≤ n`.
-impl<T: Eq + Hash + Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
+impl<T: Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
     fn wire_item_width(&self) -> u8 {
         T::WIDTH as u8
     }
@@ -686,10 +685,8 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
         buf.put_u64_le(self.k() as u64);
         buf.put_u64_le(self.n());
         buf.put_u64_le(self.max_error());
-        let mut entries: Vec<(&T, u64)> = self.counters().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        buf.put_u64_le(entries.len() as u64);
-        for (item, counter) in entries {
+        buf.put_u64_le(self.retained() as u64);
+        for (item, counter) in self.counters() {
             item.write_to(buf);
             buf.put_u64_le(counter);
         }
@@ -700,7 +697,7 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
     }
 }
 
-impl<T: Eq + Hash + Ord + Clone + WireItem> WireDecode for MisraGriesSketch<T> {
+impl<T: Ord + Clone + WireItem> WireDecode for MisraGriesSketch<T> {
     /// A fan-in of one image: [`MgWireView`]'s full parse, then
     /// [`MgWireView::entries`] into one `from_parts`.
     fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
@@ -708,7 +705,7 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireDecode for MisraGriesSketch<T> {
     }
 }
 
-impl<T: Eq + Hash + Ord + Clone + WireItem> WireMerge for MisraGriesSketch<T> {
+impl<T: Ord + Clone + WireItem> WireMerge for MisraGriesSketch<T> {
     /// Counter addition followed by reduction back to `k` counters (the
     /// mergeable-summaries construction); the `n/(k+1)` error bound is
     /// preserved under any fan-in order.
@@ -722,10 +719,10 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireMerge for MisraGriesSketch<T> {
         self.merge(other).map_err(setop_err)
     }
 
-    /// Counter accumulation into one map with a single final reduction
-    /// ([`fanin::mg_multiway_merge`]) — the same mergeable-summaries
-    /// bound; in exact mode (distinct items ≤ k) identical to the
-    /// pairwise fold.
+    /// Counter accumulation into one key-sorted run with a single final
+    /// reduction ([`fanin::mg_multiway_merge`]) — the same
+    /// mergeable-summaries bound; in exact mode (distinct items ≤ k)
+    /// identical to the pairwise fold.
     fn wire_fan_in<B: AsRef<[u8]>>(images: &[B]) -> Result<Self, WireError> {
         fanin::mg_multiway_merge(images)
     }
