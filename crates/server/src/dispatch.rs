@@ -8,7 +8,7 @@
 
 use crate::conn::Response;
 use crate::frame::{
-    split_stream_prefix, Frame, FrameType, NackCode, StreamPrefix, FLAG_REPLACE, FLAG_STREAM,
+    split_stream_prefix, FrameType, NackCode, ParsedHeader, StreamPrefix, FLAG_REPLACE, FLAG_STREAM,
 };
 use crate::registry::{new_stream, CreateError, StreamState};
 use crate::slots::{validate_envelope, Fanned, Want};
@@ -27,7 +27,10 @@ use std::sync::{Arc, Weak};
 /// flushes each writer and retires its slot.
 #[derive(Default)]
 pub(crate) struct ConnState {
-    /// Stream key → the writer this connection holds on that stream.
+    /// The writer on the stream this connection ingested into last.
+    hot: Option<Hot>,
+    /// Stream key → the writer this connection holds on every other
+    /// stream.
     writers: HashMap<Vec<u8>, HeldWriter>,
     /// The decoded items of the frame in hand (reused, never shrunk).
     items: Vec<u64>,
@@ -42,55 +45,93 @@ struct HeldWriter {
     writer: Box<dyn EngineWriter>,
 }
 
-/// The connection's writer on `stream`, registered on first use. A
-/// writer held under the same key for another stream (the key was
-/// retired and re-created) is dropped, which flushes and retires it,
-/// as is every writer whose stream is gone: the map never outgrows the
-/// registry by more than the streams retired since the last miss.
+/// The hot writer, with the registry generation its stream was last
+/// resolved at: while the generation holds, no stream was created,
+/// retired or drained since, so the stream is still the one registered
+/// under `key` and a frame to it needs neither the registry nor the map.
+struct Hot {
+    generation: u64,
+    key: Vec<u8>,
+    held: HeldWriter,
+}
+
+impl ConnState {
+    /// The stream `prefix` addresses, if it is the hot one and the
+    /// registry is still at `generation`.
+    fn hot_stream(&self, generation: u64, prefix: &StreamPrefix<'_>) -> Option<Arc<StreamState>> {
+        let hot = self.hot.as_ref()?;
+        if hot.generation != generation || hot.key != prefix.key {
+            return None;
+        }
+        hot.held.of.upgrade().filter(|s| s.family == prefix.family)
+    }
+}
+
+/// The connection's writer on `stream`, resolved at registry
+/// `generation`, made the hot one. The writer it displaces goes into
+/// the map (or is dropped, if its stream is gone). A writer held under
+/// the same key for another stream (the key was retired and re-created)
+/// is dropped, which flushes and retires it, as is every writer whose
+/// stream is gone: the map never outgrows the registry by more than the
+/// streams retired since the last miss.
 fn writer_for<'c>(
-    writers: &'c mut HashMap<Vec<u8>, HeldWriter>,
+    hot: &'c mut Option<Hot>,
+    writers: &mut HashMap<Vec<u8>, HeldWriter>,
+    generation: u64,
     stream: &Arc<StreamState>,
 ) -> &'c mut dyn EngineWriter {
-    let held = matches!(writers.get(&stream.key),
-        Some(h) if Weak::as_ptr(&h.of) == Arc::as_ptr(stream));
-    if !held {
-        writers.retain(|_, h| h.of.strong_count() > 0);
-        writers.insert(
-            stream.key.clone(),
-            HeldWriter {
-                of: Arc::downgrade(stream),
-                writer: stream.engine.writer(),
-            },
-        );
+    let of_stream = |h: &HeldWriter| Weak::as_ptr(&h.of) == Arc::as_ptr(stream);
+    if !hot.as_ref().is_some_and(|h| of_stream(&h.held)) {
+        if let Some(old) = hot.take().filter(|h| h.held.of.strong_count() > 0) {
+            writers.insert(old.key, old.held);
+        }
+        let (key, held) = match writers.remove_entry(&stream.key) {
+            Some((key, held)) if of_stream(&held) => (key, held),
+            _ => {
+                writers.retain(|_, h| h.of.strong_count() > 0);
+                let held = HeldWriter {
+                    of: Arc::downgrade(stream),
+                    writer: stream.engine.writer(),
+                };
+                (stream.key.clone(), held)
+            }
+        };
+        *hot = Some(Hot {
+            generation,
+            key,
+            held,
+        });
     }
-    let held = writers.get_mut(&stream.key).expect("held or just inserted");
-    held.writer.as_mut()
+    let hot = hot.as_mut().expect("hot or just made hot");
+    hot.generation = generation;
+    hot.held.writer.as_mut()
 }
 
 /// Routes one validated frame to its handler and produces the response.
-pub(crate) fn dispatch_frame(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Response {
-    match frame.ftype {
-        FrameType::Ping => Response::new(FrameType::Pong, frame.seq, Vec::new()),
+pub(crate) fn dispatch_frame(
+    header: &ParsedHeader,
+    payload: &[u8],
+    ctx: &ServerCtx,
+    conn: &mut ConnState,
+) -> Response {
+    let seq = header.seq;
+    match header.ftype {
+        FrameType::Ping => Response::new(FrameType::Pong, seq, Vec::new()),
         FrameType::Ingest | FrameType::Merge if ctx.ctl.draining.load(Ordering::Acquire) => {
-            Response::nack(frame.seq, NackCode::Draining, "server is draining", false)
+            Response::nack(seq, NackCode::Draining, "server is draining", false)
         }
-        FrameType::Ingest => handle_ingest(frame, ctx, conn),
-        FrameType::Merge => handle_merge(frame, ctx),
-        FrameType::Query => handle_query(frame, ctx),
+        FrameType::Ingest => handle_ingest(header, payload, ctx, conn),
+        FrameType::Merge => handle_merge(header, payload, ctx),
+        FrameType::Query => handle_query(header, payload, ctx),
         FrameType::Shutdown => {
             ctx.ctl.drain_requested.store(true, Ordering::Release);
             ctx.ctl.draining.store(true, Ordering::Release);
-            Response::ack(frame.seq)
+            Response::ack(seq)
         }
         // parse_header's direction check makes these unreachable, but
         // route them to a typed error rather than a panic if it ever
         // regresses.
-        _ => Response::nack(
-            frame.seq,
-            NackCode::Malformed,
-            "server-side frame type",
-            false,
-        ),
+        _ => Response::nack(seq, NackCode::Malformed, "server-side frame type", false),
     }
 }
 
@@ -99,13 +140,16 @@ pub(crate) fn dispatch_frame(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState
 /// ingest and merge to Θ, a query `[kind, f]` to family `f`, with 0 an
 /// alias for Θ. The header check admits `REPLACE` only on merges, so
 /// only they can carry a source id.
-fn addressed(frame: &Frame) -> Result<(StreamPrefix<'_>, &[u8]), Response> {
-    let malformed = |detail: &str| Response::nack(frame.seq, NackCode::Malformed, detail, false);
-    if frame.flags & FLAG_STREAM != 0 {
-        return split_stream_prefix(&frame.payload, frame.flags & FLAG_REPLACE != 0)
+fn addressed<'p>(
+    header: &ParsedHeader,
+    payload: &'p [u8],
+) -> Result<(StreamPrefix<'p>, &'p [u8]), Response> {
+    let malformed = |detail: &str| Response::nack(header.seq, NackCode::Malformed, detail, false);
+    if header.flags & FLAG_STREAM != 0 {
+        return split_stream_prefix(payload, header.flags & FLAG_REPLACE != 0)
             .map_err(|e| malformed(&e.to_string()));
     }
-    let family = match (frame.ftype, &frame.payload[..]) {
+    let family = match (header.ftype, payload) {
         (FrameType::Query, &[_, code]) if code != 0 => {
             SketchFamily::from_code(code).ok_or_else(|| malformed("unknown query family"))?
         }
@@ -116,7 +160,7 @@ fn addressed(frame: &Frame) -> Result<(StreamPrefix<'_>, &[u8]), Response> {
         key: DEFAULT_STREAM,
         source: None,
     };
-    Ok((prefix, &frame.payload))
+    Ok((prefix, payload))
 }
 
 /// Resolves a stream address against the registry. `create` is true
@@ -173,45 +217,61 @@ fn resolve_stream(
 /// flushed before the `Ack` is produced, so an `Ack` means the items
 /// are inside the engine's `r = 2Nb` — the served path adds no
 /// relaxation of its own.
-fn handle_ingest(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Response {
-    let (prefix, body) = match addressed(&frame) {
+fn handle_ingest(
+    header: &ParsedHeader,
+    payload: &[u8],
+    ctx: &ServerCtx,
+    conn: &mut ConnState,
+) -> Response {
+    let seq = header.seq;
+    let (prefix, body) = match addressed(header, payload) {
         Ok(split) => split,
         Err(nack) => return nack,
     };
     // Reject before resolving: a NACKed frame must not create a stream.
     if !body.len().is_multiple_of(8) {
         return Response::nack(
-            frame.seq,
+            seq,
             NackCode::Malformed,
             "ingest payload must be a whole number of u64 items",
             false,
         );
     }
-    let stream = match resolve_stream(ctx, frame.seq, &prefix, true) {
-        Ok(stream) => stream,
-        Err(nack) => return nack,
+    // Read before resolving: a stream resolved now is registered at
+    // least until the generation moves.
+    let generation = ctx.registry.generation();
+    let stream = match conn.hot_stream(generation, &prefix) {
+        Some(stream) => stream,
+        None => match resolve_stream(ctx, seq, &prefix, true) {
+            Ok(stream) => stream,
+            Err(nack) => return nack,
+        },
     };
     if body.is_empty() {
-        return Response::ack(frame.seq);
+        return Response::ack(seq);
     }
     // Fail-stop per stream: once latched, refuse without touching the
     // engine. Other streams are never consulted.
     if stream.dead.load(Ordering::Acquire) {
         ctx.stats.sheds.fetch_add(1, Ordering::Relaxed);
         return Response::nack(
-            frame.seq,
+            seq,
             NackCode::Internal,
             "stream ingest failed earlier; queries and merges still served",
             false,
         );
     }
-    let ConnState { writers, items } = conn;
+    let ConnState {
+        hot,
+        writers,
+        items,
+    } = conn;
     items.clear();
     items.extend(
         body.chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
     );
-    let writer = writer_for(writers, &stream);
+    let writer = writer_for(hot, writers, generation, &stream);
     // A panic (injected fault, engine bug) or a failed flush (dead
     // propagator) stops at this frame.
     let applied = catch_unwind(AssertUnwindSafe(|| {
@@ -233,7 +293,7 @@ fn handle_ingest(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Respons
             ctx.stats.ingest_items.fetch_add(n, Ordering::Relaxed);
             stream.items.fetch_add(n, Ordering::Relaxed);
             ctx.stats.ingest_batches.fetch_add(1, Ordering::Relaxed);
-            return Response::ack(frame.seq);
+            return Response::ack(seq);
         }
         Ok(Err(_)) => {
             ctx.stats.flush_errors.fetch_add(1, Ordering::Relaxed);
@@ -244,14 +304,16 @@ fn handle_ingest(frame: Frame, ctx: &ServerCtx, conn: &mut ConnState) -> Respons
             "ingest panicked; batch not applied"
         }
     };
-    // The writer may be mid-update: discard it, and latch the stream.
-    writers.remove(&stream.key);
+    // The writer (the hot one) may be mid-update: discard it, and latch
+    // the stream.
+    *hot = None;
     stream.dead.store(true, Ordering::Release);
-    Response::nack(frame.seq, NackCode::Internal, fault, false)
+    Response::nack(seq, NackCode::Internal, fault, false)
 }
 
-fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
-    let (prefix, body) = match addressed(&frame) {
+fn handle_merge(header: &ParsedHeader, payload: &[u8], ctx: &ServerCtx) -> Response {
+    let seq = header.seq;
+    let (prefix, body) = match addressed(header, payload) {
         Ok(split) => split,
         Err(nack) => return nack,
     };
@@ -259,12 +321,12 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
     // stream.
     let key = match validate_envelope(body, ctx.cfg.max_frame_payload) {
         Ok(key) => key,
-        Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
+        Err(e) => return Response::nack(seq, NackCode::Wire, &e, false),
     };
     let family = key.family();
     if prefix.family != family {
         return Response::nack(
-            frame.seq,
+            seq,
             NackCode::FamilyMismatch,
             &format!(
                 "envelope is {}, stream is {}",
@@ -280,11 +342,11 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
     let target = ctx.engine_keys[(family.code() - 1) as usize];
     if key != target {
         let detail = format!("image cannot fan in with its target: {key:?} vs {target:?}");
-        return Response::nack(frame.seq, NackCode::Wire, &detail, false);
+        return Response::nack(seq, NackCode::Wire, &detail, false);
     }
     // Create-on-first-merge: a replica push materialises the stream on
     // the receiving peer before any local ingest.
-    let stream = match resolve_stream(ctx, frame.seq, &prefix, true) {
+    let stream = match resolve_stream(ctx, seq, &prefix, true) {
         Ok(stream) => stream,
         Err(nack) => return nack,
     };
@@ -292,16 +354,16 @@ fn handle_merge(frame: Frame, ctx: &ServerCtx) -> Response {
         .merge(prefix.source, Bytes::from(body.to_vec()))
         .is_err()
     {
-        return Response::nack(frame.seq, NackCode::Overload, "slot map at capacity", false);
+        return Response::nack(seq, NackCode::Overload, "slot map at capacity", false);
     }
     ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
-    Response::ack(frame.seq)
+    Response::ack(seq)
 }
 
-fn handle_query(frame: Frame, ctx: &ServerCtx) -> Response {
-    let seq = frame.seq;
+fn handle_query(header: &ParsedHeader, payload: &[u8], ctx: &ServerCtx) -> Response {
+    let seq = header.seq;
     let malformed = |detail: &str| Response::nack(seq, NackCode::Malformed, detail, false);
-    let (prefix, body) = match addressed(&frame) {
+    let (prefix, body) = match addressed(header, payload) {
         Ok(split) => split,
         Err(nack) => return nack,
     };

@@ -199,20 +199,6 @@ impl NackCode {
     }
 }
 
-/// A decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// The frame type.
-    pub ftype: FrameType,
-    /// Validated flag bits ([`FLAG_STREAM`] / [`FLAG_REPLACE`]; 0 on
-    /// every v1 frame).
-    pub flags: u8,
-    /// Client-chosen sequence number, echoed verbatim in replies.
-    pub seq: u16,
-    /// The payload bytes (already checksum-verified on decode).
-    pub payload: Vec<u8>,
-}
-
 /// Why a frame header or payload was rejected. Each variant maps to a
 /// documented [`NackCode`] and connection disposition (see
 /// [`HeaderError::nack_code`] / [`HeaderError::closes_connection`]).
@@ -404,6 +390,20 @@ pub fn encode_frame(ftype: FrameType, seq: u16, payload: &[u8]) -> Vec<u8> {
 /// ([`encode_stream_prefix`]).
 pub fn encode_frame_flags(ftype: FrameType, flags: u8, seq: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    encode_frame_into(&mut out, ftype, flags, seq, payload);
+    out
+}
+
+/// Encodes a frame into `out`, replacing its contents, so a reply can
+/// reuse one buffer.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    ftype: FrameType,
+    flags: u8,
+    seq: u16,
+    payload: &[u8],
+) {
+    out.clear();
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     out.push(ftype as u8);
     out.push(flags);
@@ -411,7 +411,6 @@ pub fn encode_frame_flags(ftype: FrameType, flags: u8, seq: u16, payload: &[u8])
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32c(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// A stream address: a decoded v2 stream prefix (see the module docs

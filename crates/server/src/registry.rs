@@ -168,6 +168,11 @@ pub(crate) enum CreateError {
 /// create-on-first-ingest of the same key race-free).
 pub(crate) struct Registry {
     streams: Mutex<HashMap<Vec<u8>, Arc<StreamState>>>,
+    /// Bumped, under the lock, by every create, retire and drain: while
+    /// it reads the same, every stream resolved since is still the one
+    /// registered under its key. A connection caches its ingest stream
+    /// against it instead of locking the map per frame.
+    generation: AtomicU64,
     max_streams: usize,
 }
 
@@ -175,8 +180,19 @@ impl Registry {
     pub(crate) fn new(max_streams: usize) -> Self {
         Registry {
             streams: Mutex::new(HashMap::new()),
+            generation: AtomicU64::new(0),
             max_streams: max_streams.max(1),
         }
+    }
+
+    /// The current generation. Acquire pairs with the Release of each
+    /// bump, which follows its change to the map.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     pub(crate) fn get(&self, key: &[u8]) -> Option<Arc<StreamState>> {
@@ -209,16 +225,19 @@ impl Registry {
         }
         let state = make().map_err(CreateError::Build)?;
         map.insert(key.to_vec(), Arc::clone(&state));
+        self.bump();
         Ok((state, true))
     }
 
     /// Removes `key` from the map and returns its state for the caller
     /// to quiesce. `None` if the key was not registered.
     pub(crate) fn retire(&self, key: &[u8]) -> Option<Arc<StreamState>> {
-        self.streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(key)
+        let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
+        let removed = map.remove(key);
+        if removed.is_some() {
+            self.bump();
+        }
+        removed
     }
 
     /// Snapshot of every live stream.
@@ -233,12 +252,10 @@ impl Registry {
 
     /// Removes and returns every stream (graceful drain).
     pub(crate) fn drain_all(&self) -> Vec<Arc<StreamState>> {
-        self.streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain()
-            .map(|(_, s)| s)
-            .collect()
+        let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
+        let drained = map.drain().map(|(_, s)| s).collect();
+        self.bump();
+        drained
     }
 }
 

@@ -15,6 +15,9 @@
 //! | ingest len % 8 != 0       | `Malformed`      | open       |
 //! | invalid merge envelope    | `Wire`           | open       |
 //! | truncated frame + stall   | `Timeout`        | closed     |
+//!
+//! Frames that arrive together in one read are answered one by one, in
+//! order, whatever each of them turns out to be.
 
 use fcds_server::client::{connect_tcp, Client, Reply};
 use fcds_server::frame::{encode_frame, FrameType, NackCode, FRAME_HEADER_LEN};
@@ -278,6 +281,88 @@ fn interleaved_garbage_after_valid_frames_is_contained() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(landed, 3.0, "acked items must survive a later bad frame");
+    assert_eq!(handle.shutdown().leaked_threads, 0);
+}
+
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    let handle = serve(hostile_config()).unwrap();
+    let mut c = connect(&handle);
+    let mut volley = encode_frame(FrameType::Ingest, 1, &7u64.to_le_bytes());
+    volley.extend_from_slice(&encode_frame(FrameType::Ping, 2, &[]));
+    volley.extend_from_slice(&encode_frame(FrameType::Query, 3, &[0, 0]));
+    c.send_raw(&volley).unwrap();
+    assert!(matches!(c.read_reply().unwrap(), Reply::Ack { seq: 1 }));
+    assert!(matches!(c.read_reply().unwrap(), Reply::Pong { seq: 2 }));
+    match c.read_reply().unwrap() {
+        Reply::Estimate { seq: 3, value } => assert_eq!(value, 1.0),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    assert_eq!(handle.shutdown().leaked_threads, 0);
+}
+
+#[test]
+fn a_partial_frame_behind_a_valid_one_times_out_from_its_arrival() {
+    // The valid frame and the start of the next arrive in one write, so
+    // the server reads them together: the stalled frame's deadline must
+    // start at that read, not wait for a read that never comes.
+    let cfg = hostile_config();
+    let deadline = cfg.frame_deadline;
+    let handle = serve(cfg).unwrap();
+    let mut c = connect(&handle);
+    let mut bytes = encode_frame(FrameType::Ingest, 1, &7u64.to_le_bytes());
+    bytes.extend_from_slice(&encode_frame(FrameType::Ingest, 2, &[0u8; 64])[..20]);
+    let sent = std::time::Instant::now();
+    c.send_raw(&bytes).unwrap();
+    assert!(matches!(c.read_reply().unwrap(), Reply::Ack { seq: 1 }));
+    let reply = c.read_reply().unwrap();
+    let waited = sent.elapsed();
+    assert!(
+        matches!(
+            reply,
+            Reply::Nack {
+                seq: 2,
+                code: NackCode::Timeout,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    assert!(
+        waited >= deadline,
+        "cut off after {waited:?}, before the deadline"
+    );
+    assert!(
+        waited < deadline + Duration::from_secs(2),
+        "cut off after {waited:?}"
+    );
+    assert_closed(&mut c);
+    let report = handle.shutdown();
+    assert_eq!(report.stats.read_timeouts, 1);
+    assert_eq!(report.leaked_threads, 0);
+}
+
+#[test]
+fn a_bad_flags_frame_and_a_valid_one_in_one_write_get_nack_then_ack() {
+    let handle = serve(hostile_config()).unwrap();
+    let mut c = connect(&handle);
+    let mut bytes = encode_frame(FrameType::Ingest, 1, &[0xAB; 40]);
+    bytes[5] = 0x80;
+    bytes.extend_from_slice(&encode_frame(FrameType::Ingest, 2, &9u64.to_le_bytes()));
+    c.send_raw(&bytes).unwrap();
+    let reply = c.read_reply().unwrap();
+    assert!(
+        matches!(
+            reply,
+            Reply::Nack {
+                seq: 1,
+                code: NackCode::Malformed,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    assert!(matches!(c.read_reply().unwrap(), Reply::Ack { seq: 2 }));
     assert_eq!(handle.shutdown().leaked_threads, 0);
 }
 
