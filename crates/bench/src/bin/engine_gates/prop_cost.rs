@@ -32,7 +32,8 @@
 //! within a small factor of the no-image row while the whole-copy row
 //! grows with `retained`. Every quotient is taken between sides timed
 //! interleaved (`time_interleaved`): the no-image and delta Θ sides of
-//! one `lg_k` together, the two sizes of HLL together, the two of
+//! one `lg_k` together, each call spanning a whole rebuild cycle of the
+//! sketch's table, the two sizes of HLL together, the two of
 //! Misra–Gries together and on the same keys.
 
 use super::Section;
@@ -52,6 +53,16 @@ const B: usize = 16;
 const SERVED_B: usize = 256;
 /// Hand-offs per timed call, so the clock never pollutes a cheap step.
 const BATCH: usize = 64;
+/// Hand-offs per timed call of the gated Θ sides (no image, delta): more
+/// than one quick-select rebuild cycle at lg_k = 16 (0.875·k = 57 344
+/// accepted hashes between two Θ drops, 3 584 hand-offs of `b`), so
+/// each call pays about one table rebuild and one block-mirror rebuild,
+/// and what it costs no longer depends on where in the cycle it started.
+/// At [`BATCH`] hand-offs a call early in a cycle (sparse table, cheap
+/// inserts) read ≈ 3.3× against ≈ 2.2× late in one, so a run's median
+/// quotient depended on which phases its calls hit: 2.6–2.9 on a 2-vCPU
+/// VM, up to 3.2 on the CI runner, against a bound of 3.
+const THETA_BATCH: usize = 4096;
 /// The same for Misra–Gries. A publication retires the previous table to
 /// the thread's epoch collector, which frees it some 64 publications
 /// later — inside the *other* side's call when calls are that short, so
@@ -68,7 +79,8 @@ pub fn gates(
 ) -> Vec<GateCheck> {
     vec![
         // Θ delta-image publication against the no-image single-shard
-        // path at lg_k = 16 (PR 3 measured ≈ 2.5×).
+        // path at lg_k = 16, per hand-off over whole rebuild cycles
+        // (`THETA_BATCH`; 2.4–2.5× on a 2-vCPU VM, PR 3 measured ≈ 2.5×).
         GateCheck::new(
             "lg_k16_delta_vs_no_image_ratio",
             theta_delta_vs_no_image,
@@ -122,6 +134,8 @@ struct ThetaSide {
     local: <ThetaGlobal as GlobalSketch>::Local,
     rng: SplitMix,
     image: Image,
+    /// Hand-offs per timed call.
+    batch: usize,
     merges: u64,
 }
 
@@ -148,13 +162,20 @@ impl ThetaSide {
             local,
             rng: SplitMix(SEED ^ 0x5EED),
             image,
+            // Alone, a whole-copy call's cost needs no rebuild cycle
+            // averaged in (see `run`).
+            batch: if image == Image::WholeCopy {
+                BATCH
+            } else {
+                THETA_BATCH
+            },
             merges: 0,
         }
     }
 
-    /// One timed call: `BATCH` hand-offs.
+    /// One timed call: `batch` hand-offs.
     fn call(&mut self) {
-        for _ in 0..BATCH {
+        for _ in 0..self.batch {
             self.hand_off();
         }
     }
@@ -259,18 +280,20 @@ pub fn run() -> Section {
         // publication would pay for freeing it. At ≈ 400× against a
         // bound of 5 this quotient needs no drift cancelled.
         let ([whole_copy_secs], _) = time_interleaved(|| (), [&mut whole_copy]);
-        let secs = [none_secs, delta_secs, whole_copy_secs];
-        for ((side, secs), (shards, _, label)) in sides.iter().zip(secs).zip(variants) {
+        let mut per_merge = [none_secs, delta_secs, whole_copy_secs];
+        for ((side, secs), (shards, _, label)) in sides.iter().zip(&mut per_merge).zip(variants) {
+            *secs /= side.batch as f64;
             rows.push(format!(
                 "{{\"family\": \"theta\", \"lg_k\": {lg_k}, \"retained\": {}, \
                  \"shards\": {shards}, \"image\": \"{label}\", \
                  \"per_merge_ns\": {:.1}, \"merges\": {}}}",
                 side.retained(),
-                secs * 1e9 / BATCH as f64,
+                *secs * 1e9,
                 side.merges
             ));
         }
-        (delta_secs / none_secs, whole_copy_secs / delta_secs)
+        let [none, delta, whole_copy] = per_merge;
+        (delta / none, whole_copy / delta)
     });
 
     // One row per size; returns the large-over-small cost ratio.

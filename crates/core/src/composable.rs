@@ -80,11 +80,10 @@ pub trait LocalSketch: Send + 'static {
 
     /// Buffers every item of `items` that passes `shouldAdd(hint, ·)`,
     /// returning how many were buffered. Semantically identical to the
-    /// filter-then-[`Self::update`] loop the scalar path runs; sketches
-    /// whose items are plain hashes override it with a branchless
-    /// compaction (write every candidate, advance the cursor only past
-    /// survivors) followed by one reserved extend, so the hot loop
-    /// carries no unpredictable branch.
+    /// filter-then-[`Self::update`] loop the scalar path runs; a sketch
+    /// whose `shouldAdd` is constantly true overrides it with its bulk
+    /// append. (The hashing families' writers filter in their own fused
+    /// hash-and-filter loop, `crate::hashed`, and never call this.)
     fn update_batch_filtered(&mut self, hint: Self::Hint, items: &[Self::Item]) -> usize
     where
         Self::Item: Clone,
@@ -295,31 +294,6 @@ pub trait GlobalSketch: Send + 'static {
     }
 }
 
-/// Branchless filter-append shared by the hash-buffer locals (Θ, HLL):
-/// compacts the survivors of `keep` into a stack chunk — every candidate
-/// is written, the cursor advances only past survivors, so the loop has
-/// no data-dependent branch — then appends each chunk to `buf` with one
-/// reserved extend. Returns the number appended.
-#[inline]
-pub(crate) fn extend_compact_u64(
-    buf: &mut Vec<u64>,
-    items: &[u64],
-    keep: impl Fn(u64) -> bool,
-) -> usize {
-    const CHUNK: usize = 64;
-    let start = buf.len();
-    for chunk in items.chunks(CHUNK) {
-        let mut tmp = [0u64; CHUNK];
-        let mut w = 0usize;
-        for &h in chunk {
-            tmp[w] = h;
-            w += keep(h) as usize;
-        }
-        buf.extend_from_slice(&tmp[..w]);
-    }
-    buf.len() - start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,22 +317,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn u64_zero_hint_panics() {
         let _ = 0u64.encode();
-    }
-
-    #[test]
-    fn compaction_matches_a_plain_filter() {
-        // Lengths straddling the chunk size, predicates from
-        // drop-everything to keep-everything.
-        for n in [0usize, 1, 63, 64, 65, 200] {
-            let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37) % 97).collect();
-            for bound in [0u64, 13, 50, 97] {
-                let mut buf = vec![u64::MAX; 3]; // pre-existing content survives
-                let kept = extend_compact_u64(&mut buf, &items, |h| h < bound);
-                let expected: Vec<u64> = items.iter().copied().filter(|&h| h < bound).collect();
-                assert_eq!(kept, expected.len());
-                assert_eq!(&buf[..3], &[u64::MAX; 3]);
-                assert_eq!(&buf[3..], &expected[..], "n={n} bound={bound}");
-            }
-        }
     }
 }

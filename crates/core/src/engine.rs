@@ -1,36 +1,44 @@
 //! The family-generic engine seam: one trait surface over all four
 //! concurrent sketches, plus the unified builder.
 //!
-//! PR 8 put a network tier in front of *one* hard-wired Θ engine. The
-//! multi-stream service needs to host many engines of mixed families
-//! behind per-key routing, and the code doing that routing must not
-//! care which family a stream is — so this module defines:
+//! The multi-stream service hosts many engines of mixed families behind
+//! per-key routing, and the code doing that routing must not care which
+//! family a stream is. There is one engine type,
+//! [`ConcurrentSketch<G, H>`](ConcurrentSketch), and one writer type,
+//! [`SketchWriter<G, H>`](SketchWriter); a family is its global sketch
+//! `G`. This module defines:
 //!
-//! * [`WireImage`] — the one-method trait every concurrent sketch
-//!   implements to export its mergeable wire envelope
-//!   (`fcds_sketches::wire`). Replica sync and registry code call it
-//!   family-generically; the fan-in kernels on the receiving side do
-//!   the family dispatch from the envelope's own header.
+//! * [`WireImage`] — the one-method trait every engine implements to
+//!   export its mergeable wire envelope (`fcds_sketches::wire`). Replica
+//!   sync and registry code call it family-generically; the fan-in
+//!   kernels on the receiving side do the family dispatch from the
+//!   envelope's own header.
 //! * [`EngineWriter`] / [`StreamEngine`] — the object-safe pair the
 //!   server's connection threads are written against: a `StreamEngine`
 //!   is a running engine ingesting `u64` stream items (the service's
 //!   item type; Θ/HLL hash them, Quantiles/Misra–Gries take them as
 //!   values), and each connection thread owns one `EngineWriter` per
-//!   stream it ingests into, obtained from it.
+//!   stream it ingests into, obtained from it. Each has one blanket
+//!   impl, over every engine and writer whose global is an
+//!   [`EngineGlobal`].
+//! * [`EngineGlobal`] — what a family's global adds to
+//!   [`GlobalSketch`] for the seam: its wire family code, how a writer
+//!   ingests `u64` items, its scalar estimate (or `None`) and its wire
+//!   image. Only the four built-in globals implement it, so a custom
+//!   [`GlobalSketch`] needs none of it to run in the engine.
 //! * [`Family`] + [`EngineBuilder`] — the unified construction entry:
 //!   the shared [`ConcurrencyConfig`] knobs (writers, shards, backend,
 //!   error budget…) are set once on `EngineBuilder<F>` for any family
 //!   `F`, with one family-interpreted [`accuracy`](EngineBuilder::accuracy)
-//!   knob. It is the only way to construct an engine; each family's
-//!   `impl Family` sits next to its sketch (`theta.rs`, `hll.rs`,
-//!   `quantiles.rs`, `frequency.rs`).
+//!   knob. It is the only way to construct a built-in engine; each
+//!   family's `impl Family` and `impl EngineGlobal` sit next to its
+//!   sketch (`theta.rs`, `hll.rs`, `quantiles.rs`, `frequency.rs`), with
+//!   the family's type aliases (`ConcurrentThetaSketch`, `ThetaWriter`,
+//!   …) and their few inherent methods.
 
+use crate::composable::GlobalSketch;
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
-use crate::frequency::{ConcurrentFrequencySketch, FrequencyWriter};
-use crate::hll::{ConcurrentHllSketch, HllWriter};
-use crate::quantiles::{ConcurrentQuantilesSketch, QuantilesWriter};
-use crate::runtime::{EngineStats, FlushError};
-use crate::theta::{ConcurrentThetaSketch, ThetaWriter};
+use crate::runtime::{ConcurrentSketch, EngineStats, FlushError, SketchWriter};
 use bytes::Bytes;
 use fcds_sketches::error::Result;
 use fcds_sketches::hash::DEFAULT_SEED;
@@ -39,10 +47,10 @@ use std::marker::PhantomData;
 
 /// Export of a sketch's mergeable state as a versioned wire envelope.
 ///
-/// Every concurrent sketch implements this; the envelope's header
-/// carries the family code, so a consumer can stay family-generic and
-/// let `fcds_sketches::wire::peek` plus the multiway fan-in kernels do
-/// the dispatch. Replica sync is exactly this: a timer calling
+/// Every engine implements this; the envelope's header carries the
+/// family code, so a consumer can stay family-generic and let
+/// `fcds_sketches::wire::peek` plus the multiway fan-in kernels do the
+/// dispatch. Replica sync is exactly this: a timer calling
 /// `wire_image()` on every registered stream and shipping the bytes to
 /// a peer's merge store.
 pub trait WireImage {
@@ -93,142 +101,69 @@ pub trait StreamEngine: WireImage + Send + Sync {
     fn stats(&self) -> EngineStats;
 }
 
-impl EngineWriter for ThetaWriter {
+/// What a built-in family's global sketch adds to [`GlobalSketch`] for
+/// the engine seam: the hooks behind the blanket [`StreamEngine`],
+/// [`EngineWriter`] and [`WireImage`] impls.
+pub trait EngineGlobal: GlobalSketch + Sized {
+    /// The wire-format family code of the engine's images.
+    const FAMILY: SketchFamily;
+    /// What the engine's writers turn stream items into local items
+    /// with: `()`, or [`Hashed`](crate::hashed::Hashed) for the hashing
+    /// families.
+    type Hashing: Copy + Send + Sync + 'static;
+    /// Buffers a batch of `u64` stream items through the writer's
+    /// batched path.
+    fn ingest(writer: &mut SketchWriter<Self, Self::Hashing>, items: &[u64]);
+    /// The scalar estimate, where the family has one.
+    fn estimate(engine: &ConcurrentSketch<Self, Self::Hashing>) -> Option<f64>;
+    /// The engine's published state as one wire envelope.
+    fn wire_image(engine: &ConcurrentSketch<Self, Self::Hashing>) -> Bytes;
+}
+
+impl<G: EngineGlobal> WireImage for ConcurrentSketch<G, G::Hashing> {
+    fn wire_image(&self) -> Bytes {
+        G::wire_image(self)
+    }
+}
+
+impl<G: EngineGlobal> EngineWriter for SketchWriter<G, G::Hashing> {
     fn ingest_batch(&mut self, items: &[u64]) {
-        self.update_batch(items);
+        G::ingest(self, items);
     }
 
     fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        ThetaWriter::flush(self)
+        SketchWriter::flush(self)
     }
 }
 
-impl EngineWriter for HllWriter {
-    fn ingest_batch(&mut self, items: &[u64]) {
-        self.update_batch(items);
-    }
-
-    fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        HllWriter::flush(self)
-    }
-}
-
-impl EngineWriter for QuantilesWriter<u64> {
-    fn ingest_batch(&mut self, items: &[u64]) {
-        self.update_batch(items);
-    }
-
-    fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        QuantilesWriter::flush(self)
-    }
-}
-
-impl EngineWriter for FrequencyWriter<u64> {
-    fn ingest_batch(&mut self, items: &[u64]) {
-        self.update_batch(items);
-    }
-
-    fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        FrequencyWriter::flush(self)
-    }
-}
-
-impl StreamEngine for ConcurrentThetaSketch {
+impl<G: EngineGlobal> StreamEngine for ConcurrentSketch<G, G::Hashing> {
     fn family(&self) -> SketchFamily {
-        SketchFamily::Theta
+        G::FAMILY
     }
 
     fn writer(&self) -> Box<dyn EngineWriter> {
-        Box::new(ConcurrentThetaSketch::writer(self))
+        Box::new(ConcurrentSketch::writer(self))
     }
 
     fn estimate(&self) -> Option<f64> {
-        Some(ConcurrentThetaSketch::estimate(self))
+        G::estimate(self)
     }
 
     fn quiesce(&self) {
-        ConcurrentThetaSketch::quiesce(self);
+        ConcurrentSketch::quiesce(self);
     }
 
     fn stats(&self) -> EngineStats {
-        ConcurrentThetaSketch::stats(self)
-    }
-}
-
-impl StreamEngine for ConcurrentHllSketch {
-    fn family(&self) -> SketchFamily {
-        SketchFamily::Hll
-    }
-
-    fn writer(&self) -> Box<dyn EngineWriter> {
-        Box::new(ConcurrentHllSketch::writer(self))
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        Some(ConcurrentHllSketch::estimate(self))
-    }
-
-    fn quiesce(&self) {
-        ConcurrentHllSketch::quiesce(self);
-    }
-
-    fn stats(&self) -> EngineStats {
-        ConcurrentHllSketch::stats(self)
-    }
-}
-
-impl StreamEngine for ConcurrentQuantilesSketch<u64> {
-    fn family(&self) -> SketchFamily {
-        SketchFamily::Quantiles
-    }
-
-    fn writer(&self) -> Box<dyn EngineWriter> {
-        Box::new(ConcurrentQuantilesSketch::writer(self))
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        None
-    }
-
-    fn quiesce(&self) {
-        ConcurrentQuantilesSketch::quiesce(self);
-    }
-
-    fn stats(&self) -> EngineStats {
-        ConcurrentQuantilesSketch::stats(self)
-    }
-}
-
-impl StreamEngine for ConcurrentFrequencySketch<u64> {
-    fn family(&self) -> SketchFamily {
-        SketchFamily::Frequency
-    }
-
-    fn writer(&self) -> Box<dyn EngineWriter> {
-        Box::new(ConcurrentFrequencySketch::writer(self))
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        None
-    }
-
-    fn quiesce(&self) {
-        ConcurrentFrequencySketch::quiesce(self);
-    }
-
-    fn stats(&self) -> EngineStats {
-        ConcurrentFrequencySketch::stats(self)
+        ConcurrentSketch::stats(self)
     }
 }
 
 /// A sketch family [`EngineBuilder`] can construct: the associated
-/// engine type, the wire family code, and how the one `accuracy` knob
-/// maps onto the family's sizing parameter.
+/// engine type and how the one `accuracy` knob maps onto the family's
+/// sizing parameter.
 pub trait Family {
     /// The concurrent sketch this family builds.
     type Engine;
-    /// The wire-format family code of [`Self::Engine`]'s images.
-    const FAMILY: SketchFamily;
     /// Default for [`EngineBuilder::accuracy`].
     const DEFAULT_ACCURACY: usize;
     /// Builds and starts an engine.

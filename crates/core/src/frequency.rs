@@ -24,12 +24,13 @@
 
 use crate::composable::{GlobalSketch, ItemBuffer};
 use crate::config::ConcurrencyConfig;
-use crate::engine::{Family, FrequencyFamily};
-use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
+use crate::engine::{EngineGlobal, Family, FrequencyFamily};
+use crate::runtime::{ConcurrentSketch, SketchWriter};
 use crate::sync::EpochCell;
+use bytes::Bytes;
 use fcds_sketches::error::Result;
 use fcds_sketches::frequency::{FrequencyEstimate, MisraGriesSketch};
-use fcds_sketches::wire::SketchFamily;
+use fcds_sketches::wire::{SketchFamily, WireEncode};
 use std::sync::Arc;
 
 /// Immutable snapshot of the frequency summary.
@@ -41,6 +42,8 @@ pub struct FrequencySnapshot<T> {
     pub max_error: u64,
     /// Stream length reflected by this snapshot.
     pub n: u64,
+    /// The counter budget per shard.
+    k: usize,
 }
 
 impl<T: Ord + Clone> FrequencySnapshot<T> {
@@ -53,6 +56,7 @@ impl<T: Ord + Clone> FrequencySnapshot<T> {
                 .collect(),
             max_error: sketch.max_error(),
             n: sketch.n(),
+            k: sketch.k(),
         }
     }
 
@@ -80,10 +84,12 @@ impl<T: Ord + Clone> FrequencySnapshot<T> {
         let mut counters: Vec<(T, u64)> = Vec::new();
         let mut max_error = 0u64;
         let mut n = 0u64;
+        let mut k = 0;
         for p in parts {
             counters.extend(p.counters.iter().cloned());
             max_error += p.max_error;
             n += p.n;
+            k = p.k;
         }
         counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         counters.dedup_by(|later, kept| {
@@ -97,6 +103,7 @@ impl<T: Ord + Clone> FrequencySnapshot<T> {
             counters,
             max_error,
             n,
+            k,
         }
     }
 
@@ -172,16 +179,48 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for MisraGriesSketch<T
 
 impl<T: Ord + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
     type Engine = ConcurrentFrequencySketch<T>;
-    const FAMILY: SketchFamily = SketchFamily::Frequency;
     const DEFAULT_ACCURACY: usize = 64;
 
     fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        let inner = ConcurrentSketch::start(MisraGriesSketch::new(accuracy)?, config)?;
-        Ok(ConcurrentFrequencySketch { inner, k: accuracy })
+        ConcurrentSketch::start(MisraGriesSketch::new(accuracy)?, config)
     }
 }
 
-/// Concurrent heavy-hitters sketch.
+impl EngineGlobal for MisraGriesSketch<u64> {
+    const FAMILY: SketchFamily = SketchFamily::Frequency;
+    type Hashing = ();
+
+    fn ingest(writer: &mut FrequencyWriter<u64>, items: &[u64]) {
+        writer.update_batch(items);
+    }
+
+    fn estimate(_: &ConcurrentFrequencySketch<u64>) -> Option<f64> {
+        None
+    }
+
+    /// The merged heavy-hitters state (see `fcds_sketches::wire`). The
+    /// merged shard table can hold up to `K·k` counters; the export
+    /// reduces it back to `k` (accruing the reduction slack into the
+    /// image's error term), so every image is a valid `k`-counter
+    /// summary whose bounds still bracket the true counts. On the
+    /// fan-in side, `fcds_sketches::wire::mg_multiway_merge` accumulates
+    /// the counters of many images with one final reduction.
+    fn wire_image(engine: &ConcurrentFrequencySketch<u64>) -> Bytes {
+        let snap = engine.snapshot();
+        let mg = MisraGriesSketch::from_parts(
+            snap.k,
+            snap.n,
+            snap.max_error,
+            snap.counters.iter().cloned(),
+        )
+        .expect("snapshot counters satisfy the Misra-Gries invariants");
+        mg.to_wire_bytes()
+    }
+}
+
+/// Concurrent heavy-hitters sketch;
+/// [`snapshot`](ConcurrentSketch::snapshot) is a wait-free snapshot of
+/// the current heavy-hitters table.
 ///
 /// # Examples
 ///
@@ -202,113 +241,15 @@ impl<T: Ord + Clone + Send + Sync + 'static> Family for FrequencyFamily<T> {
 /// let snap = sketch.snapshot();
 /// assert!(snap.estimate(&7).upper_bound >= 2_500);
 /// ```
-pub struct ConcurrentFrequencySketch<T: Ord + Clone + Send + Sync + 'static> {
-    inner: ConcurrentSketch<MisraGriesSketch<T>>,
-    k: usize,
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for ConcurrentFrequencySketch<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentFrequencySketch").finish()
-    }
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
-    /// Registers an update thread.
-    pub fn writer(&self) -> FrequencyWriter<T> {
-        FrequencyWriter {
-            inner: self.inner.writer(),
-        }
-    }
-
-    /// Wait-free snapshot of the current heavy-hitters table.
-    pub fn snapshot(&self) -> Arc<FrequencySnapshot<T>> {
-        self.inner.snapshot()
-    }
-
-    /// The maximum number of counters per shard.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The relaxation bound `r = 2Nb`.
-    pub fn relaxation(&self) -> u64 {
-        self.inner.relaxation()
-    }
-
-    /// Waits until all handed-off buffers have been merged and published.
-    pub fn quiesce(&self) {
-        self.inner.quiesce();
-    }
-
-    /// Engine diagnostics: merges performed, eager updates, hand-offs.
-    pub fn stats(&self) -> crate::runtime::EngineStats {
-        self.inner.stats()
-    }
-}
-
-/// Serialises the merged heavy-hitters state into a unified wire
-/// image (Misra–Gries family — see `fcds_sketches::wire`). The
-/// merged shard table can hold up to `K·k` counters; the export
-/// reduces it back to `k` (accruing the reduction slack into the
-/// image's error term), so every image is a valid `k`-counter
-/// summary whose bounds still bracket the true counts. On the
-/// fan-in side, `fcds_sketches::wire::mg_multiway_merge` accumulates
-/// the counters of many images with one final reduction.
-impl<T> crate::engine::WireImage for ConcurrentFrequencySketch<T>
-where
-    T: Ord + Clone + Send + Sync + 'static + fcds_sketches::wire::WireItem,
-{
-    fn wire_image(&self) -> bytes::Bytes {
-        use fcds_sketches::wire::WireEncode;
-        let snap = self.snapshot();
-        let mg = MisraGriesSketch::from_parts(
-            self.k,
-            snap.n,
-            snap.max_error,
-            snap.counters.iter().cloned(),
-        )
-        .expect("snapshot counters satisfy the Misra-Gries invariants");
-        mg.to_wire_bytes()
-    }
-}
+pub type ConcurrentFrequencySketch<T> = ConcurrentSketch<MisraGriesSketch<T>>;
 
 /// Per-thread writer for [`ConcurrentFrequencySketch`].
-pub struct FrequencyWriter<T: Ord + Clone + Send + Sync + 'static> {
-    inner: SketchWriter<MisraGriesSketch<T>>,
-}
+pub type FrequencyWriter<T> = SketchWriter<MisraGriesSketch<T>>;
 
-impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for FrequencyWriter<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrequencyWriter").finish()
-    }
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> FrequencyWriter<T> {
-    /// Processes one stream item.
-    #[inline]
-    pub fn update(&mut self, item: T) {
-        self.inner.update(item);
-    }
-
-    /// Processes a batch of stream items through the amortised fast path
-    /// (a writer that wins its shard lock at a `b`-boundary merges the
-    /// rest of the batch itself — see [`SketchWriter::update_batch`]).
-    /// Counts the same items as calling [`Self::update`] once per item.
-    pub fn update_batch(&mut self, items: &[T]) {
-        self.inner.update_batch(items);
-    }
-
-    /// Hands the partial local buffer to the propagator.
-    ///
-    /// # Errors
-    ///
-    /// See [`SketchWriter::flush`]: [`FlushError::PropagatorDead`] when
-    /// the shard's propagation service died (buffered updates were
-    /// discarded; the writer is latched dead), [`FlushError::ShuttingDown`]
-    /// when the engine was dropped mid-flush.
-    pub fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        self.inner.flush()
+impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
+    /// The maximum number of counters per shard.
+    pub fn k(&self) -> usize {
+        self.snapshot().k
     }
 }
 

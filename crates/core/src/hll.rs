@@ -19,13 +19,14 @@
 //! first non-empty histogram slot). `merge` + `publish` + `calc_hint` is
 //! therefore O(b) whatever `lg_m` is, in the eager phase too.
 
-use crate::composable::{extend_compact_u64, GlobalSketch, HintCodec, LocalSketch};
+use crate::composable::{GlobalSketch, HintCodec, LocalSketch};
 use crate::config::ConcurrencyConfig;
-use crate::engine::{Family, HllFamily};
-use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
+use crate::engine::{EngineGlobal, Family, HllFamily};
+use crate::hashed::{Hashed, HashedLocal};
+use crate::runtime::{ConcurrentSketch, SketchWriter};
 use crate::sync::{AtomicF64, EpochCell};
+use bytes::Bytes;
 use fcds_sketches::error::{Result, SketchError};
-use fcds_sketches::hash::{hash_batch_with_seed, Avx512, Hashable};
 use fcds_sketches::hll::HllSketch;
 use fcds_sketches::wire::{SketchFamily, WireEncode};
 use std::num::NonZeroU64;
@@ -111,12 +112,6 @@ impl LocalSketch for HllLocal {
         self.hashes.extend_from_slice(hashes);
     }
 
-    /// Branchless batch filter against the min-register hint (the HLL
-    /// half of the batched ingestion fast path).
-    fn update_batch_filtered(&mut self, hint: HllHint, hashes: &[u64]) -> usize {
-        extend_compact_u64(&mut self.hashes, hashes, |h| rho(h, hint.lg_m) > hint.floor)
-    }
-
     /// Drops updates whose rank cannot exceed any register: safe because
     /// registers are monotonically non-decreasing.
     fn should_add(hint: HllHint, hash: &u64) -> bool {
@@ -129,6 +124,25 @@ impl LocalSketch for HllLocal {
 
     fn len(&self) -> usize {
         self.hashes.len()
+    }
+}
+
+/// HLL's writers buffer raw hashes. A hash's score is its tail (the
+/// index bits shifted out): its rank is non-increasing in the tail, so the
+/// chunk's smallest tail has its largest rank. Ranks are compared, never
+/// tails against a threshold, so floor 0 keeps every hash and the
+/// largest floor, `64 − lg_m + 1`, keeps none, a zero tail included.
+impl HashedLocal for HllLocal {
+    fn key(hash: u64) -> u64 {
+        hash
+    }
+
+    fn score(hint: HllHint, key: u64) -> u64 {
+        key << hint.lg_m
+    }
+
+    fn passes(hint: HllHint, score: u64) -> bool {
+        tail_rank(score, hint.lg_m) > hint.floor
     }
 }
 
@@ -216,14 +230,36 @@ impl GlobalSketch for HllGlobal {
 
 impl Family for HllFamily {
     type Engine = ConcurrentHllSketch;
-    const FAMILY: SketchFamily = SketchFamily::Hll;
     const DEFAULT_ACCURACY: usize = 12;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let lg_m = u8::try_from(accuracy)
             .map_err(|_| SketchError::invalid("lg_m", format!("out of range: {accuracy}")))?;
-        let inner = ConcurrentSketch::start(HllGlobal::new(lg_m, seed)?, config)?;
-        Ok(ConcurrentHllSketch { inner, seed })
+        ConcurrentSketch::launch(HllGlobal::new(lg_m, seed)?, config, Hashed(seed))
+    }
+}
+
+impl EngineGlobal for HllGlobal {
+    const FAMILY: SketchFamily = SketchFamily::Hll;
+    type Hashing = Hashed;
+
+    fn ingest(writer: &mut HllWriter, items: &[u64]) {
+        writer.update_batch(items);
+    }
+
+    fn estimate(engine: &ConcurrentHllSketch) -> Option<f64> {
+        Some(engine.estimate())
+    }
+
+    /// The merged register state (see `fcds_sketches::wire`).
+    /// Register-wise max is a lattice join, so images merged on a remote
+    /// node equal the sequential sketch of the concatenated streams
+    /// exactly. A coordinator fanning images in every query tick should
+    /// hold a `fcds_sketches::wire::MergeScratch` and call
+    /// `hll_multiway_merge_into` to fold registers straight from the
+    /// payload bytes with zero steady-state allocations.
+    fn wire_image(engine: &ConcurrentHllSketch) -> Bytes {
+        engine.registers().to_wire_bytes()
     }
 }
 
@@ -247,201 +283,29 @@ impl Family for HllFamily {
 /// sketch.quiesce();
 /// assert!((sketch.estimate() - 100_000.0).abs() / 100_000.0 < 0.1);
 /// ```
-#[derive(Debug)]
-pub struct ConcurrentHllSketch {
-    inner: ConcurrentSketch<HllGlobal>,
-    seed: u64,
-}
+pub type ConcurrentHllSketch = ConcurrentSketch<HllGlobal, Hashed>;
+
+/// Per-thread writer for [`ConcurrentHllSketch`]: hashes each item once
+/// and drops it on the update thread when its rank cannot raise a
+/// register (`update`, `update_batch`; see [`crate::hashed`]).
+pub type HllWriter = SketchWriter<HllGlobal, Hashed>;
 
 impl ConcurrentHllSketch {
-    /// Registers an update thread.
-    pub fn writer(&self) -> HllWriter {
-        HllWriter {
-            inner: self.inner.writer(),
-            seed: self.seed,
-        }
-    }
-
     /// The current distinct-count estimate.
     pub fn estimate(&self) -> f64 {
-        self.inner.snapshot()
+        self.snapshot()
     }
 
     /// A copy of the current global registers, merged across shards
     /// (takes the shard locks in turn; not a hot-path operation). Useful
     /// for off-line unions.
     pub fn registers(&self) -> HllSketch {
-        let mut parts = self.inner.with_globals(|g| g.sketch.clone());
+        let mut parts = self.with_globals(|g| g.sketch.clone());
         let mut merged = parts.remove(0);
         for p in &parts {
             merged.merge(p).expect("shards share lg_m and seed");
         }
         merged
-    }
-
-    /// The relaxation bound `r = 2Nb`.
-    pub fn relaxation(&self) -> u64 {
-        self.inner.relaxation()
-    }
-
-    /// Waits until all handed-off buffers have been merged and published.
-    pub fn quiesce(&self) {
-        self.inner.quiesce();
-    }
-
-    /// Engine diagnostics: merges performed, eager updates, hand-offs.
-    pub fn stats(&self) -> crate::runtime::EngineStats {
-        self.inner.stats()
-    }
-}
-
-/// Serialises the merged register state into a unified wire image
-/// (HLL family — see `fcds_sketches::wire`). Register-wise max is a
-/// lattice join, so images merged on a remote node equal the
-/// sequential sketch of the concatenated streams exactly. A
-/// coordinator fanning images in every query tick should hold a
-/// `fcds_sketches::wire::MergeScratch` and call
-/// `hll_multiway_merge_into` to fold registers straight from the
-/// payload bytes with zero steady-state allocations.
-impl crate::engine::WireImage for ConcurrentHllSketch {
-    fn wire_image(&self) -> bytes::Bytes {
-        self.registers().to_wire_bytes()
-    }
-}
-
-/// Per-thread writer for [`ConcurrentHllSketch`].
-#[derive(Debug)]
-pub struct HllWriter {
-    inner: SketchWriter<HllGlobal>,
-    seed: u64,
-}
-
-impl HllWriter {
-    /// Processes one stream item.
-    #[inline]
-    pub fn update<T: Hashable>(&mut self, item: T) {
-        self.inner.update(item.hash_with_seed(self.seed));
-    }
-
-    /// Processes a batch of stream items through the fused fast path:
-    /// per chunk of 32 items, one hoisted hint read, then
-    /// `filter_chunk` hashes and keeps what ranks above the hint's
-    /// floor (on CPUs with AVX-512F/DQ/VL, eight hashes per
-    /// instruction), and the survivors are appended with one reserved
-    /// extend, handing off at `b`-boundaries mid-batch or merging the
-    /// chunk's rest inline (`SketchWriter::push_accepted`).
-    /// Equivalent to calling [`Self::update`] once per item — a stale
-    /// hint only filters less (registers never decrease), and the
-    /// filtered-out extras would be register no-ops anyway.
-    pub fn update_batch<T: Hashable>(&mut self, items: &[T]) {
-        let mut rest = items;
-        while !self.inner.is_lazy() {
-            let Some((first, tail)) = rest.split_first() else {
-                return;
-            };
-            self.update(first);
-            rest = tail;
-        }
-        if !self.inner.prefilter_enabled() {
-            let mut hashes = [0u64; CHUNK];
-            for chunk in rest.chunks(CHUNK) {
-                hash_batch_with_seed(chunk, self.seed, &mut hashes[..chunk.len()]);
-                self.inner.push_accepted(&hashes[..chunk.len()]);
-            }
-            return;
-        }
-        let lane = Avx512::detect();
-        let mut survivors = [0u64; CHUNK];
-        for chunk in rest.chunks(CHUNK) {
-            let hint = self.inner.hint();
-            let kept = filter_chunk(lane, chunk, self.seed, hint, &mut survivors);
-            self.inner.note_filtered((chunk.len() - kept) as u64);
-            self.inner.push_accepted(&survivors[..kept]);
-        }
-    }
-
-    /// Hands the partial local buffer to the propagator.
-    ///
-    /// # Errors
-    ///
-    /// See [`SketchWriter::flush`]: [`FlushError::PropagatorDead`] when
-    /// the shard's propagation service died (buffered updates were
-    /// discarded; the writer is latched dead), [`FlushError::ShuttingDown`]
-    /// when the engine was dropped mid-flush.
-    pub fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        self.inner.flush()
-    }
-}
-
-/// Items per fused chunk of [`HllWriter::update_batch`].
-const CHUNK: usize = 32;
-
-/// The HLL writer's per-chunk step, written once: hashes `chunk`
-/// (≤ [`CHUNK`] items) and compacts the hashes whose rank exceeds
-/// `hint.floor` into `survivors` in stream order, returning how many it
-/// kept.
-///
-/// Shaped to vectorise: the hash pass is a straight loop into a stack
-/// array that also reduces the smallest tail (the hash with its index
-/// bits shifted out). [`tail_rank`] is non-increasing, so that tail has
-/// the chunk's largest rank, and the branchless compaction runs only
-/// when it beats the floor. Ranks are compared, never tails against a
-/// threshold, so floor 0 keeps every hash and the largest floor,
-/// `64 − lg_m + 1`, keeps none, a zero tail included. `#[inline(always)]`
-/// so that each caller compiles its own copy: the baseline one, and
-/// [`filter_chunk_avx512`].
-#[inline(always)]
-fn filter_chunk_body<T: Hashable>(
-    chunk: &[T],
-    seed: u64,
-    hint: HllHint,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    let mut hashes = [0u64; CHUNK];
-    let mut min_tail = u64::MAX;
-    for (h, item) in hashes.iter_mut().zip(chunk) {
-        *h = item.hash_with_seed(seed);
-        min_tail = min_tail.min(*h << hint.lg_m);
-    }
-    if tail_rank(min_tail, hint.lg_m) <= hint.floor {
-        return 0;
-    }
-    let mut kept = 0;
-    for &h in &hashes[..chunk.len()] {
-        survivors[kept] = h;
-        kept += (rho(h, hint.lg_m) > hint.floor) as usize;
-    }
-    kept
-}
-
-/// [`filter_chunk_body`] compiled for AVX-512F/DQ/VL, where LLVM turns
-/// murmur3's 64-bit multiplies into `vpmullq` over eight lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn filter_chunk_avx512<T: Hashable>(
-    chunk: &[T],
-    seed: u64,
-    hint: HllHint,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    filter_chunk_body(chunk, seed, hint, survivors)
-}
-
-/// Runs the copy of [`filter_chunk_body`] that `lane` allows.
-#[inline]
-fn filter_chunk<T: Hashable>(
-    lane: Option<Avx512>,
-    chunk: &[T],
-    seed: u64,
-    hint: HllHint,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    match lane {
-        // SAFETY: `filter_chunk_avx512` needs AVX-512F/DQ/VL, and an
-        // `Avx512` exists only once `Avx512::detect` confirmed them.
-        #[cfg(target_arch = "x86_64")]
-        Some(_) => unsafe { filter_chunk_avx512(chunk, seed, hint, survivors) },
-        _ => filter_chunk_body(chunk, seed, hint, survivors),
     }
 }
 
@@ -460,47 +324,12 @@ mod tests {
 
     #[test]
     fn dispatched_filter_kernel_equals_the_baseline_copy() {
-        // The copy this CPU runs (AVX-512 where present) against the
-        // baseline, over every chunk length: random keys through the
-        // real hash, then chosen hashes of every rank, a zero tail
-        // (the top rank) included.
-        use crate::test_support::RawHash;
-        use rand::{Rng, SeedableRng};
-        /// Runs both copies on `chunk`, checks that each keeps the
-        /// one-at-a-time filter's survivors in stream order, and returns
-        /// what each filtered.
-        fn both<T: Hashable>(lane: Option<Avx512>, chunk: &[T], hint: HllHint) -> [usize; 2] {
-            let want: Vec<u64> = chunk
-                .iter()
-                .map(|item| item.hash_with_seed(9001))
-                .filter(|&h| rho(h, hint.lg_m) > hint.floor)
-                .collect();
-            let mut out = [[0u64; CHUNK]; 2];
-            let kept = [
-                filter_chunk(lane, chunk, 9001, hint, &mut out[0]),
-                filter_chunk_body(chunk, 9001, hint, &mut out[1]),
-            ];
-            for (copy, (out, kept)) in ["dispatched", "baseline"].iter().zip(out.iter().zip(kept)) {
-                assert_eq!(
-                    out[..kept],
-                    want[..],
-                    "{copy}: {hint:?}, {} items",
-                    chunk.len()
-                );
-            }
-            kept.map(|k| chunk.len() - k)
-        }
-        const ITEM_SEED: u64 = 0x0411_C0DE;
-        println!(
-            "HLL filter lane: {}; items seeded {ITEM_SEED:#x}",
-            Avx512::lane()
-        );
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(ITEM_SEED);
-        let lane = Avx512::detect();
+        // Index bits all clear or all set; a tail of each rank below the
+        // top one, `64 − lg_m + 1`, and the zero tail, whose rank is the
+        // top one; floors from keep-all to keep-none.
+        let mut rng = crate::hashed::tests::item_rng();
         for lg_m in [4u8, 12, 16] {
             let max_floor = 64 - lg_m + 1;
-            // Index bits all clear or all set; a tail of each rank below
-            // `max_floor`, and the zero tail, whose rank is `max_floor`.
             let index = u64::MAX << (64 - lg_m);
             let edges: Vec<u64> = (1..max_floor)
                 .map(|rank| 1u64 << (64 - rank - lg_m))
@@ -509,18 +338,9 @@ mod tests {
                 .collect();
             for floor in [0, 1, max_floor] {
                 let hint = HllHint { lg_m, floor };
-                let mut filtered = [0usize; 2];
-                for len in 0..=CHUNK {
-                    let keys: Vec<u64> = (0..len).map(|_| rng.random()).collect();
-                    let raw: Vec<RawHash> = (0..len)
-                        .map(|_| RawHash(edges[rng.random_range(0..edges.len())]))
-                        .collect();
-                    for f in [both(lane, &keys, hint), both(lane, &raw, hint)] {
-                        filtered[0] += f[0];
-                        filtered[1] += f[1];
-                    }
-                }
-                assert_eq!(filtered[0], filtered[1], "filtered total, {hint:?}");
+                crate::hashed::tests::every_length::<HllLocal>(&mut rng, hint, &edges, |h| {
+                    Some(h).filter(|&h| rho(h, lg_m) > floor)
+                });
             }
         }
     }

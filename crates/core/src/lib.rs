@@ -50,6 +50,10 @@
 //!
 //! ## Instantiations
 //!
+//! There is one engine type, [`ConcurrentSketch`], and one writer type,
+//! [`SketchWriter`]; each built-in family is a global sketch plus type
+//! aliases of the two with a few inherent methods:
+//!
 //! * [`theta::ConcurrentThetaSketch`] — the concurrent Θ sketch the paper
 //!   contributed to Apache DataSketches (§7's evaluation subject).
 //! * [`quantiles::ConcurrentQuantilesSketch`] — the §6.2 instantiation.
@@ -60,8 +64,12 @@
 //! * [`lock_based`] — the lock-protected baseline all figures compare
 //!   against.
 //!
-//! Implement [`composable::GlobalSketch`]/[`composable::LocalSketch`] to
-//! parallelise your own sketch.
+//! Θ and HLL writers hash each stream item once and filter it on the
+//! update thread through one shared kernel ([`hashed`]); the service
+//! reaches every family through [`engine::StreamEngine`], one blanket
+//! impl over [`engine::EngineGlobal`]. Implement
+//! [`composable::GlobalSketch`]/[`composable::LocalSketch`] to
+//! parallelise your own sketch: `ConcurrentSketch::start` runs it as is.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -70,6 +78,7 @@ pub mod composable;
 pub mod config;
 pub mod engine;
 pub mod frequency;
+pub mod hashed;
 pub mod hll;
 pub mod lock_based;
 pub mod quantiles;
@@ -79,8 +88,8 @@ pub mod theta;
 
 pub use config::{ConcurrencyConfig, PropagationBackendKind};
 pub use engine::{
-    EngineBuilder, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine,
-    ThetaFamily, WireImage,
+    EngineBuilder, EngineGlobal, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily,
+    StreamEngine, ThetaFamily, WireImage,
 };
 pub use runtime::{ConcurrentSketch, FlushError, SketchWriter};
 

@@ -24,10 +24,10 @@
 //! then a copy of the (parameter-bounded, ≤ 2k) sorted base buffer plus
 //! one pointer clone. The O(retained · log retained) flattening into a
 //! [`QuantilesReader`] moves to the query side, where each shard view
-//! carries a publication version and the engine memoises the flat
-//! merged reader per version *vector* (any `K`, including 1): it runs
-//! once per republication observed by a query, never on the propagation
-//! path ([`ConcurrentQuantilesSketch::snapshot`]).
+//! carries a publication version and a query memoises the flat merged
+//! reader per version *vector* (any `K`, including 1) on shard 0's view:
+//! it runs once per republication observed by a query, never on the
+//! propagation path ([`QuantilesGlobal::merge_shard_views`]).
 //!
 //! By Theorem 1 plus the analysis of §6.2, a query misses at most
 //! `r = 2Nb` updates and therefore returns an element whose rank error is
@@ -36,13 +36,14 @@
 
 use crate::composable::{GlobalSketch, ItemBuffer};
 use crate::config::ConcurrencyConfig;
-use crate::engine::{Family, QuantilesFamily};
-use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
+use crate::engine::{EngineGlobal, Family, QuantilesFamily};
+use crate::runtime::{ConcurrentSketch, SketchWriter};
 use crate::sync::EpochCell;
+use bytes::Bytes;
 use fcds_sketches::error::Result;
 use fcds_sketches::oracle::DeterministicOracle;
 use fcds_sketches::quantiles::{QuantilesLadder, QuantilesReader, QuantilesSketch};
-use fcds_sketches::wire::{SketchFamily, WireEncode, WireItem};
+use fcds_sketches::wire::{SketchFamily, WireEncode};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,17 +84,37 @@ impl<T: Ord + Clone + Send + Sync + 'static> QuantilesGlobal<T> {
 ///
 /// The ladder is what the propagator can afford to publish per merge
 /// (a copy of the sketch's sorted base buffer and one pointer clone for
-/// all the levels); the version is what makes the engine-level
-/// flat-reader cache cheap and correct: a query compares the shards'
-/// versions against the cached merge's key and re-flattens the ladders
-/// only when some shard actually republished — instead of on every call.
-/// The publisher stores the ladder *before* bumping the version
-/// (release), so a ladder loaded after an observed version is at least
-/// as fresh as that version.
-#[derive(Debug)]
+/// all the levels); the version is what makes the flat-reader memo
+/// cheap and correct: a query compares the shards' versions against the
+/// memo's key and re-flattens the ladders only when some shard actually
+/// republished — instead of on every call. The publisher stores the
+/// ladder *before* bumping the version (release), so a ladder loaded
+/// after an observed version is at least as fresh as that version.
 pub struct QuantilesView<T: Ord + Clone + Send + Sync + 'static> {
     ladder: EpochCell<QuantilesLadder<T>>,
     version: AtomicU64,
+    /// The engine's memoised flat reader, keyed by the shards' versions
+    /// at build time (a one-element key when `K = 1`). Only shard 0's is
+    /// used; queries read and refresh it, the propagator never touches
+    /// it. Any thread may refresh it (EpochCell stores are swap-based,
+    /// so concurrent refreshes are safe — last writer wins and a stale
+    /// key only causes one redundant rebuild).
+    merged: EpochCell<MergedQuantiles<T>>,
+}
+
+impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for QuantilesView<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QuantilesView")
+            .field("version", &self.version())
+            .finish()
+    }
+}
+
+/// A flat reader tagged with the per-shard publication versions it was
+/// flattened from.
+struct MergedQuantiles<T: Ord + Clone> {
+    versions: Vec<u64>,
+    reader: Arc<QuantilesReader<T>>,
 }
 
 impl<T: Ord + Clone + Send + Sync + 'static> QuantilesView<T> {
@@ -121,6 +142,12 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
         QuantilesView {
             ladder: EpochCell::new(self.sketch.ladder()),
             version: AtomicU64::new(0),
+            // The empty version key never matches a real K ≥ 1 version
+            // vector, so the first query builds the memo.
+            merged: EpochCell::new(MergedQuantiles {
+                versions: Vec::new(),
+                reader: Arc::new(QuantilesReader::merged(std::iter::empty())),
+            }),
         }
     }
 
@@ -140,18 +167,33 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
         view.version.fetch_add(1, Ordering::Release);
     }
 
-    /// The uncached reference path: flattens the published ladder on
-    /// every call. [`ConcurrentQuantilesSketch::snapshot`] bypasses this
-    /// with its per-version-vector memoisation.
     fn snapshot(view: &Self::View) -> Arc<QuantilesReader<T>> {
-        Arc::new(view.ladder.load().flatten())
+        Self::merge_shard_views(&[view])
     }
 
+    /// The flat merged reader, memoised per publication-version vector
+    /// on shard 0's view: the O(retained · log runs) flatten runs only
+    /// when some shard republished since the last query, not on every
+    /// call — and never on the propagation path.
     fn merge_shard_views(views: &[&Self::View]) -> Arc<QuantilesReader<T>> {
-        let ladders: Vec<_> = views.iter().map(|v| v.ladder.load()).collect();
-        Arc::new(QuantilesReader::from_ladders(
+        // Versions first (acquire), then ladders: the ladders are then at
+        // least as fresh as the key, so a memo hit can never serve data
+        // older than the key promises.
+        let versions: Vec<u64> = views.iter().map(|v| v.version()).collect();
+        let memo = &views[0].merged;
+        let cached = memo.load();
+        if cached.versions == versions {
+            return Arc::clone(&cached.reader);
+        }
+        let ladders: Vec<_> = views.iter().map(|v| v.ladder()).collect();
+        let reader = Arc::new(QuantilesReader::from_ladders(
             ladders.iter().map(|a| a.as_ref()),
-        ))
+        ));
+        memo.store(MergedQuantiles {
+            versions,
+            reader: Arc::clone(&reader),
+        });
+        reader
     }
 
     fn new_shard(&self) -> Self {
@@ -183,27 +225,52 @@ impl<T: Ord + Clone + Send + Sync + 'static> GlobalSketch for QuantilesGlobal<T>
 
 impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
     type Engine = ConcurrentQuantilesSketch<T>;
-    const FAMILY: SketchFamily = SketchFamily::Quantiles;
     const DEFAULT_ACCURACY: usize = 128;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let sketch = QuantilesSketch::new(accuracy, DeterministicOracle::new(seed))?;
-        let global = QuantilesGlobal::new(sketch, seed);
-        let inner = ConcurrentSketch::start(global, config)?;
-        Ok(ConcurrentQuantilesSketch {
-            inner,
-            k: accuracy,
-            // The empty version key never matches a real K ≥ 1 version
-            // vector, so the first query builds the cache.
-            merged_cache: EpochCell::new(MergedQuantiles {
-                versions: Vec::new(),
-                reader: Arc::new(QuantilesReader::merged(std::iter::empty())),
-            }),
-        })
+        ConcurrentSketch::start(QuantilesGlobal::new(sketch, seed), config)
+    }
+}
+
+impl EngineGlobal for QuantilesGlobal<u64> {
+    const FAMILY: SketchFamily = SketchFamily::Quantiles;
+    type Hashing = ();
+
+    fn ingest(writer: &mut QuantilesWriter<u64>, items: &[u64]) {
+        writer.update_batch(items);
+    }
+
+    fn estimate(_: &ConcurrentQuantilesSketch<u64>) -> Option<f64> {
+        None
+    }
+
+    /// The published state in ladder form (see `fcds_sketches::wire`)
+    /// *without flattening*: the shard ladders' copy-on-write runs are
+    /// concatenated by `Arc` clone and streamed out run by run, so the
+    /// export costs O(runs + retained) with no sort and no k-way merge —
+    /// those stay on the query side of whichever node decodes the image.
+    /// On the fan-in side, `fcds_sketches::wire::ladder_multiway_concat`
+    /// splices the borrowed runs of many images into one ladder in a
+    /// single pass.
+    fn wire_image(engine: &ConcurrentQuantilesSketch<u64>) -> Bytes {
+        let mut ladders = engine.shard_views().map(|v| v.ladder());
+        let mut merged: QuantilesLadder<u64> = ladders
+            .next()
+            .map(|l| (*l).clone())
+            .unwrap_or_else(QuantilesLadder::empty);
+        for l in ladders {
+            merged.concat(&l);
+        }
+        merged.to_wire_bytes()
     }
 }
 
 /// Concurrent Quantiles sketch with r-relaxed PAC rank guarantees (§6.2).
+///
+/// [`snapshot`](ConcurrentSketch::snapshot) takes a wait-free snapshot
+/// of the current state: all queries on it are mutually consistent, and
+/// two snapshots with no republication in between share one reader.
 ///
 /// # Examples
 ///
@@ -224,70 +291,12 @@ impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
 /// let median = sketch.quantile(0.5).unwrap();
 /// assert!((median as f64 - 25_000.0).abs() < 2_500.0);
 /// ```
-pub struct ConcurrentQuantilesSketch<T: Ord + Clone + Send + Sync + 'static> {
-    inner: ConcurrentSketch<QuantilesGlobal<T>>,
-    k: usize,
-    /// Memoised flat reader, keyed by the shards' publication versions at
-    /// build time (a one-element vector when `K = 1` — the flatten cost
-    /// moved off the propagation path for *every* shard count, so every
-    /// shard count memoises). Re-flattened only when some shard
-    /// republished; any thread may refresh it (EpochCell stores are
-    /// swap-based, so concurrent refreshes are safe — last writer wins
-    /// and a stale key only causes one redundant rebuild).
-    merged_cache: EpochCell<MergedQuantiles<T>>,
-}
+pub type ConcurrentQuantilesSketch<T> = ConcurrentSketch<QuantilesGlobal<T>>;
 
-/// A cached flat reader tagged with the per-shard publication versions
-/// it was flattened from.
-struct MergedQuantiles<T: Ord + Clone> {
-    versions: Vec<u64>,
-    reader: Arc<QuantilesReader<T>>,
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for ConcurrentQuantilesSketch<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentQuantilesSketch")
-            .field("k", &self.k)
-            .finish()
-    }
-}
+/// Per-thread writer for [`ConcurrentQuantilesSketch`].
+pub type QuantilesWriter<T> = SketchWriter<QuantilesGlobal<T>>;
 
 impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentQuantilesSketch<T> {
-    /// Registers an update thread.
-    pub fn writer(&self) -> QuantilesWriter<T> {
-        QuantilesWriter {
-            inner: self.inner.writer(),
-        }
-    }
-
-    /// Takes a wait-free snapshot of the current state; all queries on it
-    /// are mutually consistent.
-    ///
-    /// Propagation publishes cheap ladder snapshots; the flat reader a
-    /// query consumes is memoised here per publication-version vector:
-    /// the O(retained · log runs) flatten runs only when some shard
-    /// republished since the last query, not on every call — and never
-    /// on the propagation path.
-    pub fn snapshot(&self) -> Arc<QuantilesReader<T>> {
-        // Versions first (acquire), then ladders: the ladders are then at
-        // least as fresh as the key, so a cache hit can never serve data
-        // older than the key promises.
-        let versions: Vec<u64> = self.inner.shard_views().map(|v| v.version()).collect();
-        let cached = self.merged_cache.load();
-        if cached.versions == versions {
-            return Arc::clone(&cached.reader);
-        }
-        let ladders: Vec<_> = self.inner.shard_views().map(|v| v.ladder()).collect();
-        let reader = Arc::new(QuantilesReader::from_ladders(
-            ladders.iter().map(|a| a.as_ref()),
-        ));
-        self.merged_cache.store(MergedQuantiles {
-            versions,
-            reader: Arc::clone(&reader),
-        });
-        reader
-    }
-
     /// Approximate φ-quantile of the stream so far (`None` if empty).
     pub fn quantile(&self, phi: f64) -> Option<T> {
         self.snapshot().quantile(phi)
@@ -305,96 +314,14 @@ impl<T: Ord + Clone + Send + Sync + 'static> ConcurrentQuantilesSketch<T> {
 
     /// The accuracy parameter `k`.
     pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The relaxation bound `r = 2Nb`.
-    pub fn relaxation(&self) -> u64 {
-        self.inner.relaxation()
+        self.with_globals(|g| g.sketch.k())[0]
     }
 
     /// The relaxed rank-error bound `ε_r` of §6.2 at the current visible
     /// stream length.
     pub fn relaxed_epsilon(&self) -> f64 {
-        let eps = fcds_sketches::quantiles::epsilon_for_k(self.k);
+        let eps = fcds_sketches::quantiles::epsilon_for_k(self.k());
         fcds_sketches::quantiles::relaxed_epsilon(eps, self.relaxation(), self.visible_n())
-    }
-
-    /// Waits until all handed-off buffers have been merged and published.
-    pub fn quiesce(&self) {
-        self.inner.quiesce();
-    }
-
-    /// Engine diagnostics: merges performed, eager updates, hand-offs.
-    pub fn stats(&self) -> crate::runtime::EngineStats {
-        self.inner.stats()
-    }
-}
-
-/// Serialises the published state into a unified wire image
-/// (Quantiles family, ladder form — see `fcds_sketches::wire`)
-/// *without flattening*: the shard ladders' copy-on-write runs are
-/// concatenated by `Arc` clone and streamed out run by run, so the
-/// export costs O(runs + retained) with no sort and no k-way merge —
-/// those stay on the query side of whichever node decodes the image.
-/// On the fan-in side,
-/// `fcds_sketches::wire::ladder_multiway_concat` splices the
-/// borrowed runs of many images into one ladder in a single pass.
-impl<T> crate::engine::WireImage for ConcurrentQuantilesSketch<T>
-where
-    T: Ord + Clone + Send + Sync + 'static + WireItem,
-{
-    fn wire_image(&self) -> bytes::Bytes {
-        let mut ladders = self.inner.shard_views().map(|v| v.ladder());
-        let mut merged: QuantilesLadder<T> = ladders
-            .next()
-            .map(|l| (*l).clone())
-            .unwrap_or_else(QuantilesLadder::empty);
-        for l in ladders {
-            merged.concat(&l);
-        }
-        merged.to_wire_bytes()
-    }
-}
-
-/// Per-thread writer for [`ConcurrentQuantilesSketch`].
-pub struct QuantilesWriter<T: Ord + Clone + Send + Sync + 'static> {
-    inner: SketchWriter<QuantilesGlobal<T>>,
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> std::fmt::Debug for QuantilesWriter<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuantilesWriter").finish()
-    }
-}
-
-impl<T: Ord + Clone + Send + Sync + 'static> QuantilesWriter<T> {
-    /// Processes one stream element.
-    #[inline]
-    pub fn update(&mut self, item: T) {
-        self.inner.update(item);
-    }
-
-    /// Processes a batch of stream elements through the amortised fast
-    /// path: one reserved buffer extend per chunk, and a writer that wins
-    /// its shard lock at a `b`-boundary merges the rest of the batch
-    /// itself, one publication per slice (see
-    /// [`SketchWriter::update_batch`]). Lands the sketch in the same
-    /// state as calling [`Self::update`] once per element.
-    pub fn update_batch(&mut self, items: &[T]) {
-        self.inner.update_batch(items);
-    }
-
-    /// Hands the partial local buffer to the propagator.
-    ///
-    /// # Errors
-    ///
-    /// See [`SketchWriter::flush`]: [`FlushError::PropagatorDead`] when
-    /// the shard's propagation service died (buffered updates were
-    /// discarded; the writer is latched dead), [`FlushError::ShuttingDown`]
-    /// when the engine was dropped mid-flush.
-    pub fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        self.inner.flush()
     }
 }
 
@@ -678,7 +605,7 @@ mod tests {
         }
         w.flush().unwrap();
         s.quiesce();
-        let view = s.inner.shard_views().next().expect("one shard");
+        let view = s.shard_views().next().expect("one shard");
         let ladder = view.ladder();
         assert!(ladder.run_count() > 1, "stream should span several levels");
         let flat = s.snapshot();

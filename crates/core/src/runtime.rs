@@ -80,10 +80,10 @@
 //! the global state — and therefore every bound in this module — is
 //! unchanged; the only cost is a few doomed hashes riding a hand-off.
 //! Chunks are capped at a small constant (`b` items here, 32 in the
-//! front-ends' fused hash-and-filter loops), so staleness within a batch
-//! is bounded by one chunk regardless of the caller's batch size; an
-//! inline slice is filtered under the shard lock, where no other merge
-//! can move the shard's hint.
+//! hashing writers' fused hash-and-filter loop, [`crate::hashed`]), so
+//! staleness within a batch is bounded by one chunk regardless of the
+//! caller's batch size; an inline slice is filtered under the shard
+//! lock, where no other merge can move the shard's hint.
 
 use crate::composable::{GlobalSketch, HintCodec, LocalSketch};
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
@@ -391,14 +391,24 @@ impl<G: GlobalSketch> Drop for PropagatorDeadGuard<'_, G> {
 /// thread; writers are `Send` but not `Sync`), query from any thread with
 /// [`ConcurrentSketch::snapshot`], and drop the handle to stop the
 /// dedicated propagators, if any.
-pub struct ConcurrentSketch<G: GlobalSketch> {
+///
+/// This is the one engine type: the four built-in families are this
+/// struct under a type alias (`theta::ConcurrentThetaSketch` is
+/// `ConcurrentSketch<ThetaGlobal, Hashed>`), with a few inherent methods
+/// each. `H` is what the engine's writers turn stream items into local
+/// items with: `()` buffers them as they come (any [`GlobalSketch`]),
+/// [`Hashed`](crate::hashed::Hashed) hashes them with the engine's seed
+/// first (Θ, HLL).
+pub struct ConcurrentSketch<G: GlobalSketch, H = ()> {
     shared: Arc<EngineCore<G>>,
     /// The dedicated propagators, one per shard (none when
     /// writer-assisted); joined on drop.
     handles: Vec<JoinHandle<()>>,
+    /// Handed to every writer (see the type docs).
+    pub(crate) hashing: H,
 }
 
-impl<G: GlobalSketch> std::fmt::Debug for ConcurrentSketch<G> {
+impl<G: GlobalSketch, H> std::fmt::Debug for ConcurrentSketch<G, H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentSketch")
             .field("config", &self.shared.config)
@@ -421,6 +431,14 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     /// refuses a dedicated propagator thread — the propagators already
     /// started are then stopped and joined before this returns.
     pub fn start(global: G, config: ConcurrencyConfig) -> Result<Self> {
+        Self::launch(global, config, ())
+    }
+}
+
+impl<G: GlobalSketch, H: Copy> ConcurrentSketch<G, H> {
+    /// [`ConcurrentSketch::start`] for an engine whose writers get
+    /// `hashing` (the hashing families' constructors).
+    pub(crate) fn launch(global: G, config: ConcurrencyConfig, hashing: H) -> Result<Self> {
         config.validate()?;
         let eager_limit = config.eager_limit();
         let lazy_b = config.buffer_size();
@@ -470,6 +488,7 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
                 counters: Counters::default(),
             }),
             handles: Vec::new(),
+            hashing,
         };
         match engine.shared.config.backend {
             PropagationBackendKind::DedicatedThread => {
@@ -508,7 +527,7 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     /// The relaxation bound `r = 2Nb` assumes at most `config.writers`
     /// concurrently active writers; registering more still yields correct
     /// relaxed behaviour, but with `N` equal to the actual writer count.
-    pub fn writer(&self) -> SketchWriter<G> {
+    pub fn writer(&self) -> SketchWriter<G, H> {
         let shard_idx =
             self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();
         let shard = &self.shared.shards[shard_idx];
@@ -536,6 +555,7 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
             lazy,
             prefilter: !self.shared.config.disable_prefilter,
             dead: None,
+            hashing: self.hashing,
         }
     }
 
@@ -550,22 +570,6 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
         }
         let views: Vec<&G::View> = self.shared.shards.iter().map(|s| &s.view).collect();
         G::merge_shard_views(&views)
-    }
-
-    /// Read-only access to shard 0's view (for sketch-specific fast-path
-    /// queries on single-shard engines).
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic on a sharded engine: shard 0's view covers only
-    /// a fraction of the stream there — use [`Self::snapshot`] (merged)
-    /// or [`Self::shard_views`] instead.
-    pub fn view(&self) -> &G::View {
-        debug_assert!(
-            !self.shared.sharded,
-            "view() on a sharded engine reads only shard 0; use snapshot() or shard_views()"
-        );
-        &self.shared.shards[0].view
     }
 
     /// The published views of every shard, in shard order.
@@ -593,17 +597,6 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     /// Whether the sketch is still in the eager phase of §5.3.
     pub fn is_eager(&self) -> bool {
         self.shared.phase.load(Ordering::Acquire) == PHASE_EAGER
-    }
-
-    /// Number of items the shards' global sketches have ingested in total
-    /// (buffered local updates are not included — that is the point of
-    /// the relaxation).
-    pub fn global_stream_len(&self) -> u64 {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.global.lock().stream_len())
-            .sum()
     }
 
     /// Blocks until every pending hand-off has been merged and published.
@@ -685,7 +678,7 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     }
 }
 
-impl<G: GlobalSketch> Drop for ConcurrentSketch<G> {
+impl<G: GlobalSketch, H> Drop for ConcurrentSketch<G, H> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for h in self.handles.drain(..) {
@@ -755,7 +748,13 @@ fn propagator_loop<G: GlobalSketch>(core: &EngineCore<G>, shard_idx: usize) {
 /// `Send` but not `Sync`: exactly one thread drives a writer. Dropping a
 /// writer flushes its partial buffer (blocking briefly on propagation)
 /// and retires its slot.
-pub struct SketchWriter<G: GlobalSketch> {
+///
+/// `H` is the engine's (see [`ConcurrentSketch`]): with `()` the writer
+/// takes local items as they are ([`SketchWriter::update`],
+/// [`SketchWriter::update_batch`]); the hashing families' writers hash
+/// stream items first and have their own `update` and `update_batch`
+/// ([`crate::hashed`]).
+pub struct SketchWriter<G: GlobalSketch, H = ()> {
     shared: Arc<EngineCore<G>>,
     slot: Arc<PropSlot<G::Local>>,
     shard: usize,
@@ -779,9 +778,11 @@ pub struct SketchWriter<G: GlobalSketch> {
     /// Sticky failure latch: once a flush fails, every later flush fails
     /// fast with the same error instead of re-probing the engine.
     dead: Option<FlushError>,
+    /// The engine's item hashing, copied (see [`ConcurrentSketch`]).
+    pub(crate) hashing: H,
 }
 
-impl<G: GlobalSketch> std::fmt::Debug for SketchWriter<G> {
+impl<G: GlobalSketch, H> std::fmt::Debug for SketchWriter<G, H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchWriter")
             .field("shard", &self.shard)
@@ -801,35 +802,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
     /// construction.
     #[inline]
     pub fn update(&mut self, item: <G::Local as LocalSketch>::Item) {
-        let item = if self.lazy {
-            item
-        } else {
-            match self.update_pre_lazy(item) {
-                None => return,
-                Some(item) => item,
-            }
-        };
-
-        // Line 120: the shouldAdd pre-filter (ablatable for measuring
-        // its contribution — see ConcurrencyConfig::disable_prefilter).
-        if self.prefilter && !<G::Local as LocalSketch>::should_add(self.hint, &item) {
-            self.filtered += 1;
-            return;
-        }
-        // Lines 121–122: buffer locally.
-        // SAFETY: we are the unique worker of this slot and `cur` is our
-        // current buffer.
-        unsafe {
-            self.slot.with_worker_buffer(self.cur, |l| l.update(item));
-        }
-        self.counter += 1;
-        // Line 123: flush when the buffer reaches b.
-        if self.counter >= self.b {
-            // A failed boundary flush discards the buffer and latches the
-            // writer dead; the error is observable via `flush`. The hot
-            // path itself stays infallible (no per-update error branch).
-            let _ = self.flush_inner();
-        }
+        self.put(item);
     }
 
     /// Processes a batch of stream items through the amortised fast
@@ -868,7 +841,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
             let Some((first, tail)) = rest.split_first() else {
                 return;
             };
-            self.update(first.clone());
+            self.put(first.clone());
             rest = tail;
         }
         if self.prefilter {
@@ -878,10 +851,47 @@ impl<G: GlobalSketch> SketchWriter<G> {
             self.push_accepted(rest);
         }
     }
+}
 
-    /// Whether this writer has latched the lazy phase (the sketch
-    /// front-ends' fused batch loops fall back to the scalar path until
-    /// it has).
+impl<G: GlobalSketch, H> SketchWriter<G, H> {
+    /// [`SketchWriter::update`] of a local item, whatever `H` is: the
+    /// hashing writers' scalar path ends here with the item's key.
+    #[inline]
+    pub(crate) fn put(&mut self, item: <G::Local as LocalSketch>::Item) {
+        let item = if self.lazy {
+            item
+        } else {
+            match self.update_pre_lazy(item) {
+                None => return,
+                Some(item) => item,
+            }
+        };
+
+        // Line 120: the shouldAdd pre-filter (ablatable for measuring
+        // its contribution — see ConcurrencyConfig::disable_prefilter).
+        if self.prefilter && !<G::Local as LocalSketch>::should_add(self.hint, &item) {
+            self.filtered += 1;
+            return;
+        }
+        // Lines 121–122: buffer locally.
+        // SAFETY: we are the unique worker of this slot and `cur` is our
+        // current buffer.
+        unsafe {
+            self.slot.with_worker_buffer(self.cur, |l| l.update(item));
+        }
+        self.counter += 1;
+        // Line 123: flush when the buffer reaches b.
+        if self.counter >= self.b {
+            // A failed boundary flush discards the buffer and latches the
+            // writer dead; the error is observable via `flush`. The hot
+            // path itself stays infallible (no per-update error branch).
+            let _ = self.flush_inner();
+        }
+    }
+
+    /// Whether this writer has latched the lazy phase (the hashing
+    /// writers' fused batch loop falls back to the scalar path until it
+    /// has).
     pub(crate) fn is_lazy(&self) -> bool {
         self.lazy
     }
@@ -897,16 +907,16 @@ impl<G: GlobalSketch> SketchWriter<G> {
         self.hint
     }
 
-    /// Records `n` updates dropped by a front-end's fused filter loop,
+    /// Records `n` updates dropped by the hashing writers' fused loop,
     /// keeping [`Self::filtered`] and the engine aggregate truthful.
     pub(crate) fn note_filtered(&mut self, n: u64) {
         self.filtered += n;
     }
 
     /// Appends already-accepted items to the local buffer like
-    /// [`Self::update_batch`], without a filter. The front ends' fused
-    /// batch loops (hash → filter in registers) land their survivors
-    /// here; callers must have counted rejected items via
+    /// [`SketchWriter::update_batch`], without a filter. The hashing
+    /// writers' fused batch loop (hash → filter in registers) lands its
+    /// survivors here; callers must have counted rejected items via
     /// [`Self::note_filtered`] and must only be in the lazy phase.
     pub(crate) fn push_accepted(&mut self, items: &[<G::Local as LocalSketch>::Item])
     where
@@ -1206,7 +1216,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
     /// later flush on this writer fails fast with the same error);
     /// [`FlushError::ShuttingDown`] when the engine handle was dropped
     /// mid-flush. The buffer-boundary flushes inside
-    /// [`Self::update`] / [`Self::update_batch`] hit the same
+    /// [`SketchWriter::update`] / [`SketchWriter::update_batch`] hit the same
     /// conditions and discard in the same way; a caller that needs the
     /// error signal must call `flush` (the per-update paths stay
     /// infallible by design — the paper's hot loop has no error branch).
@@ -1239,7 +1249,7 @@ impl<G: GlobalSketch> SketchWriter<G> {
     }
 }
 
-impl<G: GlobalSketch> Drop for SketchWriter<G> {
+impl<G: GlobalSketch, H> Drop for SketchWriter<G, H> {
     fn drop(&mut self) {
         // A failing final flush already discarded the buffer; there is
         // nobody left to hand the error to.

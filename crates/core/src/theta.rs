@@ -17,14 +17,14 @@
 //! possible: once Θ shrinks, almost all updates die on the update thread
 //! without any synchronisation.
 
-use crate::composable::{extend_compact_u64, GlobalSketch, LocalSketch};
+use crate::composable::{GlobalSketch, LocalSketch};
 use crate::config::ConcurrencyConfig;
-use crate::engine::{Family, ThetaFamily};
-use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
+use crate::engine::{EngineGlobal, Family, ThetaFamily};
+use crate::hashed::{Hashed, HashedLocal};
+use crate::runtime::{ConcurrentSketch, SketchWriter};
 use crate::sync::{EpochCell, SeqSnapshot};
 use bytes::Bytes;
 use fcds_sketches::error::{Result, SketchError};
-use fcds_sketches::hash::{hash_batch_with_seed, Avx512, Hashable};
 use fcds_sketches::theta::{
     normalize_hash, theta_to_fraction, untrimmed_union, untrimmed_union_unsorted, BlockSnapshot,
     CompactThetaSketch, HashBlocks, QuickSelectThetaSketch, ThetaRead,
@@ -188,13 +188,6 @@ impl LocalSketch for ThetaLocal {
         self.hashes.extend_from_slice(hashes);
     }
 
-    /// Branchless batch filter: compact the hashes below the hint and
-    /// append them in one reserved extend — the Θ half of the batched
-    /// ingestion fast path.
-    fn update_batch_filtered(&mut self, hint: u64, hashes: &[u64]) -> usize {
-        extend_compact_u64(&mut self.hashes, hashes, |h| h < hint)
-    }
-
     /// `shouldAdd(H, a) ⇔ h(a) < H` (Algorithm 1 line 26). Safe because Θ
     /// is monotonically decreasing: a hash at or above the current Θ can
     /// never enter the sample set.
@@ -208,6 +201,22 @@ impl LocalSketch for ThetaLocal {
 
     fn len(&self) -> usize {
         self.hashes.len()
+    }
+}
+
+/// Θ's writers buffer normalised hashes, and `shouldAdd` is a threshold
+/// on the key itself.
+impl HashedLocal for ThetaLocal {
+    fn key(hash: u64) -> u64 {
+        normalize_hash(hash)
+    }
+
+    fn score(_hint: u64, key: u64) -> u64 {
+        key
+    }
+
+    fn passes(hint: u64, score: u64) -> bool {
+        score < hint
     }
 }
 
@@ -314,74 +323,63 @@ impl GlobalSketch for ThetaGlobal {
 
 impl Family for ThetaFamily {
     type Engine = ConcurrentThetaSketch;
-    const FAMILY: SketchFamily = SketchFamily::Theta;
     const DEFAULT_ACCURACY: usize = 12;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
         let lg_k = u8::try_from(accuracy)
             .map_err(|_| SketchError::invalid("lg_k", format!("out of range: {accuracy}")))?;
-        let inner = ConcurrentSketch::start(ThetaGlobal::new(lg_k, seed)?, config)?;
-        Ok(ConcurrentThetaSketch { inner, lg_k, seed })
+        ConcurrentSketch::launch(ThetaGlobal::new(lg_k, seed)?, config, Hashed(seed))
+    }
+}
+
+impl EngineGlobal for ThetaGlobal {
+    const FAMILY: SketchFamily = SketchFamily::Theta;
+    type Hashing = Hashed;
+
+    fn ingest(writer: &mut ThetaWriter, items: &[u64]) {
+        writer.update_batch(items);
+    }
+
+    fn estimate(engine: &ConcurrentThetaSketch) -> Option<f64> {
+        Some(engine.estimate())
+    }
+
+    /// The merged global state in the canonical sorted form (see
+    /// `fcds_sketches::wire`): the per-node export of the "sketch
+    /// anywhere, merge anywhere" tier. A central node fans these in with
+    /// `fcds_sketches::wire::merge_wire_images` (untrimmed union) without
+    /// ever having seen the streams; a coordinator merging every query
+    /// tick should hold a `fcds_sketches::wire::MergeScratch` and call
+    /// `theta_multiway_union_into` for an allocation-free k-way union
+    /// straight off the raw images.
+    fn wire_image(engine: &ConcurrentThetaSketch) -> Bytes {
+        engine.compact().to_wire_bytes()
     }
 }
 
 /// The concurrent Θ sketch (the paper's headline artefact).
 ///
-/// Queries ([`estimate`](Self::estimate), [`snapshot`](Self::snapshot))
-/// may be issued from any thread at any time and satisfy the r-relaxed
+/// Queries (`estimate`, [`snapshot`](ConcurrentSketch::snapshot)) may
+/// be issued from any thread at any time and satisfy the r-relaxed
 /// consistency of Theorem 1 with `r = 2Nb`. One [`ThetaWriter`] per
 /// update thread ingests the stream.
-#[derive(Debug)]
-pub struct ConcurrentThetaSketch {
-    inner: ConcurrentSketch<ThetaGlobal>,
-    lg_k: u8,
-    seed: u64,
-}
+pub type ConcurrentThetaSketch = ConcurrentSketch<ThetaGlobal, Hashed>;
+
+/// Per-thread writer for [`ConcurrentThetaSketch`]: hashes each item
+/// once and pre-filters it against Θ (`update`, `update_batch`; see
+/// [`crate::hashed`]), or takes pre-hashed items (`update_hash`).
+pub type ThetaWriter = SketchWriter<ThetaGlobal, Hashed>;
 
 impl ConcurrentThetaSketch {
-    /// Registers an update thread.
-    pub fn writer(&self) -> ThetaWriter {
-        ThetaWriter {
-            inner: self.inner.writer(),
-            seed: self.seed,
-        }
-    }
-
     /// The current distinct-count estimate (reads one atomic snapshot;
     /// never blocks ingestion).
     pub fn estimate(&self) -> f64 {
-        self.inner.snapshot().estimate
-    }
-
-    /// A consistent (estimate, Θ, retained) snapshot.
-    pub fn snapshot(&self) -> ThetaSnapshot {
-        self.inner.snapshot()
+        self.snapshot().estimate
     }
 
     /// Nominal sample size `k`.
     pub fn k(&self) -> usize {
-        1 << self.lg_k
-    }
-
-    /// The hash seed (update threads and mergeable peers must share it).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The relaxation bound `r = 2Nb` (or `Nb` without double buffering).
-    pub fn relaxation(&self) -> u64 {
-        self.inner.relaxation()
-    }
-
-    /// Whether the sketch is still in the eager phase (§5.3).
-    pub fn is_eager(&self) -> bool {
-        self.inner.is_eager()
-    }
-
-    /// Waits until all handed-off buffers have been merged and published.
-    /// Flush the writers first to capture their partial buffers.
-    pub fn quiesce(&self) {
-        self.inner.quiesce();
+        self.with_globals(|g| g.sketch.k())[0]
     }
 
     /// Freezes the current global state into an immutable compact sketch
@@ -390,7 +388,7 @@ impl ConcurrentThetaSketch {
     /// turn, each only to copy Θ, the seed and the retained hashes; the
     /// sort runs after the lock is released.
     pub fn compact(&self) -> CompactThetaSketch {
-        let copies = self.inner.with_globals(|g| {
+        let copies = self.with_globals(|g| {
             let s = &g.sketch;
             (s.theta(), s.seed(), s.hashes().collect::<Vec<_>>())
         });
@@ -409,195 +407,16 @@ impl ConcurrentThetaSketch {
 
     /// The configured error bound `max{e + 1/√k, 2/√k}` (§7.1).
     pub fn error_bound(&self) -> f64 {
-        self.inner.config().error_bound(self.k())
+        self.config().error_bound(self.k())
     }
-
-    /// Engine diagnostics: merges performed, eager updates, hand-offs.
-    pub fn stats(&self) -> crate::runtime::EngineStats {
-        self.inner.stats()
-    }
-}
-
-/// Serialises the merged global state into a unified wire image
-/// (Θ family, canonical sorted form — see `fcds_sketches::wire`): the
-/// per-node export of the "sketch anywhere, merge anywhere" tier. A
-/// central node fans these in with
-/// `fcds_sketches::wire::merge_wire_images` (untrimmed union) without
-/// ever having seen the streams; a coordinator merging every query
-/// tick should hold a `fcds_sketches::wire::MergeScratch` and call
-/// `theta_multiway_union_into` for an allocation-free k-way union
-/// straight off the raw images.
-impl crate::engine::WireImage for ConcurrentThetaSketch {
-    fn wire_image(&self) -> Bytes {
-        self.compact().to_wire_bytes()
-    }
-}
-
-/// Per-thread writer for [`ConcurrentThetaSketch`].
-#[derive(Debug)]
-pub struct ThetaWriter {
-    inner: SketchWriter<ThetaGlobal>,
-    seed: u64,
 }
 
 impl ThetaWriter {
-    /// Processes one stream item: hashes it (once) and runs the
-    /// `shouldAdd` pre-filter before buffering.
-    #[inline]
-    pub fn update<T: Hashable>(&mut self, item: T) {
-        self.inner
-            .update(normalize_hash(item.hash_with_seed(self.seed)));
-    }
-
     /// Processes a pre-hashed item (must be normalised, i.e. non-zero).
     #[inline]
     pub fn update_hash(&mut self, hash: u64) {
         debug_assert_ne!(hash, 0);
-        self.inner.update(hash);
-    }
-
-    /// Processes a batch of stream items through the fused fast path:
-    /// per chunk of 32 items, one hoisted Θ hint read, then
-    /// `filter_chunk` hashes, normalises and keeps what is below the
-    /// hint (on CPUs with AVX-512F/DQ/VL, eight hashes per instruction),
-    /// and the survivors are appended to the local buffer in one
-    /// reserved extend, handing off at `b`-boundaries mid-batch or
-    /// merging the chunk's rest inline (`SketchWriter::push_accepted`).
-    ///
-    /// Equivalent to calling [`Self::update`] once per item: the hint
-    /// may go stale within a chunk, which is safe because Θ only
-    /// decreases — a stale hint filters *less*, and the global sketch
-    /// rejects the extra hashes at merge time (see the
-    /// [`crate::runtime`] module docs).
-    pub fn update_batch<T: Hashable>(&mut self, items: &[T]) {
-        let mut rest = items;
-        // Eager phase (§5.3): scalar until the writer latches lazy.
-        while !self.inner.is_lazy() {
-            let Some((first, tail)) = rest.split_first() else {
-                return;
-            };
-            self.update(first);
-            rest = tail;
-        }
-        if !self.inner.prefilter_enabled() {
-            // Ablated filter: hash and ship everything.
-            let mut hashes = [0u64; CHUNK];
-            for chunk in rest.chunks(CHUNK) {
-                hash_batch_with_seed(chunk, self.seed, &mut hashes[..chunk.len()]);
-                for h in &mut hashes[..chunk.len()] {
-                    *h = normalize_hash(*h);
-                }
-                self.inner.push_accepted(&hashes[..chunk.len()]);
-            }
-            return;
-        }
-        let lane = Avx512::detect();
-        let mut survivors = [0u64; CHUNK];
-        for chunk in rest.chunks(CHUNK) {
-            // One hint read per chunk; flushes inside push_accepted
-            // refresh it for the next chunk.
-            let hint = self.inner.hint();
-            let kept = filter_chunk(lane, chunk, self.seed, hint, &mut survivors);
-            self.inner.note_filtered((chunk.len() - kept) as u64);
-            self.inner.push_accepted(&survivors[..kept]);
-        }
-    }
-
-    /// Batched variant of [`Self::update_hash`] for pre-hashed streams
-    /// (every hash must be normalised, i.e. non-zero).
-    pub fn update_hashes(&mut self, hashes: &[u64]) {
-        debug_assert!(hashes.iter().all(|&h| h != 0));
-        self.inner.update_batch(hashes);
-    }
-
-    /// Hands the partially filled local buffer to the propagator.
-    ///
-    /// # Errors
-    ///
-    /// See [`SketchWriter::flush`]: [`FlushError::PropagatorDead`] when
-    /// the shard's propagation service died (buffered updates were
-    /// discarded; the writer is latched dead), [`FlushError::ShuttingDown`]
-    /// when the engine was dropped mid-flush.
-    pub fn flush(&mut self) -> std::result::Result<(), FlushError> {
-        self.inner.flush()
-    }
-
-    /// Number of locally buffered (not yet visible) updates.
-    pub fn buffered(&self) -> u64 {
-        self.inner.buffered()
-    }
-
-    /// Updates dropped by the Θ hint pre-filter on this writer.
-    pub fn filtered(&self) -> u64 {
-        self.inner.filtered()
-    }
-}
-
-/// Items per fused chunk of [`ThetaWriter::update_batch`].
-const CHUNK: usize = 32;
-
-/// The Θ writer's per-chunk step, written once: hashes `chunk`
-/// (≤ [`CHUNK`] items), normalises, and compacts the hashes below `hint`
-/// into `survivors` in stream order, returning how many it kept.
-///
-/// Shaped to vectorise: the hash pass is a straight loop into a stack
-/// array that also reduces the chunk's minimum, and the branchless
-/// compaction runs only when that minimum is below the hint — once Θ
-/// has shrunk, almost every chunk stops after the hash pass.
-/// `#[inline(always)]` so that each caller compiles its own copy:
-/// the baseline one, and [`filter_chunk_avx512`].
-#[inline(always)]
-fn filter_chunk_body<T: Hashable>(
-    chunk: &[T],
-    seed: u64,
-    hint: u64,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    let mut hashes = [0u64; CHUNK];
-    let mut min = u64::MAX;
-    for (h, item) in hashes.iter_mut().zip(chunk) {
-        *h = normalize_hash(item.hash_with_seed(seed));
-        min = min.min(*h);
-    }
-    if min >= hint {
-        return 0;
-    }
-    let mut kept = 0;
-    for &h in &hashes[..chunk.len()] {
-        survivors[kept] = h;
-        kept += (h < hint) as usize;
-    }
-    kept
-}
-
-/// [`filter_chunk_body`] compiled for AVX-512F/DQ/VL, where LLVM turns
-/// murmur3's 64-bit multiplies into `vpmullq` over eight lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn filter_chunk_avx512<T: Hashable>(
-    chunk: &[T],
-    seed: u64,
-    hint: u64,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    filter_chunk_body(chunk, seed, hint, survivors)
-}
-
-/// Runs the copy of [`filter_chunk_body`] that `lane` allows.
-#[inline]
-fn filter_chunk<T: Hashable>(
-    lane: Option<Avx512>,
-    chunk: &[T],
-    seed: u64,
-    hint: u64,
-    survivors: &mut [u64; CHUNK],
-) -> usize {
-    match lane {
-        // SAFETY: `filter_chunk_avx512` needs AVX-512F/DQ/VL, and an
-        // `Avx512` exists only once `Avx512::detect` confirmed them.
-        #[cfg(target_arch = "x86_64")]
-        Some(_) => unsafe { filter_chunk_avx512(chunk, seed, hint, survivors) },
-        _ => filter_chunk_body(chunk, seed, hint, survivors),
+        self.put(hash);
     }
 }
 
@@ -607,62 +426,8 @@ mod tests {
     use crate::config::PropagationBackendKind;
     use crate::engine::EngineBuilder;
     use crate::test_support::scaled;
+    use fcds_sketches::hash::Hashable;
     use fcds_sketches::theta::{rse, THETA_MAX};
-
-    #[test]
-    fn dispatched_filter_kernel_equals_the_baseline_copy() {
-        // The copy this CPU runs (AVX-512 where present) against the
-        // baseline, over every chunk length: random keys through the
-        // real hash, then chosen hashes on each hint's edges.
-        use crate::test_support::RawHash;
-        use rand::{Rng, SeedableRng};
-        /// Runs both copies on `chunk`, checks that each keeps the
-        /// one-at-a-time filter's survivors in stream order, and returns
-        /// what each filtered.
-        fn both<T: Hashable>(lane: Option<Avx512>, chunk: &[T], hint: u64) -> [usize; 2] {
-            let want: Vec<u64> = chunk
-                .iter()
-                .map(|item| normalize_hash(item.hash_with_seed(9001)))
-                .filter(|&h| h < hint)
-                .collect();
-            let mut out = [[0u64; CHUNK]; 2];
-            let kept = [
-                filter_chunk(lane, chunk, 9001, hint, &mut out[0]),
-                filter_chunk_body(chunk, 9001, hint, &mut out[1]),
-            ];
-            for (copy, (out, kept)) in ["dispatched", "baseline"].iter().zip(out.iter().zip(kept)) {
-                assert_eq!(
-                    out[..kept],
-                    want[..],
-                    "{copy}: hint {hint}, {} items",
-                    chunk.len()
-                );
-            }
-            kept.map(|k| chunk.len() - k)
-        }
-        const ITEM_SEED: u64 = 0x7E7A_C0DE;
-        println!(
-            "Θ filter lane: {}; items seeded {ITEM_SEED:#x}",
-            Avx512::lane()
-        );
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(ITEM_SEED);
-        let lane = Avx512::detect();
-        for hint in [1, 2, u64::MAX / 2, u64::MAX] {
-            let edges = [0, 1, 2, hint - 1, hint, hint.saturating_add(1), u64::MAX];
-            let mut filtered = [0usize; 2];
-            for len in 0..=CHUNK {
-                let keys: Vec<u64> = (0..len).map(|_| rng.random()).collect();
-                let raw: Vec<RawHash> = (0..len)
-                    .map(|_| RawHash(edges[rng.random_range(0..edges.len())]))
-                    .collect();
-                for f in [both(lane, &keys, hint), both(lane, &raw, hint)] {
-                    filtered[0] += f[0];
-                    filtered[1] += f[1];
-                }
-            }
-            assert_eq!(filtered[0], filtered[1], "filtered total, hint {hint}");
-        }
-    }
 
     fn build(lg_k: u8, writers: usize, e: f64) -> ConcurrentThetaSketch {
         EngineBuilder::<ThetaFamily>::new()
@@ -681,6 +446,18 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.theta, THETA_MAX);
         assert_eq!(snap.retained, 0);
+    }
+
+    #[test]
+    fn dispatched_filter_kernel_equals_the_baseline_copy() {
+        // Raw hashes on each side of the hint, and the domain's ends.
+        let mut rng = crate::hashed::tests::item_rng();
+        for theta in [1, 2, u64::MAX / 2, u64::MAX] {
+            let edges = [0, 1, 2, theta - 1, theta, theta.saturating_add(1), u64::MAX];
+            crate::hashed::tests::every_length::<ThetaLocal>(&mut rng, theta, &edges, |h| {
+                Some(normalize_hash(h)).filter(|&k| k < theta)
+            });
+        }
     }
 
     #[test]
@@ -851,7 +628,7 @@ mod tests {
             .double_buffering(false)
             .build()
             .unwrap();
-        assert_eq!(s.relaxation(), 2 * s.inner.config().buffer_size());
+        assert_eq!(s.relaxation(), 2 * s.config().buffer_size());
         let n = scaled(100_000);
         std::thread::scope(|sc| {
             for t in 0..2u64 {
@@ -971,7 +748,7 @@ mod tests {
         });
         s.quiesce();
         let snap = s.snapshot();
-        let global_est = s.inner.with_globals(|g| g.sketch.estimate());
+        let global_est = s.with_globals(|g| g.sketch.estimate());
         assert_eq!(global_est.len(), 1);
         assert_eq!(snap.estimate, global_est[0]);
     }

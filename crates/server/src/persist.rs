@@ -179,8 +179,8 @@ pub trait SnapshotStore: Send + Sync {
     fn remove(&self, name: &str) -> io::Result<()>;
 }
 
-/// Filesystem [`SnapshotStore`]: one directory, write-to-temp + fsync +
-/// atomic rename per snapshot.
+/// Filesystem [`SnapshotStore`]: one directory, write-to-temp (fsynced
+/// when `put` is asked to) + atomic rename per snapshot.
 pub struct DirStore {
     dir: PathBuf,
 }

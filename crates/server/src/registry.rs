@@ -143,8 +143,9 @@ pub struct StreamInfo {
     /// never persisted or persistence is off).
     pub last_persisted_seq: u64,
     /// `items - last_persisted_seq`: the acked ingest a crash right now
-    /// would lose. Bounded by one `snapshot_interval` of traffic while
-    /// the checkpointer is healthy.
+    /// would lose. While the checkpointer is healthy, bounded by one
+    /// `snapshot_interval` of traffic plus the round in flight, whose
+    /// disk time is not bounded.
     pub snapshot_lag: u64,
 }
 
