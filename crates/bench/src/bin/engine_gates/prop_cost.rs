@@ -63,6 +63,16 @@ const BATCH: usize = 64;
 /// quotient depended on which phases its calls hit: 2.6–2.9 on a 2-vCPU
 /// VM, up to 3.2 on the CI runner, against a bound of 3.
 const THETA_BATCH: usize = 4096;
+/// Hand-offs per timed call of the two HLL sides. A call of [`BATCH`]
+/// lasts some 20 µs and starts where the other size's call left the
+/// cache, so its median weighs that hand-over as much as the hand-offs
+/// themselves; Θ calls that short read a steady-state merge several
+/// times too dear. A call this long (about a third of a millisecond) is
+/// almost all steady-state hand-offs, the cost the engine's propagation
+/// pays per merge. On a 2-vCPU VM the quotient read 0.99–1.01 at
+/// [`BATCH`] and reads 1.06–1.07 here: the 64 KiB register array's own
+/// cache misses, which the short calls hid.
+const HLL_BATCH: usize = 1024;
 /// The same for Misra–Gries. A publication retires the previous table to
 /// the thread's epoch collector, which frees it some 64 publications
 /// later — inside the *other* side's call when calls are that short, so
@@ -96,10 +106,10 @@ pub fn gates(
             Min,
             5.0,
         ),
-        // An HLL hand-off at lg_m = 16 over one at lg_m = 12. The honest
-        // value is ≈ 1 (cache misses on the 64 KiB register array aside;
-        // measured 0.76 to 1.02); a publication that rescans the
-        // registers (pre-PR 18) read 27.
+        // An HLL hand-off at lg_m = 16 over one at lg_m = 12, per
+        // hand-off over `HLL_BATCH`-long calls. The honest value is ≈ 1
+        // (cache misses on the 64 KiB register array aside; 1.06–1.07 on
+        // a 2-vCPU VM); a publication that rescans the registers read 27.
         GateCheck::new("hll_large_vs_small_ratio", hll_large_vs_small, Max, 2.0),
         // A Misra–Gries hand-off at k = 1024 over one at k = 64. This
         // step may know its size parameter: the merge-join and the one
@@ -203,7 +213,7 @@ impl ThetaSide {
     }
 }
 
-/// `BATCH` HLL hand-offs per call on a global warmed with `32·m`
+/// [`HLL_BATCH`] HLL hand-offs per call on a global warmed with `32·m`
 /// distinct hashes (every register set, floor ≈ 3). The writers' filter
 /// only ships hashes whose rank beats the floor, so feed exactly those:
 /// uniform index bits, a tail with at least `floor` leading zeros.
@@ -216,7 +226,7 @@ fn hll_side(lg_m: u8) -> impl FnMut(&()) {
     let view = g.new_view();
     let mut local = g.new_local();
     move |_| {
-        for _ in 0..BATCH {
+        for _ in 0..HLL_BATCH {
             let hint = g.calc_hint();
             for _ in 0..B {
                 let index = rng.next_u64() << (64 - lg_m);
@@ -313,7 +323,7 @@ pub fn run() -> Section {
     let sizes = [12, 16];
     let [mut small, mut large] = sizes.map(|lg_m| hll_side(lg_m as u8));
     let timing = time_interleaved(|| (), [&mut small, &mut large]);
-    let hll_ratio = sized("hll", "lg_m", sizes, BATCH, timing);
+    let hll_ratio = sized("hll", "lg_m", sizes, HLL_BATCH, timing);
 
     let sizes = [64, 1024];
     let [mut small, mut large] = sizes.map(|k| frequency_side(k, B));

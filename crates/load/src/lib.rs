@@ -27,6 +27,12 @@
 //! walk of what was sent, with the `lg_k` of the config the drill
 //! served.
 //!
+//! Faults are injected on both sides of the wire, each by one type: a
+//! writer's `FaultyStream` breaks the frames it sends, and
+//! [`faulty_engine`], passed to [`fcds_server::serve_with`] as the
+//! engine hook, makes an ingest panic on [`POISON_ITEM`] and a flush
+//! fail on [`FLUSH_FAIL_ITEM`].
+//!
 //! The drills share one scaffold: a `DrillStream` names the default
 //! stream or a `(family, key)` stream and logs what was sent to it; one
 //! ingest loop and one query loop run against it, in the background
@@ -37,10 +43,14 @@
 
 pub mod report;
 
+use bytes::Bytes;
+use fcds_core::engine::{EngineWriter, StreamEngine, WireImage};
+use fcds_core::runtime::EngineStats;
+use fcds_core::FlushError;
 use fcds_relaxation::{check_image, check_images};
 use fcds_server::client::{connect_tcp, Client, Reply};
 use fcds_server::frame::NackCode;
-use fcds_server::{serve, stream_relaxation, ServerConfig, DEFAULT_STREAM};
+use fcds_server::{serve, serve_with, stream_relaxation, Seams, ServerConfig, DEFAULT_STREAM};
 use fcds_sketches::wire::SketchFamily;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -288,6 +298,78 @@ impl<'a> Dial for Faulted<'a> {
             stream,
             mode: self.mode,
         }))
+    }
+}
+
+/// An ingest batch holding this item panics in the [`faulty_engine`]
+/// writer it is handed to.
+pub const POISON_ITEM: u64 = u64::MAX;
+
+/// An ingest batch holding this item is dropped by the
+/// [`faulty_engine`] writer it is handed to, and that writer's flushes
+/// fail from then on, as after its propagator died.
+pub const FLUSH_FAIL_ITEM: u64 = u64::MAX - 1;
+
+/// The server's engine hook for fault drills: wraps each stream engine
+/// so that its writers fail on [`POISON_ITEM`] and [`FLUSH_FAIL_ITEM`]
+/// and otherwise pass everything through.
+pub fn faulty_engine(engine: Box<dyn StreamEngine>) -> Box<dyn StreamEngine> {
+    Box::new(FaultyEngine(engine))
+}
+
+/// See [`faulty_engine`].
+struct FaultyEngine(Box<dyn StreamEngine>);
+
+impl WireImage for FaultyEngine {
+    fn wire_image(&self) -> Bytes {
+        self.0.wire_image()
+    }
+}
+
+impl StreamEngine for FaultyEngine {
+    fn family(&self) -> SketchFamily {
+        self.0.family()
+    }
+    fn writer(&self) -> Box<dyn EngineWriter> {
+        Box::new(FaultyWriter {
+            inner: self.0.writer(),
+            dead: false,
+        })
+    }
+    fn estimate(&self) -> Option<f64> {
+        self.0.estimate()
+    }
+    fn quiesce(&self) {
+        self.0.quiesce()
+    }
+    fn stats(&self) -> EngineStats {
+        self.0.stats()
+    }
+}
+
+/// A [`FaultyEngine`] writer.
+struct FaultyWriter {
+    inner: Box<dyn EngineWriter>,
+    /// A [`FLUSH_FAIL_ITEM`] came in: every flush fails.
+    dead: bool,
+}
+
+impl EngineWriter for FaultyWriter {
+    fn ingest_batch(&mut self, items: &[u64]) {
+        if items.contains(&POISON_ITEM) {
+            panic!("injected fault: poisoned ingest item {POISON_ITEM}");
+        }
+        self.dead |= items.contains(&FLUSH_FAIL_ITEM);
+        if !self.dead {
+            self.inner.ingest_batch(items);
+        }
+    }
+
+    fn flush(&mut self) -> Result<(), FlushError> {
+        if self.dead {
+            return Err(FlushError::PropagatorDead { shard: 0 });
+        }
+        self.inner.flush()
     }
 }
 
@@ -829,10 +911,6 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> ScenarioReport
     }
 }
 
-/// The poison item the multi-stream drill plants (the in-process
-/// server is started with `fault_panic_on` set to this value).
-const POISON_ITEM: u64 = u64::MAX;
-
 /// Named streams the multi-stream drill hosts: two per family.
 pub const MULTISTREAM_STREAMS: usize = 8;
 
@@ -894,11 +972,12 @@ pub struct MultiStreamReport {
 ///
 /// Panics if a drill worker thread panics.
 pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamReport> {
-    let server_cfg = ServerConfig {
-        fault_panic_on: Some(POISON_ITEM),
-        ..ServerConfig::default()
+    let server_cfg = ServerConfig::default();
+    let seams = Seams {
+        engine: faulty_engine,
+        ..Seams::default()
     };
-    let server = serve(server_cfg.clone())?;
+    let server = serve_with(server_cfg.clone(), seams)?;
     let addr = server.local_addr();
     let streams = drill_streams("load", MULTISTREAM_STREAMS);
 

@@ -37,11 +37,6 @@ pub struct ServerConfig {
     /// retried after a doubling, jittered backoff). Kept because the
     /// frozen benchmark's unit test sets it.
     pub breaker_threshold: u32,
-    /// Fault-injection hook for the robustness suite: an ingest whose
-    /// batch holds this item value panics, exercising panic isolation
-    /// and the per-stream fault latch over a real connection. `None`
-    /// in production.
-    pub fault_panic_on: Option<u64>,
     /// Maximum simultaneously registered streams (including the default
     /// stream); creation beyond it NACKs with
     /// [`NackCode::Overload`](crate::NackCode::Overload).
@@ -81,7 +76,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(2),
             lg_k: 12,
             breaker_threshold: 3,
-            fault_panic_on: None,
             max_streams: 64,
             replica_peer: None,
             replica_interval: Duration::from_millis(250),

@@ -1,6 +1,8 @@
-//! Connections: the accept loop, the deadline-enforcing frame reader,
-//! and the [`Response`] every handler produces.
+//! Connections: the accept loop, the connection loop over any byte
+//! stream, the deadline-enforcing frame reader, and the [`Response`]
+//! every handler produces.
 
+use crate::clock::Clock;
 use crate::dispatch::{dispatch_frame, ConnState};
 use crate::frame::{
     check_payload, encode_frame_into, encode_nack_payload, parse_header, FrameType, HeaderError,
@@ -8,7 +10,7 @@ use crate::frame::{
 };
 use crate::{ServerCtx, POLL_INTERVAL};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -16,7 +18,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Accepts connections until shutdown; each connection gets its own
-/// thread wrapped in `catch_unwind`.
+/// thread wrapped in `catch_unwind`. A socket's read timeout is the
+/// [`POLL_INTERVAL`] at which its connection loop checks the shutdown
+/// flag and the frame deadline.
 pub(crate) fn accept_loop(
     listener: TcpListener,
     ctx: Arc<ServerCtx>,
@@ -31,18 +35,23 @@ pub(crate) fn accept_loop(
             Ok((stream, _peer)) => {
                 conn_id += 1;
                 ctx.stats.conns_opened.fetch_add(1, Ordering::Relaxed);
-                let ctx2 = Arc::clone(&ctx);
+                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+                let _ = stream.set_write_timeout(Some(ctx.cfg.write_timeout));
+                let _ = stream.set_nodelay(true);
+                // Shared with the thread, so that the connection can
+                // still be refused if the thread cannot be spawned.
+                let stream = Arc::new(stream);
+                let (ctx2, stream2) = (Arc::clone(&ctx), Arc::clone(&stream));
                 let spawned = std::thread::Builder::new()
                     .name(format!("fcds-conn-{conn_id}"))
                     .spawn(move || {
-                        let ctx3 = Arc::clone(&ctx2);
-                        let r = catch_unwind(AssertUnwindSafe(move || {
-                            handle_connection(stream, &ctx2);
+                        let r = catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(&*stream2, &ctx2);
                         }));
                         if r.is_err() {
-                            ctx3.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
+                            ctx2.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
                         }
-                        ctx3.stats.conns_closed.fetch_add(1, Ordering::Relaxed);
+                        ctx2.stats.conns_closed.fetch_add(1, Ordering::Relaxed);
                     });
                 match spawned {
                     Ok(handle) => {
@@ -53,9 +62,12 @@ pub(crate) fn accept_loop(
                         joins.push(handle);
                     }
                     Err(_) => {
-                        // Out of threads: shed this connection (the
-                        // socket closes on drop) and keep accepting —
-                        // resource exhaustion must not kill the server.
+                        // Out of threads: refuse this connection, close
+                        // it and keep accepting — resource exhaustion
+                        // must not kill the server, and a write that
+                        // would block must not stall the accept loop.
+                        let _ = stream.set_nonblocking(true);
+                        refuse(&*stream, &ctx);
                         ctx.stats.conns_closed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -104,10 +116,11 @@ struct Skip {
 /// frame's length is checked against the cap before the buffer grows
 /// for it, and the buffer drops back to [`BASE_BUF`] after a larger one.
 ///
-/// The mid-frame deadline runs from the arrival of a frame's first
-/// byte, also when that byte came in with the previous frame's `read`.
-/// It is checked only after a `read` that leaves the frame unfinished,
-/// so bytes that have already arrived are always taken in first.
+/// The mid-frame deadline runs, on the server's [`Clock`], from the
+/// arrival of a frame's first byte, also when that byte came in with
+/// the previous frame's `read`. It is checked only after a `read` that
+/// leaves the frame unfinished, so bytes that have already arrived are
+/// always taken in first.
 pub(crate) struct FrameReader<R> {
     src: R,
     /// Received bytes `start..end` are not yet consumed; `buf.len()` is
@@ -125,10 +138,11 @@ pub(crate) struct FrameReader<R> {
     last_read: Instant,
     max_payload: u32,
     deadline: Duration,
+    clock: Clock,
 }
 
 impl<R: Read> FrameReader<R> {
-    pub(crate) fn new(src: R, max_payload: u32, deadline: Duration) -> Self {
+    pub(crate) fn new(src: R, max_payload: u32, deadline: Duration, clock: Clock) -> Self {
         FrameReader {
             src,
             buf: vec![0; BASE_BUF],
@@ -137,10 +151,16 @@ impl<R: Read> FrameReader<R> {
             lent: 0,
             skip: None,
             started: None,
-            last_read: Instant::now(),
+            last_read: clock.now(),
             max_payload,
             deadline,
+            clock,
         }
+    }
+
+    /// The byte stream, for writing replies between frames.
+    fn get_mut(&mut self) -> &mut R {
+        &mut self.src
     }
 
     /// Reads until it has the next frame, violation, close or timeout.
@@ -285,7 +305,7 @@ impl<R: Read> FrameReader<R> {
                 Ok(0) => return Ok(Some(ReadEvent::Closed)),
                 Ok(n) => {
                     self.end += n;
-                    self.last_read = Instant::now();
+                    self.last_read = self.clock.now();
                     self.started.get_or_insert(self.last_read);
                     return Ok(None);
                 }
@@ -309,7 +329,7 @@ impl<R: Read> FrameReader<R> {
     /// Whether the frame in hand has run out of time.
     fn expired(&self) -> bool {
         self.started
-            .is_some_and(|started| started.elapsed() >= self.deadline)
+            .is_some_and(|started| self.clock.now().duration_since(started) >= self.deadline)
     }
 
     /// The Timeout event of the frame in hand. Its sequence number is
@@ -370,13 +390,18 @@ impl Response {
     }
 }
 
-/// Serves one connection until close/shutdown/fatal error. Returning
-/// drops `conn`, which flushes this connection's engine writers.
-fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(ctx.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = FrameReader::new(&stream, ctx.cfg.max_frame_payload, ctx.cfg.frame_deadline);
+/// Serves one connection over `stream` until close/shutdown/fatal
+/// error. A `read` that reports `WouldBlock` or `TimedOut` is a quiet
+/// peer: the loop checks the shutdown flag and the frame deadline and
+/// reads again. Returning drops `conn`, which flushes this connection's
+/// engine writers.
+fn handle_connection<S: Read + Write>(stream: S, ctx: &ServerCtx) {
+    let mut reader = FrameReader::new(
+        stream,
+        ctx.cfg.max_frame_payload,
+        ctx.cfg.frame_deadline,
+        ctx.clock.clone(),
+    );
     let mut conn = ConnState::default();
     let mut out = Vec::new();
     loop {
@@ -406,17 +431,29 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
                 dispatch_frame(&header, payload, ctx, &mut conn)
             }
         };
-        if write_response(&stream, ctx, &response, &mut out).is_err() || response.close {
+        if write_response(reader.get_mut(), ctx, &response, &mut out).is_err() || response.close {
             return;
         }
     }
 }
 
+/// Refuses a connection no thread could be spawned for: a best-effort
+/// `Overload` NACK (seq 0), since a refusal is always typed.
+fn refuse<S: Write>(stream: S, ctx: &ServerCtx) {
+    let nack = Response::nack(
+        0,
+        NackCode::Overload,
+        "no connection thread available; retry later",
+        true,
+    );
+    let _ = write_response(stream, ctx, &nack, &mut Vec::new());
+}
+
 /// Encodes `r` into `out`, the connection's one reply buffer, and
 /// writes it. A buffer grown for an image reply drops back to its base
 /// size.
-fn write_response(
-    mut stream: &TcpStream,
+fn write_response<S: Write>(
+    mut stream: S,
     ctx: &ServerCtx,
     r: &Response,
     out: &mut Vec<u8>,
@@ -436,7 +473,11 @@ fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, Reply};
+    use crate::clock::Manual;
     use crate::frame::{encode_frame, encode_frame_flags, FLAG_STREAM};
+    use std::collections::VecDeque;
+    use std::io::Cursor;
 
     /// A frame deadline no test run reaches.
     const NO_DEADLINE: Duration = Duration::from_secs(600);
@@ -595,7 +636,7 @@ mod tests {
                     delivery,
                     stall: false,
                 };
-                let mut reader = FrameReader::new(script, 64 * 1024, NO_DEADLINE);
+                let mut reader = FrameReader::new(script, 64 * 1024, NO_DEADLINE, Clock::System);
                 assert_eq!(drain(&mut reader), want, "seed {seed}, {delivery:?}");
                 assert_eq!(reader.capacity(), BASE_BUF, "seed {seed}, {delivery:?}");
             }
@@ -615,7 +656,7 @@ mod tests {
             delivery: Delivery::Chunks(0x5EED),
             stall: false,
         };
-        let mut reader = FrameReader::new(script, 1 << 20, NO_DEADLINE);
+        let mut reader = FrameReader::new(script, 1 << 20, NO_DEADLINE, Clock::System);
         let shutdown = AtomicBool::new(false);
         match reader.next(&shutdown).unwrap() {
             ReadEvent::Frame(h, payload) => {
@@ -648,7 +689,7 @@ mod tests {
                 delivery: Delivery::Whole,
                 stall: false,
             };
-            let mut reader = FrameReader::new(script, 64 * 1024, NO_DEADLINE);
+            let mut reader = FrameReader::new(script, 64 * 1024, NO_DEADLINE, Clock::System);
             assert_eq!(
                 drain(&mut reader),
                 [Seen::Bad(5, NackCode::PayloadTooLarge)]
@@ -657,43 +698,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_trickled_frame_times_out_even_if_no_read_ever_waits() {
-        // One byte per read and never a `WouldBlock`: the deadline is
-        // checked after every read that leaves the frame unfinished,
-        // not only when the peer goes quiet.
-        struct Trickle(Vec<u8>);
-        impl Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                std::thread::sleep(Duration::from_millis(2));
-                buf[0] = self.0.remove(0);
-                Ok(1)
-            }
-        }
-        let frame = encode_frame(FrameType::Ingest, 7, &[0; 4096]);
-        let deadline = Duration::from_millis(100);
-        let mut reader = FrameReader::new(Trickle(frame), 8192, deadline);
-        assert_eq!(drain(&mut reader), [Seen::TimedOut(7)]);
+    /// A peer on a [`Manual`] clock, seen through a socket whose read
+    /// timeout is [`POLL_INTERVAL`]: a `read` waits on the clock for the
+    /// next chunk to arrive and returns it, or, if none arrives within
+    /// the timeout, moves the clock on by it and reports `WouldBlock`.
+    /// After the last chunk the peer stays quiet. What the server writes
+    /// back is kept.
+    struct Timeline {
+        clock: Arc<Manual>,
+        t0: Instant,
+        /// The chunks still to come, each with its arrival after `t0`.
+        chunks: VecDeque<(Duration, Vec<u8>)>,
+        written: Vec<u8>,
     }
 
-    /// Hands out each chunk once its time has come, `WouldBlock` before
-    /// and after, as a socket with a read timeout does.
-    struct Timed(Vec<(Instant, Vec<u8>)>);
+    impl Timeline {
+        fn new(clock: &Arc<Manual>, chunks: Vec<(Duration, Vec<u8>)>) -> Timeline {
+            Timeline {
+                clock: Arc::clone(clock),
+                t0: clock.now(),
+                chunks: chunks.into(),
+                written: Vec::new(),
+            }
+        }
 
-    impl Read for Timed {
+        /// Time on the clock since the timeline started.
+        fn elapsed(&self) -> Duration {
+            self.clock.now() - self.t0
+        }
+    }
+
+    impl Read for Timeline {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match self.0.first() {
-                Some((at, _)) if Instant::now() >= *at => {
-                    let (_, bytes) = self.0.remove(0);
-                    buf[..bytes.len()].copy_from_slice(&bytes);
-                    Ok(bytes.len())
+            // A deadline that never fires fails the test, not hangs it.
+            assert!(
+                self.elapsed() < Duration::from_secs(3600),
+                "read past an hour"
+            );
+            let wait_until = self.clock.now() + POLL_INTERVAL;
+            match self.chunks.front_mut() {
+                Some((due, bytes)) if self.t0 + *due <= wait_until => {
+                    self.clock.advance_to(self.t0 + *due);
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    bytes.drain(..n);
+                    if bytes.is_empty() {
+                        self.chunks.pop_front();
+                    }
+                    Ok(n)
                 }
                 _ => {
-                    std::thread::sleep(Duration::from_millis(1));
+                    self.clock.advance(POLL_INTERVAL);
                     Err(io::ErrorKind::WouldBlock.into())
                 }
             }
         }
+    }
+
+    impl Write for Timeline {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader of `chunks` on a fresh manual clock.
+    fn timed(
+        chunks: Vec<(Duration, Vec<u8>)>,
+        max_payload: u32,
+        deadline: Duration,
+    ) -> (Arc<Manual>, FrameReader<Timeline>) {
+        let (clock, server_clock) = Manual::new();
+        let script = Timeline::new(&clock, chunks);
+        let reader = FrameReader::new(script, max_payload, deadline, server_clock);
+        (clock, reader)
+    }
+
+    #[test]
+    fn a_trickled_frame_times_out_even_if_no_read_ever_waits() {
+        // One byte per read, 2 ms apart, and never a `WouldBlock`: the
+        // deadline is checked after every read that leaves the frame
+        // unfinished, not only when the peer goes quiet.
+        let frame = encode_frame(FrameType::Ingest, 7, &[0; 4096]);
+        let step = Duration::from_millis(2);
+        let chunks = (0u32..).zip(frame).map(|(i, b)| (step * i, vec![b]));
+        let deadline = Duration::from_millis(100);
+        let (_clock, mut reader) = timed(chunks.collect(), 8192, deadline);
+        assert_eq!(drain(&mut reader), [Seen::TimedOut(7)]);
     }
 
     #[test]
@@ -707,9 +801,8 @@ mod tests {
         rest.extend_from_slice(&encode_frame(FrameType::Ingest, 2, &[0; 64])[..20]);
         let deadline = Duration::from_millis(200);
         let late = deadline / 2;
-        let t0 = Instant::now();
-        let script = Timed(vec![(t0, first[..1].to_vec()), (t0 + late, rest)]);
-        let mut reader = FrameReader::new(script, 1024, deadline);
+        let chunks = vec![(Duration::ZERO, first[..1].to_vec()), (late, rest)];
+        let (_clock, mut reader) = timed(chunks, 1024, deadline);
         let seen = drain(&mut reader);
         assert_eq!(
             seen,
@@ -718,11 +811,8 @@ mod tests {
                 Seen::TimedOut(2)
             ]
         );
-        assert!(
-            t0.elapsed() >= late + deadline,
-            "cut after {:?}",
-            t0.elapsed()
-        );
+        let elapsed = reader.get_mut().elapsed();
+        assert!(elapsed >= late + deadline, "cut after {elapsed:?}");
     }
 
     #[test]
@@ -733,15 +823,83 @@ mod tests {
         let second = encode_frame(FrameType::Ingest, 2, &[9; 64]);
         let mut head = encode_frame(FrameType::Ping, 1, b"");
         head.extend_from_slice(&second[..20]);
-        let t0 = Instant::now();
-        let script = Timed(vec![(t0, head), (t0, second[20..].to_vec())]);
+        let chunks = vec![
+            (Duration::ZERO, head),
+            (Duration::ZERO, second[20..].to_vec()),
+        ];
         let deadline = Duration::from_millis(20);
-        let mut reader = FrameReader::new(script, 1024, deadline);
+        let (clock, mut reader) = timed(chunks, 1024, deadline);
         let shutdown = AtomicBool::new(false);
         assert!(matches!(reader.next(&shutdown).unwrap(),
             ReadEvent::Frame(h, b"") if h.seq == 1));
-        std::thread::sleep(deadline * 2);
+        clock.advance(deadline * 2);
         assert!(matches!(reader.next(&shutdown).unwrap(),
             ReadEvent::Frame(h, p) if h.seq == 2 && p == [9; 64]));
+    }
+
+    /// Every reply in `written`, in order.
+    fn replies(written: Vec<u8>) -> Vec<Reply> {
+        let mut client = Client::new(Cursor::new(written));
+        let mut out = Vec::new();
+        loop {
+            match client.read_reply() {
+                Ok(reply) => out.push(reply),
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return out,
+                Err(e) => panic!("a malformed reply: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_whole_connection_is_served_in_memory_on_the_manual_clock() {
+        // An ingest + ping + query volley in one read, then the first 20
+        // bytes of another ingest frame and nothing more.
+        let (clock, server_clock) = Manual::new();
+        let ctx = crate::test_ctx(server_clock);
+        let items: Vec<u8> = (1..=100u64).flat_map(u64::to_le_bytes).collect();
+        let mut volley = encode_frame(FrameType::Ingest, 1, &items);
+        volley.extend_from_slice(&encode_frame(FrameType::Ping, 2, b""));
+        volley.extend_from_slice(&encode_frame(FrameType::Query, 3, &[0, 0]));
+        let partial = encode_frame(FrameType::Ingest, 4, &[5; 64])[..20].to_vec();
+        let arrives = Duration::from_millis(1);
+        let chunks = vec![(Duration::ZERO, volley), (arrives, partial)];
+        let mut peer = Timeline::new(&clock, chunks);
+        handle_connection(&mut peer, &ctx);
+
+        let elapsed = peer.elapsed();
+        let got = replies(peer.written);
+        assert_eq!(got.len(), 4, "{got:?}");
+        assert!(matches!(got[0], Reply::Ack { seq: 1 }), "{:?}", got[0]);
+        assert!(matches!(got[1], Reply::Pong { seq: 2 }), "{:?}", got[1]);
+        match got[2] {
+            Reply::Estimate { seq: 3, value } => assert_eq!(value, 100.0),
+            ref other => panic!("expected the estimate, got {other:?}"),
+        }
+        assert_eq!(got[3].seq(), 4);
+        assert_eq!(got[3].nack_code(), Some(NackCode::Timeout));
+        // Cut at the first poll past the deadline of the partial frame.
+        let deadline = ctx.cfg.frame_deadline;
+        assert!(elapsed >= arrives + deadline, "cut after {elapsed:?}");
+        assert!(
+            elapsed < arrives + deadline + POLL_INTERVAL,
+            "cut after {elapsed:?}"
+        );
+        let stats = ctx.stats.snapshot();
+        assert_eq!((stats.frames_in, stats.frames_out), (3, 4));
+        assert_eq!((stats.read_timeouts, stats.nacks), (1, 1));
+        assert_eq!(stats.ingest_items, 100);
+    }
+
+    #[test]
+    fn a_connection_without_a_thread_is_refused_with_a_typed_nack() {
+        let ctx = crate::test_ctx(Clock::System);
+        let mut written = Vec::new();
+        refuse(&mut written, &ctx);
+        let got = replies(written);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].seq(), 0);
+        assert_eq!(got[0].nack_code(), Some(NackCode::Overload));
+        let stats = ctx.stats.snapshot();
+        assert_eq!((stats.nacks, stats.frames_out), (1, 1));
     }
 }

@@ -272,14 +272,9 @@ fn handle_ingest(
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
     );
     let writer = writer_for(hot, writers, generation, &stream);
-    // A panic (injected fault, engine bug) or a failed flush (dead
-    // propagator) stops at this frame.
+    // A panic (engine bug) or a failed flush (dead propagator) stops at
+    // this frame.
     let applied = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(poison) = ctx.cfg.fault_panic_on {
-            if items.contains(&poison) {
-                panic!("injected fault: poisoned ingest item {poison}");
-            }
-        }
         writer.ingest_batch(items);
         // Flush per frame: the hand-off is propagation this thread
         // performs anyway, and it is what lets the `Ack` mean "in the

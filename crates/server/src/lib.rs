@@ -76,9 +76,17 @@
 //!
 //! * `config`, `stats` — [`ServerConfig`]; the one counter table behind
 //!   [`StatsSnapshot`].
-//! * `conn` → `dispatch` — accept loop and deadline-enforcing frame
+//! * `clock` — the server's one clock, read by the frame deadline and
+//!   the shipper's schedule: `Instant::now` in production, a manual
+//!   clock in the crate's tests.
+//! * `conn` → `dispatch` — accept loop, the connection loop over any
+//!   `Read + Write` byte stream and its deadline-enforcing frame
 //!   reader; per-frame-type handlers (ingest, merge, query) and the
 //!   connection's engine writers.
+//! * [`serve_with`] and [`Seams`] — the one substitution point: a
+//!   snapshot store and an [`EngineHook`] applied to every stream
+//!   engine the registry builds (identity in production; the
+//!   fault-injection drills wrap engines that panic or fail to flush).
 //! * `registry` — the key → stream map and stream construction.
 //! * `slots` — the image-slot map, envelope validation, the fan-in.
 //! * `ship`, [`persist`], [`recover`] — the shipper loop and the
@@ -88,6 +96,7 @@
 //! * `crc` — the frame checksum (CRC-32C) and the snapshot one (IEEE).
 
 pub mod client;
+mod clock;
 mod config;
 mod conn;
 mod crc;
@@ -108,9 +117,11 @@ pub use recover::{RecoverError, RecoveryOutcome, SnapshotRecord};
 pub use registry::{stream_relaxation, StreamInfo};
 pub use stats::StatsSnapshot;
 
+use crate::clock::Clock;
 use crate::registry::Registry;
 use crate::slots::{Consumer, FaninKey, Fanned, Want};
 use crate::stats::Stats;
+use fcds_core::engine::StreamEngine;
 use fcds_sketches::wire::SketchFamily;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -120,7 +131,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How often blocked socket reads and idle loops wake up to check the
-/// shutdown/drain flags. Deadlines are enforced at this granularity.
+/// shutdown/drain flags. A frame deadline is checked at each such
+/// wake-up and after every read that leaves a frame unfinished, so a
+/// quiet peer is cut within one interval of its deadline and a trickling
+/// one at the first read past it.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The key of the built-in Θ stream every v1 frame is routed to. Always
@@ -154,6 +168,38 @@ struct ServerCtx {
     /// The snapshot store of the durability tier (`None` when
     /// persistence is off).
     persist: Option<Arc<dyn SnapshotStore>>,
+    /// Applied to every stream engine as it is built ([`Seams::engine`]).
+    engine_hook: EngineHook,
+    /// The one clock of the frame deadlines and the shippers.
+    clock: Clock,
+}
+
+/// Replaces a stream engine the registry has just built: the engine
+/// seam of [`serve_with`].
+pub type EngineHook = fn(Box<dyn StreamEngine>) -> Box<dyn StreamEngine>;
+
+/// What [`serve_with`] substitutes for the server's own parts.
+/// `Default` is no store and the identity hook, so every stream runs
+/// the engine the registry built.
+pub struct Seams {
+    /// The snapshot store of the durability tier. `Some` enables it
+    /// regardless of [`ServerConfig::data_dir`]; fault-injection tests
+    /// substitute stores that fail with ENOSPC, short writes or fsync
+    /// errors.
+    pub store: Option<Arc<dyn SnapshotStore>>,
+    /// Applied to every stream engine as the registry builds it;
+    /// fault-injection tests wrap the engine in one that panics or fails
+    /// its flush on demand.
+    pub engine: EngineHook,
+}
+
+impl Default for Seams {
+    fn default() -> Self {
+        Seams {
+            store: None,
+            engine: |engine| engine,
+        }
+    }
 }
 
 /// Why [`serve`] could not start. Startup is all-or-nothing: on any
@@ -253,21 +299,27 @@ pub struct DrainReport {
 /// thread spawn — is a typed [`ServeError`]; nothing on this path
 /// panics, and on error every thread spawned so far has been joined.
 pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, ServeError> {
-    let snapshot_store: Option<Arc<dyn SnapshotStore>> = match &cfg.data_dir {
+    let store: Option<Arc<dyn SnapshotStore>> = match &cfg.data_dir {
         Some(dir) => Some(Arc::new(DirStore::new(dir).map_err(ServeError::Store)?)),
         None => None,
     };
-    serve_with_store(cfg, snapshot_store)
+    serve_with(
+        cfg,
+        Seams {
+            store,
+            ..Seams::default()
+        },
+    )
 }
 
-/// [`serve`] with an explicit [`SnapshotStore`] (fault-injection tests
-/// substitute stores that fail with ENOSPC, short writes or fsync
-/// errors). `Some` enables the durability tier regardless of
-/// [`ServerConfig::data_dir`].
-pub fn serve_with_store(
-    cfg: ServerConfig,
-    snapshot_store: Option<Arc<dyn SnapshotStore>>,
-) -> Result<ServerHandle, ServeError> {
+/// [`serve`] with the parts [`Seams`] names substituted: the snapshot
+/// store (`None` turns persistence off whatever
+/// [`ServerConfig::data_dir`] says) and the engine hook.
+///
+/// # Errors
+///
+/// As [`serve`].
+pub fn serve_with(cfg: ServerConfig, seams: Seams) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Bind)?;
     let addr = listener.local_addr().map_err(ServeError::Bind)?;
     listener.set_nonblocking(true).map_err(ServeError::Bind)?;
@@ -282,7 +334,9 @@ pub fn serve_with_store(
         stats: Stats::default(),
         registry: Registry::new(max_streams),
         engine_keys,
-        persist: snapshot_store,
+        persist: seams.store,
+        engine_hook: seams.engine,
+        clock: Clock::System,
     });
 
     // Joins any already-running background threads so a failed startup
@@ -539,6 +593,22 @@ impl ServerHandle {
             stats: self.ctx.stats.snapshot(),
             final_estimate,
         }
+    }
+}
+
+/// A server context with no thread and no store, on `clock`.
+#[cfg(test)]
+fn test_ctx(clock: Clock) -> ServerCtx {
+    let cfg = ServerConfig::default();
+    ServerCtx {
+        engine_keys: registry::engine_keys(cfg.lg_k).unwrap(),
+        cfg,
+        ctl: Control::default(),
+        stats: Stats::default(),
+        registry: Registry::new(8),
+        persist: None,
+        engine_hook: Seams::default().engine,
+        clock,
     }
 }
 

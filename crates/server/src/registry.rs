@@ -293,13 +293,15 @@ pub fn stream_relaxation(cfg: &ServerConfig, key: &[u8], live_writers: usize) ->
 }
 
 /// Builds a stream ready to insert into the registry: the engine for
-/// `family` with the stream's declared `N`, no thread.
+/// `family` with the stream's declared `N`, no thread, passed through
+/// the server's engine hook.
 pub(crate) fn new_stream(
     ctx: &ServerCtx,
     key: &[u8],
     family: SketchFamily,
 ) -> Result<Arc<StreamState>, String> {
     let engine = build_engine(family, ctx.cfg.lg_k, declared_writers(&ctx.cfg, key))?;
+    let engine = (ctx.engine_hook)(engine);
     let state = Arc::new(StreamState::new(key, family, engine));
     ctx.stats.streams_created.fetch_add(1, Ordering::Relaxed);
     Ok(state)

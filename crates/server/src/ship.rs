@@ -11,6 +11,7 @@
 //! write and no push.
 
 use crate::client::{Client, Reply};
+use crate::clock::Clock;
 use crate::registry::StreamState;
 use crate::slots::{ship_image, Consumer};
 use crate::{ServerConfig, ServerCtx, POLL_INTERVAL};
@@ -160,29 +161,58 @@ fn jittered(rng: &mut u64, base: Duration) -> Duration {
     base.mul_f64(0.75 + 0.5 * frac)
 }
 
+/// When a shipper's next round runs, on the server's [`Clock`]. A
+/// round that reached its sink is followed one interval after it
+/// started. After one whose sink went unreachable the next waits a
+/// doubling delay from its end instead, capped at 16 intervals and
+/// jittered ±25 %; a round that reached the sink resets it.
+struct Schedule {
+    interval: Duration,
+    /// The unjittered wait after the last round.
+    delay: Duration,
+    rng: u64,
+    /// When the next round is due.
+    next: Instant,
+}
+
+impl Schedule {
+    /// The first round is due one interval from now; `seed` seeds the
+    /// jitter.
+    fn new(interval: Duration, seed: u64, clock: &Clock) -> Schedule {
+        Schedule {
+            interval,
+            delay: interval,
+            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            next: clock.now() + interval,
+        }
+    }
+
+    /// Runs `round` if it is due; returns whether it ran. `round` says
+    /// whether it reached its sink.
+    fn tick(&mut self, clock: &Clock, round: impl FnOnce() -> bool) -> bool {
+        let start = clock.now();
+        if start < self.next {
+            return false;
+        }
+        if round() {
+            self.delay = self.interval;
+            self.next = start + self.interval;
+        } else {
+            self.delay = (self.delay * 2).min(self.interval.saturating_mul(16));
+            self.next = clock.now() + jittered(&mut self.rng, self.delay);
+        }
+        true
+    }
+}
+
 /// One sink's background thread: a [`ship_round`] over every
-/// registered stream each `interval` until the drain stops it. After
-/// a round whose sink went unreachable the next one waits a doubling
-/// delay, capped at 16 intervals and jittered ±25 %, instead of the
-/// interval; a round that reached the sink resets it.
+/// registered stream whenever its [`Schedule`] says, until the drain
+/// stops it.
 pub(crate) fn shipper(ctx: Arc<ServerCtx>, sink: &mut dyn Sink, interval: Duration) {
-    let seed = ctx.cfg.replica_source_id;
-    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut delay = interval;
-    let mut retry_at = Instant::now() + interval;
+    let mut schedule = Schedule::new(interval, ctx.cfg.replica_source_id, &ctx.clock);
     while !ctx.ctl.ship_stop.load(Ordering::Acquire) {
         std::thread::sleep(POLL_INTERVAL);
-        let start = Instant::now();
-        if start < retry_at {
-            continue;
-        }
-        if ship_round(&ctx, sink, &ctx.registry.list()) {
-            delay = interval;
-            retry_at = start + interval;
-        } else {
-            delay = (delay * 2).min(interval.saturating_mul(16));
-            retry_at = Instant::now() + jittered(&mut rng, delay);
-        }
+        schedule.tick(&ctx.clock, || ship_round(&ctx, sink, &ctx.registry.list()));
     }
 }
 
@@ -253,29 +283,21 @@ impl Sink for Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{self, Registry};
-    use crate::stats::Stats;
-    use crate::Control;
+    use crate::clock::Manual;
+    use crate::registry;
     use bytes::Bytes;
     use fcds_sketches::wire::SketchFamily;
 
     fn ctx() -> ServerCtx {
-        let cfg = ServerConfig::default();
-        ServerCtx {
-            engine_keys: registry::engine_keys(cfg.lg_k).unwrap(),
-            cfg,
-            ctl: Control::default(),
-            stats: Stats::default(),
-            registry: Registry::new(8),
-            persist: None,
-        }
+        crate::test_ctx(Clock::System)
     }
 
-    /// Records the keys it was given; `fresh` and `fail` script the
-    /// next `open` and every `put`.
+    /// Records the keys it was given; `fresh`, `down` and `fail` script
+    /// the next `open`, every `open` and every `put`.
     struct FakeSink {
         who: Consumer,
         fresh: bool,
+        down: bool,
         fail: bool,
         puts: Vec<Vec<u8>>,
     }
@@ -285,6 +307,7 @@ mod tests {
             FakeSink {
                 who,
                 fresh: false,
+                down: false,
                 fail: false,
                 puts: Vec::new(),
             }
@@ -302,6 +325,9 @@ mod tests {
             self.who
         }
         fn open(&mut self, _cfg: &ServerConfig) -> io::Result<bool> {
+            if self.down {
+                return Err(io::ErrorKind::ConnectionRefused.into());
+            }
             Ok(std::mem::take(&mut self.fresh))
         }
         fn put(
@@ -374,5 +400,58 @@ mod tests {
         assert!(push.round(&ctx, &streams).is_empty());
         assert_eq!(ctx.stats.replica_pushes.load(Ordering::Relaxed), 5);
         assert_eq!(ctx.stats.snapshots_written.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn the_backoff_doubles_to_sixteen_intervals_and_resets_on_a_reached_round() {
+        let (clock, server_clock) = Manual::new();
+        let ctx = crate::test_ctx(server_clock.clone());
+        let interval = Duration::from_millis(100);
+        let mut schedule = Schedule::new(interval, 7, &server_clock);
+        let mut sink = FakeSink::new(Consumer::ReplicaPush);
+        // The wait from the last round to the next one that runs, in
+        // intervals, with the round's outcome. Each round is due at an
+        // exact instant: a nanosecond before it, nothing runs.
+        let mut last = clock.now();
+        let mut next_round = |sink: &mut FakeSink| {
+            let due = schedule.next;
+            clock.advance_to(due - Duration::from_nanos(1));
+            assert!(!schedule.tick(&server_clock, || unreachable!("not due")));
+            clock.advance_to(due);
+            let mut reached = None;
+            let ran = schedule.tick(&server_clock, || {
+                reached = Some(ship_round(&ctx, sink, &[]));
+                reached.unwrap()
+            });
+            assert!(ran);
+            let waited = (due - last).as_secs_f64() / interval.as_secs_f64();
+            last = due;
+            (waited, reached.unwrap())
+        };
+
+        // The first round is due one interval after the start.
+        assert_eq!(next_round(&mut sink), (1.0, true));
+        sink.down = true;
+        assert_eq!(next_round(&mut sink), (1.0, false));
+        // Doubling, ±25 %, capped at 16 intervals.
+        for factor in [2.0, 4.0, 8.0, 16.0, 16.0, 16.0] {
+            let (waited, reached) = next_round(&mut sink);
+            assert!(!reached);
+            assert!(
+                (0.75 * factor..=1.25 * factor).contains(&waited),
+                "{waited} intervals where {factor} ±25 % was due"
+            );
+        }
+        // A round that reaches the sink resets the wait to one interval,
+        // and the next failure starts doubling from there.
+        sink.down = false;
+        let (waited, reached) = next_round(&mut sink);
+        assert!(reached && (12.0..=20.0).contains(&waited), "{waited}");
+        assert_eq!(next_round(&mut sink), (1.0, true));
+        sink.down = true;
+        assert_eq!(next_round(&mut sink), (1.0, false));
+        let (waited, _) = next_round(&mut sink);
+        assert!((1.5..=2.5).contains(&waited), "{waited}");
+        assert_eq!(ctx.stats.replica_push_errors.load(Ordering::Relaxed), 9);
     }
 }

@@ -16,7 +16,7 @@ use fcds_server::persist::{
     SNAP_SUFFIX, TMP_SUFFIX,
 };
 use fcds_server::recover::{decode_record, RecoverError};
-use fcds_server::{serve, serve_with_store, ServeError, ServerConfig, ServerHandle};
+use fcds_server::{serve, serve_with, Seams, ServeError, ServerConfig, ServerHandle};
 use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
 use std::io;
 use std::path::PathBuf;
@@ -247,8 +247,11 @@ fn failing_store_is_counted_and_never_fatal() {
         fsync_policy: FsyncPolicy::Always,
         ..ServerConfig::default()
     };
-    let handle = serve_with_store(cfg, Some(store.clone() as Arc<dyn SnapshotStore>))
-        .expect("serve with failing store");
+    let seams = Seams {
+        store: Some(store.clone() as Arc<dyn SnapshotStore>),
+        ..Seams::default()
+    };
+    let handle = serve_with(cfg, seams).expect("serve with failing store");
     let mut c = connect(&handle);
     let data: Vec<u64> = (0..2_000).collect();
     ingest_all(&mut c, SketchFamily::Theta, b"doomed", &data);
