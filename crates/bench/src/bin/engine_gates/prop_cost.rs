@@ -17,7 +17,8 @@
 //! counter run, so its cost may grow with `k` but no faster. Misra–Gries
 //! also has rows, not gated, at 256 keys per merge: a connection thread
 //! applies each 256-item frame as one inline merge, so that is the
-//! regime the server runs.
+//! regime the server runs. Their sort is the AVX-512 register kernel of
+//! `fcds_sketches::sort` where the CPU has it, so each names its `lane`.
 //!
 //! Θ runs under the publication strategies the sharded engine can run:
 //!
@@ -39,11 +40,12 @@
 use super::Section;
 use fcds_bench::gate::Bound::{Max, Min};
 use fcds_bench::gate::GateCheck;
-use fcds_bench::workload::{time_interleaved, SplitMix};
+use fcds_bench::workload::{time_interleaved, zipf_key, SplitMix};
 use fcds_core::composable::{GlobalSketch, LocalSketch};
 use fcds_core::hll::HllGlobal;
 use fcds_core::theta::ThetaGlobal;
 use fcds_sketches::frequency::MisraGriesSketch;
+use fcds_sketches::hash::Avx512;
 
 const SEED: u64 = 0xB10C;
 /// Updates per merge: the engine's default lazy buffer cap `b`.
@@ -239,15 +241,6 @@ fn hll_side(lg_m: u8) -> impl FnMut(&()) {
     }
 }
 
-/// Keys of the benchmark's Frequency streams — Zipf(1.1) over 10⁵ keys,
-/// here by the continuous inverse CDF — so the table is full of unequal
-/// counters and a share of every merge's keys is new (reductions run).
-fn zipf_key(word: u64) -> u64 {
-    const KEYS: f64 = 100_000.0;
-    let u = (word >> 11) as f64 / (1u64 << 53) as f64;
-    ((KEYS.powf(-0.1) - 1.0) * u + 1.0).powf(-10.0) as u64
-}
-
 /// Misra–Gries hand-offs (the hint is the unit), one per `b` keys handed
 /// in, on a `k`-counter global warmed with 2¹⁷ keys. The keys are drawn
 /// outside the clock — a `powf` per key would cost more than the merge.
@@ -342,9 +335,10 @@ pub fn run() -> Section {
     for (k, secs) in sizes.into_iter().zip(secs) {
         rows.push(format!(
             "{{\"family\": \"frequency\", \"k\": {k}, \"items_per_merge\": {SERVED_B}, \
-             \"per_merge_ns\": {:.1}, \"merges\": {}}}",
+             \"per_merge_ns\": {:.1}, \"merges\": {}, \"lane\": \"{}\"}}",
             secs * 1e9 / merges as f64,
-            rounds * merges
+            rounds * merges,
+            Avx512::lane()
         ));
     }
 

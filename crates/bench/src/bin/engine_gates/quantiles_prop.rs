@@ -19,7 +19,12 @@
 //! The gated rows merge `b = 16` items, the engine's default lazy
 //! buffer cap. Two more rows, not gated, merge 256: a connection thread
 //! applies each 256-item frame as one inline merge, so that is the
-//! regime the server runs.
+//! regime the server runs. Most of such a merge is sorting the frame,
+//! which `fcds_sketches::sort::sort_u64` does in AVX-512 registers where
+//! the CPU has them, so these rows name their `lane`, and four more time
+//! that sort against `sort_unstable` on 256 fresh uniform keys and on
+//! 256 Zipf(1.1) keys (the Frequency streams' keys), interleaved; the
+//! uniform pair is gated.
 //!
 //! ## Warm states
 //!
@@ -41,11 +46,13 @@
 use super::Section;
 use fcds_bench::gate::Bound::{Max, Min};
 use fcds_bench::gate::GateCheck;
-use fcds_bench::workload::{time_interleaved, SplitMix, MAX_ROUNDS};
+use fcds_bench::workload::{time_interleaved, zipf_key, SplitMix, MAX_ROUNDS};
 use fcds_core::composable::{GlobalSketch, LocalSketch};
 use fcds_core::quantiles::QuantilesGlobal;
 use fcds_core::sync::EpochCell;
+use fcds_sketches::hash::Avx512;
 use fcds_sketches::quantiles::{QuantilesReader, QuantilesSketch};
+use fcds_sketches::sort::sort_u64;
 
 const SEED: u64 = 0x0A17;
 const K: usize = 128;
@@ -70,9 +77,16 @@ const CHURN_LEVELS: usize = 11;
 const SMALL_DEPTH: usize = 4;
 const LARGE_DEPTH: usize = 20;
 const _: () = assert!((MAX_ROUNDS + 1) * BATCH * B / (2 * K) < 1 << CHURN_LEVELS);
+/// Frames sorted per timed call of the sort rows, so the clock never
+/// pollutes a sort of a microsecond or so.
+const SORTS: usize = 64;
 
-/// The section's two gates, each bound beside the ratio it cuts.
-pub fn gates(rebuild_vs_ladder_large: f64, ladder_large_vs_small: f64) -> Vec<GateCheck> {
+/// The section's three gates, each bound beside the ratio it cuts.
+pub fn gates(
+    rebuild_vs_ladder_large: f64,
+    ladder_large_vs_small: f64,
+    sort_vs_std: f64,
+) -> Vec<GateCheck> {
     vec![
         // The ladder publish must beat the full O(retained · log
         // retained) rebuild by this factor at the larger retained size.
@@ -86,7 +100,63 @@ pub fn gates(rebuild_vs_ladder_large: f64, ladder_large_vs_small: f64) -> Vec<Ga
         // cost at the smaller (1.0 = perfectly flat; headroom for timer
         // noise and cache effects).
         GateCheck::new("ladder_flatness_ratio", ladder_large_vs_small, Max, 2.0),
+        // `sort_unstable` over `sort_u64` on 256 fresh uniform keys: a
+        // parity guard, not a speedup claim. On the baseline lane both
+        // sides are `sort_unstable` (≈ 1.0); the AVX-512 register kernel
+        // reads 3.0–3.2× on a 2-vCPU Sapphire Rapids VM. Below parity
+        // the dispatch would cost more than it saves.
+        GateCheck::new("sort_u64_vs_std_speedup", sort_vs_std, Min, 0.95),
     ]
+}
+
+/// One sort row's side: sorts each 256-key frame of the round's keys in
+/// a buffer of its own, by `sort_u64` or by `sort_unstable`.
+fn sort_side(kernel: bool) -> impl FnMut(&Vec<u64>) {
+    let mut frame = [0u64; SERVED_B];
+    move |keys| {
+        for chunk in keys.chunks_exact(SERVED_B) {
+            frame.copy_from_slice(chunk);
+            if kernel {
+                sort_u64(&mut frame);
+            } else {
+                frame.sort_unstable();
+            }
+            std::hint::black_box(&mut frame);
+        }
+    }
+}
+
+/// The sort rows: the kernel against `sort_unstable` on uniform and on
+/// Zipf(1.1) keys, fresh each round. Returns the rows and the uniform
+/// pair's `sort_unstable`-over-kernel quotient.
+fn sort_rows() -> (Vec<String>, f64) {
+    let mut rng = SplitMix(SEED ^ 0x50_27);
+    let mut rows = Vec::new();
+    let mut uniform_speedup = 0.0;
+    for (keys, zipf) in [("uniform", false), ("zipf_1.1", true)] {
+        let mut input = || -> Vec<u64> {
+            std::iter::repeat_with(|| rng.next_u64())
+                .map(|w| if zipf { zipf_key(w) } else { w })
+                .take(SORTS * SERVED_B)
+                .collect()
+        };
+        let [mut kernel, mut std] = [true, false].map(sort_side);
+        let ([kernel_secs, std_secs], rounds) =
+            time_interleaved(&mut input, [&mut kernel, &mut std]);
+        for (sort, secs) in [("sort_u64", kernel_secs), ("sort_unstable", std_secs)] {
+            rows.push(format!(
+                "{{\"sort\": \"{sort}\", \"keys\": \"{keys}\", \"items\": {SERVED_B}, \
+                 \"per_sort_ns\": {:.1}, \"sorts\": {}, \"lane\": \"{}\"}}",
+                secs * 1e9 / SORTS as f64,
+                rounds * SORTS,
+                Avx512::lane()
+            ));
+        }
+        if !zipf {
+            uniform_speedup = std_secs / kernel_secs;
+        }
+    }
+    (rows, uniform_speedup)
 }
 
 /// A sketch warmed to `depth` occupied levels above the churn band
@@ -216,13 +286,18 @@ pub fn run() -> Section {
         (served_small_secs, served_rounds),
         (served_large_secs, served_rounds),
     ];
-    let rows = (variants.iter().zip(&sides).zip(timings))
+    let mut rows: Vec<String> = (variants.iter().zip(&sides).zip(timings))
         .map(|((&(depth, ladder, b), side), (secs, rounds))| {
             let merges = BATCH * B / b;
+            let lane = if b == SERVED_B {
+                format!(", \"lane\": \"{}\"", Avx512::lane())
+            } else {
+                String::new()
+            };
             format!(
                 "{{\"k\": {K}, \"warm_levels\": {depth}, \"warm_n\": {}, \
                  \"retained_warm\": {}, \"retained_end\": {}, \"strategy\": \"{}\", \
-                 \"items_per_merge\": {b}, \"per_merge_ns\": {:.1}, \"merges\": {}}}",
+                 \"items_per_merge\": {b}, \"per_merge_ns\": {:.1}, \"merges\": {}{lane}}}",
                 warm_sketch(depth).n(),
                 K * depth,
                 side.retained(),
@@ -232,12 +307,15 @@ pub fn run() -> Section {
             )
         })
         .collect();
+    let (sorts, sort_vs_std) = sort_rows();
+    rows.extend(sorts);
     Section {
         name: "quantiles_prop",
         rows,
         gates: gates(
             rebuild_secs / large_beside_rebuild_secs,
             large_secs / small_secs,
+            sort_vs_std,
         ),
     }
 }

@@ -82,6 +82,16 @@ impl SplitMix {
     }
 }
 
+/// Keys of the benchmark's Frequency streams — Zipf(1.1) over 10⁵ keys,
+/// here by the continuous inverse CDF of one uniform `word` — so a
+/// Misra–Gries table fills with unequal counters and a frame of 256 keys
+/// holds about 150 distinct ones.
+pub fn zipf_key(word: u64) -> u64 {
+    const KEYS: f64 = 100_000.0;
+    let u = (word >> 11) as f64 / (1u64 << 53) as f64;
+    ((KEYS.powf(-0.1) - 1.0) * u + 1.0).powf(-10.0) as u64
+}
+
 /// Rounds [`time_interleaved`] times at least, however slow a side is.
 const MIN_ROUNDS: usize = 9;
 /// Rounds [`time_interleaved`] times at most, however fast the sides are.

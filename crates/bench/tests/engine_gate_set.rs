@@ -1,6 +1,6 @@
 //! Pins the set of gates `engine_gates` declares in `BENCH_engine.json`,
 //! so a renamed, dropped or re-directed gate fails tier-1 rather than
-//! the CI bench leg: exactly the eleven ratio-and-count checks, no speed
+//! the CI bench leg: exactly the twelve ratio-and-count checks, no speed
 //! gate, and each one trips alone when its measurement is doctored.
 
 // The binary's own source, as a module: its sections' gate tables and
@@ -13,13 +13,14 @@ mod engine_gates;
 use engine_gates::{fanin, ingest_hot, prop_cost, quantiles_prop, render, Section};
 use fcds_bench::gate::{check_doc, render_gates, Bound};
 
-const GATES: [&str; 11] = [
+const GATES: [&str; 12] = [
     "lg_k16_delta_vs_no_image_ratio",
     "lg_k16_whole_copy_vs_delta_ratio",
     "hll_large_vs_small_ratio",
     "frequency_large_vs_small_ratio",
     "ladder_vs_rebuild_speedup_large",
     "ladder_flatness_ratio",
+    "sort_u64_vs_std_speedup",
     "batched_vs_scalar_hint_speedup",
     "batched_vs_scalar_shipall_speedup",
     "theta_multiway_speedup_f32",
@@ -39,14 +40,14 @@ fn healthy() -> [Section; 4] {
     };
     [
         section("prop_cost", prop_cost::gates(2.5, 210.0, 0.98, 3.2)),
-        section("quantiles_prop", quantiles_prop::gates(48.0, 0.9)),
+        section("quantiles_prop", quantiles_prop::gates(48.0, 0.9, 3.1)),
         section("ingest_hot", ingest_hot::gates(1.0, 1.1)),
         section("fanin", fanin::gates(6.7, 4.0, 0.0)),
     ]
 }
 
 #[test]
-fn bench_engine_declares_exactly_the_eleven_ratio_and_count_gates() {
+fn bench_engine_declares_exactly_the_twelve_ratio_and_count_gates() {
     let doc = render(2, &healthy());
     let checks = check_doc(&doc).expect("BENCH_engine.json must satisfy bench_gate's contract");
     let names: Vec<&str> = checks.iter().map(|c| c.name.as_str()).collect();

@@ -6,10 +6,14 @@
 //! al., PODS 2012): add the counters, then reduce once. So the local
 //! sketch is a plain item buffer ([`ItemBuffer`], shared with the
 //! Quantiles instantiation) and the global is the sequential
-//! [`MisraGriesSketch`] itself: a merge sorts the buffer in place,
-//! run-length counts it, merge-joins the runs with the key-sorted
-//! counters and runs one reduction by the `(k+1)`-th largest counter
-//! ([`MisraGriesSketch::merge_batch`]). No item is hashed on the
+//! [`MisraGriesSketch`] itself: a merge sorts the buffer in place
+//! (`u64` frames of 12 to 256 keys on an AVX-512 CPU by the
+//! register-resident bitonic network of [`fcds_sketches::sort`], about
+//! 3× `sort_unstable`), run-length counts it and merge-joins the runs with
+//! the key-sorted counters in one pass into a buffer the sketch keeps,
+//! and runs one reduction by the `(k+1)`-th largest counter
+//! ([`MisraGriesSketch::merge_batch`]); nothing is allocated once those
+//! buffers have grown. No item is hashed on the
 //! propagation path, and the result depends only on the batches merged,
 //! not on any hash order. There is no sound static pre-filter (any item
 //! can grow a counter), so the hint is trivial — exactly the degenerate

@@ -573,6 +573,103 @@ struct Tally {
     /// Replies fitting no contract — the silent-drop detector.
     untyped_failures: AtomicU64,
     taxonomy: ErrorTaxonomy,
+    /// One per background ingest writer, in `under_load`'s order.
+    watches: Vec<Watch>,
+}
+
+/// How an ingest request ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestEnd {
+    /// The server acked the batch.
+    Ack,
+    /// The server NACKed it with this code (`Timeout`: its mid-frame
+    /// read deadline fired).
+    Nack(NackCode),
+    /// No reply within the client's read timeout.
+    ReplyTimeout,
+    /// Any other transport failure: reset, EOF, a failed write.
+    Transport,
+}
+
+impl RequestEnd {
+    /// What `send` returned, classified.
+    fn of(result: &std::io::Result<Reply>) -> RequestEnd {
+        match result {
+            Ok(Reply::Ack { .. }) => RequestEnd::Ack,
+            Ok(Reply::Nack { code, .. }) => RequestEnd::Nack(*code),
+            Ok(_) => RequestEnd::Transport,
+            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => {
+                RequestEnd::ReplyTimeout
+            }
+            Err(_) => RequestEnd::Transport,
+        }
+    }
+}
+
+/// One ingest writer's way back after a fault cleared.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WriterRecovery {
+    /// From clearing the fault to the writer's first Ack (`None`: it
+    /// had none when the phase's recovery window closed).
+    pub first_ack: Option<Duration>,
+    /// How the writer's first request to end after clearing ended: the
+    /// request the fault left stuck, when one was in flight.
+    pub stuck: Option<RequestEnd>,
+    /// Connections the writer re-established between clearing and its
+    /// first Ack.
+    pub reconnects: u64,
+}
+
+impl std::fmt::Display for WriterRecovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.first_ack {
+            Some(d) => write!(f, "ack {:.0} ms", d.as_secs_f64() * 1e3)?,
+            None => write!(f, "no ack")?,
+        }
+        match self.stuck {
+            Some(end) => write!(f, ", stuck {end:?}")?,
+            None => write!(f, ", nothing ended")?,
+        }
+        write!(f, ", {} reconnects", self.reconnects)
+    }
+}
+
+/// Where a writer records its [`WriterRecovery`] while a phase's
+/// recovery window is open (armed), and nothing otherwise.
+#[derive(Default)]
+struct Watch(Mutex<Option<(Instant, WriterRecovery)>>);
+
+impl Watch {
+    fn state(&self) -> std::sync::MutexGuard<'_, Option<(Instant, WriterRecovery)>> {
+        self.0.lock().expect("a writer panicked holding its watch")
+    }
+
+    /// Opens the window: the fault cleared at `cleared`.
+    fn arm(&self, cleared: Instant) {
+        *self.state() = Some((cleared, WriterRecovery::default()));
+    }
+
+    /// Closes the window and returns what it recorded.
+    fn take(&self) -> WriterRecovery {
+        self.state().take().map(|(_, r)| r).unwrap_or_default()
+    }
+
+    fn ended(&self, end: RequestEnd) {
+        if let Some((cleared, r)) = self.state().as_mut() {
+            r.stuck.get_or_insert(end);
+            if end == RequestEnd::Ack && r.first_ack.is_none() {
+                r.first_ack = Some(cleared.elapsed());
+            }
+        }
+    }
+
+    fn reconnected(&self) {
+        if let Some((_, r)) = self.state().as_mut() {
+            if r.first_ack.is_none() {
+                r.reconnects += 1;
+            }
+        }
+    }
 }
 
 /// A connection that is (re)established on demand: the
@@ -628,9 +725,12 @@ impl<D: Dial> Link<D> {
 /// re-sent. A transport failure leaves the batch's outcome unknown, so
 /// the same range is re-sent on a fresh connection — Θ dedups, which
 /// is exactly why the protocol can retry without a dedup layer.
+/// With a `watch`, each request's end and each reconnect is offered to
+/// it.
 fn ingest_loop<D: Dial>(
     tally: &Tally,
     link: &mut Link<D>,
+    watch: Option<&Watch>,
     stream: &DrillStream,
     items: Range<u64>,
     batch: usize,
@@ -638,13 +738,21 @@ fn ingest_loop<D: Dial>(
 ) -> u64 {
     let mut next = items.start;
     while next < items.end && !stop() {
+        let lost = link.lost;
         let Some(c) = link.client(tally) else {
             continue;
         };
+        if let (true, Some(watch)) = (lost, watch) {
+            watch.reconnected();
+        }
         let range = next..items.end.min(next + batch as u64);
         stream.log(range.clone());
         let chunk: Vec<u64> = range.collect();
-        match send(c, &stream.target, &chunk) {
+        let result = send(c, &stream.target, &chunk);
+        if let Some(watch) = watch {
+            watch.ended(RequestEnd::of(&result));
+        }
+        match result {
             Ok(Reply::Ack { .. }) => {
                 next += chunk.len() as u64;
                 stream.acked.fetch_add(chunk.len(), Ordering::SeqCst);
@@ -678,7 +786,7 @@ fn ingest_range(
 ) -> std::io::Result<()> {
     let deadline = Instant::now() + Duration::from_secs(10);
     let want = items.end - items.start;
-    let acked = ingest_loop(tally, link, stream, items, 512, || {
+    let acked = ingest_loop(tally, link, None, stream, items, 512, || {
         Instant::now() >= deadline
     });
     if acked == want {
@@ -725,16 +833,19 @@ fn under_load<D: Dial + Copy + Send, R>(
     queried: &[DrillStream],
     body: impl FnOnce(&Tally) -> R,
 ) -> (R, Tally) {
-    let tally = Tally::default();
+    let tally = Tally {
+        watches: ingest.iter().map(|_| Watch::default()).collect(),
+        ..Tally::default()
+    };
     let result = std::thread::scope(|s| {
         let tally = &tally;
         let stop = move || tally.stop.load(Ordering::Acquire);
-        let writers: Vec<_> = ingest
-            .iter()
-            .map(|&(dial, stream, first)| {
+        let writers: Vec<_> = (ingest.iter().zip(&tally.watches))
+            .map(|(&(dial, stream, first), watch)| {
                 let items = first..u64::MAX;
                 s.spawn(move || {
-                    ingest_loop(tally, &mut Link::new(dial), stream, items, batch, stop)
+                    let link = &mut Link::new(dial);
+                    ingest_loop(tally, link, Some(watch), stream, items, batch, stop)
                 })
             })
             .collect();
@@ -794,6 +905,10 @@ pub struct FaultPhase {
     /// of the baseline ingest rate (`None` = not within
     /// [`RECOVERY_TIMEOUT`]).
     pub recovery: Option<Duration>,
+    /// Each ingest writer's own way back, recorded from clearing the
+    /// fault until `recovery` (or [`RECOVERY_TIMEOUT`]): what a missed
+    /// recovery has to be read from.
+    pub writers: Vec<WriterRecovery>,
     /// Whether the server answered a clean request after the phase.
     pub survived: bool,
 }
@@ -853,6 +968,9 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> ScenarioReport
             std::thread::sleep(cfg.fault_hold);
             mode.store(FaultMode::Off as u8, Ordering::Release);
             let cleared = Instant::now();
+            for watch in &tally.watches {
+                watch.arm(cleared);
+            }
 
             // Recovery: first 50 ms bucket back at ≥ 50% of baseline
             // rate.
@@ -868,6 +986,8 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> ScenarioReport
                 last = now;
             }
 
+            let writers = tally.watches.iter().map(Watch::take).collect();
+
             // Survival probe: a clean request on a fresh direct
             // connection.
             let survived = Client::connect(server_addr, Duration::from_secs(2))
@@ -877,6 +997,7 @@ pub fn run_scenario(server_addr: SocketAddr, cfg: &LoadConfig) -> ScenarioReport
             phases.push(FaultPhase {
                 mode: fault,
                 recovery,
+                writers,
                 survived,
             });
         }

@@ -112,14 +112,16 @@ fn print_taxonomy(taxonomy: &ErrorTaxonomy) {
 }
 
 fn print_report(r: &ScenarioReport) {
-    let mut t = Table::new(&["fault", "recovery_ms", "survived"]);
+    let mut t = Table::new(&["fault", "recovery_ms", "survived", "writers"]);
     for p in &r.phases {
+        let writers: Vec<String> = p.writers.iter().map(|w| format!("[{w}]")).collect();
         t.row(&[
             p.mode.name().to_string(),
             p.recovery
                 .map(|d| format!("{:.0}", d.as_secs_f64() * 1e3))
                 .unwrap_or_else(|| "TIMEOUT".to_string()),
             p.survived.to_string(),
+            writers.join(" "),
         ]);
     }
     println!("{}", t.render());

@@ -95,10 +95,12 @@ fn recovery_is_measured_after_faults_clear() {
     // truncated frame's deadline), but within the generous timeout
     // every class must get back to ≥ 50% of baseline throughput.
     for phase in &report.phases {
+        let writers: Vec<String> = phase.writers.iter().map(|w| format!("[{w}]")).collect();
         assert!(
             phase.recovery.is_some(),
-            "fault class {:?} must recover within the timeout; phases {:?}, {:?}",
+            "fault class {:?} must recover within the timeout; its writers {}; phases {:?}, {:?}",
             phase.mode,
+            writers.join(" "),
             report.phases,
             report.taxonomy
         );

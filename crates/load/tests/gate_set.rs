@@ -43,6 +43,7 @@ fn healthy() -> (
             .map(|&mode| FaultPhase {
                 mode,
                 recovery: Some(Duration::from_millis(60)),
+                writers: Vec::new(),
                 survived: true,
             })
             .collect(),

@@ -1,6 +1,7 @@
 //! The Misra–Gries frequent-items summary.
 
 use crate::error::{Result, SketchError};
+use crate::sort::sort_items;
 
 /// A frequency estimate for one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,8 @@ impl FrequencyEstimate {
 ///
 /// The counters are one run sorted by item, so a lookup is a binary
 /// search and a batch ([`Self::merge_batch`]) merge-joins with them
-/// without hashing anything.
+/// without hashing anything, into buffers the sketch keeps from one
+/// merge to the next.
 ///
 /// # Examples
 ///
@@ -60,6 +62,12 @@ pub struct MisraGriesSketch<T: Ord + Clone> {
     /// Total weight removed by decrements — the uniform over-/under-count
     /// slack of every absent or retained item.
     error: u64,
+    /// Scratch, stale between calls: the run a merge-join writes before
+    /// it trades places with `counters`.
+    joined: Vec<(T, u64)>,
+    /// Scratch of [`Self::merge_batch`]: the joined counters' values,
+    /// where its reduction selects the cut.
+    counts: Vec<u64>,
 }
 
 impl<T: Ord + Clone> MisraGriesSketch<T> {
@@ -80,6 +88,8 @@ impl<T: Ord + Clone> MisraGriesSketch<T> {
             // run still grows to the full k + 1 on demand.
             counters: Vec::with_capacity(k.saturating_add(1).min(1 << 16)),
             error: 0,
+            joined: Vec::new(),
+            counts: Vec::new(),
         })
     }
 
@@ -185,16 +195,22 @@ impl<T: Ord + Clone> MisraGriesSketch<T> {
     }
 
     /// Processes a batch of stream items as one mergeable-summaries merge
-    /// (Agarwal et al., PODS 2012): the batch, sorted in place, is an
-    /// exact summary of itself; its runs of equal items add to the
-    /// counters in one merge-join, and one reduction by the `(k+1)`-th
-    /// largest counter brings them back to `k`. The bounds of
-    /// [`MisraGriesSketch`] hold after it. While the counters fit in `k`
-    /// it lands in the same state as [`Self::update`] per item; past
-    /// that its one reduction can keep other counters than the per-item
-    /// reductions would. `items` is left sorted.
-    pub fn merge_batch(&mut self, items: &mut [T]) {
-        items.sort_unstable();
+    /// (Agarwal et al., PODS 2012): the batch, sorted in place (`u64`
+    /// batches of a frame's size by the AVX-512 register sort of
+    /// [`crate::sort`]), is an exact summary of itself; its runs of
+    /// equal items add to the counters in one merge-join, and one
+    /// reduction by the `(k+1)`-th largest counter brings them back to
+    /// `k`. The bounds of [`MisraGriesSketch`] hold after it. While the
+    /// counters fit in `k` it lands in the same state as
+    /// [`Self::update`] per item; past that its one reduction can keep
+    /// other counters than the per-item reductions would. `items` is
+    /// left sorted. Nothing is allocated once the sketch's buffers have
+    /// grown to `k` plus a batch's distinct items.
+    pub fn merge_batch(&mut self, items: &mut [T])
+    where
+        T: 'static,
+    {
+        sort_items(items);
         self.n += items.len() as u64;
         self.add_runs(
             items
@@ -202,7 +218,9 @@ impl<T: Ord + Clone> MisraGriesSketch<T> {
                 .map(|run| (&run[0], run.len() as u64)),
         );
         if self.counters.len() > self.k {
-            let mut counts: Vec<u64> = self.counters.iter().map(|(_, c)| *c).collect();
+            let counts = &mut self.counts;
+            counts.clear();
+            counts.extend(self.counters.iter().map(|(_, c)| *c));
             let cut_at = counts.len() - (self.k + 1);
             let cut = *counts.select_nth_unstable(cut_at).1;
             self.subtract(cut);
@@ -210,25 +228,26 @@ impl<T: Ord + Clone> MisraGriesSketch<T> {
     }
 
     /// Adds `runs` — `(item, count)` pairs in strictly ascending item
-    /// order — to the counters in one merge-join pass.
+    /// order — to the counters in one merge-join pass into `joined`,
+    /// which then trades places with them.
     fn add_runs<'a>(&mut self, runs: impl Iterator<Item = (&'a T, u64)>)
     where
         T: 'a,
     {
-        let most = runs.size_hint().1.unwrap_or(0);
-        let mut merged = Vec::with_capacity(self.counters.len() + most);
-        let mut held = std::mem::take(&mut self.counters).into_iter().peekable();
+        let joined = &mut self.joined;
+        joined.clear();
+        let mut held = self.counters.drain(..).peekable();
         for (item, count) in runs {
             while let Some(entry) = held.next_if(|(x, _)| x < item) {
-                merged.push(entry);
+                joined.push(entry);
             }
             match held.next_if(|(x, _)| x == item) {
-                Some((x, c)) => merged.push((x, c + count)),
-                None => merged.push((item.clone(), count)),
+                Some((x, c)) => joined.push((x, c + count)),
+                None => joined.push((item.clone(), count)),
             }
         }
-        merged.extend(held);
-        self.counters = merged;
+        joined.extend(held);
+        std::mem::swap(&mut self.counters, &mut self.joined);
     }
 
     /// The Misra–Gries reduction: subtract the median-ish decrement (the

@@ -49,6 +49,7 @@ pub mod hash;
 pub mod hll;
 pub mod oracle;
 pub mod quantiles;
+pub mod sort;
 pub mod theta;
 pub mod wire;
 

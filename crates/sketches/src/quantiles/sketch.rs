@@ -3,6 +3,7 @@
 use super::ladder::{LevelRuns, QuantilesLadder, WeightedMerge};
 use crate::error::{Result, SketchError};
 use crate::oracle::{DeterministicOracle, Oracle};
+use crate::sort::sort_items;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -151,17 +152,21 @@ impl<T: Ord + Clone> QuantilesSketch<T> {
     /// are taken to be indistinguishable, as for any total order).
     ///
     /// The batch is cut where the base buffer fills, in arrival order;
-    /// each piece is sorted in place and merged into the sorted base
-    /// buffer from the back, with no allocation, so a full base buffer
-    /// compacts without a sort. `items` is left permuted.
-    pub fn merge_batch(&mut self, items: &mut [T]) {
+    /// each piece is sorted in place (`u64` pieces of a frame's size by
+    /// the AVX-512 register sort of [`crate::sort`]) and merged into the
+    /// sorted base buffer from the back, with no allocation, so a full
+    /// base buffer compacts without a sort. `items` is left permuted.
+    pub fn merge_batch(&mut self, items: &mut [T])
+    where
+        T: 'static,
+    {
         self.sort_base();
         let mut rest = items;
         while !rest.is_empty() {
             let take = rest.len().min(2 * self.k - self.base_buffer.len());
             let (piece, tail) = std::mem::take(&mut rest).split_at_mut(take);
             rest = tail;
-            piece.sort_unstable();
+            sort_items(piece);
             self.observe_extrema(&piece[0], &piece[piece.len() - 1]);
             self.n += piece.len() as u64;
             merge_into_sorted(&mut self.base_buffer, piece);
@@ -914,7 +919,7 @@ mod tests {
     /// byte-identical.
     fn assert_batches_equal_scalar<T>(k: usize, items: &[T], sizes: &[usize], scalar_every: usize)
     where
-        T: Ord + Clone + crate::wire::WireItem,
+        T: Ord + Clone + crate::wire::WireItem + 'static,
     {
         use crate::wire::WireEncode;
         let mut scalar = QuantilesSketch::with_seed(k, 11).unwrap();
